@@ -13,6 +13,7 @@
 //!   discussion).
 //! * `planner_on_off` — raw translations vs the full rewrite-pass pipeline.
 
+use certus_algebra::NullSemantics;
 use certus_bench::timing::time_mean;
 use certus_core::{translate_plus, CertainRewriter, ConditionDialect};
 use certus_engine::{Engine, EngineConfig};
@@ -22,6 +23,10 @@ use certus_tpch::{query_by_number, Workload};
 use std::time::Instant;
 
 const REPS: usize = 5;
+
+fn serial_engine(db: &certus_data::Database) -> Engine<'_> {
+    Engine::configured(db, NullSemantics::Sql, EngineConfig::serial())
+}
 
 struct Reporter {
     group: &'static str,
@@ -61,7 +66,7 @@ fn prepared(
 
 fn fig1_false_positive_detection() {
     let (db, params) = prepared(0.0004, 0.05, 1);
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let r = Reporter::group("fig1_false_positive_detection");
     for q in 1..=4usize {
         let expr = query_by_number(q, &params).unwrap();
@@ -74,7 +79,7 @@ fn fig1_false_positive_detection() {
 
 fn fig4_price_of_correctness() {
     let (db, params) = prepared(0.0008, 0.02, 2);
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let rewriter = CertainRewriter::new();
     let r = Reporter::group("fig4_price_of_correctness");
     for q in 1..=4usize {
@@ -89,7 +94,7 @@ fn table1_scaling() {
     let r = Reporter::group("table1_scaling");
     for scale in [0.0005, 0.001, 0.002] {
         let (db, params) = prepared(scale, 0.02, 3);
-        let engine = Engine::with_config(&db, EngineConfig::serial());
+        let engine = serial_engine(&db);
         let rewriter = CertainRewriter::new();
         let q3 = certus_tpch::q3(&params);
         let plus = rewriter.rewrite_plus(&q3, &db).unwrap();
@@ -116,7 +121,7 @@ fn sec5_fig2_translation() {
     );
     let plus = translate_plus(&q, ConditionDialect::Sql).unwrap();
     let fig2 = certus_core::naive_translation::translate_t(&q, &db, ConditionDialect::Sql).unwrap();
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let r = Reporter::group("sec5_fig2_translation");
     r.bench("improved_Q_plus", || engine.execute(&plus).unwrap());
     r.bench("figure2_Qt", || engine.execute(&fig2).unwrap());
@@ -124,7 +129,7 @@ fn sec5_fig2_translation() {
 
 fn ablation_or_split() {
     let (db, params) = prepared(0.0002, 0.02, 4);
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let q4 = certus_tpch::q4(&params);
     let unsplit = CertainRewriter::unoptimized().rewrite_plus(&q4, &db).unwrap();
     let split = CertainRewriter::new().rewrite_plus(&q4, &db).unwrap();
@@ -136,7 +141,7 @@ fn ablation_or_split() {
 
 fn planner_on_off() {
     let (db, params) = prepared(0.002, 0.02, 5);
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let raw_rewriter = CertainRewriter::unoptimized();
     let planner = Planner::new();
     let r = Reporter::group("planner_on_off");

@@ -6,9 +6,9 @@
 //!
 //! `--quick` (alias `--smoke`) shrinks instance counts and scale factors so
 //! the full suite runs in well under a minute (used by CI and `cargo bench`
-//! smoke runs). `pipeline` compares the vectorized operator runtime against
-//! the row-at-a-time compiled runtime and the pre-compilation delegating
-//! path, and writes the machine-readable perf baseline `BENCH_engine.json`.
+//! smoke runs). `pipeline` compares the vectorized evaluators of the
+//! compiled runtime against its row-at-a-time ones and writes the
+//! machine-readable perf baseline `BENCH_engine.json`.
 //! `bench-check` re-reads that file and flags a vectorized-vs-compiled
 //! regression beyond the noise tolerance — warn-only by default (CI runs on
 //! a one-core container whose absolute numbers are unstable), a hard failure

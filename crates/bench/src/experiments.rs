@@ -5,6 +5,7 @@
 use crate::timing::{fmt_ratio, time_mean, time_min};
 use certus_algebra::builder::eq_const;
 use certus_algebra::expr::RaExpr;
+use certus_algebra::NullSemantics;
 use certus_core::{translate_plus, CertainRewriter, ConditionDialect};
 use certus_data::builder::rel;
 use certus_data::{Database, Value};
@@ -12,6 +13,11 @@ use certus_engine::{estimate, Engine, EngineConfig};
 use certus_plan::Planner;
 use certus_tpch::fp_detect::count_false_positives;
 use certus_tpch::{query_by_number, Workload};
+
+/// The serial SQL-semantics engine the single-threaded experiments run on.
+fn serial_engine(db: &Database) -> Engine<'_> {
+    Engine::configured(db, NullSemantics::Sql, EngineConfig::serial())
+}
 
 /// One row of the Figure 1 experiment: average false-positive percentage per
 /// query at a given null rate.
@@ -46,7 +52,7 @@ pub fn figure1(
         for inst in 0..instances_per_rate {
             let w = Workload::new(scale_factor, rate, 100 + inst);
             let db = w.incomplete_instance();
-            let engine = Engine::with_config(&db, EngineConfig::serial());
+            let engine = serial_engine(&db);
             for run in 0..runs_per_instance {
                 let params = w.params(&db, run);
                 for q in 1..=4usize {
@@ -111,7 +117,7 @@ pub fn figure4(
         for inst in 0..instances {
             let w = Workload::new(scale_factor, rate, 500 + inst);
             let db = w.incomplete_instance();
-            let engine = Engine::with_config(&db, EngineConfig::serial());
+            let engine = serial_engine(&db);
             let params = w.params(&db, inst);
             for q in 1..=4usize {
                 let expr = query_by_number(q, &params).expect("query exists");
@@ -239,7 +245,7 @@ pub fn section5(sizes: &[usize]) -> Vec<Sec5Row> {
         let plus = translate_plus(&q, ConditionDialect::Sql).expect("translates");
         let fig2 = certus_core::naive_translation::translate_t(&q, &db, ConditionDialect::Sql)
             .expect("translates");
-        let engine = Engine::with_config(&db, EngineConfig::serial());
+        let engine = serial_engine(&db);
         let t_plus = time_mean(1, || engine.execute(&plus).expect("runs"));
         let t_fig2 = time_mean(1, || engine.execute(&fig2).expect("runs"));
         out.push(Sec5Row { tuples_per_relation: n, t_plus, t_fig2 });
@@ -284,7 +290,7 @@ pub struct PrecisionRecallRow {
 pub fn precision_recall(scale_factor: f64, null_rate: f64, seed: u64) -> Vec<PrecisionRecallRow> {
     let w = Workload::new(scale_factor, null_rate, seed);
     let db = w.incomplete_instance();
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let rewriter = CertainRewriter::new();
     let params = w.params(&db, 0);
     let mut out = Vec::new();
@@ -389,7 +395,7 @@ pub fn or_split_ablation(bench_scale: f64, tiny_scale: f64, null_rate: f64) -> A
     let unsplit_tiny =
         CertainRewriter::unoptimized().rewrite_plus(&q4_tiny, &tiny).expect("translates");
     let split_tiny = CertainRewriter::new().rewrite_plus(&q4_tiny, &tiny).expect("translates");
-    let engine = Engine::with_config(&tiny, EngineConfig::serial());
+    let engine = serial_engine(&tiny);
     let original_time = time_mean(1, || engine.execute(&q4_tiny).expect("runs"));
     let unsplit_time = time_mean(1, || engine.execute(&unsplit_tiny).expect("runs"));
     let split_time = time_mean(1, || engine.execute(&split_tiny).expect("runs"));
@@ -447,7 +453,7 @@ pub fn planner_on_off(
     let w = Workload::new(scale_factor, null_rate, seed);
     let db = w.incomplete_instance();
     let params = w.params(&db, 0);
-    let engine = Engine::with_config(&db, EngineConfig::serial());
+    let engine = serial_engine(&db);
     let raw_rewriter = CertainRewriter::unoptimized();
     let planner = Planner::new();
     let mut out = Vec::new();
@@ -526,12 +532,13 @@ pub fn parallel_scaling(
     };
     let q3p = optimized(3);
     let q4p = optimized(4);
-    let serial = Engine::with_config(&db, EngineConfig::serial());
+    let serial = serial_engine(&db);
     let expected3 = serial.execute(&q3p).expect("runs").sorted().distinct();
     let expected4 = serial.execute(&q4p).expect("runs").sorted().distinct();
     let mut out = Vec::new();
     for &threads in thread_counts {
-        let engine = Engine::with_config(&db, EngineConfig::with_threads(threads));
+        let engine =
+            Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(threads));
         let got3 = engine.execute(&q3p).expect("runs").sorted().distinct();
         let got4 = engine.execute(&q4p).expect("runs").sorted().distinct();
         assert_eq!(got3.tuples(), expected3.tuples(), "Q3+ differs at {threads} threads");
@@ -775,9 +782,7 @@ pub fn prepared_execution(
         // Per-call arm: rewrite + plan + execute, every time.
         let t_per_call = time_mean(reps, || {
             let plus = rewriter.rewrite_plus(&expr, session.database()).expect("translates");
-            Engine::with_config(session.database(), EngineConfig::serial())
-                .execute(&plus)
-                .expect("runs")
+            serial_engine(session.database()).execute(&plus).expect("runs")
         });
         // Prepared arm: plan once, execute many times.
         let prepared = session.prepare(&expr, Certainty::CertainPlus).expect("prepares");
@@ -785,9 +790,7 @@ pub fn prepared_execution(
         // Both arms must agree before their timings mean anything.
         let direct = {
             let plus = rewriter.rewrite_plus(&expr, session.database()).expect("translates");
-            Engine::with_config(session.database(), EngineConfig::serial())
-                .execute(&plus)
-                .expect("runs")
+            serial_engine(session.database()).execute(&plus).expect("runs")
         };
         let via_session = session.execute_prepared(&prepared).expect("runs");
         assert_eq!(
@@ -831,10 +834,8 @@ pub fn print_prepared(rows: &[PreparedRow], cache: &certus::plan::CacheStats) {
 }
 
 /// One row of the engine-pipeline experiment: end-to-end latency of the
-/// vectorized operator runtime vs. the row-at-a-time compiled runtime vs.
-/// the pre-compilation delegating path (which wrapped every materialised
-/// child back into a logical `Values` expression and resolved column names
-/// per row) on the pipeline-optimized translations Q3+/Q4+.
+/// vectorized vs. the row-at-a-time evaluators of the compiled runtime on
+/// the pipeline-optimized translations Q3+/Q4+.
 #[derive(Debug, Clone)]
 pub struct EnginePipelineRow {
     /// Query number (translated, so `Q⁺3` / `Q⁺4`).
@@ -843,11 +844,8 @@ pub struct EnginePipelineRow {
     pub plan_ops: usize,
     /// Number of answer rows (identical in all arms, asserted).
     pub rows: usize,
-    /// Minimum latency of the delegating path over the sampled reps
-    /// (seconds; minima, not means — see `engine_pipeline`).
-    pub t_delegating: f64,
     /// Minimum latency of compile + row-at-a-time native execution per
-    /// call (the PR-4 runtime, seconds).
+    /// call (seconds; minima, not means — see `engine_pipeline`).
     pub t_compiled: f64,
     /// Minimum latency of compile + vectorized execution per call
     /// (seconds).
@@ -858,11 +856,6 @@ pub struct EnginePipelineRow {
 }
 
 impl EnginePipelineRow {
-    /// Speedup of per-call row-path compiled execution over delegating.
-    pub fn speedup(&self) -> f64 {
-        self.t_delegating / self.t_compiled.max(1e-12)
-    }
-
     /// Speedup of vectorized execution over the row-path compiled runtime.
     pub fn vec_speedup(&self) -> f64 {
         self.t_compiled / self.t_vectorized.max(1e-12)
@@ -875,11 +868,10 @@ impl EnginePipelineRow {
 }
 
 /// The engine-pipeline experiment: run the pipeline-optimized certain-answer
-/// translations Q3+ and Q4+ end-to-end through (a) the pre-compilation
-/// delegating execution path, (b) compile + row-at-a-time native execution
-/// per call, (c) compile + vectorized execution per call, and (d) vectorized
-/// execution of a pre-compiled plan. All arms are asserted result-identical
-/// before timing.
+/// translations Q3+ and Q4+ end-to-end through (a) compile + row-at-a-time
+/// native execution per call, (b) compile + vectorized execution per call,
+/// and (c) vectorized execution of a pre-compiled plan. All arms are
+/// asserted result-identical before timing.
 pub fn engine_pipeline(
     scale_factor: f64,
     null_rate: f64,
@@ -892,8 +884,9 @@ pub fn engine_pipeline(
     let rewriter = CertainRewriter::new();
     let planner = Planner::new();
     // Same compiled plans, two execution configurations.
-    let row_engine = Engine::with_config(&db, EngineConfig::serial().with_vectorized(false));
-    let vec_engine = Engine::with_config(&db, EngineConfig::serial());
+    let row_engine =
+        Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial().with_vectorized(false));
+    let vec_engine = serial_engine(&db);
     let mut out = Vec::new();
     for q in [3usize, 4] {
         let expr = query_by_number(q, &params).expect("query exists");
@@ -904,18 +897,11 @@ pub fn engine_pipeline(
         // All arms must agree before their timings mean anything.
         let vectorized = vec_engine.execute_physical(&plan).expect("runs").sorted().distinct();
         let row = row_engine.execute_physical(&plan).expect("runs").sorted().distinct();
-        let delegating =
-            row_engine.execute_physical_delegating(&plan).expect("runs").sorted().distinct();
         let prepared = vec_engine.execute_compiled(&compiled).expect("runs").sorted().distinct();
         assert_eq!(vectorized.tuples(), row.tuples(), "vectorization changed Q{q}+ results");
-        assert_eq!(vectorized.tuples(), delegating.tuples(), "runtime changed Q{q}+ results");
         assert_eq!(vectorized.tuples(), prepared.tuples(), "compiled cache changed Q{q}+ results");
-        // Minimum over reps, not mean: the fast arms finish in single-digit
-        // milliseconds, where a mean mostly measures scheduler noise. The
-        // delegating arm is orders of magnitude slower and correspondingly
-        // stable — a couple of samples suffice there.
-        let t_delegating =
-            time_min(reps.min(2), || row_engine.execute_physical_delegating(&plan).expect("runs"));
+        // Minimum over reps, not mean: the arms finish in single-digit
+        // milliseconds, where a mean mostly measures scheduler noise.
         let t_compiled = time_min(reps, || row_engine.execute_physical(&plan).expect("runs"));
         let t_vectorized = time_min(reps, || vec_engine.execute_physical(&plan).expect("runs"));
         let t_prepared = time_min(reps, || vec_engine.execute_compiled(&compiled).expect("runs"));
@@ -923,7 +909,6 @@ pub fn engine_pipeline(
             query: q,
             plan_ops: plan.size(),
             rows: vectorized.len(),
-            t_delegating,
             t_compiled,
             t_vectorized,
             t_prepared,
@@ -934,24 +919,16 @@ pub fn engine_pipeline(
 
 /// Print engine-pipeline rows.
 pub fn print_engine_pipeline(rows: &[EnginePipelineRow]) {
-    println!("== Vectorized vs row-at-a-time vs delegating execution (Q3+/Q4+) ==");
+    println!("== Vectorized vs row-at-a-time execution (Q3+/Q4+) ==");
     println!(
-        "{:>5} {:>5} {:>14} {:>13} {:>13} {:>13} {:>9} {:>8}",
-        "query",
-        "ops",
-        "t(delegate) s",
-        "t(rows) s",
-        "t(vector) s",
-        "t(prepared) s",
-        "vec gain",
-        "answers"
+        "{:>5} {:>5} {:>13} {:>13} {:>13} {:>9} {:>8}",
+        "query", "ops", "t(rows) s", "t(vector) s", "t(prepared) s", "vec gain", "answers"
     );
     for r in rows {
         println!(
-            "{:>5} {:>5} {:>14.5} {:>13.5} {:>13.5} {:>13.5} {:>8}x {:>8}",
+            "{:>5} {:>5} {:>13.5} {:>13.5} {:>13.5} {:>8}x {:>8}",
             format!("Q{}+", r.query),
             r.plan_ops,
-            r.t_delegating,
             r.t_compiled,
             r.t_vectorized,
             r.t_prepared,
@@ -959,7 +936,7 @@ pub fn print_engine_pipeline(rows: &[EnginePipelineRow]) {
             r.rows
         );
     }
-    println!("(results identical across all four arms, asserted before timing)");
+    println!("(results identical across all three arms, asserted before timing)");
 }
 
 /// Write the engine-pipeline rows as machine-readable JSON (the perf
@@ -980,25 +957,20 @@ pub fn write_engine_bench_json(
         s.push_str(&format!(
             concat!(
                 "    {{\"query\": \"Q{}+\", \"plan_ops\": {}, \"rows\": {},\n",
-                "     \"delegating\": {{\"wall_s\": {:.6}, \"rows_per_sec\": {:.1}}},\n",
                 "     \"compiled\": {{\"wall_s\": {:.6}, \"rows_per_sec\": {:.1}}},\n",
                 "     \"vectorized\": {{\"wall_s\": {:.6}, \"rows_per_sec\": {:.1}}},\n",
                 "     \"prepared\": {{\"wall_s\": {:.6}, \"rows_per_sec\": {:.1}}},\n",
-                "     \"speedup_compiled_vs_delegating\": {:.3},\n",
                 "     \"speedup_vectorized_vs_compiled\": {:.3}}}{}\n"
             ),
             r.query,
             r.plan_ops,
             r.rows,
-            r.t_delegating,
-            r.rows_per_sec(r.t_delegating),
             r.t_compiled,
             r.rows_per_sec(r.t_compiled),
             r.t_vectorized,
             r.rows_per_sec(r.t_vectorized),
             r.t_prepared,
             r.rows_per_sec(r.t_prepared),
-            r.speedup(),
             r.vec_speedup(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -2318,26 +2290,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_pipeline_compiled_runtime_beats_delegating() {
+    fn engine_pipeline_vectorized_runtime_beats_row_path() {
         let rows = engine_pipeline(0.0008, 0.03, 907, 2);
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert!(r.t_delegating > 0.0 && r.t_compiled > 0.0 && r.t_prepared > 0.0);
+            assert!(r.t_compiled > 0.0 && r.t_prepared > 0.0);
             assert!(r.t_vectorized > 0.0);
             assert!(r.plan_ops > 1);
         }
-        // The compiled runtime must beat the delegating round-trip on at
-        // least one of Q3+/Q4+. The Q4+ gap is algorithmic (per-row name
-        // resolution + per-operator materialisation vs none; >20x in
-        // practice even in debug builds), so a bound barely above 1x only
-        // fails on a real regression, not on scheduler noise. The release
-        // `experiments pipeline` run records the real ≥2x-and-beyond gap.
-        let best = rows.iter().map(EnginePipelineRow::speedup).fold(0.0, f64::max);
-        assert!(best > 1.05, "expected a compiled-runtime speedup, got {rows:?}");
-        // Likewise, the vectorized runtime must beat the row path on at
-        // least one query even in debug builds (the Q4+ gap is algorithmic:
-        // hoisted loop-invariant predicates + typed loops vs per-pair
-        // dispatch).
+        // The vectorized runtime must beat the row path on at least one
+        // query even in debug builds (the Q4+ gap is algorithmic: hoisted
+        // loop-invariant predicates + typed loops vs per-pair dispatch), so
+        // a bound barely above 1x only fails on a real regression, not on
+        // scheduler noise.
         let best_vec = rows.iter().map(EnginePipelineRow::vec_speedup).fold(0.0, f64::max);
         assert!(best_vec > 1.05, "expected a vectorization speedup, got {rows:?}");
         print_engine_pipeline(&rows);
@@ -2347,7 +2312,6 @@ mod tests {
         write_engine_bench_json(&path, &rows).expect("writes");
         let text = std::fs::read_to_string(&path).expect("reads back");
         assert!(text.contains("\"experiment\": \"engine_pipeline\""));
-        assert!(text.contains("\"speedup_compiled_vs_delegating\""));
         assert!(text.contains("\"speedup_vectorized_vs_compiled\""));
         let checks = bench_check(&path, 1.10).expect("parses");
         assert_eq!(checks.len(), 2);
@@ -2378,7 +2342,6 @@ mod tests {
             query: 3,
             plan_ops: 5,
             rows: 10,
-            t_delegating: 0.4,
             t_compiled: 0.02,
             t_vectorized: 0.01,
             t_prepared: 0.008,

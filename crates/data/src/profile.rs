@@ -1,12 +1,10 @@
 //! Process-wide profiling counters for the hot-path work the compiled
 //! operator runtime is supposed to eliminate.
 //!
-//! Three kinds of per-execution overhead used to hide in the engine's
-//! delegating execution path: column-*name resolution* (string lookups in
-//! [`crate::Schema::position_of`]), *schema inference* (re-deriving operator
-//! output schemas per execution), and *plan materialisation* (wrapping an
-//! already materialised relation back into a logical `Values` expression so
-//! the reference evaluator can re-execute it).
+//! Two kinds of per-execution overhead belong to planning and compilation,
+//! never to executing a compiled plan: column-*name resolution* (string
+//! lookups in [`crate::Schema::position_of`]) and *schema inference*
+//! (re-deriving operator output schemas).
 //!
 //! The counters themselves now live in the process-wide
 //! [`certus_obs::metrics::MetricsRegistry`] under the `data.*` names — this
@@ -33,11 +31,6 @@ fn schema_inferences() -> &'static Counter {
     H.get_or_init(|| registry().counter(names::DATA_SCHEMA_INFERENCES))
 }
 
-fn plan_materializations() -> &'static Counter {
-    static H: OnceLock<Arc<Counter>> = OnceLock::new();
-    H.get_or_init(|| registry().counter(names::DATA_PLAN_MATERIALIZATIONS))
-}
-
 /// A snapshot of all profiling counters, for delta assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileSnapshot {
@@ -45,8 +38,6 @@ pub struct ProfileSnapshot {
     pub name_resolutions: u64,
     /// Operator output-schema inferences performed so far.
     pub schema_inferences: u64,
-    /// Materialised relations wrapped back into logical expressions so far.
-    pub plan_materializations: u64,
 }
 
 impl ProfileSnapshot {
@@ -55,7 +46,6 @@ impl ProfileSnapshot {
         ProfileSnapshot {
             name_resolutions: name_resolutions().value(),
             schema_inferences: schema_inferences().value(),
-            plan_materializations: plan_materializations().value(),
         }
     }
 
@@ -64,13 +54,12 @@ impl ProfileSnapshot {
         ProfileSnapshot {
             name_resolutions: self.name_resolutions - earlier.name_resolutions,
             schema_inferences: self.schema_inferences - earlier.schema_inferences,
-            plan_materializations: self.plan_materializations - earlier.plan_materializations,
         }
     }
 
     /// Whether no counted work happened between `earlier` and this snapshot.
     pub fn is_zero(&self) -> bool {
-        self.name_resolutions == 0 && self.schema_inferences == 0 && self.plan_materializations == 0
+        self.name_resolutions == 0 && self.schema_inferences == 0
     }
 }
 
@@ -87,13 +76,6 @@ pub fn record_schema_inference() {
     schema_inferences().incr();
 }
 
-/// Record one materialised-relation → logical-expression wrap (called by the
-/// engine's delegating execution path).
-#[inline]
-pub fn record_plan_materialization() {
-    plan_materializations().incr();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +86,11 @@ mod tests {
         let before = ProfileSnapshot::now();
         record_name_resolution();
         record_schema_inference();
-        record_plan_materialization();
         let delta = ProfileSnapshot::now().delta_since(&before);
         // Other tests in this process may also record events concurrently,
         // so only lower bounds are stable here.
         assert!(delta.name_resolutions >= 1);
         assert!(delta.schema_inferences >= 1);
-        assert!(delta.plan_materializations >= 1);
         assert!(!delta.is_zero());
     }
 

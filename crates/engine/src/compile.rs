@@ -1,12 +1,9 @@
 //! One-time compilation of [`PhysicalExpr`] plans into the engine's native
 //! operator runtime.
 //!
-//! The delegating execution path (kept as
-//! [`Engine::execute_physical_delegating`](crate::Engine::execute_physical_delegating)
-//! for differential testing and benchmarking) re-did three kinds of work on
-//! *every* execution of *every* operator: it wrapped materialised children
-//! back into logical `Values` expressions, re-inferred operator output
-//! schemas, and resolved every column name to a position once per row via
+//! An interpreter over [`PhysicalExpr`] would redo two kinds of work on
+//! *every* execution of *every* operator: re-infer operator output schemas,
+//! and resolve every column name to a position once per row via
 //! `Schema::position_of`. [`CompiledPlan::compile`] does all of that exactly
 //! once per plan:
 //!
@@ -43,6 +40,7 @@ use certus_obs::metrics::{registry, Counter};
 use certus_obs::names;
 use certus_obs::ProfNode;
 use certus_plan::physical::{JoinAlgo, Partitioning, PhysicalExpr, SemiAlgo};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// A row view over one tuple or a (left, right) pair of tuples. Join
@@ -97,8 +95,7 @@ impl ScalarValues {
     }
 
     /// Record an evaluated subquery value (first write wins; racing arms of
-    /// a parallel union may both evaluate, exactly like the per-worker
-    /// evaluator caches of the delegating path).
+    /// a parallel union may both evaluate; they compute the same value).
     pub(crate) fn set(&self, i: usize, value: Option<Value>) {
         let _ = self.cells[i].set(value);
     }
@@ -446,8 +443,8 @@ pub(crate) enum CompiledExpr {
     /// N-ary union (nested unions flattened; exchanges marking arms for
     /// concurrent evaluation are absorbed into `parallel`).
     Union { arms: Vec<CompiledExpr>, schema: Arc<Schema>, parallel: bool },
-    /// Set intersection (positional, left schema wins — as the delegating
-    /// path's schema alignment did). `partitions > 0` when the plan carried
+    /// Set intersection (positional, left schema wins — the reference
+    /// evaluator's schema alignment). `partitions > 0` when the plan carried
     /// an exchange: membership tests are hash-partitioned across pool tasks.
     Intersect { left: Box<CompiledExpr>, right: Box<CompiledExpr>, partitions: usize },
     /// Set difference (positional, left schema wins); `partitions` as for
@@ -1019,93 +1016,18 @@ fn compile_operand(
     })
 }
 
-/// Apply a fused step chain to a borrowed row; returns the surviving owned
-/// output row, cloning the input only if it survives un-projected.
-pub(crate) fn apply_steps_borrowed(
-    t: &Tuple,
+/// Apply a fused step chain to one row — the row-at-a-time evaluator of a
+/// pipeline. A borrowed input is cloned only if it survives un-projected; an
+/// owned one moves through. With a `counter`, every filter step the row
+/// survives bumps that step's survivor count there — yielding, per filter,
+/// "rows passing filters `0..=k`", the same quantity the vectorized path
+/// reads off its running selection mask.
+pub(crate) fn apply_steps(
+    t: Cow<'_, Tuple>,
     steps: &[Step],
     scalars: &ScalarValues,
     semantics: NullSemantics,
-) -> Option<Tuple> {
-    let mut owned: Option<Tuple> = None;
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                let current = owned.as_ref().unwrap_or(t);
-                if !pred.eval(RowView::one(current), scalars, semantics).is_true() {
-                    return None;
-                }
-            }
-            Step::Project(pos) => {
-                let current = owned.as_ref().unwrap_or(t);
-                owned = Some(current.project(pos));
-            }
-        }
-    }
-    Some(owned.unwrap_or_else(|| t.clone()))
-}
-
-/// Apply a fused step chain to an owned row (no clone when it survives).
-pub(crate) fn apply_steps_owned(
-    t: Tuple,
-    steps: &[Step],
-    scalars: &ScalarValues,
-    semantics: NullSemantics,
-) -> Option<Tuple> {
-    let mut current = t;
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                if !pred.eval(RowView::one(&current), scalars, semantics).is_true() {
-                    return None;
-                }
-            }
-            Step::Project(pos) => {
-                current = current.project(pos);
-            }
-        }
-    }
-    Some(current)
-}
-
-/// [`apply_steps_borrowed`] with instrumentation: every filter step a row
-/// survives bumps that step's survivor counter in `prof` — yielding, per
-/// filter, "rows passing filters `0..=k`", the same quantity the vectorized
-/// path reads off its running selection mask.
-pub(crate) fn apply_steps_borrowed_counted(
-    t: &Tuple,
-    steps: &[Step],
-    scalars: &ScalarValues,
-    semantics: NullSemantics,
-    prof: &ProfNode,
-) -> Option<Tuple> {
-    let mut owned: Option<Tuple> = None;
-    for (k, step) in steps.iter().enumerate() {
-        match step {
-            Step::Filter(pred) => {
-                let current = owned.as_ref().unwrap_or(t);
-                if !pred.eval(RowView::one(current), scalars, semantics).is_true() {
-                    return None;
-                }
-                prof.add_step_rows(k, 1);
-            }
-            Step::Project(pos) => {
-                let current = owned.as_ref().unwrap_or(t);
-                owned = Some(current.project(pos));
-            }
-        }
-    }
-    Some(owned.unwrap_or_else(|| t.clone()))
-}
-
-/// [`apply_steps_owned`] with the same per-filter survivor counting as
-/// [`apply_steps_borrowed_counted`].
-pub(crate) fn apply_steps_owned_counted(
-    t: Tuple,
-    steps: &[Step],
-    scalars: &ScalarValues,
-    semantics: NullSemantics,
-    prof: &ProfNode,
+    counter: Option<&ProfNode>,
 ) -> Option<Tuple> {
     let mut current = t;
     for (k, step) in steps.iter().enumerate() {
@@ -1114,12 +1036,12 @@ pub(crate) fn apply_steps_owned_counted(
                 if !pred.eval(RowView::one(&current), scalars, semantics).is_true() {
                     return None;
                 }
-                prof.add_step_rows(k, 1);
+                if let Some(p) = counter {
+                    p.add_step_rows(k, 1);
+                }
             }
-            Step::Project(pos) => {
-                current = current.project(pos);
-            }
+            Step::Project(pos) => current = Cow::Owned(current.project(pos)),
         }
     }
-    Some(current)
+    Some(current.into_owned())
 }

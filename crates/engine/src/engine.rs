@@ -12,32 +12,63 @@
 //! semantics require. Every per-node choice (hash join vs. nested loop vs.
 //! decorrelated short-circuit) is read off the plan:
 //!
-//! * [`JoinAlgo::Hash`] / [`SemiAlgo::Hash`] run as **hash joins** with a
-//!   residual predicate; join keys are resolved to positions at compile
-//!   time and shared by the serial and partitioned paths;
-//! * [`JoinAlgo::NestedLoop`] / [`SemiAlgo::NestedLoop`] compare every pair
-//!   (the fate of conditions like `A = B OR B IS NULL` that hide their
-//!   equality from the key extractor) — residuals evaluate over the pair of
-//!   input tuples, so non-matching pairs are never concatenated;
-//! * [`SemiAlgo::Decorrelated`] evaluates the inner side once and
-//!   short-circuits the whole branch — for a `NOT EXISTS` that found a
-//!   witness the outer side is never touched, which is what makes the
-//!   translated query Q⁺2 orders of magnitude faster than Q2, as in the
-//!   paper;
+//! * [`JoinAlgo::Hash`](certus_plan::physical::JoinAlgo::Hash) /
+//!   [`SemiAlgo::Hash`](certus_plan::physical::SemiAlgo::Hash) run as **hash
+//!   joins** with a residual predicate; join keys are resolved to positions
+//!   at compile time;
+//! * [`JoinAlgo::NestedLoop`](certus_plan::physical::JoinAlgo::NestedLoop) /
+//!   [`SemiAlgo::NestedLoop`](certus_plan::physical::SemiAlgo::NestedLoop)
+//!   compare every pair (the fate of conditions like `A = B OR B IS NULL`
+//!   that hide their equality from the key extractor) — residuals evaluate
+//!   over the pair of input tuples, so non-matching pairs are never
+//!   concatenated;
+//! * [`SemiAlgo::Decorrelated`](certus_plan::physical::SemiAlgo::Decorrelated)
+//!   evaluates the inner side once and short-circuits the whole branch — for
+//!   a `NOT EXISTS` that found a witness the outer side is never touched,
+//!   which is what makes the translated query Q⁺2 orders of magnitude faster
+//!   than Q2, as in the paper;
 //! * set operations, unification semijoins, division, renaming and
 //!   aggregation all run natively on owned relations (no schema clones, no
 //!   scratch-set tuple clones).
 //!
-//! The pre-compilation execution path — which delegated most operators back
-//! to the reference evaluator by wrapping materialised children in logical
-//! `Values` expressions — is kept as
-//! [`Engine::execute_physical_delegating`]: it is the differential oracle at
-//! the physical level and the baseline of the `experiments pipeline`
-//! benchmark.
-//!
 //! [`Engine::execute`] is the convenience entry point for logical plans: it
-//! runs the statistics-free [`heuristic_plan`](certus_plan::physical::heuristic_plan) (the same choices the
-//! pre-planner engine hard-coded) and executes the result.
+//! runs the statistics-free [`heuristic_plan`](certus_plan::physical::heuristic_plan)
+//! and executes the result. The semantics oracle is the reference evaluator,
+//! `certus_algebra::eval`; the differential suites compare against it.
+//!
+//! # One kernel per join operator
+//!
+//! Hash join, hash (anti-)semijoin, nested-loop join and nested-loop
+//! (anti-)semijoin are each **one per-outer-row decision run by one
+//! driver**. The operator prepares its matcher — the two sides' key sets
+//! and the build table, or the nested-loop predicate — and passes a closure
+//! over the outer row index to `probe_emit` ("append the rows outer row `i`
+//! joins to") or `probe_keep` ("does outer row `i` have a partner"). The
+//! driver beneath both, `for_each_outer`, owns the rest: the
+//! serial-vs-morsel-parallel split, the periodic cancellation check, probe
+//! hit/miss profiling, and the output order.
+//!
+//! * **Two key representations, one build/probe loop.** A hash operator's
+//!   keys are typed columns hashed and compared column-wise, or — for a key
+//!   column that cannot be typed (mixed variants, all null), a cross-side
+//!   type mismatch under naive semantics, and everything under
+//!   `vectorized = false` — *row-valued*: `Value` hash and `Value ==` over
+//!   the rows themselves. Both fill the same table of build-row indices and
+//!   answer the same "build rows whose key equals probe row `i`'s" query, so
+//!   the operators never see which one ran; the profile does
+//!   (`vec_runs` vs `row_fallbacks`).
+//! * **What [`EngineConfig::vectorized`] selects** is the *evaluator*, never
+//!   the algorithm: typed-column vs row-valued keys, truth masks over the
+//!   extracted inner columns vs per-pair scalar evaluation in nested loops,
+//!   column-wise vs row-at-a-time filters in fused pipelines. Each pairing
+//!   computes the same result in the same order, which is what lets the
+//!   differential tests and the benchmark's cross-check use the row side as
+//!   the reference for the vectorized one.
+//! * **Probe order, always.** Joins emit in outer (left) input order, each
+//!   outer row's partners in inner input order; semijoins keep the
+//!   survivors' input order. Morsels are contiguous index ranges
+//!   concatenated in order, so this holds for every thread count, both key
+//!   representations and both settings of `vectorized`.
 //!
 //! # Parallel execution
 //!
@@ -47,36 +78,35 @@
 //! submitted to the process-wide work-stealing worker pool
 //! ([`certus_exec::Pool`]) — no per-exchange thread spawning:
 //!
-//! * an exchange with [`Partitioning::Hash`](certus_plan::physical::Partitioning::Hash)
-//!   under a hash (semi-)join's build side splits **both** sides by a
-//!   deterministic key hash and runs build + probe of every partition on its
-//!   own worker;
+//! * an exchange under a join-like operator (hash exchange on a hash
+//!   operator's build side, round-robin on a nested loop's outer side) marks
+//!   it for a **morsel-parallel probe**: one shared build table or bound
+//!   predicate, the outer side split into contiguous morsels;
 //! * exchanges under a union mark its branches (the translation's split-union
 //!   `Q⁺` arms) for **concurrent evaluation**;
 //! * an exchange with [`Partitioning::RoundRobin`](certus_plan::physical::Partitioning::RoundRobin)
 //!   under a filter splits the
 //!   input into contiguous morsels run through the fused step pipeline in
-//!   parallel.
+//!   parallel;
+//! * exchanges under distinct, set operations and aggregation hash-partition
+//!   the rows across pool tasks.
 //!
-//! With [`EngineConfig::threads`] `== 1` (or on plans without exchanges) the
-//! engine takes exactly the serial code paths. All parallel paths are
-//! deterministic: partition routing uses a fixed hash and results are
-//! concatenated in partition order. [`EngineConfig::threads`] is the
-//! *partitioning modulus* (how work is split — part of the deterministic
-//! output contract and the plan-cache key); how many OS threads actually
-//! run the tasks is the pool's width, fixed process-wide at first use
-//! (`CERTUS_THREADS`, falling back to the machine's parallelism). Nested
-//! regions and concurrent queries share that one pool, so the machine is
-//! never oversubscribed no matter how many exchanges are in flight.
+//! With [`EngineConfig::threads`] `== 1` (or on plans without exchanges)
+//! every operator runs inline on the calling thread. All parallel paths are
+//! deterministic: how work is split is a pure function of the plan and
+//! [`EngineConfig::threads`] (part of the plan-cache key), and results are
+//! merged in input order. How many OS threads actually run the tasks is the
+//! pool's width, fixed process-wide at first use (`CERTUS_THREADS`, falling
+//! back to the machine's parallelism). Nested regions and concurrent queries
+//! share that one pool, so the machine is never oversubscribed no matter how
+//! many exchanges are in flight.
 
 use crate::analyze::skeleton;
 use crate::compile::{
-    apply_steps_borrowed, apply_steps_borrowed_counted, apply_steps_owned,
-    apply_steps_owned_counted, CompiledExpr, CompiledPlan, CompiledPredicate, RowView,
-    ScalarValues, Step, VecPlan,
+    apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, RowView, ScalarValues, Step,
+    VecPlan,
 };
-use crate::vector::{self, KeySet};
-use certus_algebra::condition::Condition;
+use crate::vector::{self, BoundPred, KeySet};
 use certus_algebra::eval::Evaluator;
 use certus_algebra::expr::{AggFunc, RaExpr};
 use certus_algebra::{AlgebraError, NullSemantics, Result};
@@ -84,8 +114,10 @@ use certus_data::{Database, Relation, Schema, Tuple, Value};
 use certus_obs::metrics::{registry, Counter};
 use certus_obs::names;
 use certus_obs::{ProfNode, QueryProfile, Timer};
-use certus_plan::physical::{heuristic_plan_with, JoinAlgo, Parallelism, PhysicalExpr, SemiAlgo};
+use certus_plan::physical::{heuristic_plan_with, Parallelism, PhysicalExpr};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Runtime configuration of the engine.
@@ -100,12 +132,13 @@ pub struct EngineConfig {
     /// heuristic planner has no statistics, so this runtime floor is what
     /// keeps its exchanges harmless on small data.
     pub parallel_floor: usize,
-    /// Whether fused pipelines and hash (semi-)join keys execute
-    /// batch-at-a-time over typed columns (the default). Off, the engine
-    /// takes the row-at-a-time paths of the PR-4 runtime — kept selectable
-    /// so the differential tests and benchmarks can pit the two against
-    /// each other on identical compiled plans (`CERTUS_VECTOR=0` flips the
-    /// environment-driven default).
+    /// Whether predicates and hash keys evaluate batch-at-a-time over typed
+    /// columns (the default) or row-at-a-time over `Value`s. This selects
+    /// the *evaluator* inside each operator, never a different algorithm or
+    /// output order — kept selectable so the differential tests and
+    /// benchmarks can use the row side as the reference on identical
+    /// compiled plans (`CERTUS_VECTOR=0` flips the environment-driven
+    /// default).
     pub vectorized: bool,
 }
 
@@ -193,8 +226,9 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// An engine with explicit semantics and configuration — the one real
-    /// constructor; everything else defaults into it.
+    /// An engine with explicit semantics and configuration — the one
+    /// constructor. (`NullSemantics::Sql` with `EngineConfig::default()` is
+    /// the environment-driven SQL engine.)
     ///
     /// For new code, prefer the `certus::Session` facade: it owns the
     /// database, prepares (translates + plans + compiles) queries once,
@@ -252,26 +286,6 @@ impl<'a> Engine<'a> {
             Some(pool) => pool,
             None => certus_exec::global(),
         }
-    }
-
-    /// Shim over [`Engine::configured`]: SQL three-valued semantics and the
-    /// environment-driven default configuration ([`EngineConfig::from_env`]).
-    /// Superseded by `certus::Session` for new code.
-    pub fn new(db: &'a Database) -> Self {
-        Engine::configured(db, NullSemantics::Sql, EngineConfig::default())
-    }
-
-    /// Shim over [`Engine::configured`]: explicit null semantics (naive
-    /// evaluation pairs with translations in the theoretical dialect), the
-    /// default configuration. Superseded by `certus::Session` for new code.
-    pub fn with_semantics(db: &'a Database, semantics: NullSemantics) -> Self {
-        Engine::configured(db, semantics, EngineConfig::default())
-    }
-
-    /// Shim over [`Engine::configured`]: explicit configuration, SQL
-    /// semantics. Superseded by `certus::Session` for new code.
-    pub fn with_config(db: &'a Database, config: EngineConfig) -> Self {
-        Engine::configured(db, NullSemantics::Sql, config)
     }
 
     /// The engine's runtime configuration.
@@ -340,18 +354,6 @@ impl<'a> Engine<'a> {
         Ok((rel, prof.finish()))
     }
 
-    /// Execute a physical plan through the **pre-compilation delegating
-    /// path**: joins and semijoins run natively (resolving join keys by name
-    /// on every execution), while every other operator is delegated to the
-    /// reference evaluator by wrapping its materialised children back into
-    /// logical `Values` expressions. Serial, deliberately kept as the
-    /// differential oracle at the physical level and as the baseline of the
-    /// `experiments pipeline` benchmark.
-    pub fn execute_physical_delegating(&self, plan: &PhysicalExpr) -> Result<Relation> {
-        let ev = Evaluator::new(self.db, self.semantics);
-        self.exec_delegating(plan, &ev)
-    }
-
     /// Ensure the scalar subqueries a predicate reads have been evaluated.
     /// Called right before an operator's per-row loop, and only when that
     /// loop will actually run — so a branch the decorrelated short-circuit
@@ -407,8 +409,7 @@ impl<'a> Engine<'a> {
         node: &CompiledExpr,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<std::borrow::Cow<'e, Relation>> {
-        use std::borrow::Cow;
+    ) -> Result<Cow<'e, Relation>> {
         if let CompiledExpr::Scan { name, schema } = node {
             let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
             if Arc::ptr_eq(rel.schema(), schema) || rel.schema() == schema {
@@ -653,7 +654,7 @@ impl<'a> Engine<'a> {
         if let Some(p) = prof {
             p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
         }
-        let hashes = self.row_hashes(rel.tuples(), None)?;
+        let hashes = self.row_hashes(rel.tuples(), None);
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, &h) in hashes.iter().enumerate() {
             parts[(h % n as u64) as usize].push(i as u32);
@@ -705,7 +706,7 @@ impl<'a> Engine<'a> {
         if let Some(p) = prof {
             p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
         }
-        let (l_hash, r_hash) = self.row_hashes_pair(l.tuples(), r.tuples())?;
+        let (l_hash, r_hash) = self.row_hashes_pair(l.tuples(), r.tuples());
         let mut parts: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); n];
         for (i, &h) in l_hash.iter().enumerate() {
             parts[(h % n as u64) as usize].0.push(i as u32);
@@ -762,7 +763,7 @@ impl<'a> Engine<'a> {
             if let Some(p) = prof {
                 p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
             }
-            let hashes = self.row_hashes(rel.tuples(), Some(group_pos))?;
+            let hashes = self.row_hashes(rel.tuples(), Some(group_pos));
             let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n];
             for (i, &h) in hashes.iter().enumerate() {
                 parts[(h % n as u64) as usize].push(i as u32);
@@ -833,93 +834,39 @@ impl<'a> Engine<'a> {
 
     /// Deterministic per-row hashes over the given positions (the whole
     /// tuple when `pos` is `None`), used to partition rows for parallel
-    /// distinct/set-op/aggregate execution. The only requirement is that
-    /// equal projected tuples hash equal *within one call* — the partition
-    /// modulus consumes the hashes and collisions always re-compare tuples.
-    ///
-    /// With vectorized execution on, this reuses the join-side column-wise
-    /// hasher ([`KeySet::build`] with nulls hashed by id) instead of running
-    /// `DefaultHasher` value-by-value over every row; inputs whose columns
-    /// land in the mixed-variant fallback keep the row path, computed
-    /// morsel-parallel on the pool for large inputs.
-    fn row_hashes(&self, rows: &[Tuple], pos: Option<&[usize]>) -> Result<Vec<u64>> {
-        if let Some(hashes) = self.vec_row_hashes(rows, pos) {
-            return Ok(hashes);
-        }
-        self.row_hashes_fallback(rows, pos)
-    }
-
-    /// Per-row full-tuple hashes for *both* sides of a set operation. Equal
-    /// tuples across the two relations must hash equal, so the vectorized
-    /// path is taken only when both sides column-hash successfully **and**
-    /// with pairwise identical column representations (a null in an `Int`
-    /// column and the same null in a `Str` column mix different placeholder
-    /// bits); otherwise both sides take the row path together.
-    fn row_hashes_pair(&self, l: &[Tuple], r: &[Tuple]) -> Result<(Vec<u64>, Vec<u64>)> {
-        if self.config.vectorized {
-            let pool = self.db.str_pool();
-            let arity = l.first().or_else(|| r.first()).map_or(0, |t| t.values().len());
-            let pos: Vec<usize> = (0..arity).collect();
-            if let (Some(lk), Some(rk)) =
-                (KeySet::build(l, &pos, true, pool), KeySet::build(r, &pos, true, pool))
-            {
-                if lk.compatible(&rk) {
-                    return Ok((lk.hashes, rk.hashes));
-                }
-            }
-        }
-        Ok((self.row_hashes_fallback(l, None)?, self.row_hashes_fallback(r, None)?))
-    }
-
-    /// The vectorized arm of [`Engine::row_hashes`]: column-wise hashing via
-    /// [`KeySet::build`], with nulls hashed by their id (`allow_nulls`) so
-    /// every row stays valid. `None` when vectorized execution is off or a
-    /// projected column lands in the `Values` fallback.
-    fn vec_row_hashes(&self, rows: &[Tuple], pos: Option<&[usize]>) -> Option<Vec<u64>> {
-        if !self.config.vectorized || rows.is_empty() {
-            return None;
-        }
+    /// distinct/aggregate execution. The only requirement is that equal
+    /// projected tuples hash equal *within one call* — the partition modulus
+    /// consumes the hashes and collisions always re-compare tuples. These
+    /// are the join-side key hashes ([`KeySet::build`], nulls hashed by id
+    /// so every row stays valid): column-wise when vectorized and typable,
+    /// `Value` hashes otherwise.
+    fn row_hashes(&self, rows: &[Tuple], pos: Option<&[usize]>) -> Vec<u64> {
         let all: Vec<usize>;
         let pos = match pos {
             Some(pos) => pos,
             None => {
-                all = (0..rows[0].values().len()).collect();
+                all = (0..rows.first().map_or(0, |t| t.values().len())).collect();
                 &all
             }
         };
-        KeySet::build(rows, pos, true, self.db.str_pool()).map(|ks| ks.hashes)
+        KeySet::build(rows, pos, true, self.config.vectorized, self.db.str_pool()).hashes
     }
 
-    /// The row-at-a-time arm of [`Engine::row_hashes`]: `DefaultHasher` over
-    /// the projected values, morsel-parallel on the pool for large inputs.
-    fn row_hashes_fallback(&self, rows: &[Tuple], pos: Option<&[usize]>) -> Result<Vec<u64>> {
-        use std::hash::{Hash, Hasher};
-        let hash_one = |t: &Tuple| -> u64 {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            match pos {
-                Some(pos) => {
-                    for &p in pos {
-                        t[p].hash(&mut h);
-                    }
-                }
-                None => t.hash(&mut h),
-            }
-            h.finish()
-        };
-        let n = self.workers(self.config.threads, rows.len());
-        if n <= 1 {
-            return Ok(rows.iter().map(hash_one).collect());
-        }
-        let ranges = index_ranges(rows.len(), n);
-        self.parallel_flat(&ranges, |range| Ok(range.clone().map(|i| hash_one(&rows[i])).collect()))
+    /// Per-row full-tuple hashes for *both* sides of a set operation. Equal
+    /// tuples across the two relations must hash equal, which
+    /// [`KeySet::pair`] guarantees by keying both sides in one
+    /// representation.
+    fn row_hashes_pair(&self, l: &[Tuple], r: &[Tuple]) -> (Vec<u64>, Vec<u64>) {
+        let arity = l.first().or_else(|| r.first()).map_or(0, |t| t.values().len());
+        let pos: Vec<usize> = (0..arity).collect();
+        let (lk, rk) =
+            KeySet::pair(l, &pos, r, &pos, true, self.config.vectorized, self.db.str_pool());
+        (lk.hashes, rk.hashes)
     }
 
-    /// Execute a fused step pipeline. With vectorized execution on (and the
-    /// chain carrying a [`VecPlan`]), the filters evaluate column-wise and
-    /// the survivors are gathered once at the pipeline edge; otherwise a
-    /// scan source streams borrowed base tuples (rows dropped by a filter
-    /// are never cloned) and any other source is executed and its tuples
-    /// moved through the steps.
+    /// Execute a fused step pipeline: a scan source streams borrowed base
+    /// tuples (rows dropped by a filter are never cloned), any other source
+    /// is executed and its tuples moved through the steps.
     #[allow(clippy::too_many_arguments)]
     fn exec_fused(
         &self,
@@ -932,205 +879,170 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let vec_plan = if self.config.vectorized { vec_plan.as_ref() } else { None };
-        // Per-step survivor counts only make sense for filter steps; the
-        // vectorized path needs the mapping from its i-th filter (vec plans
-        // drop projections) back to the step index.
-        let vprof = prof.map(|p| {
-            let map: Vec<usize> = steps
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s, Step::Filter(_)))
-                .map(|(i, _)| i)
-                .collect();
-            (p, map)
-        });
-        let vprof = vprof.as_ref().map(|(p, m)| (*p, m.as_slice()));
-        let mut out = match source {
+        let input: Cow<'_, [Tuple]> = match source {
             CompiledExpr::Scan { name, .. } => {
                 let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in(rel.len() as u64);
-                    // The pipeline streams the base table without executing
-                    // the scan node; credit it its rows anyway.
-                    if let Some(c) = p.child(0) {
-                        c.stats.record_invocation(rel.len() as u64, 0);
-                    }
+                // The pipeline streams the base table without executing the
+                // scan node; credit it its rows anyway.
+                if let Some(c) = prof.and_then(|p| p.child(0)) {
+                    c.stats.record_invocation(rel.len() as u64, 0);
                 }
-                if !rel.is_empty() {
-                    self.ensure_step_scalars(steps, scalars)?;
-                }
-                let tuples = match vec_plan {
-                    Some(vp) => {
-                        self.run_steps_vectorized(rel.tuples(), vp, partitions, scalars, vprof)?
-                    }
-                    None => {
-                        self.run_steps_borrowed(rel.tuples(), steps, partitions, scalars, prof)?
-                    }
-                };
-                Relation::from_parts(schema.clone(), tuples)
+                Cow::Borrowed(rel.tuples())
             }
             other => {
-                let input = self.exec(other, scalars, prof.and_then(|p| p.child(0)))?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in(input.len() as u64);
-                }
-                if !input.is_empty() {
-                    self.ensure_step_scalars(steps, scalars)?;
-                }
-                let tuples = if let Some(vp) = vec_plan {
-                    let input_tuples = input.into_tuples();
-                    self.run_steps_vectorized(&input_tuples, vp, partitions, scalars, vprof)?
-                } else {
-                    let n = self.step_workers(partitions, input.len());
-                    if n > 1 {
-                        let input_tuples = input.into_tuples();
-                        self.run_steps_parallel(&input_tuples, steps, n, scalars, prof)?
-                    } else {
-                        if let Some(p) = prof {
-                            p.stats.record_batches(1);
-                        }
-                        match prof {
-                            Some(p) => input
-                                .into_tuples()
-                                .into_iter()
-                                .filter_map(|t| {
-                                    apply_steps_owned_counted(
-                                        t,
-                                        steps,
-                                        &scalars.values,
-                                        self.semantics,
-                                        p,
-                                    )
-                                })
-                                .collect(),
-                            None => input
-                                .into_tuples()
-                                .into_iter()
-                                .filter_map(|t| {
-                                    apply_steps_owned(t, steps, &scalars.values, self.semantics)
-                                })
-                                .collect(),
-                        }
-                    }
-                };
-                Relation::from_parts(schema.clone(), tuples)
+                Cow::Owned(self.exec(other, scalars, prof.and_then(|p| p.child(0)))?.into_tuples())
             }
         };
+        if let Some(p) = prof {
+            p.stats.record_rows_in(input.len() as u64);
+        }
+        if !input.is_empty() {
+            self.ensure_step_scalars(steps, scalars)?;
+        }
+        let vec_plan = vec_plan.as_ref().filter(|_| self.config.vectorized);
+        let tuples = self.run_steps(input, steps, vec_plan, partitions, scalars, prof)?;
+        let mut out = Relation::from_parts(schema.clone(), tuples);
         if dedup {
             out.dedup();
         }
         Ok(out)
     }
 
-    fn run_steps_borrowed(
+    /// The one morsel driver of fused pipelines. A morsel runs through the
+    /// batch-at-a-time evaluator when `vec_plan` is given (extract the filter
+    /// columns, evaluate the predicates into truth masks, gather survivors)
+    /// and row-at-a-time through [`apply_steps`] otherwise. Only pipelines
+    /// whose plan carried a round-robin exchange fan out, over contiguous
+    /// morsels concatenated in order — output order is input order either
+    /// way.
+    fn run_steps(
         &self,
-        input: &[Tuple],
+        input: Cow<'_, [Tuple]>,
         steps: &[Step],
+        vec_plan: Option<&VecPlan>,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Vec<Tuple>> {
-        let n = self.step_workers(partitions, input.len());
-        if n > 1 {
-            self.run_steps_parallel(input, steps, n, scalars, prof)
-        } else {
-            if let Some(p) = prof {
-                p.stats.record_batches(1);
+        // Per-step survivor counts: vec plans drop projections, so their
+        // i-th filter maps back to a step index.
+        let filter_steps: Vec<usize> = match (prof, vec_plan) {
+            (Some(_), Some(_)) => {
+                (0..steps.len()).filter(|&i| matches!(steps[i], Step::Filter(_))).collect()
             }
-            Ok(match prof {
-                Some(p) => input
+            _ => Vec::new(),
+        };
+        let run_morsel = |rows: &[Tuple]| -> Vec<Tuple> {
+            match vec_plan {
+                Some(plan) => vector::filter_gather(
+                    rows,
+                    plan,
+                    &scalars.values,
+                    self.semantics,
+                    self.db.str_pool(),
+                    prof.map(|p| (p, filter_steps.as_slice())),
+                ),
+                None => rows
                     .iter()
                     .filter_map(|t| {
-                        apply_steps_borrowed_counted(t, steps, &scalars.values, self.semantics, p)
+                        apply_steps(Cow::Borrowed(t), steps, &scalars.values, self.semantics, prof)
                     })
                     .collect(),
-                None => input
-                    .iter()
-                    .filter_map(|t| apply_steps_borrowed(t, steps, &scalars.values, self.semantics))
-                    .collect(),
-            })
-        }
-    }
-
-    /// Batch-at-a-time step pipeline: per morsel, extract the filter
-    /// columns, evaluate the predicates into truth masks, gather survivors.
-    /// Output order is input order, identical to the serial row pass.
-    fn run_steps_vectorized(
-        &self,
-        input: &[Tuple],
-        plan: &VecPlan,
-        partitions: usize,
-        scalars: &ScalarCtx<'_>,
-        prof: Option<(&ProfNode, &[usize])>,
-    ) -> Result<Vec<Tuple>> {
-        let pool = self.db.str_pool();
-        let n = self.step_workers(partitions, input.len());
-        if let Some((p, _)) = prof {
+            }
+        };
+        if let (Some(p), Some(_)) = (prof, vec_plan) {
             p.stats.record_vec_run();
         }
+        let n = self.workers(partitions, input.len());
         if n > 1 {
-            let morsels: Vec<&[Tuple]> = chunks_of(input, n);
-            if let Some((p, _)) = prof {
+            let morsels: Vec<&[Tuple]> = chunks_of(&input, n);
+            if let Some(p) = prof {
                 p.stats.record_batches(morsels.len() as u64);
                 // Small inputs chunk into fewer morsels than `n`; never
                 // report more workers than there are tasks to run.
                 let cap = self.pool().width().min(n).min(morsels.len());
                 p.stats.record_parallel(morsels.len() as u64, cap as u64);
             }
-            self.parallel_tuples(&morsels, |chunk| {
-                Ok(vector::filter_gather(chunk, plan, &scalars.values, self.semantics, pool, prof))
-            })
-        } else {
-            if let Some((p, _)) = prof {
-                p.stats.record_batches(1);
-            }
-            Ok(vector::filter_gather(input, plan, &scalars.values, self.semantics, pool, prof))
+            return self.parallel_flat(&morsels, |rows| Ok(run_morsel(rows)));
         }
-    }
-
-    /// Morsel-parallel step pipeline: contiguous chunks, outputs concatenated
-    /// in order — identical output order to the serial pass.
-    fn run_steps_parallel(
-        &self,
-        input: &[Tuple],
-        steps: &[Step],
-        workers: usize,
-        scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
-    ) -> Result<Vec<Tuple>> {
-        let morsels: Vec<&[Tuple]> = chunks_of(input, workers);
         if let Some(p) = prof {
-            p.stats.record_batches(morsels.len() as u64);
-            // Small inputs chunk into fewer morsels than `workers`; never
-            // report more workers than there are tasks to run.
-            let cap = self.pool().width().min(workers).min(morsels.len());
-            p.stats.record_parallel(morsels.len() as u64, cap as u64);
+            p.stats.record_batches(1);
         }
-        self.parallel_tuples(&morsels, |chunk| {
-            Ok(match prof {
-                Some(p) => chunk
-                    .iter()
-                    .filter_map(|t| {
-                        apply_steps_borrowed_counted(t, steps, &scalars.values, self.semantics, p)
-                    })
-                    .collect(),
-                None => chunk
-                    .iter()
-                    .filter_map(|t| apply_steps_borrowed(t, steps, &scalars.values, self.semantics))
-                    .collect(),
-            })
+        Ok(match input {
+            Cow::Owned(rows) if vec_plan.is_none() => rows
+                .into_iter()
+                .filter_map(|t| {
+                    apply_steps(Cow::Owned(t), steps, &scalars.values, self.semantics, prof)
+                })
+                .collect(),
+            rows => run_morsel(&rows),
         })
     }
 
-    /// Workers for a fused pipeline: only pipelines whose plan carried a
-    /// round-robin exchange may fan out.
-    fn step_workers(&self, partitions: usize, rows: usize) -> usize {
-        if partitions == 0 || self.config.threads <= 1 {
-            1
-        } else {
-            self.workers(partitions, rows)
+    // ------------------------------------------------------------------
+    // Join-like operators: prepare the matcher, call the probe driver
+    // ------------------------------------------------------------------
+
+    /// Common entry of the four join-like operators. Ensures the predicate's
+    /// scalar subqueries — only when pairs will actually be compared, so an
+    /// empty side never evaluates (or surfaces errors from) them — and sizes
+    /// the fan-out for `work` (rows touched by a hash operator, pairs by a
+    /// nested loop).
+    #[allow(clippy::too_many_arguments)]
+    fn join_workers(
+        &self,
+        l: &Relation,
+        r: &Relation,
+        pred: &CompiledPredicate,
+        work: usize,
+        partitions: usize,
+        scalars: &ScalarCtx<'_>,
+        prof: Option<&ProfNode>,
+    ) -> Result<usize> {
+        if !l.is_empty() && !r.is_empty() {
+            self.ensure_scalars(scalars, pred.scalar_refs())?;
         }
+        let n = self.workers(partitions, work);
+        if let Some(p) = prof {
+            p.stats.record_rows_in((l.len() + r.len()) as u64);
+            if n > 1 {
+                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
+            }
+        }
+        Ok(n)
+    }
+
+    /// The (probe, build) key sets of a hash operator. Under SQL semantics a
+    /// null key never matches; under naive semantics nulls are ordinary key
+    /// values. The profile records which representation ran: typed columns
+    /// are a vectorized run, row-valued keys a row fallback when the
+    /// vectorized evaluator was asked for.
+    fn hash_keys<'r>(
+        &self,
+        l: &'r Relation,
+        l_pos: &'r [usize],
+        r: &'r Relation,
+        r_pos: &'r [usize],
+        prof: Option<&ProfNode>,
+    ) -> (KeySet<'r>, KeySet<'r>) {
+        let (probe, build) = KeySet::pair(
+            l.tuples(),
+            l_pos,
+            r.tuples(),
+            r_pos,
+            self.semantics == NullSemantics::Naive,
+            self.config.vectorized,
+            self.db.str_pool(),
+        );
+        if let Some(p) = prof {
+            if probe.is_typed() {
+                p.stats.record_vec_run();
+            } else if self.config.vectorized {
+                p.stats.record_row_fallback();
+            }
+            p.stats.record_build_rows(build.valid_rows() as u64);
+        }
+        (probe, build)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1146,193 +1058,25 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let allow_nulls = self.semantics == NullSemantics::Naive;
-        if !l.is_empty() && !r.is_empty() {
-            self.ensure_scalars(scalars, residual.scalar_refs())?;
-        }
-        let n = if partitions > 0 && self.config.threads > 1 {
-            self.workers(partitions, l.len() + r.len())
-        } else {
-            1
-        };
-        if let Some(p) = prof {
-            p.stats.record_rows_in((l.len() + r.len()) as u64);
-            if n > 1 {
-                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
-            }
-        }
-        if self.config.vectorized {
-            if let Some(out) =
-                self.hash_join_vec(l, r, l_pos, r_pos, residual, schema, n, scalars, prof)?
-            {
-                return Ok(out);
-            }
-            if let Some(p) = prof {
-                p.stats.record_row_fallback();
-            }
-        }
-        if n > 1 {
-            // Partitioned parallel hash join: route both sides' row
-            // *indices* by a deterministic key hash — selection vectors
-            // travel between workers, never cloned keys — then build + probe
-            // every partition on its own pool task; outputs concatenate in
-            // partition order.
-            let (build, r_hash, _) = route_indices(r, r_pos, allow_nulls, n);
-            let (probe, l_hash, _) = route_indices(l, l_pos, allow_nulls, n);
-            if let Some(p) = prof {
-                p.stats.record_build_rows(build.iter().map(|part| part.len() as u64).sum());
-            }
-            let parts: Vec<_> = build.into_iter().zip(probe).collect();
-            let out = self.parallel_tuples(&parts, |(b, pidx)| {
-                let mut table: HashMap<u64, Vec<u32>> = HashMap::with_capacity(b.len());
-                for &j in b {
-                    table.entry(r_hash[j as usize]).or_default().push(j);
-                }
-                let mut out = Vec::new();
-                for &i in pidx {
-                    let lt = &l.tuples()[i as usize];
-                    let before = out.len();
-                    if let Some(candidates) = table.get(&l_hash[i as usize]) {
-                        for &j in candidates {
-                            let rt = &r.tuples()[j as usize];
-                            if keys_eq_at(lt, l_pos, rt, r_pos)
-                                && residual
-                                    .eval(RowView::pair(lt, rt), &scalars.values, self.semantics)
-                                    .is_true()
-                            {
-                                out.push(lt.concat(rt));
-                            }
-                        }
-                    }
-                    if let Some(pr) = prof {
-                        let hit = out.len() > before;
-                        pr.stats.record_probes(hit as u64, (!hit) as u64);
-                    }
-                }
-                Ok(out)
-            })?;
-            return Ok(Relation::from_parts(schema.clone(), out));
-        }
-        let table = build_hash(r, r_pos, allow_nulls);
-        if let Some(p) = prof {
-            p.stats.record_build_rows(table.values().map(|v| v.len() as u64).sum());
-        }
-        let mut out = Vec::new();
-        let mut key: Vec<Value> = Vec::with_capacity(l_pos.len());
-        for lt in l.iter() {
-            let before = out.len();
-            if fill_key(lt, l_pos, allow_nulls, &mut key) {
-                if let Some(candidates) = table.get(key.as_slice()) {
-                    for &rt in candidates {
-                        if residual
-                            .eval(RowView::pair(lt, rt), &scalars.values, self.semantics)
-                            .is_true()
-                        {
-                            out.push(lt.concat(rt));
-                        }
-                    }
-                }
-            }
-            if let Some(p) = prof {
-                let hit = out.len() > before;
-                p.stats.record_probes(hit as u64, (!hit) as u64);
-            }
-        }
-        Ok(Relation::from_parts(schema.clone(), out))
-    }
-
-    /// Vectorized hash join: key columns extracted once per side, per-row
-    /// hashes computed column-wise, the table keyed on the precomputed
-    /// hashes over row *indices* (collisions verified by typed comparison) —
-    /// no per-row key clones. Returns `None` when a key column cannot be
-    /// typed (mixed variants / all null) — the caller keeps the row path.
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join_vec(
-        &self,
-        l: &Relation,
-        r: &Relation,
-        l_pos: &[usize],
-        r_pos: &[usize],
-        residual: &CompiledPredicate,
-        schema: &Arc<Schema>,
-        workers: usize,
-        scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
-    ) -> Result<Option<Relation>> {
-        let allow_nulls = self.semantics == NullSemantics::Naive;
-        let pool = self.db.str_pool();
-        let Some(build) = KeySet::build(r.tuples(), r_pos, allow_nulls, pool) else {
-            return Ok(None);
-        };
-        let Some(probe) = KeySet::build(l.tuples(), l_pos, allow_nulls, pool) else {
-            return Ok(None);
-        };
-        if !probe.compatible(&build) {
-            // Differently-typed key columns can never be syntactically equal
-            // — except through nulls, which only participate under naive
-            // semantics (row fallback there).
-            return if allow_nulls {
-                Ok(None)
-            } else {
-                if let Some(p) = prof {
-                    p.stats.record_vec_run();
-                }
-                Ok(Some(Relation::from_parts(schema.clone(), Vec::new())))
-            };
-        }
-        if let Some(p) = prof {
-            p.stats.record_vec_run();
-            p.stats.record_build_rows(build.valid.iter().filter(|v| **v).count() as u64);
-        }
+        let n = self.join_workers(l, r, residual, l.len() + r.len(), partitions, scalars, prof)?;
+        let (probe, build) = self.hash_keys(l, l_pos, r, r_pos, prof);
         let table = build.table();
-        let probe_one = |i: usize, out: &mut Vec<Tuple>| {
-            let before = out.len();
-            if probe.valid[i] {
-                if let Some(candidates) = table.get(&probe.hashes[i]) {
-                    let lt = &l.tuples()[i];
-                    for &j in candidates {
-                        let rt = &r.tuples()[j as usize];
-                        if probe.keys_eq(i, &build, j as usize)
-                            && residual
-                                .eval(RowView::pair(lt, rt), &scalars.values, self.semantics)
-                                .is_true()
-                        {
-                            out.push(lt.concat(rt));
-                        }
-                    }
+        let tuples = self.probe_emit(l.len(), n, prof, |i, out| {
+            let lt = &l.tuples()[i];
+            for j in probe.matches(i, &build, &table) {
+                let rt = &r.tuples()[j];
+                if residual.eval(RowView::pair(lt, rt), &scalars.values, self.semantics).is_true() {
+                    out.push(lt.concat(rt));
                 }
             }
-            if let Some(p) = prof {
-                let hit = out.len() > before;
-                p.stats.record_probes(hit as u64, (!hit) as u64);
-            }
-        };
-        let tuples = if workers > 1 {
-            // Morsel-parallel probe over a shared table; chunk outputs
-            // concatenate in input order, so the result order matches the
-            // serial pass exactly.
-            let ranges = index_ranges(l.len(), workers);
-            self.parallel_flat(&ranges, |range| {
-                let mut out = Vec::new();
-                for i in range.clone() {
-                    probe_one(i, &mut out);
-                }
-                Ok(out)
-            })?
-        } else {
-            let mut out = Vec::new();
-            for i in 0..l.len() {
-                probe_one(i, &mut out);
-            }
-            out
-        };
-        Ok(Some(Relation::from_parts(schema.clone(), tuples)))
+        })?;
+        Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn hash_semi(
         &self,
-        l: std::borrow::Cow<'_, Relation>,
+        l: Cow<'_, Relation>,
         r: &Relation,
         l_pos: &[usize],
         r_pos: &[usize],
@@ -1342,172 +1086,49 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let allow_nulls = self.semantics == NullSemantics::Naive;
-        if !l.is_empty() && !r.is_empty() {
-            self.ensure_scalars(scalars, residual.scalar_refs())?;
-        }
-        let n = if partitions > 0 && self.config.threads > 1 {
-            self.workers(partitions, l.len() + r.len())
-        } else {
-            1
-        };
-        if let Some(p) = prof {
-            p.stats.record_rows_in((l.len() + r.len()) as u64);
-            if n > 1 {
-                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
-            }
-        }
-        if self.config.vectorized {
-            if let Some(keep) =
-                self.hash_semi_vec(&l, r, l_pos, r_pos, residual, keep_matching, n, scalars, prof)?
-            {
-                return Ok(semi_result(l, keep));
-            }
-            if let Some(p) = prof {
-                p.stats.record_row_fallback();
-            }
-        }
-        if n > 1 {
-            // Partitioned parallel hash (anti-)semijoin over routed row
-            // indices (selection vectors, no key clones). Left tuples with a
-            // null key (which can never match under SQL semantics) bypass the
-            // partitions and are appended after them, preserving determinism.
-            let (build, r_hash, _) = route_indices(r, r_pos, allow_nulls, n);
-            let (probe, l_hash, null_keyed) = route_indices(&l, l_pos, allow_nulls, n);
-            if let Some(p) = prof {
-                p.stats.record_build_rows(build.iter().map(|part| part.len() as u64).sum());
-            }
-            let parts: Vec<_> = build.into_iter().zip(probe).collect();
-            let mut out = self.parallel_tuples(&parts, |(b, pidx)| {
-                let mut table: HashMap<u64, Vec<u32>> = HashMap::with_capacity(b.len());
-                for &j in b {
-                    table.entry(r_hash[j as usize]).or_default().push(j);
-                }
-                let mut out = Vec::new();
-                for &i in pidx {
-                    let lt = &l.tuples()[i as usize];
-                    let matched = table.get(&l_hash[i as usize]).is_some_and(|candidates| {
-                        candidates.iter().any(|&j| {
-                            let rt = &r.tuples()[j as usize];
-                            keys_eq_at(lt, l_pos, rt, r_pos)
-                                && residual
-                                    .eval(RowView::pair(lt, rt), &scalars.values, self.semantics)
-                                    .is_true()
-                        })
-                    });
-                    if let Some(pr) = prof {
-                        pr.stats.record_probes(matched as u64, (!matched) as u64);
-                    }
-                    if matched == keep_matching {
-                        out.push(lt.clone());
-                    }
-                }
-                Ok(out)
-            })?;
-            if !keep_matching {
-                // A null key never matches: those tuples survive an anti-join.
-                out.extend(null_keyed.iter().map(|&i| l.tuples()[i as usize].clone()));
-            }
-            return Ok(Relation::from_parts(l.schema().clone(), out));
-        }
-        let table = build_hash(r, r_pos, allow_nulls);
-        if let Some(p) = prof {
-            p.stats.record_build_rows(table.values().map(|v| v.len() as u64).sum());
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(l_pos.len());
-        let keep: Vec<bool> = l
-            .iter()
-            .map(|lt| {
-                let matched = if !fill_key(lt, l_pos, allow_nulls, &mut key) {
-                    false // a null key never matches under SQL semantics
-                } else {
-                    match table.get(key.as_slice()) {
-                        None => false,
-                        Some(candidates) => candidates.iter().any(|&rt| {
-                            residual
-                                .eval(RowView::pair(lt, rt), &scalars.values, self.semantics)
-                                .is_true()
-                        }),
-                    }
-                };
-                if let Some(p) = prof {
-                    p.stats.record_probes(matched as u64, (!matched) as u64);
-                }
-                matched == keep_matching
+        let n = self.join_workers(&l, r, residual, l.len() + r.len(), partitions, scalars, prof)?;
+        let (probe, build) = self.hash_keys(&l, l_pos, r, r_pos, prof);
+        let table = build.table();
+        let keep = self.probe_keep(l.len(), n, keep_matching, prof, |i| {
+            let lt = &l.tuples()[i];
+            probe.matches(i, &build, &table).any(|j| {
+                let pair = RowView::pair(lt, &r.tuples()[j]);
+                residual.eval(pair, &scalars.values, self.semantics).is_true()
             })
-            .collect();
+        })?;
         Ok(semi_result(l, keep))
     }
 
-    /// Vectorized hash (anti-)semijoin: same key machinery as
-    /// [`Engine::hash_join_vec`], producing per-row keep flags (survivors
-    /// are then retained by move, in input order — serial and parallel
-    /// agree). Returns `None` when the keys cannot be typed.
-    #[allow(clippy::too_many_arguments)]
-    fn hash_semi_vec(
+    /// The vectorized evaluator of a nested loop's predicate, when this
+    /// execution uses one: the inner columns the predicate reads extracted
+    /// once, its outer-independent subtrees hoisted into cached masks, so
+    /// each outer row evaluates against *all* inner rows at once. `None`
+    /// selects per-pair scalar evaluation: `vectorized = false`, or an empty
+    /// side — there are no pairs then, and preparing eagerly evaluates the
+    /// hoisted subtrees, whose scalar subqueries are only ensured when both
+    /// inputs are non-empty.
+    fn bind_inner(
         &self,
+        pred: &CompiledPredicate,
         l: &Relation,
         r: &Relation,
-        l_pos: &[usize],
-        r_pos: &[usize],
-        residual: &CompiledPredicate,
-        keep_matching: bool,
-        workers: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Option<Vec<bool>>> {
-        let allow_nulls = self.semantics == NullSemantics::Naive;
-        let pool = self.db.str_pool();
-        let Some(build) = KeySet::build(r.tuples(), r_pos, allow_nulls, pool) else {
-            return Ok(None);
-        };
-        let Some(probe) = KeySet::build(l.tuples(), l_pos, allow_nulls, pool) else {
-            return Ok(None);
-        };
-        if !probe.compatible(&build) {
-            return if allow_nulls {
-                Ok(None)
-            } else {
-                // No key can ever match: an antijoin keeps everything, a
-                // semijoin nothing.
-                if let Some(p) = prof {
-                    p.stats.record_vec_run();
-                }
-                Ok(Some(vec![!keep_matching; l.len()]))
-            };
+    ) -> Option<BoundPred> {
+        if !self.config.vectorized || l.is_empty() || r.is_empty() {
+            return None;
         }
         if let Some(p) = prof {
             p.stats.record_vec_run();
-            p.stats.record_build_rows(build.valid.iter().filter(|v| **v).count() as u64);
         }
-        let table = build.table();
-        let decide = |i: usize| -> bool {
-            let matched = probe.valid[i]
-                && table.get(&probe.hashes[i]).is_some_and(|candidates| {
-                    let lt = &l.tuples()[i];
-                    candidates.iter().any(|&j| {
-                        probe.keys_eq(i, &build, j as usize)
-                            && residual
-                                .eval(
-                                    RowView::pair(lt, &r.tuples()[j as usize]),
-                                    &scalars.values,
-                                    self.semantics,
-                                )
-                                .is_true()
-                    })
-                });
-            if let Some(p) = prof {
-                p.stats.record_probes(matched as u64, (!matched) as u64);
-            }
-            matched == keep_matching
-        };
-        let keep = if workers > 1 {
-            let ranges = index_ranges(l.len(), workers);
-            self.parallel_flat(&ranges, |range| Ok(range.clone().map(decide).collect()))?
-        } else {
-            (0..l.len()).map(decide).collect()
-        };
-        Ok(Some(keep))
+        Some(BoundPred::prepare(
+            pred,
+            r.tuples(),
+            l.schema().arity(),
+            &scalars.values,
+            self.semantics,
+            self.db.str_pool(),
+        ))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1521,102 +1142,32 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        if !l.is_empty() && !r.is_empty() {
-            self.ensure_scalars(scalars, pred.scalar_refs())?;
-        }
-        let n = if partitions > 0 && self.config.threads > 1 {
-            self.workers(partitions, l.len().saturating_mul(r.len()))
-        } else {
-            1
-        };
-        if let Some(p) = prof {
-            p.stats.record_rows_in((l.len() + r.len()) as u64);
-            if n > 1 {
-                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
-            }
-        }
-        // Both sides must be non-empty: an empty outer side produces no
-        // pairs anyway, and `BoundPred::prepare` eagerly evaluates the
-        // outer-independent subtrees — whose scalar subqueries are only
-        // ensured above when both inputs are non-empty.
-        if self.config.vectorized && !l.is_empty() && !r.is_empty() {
-            if let Some(p) = prof {
-                p.stats.record_vec_run();
-            }
-            // Vectorized nested loops: extract the inner columns the
-            // predicate reads once, hoist its outer-independent subtrees
-            // into cached masks, then evaluate the remaining atoms for each
-            // outer row against *all* inner rows at once (outer references
-            // become per-batch constants) and gather the matching pairs.
-            let bound = vector::BoundPred::prepare(
-                pred,
-                r.tuples(),
-                l.schema().arity(),
-                &scalars.values,
-                self.semantics,
-                self.db.str_pool(),
-            );
-            let pair_row = |i: usize, out: &mut Vec<Tuple>| {
-                let lt = &l.tuples()[i];
-                let mask = bound.eval(lt, &scalars.values, self.semantics, self.db.str_pool());
-                mask.for_each_true(|j| out.push(lt.concat(&r.tuples()[j])));
-            };
-            let out = if n > 1 {
-                let ranges = index_ranges(l.len(), n);
-                self.parallel_flat(&ranges, |range| {
-                    let mut out = Vec::new();
-                    for i in range.clone() {
-                        self.check_cancelled_every(i)?;
-                        pair_row(i, &mut out);
-                    }
-                    Ok(out)
-                })?
-            } else {
-                let mut out = Vec::new();
-                for i in 0..l.len() {
-                    self.check_cancelled_every(i)?;
-                    pair_row(i, &mut out);
-                }
-                out
-            };
-            return Ok(Relation::from_parts(schema.clone(), out));
-        }
-        if n > 1 {
-            // Morsel-parallel nested loops over the outer side.
-            let morsels: Vec<&[Tuple]> = chunks_of(l.tuples(), n);
-            let out = self.parallel_tuples(&morsels, |chunk| {
-                let mut out = Vec::new();
-                for (i, lt) in chunk.iter().enumerate() {
-                    self.check_cancelled_every(i)?;
+        let pairs = l.len().saturating_mul(r.len());
+        let n = self.join_workers(l, r, pred, pairs, partitions, scalars, prof)?;
+        let bound = self.bind_inner(pred, l, r, scalars, prof);
+        let (values, semantics, pool) = (&scalars.values, self.semantics, self.db.str_pool());
+        let tuples = self.probe_emit(l.len(), n, None, |i, out| {
+            let lt = &l.tuples()[i];
+            match &bound {
+                Some(bound) => bound
+                    .eval(lt, values, semantics, pool)
+                    .for_each_true(|j| out.push(lt.concat(&r.tuples()[j]))),
+                None => {
                     for rt in r.iter() {
-                        if pred
-                            .eval(RowView::pair(lt, rt), &scalars.values, self.semantics)
-                            .is_true()
-                        {
+                        if pred.eval(RowView::pair(lt, rt), values, semantics).is_true() {
                             out.push(lt.concat(rt));
                         }
                     }
                 }
-                Ok(out)
-            })?;
-            return Ok(Relation::from_parts(schema.clone(), out));
-        }
-        let mut out = Vec::new();
-        for (i, lt) in l.iter().enumerate() {
-            self.check_cancelled_every(i)?;
-            for rt in r.iter() {
-                if pred.eval(RowView::pair(lt, rt), &scalars.values, self.semantics).is_true() {
-                    out.push(lt.concat(rt));
-                }
             }
-        }
-        Ok(Relation::from_parts(schema.clone(), out))
+        })?;
+        Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn nl_semi(
         &self,
-        l: std::borrow::Cow<'_, Relation>,
+        l: Cow<'_, Relation>,
         r: &Relation,
         pred: &CompiledPredicate,
         keep_matching: bool,
@@ -1624,88 +1175,19 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        if !l.is_empty() && !r.is_empty() {
-            self.ensure_scalars(scalars, pred.scalar_refs())?;
-        }
-        let n = if partitions > 0 && self.config.threads > 1 {
-            self.workers(partitions, l.len().saturating_mul(r.len()))
-        } else {
-            1
-        };
-        if let Some(p) = prof {
-            p.stats.record_rows_in((l.len() + r.len()) as u64);
-            if n > 1 {
-                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
-            }
-        }
-        // Non-empty on both sides, as in the nested-loop join above — the
-        // prepare step may only read scalar subqueries that were ensured.
-        if self.config.vectorized && !l.is_empty() && !r.is_empty() {
-            if let Some(p) = prof {
-                p.stats.record_vec_run();
-            }
-            // Vectorized nested-loop (anti-)semijoin: one mask evaluation
-            // over the inner columns per outer row; survivors retained by
-            // move in input order.
-            let bound = vector::BoundPred::prepare(
-                pred,
-                r.tuples(),
-                l.schema().arity(),
-                &scalars.values,
-                self.semantics,
-                self.db.str_pool(),
-            );
-            let decide = |i: usize| -> bool {
-                let mask =
-                    bound.eval(&l.tuples()[i], &scalars.values, self.semantics, self.db.str_pool());
-                mask.any_true() == keep_matching
-            };
-            let keep: Vec<bool> = if n > 1 {
-                let ranges = index_ranges(l.len(), n);
-                self.parallel_flat(&ranges, |range| {
-                    let mut keep = Vec::new();
-                    for i in range.clone() {
-                        self.check_cancelled_every(i)?;
-                        keep.push(decide(i));
-                    }
-                    Ok(keep)
-                })?
-            } else {
-                let mut keep = Vec::with_capacity(l.len());
-                for i in 0..l.len() {
-                    self.check_cancelled_every(i)?;
-                    keep.push(decide(i));
+        let pairs = l.len().saturating_mul(r.len());
+        let n = self.join_workers(&l, r, pred, pairs, partitions, scalars, prof)?;
+        let bound = self.bind_inner(pred, &l, r, scalars, prof);
+        let (values, semantics, pool) = (&scalars.values, self.semantics, self.db.str_pool());
+        let keep = self.probe_keep(l.len(), n, keep_matching, None, |i| {
+            let lt = &l.tuples()[i];
+            match &bound {
+                Some(bound) => bound.eval(lt, values, semantics, pool).any_true(),
+                None => {
+                    r.iter().any(|rt| pred.eval(RowView::pair(lt, rt), values, semantics).is_true())
                 }
-                keep
-            };
-            return Ok(semi_result(l, keep));
-        }
-        if n > 1 {
-            let morsels: Vec<&[Tuple]> = chunks_of(l.tuples(), n);
-            let out = self.parallel_tuples(&morsels, |chunk| {
-                let mut out = Vec::new();
-                for (i, lt) in chunk.iter().enumerate() {
-                    self.check_cancelled_every(i)?;
-                    let matched = r.iter().any(|rt| {
-                        pred.eval(RowView::pair(lt, rt), &scalars.values, self.semantics).is_true()
-                    });
-                    if matched == keep_matching {
-                        out.push(lt.clone());
-                    }
-                }
-                Ok(out)
-            })?;
-            return Ok(Relation::from_parts(l.schema().clone(), out));
-        }
-        let mut keep = Vec::with_capacity(l.len());
-        for (i, lt) in l.iter().enumerate() {
-            self.check_cancelled_every(i)?;
-            keep.push(
-                r.iter().any(|rt| {
-                    pred.eval(RowView::pair(lt, rt), &scalars.values, self.semantics).is_true()
-                }) == keep_matching,
-            );
-        }
+            }
+        })?;
         Ok(semi_result(l, keep))
     }
 
@@ -1772,211 +1254,6 @@ impl<'a> Engine<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Delegating (pre-compilation) execution — the differential oracle
-    // ------------------------------------------------------------------
-
-    fn exec_delegating(&self, plan: &PhysicalExpr, ev: &Evaluator<'_>) -> Result<Relation> {
-        match plan {
-            PhysicalExpr::Source(expr) => ev.eval(expr),
-            PhysicalExpr::Join { left, right, condition, algo } => {
-                self.exec_join_delegating(left, right, condition, algo, ev)
-            }
-            PhysicalExpr::Semi { left, right, condition, algo, anti, left_schema } => {
-                self.exec_semi_delegating(left, right, condition, algo, !*anti, left_schema, ev)
-            }
-            // Exchanges are the identity on this serial path.
-            PhysicalExpr::Exchange { input, .. } => self.exec_delegating(input, ev),
-            // Every other operator: execute the children here (so joins below
-            // them still run their planned algorithms) and delegate the node
-            // itself to the reference evaluator over the materialised inputs.
-            PhysicalExpr::Filter { input, condition } => {
-                let child = self.exec_delegating(input, ev)?;
-                ev.eval(&RaExpr::Select {
-                    input: Box::new(values_of(child)),
-                    condition: condition.clone(),
-                })
-            }
-            PhysicalExpr::Project { input, columns } => {
-                let child = self.exec_delegating(input, ev)?;
-                ev.eval(&RaExpr::Project {
-                    input: Box::new(values_of(child)),
-                    columns: columns.clone(),
-                })
-            }
-            PhysicalExpr::Union { left, right } => {
-                let l = self.exec_delegating(left, ev)?;
-                let r = self.exec_delegating(right, ev)?;
-                ev.eval(&values_of(l).union(values_of(r)))
-            }
-            PhysicalExpr::Intersect { left, right } => {
-                let l = self.exec_delegating(left, ev)?;
-                let r = self.exec_delegating(right, ev)?;
-                ev.eval(&values_of(l).intersect(values_of(r)))
-            }
-            PhysicalExpr::Difference { left, right } => {
-                let l = self.exec_delegating(left, ev)?;
-                let r = self.exec_delegating(right, ev)?;
-                ev.eval(&values_of(l).difference(values_of(r)))
-            }
-            PhysicalExpr::UnifySemi { left, right, anti } => {
-                let l = self.exec_delegating(left, ev)?;
-                let r = self.exec_delegating(right, ev)?;
-                let expr = if *anti {
-                    values_of(l).unify_anti_join(values_of(r))
-                } else {
-                    values_of(l).unify_semi_join(values_of(r))
-                };
-                ev.eval(&expr)
-            }
-            PhysicalExpr::Division { left, right } => {
-                let l = self.exec_delegating(left, ev)?;
-                let r = self.exec_delegating(right, ev)?;
-                ev.eval(&values_of(l).divide(values_of(r)))
-            }
-            PhysicalExpr::Rename { input, columns } => {
-                let child = self.exec_delegating(input, ev)?;
-                ev.eval(&RaExpr::Rename {
-                    input: Box::new(values_of(child)),
-                    columns: columns.clone(),
-                })
-            }
-            PhysicalExpr::Distinct { input } => Ok(self.exec_delegating(input, ev)?.distinct()),
-            PhysicalExpr::Aggregate { input, group_by, aggregates } => {
-                let child = self.exec_delegating(input, ev)?;
-                ev.eval(&RaExpr::Aggregate {
-                    input: Box::new(values_of(child)),
-                    group_by: group_by.clone(),
-                    aggregates: aggregates.clone(),
-                })
-            }
-        }
-    }
-
-    fn exec_join_delegating(
-        &self,
-        left: &PhysicalExpr,
-        right: &PhysicalExpr,
-        condition: &Condition,
-        algo: &JoinAlgo,
-        ev: &Evaluator<'_>,
-    ) -> Result<Relation> {
-        let l = self.exec_delegating(left, ev)?;
-        let r = self.exec_delegating(right, ev)?;
-        let combined: Arc<Schema> = l.schema().concat(r.schema()).shared();
-        let mut out = Vec::new();
-        match algo {
-            JoinAlgo::Hash { left_keys, right_keys, residual } => {
-                let l_pos = positions_by_name(l.schema(), left_keys)?;
-                let r_pos = positions_by_name(r.schema(), right_keys)?;
-                let allow_nulls = self.semantics == NullSemantics::Naive;
-                let table = build_hash(&r, &r_pos, allow_nulls);
-                for lt in l.iter() {
-                    let Some(key) = key_of(lt, &l_pos, allow_nulls) else { continue };
-                    if let Some(candidates) = table.get(&key) {
-                        for &rt in candidates {
-                            let tuple = lt.concat(rt);
-                            if ev.eval_condition(residual, &combined, &tuple)?.is_true() {
-                                out.push(tuple);
-                            }
-                        }
-                    }
-                }
-            }
-            JoinAlgo::NestedLoop => {
-                for lt in l.iter() {
-                    for rt in r.iter() {
-                        let tuple = lt.concat(rt);
-                        if ev.eval_condition(condition, &combined, &tuple)?.is_true() {
-                            out.push(tuple);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Relation::from_parts(combined, out))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_semi_delegating(
-        &self,
-        left: &PhysicalExpr,
-        right: &PhysicalExpr,
-        condition: &Condition,
-        algo: &SemiAlgo,
-        keep_matching: bool,
-        left_schema: &Schema,
-        ev: &Evaluator<'_>,
-    ) -> Result<Relation> {
-        if let SemiAlgo::Decorrelated = algo {
-            let r = self.exec_delegating(right, ev)?;
-            let r_schema = r.schema().clone();
-            let mut exists = false;
-            for rt in r.iter() {
-                if ev.eval_condition(condition, &r_schema, rt)?.is_true() {
-                    exists = true;
-                    break;
-                }
-            }
-            return if exists == keep_matching {
-                self.exec_delegating(left, ev)
-            } else {
-                Ok(Relation::empty(left_schema.clone().shared()))
-            };
-        }
-        let l = self.exec_delegating(left, ev)?;
-        let r = self.exec_delegating(right, ev)?;
-        let combined: Arc<Schema> = l.schema().concat(r.schema()).shared();
-        let mut out = Vec::new();
-        match algo {
-            SemiAlgo::Decorrelated => unreachable!("handled above"),
-            SemiAlgo::Hash { left_keys, right_keys, residual } => {
-                let l_pos = positions_by_name(l.schema(), left_keys)?;
-                let r_pos = positions_by_name(r.schema(), right_keys)?;
-                let allow_nulls = self.semantics == NullSemantics::Naive;
-                let table = build_hash(&r, &r_pos, allow_nulls);
-                for lt in l.iter() {
-                    let matched = match key_of(lt, &l_pos, allow_nulls) {
-                        None => false, // a null key never matches under SQL semantics
-                        Some(key) => match table.get(&key) {
-                            None => false,
-                            Some(candidates) => {
-                                let mut m = false;
-                                for &rt in candidates {
-                                    let tuple = lt.concat(rt);
-                                    if ev.eval_condition(residual, &combined, &tuple)?.is_true() {
-                                        m = true;
-                                        break;
-                                    }
-                                }
-                                m
-                            }
-                        },
-                    };
-                    if matched == keep_matching {
-                        out.push(lt.clone());
-                    }
-                }
-            }
-            SemiAlgo::NestedLoop => {
-                for lt in l.iter() {
-                    let mut matched = false;
-                    for rt in r.iter() {
-                        let tuple = lt.concat(rt);
-                        if ev.eval_condition(condition, &combined, &tuple)?.is_true() {
-                            matched = true;
-                            break;
-                        }
-                    }
-                    if matched == keep_matching {
-                        out.push(lt.clone());
-                    }
-                }
-            }
-        }
-        Ok(Relation::from_parts(l.schema().clone(), out))
-    }
-
-    // ------------------------------------------------------------------
     // Parallel plumbing
     // ------------------------------------------------------------------
 
@@ -1988,7 +1265,7 @@ impl<'a> Engine<'a> {
         match node {
             CompiledExpr::Scan { name, .. } => self.db.relation(name).map(|r| r.len()).unwrap_or(0),
             CompiledExpr::Values { rel } => rel.len(),
-            // Opaque subtrees delegate to the reference evaluator; what they
+            // Opaque subtrees run in the reference evaluator; what they
             // reach is unknown, so keep the whole-database bound for them.
             CompiledExpr::Opaque { .. } => self.db.total_tuples(),
             CompiledExpr::Fused { source, .. } => self.input_rows_hint(source),
@@ -2029,21 +1306,84 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The one serial-vs-parallel split of the join-like operators: run
+    /// `row` for every outer index in `0..len` — inline, or with
+    /// `workers > 1` as contiguous index morsels on the pool — and return
+    /// what the calls appended, in index order. Output is therefore in
+    /// probe (outer input) order in every configuration. Long loops stay
+    /// cancellable: the token is checked every few hundred outer rows.
+    fn for_each_outer<R, F>(&self, len: usize, workers: usize, row: F) -> Result<Vec<R>>
+    where
+        R: Send,
+        F: Fn(usize, &mut Vec<R>) + Sync,
+    {
+        let run_morsel = |range: &Range<usize>| {
+            let mut out = Vec::new();
+            for i in range.clone() {
+                self.check_cancelled_every(i)?;
+                row(i, &mut out);
+            }
+            Ok(out)
+        };
+        if workers > 1 {
+            self.parallel_flat(&index_ranges(len, workers), run_morsel)
+        } else {
+            run_morsel(&(0..len))
+        }
+    }
+
+    /// Join driver: `emit(i, out)` appends the output rows of outer row `i`.
+    /// `probes` (hash operators) counts an outer row as a probe hit iff it
+    /// emitted anything.
+    fn probe_emit<F>(
+        &self,
+        len: usize,
+        workers: usize,
+        probes: Option<&ProfNode>,
+        emit: F,
+    ) -> Result<Vec<Tuple>>
+    where
+        F: Fn(usize, &mut Vec<Tuple>) + Sync,
+    {
+        self.for_each_outer(len, workers, |i, out| {
+            let before = out.len();
+            emit(i, out);
+            if let Some(p) = probes {
+                let hit = out.len() > before;
+                p.stats.record_probes(hit as u64, (!hit) as u64);
+            }
+        })
+    }
+
+    /// (Anti-)semijoin driver: `matched(i)` decides whether outer row `i`
+    /// has a partner; its keep flag is whether that equals `keep_matching`
+    /// (survivors are then retained by move, in input order). `probes`
+    /// (hash operators) counts matches as probe hits.
+    fn probe_keep<F>(
+        &self,
+        len: usize,
+        workers: usize,
+        keep_matching: bool,
+        probes: Option<&ProfNode>,
+        matched: F,
+    ) -> Result<Vec<bool>>
+    where
+        F: Fn(usize) -> bool + Sync,
+    {
+        self.for_each_outer(len, workers, |i, keep| {
+            let matched = matched(i);
+            if let Some(p) = probes {
+                p.stats.record_probes(matched as u64, (!matched) as u64);
+            }
+            keep.push(matched == keep_matching);
+        })
+    }
+
     /// Run `worker` over every item. A single item (or none) runs inline on
     /// the current thread — single-partition exchanges never pay a task
     /// submission. More items become one pool task each; outputs are
     /// concatenated in item order, so callers are deterministic no matter
     /// which workers ran what.
-    fn parallel_tuples<T, W>(&self, items: &[T], worker: W) -> Result<Vec<Tuple>>
-    where
-        T: Sync,
-        W: Fn(&T) -> Result<Vec<Tuple>> + Sync,
-    {
-        self.parallel_flat(items, worker)
-    }
-
-    /// [`Engine::parallel_tuples`], generalised over the output element type
-    /// (the vectorized semijoin collects keep *flags*, not tuples).
     ///
     /// One pool task per item: the shared pool bounds how many run at once
     /// (across nested regions and concurrent queries alike), and the
@@ -2095,10 +1435,10 @@ struct ScalarCtx<'p> {
 /// Keep exactly the flagged tuples of a (anti-)semijoin's preserved side:
 /// an owned input retains by move, a borrowed base relation clones only the
 /// survivors.
-fn semi_result(l: std::borrow::Cow<'_, Relation>, keep: Vec<bool>) -> Relation {
+fn semi_result(l: Cow<'_, Relation>, keep: Vec<bool>) -> Relation {
     match l {
-        std::borrow::Cow::Owned(rel) => retain_by_flags(rel, keep),
-        std::borrow::Cow::Borrowed(rel) => {
+        Cow::Owned(rel) => retain_by_flags(rel, keep),
+        Cow::Borrowed(rel) => {
             let tuples =
                 rel.iter().zip(&keep).filter(|(_, k)| **k).map(|(t, _)| t.clone()).collect();
             Relation::from_parts(rel.schema().clone(), tuples)
@@ -2142,113 +1482,6 @@ fn index_ranges(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
     (0..len).step_by(size).map(|start| start..(start + size).min(len)).collect()
 }
 
-/// Deterministic per-row key hash over the given positions: a fixed-seed
-/// hash, so plans execute identically run to run and across pool widths.
-/// `None` marks a null key (excluded from hashing under SQL semantics).
-fn key_hash(tuple: &Tuple, pos: &[usize], allow_nulls: bool) -> Option<u64> {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &p in pos {
-        let v = &tuple[p];
-        if v.is_null() && !allow_nulls {
-            return None;
-        }
-        v.hash(&mut h);
-    }
-    Some(h.finish())
-}
-
-/// Route a relation's row *indices* to partitions by key hash — the
-/// selection vectors parallel operators hand to their pool tasks; no key
-/// values are cloned. Returns the per-partition index vectors (input
-/// order), the per-row key hashes (meaningful only for routed rows), and
-/// the indices whose key contained a null.
-fn route_indices(
-    rel: &Relation,
-    pos: &[usize],
-    allow_nulls: bool,
-    partitions: usize,
-) -> (Vec<Vec<u32>>, Vec<u64>, Vec<u32>) {
-    let p = partitions.max(1);
-    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); p];
-    let mut hashes = vec![0u64; rel.len()];
-    let mut null_keyed = Vec::new();
-    for (i, t) in rel.iter().enumerate() {
-        match key_hash(t, pos, allow_nulls) {
-            Some(h) => {
-                hashes[i] = h;
-                parts[(h % p as u64) as usize].push(i as u32);
-            }
-            None => null_keyed.push(i as u32),
-        }
-    }
-    (parts, hashes, null_keyed)
-}
-
-/// Positional key equality across the two sides of a hash (semi-)join —
-/// the collision check behind the hash-keyed partition tables.
-fn keys_eq_at(lt: &Tuple, l_pos: &[usize], rt: &Tuple, r_pos: &[usize]) -> bool {
-    l_pos.iter().zip(r_pos).all(|(&lp, &rp)| lt[lp] == rt[rp])
-}
-
-/// Wrap a materialised relation as a literal-relation expression so single
-/// operators can be delegated to the reference evaluator (the delegating
-/// execution path only — the compiled runtime never does this).
-fn values_of(rel: Relation) -> RaExpr {
-    certus_data::profile::record_plan_materialization();
-    RaExpr::Values { schema: (**rel.schema()).clone(), rows: rel.into_tuples() }
-}
-
-/// Resolve join-key names against a schema (delegating path only; the
-/// compiled runtime resolves keys once at compile time).
-fn positions_by_name(schema: &Schema, names: &[String]) -> Result<Vec<usize>> {
-    names.iter().map(|n| schema.position_of(n).map_err(AlgebraError::Data)).collect()
-}
-
-/// Hash key of a tuple over the given positions. Under SQL semantics a null
-/// key component means the tuple can never satisfy a pure equality, so `None`
-/// is returned; under naive semantics nulls are ordinary (syntactically
-/// compared) values and participate in the hash.
-fn key_of(tuple: &Tuple, pos: &[usize], allow_nulls: bool) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(pos.len());
-    for &p in pos {
-        let v = &tuple[p];
-        if v.is_null() && !allow_nulls {
-            return None;
-        }
-        key.push(v.clone());
-    }
-    Some(key)
-}
-
-/// Fill a reusable scratch key; returns false for a null key (under SQL
-/// semantics) — the probe loop's allocation-free variant of [`key_of`].
-fn fill_key(tuple: &Tuple, pos: &[usize], allow_nulls: bool, key: &mut Vec<Value>) -> bool {
-    key.clear();
-    for &p in pos {
-        let v = &tuple[p];
-        if v.is_null() && !allow_nulls {
-            return false;
-        }
-        key.push(v.clone());
-    }
-    true
-}
-
-fn build_hash<'r>(
-    rel: &'r Relation,
-    pos: &[usize],
-    allow_nulls: bool,
-) -> HashMap<Vec<Value>, Vec<&'r Tuple>> {
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(rel.len());
-    for t in rel.iter() {
-        if let Some(key) = key_of(t, pos, allow_nulls) {
-            table.entry(key).or_default().push(t);
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2264,17 +1497,22 @@ mod tests {
         Value::Null(NullId(i))
     }
 
+    /// The environment-driven SQL engine most tests run on.
+    fn sql_engine(db: &Database) -> Engine<'_> {
+        Engine::configured(db, NullSemantics::Sql, EngineConfig::default())
+    }
+
     fn assert_same_as_reference(q: &RaExpr, db: &Database) {
-        let engine = Engine::new(db).execute(q).unwrap().sorted().distinct();
+        let engine = sql_engine(db).execute(q).unwrap().sorted().distinct();
         let reference = eval(q, db, NullSemantics::Sql).unwrap().sorted().distinct();
         assert_eq!(engine.tuples(), reference.tuples(), "query: {q}");
     }
 
     #[test]
-    fn row_hashes_agree_between_vectorized_and_row_paths_on_equality() {
+    fn row_hashes_agree_between_typed_and_row_valued_keys_on_equality() {
         // The partitioner only needs "equal tuples hash equal within one
-        // call" — but the vectorized and row arms must each deliver it over
-        // every value shape, nulls included.
+        // call" — but typed and row-valued keys must each deliver it over
+        // every value shape, nulls included, and across set-op sides.
         let rows = rel(
             &["a", "b"],
             vec![
@@ -2285,24 +1523,22 @@ mod tests {
                 vec![null(8), Value::str("y")],
             ],
         );
-        let db = Database::new();
-        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(2));
-        let vec_hashes = engine.vec_row_hashes(rows.tuples(), None).expect("uniform columns");
-        let row_hashes = engine.row_hashes_fallback(rows.tuples(), None).unwrap();
-        for hashes in [&vec_hashes, &row_hashes] {
-            assert_eq!(hashes[0], hashes[1], "equal ground tuples");
-            assert_eq!(hashes[2], hashes[3], "equal nulls hash by id");
-            assert_ne!(hashes[2], hashes[4], "distinct nulls should split");
-        }
-        // The pair path must never mix arms across set-op sides: either both
-        // vectorized (compatible reprs) or both row-at-a-time.
         let other = rel(
             &["a", "b"],
             vec![vec![Value::Int(1), Value::str("x")], vec![null(7), Value::str("y")]],
         );
-        let (l, r) = engine.row_hashes_pair(rows.tuples(), other.tuples()).unwrap();
-        assert_eq!(l[0], r[0], "equal tuples across sides share a hash");
-        assert_eq!(l[2], r[1], "null tuples across sides share a hash");
+        let db = Database::new();
+        for vectorized in [true, false] {
+            let config = EngineConfig::with_threads(2).with_vectorized(vectorized);
+            let engine = Engine::configured(&db, NullSemantics::Sql, config);
+            let hashes = engine.row_hashes(rows.tuples(), None);
+            assert_eq!(hashes[0], hashes[1], "equal ground tuples");
+            assert_eq!(hashes[2], hashes[3], "equal nulls hash by id");
+            assert_ne!(hashes[2], hashes[4], "distinct nulls should split");
+            let (l, r) = engine.row_hashes_pair(rows.tuples(), other.tuples());
+            assert_eq!(l[0], r[0], "equal tuples across sides share a hash");
+            assert_eq!(l[2], r[1], "null tuples across sides share a hash");
+        }
     }
 
     #[test]
@@ -2362,13 +1598,13 @@ mod tests {
         db.insert_relation("orders", rel(&["o_custkey"], vec![vec![null(1)], vec![Value::Int(1)]]));
         // NOT EXISTS (orders with null custkey) — uncorrelated, witness present.
         let q = RaExpr::relation("big").anti_join(RaExpr::relation("orders"), is_null("o_custkey"));
-        let out = Engine::new(&db).execute(&q).unwrap();
+        let out = sql_engine(&db).execute(&q).unwrap();
         assert!(out.is_empty());
         assert_same_as_reference(&q, &db);
         // Same query but no witness: everything survives.
         let q2 = RaExpr::relation("big")
             .anti_join(RaExpr::relation("orders"), eq_const("o_custkey", 999i64));
-        assert_eq!(Engine::new(&db).execute(&q2).unwrap().len(), 100);
+        assert_eq!(sql_engine(&db).execute(&q2).unwrap().len(), 100);
         assert_same_as_reference(&q2, &db);
     }
 
@@ -2379,7 +1615,7 @@ mod tests {
         let params = QueryParams::random(&db, 2);
         let stats = StatisticsCatalog::analyze(&db);
         let planner = PhysicalPlanner::new(&db, &stats);
-        let engine = Engine::new(&db);
+        let engine = sql_engine(&db);
         for q in [q1(&params), q3(&params), q4(&params)] {
             let plan = planner.plan(&q).unwrap();
             let planned = engine.execute_physical(&plan).unwrap().sorted().distinct();
@@ -2393,7 +1629,7 @@ mod tests {
         let complete = DbGen::new(0.0002, 12).generate();
         let db = certus_data::inject::NullInjector::new(0.05, 7).inject(&complete);
         let params = QueryParams::random(&db, 4);
-        let engine = Engine::new(&db);
+        let engine = sql_engine(&db);
         let rewriter = CertainRewriter::unoptimized();
         let planner = Planner::new();
         for q in [q3(&params), q4(&params)] {
@@ -2425,8 +1661,8 @@ mod tests {
             let plus = rewriter.rewrite_plus(&q, &db).unwrap();
             assert_same_as_reference(&plus, &db);
             // Q+ answers are a subset of SQL answers for these queries.
-            let sql = Engine::new(&db).execute(&q).unwrap();
-            let certain = Engine::new(&db).execute(&plus).unwrap();
+            let sql = sql_engine(&db).execute(&q).unwrap();
+            let certain = sql_engine(&db).execute(&plus).unwrap();
             for t in certain.iter() {
                 assert!(sql.contains(t));
             }
@@ -2440,16 +1676,18 @@ mod tests {
         db.insert_relation("r", rel(&["a"], vec![vec![null(1)], vec![Value::Int(1)]]));
         db.insert_relation("s", rel(&["b"], vec![vec![null(1)]]));
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "b"));
-        let engine = Engine::with_semantics(&db, NullSemantics::Naive).execute(&q).unwrap();
+        let engine = Engine::configured(&db, NullSemantics::Naive, EngineConfig::default())
+            .execute(&q)
+            .unwrap();
         let reference = eval(&q, &db, NullSemantics::Naive).unwrap();
         assert_eq!(engine.sorted().tuples(), reference.sorted().tuples());
         assert_eq!(engine.len(), 1);
     }
 
     #[test]
-    fn compiled_runtime_matches_delegating_path() {
-        // The compiled runtime must agree operator-for-operator with the
-        // pre-compilation delegating path on the full translated workload.
+    fn compiled_runtime_matches_reference_on_the_translated_workload() {
+        // The compiled runtime must agree with the reference evaluator on
+        // the full translated workload, under both semantics.
         let complete = DbGen::new(0.00025, 19).generate();
         let db = certus_data::inject::NullInjector::new(0.05, 23).inject(&complete);
         let params = QueryParams::random(&db, 8);
@@ -2459,13 +1697,11 @@ mod tests {
             for q in [q1(&params), q2(&params), q3(&params), q4(&params)] {
                 let plus = rewriter.rewrite_plus(&q, &db).unwrap();
                 for query in [&q, &plus] {
-                    let plan = engine.plan(query).unwrap();
-                    let compiled = engine.execute_physical(&plan).unwrap().sorted().distinct();
-                    let delegating =
-                        engine.execute_physical_delegating(&plan).unwrap().sorted().distinct();
+                    let compiled = engine.execute(query).unwrap().sorted().distinct();
+                    let reference = eval(query, &db, semantics).unwrap().sorted().distinct();
                     assert_eq!(
                         compiled.tuples(),
-                        delegating.tuples(),
+                        reference.tuples(),
                         "{} semantics, query {query}",
                         semantics.label()
                     );
@@ -2486,7 +1722,7 @@ mod tests {
             .join(RaExpr::relation("s"), eq("a", "c"))
             .select(neq("b", "c"))
             .project(&["b"]);
-        let engine = Engine::with_config(&db, EngineConfig::serial());
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
         let plan = engine.plan(&q).unwrap();
         let compiled = engine.compile(&plan).unwrap();
         let first = engine.execute_compiled(&compiled).unwrap();
@@ -2579,8 +1815,11 @@ mod tests {
         );
         db.insert_relation("s", rel(&["b"], vec![vec![Value::Int(1)], vec![null(8)]]));
         let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"));
-        let parallel =
-            Engine::with_config(&db, EngineConfig::with_threads(4).with_parallel_floor(0));
+        let parallel = Engine::configured(
+            &db,
+            NullSemantics::Sql,
+            EngineConfig::with_threads(4).with_parallel_floor(0),
+        );
         let out = parallel.execute(&q).unwrap().sorted();
         // 1 matches; 3 and the null-keyed tuple survive (a null key never
         // matches a pure equality under SQL semantics).
@@ -2596,9 +1835,12 @@ mod tests {
         let db = certus_data::inject::NullInjector::new(0.05, 13).inject(&complete);
         let params = QueryParams::random(&db, 6);
         let rewriter = CertainRewriter::new();
-        let serial = Engine::with_config(&db, EngineConfig::serial());
-        let parallel =
-            Engine::with_config(&db, EngineConfig::with_threads(3).with_parallel_floor(0));
+        let serial = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
+        let parallel = Engine::configured(
+            &db,
+            NullSemantics::Sql,
+            EngineConfig::with_threads(3).with_parallel_floor(0),
+        );
         // The optimized Q4+ carries split-union arms; Q3+ carries the
         // hash anti-joins. Both must agree with the serial engine.
         for q in [q3(&params), q4(&params)] {
@@ -2638,14 +1880,14 @@ mod tests {
     fn aggregates_and_scalar_subqueries_run_through_the_engine() {
         let db = DbGen::new(0.0002, 2).generate();
         let params = QueryParams::random(&db, 2);
-        let out = Engine::new(&db).execute(&q2(&params)).unwrap();
+        let out = sql_engine(&db).execute(&q2(&params)).unwrap();
         let reference = eval(&q2(&params), &db, NullSemantics::Sql).unwrap();
         assert_eq!(out.sorted().tuples(), reference.sorted().tuples());
     }
 
     #[test]
     fn scalar_subqueries_evaluate_lazily() {
-        use certus_algebra::condition::Operand;
+        use certus_algebra::condition::{Condition, Operand};
         use certus_data::compare::CmpOp;
         let mut db = Database::new();
         db.insert_relation("empty", rel(&["x"], vec![]));
@@ -2658,19 +1900,18 @@ mod tests {
             op: CmpOp::Gt,
             right: Operand::Scalar(Box::new(RaExpr::relation("two"))),
         };
-        let engine = Engine::new(&db);
+        let engine = sql_engine(&db);
         // A filter over an empty input never evaluates its condition, hence
         // never the subquery — like the reference evaluator's per-row path.
         let q = RaExpr::relation("empty").select(invalid_scalar("x"));
         assert!(engine.execute(&q).unwrap().is_empty());
         // A branch skipped by the decorrelated NOT-EXISTS short-circuit
-        // never evaluates its subqueries either — like the delegating path.
+        // never evaluates its subqueries either.
         let skipped = RaExpr::relation("empty")
             .select(invalid_scalar("x"))
             .anti_join(RaExpr::relation("witness"), is_null("w"));
         let plan = engine.plan(&skipped).unwrap();
         assert!(engine.execute_physical(&plan).unwrap().is_empty());
-        assert!(engine.execute_physical_delegating(&plan).unwrap().is_empty());
         // On a non-empty input the invalid subquery must surface its error.
         let bad = RaExpr::relation("two").select(invalid_scalar("y"));
         assert!(engine.execute(&bad).is_err());
@@ -2694,7 +1935,7 @@ mod tests {
         let plus = CertainRewriter::new().rewrite_plus(&q4(&params), &db).unwrap();
         let stats = StatisticsCatalog::analyze(&db);
         let planner = PhysicalPlanner::new(&db, &stats);
-        let engine = Engine::with_config(&db, EngineConfig::serial());
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
         let (phys, explain) = planner.plan_explained(&plus).unwrap();
         let compiled = engine.compile(&phys).unwrap();
         let plain = engine.execute_compiled(&compiled).unwrap();
@@ -2722,8 +1963,11 @@ mod tests {
         );
         let q = RaExpr::relation("r").select(eq_const("a", 3i64)).project(&["b"]);
         for vectorized in [true, false] {
-            let engine =
-                Engine::with_config(&db, EngineConfig::serial().with_vectorized(vectorized));
+            let engine = Engine::configured(
+                &db,
+                NullSemantics::Sql,
+                EngineConfig::serial().with_vectorized(vectorized),
+            );
             let plan = engine.plan(&q).unwrap();
             let compiled = engine.compile(&plan).unwrap();
             let (out, profile) = engine.execute_compiled_profiled(&compiled).unwrap();
@@ -2748,7 +1992,7 @@ mod tests {
         );
         db.insert_relation("s", rel(&["c"], (0..10).map(|i| vec![Value::Int(i % 4)]).collect()));
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
-        let engine = Engine::with_config(&db, EngineConfig::serial());
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
         let plan = engine.plan(&q).unwrap();
         let compiled = engine.compile(&plan).unwrap();
         let (_, profile) = engine.execute_compiled_profiled(&compiled).unwrap();

@@ -16,8 +16,8 @@
 //!   null-check that the translation adds to query Q2) are evaluated once and
 //!   short-circuit the whole query when they trip;
 //! * plans carrying **exchange operators** (inserted by the planners when
-//!   configured with a [`Parallelism`]) execute multi-threaded: partitioned
-//!   hash build/probe, concurrent union arms and morsel-parallel filters,
+//!   configured with a [`Parallelism`]) execute multi-threaded:
+//!   morsel-parallel probes and filters, concurrent union arms,
 //!   governed by [`EngineConfig`] (`CERTUS_THREADS` overrides the default of
 //!   the machine's available parallelism);
 //! * the cost model and equi-key analysis live in `certus-plan` and are
@@ -27,8 +27,8 @@
 //! one plan. The `certus::Session` facade is the recommended front door — it
 //! owns the database, prepares queries once (translation + pass pipeline +
 //! physical planning + operator compilation, behind an LRU plan cache), and
-//! drives this engine internally. The four `Engine` constructors all funnel
-//! into [`Engine::configured`] and remain as thin shims.
+//! drives this engine internally. [`Engine::configured`] is the one
+//! constructor.
 //!
 //! # Native operator runtime
 //!
@@ -41,9 +41,7 @@
 //! zero schema inference and zero logical-expression reconstruction per
 //! execution — `certus::Session` caches compiled plans inside its
 //! `PreparedQuery`, so repeated executions skip compilation too. The
-//! pre-compilation delegating path survives as
-//! [`Engine::execute_physical_delegating`] (differential oracle + benchmark
-//! baseline).
+//! semantics oracle is the reference evaluator (`certus_algebra::eval`).
 //!
 //! # Vectorized execution
 //!
@@ -54,8 +52,11 @@
 //! keys hash column-wise into pre-sized index tables, and nested loops
 //! evaluate one outer row against all inner rows at once with
 //! outer-independent predicate subtrees hoisted into per-join cached masks.
-//! The row-at-a-time paths remain both selectable and the automatic
-//! fallback when a key column cannot be typed.
+//! The switch selects the evaluator inside each operator, not a second
+//! implementation: every join-like operator is one per-outer-row decision
+//! under one probe driver (see [`engine`]), hash keys that cannot be typed
+//! are row-valued keys in the same build/probe loop, and output order is
+//! probe order in every configuration.
 
 pub mod analyze;
 pub mod compile;

@@ -13,9 +13,10 @@
 //!   type-uniform columns.
 //! * **Hash join/semijoin keys** ([`KeySet`]): key columns are extracted
 //!   once per side, per-row `u64` hashes are computed column-wise, and the
-//!   hash table maps precomputed hashes to row indices
-//!   (collisions verified by typed column comparison) — the row path's
-//!   per-row `Vec<Value>` key clones disappear entirely.
+//!   hash table maps precomputed hashes to row indices (collisions verified
+//!   by typed column comparison) — no per-row key clones. Keys that cannot
+//!   be typed are the same structure over `Value` hash and `Value ==`, so
+//!   the hash operators have one build/probe loop.
 //!
 //! Everything here is semantics-preserving by construction: typed fast
 //! paths replicate [`certus_data::compare`] exactly (numeric comparisons go
@@ -23,8 +24,8 @@
 //! bits, marked-null ids survive in the [`NullMask`]s), and every case the
 //! typed paths cannot express verbatim — mixed-variant columns, null
 //! constants, `LIKE`/`IN` atoms — falls back to the per-row comparison
-//! functions *inside* the mask framework, or (for join keys) to the row
-//! path entirely.
+//! functions *inside* the mask framework, or (for join keys) to row-valued
+//! keys.
 //!
 //! [`NullMask`]: certus_data::column::NullMask
 
@@ -40,7 +41,7 @@ use certus_data::{Tuple, Value};
 use certus_obs::ProfNode;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 // ---------------------------------------------------------------------------
 // Fused pipelines: columnar predicate evaluation over a selection mask
@@ -688,34 +689,96 @@ fn mix(h: u64, x: u64) -> u64 {
 
 const NULL_TAG: u64 = 0x6e75;
 
-/// The key columns of one join side: per-row hashes computed column-wise,
-/// plus a validity flag (a null key component disqualifies a row under SQL
-/// semantics; under naive semantics nulls are ordinary key elements hashed
-/// by their id).
-pub(crate) struct KeySet {
-    cols: Vec<Column>,
-    /// Mixed hash of the key columns, per row.
-    pub(crate) hashes: Vec<u64>,
-    /// Whether the row participates in hashing at all.
-    pub(crate) valid: Vec<bool>,
+/// The representation behind a [`KeySet`]'s hashes and equality.
+enum KeyCols<'r> {
+    /// Typed columns: hashes mix the typed payloads column-wise, equality
+    /// compares them without touching a `Value`.
+    Typed(Vec<Column>),
+    /// Row-valued keys: `Value` hash and `Value ==` over the rows
+    /// themselves, read at the key positions. The loss-free representation
+    /// every input has — what `vectorized = false` runs on, and what a key
+    /// column in the `Values` fallback (mixed variants, all null, empty)
+    /// falls back to.
+    Rows(&'r [Tuple], &'r [usize]),
 }
 
-impl KeySet {
-    /// Extract and hash the key columns at `pos`. Returns `None` when any
-    /// key column lands in the `Values` fallback (mixed variants or all
-    /// null) — representation-specific hashing would be unsound there, so
-    /// the caller keeps the row path.
+/// The keys of one side of a hash operator: per-row hashes plus a validity
+/// flag (a null key component disqualifies a row under SQL semantics; under
+/// naive semantics nulls are ordinary key elements hashed by their id).
+/// Building one is total — rows that cannot be typed are keyed by value —
+/// so every hash operator runs the same build/probe code over either
+/// representation.
+pub(crate) struct KeySet<'r> {
+    cols: KeyCols<'r>,
+    /// Hash of the key, per row (equal keys hash equal within one
+    /// representation).
+    pub(crate) hashes: Vec<u64>,
+    /// Whether the row participates in hashing at all.
+    valid: Vec<bool>,
+}
+
+/// The typed key columns at `pos`, or `None` when any of them lands in the
+/// `Values` fallback — representation-specific hashing would be unsound
+/// there.
+fn typed_cols(rows: &[Tuple], pos: &[usize], pool: &StrPool) -> Option<Vec<Column>> {
+    let cols: Vec<Column> = pos.iter().map(|&p| Column::extract(rows, p, pool)).collect();
+    (!cols.iter().any(|c| c.data().is_fallback())).then_some(cols)
+}
+
+impl<'r> KeySet<'r> {
+    /// The keys of `rows` at `pos`: typed when `vectorized` and every key
+    /// column can be typed, row-valued otherwise.
     pub(crate) fn build(
-        rows: &[Tuple],
-        pos: &[usize],
+        rows: &'r [Tuple],
+        pos: &'r [usize],
         allow_nulls: bool,
+        vectorized: bool,
         pool: &StrPool,
-    ) -> Option<KeySet> {
-        let cols: Vec<Column> = pos.iter().map(|&p| Column::extract(rows, p, pool)).collect();
-        if cols.iter().any(|c| c.data().is_fallback()) {
-            return None;
+    ) -> KeySet<'r> {
+        match vectorized.then(|| typed_cols(rows, pos, pool)).flatten() {
+            Some(cols) => KeySet::typed(cols, rows.len(), allow_nulls),
+            None => KeySet::row_valued(rows, pos, allow_nulls),
         }
-        let n = rows.len();
+    }
+
+    /// The keys of the two sides of a join or set operation, in **one**
+    /// representation — cross-side hash and equality comparisons need it.
+    /// Typed when `vectorized` and both sides can be typed column by column
+    /// the same way. Differently typed sides stay typed under SQL semantics
+    /// (`!allow_nulls`): their values are never syntactically equal, their
+    /// nulls are invalid, so [`KeySet::matches`] simply finds nothing. Under
+    /// naive semantics a null must meet itself across the sides whatever
+    /// its column's type, which only the row-valued keys guarantee.
+    pub(crate) fn pair(
+        l_rows: &'r [Tuple],
+        l_pos: &'r [usize],
+        r_rows: &'r [Tuple],
+        r_pos: &'r [usize],
+        allow_nulls: bool,
+        vectorized: bool,
+        pool: &StrPool,
+    ) -> (KeySet<'r>, KeySet<'r>) {
+        if vectorized {
+            let typed = typed_cols(l_rows, l_pos, pool)
+                .and_then(|l| Some((l, typed_cols(r_rows, r_pos, pool)?)));
+            if let Some((l, r)) = typed {
+                let same_repr = l.len() == r.len()
+                    && l.iter().zip(&r).all(|(a, b)| a.data().same_repr(b.data()));
+                if same_repr || !allow_nulls {
+                    return (
+                        KeySet::typed(l, l_rows.len(), allow_nulls),
+                        KeySet::typed(r, r_rows.len(), allow_nulls),
+                    );
+                }
+            }
+        }
+        (
+            KeySet::row_valued(l_rows, l_pos, allow_nulls),
+            KeySet::row_valued(r_rows, r_pos, allow_nulls),
+        )
+    }
+
+    fn typed(cols: Vec<Column>, n: usize, allow_nulls: bool) -> KeySet<'r> {
         let mut hashes = vec![0x517c_c1b7_2722_0a95u64; n];
         let mut valid = vec![true; n];
         for c in &cols {
@@ -745,7 +808,7 @@ impl KeySet {
                         hashes[i] = mix(hashes[i], v[i] as u64);
                     }
                 }
-                ColumnData::Values(_) => unreachable!("fallback columns bail above"),
+                ColumnData::Values(_) => unreachable!("typed keys exclude fallback columns"),
             }
             if c.nulls().any_null() {
                 for i in 0..n {
@@ -761,27 +824,46 @@ impl KeySet {
                 }
             }
         }
-        Some(KeySet { cols, hashes, valid })
+        KeySet { cols: KeyCols::Typed(cols), hashes, valid }
     }
 
-    /// Number of rows.
-    pub(crate) fn len(&self) -> usize {
-        self.hashes.len()
+    fn row_valued(rows: &'r [Tuple], pos: &'r [usize], allow_nulls: bool) -> KeySet<'r> {
+        let mut valid = vec![true; rows.len()];
+        let hashes = rows
+            .iter()
+            .zip(&mut valid)
+            .map(|(t, valid)| {
+                // A fixed-key hasher: plans execute identically run to run.
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                for &p in pos {
+                    *valid &= allow_nulls || !t[p].is_null();
+                    t[p].hash(&mut h);
+                }
+                h.finish()
+            })
+            .collect();
+        KeySet { cols: KeyCols::Rows(rows, pos), hashes, valid }
     }
 
-    /// Whether the two sides use pairwise identical column representations —
-    /// the precondition for cross-side hash/equality comparisons.
-    pub(crate) fn compatible(&self, other: &KeySet) -> bool {
-        self.cols.len() == other.cols.len()
-            && self.cols.iter().zip(&other.cols).all(|(a, b)| a.data().same_repr(b.data()))
+    /// Whether the keys are typed columns (the vectorized representation).
+    pub(crate) fn is_typed(&self) -> bool {
+        matches!(self.cols, KeyCols::Typed(_))
     }
 
-    /// Syntactic equality of row `i`'s key and `other`'s row `j` key
-    /// (requires [`KeySet::compatible`]). Matches `Value` equality exactly:
-    /// typed payloads compare by value (floats through normalised bits,
-    /// strings by interned id), nulls by marked id.
-    pub(crate) fn keys_eq(&self, i: usize, other: &KeySet, j: usize) -> bool {
-        for (ca, cb) in self.cols.iter().zip(&other.cols) {
+    /// Syntactic equality of row `i`'s key and `other`'s row `j` key (both
+    /// from one [`KeySet::pair`]). The typed arm matches `Value` equality
+    /// exactly: payloads compare by value (floats through normalised bits,
+    /// strings by interned id), nulls by marked id, differently typed
+    /// columns never.
+    fn keys_eq(&self, i: usize, other: &KeySet<'_>, j: usize) -> bool {
+        let (a, b) = match (&self.cols, &other.cols) {
+            (KeyCols::Typed(a), KeyCols::Typed(b)) => (a, b),
+            (KeyCols::Rows(l, l_pos), KeyCols::Rows(r, r_pos)) => {
+                return l_pos.iter().zip(*r_pos).all(|(&lp, &rp)| l[i][lp] == r[j][rp]);
+            }
+            _ => unreachable!("both sides of a pair share one representation"),
+        };
+        for (ca, cb) in a.iter().zip(b) {
             let (an, bn) = (ca.is_null(i), cb.is_null(j));
             if an || bn {
                 if !(an && bn) || ca.nulls().raw_id(i) != cb.nulls().raw_id(j) {
@@ -798,7 +880,7 @@ impl KeySet {
                 (ColumnData::Date(x), ColumnData::Date(y)) => x[i] == y[j],
                 (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
                 (ColumnData::Str(x), ColumnData::Str(y)) => x[i] == y[j],
-                _ => unreachable!("compatibility checked before probing"),
+                _ => false,
             };
             if !eq {
                 return false;
@@ -807,15 +889,36 @@ impl KeySet {
         true
     }
 
+    /// Number of rows that enter the hash table.
+    pub(crate) fn valid_rows(&self) -> usize {
+        self.valid.iter().filter(|v| **v).count()
+    }
+
     /// Build the hash table over this side's valid rows, pre-sized to the
     /// known row count.
     pub(crate) fn table(&self) -> KeyTable {
-        let mut table = KeyTable::with_capacity_and_hasher(self.len(), Default::default());
-        for i in 0..self.len() {
+        let mut table = KeyTable::with_capacity_and_hasher(self.hashes.len(), Default::default());
+        for (i, &h) in self.hashes.iter().enumerate() {
             if self.valid[i] {
-                table.entry(self.hashes[i]).or_default().push(i as u32);
+                table.entry(h).or_default().push(i as u32);
             }
         }
         table
+    }
+
+    /// The probe step: the rows of `build` (indexed by its `table`) whose
+    /// key equals probe row `i`'s, in build order.
+    pub(crate) fn matches<'a>(
+        &'a self,
+        i: usize,
+        build: &'a KeySet<'_>,
+        table: &'a KeyTable,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let bucket = if self.valid[i] { table.get(&self.hashes[i]) } else { None };
+        bucket
+            .into_iter()
+            .flatten()
+            .map(|&j| j as usize)
+            .filter(move |&j| self.keys_eq(i, build, j))
     }
 }

@@ -21,8 +21,6 @@ pub const ENGINE_SUBQUERY_EVALS: &str = "engine.subquery_evals";
 pub const DATA_NAME_RESOLUTIONS: &str = "data.name_resolutions";
 /// Schema inferences over literal relations (data substrate).
 pub const DATA_SCHEMA_INFERENCES: &str = "data.schema_inferences";
-/// Intermediate relations materialized by the delegating evaluator.
-pub const DATA_PLAN_MATERIALIZATIONS: &str = "data.plan_materializations";
 
 /// Distinct strings currently held by the global interner (gauge).
 pub const INTERNER_STRINGS: &str = "interner.strings";

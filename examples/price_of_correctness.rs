@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example price_of_correctness`.
 
 use certus::tpch::{query_by_number, Workload};
-use certus::{CertainRewriter, Engine};
+use certus::{CertainRewriter, Engine, EngineConfig, NullSemantics};
 use certus_bench::experiments::{
     parallel_scaling, planner_on_off, prepared_execution, print_parallel_scaling,
     print_planner_on_off, print_prepared,
@@ -25,7 +25,7 @@ fn time_it(mut f: impl FnMut()) -> f64 {
 fn main() {
     let workload = Workload::new(0.001, 0.02, 7);
     let db = workload.incomplete_instance();
-    let engine = Engine::new(&db);
+    let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default());
     let rewriter = CertainRewriter::new();
     let params = workload.params(&db, 0);
 

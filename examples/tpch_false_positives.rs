@@ -8,14 +8,14 @@
 
 use certus::tpch::fp_detect::count_false_positives;
 use certus::tpch::{query_by_number, Workload};
-use certus::Engine;
+use certus::{Engine, EngineConfig, NullSemantics};
 
 fn main() {
     println!("{:>9} {:>8} {:>8} {:>8} {:>8}", "null rate", "Q1", "Q2", "Q3", "Q4");
     for rate in [0.01, 0.02, 0.05, 0.10] {
         let workload = Workload::new(0.0005, rate, 42);
         let db = workload.incomplete_instance();
-        let engine = Engine::new(&db);
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default());
         let params = workload.params(&db, 0);
         let mut cells = Vec::new();
         for q in 1..=4 {

@@ -4,13 +4,18 @@
 
 use certus::tpch::fp_detect::count_false_positives;
 use certus::tpch::{query_by_number, Workload};
-use certus::{CertainRewriter, Engine};
+use certus::{CertainRewriter, Database, Engine, EngineConfig, NullSemantics};
+
+/// The environment-driven SQL engine these tests run on.
+fn sql_engine(db: &Database) -> Engine<'_> {
+    Engine::configured(db, NullSemantics::Sql, EngineConfig::default())
+}
 
 #[test]
 fn sql_produces_false_positives_and_rewriting_eliminates_them() {
     let workload = Workload::new(0.0004, 0.06, 21);
     let db = workload.incomplete_instance();
-    let engine = Engine::new(&db);
+    let engine = sql_engine(&db);
     let rewriter = CertainRewriter::new();
     let params = workload.params(&db, 0);
 
@@ -35,7 +40,7 @@ fn rewriting_is_identity_behaviour_on_complete_databases() {
     // original query and its rewriting produce the same results.
     let workload = Workload::new(0.0004, 0.0, 3);
     let db = workload.complete_instance();
-    let engine = Engine::new(&db);
+    let engine = sql_engine(&db);
     let rewriter = CertainRewriter::new();
     let params = workload.params(&db, 1);
     for q in 1..=4usize {
@@ -58,7 +63,7 @@ fn recall_experiment_certain_sql_answers_are_preserved() {
     // the detector is also returned by Q+.
     let workload = Workload::new(0.0004, 0.04, 33);
     let db = workload.incomplete_instance();
-    let engine = Engine::new(&db);
+    let engine = sql_engine(&db);
     let rewriter = CertainRewriter::new();
     let params = workload.params(&db, 2);
     for q in [1usize, 3] {
@@ -95,7 +100,7 @@ mod certus_bench_smoke {
     pub fn fig1() -> Vec<(usize, f64)> {
         let workload = Workload::new(0.0003, 0.08, 8);
         let db = workload.incomplete_instance();
-        let engine = Engine::new(&db);
+        let engine = sql_engine(&db);
         let params = workload.params(&db, 0);
         let mut out = Vec::new();
         for q in 1..=4usize {

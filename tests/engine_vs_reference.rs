@@ -10,7 +10,7 @@ use certus::data::builder::rel;
 use certus::data::null::NullId;
 use certus::data::{Database, Value};
 use certus::plan::{Pass, PassContext, PassManager, PlanOptions, Planner};
-use certus::Engine;
+use certus::{Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,44 +82,23 @@ fn engine_queries() -> Vec<RaExpr> {
 
 #[test]
 fn engine_agrees_with_reference_evaluator() {
-    let mut rng = StdRng::seed_from_u64(0xE26);
-    for case in 0..64 {
-        let db = random_db(&mut rng);
-        for q in engine_queries() {
-            for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
-                let engine_out =
-                    Engine::with_semantics(&db, semantics).execute(&q).unwrap().distinct().sorted();
-                let reference_out = eval(&q, &db, semantics).unwrap().distinct().sorted();
-                assert_eq!(
-                    engine_out.tuples(),
-                    reference_out.tuples(),
-                    "case {case}, query {q}, semantics {semantics:?}"
-                );
-            }
-        }
-    }
-}
-
-/// The compiled operator runtime must agree with the pre-compilation
-/// delegating execution path (the physical-level oracle) on every native
-/// operator, on randomized null databases, under both semantics.
-#[test]
-fn compiled_runtime_agrees_with_delegating_path() {
-    let mut rng = StdRng::seed_from_u64(0xC0DE);
-    for case in 0..48 {
-        let db = random_db(&mut rng);
-        for q in engine_queries() {
-            for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
-                let engine = certus::engine::Engine::with_semantics(&db, semantics);
-                let plan = engine.plan(&q).unwrap();
-                let compiled = engine.execute_physical(&plan).unwrap().distinct().sorted();
-                let delegating =
-                    engine.execute_physical_delegating(&plan).unwrap().distinct().sorted();
-                assert_eq!(
-                    compiled.tuples(),
-                    delegating.tuples(),
-                    "case {case}, query {q}, semantics {semantics:?}"
-                );
+    // Two database streams: the second is the one the retired physical-level
+    // oracle (a second interpreter renting the reference evaluator) ran on.
+    for (seed, cases) in [(0xE26, 64), (0xC0DE, 48)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..cases {
+            let db = random_db(&mut rng);
+            for q in engine_queries() {
+                for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+                    let engine = Engine::configured(&db, semantics, EngineConfig::default());
+                    let engine_out = engine.execute(&q).unwrap().distinct().sorted();
+                    let reference_out = eval(&q, &db, semantics).unwrap().distinct().sorted();
+                    assert_eq!(
+                        engine_out.tuples(),
+                        reference_out.tuples(),
+                        "seed {seed:#x}, case {case}, query {q}, semantics {semantics:?}"
+                    );
+                }
             }
         }
     }
@@ -127,23 +106,22 @@ fn compiled_runtime_agrees_with_delegating_path() {
 
 /// The vectorized runtime must agree with both the row-at-a-time compiled
 /// runtime (same compiled plans, different execution configuration) and the
-/// delegating oracle, on randomized null databases, under both semantics —
+/// reference evaluator, on randomized null databases, under both semantics —
 /// the `parallel_floor(0)` configuration also drives the morsel-parallel
-/// vectorized paths when `CERTUS_THREADS > 1`.
+/// paths when `CERTUS_THREADS > 1`.
 #[test]
-fn vectorized_runtime_agrees_with_row_path_and_delegating() {
-    use certus::EngineConfig;
+fn vectorized_runtime_agrees_with_row_path_and_reference() {
     let mut rng = StdRng::seed_from_u64(0x5EC7);
     for case in 0..48 {
         let db = random_db(&mut rng);
         for q in engine_queries() {
             for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
-                let vec_engine = certus::engine::Engine::configured(
+                let vec_engine = Engine::configured(
                     &db,
                     semantics,
                     EngineConfig::from_env().with_parallel_floor(0).with_vectorized(true),
                 );
-                let row_engine = certus::engine::Engine::configured(
+                let row_engine = Engine::configured(
                     &db,
                     semantics,
                     EngineConfig::serial().with_vectorized(false),
@@ -154,8 +132,7 @@ fn vectorized_runtime_agrees_with_row_path_and_delegating() {
                 let plan = vec_engine.plan(&q).unwrap();
                 let vectorized = vec_engine.execute_physical(&plan).unwrap().distinct().sorted();
                 let row = row_engine.execute_physical(&plan).unwrap().distinct().sorted();
-                let delegating =
-                    row_engine.execute_physical_delegating(&plan).unwrap().distinct().sorted();
+                let reference = eval(&q, &db, semantics).unwrap().distinct().sorted();
                 assert_eq!(
                     vectorized.tuples(),
                     row.tuples(),
@@ -163,8 +140,8 @@ fn vectorized_runtime_agrees_with_row_path_and_delegating() {
                 );
                 assert_eq!(
                     vectorized.tuples(),
-                    delegating.tuples(),
-                    "vectorized vs delegating: case {case}, query {q}, semantics {semantics:?}"
+                    reference.tuples(),
+                    "vectorized vs reference: case {case}, query {q}, semantics {semantics:?}"
                 );
             }
         }
@@ -267,7 +244,7 @@ fn planner_on_vs_off_execute_identically() {
     let planner = Planner::new();
     for case in 0..16 {
         let db = random_db(&mut rng);
-        let engine = Engine::new(&db);
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default());
         let stats = certus::StatisticsCatalog::analyze(&db);
         for q in planner_queries() {
             let off = engine.execute(&q).unwrap().distinct().sorted();
@@ -293,7 +270,11 @@ fn engine_agrees_on_translated_tpch_queries() {
         let expr = query_by_number(q, &params).expect("query exists");
         let plus = rewriter.rewrite_plus(&expr, &db).expect("translates");
         for query in [&expr, &plus] {
-            let engine_out = Engine::new(&db).execute(query).unwrap().distinct().sorted();
+            let engine_out = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default())
+                .execute(query)
+                .unwrap()
+                .distinct()
+                .sorted();
             let reference_out = eval(query, &db, NullSemantics::Sql).unwrap().distinct().sorted();
             assert_eq!(engine_out.tuples(), reference_out.tuples(), "Q{q}");
         }

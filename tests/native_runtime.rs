@@ -1,14 +1,14 @@
 //! Acceptance check for the compiled operator runtime: re-executing a
-//! `PreparedQuery` must perform **zero** schema inference, **zero**
-//! column-name resolution, and **zero** wrapping of materialised relations
-//! back into logical expressions. The `certus-data` profiling counters
-//! instrument exactly those three operations; this file contains a single
+//! `PreparedQuery` must perform **zero** schema inference and **zero**
+//! column-name resolution. The `certus-data` profiling counters instrument
+//! exactly those two operations; this file contains a single
 //! test (integration-test files run as their own process) so no concurrent
 //! engine work can pollute the counter deltas.
 
 use certus::data::profile::ProfileSnapshot;
+use certus::engine::CompiledPlan;
 use certus::tpch::{query_by_number, Workload};
-use certus::{Certainty, EngineConfig, Session};
+use certus::{Certainty, EngineConfig, NullSemantics, Session};
 
 #[test]
 fn prepared_re_execution_does_zero_per_execution_setup_work() {
@@ -42,14 +42,18 @@ fn prepared_re_execution_does_zero_per_execution_setup_work() {
         );
     }
 
-    // The delegating path, by contrast, trips all three counters — the
-    // instrumentation itself is alive.
-    let engine = certus::Engine::with_config(session.database(), EngineConfig::serial());
+    // Planning and compiling, by contrast, trip the counters — the
+    // instrumentation itself is alive. Compilation resolves every column
+    // name to a position; inferring operator schemas is the planner's work.
+    let engine =
+        certus::Engine::configured(session.database(), NullSemantics::Sql, EngineConfig::serial());
     let expr = query_by_number(3, &params).expect("query exists");
-    let plan = engine.plan(&expr).expect("plans");
     let before = ProfileSnapshot::now();
-    engine.execute_physical_delegating(&plan).expect("runs");
-    let delta = ProfileSnapshot::now().delta_since(&before);
-    assert!(delta.plan_materializations > 0, "delegating path should wrap relations: {delta:?}");
-    assert!(delta.name_resolutions > 0, "delegating path should resolve names: {delta:?}");
+    let plan = engine.plan(&expr).expect("plans");
+    let planned = ProfileSnapshot::now();
+    CompiledPlan::compile(&plan, session.database()).expect("compiles");
+    let compiled = ProfileSnapshot::now().delta_since(&planned);
+    let planned = planned.delta_since(&before);
+    assert!(planned.schema_inferences > 0, "planning should infer schemas: {planned:?}");
+    assert!(compiled.name_resolutions > 0, "compilation should resolve names: {compiled:?}");
 }

@@ -78,9 +78,12 @@ fn cost_based_parallel_plans_match_serial_execution() {
     let mut par = Parallelism::new(4);
     par.row_threshold = 0.0;
     let parallel_planner = PhysicalPlanner::with_parallelism(&db, &stats, par);
-    let serial_engine = Engine::with_config(&db, EngineConfig::serial());
-    let parallel_engine =
-        Engine::with_config(&db, EngineConfig::with_threads(4).with_parallel_floor(0));
+    let serial_engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
+    let parallel_engine = Engine::configured(
+        &db,
+        NullSemantics::Sql,
+        EngineConfig::with_threads(4).with_parallel_floor(0),
+    );
     for q in [q1(&params), q3(&params), q4(&params)] {
         let sp = serial_planner.plan(&q).expect("plans");
         let pp = parallel_planner.plan(&q).expect("plans");
@@ -167,14 +170,73 @@ fn native_operators_match_serial_across_thread_counts() {
     }
 }
 
+/// Output **order** of the hash operators is probe order: the unsorted
+/// result at every thread count equals the serial one, whether the key
+/// columns are typed, mixed-variant or all null — how a key column happens
+/// to be typed must not reorder the same plan's output.
+#[test]
+fn hash_operator_output_order_is_independent_of_threads_and_key_typing() {
+    use certus::algebra::builder::eq;
+    use certus::data::builder::rel;
+    use certus::data::null::NullId;
+    use certus::data::Value;
+
+    let null = |i: i64| Value::Null(NullId(i as u64));
+    // Columns: a typed key with a few nulls, a mixed int-or-string key, an
+    // all-null key (ids repeat across the tables, so naive semantics finds
+    // matches), and a row id that makes every tuple distinct.
+    let row = |i: i64, null_ids: i64| {
+        let typed = if i % 6 == 0 { null(i % 3 + 1) } else { Value::Int(i % 7) };
+        let mixed = match i % 4 {
+            0 => Value::Int(i % 5),
+            1 => Value::str(["x", "y", "z"][(i % 3) as usize]),
+            2 => Value::Int(i % 3),
+            _ => null(i % 4 + 50),
+        };
+        vec![typed, mixed, null(i % null_ids + 10), Value::Int(i)]
+    };
+    let mut db = Database::new();
+    db.insert_relation("r", rel(&["a", "m", "z", "rid"], (0..40).map(|i| row(i, 5)).collect()));
+    db.insert_relation("s", rel(&["c", "n", "y", "sid"], (0..30).map(|i| row(i, 4)).collect()));
+
+    let (r, s) = (RaExpr::relation("r"), RaExpr::relation("s"));
+    for (kind, l_key, r_key) in [("typed", "a", "c"), ("mixed", "m", "n"), ("all-null", "z", "y")] {
+        let queries = [
+            r.clone().join(s.clone(), eq(l_key, r_key)),
+            r.clone().semi_join(s.clone(), eq(l_key, r_key)),
+            r.clone().anti_join(s.clone(), eq(l_key, r_key)),
+        ];
+        for q in &queries {
+            for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+                let serial = Engine::configured(&db, semantics, EngineConfig::serial());
+                let expected = serial.execute(q).expect("serial runs");
+                for threads in [2usize, 8, 32] {
+                    let config = EngineConfig::with_threads(threads).with_parallel_floor(0);
+                    let parallel = Engine::configured(&db, semantics, config);
+                    assert!(parallel.plan(q).expect("plans").has_exchange());
+                    assert_eq!(
+                        parallel.execute(q).expect("parallel runs").tuples(),
+                        expected.tuples(),
+                        "{kind} keys, {threads} threads, {} semantics, query {q}",
+                        semantics.label()
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn parallel_execution_is_deterministic() {
     let db = workload_db(5);
     let params = QueryParams::random(&db, 5);
     let rewriter = CertainRewriter::new();
     for threads in [2usize, 8, 32] {
-        let engine =
-            Engine::with_config(&db, EngineConfig::with_threads(threads).with_parallel_floor(0));
+        let engine = Engine::configured(
+            &db,
+            NullSemantics::Sql,
+            EngineConfig::with_threads(threads).with_parallel_floor(0),
+        );
         for q in [q3(&params), q4(&params)] {
             let plus = rewriter.rewrite_plus(&q, &db).expect("translates");
             let first = engine.execute(&plus).expect("runs");
@@ -306,10 +368,10 @@ fn single_thread_config_degenerates_to_serial_plans() {
 
     // The engine's own heuristic plan at one thread is *identical* to the
     // plain serial heuristic plan, and free of exchanges.
-    let engine1 = Engine::with_config(&db, EngineConfig::with_threads(1));
+    let engine1 = Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(1));
     let plan1 = engine1.plan(&q).expect("plans");
     assert_eq!(plan1, heuristic_plan(&q, &db).expect("plans"));
     assert!(!plan1.has_exchange());
-    let engine4 = Engine::with_config(&db, EngineConfig::with_threads(4));
+    let engine4 = Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(4));
     assert!(engine4.plan(&q).expect("plans").has_exchange());
 }

@@ -95,6 +95,44 @@ fn typed_db() -> Database {
     db
 }
 
+/// How the key columns of a hash operator can be represented.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Keys {
+    /// Both sides type the same way: typed-column keys.
+    Typed,
+    /// The sides type differently (ints vs decimals): typed keys that never
+    /// match under SQL semantics, row-valued keys under naive semantics
+    /// (where a null meets itself whatever its column's type).
+    CrossType,
+    /// A key column lands in the `Values` fallback (mixed variants or all
+    /// null): row-valued keys.
+    Fallback,
+}
+
+/// One hash join / semijoin / antijoin per key shape.
+fn hash_cases() -> Vec<(RaExpr, Keys)> {
+    let r = RaExpr::relation("r");
+    let t = RaExpr::relation("t");
+    let dec = RaExpr::relation("dec");
+    vec![
+        // Typed, string, and null-carrying keys.
+        (r.clone().join(t.clone(), eq("a", "k")), Keys::Typed),
+        (r.clone().join(t.clone(), eq("s", "w")), Keys::Typed),
+        (r.clone().join(t.clone(), eq("a", "k").and(neq("s", "w"))), Keys::Typed),
+        (r.clone().semi_join(t.clone(), eq("s", "w")), Keys::Typed),
+        (r.clone().anti_join(t.clone(), eq("a", "k")), Keys::Typed),
+        // Incompatible key representations: syntactic equality can never
+        // hold between constants, the SQL antijoin keeps everything.
+        (r.clone().join(dec.clone(), eq("a", "k")), Keys::CrossType),
+        (r.clone().anti_join(dec, eq("a", "k")), Keys::CrossType),
+        // Mixed-variant key column.
+        (r.clone().join(t.clone(), eq("m", "k")), Keys::Fallback),
+        (r.clone().semi_join(t.clone(), eq("m", "w")), Keys::Fallback),
+        // All-null key column.
+        (r.anti_join(t, eq("z", "k")), Keys::Fallback),
+    ]
+}
+
 /// Filter / join / semijoin shapes over every column representation: typed
 /// fast paths (ints, dates, floats with NaN/-0.0, interned strings), the
 /// `Values` fallbacks (mixed `m`, all-null `z`), `LIKE`/`IN` atoms, and
@@ -102,7 +140,8 @@ fn typed_db() -> Database {
 fn queries() -> Vec<RaExpr> {
     let r = RaExpr::relation("r");
     let t = RaExpr::relation("t");
-    vec![
+    let mut queries: Vec<RaExpr> = hash_cases().into_iter().map(|(q, _)| q).collect();
+    queries.extend(vec![
         // Typed filters, each comparison operator, over each representation.
         r.clone().select(eq_const("a", 2i64)),
         r.clone().select(gt("a", "a").or(neq("a", "a"))),
@@ -136,21 +175,6 @@ fn queries() -> Vec<RaExpr> {
             list: vec![Value::Int(2), Value::Int(4), Value::Decimal(100)],
             negated: true,
         }),
-        // Hash joins / semijoins on typed, string, and null-carrying keys.
-        r.clone().join(t.clone(), eq("a", "k")),
-        r.clone().join(t.clone(), eq("s", "w")),
-        r.clone().join(t.clone(), eq("a", "k").and(neq("s", "w"))),
-        r.clone().semi_join(t.clone(), eq("s", "w")),
-        r.clone().anti_join(t.clone(), eq("a", "k")),
-        // Incompatible key representations (ints vs decimals): syntactic
-        // equality can never hold, the antijoin keeps everything.
-        r.clone().join(RaExpr::relation("dec"), eq("a", "k")),
-        r.clone().anti_join(RaExpr::relation("dec"), eq("a", "k")),
-        // Mixed-variant key column: the keyset bails to the row path.
-        r.clone().join(t.clone(), eq("m", "k")),
-        r.clone().semi_join(t.clone(), eq("m", "w")),
-        // All-null key column.
-        r.clone().anti_join(t.clone(), eq("z", "k")),
         // Nested loops (OR'd conditions hide the equality): bound-row
         // vectorization with hoisted inner-only atoms.
         r.clone().join(t.clone(), eq("a", "k").or(is_null("w"))),
@@ -172,7 +196,8 @@ fn queries() -> Vec<RaExpr> {
             .select(eq_const("s", "alpha"))
             .distinct(),
         r.clone().project(&["a"]).select(eq_const("a", 2i64)).union(t.clone().project(&["k"])),
-    ]
+    ]);
+    queries
 }
 
 #[test]
@@ -191,6 +216,56 @@ fn vectorized_operators_agree_with_row_path_on_typed_columns() {
             let vectorized = vec_engine.execute_physical(&plan).unwrap().distinct().sorted();
             let row = row_engine.execute_physical(&plan).unwrap().distinct().sorted();
             assert_eq!(vectorized.tuples(), row.tuples(), "query {q}, semantics {semantics:?}");
+        }
+    }
+}
+
+/// The profile must say which key representation a hash operator ran on —
+/// the benchmark's `engine.row_fallbacks` layer reads it. Per invocation
+/// exactly one of `vec_runs` / `row_fallbacks` is recorded when the
+/// vectorized evaluator was asked for (a `Values`-fallback key records
+/// exactly one row fallback), neither when it was not, at every thread
+/// count — and the answers never depend on any of it.
+#[test]
+fn hash_operators_report_the_key_representation_that_ran() {
+    let db = typed_db();
+    for (q, keys) in hash_cases() {
+        for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+            let reference =
+                Engine::configured(&db, semantics, EngineConfig::serial().with_vectorized(false))
+                    .execute(&q)
+                    .unwrap();
+            let row_valued = match keys {
+                Keys::Typed => false,
+                Keys::CrossType => semantics == NullSemantics::Naive,
+                Keys::Fallback => true,
+            };
+            for threads in [1usize, 4] {
+                for vectorized in [true, false] {
+                    let config = EngineConfig::with_threads(threads)
+                        .with_parallel_floor(0)
+                        .with_vectorized(vectorized);
+                    let engine = Engine::configured(&db, semantics, config);
+                    let compiled = engine.compile(&engine.plan(&q).unwrap()).unwrap();
+                    let (out, profile) = engine.execute_compiled_profiled(&compiled).unwrap();
+                    let context = format!(
+                        "query {q}, {semantics:?}, {threads} threads, vectorized {vectorized}"
+                    );
+                    // Probe order everywhere: equal without sorting.
+                    assert_eq!(out.tuples(), reference.tuples(), "{context}");
+                    let nodes = profile.flatten();
+                    let hash: Vec<_> = nodes.iter().filter(|n| n.op.starts_with("hash_")).collect();
+                    assert_eq!(hash.len(), 1, "one hash operator expected: {context}");
+                    let (vec_runs, fallbacks) = (hash[0].vec_runs, hash[0].row_fallbacks);
+                    assert_eq!(hash[0].invocations, 1, "{context}");
+                    let expected = match (vectorized, row_valued) {
+                        (false, _) => (0, 0),
+                        (true, false) => (1, 0),
+                        (true, true) => (0, 1),
+                    };
+                    assert_eq!((vec_runs, fallbacks), expected, "{keys:?} keys: {context}");
+                }
+            }
         }
     }
 }
