@@ -102,8 +102,6 @@ fn main() {
         println!();
     }
     if what == "parallel" || what == "all" {
-        // The optimized Q4+ keeps quadratic nested-loop joins (the OR-split
-        // is cost-guarded), so the scale is kept moderate.
         let (scale, reps) = if quick { (0.001, 1) } else { (0.002, 2) };
         let scaling = parallel_scaling(scale, 0.02, 905, reps, &[1, 2, 4, 8]);
         print_parallel_scaling(&scaling);

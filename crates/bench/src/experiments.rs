@@ -372,9 +372,12 @@ pub struct AblationResult {
     pub original_time_tiny: f64,
 }
 
-/// The Section 7 "discussion" ablation: the direct translation of Q4 confuses
-/// the planner (nested loops, astronomical estimated cost); the OR-splitting
-/// and view-style union rewrites restore hash joins.
+/// The Section 7 "discussion" ablation on Q4: the direct translation against
+/// the pipeline's output, as estimated cost and as measured time. The paper's
+/// optimizer is confused by the direct translation (nested loops,
+/// astronomical estimated cost) and needs the OR-splitting and view-style
+/// union rewrites to hash again; this engine hashes the translation's
+/// `A = B OR A IS NULL` conditions directly, so the two arms should be close.
 pub fn or_split_ablation(bench_scale: f64, tiny_scale: f64, null_rate: f64) -> AblationResult {
     // Estimated costs at benchmark scale.
     let w = Workload::new(bench_scale, null_rate, 901);
@@ -387,7 +390,7 @@ pub fn or_split_ablation(bench_scale: f64, tiny_scale: f64, null_rate: f64) -> A
     let unsplit_cost = estimate(&unsplit, &db).expect("estimates").cost;
     let split_cost = estimate(&split, &db).expect("estimates").cost;
 
-    // Measured times on a tiny instance (the unsplit plan is quadratic).
+    // Measured times on a tiny instance.
     let wt = Workload::new(tiny_scale, null_rate, 902);
     let tiny = wt.incomplete_instance();
     let tiny_params = wt.params(&tiny, 0);
@@ -441,9 +444,10 @@ pub struct PlannerOnOffRow {
 
 /// The planner ablation: translate each query without the Section 7
 /// optimizations, then run the raw translation vs. the pass-pipeline output
-/// through the engine. Reproduces the Section 7 rescue: the OR'd `NOT
-/// EXISTS` conditions of the raw Q⁺4 force nested loops, which the pipeline's
-/// OR-splitting turns back into hash anti-joins.
+/// through the engine. The OR'd conditions of the raw translations are
+/// null-aware hash keys, so neither arm runs a nested loop; what the
+/// pipeline still buys is pruning, pushdown and the decorrelated
+/// `NOT EXISTS` chain.
 pub fn planner_on_off(
     scale_factor: f64,
     null_rate: f64,
@@ -2206,21 +2210,21 @@ mod tests {
     }
 
     #[test]
-    fn planner_rescues_the_not_exists_translation() {
-        // The Section 7 rescue on Q3+ — its NOT EXISTS anti-join carries the
-        // translation's `… OR IS NULL` disjuncts; with the pipeline off the
-        // engine runs it as a nested loop, with the pipeline on the
-        // nullability pruning and guarded OR-split restore hash anti-joins.
-        // Results are asserted identical inside the experiment; here we check
-        // the measurable speedup. The scale is kept small because the "off"
-        // arm is intentionally quadratic and this test also runs in debug
-        // builds.
+    fn raw_translations_need_no_rescue_from_the_pipeline() {
+        // Q3+'s NOT EXISTS anti-join carries the translation's `… OR IS
+        // NULL` disjuncts. They are null-aware hash keys, so the raw
+        // translation (pipeline off) hashes just like the pipeline's output:
+        // neither arm is quadratic. Results are asserted identical inside
+        // the experiment; here we check that the raw arm stays within a
+        // generous factor of the rewritten one (both are fast and
+        // timing-noisy at this scale, and this test also runs in debug
+        // builds).
         let rows = planner_on_off(0.0006, 0.02, 904, 1);
         assert_eq!(rows.len(), 4);
         let q3 = &rows[2];
         assert!(
-            q3.t_off > 2.0 * q3.t_on,
-            "pipeline should rescue Q3+: off {} vs on {}",
+            q3.t_off < q3.t_on * 2.0 + 0.05,
+            "raw Q3+ should hash like the rewritten one: off {} vs on {}",
             q3.t_off,
             q3.t_on
         );
@@ -2366,14 +2370,15 @@ mod tests {
     }
 
     #[test]
-    fn ablation_shows_cost_gap() {
+    fn ablation_shows_no_cost_gap() {
         let r = or_split_ablation(0.001, 0.0001, 0.02);
-        // The direct translation's OR .. IS NULL conditions defeat hash joins,
-        // inflating the estimated plan cost far beyond the original query's
-        // (the paper reports "thousands of times higher"; the exact factor
-        // depends on the cost model).
+        // The paper reports plan costs "thousands of times higher" for the
+        // direct translation, whose OR .. IS NULL conditions defeat an
+        // optimizer's hash joins. Here they are null-aware hash keys, priced
+        // like any hash join: the unsplit translation must cost about what
+        // the original query does.
         assert!(
-            r.unsplit_estimated_cost > 10.0 * r.original_estimated_cost,
+            r.unsplit_estimated_cost < 2.0 * r.original_estimated_cost,
             "unsplit {} vs original {}",
             r.unsplit_estimated_cost,
             r.original_estimated_cost

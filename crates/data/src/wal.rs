@@ -1001,6 +1001,23 @@ mod tests {
     use crate::builder::rel;
     use crate::value::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// The failpoint registry is process-global and `cargo test` runs this
+    /// module's tests on parallel threads, so an armed point fires in
+    /// whichever store reaches it first — not necessarily the arming test's.
+    /// A test that arms a point holds this lock exclusively ([`arming`]);
+    /// every other test that writes through a store holds it shared
+    /// ([`unarmed`]) and therefore never runs while anything is armed.
+    static FAILPOINT_USE: RwLock<()> = RwLock::new(());
+
+    fn arming() -> RwLockWriteGuard<'static, ()> {
+        FAILPOINT_USE.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn unarmed() -> RwLockReadGuard<'static, ()> {
+        FAILPOINT_USE.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -1033,6 +1050,7 @@ mod tests {
 
     #[test]
     fn acked_writes_survive_reopen() {
+        let _failpoints = unarmed();
         let dir = temp_dir("reopen");
         {
             let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
@@ -1051,6 +1069,7 @@ mod tests {
 
     #[test]
     fn checkpoints_fold_the_wal_and_retire_old_generations() {
+        let _failpoints = unarmed();
         let dir = temp_dir("ckpt");
         let store = DurableStore::open(&dir, seed_db(), 2).unwrap();
         for i in 0..5 {
@@ -1071,6 +1090,7 @@ mod tests {
 
     #[test]
     fn rejected_writes_leave_log_and_state_untouched() {
+        let _failpoints = unarmed();
         let dir = temp_dir("reject");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         let before = store.wal_len();
@@ -1086,6 +1106,7 @@ mod tests {
 
     #[test]
     fn torn_append_is_unacked_and_never_resurfaces() {
+        let _failpoints = arming();
         let dir = temp_dir("torn");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         store.insert("r", &[row(1)]).unwrap();
@@ -1111,6 +1132,7 @@ mod tests {
 
     #[test]
     fn failed_fsync_rolls_the_record_back() {
+        let _failpoints = arming();
         let dir = temp_dir("fsync");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         failpoints().arm(FP_FSYNC, FailAction::Error, 0, 1);
@@ -1128,6 +1150,7 @@ mod tests {
 
     #[test]
     fn crashed_checkpoint_keeps_the_previous_generation() {
+        let _failpoints = arming();
         let dir = temp_dir("ckpt-crash");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         for i in 0..3 {
@@ -1153,6 +1176,7 @@ mod tests {
     /// resurrect bytes beyond the damage.
     #[test]
     fn recovery_survives_every_truncation_and_bit_flip() {
+        let _failpoints = unarmed();
         let dir = temp_dir("fuzz-src");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         for i in 0..4 {
@@ -1217,6 +1241,7 @@ mod tests {
 
     #[test]
     fn damaged_newest_checkpoint_falls_back_to_its_predecessor() {
+        let _failpoints = unarmed();
         let dir = temp_dir("fallback");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         store.insert("r", &[row(1)]).unwrap();
@@ -1231,6 +1256,7 @@ mod tests {
 
     #[test]
     fn read_chunk_streams_record_aligned_bytes() {
+        let _failpoints = unarmed();
         let dir = temp_dir("chunk");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         for i in 0..4 {
@@ -1278,6 +1304,7 @@ mod tests {
 
     #[test]
     fn replica_ingest_mirrors_the_primary() {
+        let _failpoints = unarmed();
         let primary_dir = temp_dir("repl-primary");
         let replica_dir = temp_dir("repl-replica");
         let primary = DurableStore::open(&primary_dir, seed_db(), 0).unwrap();
@@ -1338,6 +1365,7 @@ mod tests {
 
     #[test]
     fn reopen_heals_a_poisoned_handle_without_losing_acked_writes() {
+        let _failpoints = arming();
         let dir = temp_dir("heal");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         store.insert("r", &[row(1)]).unwrap();
@@ -1361,6 +1389,7 @@ mod tests {
 
     #[test]
     fn double_damaged_directory_refuses_to_open_with_a_clean_error() {
+        let _failpoints = unarmed();
         let dir = temp_dir("double-damage");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         store.insert("r", &[row(1)]).unwrap();

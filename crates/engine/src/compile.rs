@@ -40,6 +40,7 @@ use certus_obs::metrics::{registry, Counter};
 use certus_obs::names;
 use certus_obs::ProfNode;
 use certus_plan::physical::{JoinAlgo, Partitioning, PhysicalExpr, SemiAlgo};
+use certus_plan::NullOk;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
@@ -365,6 +366,38 @@ fn vec_plan_of(steps: &[Step], source_arity: usize) -> Option<VecPlan> {
     Some(VecPlan { filters, cols, gather: if identity { None } else { Some(mapping) } })
 }
 
+/// The compiled keys of a hash operator: key columns resolved to positions
+/// in their own side's schema, the residual over the (left, right) pair.
+#[derive(Debug)]
+pub(crate) struct HashKeys {
+    /// Probe-side key positions.
+    pub(crate) left: Vec<usize>,
+    /// Build-side key positions.
+    pub(crate) right: Vec<usize>,
+    /// Condition part not covered by the keys.
+    pub(crate) residual: CompiledPredicate,
+    /// Present iff some key is null-aware.
+    pub(crate) null_aware: Option<NullAware>,
+}
+
+impl HashKeys {
+    /// The widest predicate the operator may evaluate — the one whose scalar
+    /// subqueries must be ensured before it runs.
+    pub(crate) fn widest_predicate(&self) -> &CompiledPredicate {
+        self.null_aware.as_ref().map_or(&self.residual, |n| &n.full)
+    }
+}
+
+/// What a hash operator with null-aware keys needs beyond [`HashKeys`]:
+/// per key, which side's `NULL` satisfies it, and the operator's full
+/// condition — the predicate a nested loop would evaluate — for the pairs a
+/// `NULL` there takes away from the hash table.
+#[derive(Debug)]
+pub(crate) struct NullAware {
+    pub(crate) null_ok: Vec<NullOk>,
+    pub(crate) full: CompiledPredicate,
+}
+
 /// A compiled operator tree: schemas inferred, names resolved, conditions
 /// compiled — ready for repeated execution with zero per-execution setup.
 #[derive(Debug)]
@@ -398,9 +431,7 @@ pub(crate) enum CompiledExpr {
     HashJoin {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        residual: CompiledPredicate,
+        keys: HashKeys,
         schema: Arc<Schema>,
         partitions: usize,
     },
@@ -417,9 +448,7 @@ pub(crate) enum CompiledExpr {
     HashSemi {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        residual: CompiledPredicate,
+        keys: HashKeys,
         keep_matching: bool,
         partitions: usize,
     },
@@ -583,20 +612,21 @@ fn compile_expr(
             })
         }
         PhysicalExpr::Join { left, right, condition, algo } => match algo {
-            JoinAlgo::Hash { left_keys, right_keys, residual } => {
+            JoinAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
                 let (build, partitions) = peel_hash_exchange(right);
                 let l = compile_expr(left, db, scalars)?;
                 let r = compile_expr(build, db, scalars)?;
-                let l_pos = resolve_positions(l.schema(), left_keys)?;
-                let r_pos = resolve_positions(r.schema(), right_keys)?;
                 let schema = l.schema().concat(r.schema()).shared();
-                let residual = compile_condition(residual, &schema, scalars)?;
+                let keys = HashKeys {
+                    left: resolve_positions(l.schema(), left_keys)?,
+                    right: resolve_positions(r.schema(), right_keys)?,
+                    residual: compile_condition(residual, &schema, scalars)?,
+                    null_aware: compile_null_aware(null_ok, condition, &schema, scalars)?,
+                };
                 Ok(CompiledExpr::HashJoin {
                     left: Box::new(l),
                     right: Box::new(r),
-                    left_keys: l_pos,
-                    right_keys: r_pos,
-                    residual,
+                    keys,
                     schema,
                     partitions,
                 })
@@ -631,20 +661,21 @@ fn compile_expr(
                         left_schema: left_schema.clone().shared(),
                     })
                 }
-                SemiAlgo::Hash { left_keys, right_keys, residual } => {
+                SemiAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
                     let (build, partitions) = peel_hash_exchange(right);
                     let l = compile_expr(left, db, scalars)?;
                     let r = compile_expr(build, db, scalars)?;
-                    let l_pos = resolve_positions(l.schema(), left_keys)?;
-                    let r_pos = resolve_positions(r.schema(), right_keys)?;
-                    let combined = l.schema().concat(r.schema()).shared();
-                    let residual = compile_condition(residual, &combined, scalars)?;
+                    let combined = l.schema().concat(r.schema());
+                    let keys = HashKeys {
+                        left: resolve_positions(l.schema(), left_keys)?,
+                        right: resolve_positions(r.schema(), right_keys)?,
+                        residual: compile_condition(residual, &combined, scalars)?,
+                        null_aware: compile_null_aware(null_ok, condition, &combined, scalars)?,
+                    };
                     Ok(CompiledExpr::HashSemi {
                         left: Box::new(l),
                         right: Box::new(r),
-                        left_keys: l_pos,
-                        right_keys: r_pos,
-                        residual,
+                        keys,
                         keep_matching,
                         partitions,
                     })
@@ -867,6 +898,22 @@ fn project_positions(input: &Schema, columns: &[ProjCol]) -> Result<(Vec<usize>,
 
 fn resolve_positions(schema: &Schema, names: &[String]) -> Result<Vec<usize>> {
     names.iter().map(|n| schema.position_of(n).map_err(AlgebraError::Data)).collect()
+}
+
+/// The null-aware half of a hash operator's keys: `None` when every key is a
+/// plain equality (the node's full condition is then never evaluated, so it
+/// is not compiled either).
+fn compile_null_aware(
+    null_ok: &[NullOk],
+    condition: &Condition,
+    combined: &Schema,
+    scalars: &mut Vec<RaExpr>,
+) -> Result<Option<NullAware>> {
+    if !null_ok.iter().any(|n| n.any()) {
+        return Ok(None);
+    }
+    let full = compile_condition(condition, combined, scalars)?;
+    Ok(Some(NullAware { null_ok: null_ok.to_vec(), full }))
 }
 
 fn peel_hash_exchange(plan: &PhysicalExpr) -> (&PhysicalExpr, usize) {

@@ -15,13 +15,13 @@
 //! * [`JoinAlgo::Hash`](certus_plan::physical::JoinAlgo::Hash) /
 //!   [`SemiAlgo::Hash`](certus_plan::physical::SemiAlgo::Hash) run as **hash
 //!   joins** with a residual predicate; join keys are resolved to positions
-//!   at compile time;
+//!   at compile time. The keys may be *null-aware* — the translation's
+//!   `A = B OR A IS NULL` — see "What the hash matcher decides" below;
 //! * [`JoinAlgo::NestedLoop`](certus_plan::physical::JoinAlgo::NestedLoop) /
 //!   [`SemiAlgo::NestedLoop`](certus_plan::physical::SemiAlgo::NestedLoop)
-//!   compare every pair (the fate of conditions like `A = B OR B IS NULL`
-//!   that hide their equality from the key extractor) — residuals evaluate
-//!   over the pair of input tuples, so non-matching pairs are never
-//!   concatenated;
+//!   compare every pair (the fate of conditions with no key at all, such as
+//!   `A = B OR C IS NULL`) — predicates evaluate over the pair of input
+//!   tuples, so non-matching pairs are never concatenated;
 //! * [`SemiAlgo::Decorrelated`](certus_plan::physical::SemiAlgo::Decorrelated)
 //!   evaluates the inner side once and short-circuits the whole branch — for
 //!   a `NOT EXISTS` that found a witness the outer side is never touched,
@@ -57,6 +57,20 @@
 //!   answer the same "build rows whose key equals probe row `i`'s" query, so
 //!   the operators never see which one ran; the profile does
 //!   (`vec_runs` vs `row_fallbacks`).
+//! * **What the hash matcher decides by hash, and what by the full
+//!   condition.** The hash table decides the pairs of rows whose null-aware
+//!   key columns are non-null on both sides: equal keys, then the residual.
+//!   A key `A = B OR A IS NULL` is also satisfied by any row with `A` null,
+//!   whatever `B` — no bucket holds those partners. So a build row with a
+//!   `NULL` in a key whose build-side `NULL` satisfies it goes to a short
+//!   side list that every probe row is checked against, and a probe row with
+//!   a `NULL` in a key whose probe-side `NULL` satisfies it is checked
+//!   against every build row — both by the operator's compiled **full
+//!   condition**, the very predicate the nested loop evaluates. A `NULL` in
+//!   a key that is not null-ok keeps its plain meaning: it never matches
+//!   under SQL semantics and is an ordinary key value under naive semantics.
+//!   Cost: `O(n + m + matches + nulls × other side)` instead of `O(n × m)`.
+//!   Join, semijoin and anti-semijoin all get this through the one matcher.
 //! * **What [`EngineConfig::vectorized`] selects** is the *evaluator*, never
 //!   the algorithm: typed-column vs row-valued keys, truth masks over the
 //!   extracted inner columns vs per-pair scalar evaluation in nested loops,
@@ -65,10 +79,13 @@
 //!   differential tests and the benchmark's cross-check use the row side as
 //!   the reference for the vectorized one.
 //! * **Probe order, always.** Joins emit in outer (left) input order, each
-//!   outer row's partners in inner input order; semijoins keep the
+//!   outer row's partners in inner (build) input order — a bucket and the
+//!   side list are both ascending and are merged; semijoins keep the
 //!   survivors' input order. Morsels are contiguous index ranges
 //!   concatenated in order, so this holds for every thread count, both key
-//!   representations and both settings of `vectorized`.
+//!   representations and both settings of `vectorized` — and it is the order
+//!   the nested loop emits, so a plan that moves a node from nested loop to
+//!   hash returns the identical relation.
 //!
 //! # Parallel execution
 //!
@@ -103,10 +120,10 @@
 
 use crate::analyze::skeleton;
 use crate::compile::{
-    apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, RowView, ScalarValues, Step,
-    VecPlan,
+    apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, HashKeys, RowView, ScalarValues,
+    Step, VecPlan,
 };
-use crate::vector::{self, BoundPred, KeySet};
+use crate::vector::{self, BoundPred, KeySet, KeyTable};
 use certus_algebra::eval::Evaluator;
 use certus_algebra::expr::{AggFunc, RaExpr};
 use certus_algebra::{AlgebraError, NullSemantics, Result};
@@ -401,18 +418,23 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Execute a join-like operator's child, *borrowing* the base relation
-    /// when the child is an unaliased scan — the join operators only read
-    /// tuples through positions (output schemas are precompiled), so copying
-    /// the whole base table per execution would be pure overhead.
+    /// when the child is a scan — the join operators only read tuples
+    /// through positions (output schemas are precompiled), so copying the
+    /// whole base table per execution would be pure overhead. The inner
+    /// (build) side is borrowed `whatever_the_alias`: nothing reads its
+    /// schema. The preserved side of a semijoin hands its schema on to the
+    /// result, so it is borrowed only when the scan's schema is the stored
+    /// one.
     fn exec_rel<'e>(
         &'e self,
         node: &CompiledExpr,
+        whatever_the_alias: bool,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Cow<'e, Relation>> {
         if let CompiledExpr::Scan { name, schema } = node {
             let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
-            if Arc::ptr_eq(rel.schema(), schema) || rel.schema() == schema {
+            if whatever_the_alias || Arc::ptr_eq(rel.schema(), schema) || rel.schema() == schema {
                 if let Some(p) = prof {
                     // Borrowing the base table is free; the scan still counts
                     // as one invocation producing the table's rows.
@@ -467,60 +489,24 @@ impl<'a> Engine<'a> {
             CompiledExpr::Fused { source, steps, schema, dedup, partitions, vec_plan } => {
                 self.exec_fused(source, steps, schema, *dedup, *partitions, vec_plan, scalars, prof)
             }
-            CompiledExpr::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                schema,
-                partitions,
-            } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
-                self.hash_join(
-                    &l,
-                    &r,
-                    left_keys,
-                    right_keys,
-                    residual,
-                    schema,
-                    *partitions,
-                    scalars,
-                    prof,
-                )
+            CompiledExpr::HashJoin { left, right, keys, schema, partitions } => {
+                let l = self.exec_rel(left, false, scalars, pc(0))?;
+                let r = self.exec_rel(right, true, scalars, pc(1))?;
+                self.hash_join(&l, &r, keys, schema, *partitions, scalars, prof)
             }
             CompiledExpr::NlJoin { left, right, pred, schema, partitions } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
+                let l = self.exec_rel(left, false, scalars, pc(0))?;
+                let r = self.exec_rel(right, true, scalars, pc(1))?;
                 self.nl_join(&l, &r, pred, schema, *partitions, scalars, prof)
             }
-            CompiledExpr::HashSemi {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                keep_matching,
-                partitions,
-            } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
-                self.hash_semi(
-                    l,
-                    &r,
-                    left_keys,
-                    right_keys,
-                    residual,
-                    *keep_matching,
-                    *partitions,
-                    scalars,
-                    prof,
-                )
+            CompiledExpr::HashSemi { left, right, keys, keep_matching, partitions } => {
+                let l = self.exec_rel(left, false, scalars, pc(0))?;
+                let r = self.exec_rel(right, true, scalars, pc(1))?;
+                self.hash_semi(l, &r, keys, *keep_matching, *partitions, scalars, prof)
             }
             CompiledExpr::NlSemi { left, right, pred, keep_matching, partitions } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
+                let l = self.exec_rel(left, false, scalars, pc(0))?;
+                let r = self.exec_rel(right, true, scalars, pc(1))?;
                 self.nl_semi(l, &r, pred, *keep_matching, *partitions, scalars, prof)
             }
             CompiledExpr::DecorrelatedSemi { left, right, pred, keep_matching, left_schema } => {
@@ -1012,28 +998,35 @@ impl<'a> Engine<'a> {
         Ok(n)
     }
 
-    /// The (probe, build) key sets of a hash operator. Under SQL semantics a
-    /// null key never matches; under naive semantics nulls are ordinary key
-    /// values. The profile records which representation ran: typed columns
-    /// are a vectorized run, row-valued keys a row fallback when the
-    /// vectorized evaluator was asked for.
-    fn hash_keys<'r>(
+    /// Prepare the matcher of a hash operator: the two sides' key sets and
+    /// the build table. Under SQL semantics a null in a plain key never
+    /// matches; under naive semantics nulls are ordinary key values. With
+    /// null-aware keys, the rows holding a `NULL` that satisfies a key on its
+    /// own are set aside on both sides for [`HashMatcher::partners`] to match
+    /// by the full condition. The profile records which key representation
+    /// ran: typed columns are a vectorized run, row-valued keys a row
+    /// fallback when the vectorized evaluator was asked for.
+    fn hash_matcher<'r>(
         &self,
         l: &'r Relation,
-        l_pos: &'r [usize],
         r: &'r Relation,
-        r_pos: &'r [usize],
+        keys: &'r HashKeys,
+        scalars: &'r ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> (KeySet<'r>, KeySet<'r>) {
-        let (probe, build) = KeySet::pair(
+    ) -> HashMatcher<'r> {
+        let (mut probe, mut build) = KeySet::pair(
             l.tuples(),
-            l_pos,
+            &keys.left,
             r.tuples(),
-            r_pos,
+            &keys.right,
             self.semantics == NullSemantics::Naive,
             self.config.vectorized,
             self.db.str_pool(),
         );
+        if let Some(null_aware) = &keys.null_aware {
+            probe.set_wild(null_aware.null_ok.iter().map(|ok| ok.left));
+            build.set_wild(null_aware.null_ok.iter().map(|ok| ok.right));
+        }
         if let Some(p) = prof {
             if probe.is_typed() {
                 p.stats.record_vec_run();
@@ -1042,7 +1035,17 @@ impl<'a> Engine<'a> {
             }
             p.stats.record_build_rows(build.valid_rows() as u64);
         }
-        (probe, build)
+        HashMatcher {
+            table: build.table(),
+            wild_build: build.wild_rows(),
+            probe,
+            build,
+            l: l.tuples(),
+            r: r.tuples(),
+            keys,
+            values: &scalars.values,
+            semantics: self.semantics,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1050,25 +1053,21 @@ impl<'a> Engine<'a> {
         &self,
         l: &Relation,
         r: &Relation,
-        l_pos: &[usize],
-        r_pos: &[usize],
-        residual: &CompiledPredicate,
+        keys: &HashKeys,
         schema: &Arc<Schema>,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let n = self.join_workers(l, r, residual, l.len() + r.len(), partitions, scalars, prof)?;
-        let (probe, build) = self.hash_keys(l, l_pos, r, r_pos, prof);
-        let table = build.table();
+        let work = l.len() + r.len();
+        let n =
+            self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
+        let matcher = self.hash_matcher(l, r, keys, scalars, prof);
         let tuples = self.probe_emit(l.len(), n, prof, |i, out| {
-            let lt = &l.tuples()[i];
-            for j in probe.matches(i, &build, &table) {
-                let rt = &r.tuples()[j];
-                if residual.eval(RowView::pair(lt, rt), &scalars.values, self.semantics).is_true() {
-                    out.push(lt.concat(rt));
-                }
-            }
+            matcher.partners(i, |j| {
+                out.push(l.tuples()[i].concat(&r.tuples()[j]));
+                true
+            })
         })?;
         Ok(Relation::from_parts(schema.clone(), tuples))
     }
@@ -1078,23 +1077,23 @@ impl<'a> Engine<'a> {
         &self,
         l: Cow<'_, Relation>,
         r: &Relation,
-        l_pos: &[usize],
-        r_pos: &[usize],
-        residual: &CompiledPredicate,
+        keys: &HashKeys,
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let n = self.join_workers(&l, r, residual, l.len() + r.len(), partitions, scalars, prof)?;
-        let (probe, build) = self.hash_keys(&l, l_pos, r, r_pos, prof);
-        let table = build.table();
+        let work = l.len() + r.len();
+        let n =
+            self.join_workers(&l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
+        let matcher = self.hash_matcher(&l, r, keys, scalars, prof);
         let keep = self.probe_keep(l.len(), n, keep_matching, prof, |i| {
-            let lt = &l.tuples()[i];
-            probe.matches(i, &build, &table).any(|j| {
-                let pair = RowView::pair(lt, &r.tuples()[j]);
-                residual.eval(pair, &scalars.values, self.semantics).is_true()
-            })
+            let mut matched = false;
+            matcher.partners(i, |_| {
+                matched = true;
+                false
+            });
+            matched
         })?;
         Ok(semi_result(l, keep))
     }
@@ -1422,6 +1421,73 @@ impl<'a> Engine<'a> {
             out.extend(slot.expect("pool scope ran every task")?);
         }
         Ok(out)
+    }
+}
+
+/// The matcher of a hash operator, shared by every probe morsel: which build
+/// rows does outer row `i` join to?
+///
+/// The hash table decides the pairs of *hashed* rows: equal keys, then the
+/// residual. What it cannot decide — a key whose `NULL` matches every row of
+/// the other side has no bucket — is decided by the operator's full
+/// condition, the very predicate a nested loop evaluates: a *wild* probe row
+/// (a `NULL` in a probe-null-ok key) is checked against every build row, and
+/// every other probe row is checked against the wild build rows beside its
+/// bucket. A `NULL` in a key that is not null-ok keeps its plain meaning
+/// (never matches under SQL, an ordinary key value under naive semantics).
+/// Without null-aware keys no row is wild and only the table is consulted.
+struct HashMatcher<'r> {
+    probe: KeySet<'r>,
+    build: KeySet<'r>,
+    table: KeyTable,
+    /// The wild build rows, ascending.
+    wild_build: Vec<u32>,
+    l: &'r [Tuple],
+    r: &'r [Tuple],
+    keys: &'r HashKeys,
+    values: &'r ScalarValues,
+    semantics: NullSemantics,
+}
+
+impl HashMatcher<'_> {
+    /// Call `hit(j)` for every build row `j` outer row `i` joins to, in
+    /// build order — a bucket and the wild build rows are both ascending and
+    /// are merged — until `hit` returns `false`. That is the order a nested
+    /// loop over the same condition finds them in.
+    fn partners(&self, i: usize, mut hit: impl FnMut(usize) -> bool) {
+        let lt = &self.l[i];
+        let holds = |pred: &CompiledPredicate, j: usize| {
+            pred.eval(RowView::pair(lt, &self.r[j]), self.values, self.semantics).is_true()
+        };
+        // Only consulted when some row is wild, i.e. with null-aware keys.
+        let full = |j: usize| {
+            let null_aware = self.keys.null_aware.as_ref().expect("wild rows need null-aware keys");
+            holds(&null_aware.full, j)
+        };
+        if self.probe.is_wild(i) {
+            for j in 0..self.r.len() {
+                if full(j) && !hit(j) {
+                    return;
+                }
+            }
+            return;
+        }
+        let mut wild = self.wild_build.iter().map(|&j| j as usize).peekable();
+        for j in self.probe.matches(i, &self.build, &self.table) {
+            while let Some(w) = wild.next_if(|&w| w < j) {
+                if full(w) && !hit(w) {
+                    return;
+                }
+            }
+            if holds(&self.keys.residual, j) && !hit(j) {
+                return;
+            }
+        }
+        for w in wild {
+            if full(w) && !hit(w) {
+                return;
+            }
+        }
     }
 }
 

@@ -7,11 +7,13 @@
 //! paper's *price of correctness* experiments meaningful:
 //!
 //! * plans choose **hash joins** / **hash (anti-)semijoins** with residual
-//!   predicates wherever equi-join conjuncts exist;
-//! * joins whose conditions hide the equality under a disjunction (the
-//!   `A = B OR B IS NULL` conditions produced by the translation) fall back
-//!   to **nested loops** — reproducing the "confused optimizer" behaviour of
-//!   Section 7 that the OR-splitting rewrite then repairs;
+//!   predicates wherever a key exists — a plain equality, or the
+//!   *null-aware* `A = B OR A IS NULL` the translation produces, which the
+//!   hash operators match without the "confused optimizer" detour of
+//!   Section 7 (rows with a `NULL` in such a key are checked by the full
+//!   condition, everything else by the table);
+//! * joins with no key at all (`A = B OR C IS NULL`, inequalities) fall back
+//!   to **nested loops**;
 //! * `NOT EXISTS` subqueries that are **uncorrelated** (the decorrelated
 //!   null-check that the translation adds to query Q2) are evaluated once and
 //!   short-circuit the whole query when they trip;

@@ -16,7 +16,9 @@
 //!   hash table maps precomputed hashes to row indices (collisions verified
 //!   by typed column comparison) — no per-row key clones. Keys that cannot
 //!   be typed are the same structure over `Value` hash and `Value ==`, so
-//!   the hash operators have one build/probe loop.
+//!   the hash operators have one build/probe loop. Either representation
+//!   can set aside the rows with a `NULL` in a null-aware key column
+//!   ([`KeySet::set_wild`]) for the operator to match by its full condition.
 //!
 //! Everything here is semantics-preserving by construction: typed fast
 //! paths replicate [`certus_data::compare`] exactly (numeric comparisons go
@@ -715,6 +717,10 @@ pub(crate) struct KeySet<'r> {
     pub(crate) hashes: Vec<u64>,
     /// Whether the row participates in hashing at all.
     valid: Vec<bool>,
+    /// Per row, whether it has a `NULL` in a key column whose `NULL`
+    /// satisfies its key (see [`KeySet::set_wild`]); empty when no key of
+    /// this side is null-aware.
+    wild: Vec<bool>,
 }
 
 /// The typed key columns at `pos`, or `None` when any of them lands in the
@@ -824,7 +830,7 @@ impl<'r> KeySet<'r> {
                 }
             }
         }
-        KeySet { cols: KeyCols::Typed(cols), hashes, valid }
+        KeySet { cols: KeyCols::Typed(cols), hashes, valid, wild: Vec::new() }
     }
 
     fn row_valued(rows: &'r [Tuple], pos: &'r [usize], allow_nulls: bool) -> KeySet<'r> {
@@ -842,12 +848,45 @@ impl<'r> KeySet<'r> {
                 h.finish()
             })
             .collect();
-        KeySet { cols: KeyCols::Rows(rows, pos), hashes, valid }
+        KeySet { cols: KeyCols::Rows(rows, pos), hashes, valid, wild: Vec::new() }
     }
 
     /// Whether the keys are typed columns (the vectorized representation).
     pub(crate) fn is_typed(&self) -> bool {
         matches!(self.cols, KeyCols::Typed(_))
+    }
+
+    /// Set aside the *wild* rows of a side with null-aware keys: a row with
+    /// a `NULL` in a key column flagged in `null_ok` (one flag per key, in
+    /// key order) satisfies that key against every row of the other side, so
+    /// no hash bucket can hold its partners. Wild rows leave the hashed rows
+    /// — they neither enter the table nor probe it — and the operator
+    /// matches them by its full condition instead.
+    pub(crate) fn set_wild(&mut self, null_ok: impl Iterator<Item = bool>) {
+        let mut wild = vec![false; self.hashes.len()];
+        for (k, _) in null_ok.enumerate().filter(|(_, ok)| *ok) {
+            for (i, wild) in wild.iter_mut().enumerate() {
+                *wild |= match &self.cols {
+                    KeyCols::Typed(cols) => cols[k].is_null(i),
+                    KeyCols::Rows(rows, pos) => rows[i][pos[k]].is_null(),
+                };
+            }
+        }
+        for (valid, wild) in self.valid.iter_mut().zip(&wild) {
+            *valid &= !wild;
+        }
+        self.wild = wild;
+    }
+
+    /// Whether row `i` was set aside by [`KeySet::set_wild`].
+    #[inline]
+    pub(crate) fn is_wild(&self, i: usize) -> bool {
+        !self.wild.is_empty() && self.wild[i]
+    }
+
+    /// The rows set aside by [`KeySet::set_wild`], ascending.
+    pub(crate) fn wild_rows(&self) -> Vec<u32> {
+        (0..self.wild.len() as u32).filter(|&i| self.wild[i as usize]).collect()
     }
 
     /// Syntactic equality of row `i`'s key and `other`'s row `j` key (both

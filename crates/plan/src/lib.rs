@@ -19,7 +19,8 @@
 //!   `certus-data` relations.
 //! * [`cost`] — the cost model, in a statistics-free flavour (the seed's
 //!   magic numbers) and a statistics-backed one.
-//! * [`equi`] — extraction of hashable equi-join keys from conditions.
+//! * [`equi`] — which input of a join a column belongs to, and extraction
+//!   of hash-join keys (plain and null-aware) from conditions.
 //! * [`physical`] — the [`PhysicalExpr`] plan representation, the
 //!   statistics-free [`heuristic_plan`] and the cost-based
 //!   [`PhysicalPlanner`] emitting [`ExplainPlan`] trees.
@@ -43,7 +44,7 @@ pub use cache::{expr_fingerprint, CacheStats, PlanCache, PlanKey};
 pub use cost::{
     estimate, estimate_with, exchange_cost, selectivity, selectivity_with, CostEstimate,
 };
-pub use equi::{references_schema, split_equi, EquiSplit};
+pub use equi::{references_schema, split_equi, EquiSplit, JoinSides, NullOk, Side};
 pub use error::PlanError;
 pub use pass::{FnPass, Pass, PassContext, PassManager, PassTrace, PlanOptions};
 pub use physical::{

@@ -83,7 +83,7 @@ fn splittable_disjuncts(
     }
     let l_schema = output_schema(left, catalog).map_err(PlanError::Algebra)?;
     let r_schema = output_schema(right, catalog).map_err(PlanError::Algebra)?;
-    if split_equi(condition, &l_schema, &r_schema).has_keys() {
+    if split_equi(condition, &l_schema, &r_schema).has_plain_keys() {
         // Already hash-joinable with a residual: splitting only adds passes.
         return Ok(None);
     }

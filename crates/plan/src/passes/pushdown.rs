@@ -7,10 +7,20 @@
 //! planner to hash on. A selection over a cartesian product whose condition
 //! relates both sides turns the product into a theta-join.
 //!
+//! A join's *own* condition is redistributed the same way, selection above
+//! it or not: the conjuncts of an inner join that read one input only become
+//! selections on that input, and the conjuncts of an (anti-)semijoin that
+//! read only the inner input become a selection on it
+//! (`l ⋉_{θ∧φ(r)} r = l ⋉_θ σ_φ(r)`, likewise for `▷`). The certain-answer
+//! translation produces such conjuncts — `p_name LIKE … OR p_name IS NULL`
+//! beside the key of Q⁺4's first join — and a filtered scan beats a test per
+//! candidate pair.
+//!
 //! Every rule is a strong equivalence under both SQL 3VL and naive
 //! evaluation: Kleene conjunction is associative/commutative and selections
 //! commute with the tuple-preserving operators used here.
 
+use crate::equi::{JoinSides, Side};
 use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::{PlanError, Result};
 use certus_algebra::condition::Condition;
@@ -35,12 +45,28 @@ impl Pass for PushdownPass {
     }
 }
 
-/// Push every selection in the expression as far down as it can go.
+/// Push every selection in the expression — and every single-side conjunct
+/// of a join condition — as far down as it can go.
 pub fn pushdown(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::Select { input, condition } => {
             let input = pushdown(input, catalog)?;
             push_select(input, condition.clone(), catalog)
+        }
+        RaExpr::Join { left, right, condition } => {
+            let (left, right) = (pushdown(left, catalog)?, pushdown(right, catalog)?);
+            let (l, r, kept) = distribute(left, right, condition.clone(), catalog)?;
+            Ok(l.join(r, kept))
+        }
+        RaExpr::SemiJoin { left, right, condition } => {
+            let (left, right) = (pushdown(left, catalog)?, pushdown(right, catalog)?);
+            let (r, kept) = push_inner_only(&left, right, condition, catalog)?;
+            Ok(left.semi_join(r, kept))
+        }
+        RaExpr::AntiJoin { left, right, condition } => {
+            let (left, right) = (pushdown(left, catalog)?, pushdown(right, catalog)?);
+            let (r, kept) = push_inner_only(&left, right, condition, catalog)?;
+            Ok(left.anti_join(r, kept))
         }
         other => other.map_children(&mut |c| pushdown(c, catalog)),
     }
@@ -151,33 +177,32 @@ fn push_select(input: RaExpr, condition: Condition, catalog: &dyn Catalog) -> Re
     }
 }
 
-/// Distribute the conjuncts of a join condition: conjuncts that resolve only
-/// on one side become selections on that side, the rest stays in the join.
+/// The sides of the join of two expressions.
+fn sides_of(left: &RaExpr, right: &RaExpr, catalog: &dyn Catalog) -> Result<JoinSides> {
+    let l_schema = output_schema(left, catalog).map_err(PlanError::Algebra)?;
+    let r_schema = output_schema(right, catalog).map_err(PlanError::Algebra)?;
+    Ok(JoinSides::new(&l_schema, &r_schema))
+}
+
+/// Distribute the conjuncts of a join condition: conjuncts that read only
+/// one side become selections on that side, the rest stays in the join.
 fn distribute(
     left: RaExpr,
     right: RaExpr,
     condition: Condition,
     catalog: &dyn Catalog,
 ) -> Result<(RaExpr, RaExpr, Condition)> {
-    let l_schema = output_schema(&left, catalog).map_err(PlanError::Algebra)?;
-    let r_schema = output_schema(&right, catalog).map_err(PlanError::Algebra)?;
+    let sides = sides_of(&left, &right, catalog)?;
     let mut left_only = Condition::True;
     let mut right_only = Condition::True;
     let mut keep = Condition::True;
     for conjunct in condition.conjuncts() {
-        let cols = conjunct.columns();
-        let on_left = cols.iter().all(|c| l_schema.contains(c));
-        let on_right = cols.iter().all(|c| r_schema.contains(c));
         // A column-free conjunct (constants, scalar subqueries) is kept in
         // the join: it is cheap anyway, and moving it would not help.
-        if cols.is_empty() {
-            keep = keep.and(conjunct);
-        } else if on_left && !on_right {
-            left_only = left_only.and(conjunct);
-        } else if on_right && !on_left {
-            right_only = right_only.and(conjunct);
-        } else {
-            keep = keep.and(conjunct);
+        match sides.only_side(&conjunct) {
+            Some(Side::Left) => left_only = left_only.and(conjunct),
+            Some(Side::Right) => right_only = right_only.and(conjunct),
+            None => keep = keep.and(conjunct),
         }
     }
     let l = match left_only {
@@ -189,6 +214,32 @@ fn distribute(
         c => push_select(right, c, catalog)?,
     };
     Ok((l, r, keep))
+}
+
+/// Move the conjuncts of an (anti-)semijoin condition that read only the
+/// inner (right) input into a selection on it; returns the new inner input
+/// and the condition that remains. Only a *correlated* condition is touched:
+/// when no conjunct reads the preserved side the physical planner
+/// short-circuits the whole node on the condition as it stands, so it is
+/// returned unchanged — as is a condition with nothing to move.
+fn push_inner_only(
+    left: &RaExpr,
+    right: RaExpr,
+    condition: &Condition,
+    catalog: &dyn Catalog,
+) -> Result<(RaExpr, Condition)> {
+    let sides = sides_of(left, &right, catalog)?;
+    let (inner_only, kept): (Vec<Condition>, Vec<Condition>) = condition
+        .conjuncts()
+        .into_iter()
+        .partition(|conjunct| sides.only_side(conjunct) == Some(Side::Right));
+    let reads_left =
+        |c: &Condition| c.columns().iter().any(|n| sides.side_of(n) == Some(Side::Left));
+    if inner_only.is_empty() || !kept.iter().any(reads_left) {
+        return Ok((right, condition.clone()));
+    }
+    let right = push_select(right, Condition::and_all(inner_only), catalog)?;
+    Ok((right, Condition::and_all(kept)))
 }
 
 /// Whether every column of the condition resolves in both schemas *at the
@@ -203,7 +254,7 @@ fn resolves_positionally(condition: &Condition, left: &Schema, right: &Schema) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certus_algebra::builder::{eq, eq_const, is_null, neq};
+    use certus_algebra::builder::{eq, eq_const, gt, is_null, neq};
     use certus_algebra::eval::eval;
     use certus_algebra::NullSemantics;
     use certus_data::builder::rel;
@@ -362,6 +413,91 @@ mod tests {
         let out = pushdown(&aligned, &db).unwrap();
         assert!(matches!(out, RaExpr::Union { .. }), "should push: {out}");
         assert_equivalent(&aligned, &out, &db);
+    }
+
+    #[test]
+    fn a_joins_own_single_side_conjuncts_become_selections() {
+        let db = db();
+        // No selection above the join: its own conjuncts are redistributed.
+        let q = RaExpr::relation("r").join(
+            RaExpr::relation("s"),
+            eq("a", "c").or(is_null("a")).and(eq_const("d", 10i64).or(is_null("d"))),
+        );
+        let out = pushdown(&q, &db).unwrap();
+        match &out {
+            RaExpr::Join { left, right, condition } => {
+                assert_eq!(condition, &eq("a", "c").or(is_null("a")));
+                assert_eq!(**left, RaExpr::relation("r"));
+                assert_eq!(
+                    **right,
+                    RaExpr::relation("s").select(eq_const("d", 10i64).or(is_null("d")))
+                );
+            }
+            other => panic!("expected Join, got {other}"),
+        }
+        assert_equivalent(&q, &out, &db);
+        assert_eq!(pushdown(&out, &db).unwrap(), out);
+    }
+
+    #[test]
+    fn semijoin_conjuncts_on_the_inner_side_become_a_selection_on_it() {
+        let db = db();
+        let cond = eq("a", "c").and(eq_const("d", 10i64).or(is_null("d"))).and(neq("b", "d"));
+        for anti in [false, true] {
+            let make = |l: RaExpr, r: RaExpr, c: Condition| {
+                if anti {
+                    l.anti_join(r, c)
+                } else {
+                    l.semi_join(r, c)
+                }
+            };
+            let q = make(RaExpr::relation("r"), RaExpr::relation("s"), cond.clone());
+            let out = pushdown(&q, &db).unwrap();
+            let expected = make(
+                RaExpr::relation("r"),
+                RaExpr::relation("s").select(eq_const("d", 10i64).or(is_null("d"))),
+                eq("a", "c").and(neq("b", "d")),
+            );
+            assert_eq!(out, expected);
+            assert_equivalent(&q, &out, &db);
+            assert_eq!(pushdown(&out, &db).unwrap(), out);
+            // A conjunct on the preserved side alone stays: for an anti-join
+            // it is not a selection on that side.
+            let q = make(
+                RaExpr::relation("r"),
+                RaExpr::relation("s"),
+                eq("a", "c").and(eq_const("b", 10i64)),
+            );
+            assert_eq!(pushdown(&q, &db).unwrap(), q);
+            // A decorrelated condition is the planner's short-circuit: it is
+            // left exactly as it is, however many conjuncts it has.
+            let q = make(
+                RaExpr::relation("r"),
+                RaExpr::relation("s"),
+                is_null("c").and(eq_const("d", 30i64)),
+            );
+            assert_eq!(pushdown(&q, &db).unwrap(), q);
+        }
+    }
+
+    #[test]
+    fn a_conjunct_on_an_aliased_twin_goes_to_the_twin() {
+        // Q1⁺'s shape: `l3.a > l3.b` beside `l1`. Each name also resolves in
+        // the other alias's schema through its base name, so asking the two
+        // schemas separately finds the conjunct on both sides and moves it
+        // nowhere.
+        let db = db();
+        let l1 = || RaExpr::relation_as("r", "l1");
+        let l3 = || RaExpr::relation_as("r", "l3");
+        let own = gt("l3.a", "l3.b").or(is_null("l3.b"));
+        let q = l1().anti_join(l3(), eq("l3.a", "l1.a").and(own.clone()));
+        let out = pushdown(&q, &db).unwrap();
+        assert_eq!(out, l1().anti_join(l3().select(own.clone()), eq("l3.a", "l1.a")));
+        assert_equivalent(&q, &out, &db);
+        let q = l1().join(l3(), eq("l3.a", "l1.a").and(own.clone()).and(is_null("l1.b")));
+        let out = pushdown(&q, &db).unwrap();
+        assert_eq!(out, l1().select(is_null("l1.b")).join(l3().select(own), eq("l3.a", "l1.a")));
+        assert_equivalent(&q, &out, &db);
     }
 
     #[test]

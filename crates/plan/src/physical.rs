@@ -4,16 +4,17 @@
 //! Two planners are provided:
 //!
 //! * [`heuristic_plan`] — the statistics-free rules the engine always
-//!   applied inline before this subsystem existed (hash join whenever an
-//!   equi-key can be extracted, decorrelated short-circuit whenever a
-//!   semijoin condition ignores the outer side, nested loops otherwise).
-//!   `Engine::execute` uses it so plain execution needs no statistics.
-//! * [`PhysicalPlanner`] — cost-based: consults a [`StatisticsCatalog`] and
-//!   the cost model to choose hash join vs. nested loop vs. decorrelated
-//!   short-circuit per node, and emits an [`ExplainPlan`] tree with per-node
-//!   row/cost estimates (rendered by `examples/explain_plans.rs`).
+//!   applied inline before this subsystem existed (hash join whenever a
+//!   key — plain or null-aware, see [`crate::equi`] — can be extracted,
+//!   decorrelated short-circuit whenever a semijoin condition ignores the
+//!   outer side, nested loops otherwise). `Engine::execute` uses it so plain
+//!   execution needs no statistics.
+//! * [`PhysicalPlanner`] — the same algorithm rule per node, plus a
+//!   [`StatisticsCatalog`] and the cost model for row/cost estimates and
+//!   exchange placement; emits an [`ExplainPlan`] tree with per-node
+//!   estimates (rendered by `examples/explain_plans.rs`).
 
-use crate::equi::{references_schema, split_equi};
+use crate::equi::{references_schema, split_equi, EquiSplit, NullOk};
 use crate::stats::StatisticsCatalog;
 use crate::{PlanError, Result};
 use certus_algebra::condition::Condition;
@@ -106,15 +107,19 @@ impl Default for Parallelism {
 }
 
 /// Algorithm choice for a theta-join (or cartesian product).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub enum JoinAlgo {
     /// Build a hash table on the right side over `right_keys`, probe with
-    /// `left_keys`, apply `residual` to surviving pairs.
+    /// `left_keys`, apply `residual` to surviving pairs. A key flagged in
+    /// `null_ok` is *null-aware*: rows with a `NULL` there are matched
+    /// against the other side by the node's full condition instead.
     Hash {
         /// Probe-side key columns (resolved in the left schema).
         left_keys: Vec<String>,
         /// Build-side key columns (resolved in the right schema).
         right_keys: Vec<String>,
+        /// Per key pair, which side's `NULL` satisfies it.
+        null_ok: Vec<NullOk>,
         /// Condition part not covered by the keys.
         residual: Condition,
     },
@@ -123,23 +128,90 @@ pub enum JoinAlgo {
 }
 
 /// Algorithm choice for a (anti-)semijoin.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub enum SemiAlgo {
     /// The condition never references the outer side: evaluate the inner
     /// side once; the whole node short-circuits to either the left input or
     /// the empty relation (the `NOT EXISTS` rescue of query Q2).
     Decorrelated,
-    /// Hash (anti-)semijoin with residual predicate.
+    /// Hash (anti-)semijoin with residual predicate; `null_ok` as for
+    /// [`JoinAlgo::Hash`].
     Hash {
         /// Probe-side key columns (resolved in the left schema).
         left_keys: Vec<String>,
         /// Build-side key columns (resolved in the right schema).
         right_keys: Vec<String>,
+        /// Per key pair, which side's `NULL` satisfies it.
+        null_ok: Vec<NullOk>,
         /// Condition part not covered by the keys.
         residual: Condition,
     },
     /// Compare every pair of tuples.
     NestedLoop,
+}
+
+impl JoinAlgo {
+    fn hash(split: EquiSplit) -> Self {
+        JoinAlgo::Hash {
+            left_keys: split.left_keys,
+            right_keys: split.right_keys,
+            null_ok: split.null_ok,
+            residual: split.residual,
+        }
+    }
+}
+
+impl SemiAlgo {
+    fn hash(split: EquiSplit) -> Self {
+        SemiAlgo::Hash {
+            left_keys: split.left_keys,
+            right_keys: split.right_keys,
+            null_ok: split.null_ok,
+            residual: split.residual,
+        }
+    }
+}
+
+/// `{:?}` of a `Hash` algorithm. A plan over plain keys prints exactly the
+/// fields it had before keys could be null-aware — plan-stability tests and
+/// diffs of dumped plans compare this text — and `null_ok` appears only
+/// where some key carries a flag.
+fn fmt_hash(
+    f: &mut fmt::Formatter<'_>,
+    left_keys: &[String],
+    right_keys: &[String],
+    null_ok: &[NullOk],
+    residual: &Condition,
+) -> fmt::Result {
+    let mut out = f.debug_struct("Hash");
+    out.field("left_keys", &left_keys).field("right_keys", &right_keys);
+    if null_ok.iter().any(|n| n.any()) {
+        out.field("null_ok", &null_ok);
+    }
+    out.field("residual", residual).finish()
+}
+
+impl fmt::Debug for JoinAlgo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JoinAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
+                fmt_hash(f, left_keys, right_keys, null_ok, residual)
+            }
+            JoinAlgo::NestedLoop => f.write_str("NestedLoop"),
+        }
+    }
+}
+
+impl fmt::Debug for SemiAlgo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SemiAlgo::Decorrelated => f.write_str("Decorrelated"),
+            SemiAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
+                fmt_hash(f, left_keys, right_keys, null_ok, residual)
+            }
+            SemiAlgo::NestedLoop => f.write_str("NestedLoop"),
+        }
+    }
 }
 
 /// A physical plan: the logical tree annotated with per-node algorithm
@@ -299,8 +371,8 @@ impl PhysicalExpr {
             PhysicalExpr::Filter { condition, .. } => format!("Filter [{condition}]"),
             PhysicalExpr::Project { .. } => "Project".to_string(),
             PhysicalExpr::Join { condition, algo, .. } => match algo {
-                JoinAlgo::Hash { left_keys, right_keys, .. } => {
-                    format!("HashJoin [{}]", key_pairs(left_keys, right_keys))
+                JoinAlgo::Hash { left_keys, right_keys, null_ok, .. } => {
+                    format!("HashJoin [{}]", key_pairs(left_keys, right_keys, null_ok))
                 }
                 JoinAlgo::NestedLoop => format!("NestedLoopJoin [{condition}]"),
             },
@@ -308,8 +380,8 @@ impl PhysicalExpr {
                 let kind = if *anti { "Anti" } else { "Semi" };
                 match algo {
                     SemiAlgo::Decorrelated => format!("Decorrelated{kind}Join [{condition}]"),
-                    SemiAlgo::Hash { left_keys, right_keys, .. } => {
-                        format!("Hash{kind}Join [{}]", key_pairs(left_keys, right_keys))
+                    SemiAlgo::Hash { left_keys, right_keys, null_ok, .. } => {
+                        format!("Hash{kind}Join [{}]", key_pairs(left_keys, right_keys, null_ok))
                     }
                     SemiAlgo::NestedLoop => format!("NestedLoop{kind}Join [{condition}]"),
                 }
@@ -347,8 +419,24 @@ impl PhysicalExpr {
     }
 }
 
-fn key_pairs(left: &[String], right: &[String]) -> String {
-    left.iter().zip(right).map(|(l, r)| format!("{l} = {r}")).collect::<Vec<_>>().join(" AND ")
+/// The key pairs of a hash operator as EXPLAIN shows them:
+/// `a = b AND c = d`, followed for null-aware keys by the columns whose
+/// `NULL` matches every row of the other side
+/// (`l_suppkey = s_suppkey | l_suppkey null matches`).
+fn key_pairs(left: &[String], right: &[String], null_ok: &[NullOk]) -> String {
+    let pairs: Vec<String> = left.iter().zip(right).map(|(l, r)| format!("{l} = {r}")).collect();
+    let wild: Vec<&str> = left
+        .iter()
+        .zip(right)
+        .zip(null_ok)
+        .flat_map(|((l, r), ok)| [(ok.left, l), (ok.right, r)])
+        .filter_map(|(flagged, column)| flagged.then_some(column.as_str()))
+        .collect();
+    if wild.is_empty() {
+        pairs.join(" AND ")
+    } else {
+        format!("{} | {} null matches", pairs.join(" AND "), wild.join(", "))
+    }
 }
 
 /// An `EXPLAIN`-style tree: one node per physical operator with row and cost
@@ -411,10 +499,9 @@ impl fmt::Display for ExplainPlan {
     }
 }
 
-/// The statistics-free planner: hash wherever an equi-key exists,
-/// decorrelated short-circuit wherever a semijoin ignores its outer side,
-/// nested loops otherwise. These are exactly the choices the engine used to
-/// re-derive inline on every execution.
+/// The statistics-free planner: hash wherever a key (plain or null-aware)
+/// exists, decorrelated short-circuit wherever a semijoin ignores its outer
+/// side, nested loops otherwise.
 pub fn heuristic_plan(expr: &RaExpr, catalog: &dyn Catalog) -> Result<PhysicalExpr> {
     heuristic_plan_with(expr, catalog, &Parallelism::serial())
 }
@@ -724,19 +811,11 @@ fn plan_join(
     let r_schema = output_schema(right, catalog).map_err(PlanError::Algebra)?;
     let split = split_equi(condition, &l_schema, &r_schema);
     let (lr, rr) = (l.explain.rows, r.explain.rows);
-    // Hash beats nested loops unless an input is so tiny that building the
-    // table costs more than probing everything. The cost comparison only
-    // applies when statistics are available; the heuristic planner always
-    // hashes when it can, exactly like the pre-planner engine.
-    let algo = if split.has_keys() && (stats.is_none() || lr + rr <= lr * rr.max(1.0) + 1.0) {
-        JoinAlgo::Hash {
-            left_keys: split.left_keys,
-            right_keys: split.right_keys,
-            residual: split.residual,
-        }
-    } else {
-        JoinAlgo::NestedLoop
-    };
+    // Hash whenever keys exist, with or without statistics: a hash operator
+    // over a tiny input is itself tiny, and row estimates far below the rows
+    // that actually arrive are common enough that trusting them to pick a
+    // nested loop costs more than it can save.
+    let algo = if split.has_keys() { JoinAlgo::hash(split) } else { JoinAlgo::NestedLoop };
     let empty_stats = StatisticsCatalog::empty();
     let st = stats.unwrap_or(&empty_stats);
     // Shared with the logical estimator (products — condition TRUE — keep
@@ -749,9 +828,9 @@ fn plan_join(
     // Partition the build side by key hash so the executor can build and
     // probe each partition on its own worker. The executor splits *both*
     // sides, so the threshold is on the total work, not the build alone.
-    // Nested loops (the fate of the translation's OR'd conditions when the
-    // OR-split declines) are morsel-parallel instead: the outer side is
-    // split round-robin and every worker loops over the full inner side.
+    // Nested loops (conditions with no key at all) are morsel-parallel
+    // instead: the outer side is split round-robin and every worker loops
+    // over the full inner side.
     let mut l = l;
     match &algo {
         JoinAlgo::Hash { right_keys, .. } => {
@@ -799,13 +878,10 @@ fn plan_semi(
     let algo = if !references_schema(condition, &left_schema) {
         SemiAlgo::Decorrelated
     } else {
+        // The same rule as for joins: hash whenever keys exist.
         let split = split_equi(condition, &left_schema, &r_schema);
-        if split.has_keys() && (stats.is_none() || lr + rr <= lr * rr.max(1.0) + 1.0) {
-            SemiAlgo::Hash {
-                left_keys: split.left_keys,
-                right_keys: split.right_keys,
-                residual: split.residual,
-            }
+        if split.has_keys() {
+            SemiAlgo::hash(split)
         } else {
             SemiAlgo::NestedLoop
         }
@@ -878,10 +954,12 @@ mod tests {
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
         match heuristic_plan(&q, &db).unwrap() {
             PhysicalExpr::Join {
-                algo: JoinAlgo::Hash { left_keys, right_keys, residual }, ..
+                algo: JoinAlgo::Hash { left_keys, right_keys, null_ok, residual },
+                ..
             } => {
                 assert_eq!(left_keys, vec!["a"]);
                 assert_eq!(right_keys, vec!["c"]);
+                assert_eq!(null_ok, vec![NullOk::default()]);
                 assert_eq!(residual, Condition::True);
             }
             other => panic!("expected hash join, got {other:?}"),
@@ -896,6 +974,81 @@ mod tests {
             heuristic_plan(&q, &db).unwrap(),
             PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, .. }
         ));
+    }
+
+    #[test]
+    fn null_aware_keys_plan_as_hash_operators_and_show_in_explain() {
+        let db = db();
+        let r = || RaExpr::relation("r");
+        let s = || RaExpr::relation("s");
+        // `x = y OR x IS NULL [OR y IS NULL]`: a hash join carrying which
+        // side's NULL satisfies the key.
+        let q = r().join(s(), eq("a", "c").or(is_null("a")));
+        let plan = heuristic_plan(&q, &db).unwrap();
+        match &plan {
+            PhysicalExpr::Join { algo: JoinAlgo::Hash { null_ok, residual, .. }, .. } => {
+                assert_eq!(null_ok, &vec![NullOk { left: true, right: false }]);
+                assert_eq!(residual, &Condition::True);
+            }
+            other => panic!("expected hash join, got {other:?}"),
+        }
+        assert_eq!(plan.label(), "HashJoin [a = c | a null matches]");
+        let both = eq("a", "c").or(is_null("c")).or(is_null("a")).and(eq("b", "d"));
+        let anti = heuristic_plan(&r().anti_join(s(), both), &db).unwrap();
+        assert_eq!(anti.label(), "HashAntiJoin [a = c AND b = d | a, c null matches]");
+        assert!(format!("{anti:?}").contains("null_ok: [NullOk { left: true, right: true }, "));
+        // Plain keys print as they did before the flag existed.
+        let plain = heuristic_plan(&r().semi_join(s(), eq("a", "c")), &db).unwrap();
+        assert_eq!(plain.label(), "HashSemiJoin [a = c]");
+        assert!(format!("{plain:?}").contains(
+            "algo: Hash { left_keys: [\"a\"], right_keys: [\"c\"], residual: True }, anti: false"
+        ));
+    }
+
+    #[test]
+    fn aliased_self_joins_hash_on_their_keys() {
+        // Q1's (anti-)semijoins: `l2.k = l1.k AND l2.s <> l1.s` over two
+        // aliases of one table is a key plus a residual.
+        let db = db();
+        let cond = eq("l2.a", "l1.a").and(certus_algebra::builder::neq("l2.b", "l1.b"));
+        let q = RaExpr::relation_as("r", "l1").semi_join(RaExpr::relation_as("r", "l2"), cond);
+        match heuristic_plan(&q, &db).unwrap() {
+            PhysicalExpr::Semi {
+                algo: SemiAlgo::Hash { left_keys, right_keys, residual, .. },
+                ..
+            } => {
+                assert_eq!(left_keys, vec!["l1.a"]);
+                assert_eq!(right_keys, vec!["l2.a"]);
+                assert_eq!(residual, certus_algebra::builder::neq("l2.b", "l1.b"));
+            }
+            other => panic!("expected hash semijoin, got {other:?}"),
+        }
+        // An unqualified name is ambiguous over the two aliases: no key.
+        let q = RaExpr::relation_as("r", "l1")
+            .join(RaExpr::relation_as("r", "l2"), eq("a", "l2.a").or(is_null("l2.b")));
+        assert!(matches!(
+            heuristic_plan(&q, &db).unwrap(),
+            PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, .. }
+        ));
+    }
+
+    #[test]
+    fn both_planners_hash_whenever_keys_exist() {
+        // One row on each side: the cost-based planner used to prefer a
+        // nested loop here, so EXPLAIN ANALYZE described an algorithm the
+        // default (heuristic) session never ran.
+        let mut db = Database::new();
+        db.insert_relation("r", rel(&["a", "b"], vec![vec![Value::Int(1), Value::Int(2)]]));
+        db.insert_relation("s", rel(&["c", "d"], vec![vec![Value::Int(1), Value::Int(2)]]));
+        let stats = StatisticsCatalog::analyze(&db);
+        let planner = PhysicalPlanner::new(&db, &stats);
+        for q in [
+            RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c")),
+            RaExpr::relation("r").semi_join(RaExpr::relation("s"), eq("a", "c")),
+            RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "c").or(is_null("c"))),
+        ] {
+            assert_eq!(planner.plan(&q).unwrap(), heuristic_plan(&q, &db).unwrap(), "{q}");
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Why the naive rewriting confuses the optimizer — and how the planner's
-//! OR-splitting pipeline fixes it. Prints `EXPLAIN` trees (with
+//! What the certain-answer rewriting does to a plan. The translation turns
+//! every equality into `A = B OR A IS NULL [OR B IS NULL]` — the shape that
+//! confuses the paper's optimizer into nested loops — and the planner reads
+//! those as *null-aware hash keys*. Prints `EXPLAIN` trees (with
 //! statistics-backed row/cost estimates and the chosen join algorithm per
-//! node) for query Q4 and its translation through `Session::explain`, plus
-//! the raw (pipeline-off) translation via the low-level planner API.
+//! node, null-aware keys marked `| <column> null matches`) for query Q4 and
+//! its translation through `Session::explain`, plus the raw (pipeline-off)
+//! translation via the low-level planner API.
 //!
 //! Run with `cargo run --release --example explain_plans`.
 
@@ -30,12 +33,14 @@ fn main() {
     println!("=== Original Q4 ===");
     println!("{}", session.explain(&query, Certainty::Plain).expect("plans"));
 
-    println!("=== Direct translation Q4+ (OR .. IS NULL conditions block hash joins) ===");
+    println!(
+        "=== Direct translation Q4+ (its OR .. IS NULL conditions are null-aware hash keys) ==="
+    );
     let stats = session.statistics();
     let planner = PhysicalPlanner::new(session.database(), &stats);
     println!("{}", planner.explain(&unsplit).expect("plans"));
 
-    println!("=== Optimized translation Q4+ (the pass pipeline restores hash joins) ===");
+    println!("=== Optimized translation Q4+ (null checks on keys pruned, single-table conjuncts pushed down) ===");
     println!("{}", session.explain(&query, Certainty::CertainPlus).expect("plans"));
 
     // The same queries, explained by a 4-thread session: exchange operators

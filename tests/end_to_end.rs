@@ -2,9 +2,13 @@
 //! the paper's queries and their certainty-preserving rewritings through the
 //! engine, and check the paper's headline claims on the results.
 
+use certus::plan::physical::{heuristic_plan_with, JoinAlgo, PhysicalExpr, SemiAlgo};
 use certus::tpch::fp_detect::count_false_positives;
 use certus::tpch::{query_by_number, Workload};
-use certus::{CertainRewriter, Database, Engine, EngineConfig, NullSemantics};
+use certus::{
+    CertainRewriter, Certainty, Database, Engine, EngineConfig, NullSemantics, Parallelism, Session,
+};
+use std::fmt::Write;
 
 /// The environment-driven SQL engine these tests run on.
 fn sql_engine(db: &Database) -> Engine<'_> {
@@ -112,4 +116,45 @@ mod certus_bench_smoke {
         }
         out
     }
+}
+
+/// Nested-loop join and semijoin nodes of a physical plan.
+fn nested_loop_nodes(plan: &PhysicalExpr) -> usize {
+    let here = matches!(
+        plan,
+        PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, .. }
+            | PhysicalExpr::Semi { algo: SemiAlgo::NestedLoop, .. }
+    );
+    here as usize + plan.children().into_iter().map(nested_loop_nodes).sum::<usize>()
+}
+
+/// At the two shapes the benchmark runs (scale 0.002 and 0.0001, null rate
+/// 0.03, seed 42), every join the translation produces on Q⁺1–Q⁺4 is a hash
+/// operator — and the two plans that were already right have not moved: for
+/// Q⁺2 and Q⁺3 the heuristic `PhysicalExpr` and the `Session::explain` text
+/// are, byte for byte, what commit d2876e0 (before null-aware keys,
+/// alias-correct key extraction and join-condition pushdown) produced. The
+/// fixture is that commit's output of the very statements below.
+#[test]
+fn certain_answer_plans_have_no_nested_loops_and_q2_q3_plans_stay_put() {
+    let mut q2_q3_plans = String::new();
+    for scale in [0.002, 0.0001] {
+        let workload = Workload::new(scale, 0.03, 42);
+        let db = workload.incomplete_instance();
+        let params = workload.params(&db, 0);
+        let session = Session::builder(db).threads(1).build();
+        let db = session.database();
+        for q in 1..=4usize {
+            let expr = query_by_number(q, &params).expect("query exists");
+            let plus = CertainRewriter::new().rewrite_plus(&expr, db).expect("translates");
+            let phys = heuristic_plan_with(&plus, db, &Parallelism::new(1)).expect("plans");
+            assert_eq!(nested_loop_nodes(&phys), 0, "scale {scale}, Q{q}+: {phys:?}");
+            if q == 2 || q == 3 {
+                let explain = session.explain(&expr, Certainty::CertainPlus).expect("explains");
+                writeln!(q2_q3_plans, "=== scale {scale} Q{q}+ heuristic\n{phys:?}").unwrap();
+                writeln!(q2_q3_plans, "=== scale {scale} Q{q}+ explain\n{explain}").unwrap();
+            }
+        }
+    }
+    assert_eq!(q2_q3_plans, include_str!("fixtures/q2p_q3p_plans_at_d2876e0.txt"));
 }
