@@ -20,20 +20,6 @@ pub fn time_mean<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     total / reps as f64
 }
 
-/// Run a closure `reps` times and return the *minimum* elapsed seconds —
-/// the robust estimator for millisecond-scale arms on shared machines,
-/// where the mean absorbs scheduler spikes that have nothing to do with
-/// the code under test.
-pub fn time_min<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    assert!(reps > 0);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let (_, t) = time(&mut f);
-        best = best.min(t);
-    }
-    best
-}
-
 /// Format a ratio compactly (scientific notation below 0.01).
 pub fn fmt_ratio(r: f64) -> String {
     if r < 0.01 {
@@ -58,22 +44,6 @@ mod tests {
     fn time_mean_averages() {
         let t = time_mean(3, || std::hint::black_box(1 + 1));
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn time_min_returns_the_fastest_sample() {
-        // Two slow samples and one no-op: the minimum must undercut the
-        // sleeps by a wide margin (bounds generous enough for a loaded CI
-        // box — the no-op sample would need a >20 ms stall to fail).
-        let mut calls = 0u32;
-        let t = time_min(3, || {
-            calls += 1;
-            if calls < 3 {
-                std::thread::sleep(std::time::Duration::from_millis(40));
-            }
-        });
-        assert!(t.is_finite() && t >= 0.0);
-        assert!(t < 0.02, "min {t}s should reflect the no-sleep sample, not the 40 ms ones");
     }
 
     #[test]

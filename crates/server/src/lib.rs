@@ -17,8 +17,8 @@
 //!   [`certus::SharedPlanCache`] keyed by (fingerprint, certainty/semantics/
 //!   planner, schema epoch, threads).
 //! * [`client`] — `certus-client`, a blocking client with closed-loop and
-//!   pipelined (open-loop) request styles, used by the `experiments serve`
-//!   benchmark; [`ClusterClient`] adds replica-aware read distribution,
+//!   pipelined (open-loop) request styles (both exercised by
+//!   `tests/server.rs`); [`ClusterClient`] adds replica-aware read distribution,
 //!   read failover and write redirect-following.
 //! * [`replication`] — WAL-shipping replication: a primary streams its
 //!   durable log to read replicas over `Subscribe`/`WalSegment`/`ReplicaAck`

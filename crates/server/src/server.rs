@@ -72,6 +72,10 @@ pub const FP_RESPOND: &str = "server.respond";
 /// yet the client sees an error — the canonical indeterminate write.
 pub const FP_PUBLISH: &str = "server.publish";
 
+/// How long a shutting-down primary waits, after its `Close` segment, for a
+/// subscriber to read the drained stream and close its end.
+const DRAIN_LINGER: Duration = Duration::from_secs(5);
+
 impl From<WireCertainty> for Certainty {
     fn from(c: WireCertainty) -> Certainty {
         match c {
@@ -704,8 +708,21 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
             // Graceful drain (the satellite fix): keep consuming acks off
             // the socket until the sender has flushed everything durable
             // and sent its clean `Close` segment, so a restarted primary's
-            // replicas resume incrementally instead of re-bootstrapping.
-            while !sub.is_done() {
+            // replicas resume incrementally instead of re-bootstrapping —
+            // and then until the replica has read that far and closed its
+            // end (it does on `Close`). Closing first would strand its last
+            // acks unread in our receive buffer; the kernel answers that
+            // with a reset, and a reset discards what the replica has not
+            // read yet: the tail of the drain. Bounded, so a wedged replica
+            // cannot hold up shutdown.
+            let mut linger_until = None;
+            loop {
+                if sub.is_done() {
+                    let until = *linger_until.get_or_insert_with(|| Instant::now() + DRAIN_LINGER);
+                    if Instant::now() >= until {
+                        break;
+                    }
+                }
                 match frames.fill(&mut stream) {
                     Ok(Some(payload)) => {
                         if let Ok((_, Request::ReplicaAck { seq, offset })) =

@@ -1,15 +1,10 @@
 //! The price of correctness: how much slower (or faster) are the rewritten
-//! queries? A miniature Figure 4, followed by the planner-on/off ablation
-//! (raw translations vs the rewrite-pass pipeline's output).
+//! queries? A miniature Figure 4.
 //!
 //! Run with `cargo run --release --example price_of_correctness`.
 
 use certus::tpch::{query_by_number, Workload};
 use certus::{CertainRewriter, Engine, EngineConfig, NullSemantics};
-use certus_bench::experiments::{
-    parallel_scaling, planner_on_off, prepared_execution, print_parallel_scaling,
-    print_planner_on_off, print_prepared,
-};
 use std::time::Instant;
 
 fn time_it(mut f: impl FnMut()) -> f64 {
@@ -52,27 +47,4 @@ fn main() {
     }
     println!("\nRatios near 1 mean correctness is almost free; Q2's ratio is far below 1");
     println!("because the rewriting detects early that the certain answer is empty.");
-
-    println!();
-    print_planner_on_off(&planner_on_off(0.001, 0.02, 7, 3));
-    println!("\nThe 'off' column runs the raw translation; 'on' runs it through");
-    println!("certus-plan's rewrite-pass pipeline. The translation's OR .. IS NULL");
-    println!("conditions are null-aware hash keys, so neither column runs a nested");
-    println!("loop; the pipeline's share is pruning, pushdown and the decorrelated");
-    println!("NOT EXISTS chain of Q2+.");
-
-    println!();
-    print_parallel_scaling(&parallel_scaling(0.001, 0.02, 7, 1, &[1, 2, 4, 8]));
-    println!("\nEach row runs the optimized Q3+/Q4+ with the engine's exchange operators");
-    println!("fanned out to that many worker threads (CERTUS_THREADS overrides the");
-    println!("default); speedups are relative to the single-thread row and depend on");
-    println!("the machine's core count.");
-
-    println!();
-    let (rows, cache) = prepared_execution(0.001, 0.02, 7, 3);
-    print_prepared(&rows, &cache);
-    println!("\nThe per-call arm re-runs translation + rewrite passes + planning on every");
-    println!("execution; the prepared arm plans once via Session::prepare and then only");
-    println!("executes — the overhead column is the planning share a plan cache saves");
-    println!("on repeated workload queries.");
 }

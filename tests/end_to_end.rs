@@ -87,37 +87,6 @@ fn recall_experiment_certain_sql_answers_are_preserved() {
     }
 }
 
-#[test]
-fn experiment_harness_smoke_runs() {
-    // The experiment functions behind every figure/table execute end to end
-    // at smoke scale (full-scale runs happen via the `experiments` binary).
-    let fig1 = certus_bench_smoke::fig1();
-    assert!(!fig1.is_empty());
-}
-
-/// Minimal re-implementation of the figure-1 smoke path without depending on
-/// the bench crate (kept as a dev-dependency-free sanity check that the
-/// public APIs compose the way the harness uses them).
-mod certus_bench_smoke {
-    use super::*;
-
-    pub fn fig1() -> Vec<(usize, f64)> {
-        let workload = Workload::new(0.0003, 0.08, 8);
-        let db = workload.incomplete_instance();
-        let engine = sql_engine(&db);
-        let params = workload.params(&db, 0);
-        let mut out = Vec::new();
-        for q in 1..=4usize {
-            let expr = query_by_number(q, &params).expect("query exists");
-            let answers = engine.execute(&expr).expect("runs");
-            let fp = count_false_positives(q, &db, &params, &answers);
-            let rate = if answers.is_empty() { 0.0 } else { fp as f64 / answers.len() as f64 };
-            out.push((q, rate));
-        }
-        out
-    }
-}
-
 /// Nested-loop join and semijoin nodes of a physical plan.
 fn nested_loop_nodes(plan: &PhysicalExpr) -> usize {
     let here = matches!(
@@ -130,7 +99,9 @@ fn nested_loop_nodes(plan: &PhysicalExpr) -> usize {
 
 /// At the two shapes the benchmark runs (scale 0.002 and 0.0001, null rate
 /// 0.03, seed 42), every join the translation produces on Q⁺1–Q⁺4 is a hash
-/// operator — and the two plans that were already right have not moved: for
+/// operator — in the raw translation too: its `A = B OR A IS NULL` conditions
+/// are null-aware hash keys, so it needs no rescue from the rewrite passes —
+/// and the two plans that were already right have not moved: for
 /// Q⁺2 and Q⁺3 the heuristic `PhysicalExpr` and the `Session::explain` text
 /// are, byte for byte, what commit d2876e0 (before null-aware keys,
 /// alias-correct key extraction and join-condition pushdown) produced. The
@@ -146,6 +117,9 @@ fn certain_answer_plans_have_no_nested_loops_and_q2_q3_plans_stay_put() {
         let db = session.database();
         for q in 1..=4usize {
             let expr = query_by_number(q, &params).expect("query exists");
+            let raw = CertainRewriter::unoptimized().rewrite_plus(&expr, db).expect("translates");
+            let raw_phys = heuristic_plan_with(&raw, db, &Parallelism::new(1)).expect("plans");
+            assert_eq!(nested_loop_nodes(&raw_phys), 0, "scale {scale}, raw Q{q}+: {raw_phys:?}");
             let plus = CertainRewriter::new().rewrite_plus(&expr, db).expect("translates");
             let phys = heuristic_plan_with(&plus, db, &Parallelism::new(1)).expect("plans");
             assert_eq!(nested_loop_nodes(&phys), 0, "scale {scale}, Q{q}+: {phys:?}");

@@ -291,6 +291,14 @@ fn graceful_primary_restart_needs_no_rebootstrap() {
     let mut rc = Client::connect(replica.local_addr()).expect("connect replica");
 
     let mut pc = Client::connect(&paddr).expect("connect primary");
+    // `Server::start` returns before the replica has subscribed, and a
+    // shutdown drains only to subscribers it has.
+    wait_for("the replica to subscribe", Duration::from_secs(5), || {
+        (pc.repl_status().expect("primary status").replicas.len() == 1).then_some(())
+    });
+    // A slow replica: every apply stalls, so it is still reading (and still
+    // acking) after the primary has sent the last segment of its drain.
+    failpoints().arm(FP_REPL_APPLY, FailAction::SlowMs(20), 0, 8);
     let mut expected = vec![0i64];
     for i in 1..=8 {
         // Async mode: these acks do NOT wait for the replica, so some of
@@ -300,11 +308,13 @@ fn graceful_primary_restart_needs_no_rebootstrap() {
     }
     drop(pc);
     // Graceful shutdown must drain the stream: flush every durable record
-    // to the subscriber and send a clean close.
+    // to the subscriber, send a clean close, and not reset the connection
+    // under the replica while it catches up.
     primary.shutdown();
     wait_for("the drained stream to deliver every acked write", Duration::from_secs(5), || {
         (log_values(&mut rc) == expected).then_some(())
     });
+    failpoints().disarm_all();
     let installed = replica.durable().expect("replica is durable").checkpoints_installed();
 
     // Restart the primary on the same address; the replica reconnects and
@@ -359,10 +369,12 @@ fn cluster_client_distributes_reads_and_follows_write_redirects() {
     // Reads round-robin across all three nodes. Sync acks mean at least one
     // replica is current; poll until both are, then spread reads.
     let expected = vec![0i64, 1, 2];
-    let mut check = Client::connect(replica2.local_addr()).expect("connect r2");
+    let mut checks =
+        [&replica1, &replica2].map(|r| Client::connect(r.local_addr()).expect("connect"));
     wait_for("both replicas to converge", Duration::from_secs(5), || {
-        (log_values(&mut check) == expected).then_some(())
+        checks.iter_mut().all(|c| log_values(c) == expected).then_some(())
     });
+    drop(checks);
     for _ in 0..6 {
         let answers = cluster.query(WireCertainty::Plain, &RaExpr::relation("log")).expect("read");
         assert_eq!(answers.body.plain.expect("plain").len(), expected.len());
@@ -378,7 +390,6 @@ fn cluster_client_distributes_reads_and_follows_write_redirects() {
     // Probing finds the primary by role and term.
     assert_eq!(cluster.probe_primary().expect("probe"), paddr);
 
-    drop(check);
     replica2.shutdown();
     primary.shutdown();
     let _ = std::fs::remove_dir_all(&pdir);

@@ -247,6 +247,18 @@ fn many_clients_burst_then_server_shuts_down_cleanly() {
                     let got = client.query(WireCertainty::Both, &anti_join()).unwrap();
                     assert_eq!(got.canonical_bytes(), expected);
                 }
+                // Then pipelined: a burst of sends before the first receive.
+                // Every request id is answered exactly once, in any order,
+                // with the same bytes.
+                let mut unanswered: Vec<u64> = (0..4)
+                    .map(|_| client.send_query(WireCertainty::Both, &anti_join()).unwrap())
+                    .collect();
+                while !unanswered.is_empty() {
+                    let (id, got) = client.recv_answers().unwrap();
+                    let sent = unanswered.iter().position(|&u| u == id);
+                    unanswered.swap_remove(sent.expect("an answer to a request still in flight"));
+                    assert_eq!(got.canonical_bytes(), expected);
+                }
                 client.close().unwrap();
             })
         })
@@ -257,7 +269,7 @@ fn many_clients_burst_then_server_shuts_down_cleanly() {
 
     let mut closer = Client::connect(addr).unwrap();
     let stats = closer.stats().unwrap();
-    assert!(stats.requests >= 80, "all burst queries were served");
+    assert!(stats.requests >= 8 * (10 + 4), "all burst queries were served");
     closer.shutdown_server().unwrap();
     assert!(server.shutdown_requested());
     server.shutdown();
