@@ -1,9 +1,10 @@
 //! Columnar batches: typed column vectors with per-column null bitmaps.
 //!
-//! The row representation ([`Tuple`] = `Vec<Value>`) is what the operator
-//! semantics are defined over, but moving one heap-allocated row at a time
-//! through a pipeline is the dominant cost once plans are compiled. This
-//! module provides the batch-at-a-time alternative:
+//! The row representation ([`Tuple`], an `Arc<[Value]>` shared by pointer)
+//! is what the operator semantics are defined over and what operators hand
+//! to each other; *evaluating* a predicate or hashing a key one `Value` at a
+//! time, behind an enum dispatch per value, is the dominant cost once plans
+//! are compiled. This module provides the batch-at-a-time alternative:
 //!
 //! * [`ColumnData`] — a typed vector per column (`i64` / `f64` / fixed-point
 //!   decimal / date / bool / interned [`StrId`]s), with a [`Values`]
@@ -349,7 +350,7 @@ impl Batch {
 
     /// Reconstruct row `i`.
     pub fn row(&self, i: usize, pool: &StrPool) -> Tuple {
-        Tuple::new(self.columns.iter().map(|c| c.value_at(i, pool)).collect())
+        self.columns.iter().map(|c| c.value_at(i, pool)).collect()
     }
 
     /// Convert the batch back to rows (the exact rows it was built from).

@@ -91,9 +91,9 @@ impl Relation {
         Ok(())
     }
 
-    /// Insert a tuple of raw values.
-    pub fn insert_values(&mut self, values: Vec<Value>) -> Result<()> {
-        self.insert(Tuple::new(values))
+    /// Insert a tuple of raw values (a vector, an array, any iterator).
+    pub fn insert_values(&mut self, values: impl IntoIterator<Item = Value>) -> Result<()> {
+        self.insert(values.into_iter().collect())
     }
 
     /// Whether the relation contains a syntactically equal tuple.

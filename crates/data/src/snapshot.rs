@@ -6,9 +6,10 @@
 //! blocked by a writer and never observe a torn (partially applied) update.
 //! Writers go through [`update`](SnapshotStore::update): one writer at a
 //! time clones the database (cheap — relations are `Arc`-shared, see
-//! [`Database`]), mutates the clone (copy-on-write per touched relation,
-//! schema epoch bumped by the mutating accessors), and atomically publishes
-//! the result as the new current snapshot.
+//! [`Database`]), mutates the clone (copy-on-write per touched relation —
+//! of row pointers, the rows themselves stay shared — schema epoch bumped by
+//! the mutating accessors), and atomically publishes the result as the new
+//! current snapshot.
 //!
 //! Because the epoch travels with the snapshot, everything keyed on the
 //! schema epoch — the plan cache, statistics catalogs, prepared queries —
@@ -102,9 +103,13 @@ impl SnapshotStore {
     ///
     /// The closure receives a private clone of the current database; touched
     /// relations are copied on first write (`Arc::make_mut`), untouched ones
-    /// stay shared with in-flight snapshots. Readers pinned before or during
-    /// the update keep their old state; readers pinning after see the new
-    /// one. Writers serialize against each other, never against readers.
+    /// stay shared with in-flight snapshots. Copying a relation costs one
+    /// reference-count bump per row — rows are `Arc<[Value]>`, shared between
+    /// the old and the new snapshot — not a copy of every value: an insert
+    /// into an `n`-row relation allocates its own rows plus a vector of `n`
+    /// pointers. Readers pinned before or during the update keep their old
+    /// state; readers pinning after see the new one. Writers serialize
+    /// against each other, never against readers.
     pub fn update<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let _writer = self.writer.lock().expect("snapshot writer poisoned");
         let mut next: Database = (**self.current.lock().expect("snapshot store poisoned")).clone();
@@ -194,6 +199,28 @@ mod tests {
         // very same allocation in both snapshots.
         assert!(!Arc::ptr_eq(&a.relation_shared("r").unwrap(), &b.relation_shared("r").unwrap()));
         assert!(Arc::ptr_eq(&a.relation_shared("s").unwrap(), &b.relation_shared("s").unwrap()));
+    }
+
+    #[test]
+    fn copy_on_write_shares_the_untouched_rows() {
+        let mut db = Database::new();
+        db.insert_relation(
+            "lineitem",
+            rel(&["l_orderkey", "l_comment"], vec![vec![Value::Int(1), Value::str("as is")]]),
+        );
+        let store = SnapshotStore::new(db);
+        let before = store.pin();
+        store.update(|db| {
+            let lineitem = db.relation_mut("lineitem").unwrap();
+            lineitem.insert_values([Value::Int(2), Value::str("new")]).unwrap();
+        });
+        let after = store.pin();
+        let (old, new) =
+            (before.relation("lineitem").unwrap(), after.relation("lineitem").unwrap());
+        assert_eq!((old.len(), new.len()), (1, 2));
+        // The relation was copied on write — as a vector of row pointers:
+        // the untouched row is one allocation seen from both snapshots.
+        assert!(std::ptr::eq(old.tuples()[0].values().as_ptr(), new.tuples()[0].values().as_ptr()));
     }
 
     #[test]

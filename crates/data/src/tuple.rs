@@ -1,24 +1,36 @@
-//! Tuples: ordered sequences of values.
+//! Tuples: ordered sequences of values, immutable and shared by pointer.
+//!
+//! A [`Tuple`] is an `Arc<[Value]>`: one allocation holding the reference
+//! count and the values. Rows are never mutated after they are built, so
+//! every operator that passes a row on unchanged — a scan, a filter's
+//! survivors, a semijoin's preserved side, a union, a set operation, the
+//! answer boundary, the snapshot store's copy-on-write of a relation —
+//! bumps a reference count instead of copying `arity` values. Only the
+//! operators that build *new* rows ([`Tuple::concat`], [`Tuple::project`],
+//! collecting an iterator) allocate, sized exactly.
 
 use crate::null::NullId;
 use crate::valuation::Valuation;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A database tuple. Equality and hashing are syntactic (see [`Value`]),
 /// which is what set semantics, hash joins and naive evaluation require.
+/// `clone` is a reference-count bump: clones share their values.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Tuple(Vec<Value>);
+pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
-    /// Create a tuple from a vector of values.
+    /// Create a tuple from a vector of values (moved into the shared
+    /// allocation).
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple(values)
+        Tuple(values.into())
     }
 
     /// The empty (0-ary) tuple.
-    pub const fn empty() -> Self {
-        Tuple(Vec::new())
+    pub fn empty() -> Self {
+        Tuple(Arc::new([]))
     }
 
     /// Number of values in the tuple.
@@ -36,9 +48,10 @@ impl Tuple {
         &self.0
     }
 
-    /// Consume the tuple and return the underlying values.
+    /// A copy of the underlying values (rows are shared, so they cannot be
+    /// moved out of).
     pub fn into_values(self) -> Vec<Value> {
-        self.0
+        self.0.to_vec()
     }
 
     /// The value at a position (panics if out of bounds — positions are
@@ -54,15 +67,17 @@ impl Tuple {
 
     /// Concatenate two tuples (used by Cartesian product / join operators).
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.len() + other.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Tuple(v)
+        // Two slice extends then one move into the shared allocation:
+        // measurably faster than collecting a `Chain` element by element.
+        let mut values = Vec::with_capacity(self.len() + other.len());
+        values.extend_from_slice(&self.0);
+        values.extend_from_slice(&other.0);
+        Tuple::new(values)
     }
 
     /// Project the tuple onto the given positions.
     pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple(positions.iter().map(|&i| self.0[i].clone()).collect())
+        positions.iter().map(|&i| self.0[i].clone()).collect()
     }
 
     /// Whether the tuple contains any null value.
@@ -79,7 +94,7 @@ impl Tuple {
     /// in order of first occurrence).
     pub fn null_ids(&self) -> Vec<NullId> {
         let mut out = Vec::new();
-        for v in &self.0 {
+        for v in self.0.iter() {
             if let Value::Null(id) = v {
                 if !out.contains(id) {
                     out.push(*id);
@@ -92,7 +107,7 @@ impl Tuple {
     /// Apply a valuation to the tuple, replacing nulls with constants where
     /// the valuation is defined.
     pub fn apply(&self, v: &Valuation) -> Tuple {
-        Tuple(self.0.iter().map(|x| v.apply_value(x)).collect())
+        self.0.iter().map(|x| v.apply_value(x)).collect()
     }
 }
 
@@ -111,10 +126,12 @@ impl fmt::Display for Tuple {
 
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Self {
-        Tuple(v)
+        Tuple::new(v)
     }
 }
 
+/// Collecting an iterator of known exact length (a mapped slice, an array)
+/// writes straight into the shared allocation — one allocation per row.
 impl FromIterator<Value> for Tuple {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
         Tuple(iter.into_iter().collect())

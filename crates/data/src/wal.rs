@@ -265,7 +265,7 @@ impl WalRecord {
             WalRecord::Insert { table, rows } => {
                 let rel = db.relation_mut(table)?;
                 for row in rows {
-                    rel.insert_values(row.values().to_vec())?;
+                    rel.insert(row.clone())?;
                 }
                 Ok(())
             }
@@ -726,9 +726,7 @@ impl DurableStore {
         let mut scratch =
             snapshot.relation(table).map_err(|e| WalError::Data(e.to_string()))?.clone();
         for row in rows {
-            scratch
-                .insert_values(row.values().to_vec())
-                .map_err(|e| WalError::Data(e.to_string()))?;
+            scratch.insert(row.clone()).map_err(|e| WalError::Data(e.to_string()))?;
         }
 
         let record = WalRecord::Insert { table: table.to_string(), rows: rows.to_vec() };

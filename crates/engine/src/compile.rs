@@ -15,7 +15,10 @@
 //!   positions against the plan's inferred schemas (inferred bottom-up, once);
 //! * `Filter`/`Project`/`Rename`/`Distinct` chains are **fused** into a
 //!   single step pipeline executed in one pass over the input — a filter
-//!   directly above a scan clones only the surviving rows;
+//!   directly above a scan shares the surviving rows with the base relation;
+//! * a last pass over the compiled tree (`liveness.rs`) narrows every join
+//!   to the columns an ancestor reads and remaps keys, residuals and fused
+//!   steps onto the narrower rows — once, here;
 //! * uncorrelated scalar subqueries are collected into a per-plan table and
 //!   evaluated lazily, at most once per execution, the first time an
 //!   operator referencing them processes a non-empty input (they are opaque
@@ -177,36 +180,35 @@ impl CompiledPredicate {
         &self.pred
     }
 
-    /// A copy of the predicate with every column reference `i` replaced by
-    /// `map[i]` (used to re-anchor fused-pipeline filters onto the pipeline's
-    /// *source* columns, looking through intermediate projections).
-    pub(crate) fn remap(&self, map: &[usize]) -> CompiledPredicate {
-        CompiledPredicate { pred: self.pred.remap(map), scalar_refs: self.scalar_refs.clone() }
+    /// Replace every column reference `i` by `map[i]`, in place: re-anchors
+    /// fused-pipeline filters onto the pipeline's *source* columns (looking
+    /// through intermediate projections), and everything positional onto
+    /// the narrower rows the liveness pass leaves.
+    pub(crate) fn remap(&mut self, map: &[usize]) {
+        self.pred.remap(map);
     }
 }
 
 impl Pred {
-    fn remap(&self, map: &[usize]) -> Pred {
-        let op = |o: &CompiledOperand| match o {
-            CompiledOperand::Col(i) => CompiledOperand::Col(map[*i]),
-            other => other.clone(),
+    fn remap(&mut self, map: &[usize]) {
+        let op = |o: &mut CompiledOperand| {
+            if let CompiledOperand::Col(i) = o {
+                *i = map[*i];
+            }
         };
         match self {
-            Pred::Const(t) => Pred::Const(*t),
-            Pred::Cmp { left, op: cmp, right } => {
-                Pred::Cmp { left: op(left), op: *cmp, right: op(right) }
+            Pred::Const(_) => {}
+            Pred::Cmp { left, right, .. } => {
+                op(left);
+                op(right);
             }
-            Pred::IsNull(x) => Pred::IsNull(op(x)),
-            Pred::IsNotNull(x) => Pred::IsNotNull(op(x)),
-            Pred::Like { expr, pattern, negated } => {
-                Pred::Like { expr: op(expr), pattern: pattern.clone(), negated: *negated }
+            Pred::IsNull(x) | Pred::IsNotNull(x) => op(x),
+            Pred::Like { expr, .. } | Pred::InList { expr, .. } => op(expr),
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                a.remap(map);
+                b.remap(map);
             }
-            Pred::InList { expr, list, negated } => {
-                Pred::InList { expr: op(expr), list: list.clone(), negated: *negated }
-            }
-            Pred::And(a, b) => Pred::And(Box::new(a.remap(map)), Box::new(b.remap(map))),
-            Pred::Or(a, b) => Pred::Or(Box::new(a.remap(map)), Box::new(b.remap(map))),
-            Pred::Not(inner) => Pred::Not(Box::new(inner.remap(map))),
+            Pred::Not(inner) => inner.remap(map),
         }
     }
 
@@ -343,12 +345,16 @@ pub(crate) struct VecPlan {
 /// Compute the [`VecPlan`] of a step chain, or `None` when the chain has no
 /// filter (a pure projection/dedup chain gains nothing from batching — the
 /// row path already moves rows without cloning).
-fn vec_plan_of(steps: &[Step], source_arity: usize) -> Option<VecPlan> {
+pub(crate) fn vec_plan_of(steps: &[Step], source_arity: usize) -> Option<VecPlan> {
     let mut mapping: Vec<usize> = (0..source_arity).collect();
     let mut filters = Vec::new();
     for step in steps {
         match step {
-            Step::Filter(pred) => filters.push(pred.remap(&mapping)),
+            Step::Filter(pred) => {
+                let mut filter = pred.clone();
+                filter.remap(&mapping);
+                filters.push(filter);
+            }
             Step::Project(pos) => mapping = pos.iter().map(|&p| mapping[p]).collect(),
         }
     }
@@ -386,6 +392,18 @@ impl HashKeys {
     pub(crate) fn widest_predicate(&self) -> &CompiledPredicate {
         self.null_aware.as_ref().map_or(&self.residual, |n| &n.full)
     }
+
+    /// Everything positional in the keys, for the liveness pass to remap:
+    /// the key positions of each side, and every predicate over the (left,
+    /// right) pair the operator may evaluate — the residual, and the full
+    /// condition of null-aware keys.
+    pub(crate) fn positional_parts(
+        &mut self,
+    ) -> (&mut [usize], &mut [usize], Vec<&mut CompiledPredicate>) {
+        let mut preds = vec![&mut self.residual];
+        preds.extend(self.null_aware.as_mut().map(|n| &mut n.full));
+        (&mut self.left, &mut self.right, preds)
+    }
 }
 
 /// What a hash operator with null-aware keys needs beyond [`HashKeys`]:
@@ -396,6 +414,39 @@ impl HashKeys {
 pub(crate) struct NullAware {
     pub(crate) null_ok: Vec<NullOk>,
     pub(crate) full: CompiledPredicate,
+}
+
+/// What a join emits of each joining (left, right) pair. Joins are the
+/// operators that build new rows, so they are where column liveness
+/// ([`crate::liveness`]) pays: a join emits the columns an ancestor reads
+/// and nothing else.
+#[derive(Debug)]
+pub(crate) struct Emit {
+    /// Positions in the pair — as the (possibly narrowed) inputs deliver it —
+    /// to emit, in output order; `None` emits the whole pair (a plain
+    /// concatenation).
+    pub(crate) cols: Option<Vec<usize>>,
+    /// The join's output width before liveness: the `n` of `cols=k/n`.
+    pub(crate) full_width: usize,
+}
+
+impl Emit {
+    /// Emit the whole pair of the given width.
+    fn whole(full_width: usize) -> Emit {
+        Emit { cols: None, full_width }
+    }
+
+    /// The output row of a joining pair: one allocation, live columns only.
+    #[inline]
+    pub(crate) fn row(&self, l: &Tuple, r: &Tuple) -> Tuple {
+        match &self.cols {
+            None => l.concat(r),
+            Some(cols) => {
+                let pair = RowView::pair(l, r);
+                cols.iter().map(|&p| pair.get(p).clone()).collect()
+            }
+        }
+    }
 }
 
 /// A compiled operator tree: schemas inferred, names resolved, conditions
@@ -426,13 +477,14 @@ pub(crate) enum CompiledExpr {
         vec_plan: Option<VecPlan>,
     },
     /// Hash join: build on the right, probe with the left, residual applied
-    /// to the (left, right) pair. `partitions > 0` marks a hash exchange on
-    /// the build side.
+    /// to the (left, right) pair, `emit` of each joining pair emitted.
+    /// `partitions > 0` marks a hash exchange on the build side.
     HashJoin {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
         keys: HashKeys,
         schema: Arc<Schema>,
+        emit: Emit,
         partitions: usize,
     },
     /// Nested-loop join. `partitions > 0` marks a round-robin exchange on
@@ -442,6 +494,7 @@ pub(crate) enum CompiledExpr {
         right: Box<CompiledExpr>,
         pred: CompiledPredicate,
         schema: Arc<Schema>,
+        emit: Emit,
         partitions: usize,
     },
     /// Hash (anti-)semijoin.
@@ -544,7 +597,20 @@ impl CompiledPlan {
     /// Compile a physical plan against a database catalog. Schema inference
     /// and every column-name resolution happen here, once; executing the
     /// result performs neither.
+    ///
+    /// The compiled tree then goes through the column-liveness pass
+    /// (`liveness.rs`), always: joins emit only the columns an ancestor
+    /// reads.
     pub fn compile(plan: &PhysicalExpr, db: &Database) -> Result<CompiledPlan> {
+        let mut compiled = CompiledPlan::compile_all_columns(plan, db)?;
+        crate::liveness::narrow_plan(&mut compiled.root);
+        Ok(compiled)
+    }
+
+    /// [`CompiledPlan::compile`] before the liveness pass: every operator
+    /// emits every column. Not an execution mode — the reference the
+    /// liveness tests compare the narrowed tree against.
+    pub(crate) fn compile_all_columns(plan: &PhysicalExpr, db: &Database) -> Result<CompiledPlan> {
         static COMPILES: OnceLock<Arc<Counter>> = OnceLock::new();
         COMPILES.get_or_init(|| registry().counter(names::ENGINE_COMPILES)).incr();
         let mut scalars = Vec::new();
@@ -627,6 +693,7 @@ fn compile_expr(
                     left: Box::new(l),
                     right: Box::new(r),
                     keys,
+                    emit: Emit::whole(schema.arity()),
                     schema,
                     partitions,
                 })
@@ -641,6 +708,7 @@ fn compile_expr(
                     left: Box::new(l),
                     right: Box::new(r),
                     pred,
+                    emit: Emit::whole(schema.arity()),
                     schema,
                     partitions,
                 })

@@ -87,6 +87,38 @@
 //!   the nested loop emits, so a plan that moves a node from nested loop to
 //!   hash returns the identical relation.
 //!
+//! # What an operator emits
+//!
+//! Rows are `Arc<[Value]>`, immutable and shared: an operator that passes a
+//! row on unchanged bumps a reference count, and only an operator that
+//! builds a *new* row allocates — once, sized exactly. Two compile-time
+//! decisions keep what is built to what is read:
+//!
+//! * **Joins emit the live columns.** After compilation the liveness pass
+//!   (`liveness.rs`) hands every operator the set of its output
+//!   positions an ancestor reads. A hash or nested-loop join emits exactly
+//!   those (`Emit`; the whole pair only when every column is live) and
+//!   asks its inputs for them plus what its own condition reads; an
+//!   (anti-)semijoin asks its right input for the condition's columns only;
+//!   a decorrelated semijoin asks its inner side for the predicate's
+//!   columns; filter-only pipelines and renames pass the request through;
+//!   an aggregate asks for its group and aggregate columns. Beneath a
+//!   deduplication, a set operation, a unification semijoin, a division or
+//!   the plan root every column is live — dropping one there could merge
+//!   rows. No projection is inserted anywhere, so results are
+//!   byte-identical with or without the pass; the profile's `values_out`
+//!   (rows × emitted width) and `EXPLAIN ANALYZE`'s `[cols=k/n]` on join
+//!   lines show what it saved.
+//! * **Base relations are borrowed.** A scan under a fused pipeline, on
+//!   either side of a join, on the inner side of a semijoin and on the
+//!   inner side of a decorrelated semijoin is read in place, whatever its
+//!   alias (predicates and keys are positional, output schemas
+//!   precompiled); the preserved side of a semijoin is borrowed when the
+//!   scan's schema is the stored one (it hands its schema on). A borrowed
+//!   scan is never narrowed and materialises nothing (`values_out` 0). Only
+//!   a scan consumed by an operator that needs an owned relation — a union
+//!   arm, a set operation, the plan root — copies, and then row pointers.
+//!
 //! # Parallel execution
 //!
 //! Plans may contain [`PhysicalExpr::Exchange`] operators (inserted by the
@@ -120,8 +152,8 @@
 
 use crate::analyze::skeleton;
 use crate::compile::{
-    apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, HashKeys, RowView, ScalarValues,
-    Step, VecPlan,
+    apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, Emit, HashKeys, RowView,
+    ScalarValues, Step, VecPlan,
 };
 use crate::vector::{self, BoundPred, KeySet, KeyTable};
 use certus_algebra::eval::Evaluator;
@@ -419,12 +451,13 @@ impl<'a> Engine<'a> {
 
     /// Execute a join-like operator's child, *borrowing* the base relation
     /// when the child is a scan — the join operators only read tuples
-    /// through positions (output schemas are precompiled), so copying the
-    /// whole base table per execution would be pure overhead. The inner
-    /// (build) side is borrowed `whatever_the_alias`: nothing reads its
-    /// schema. The preserved side of a semijoin hands its schema on to the
-    /// result, so it is borrowed only when the scan's schema is the stored
-    /// one.
+    /// through positions (output schemas are precompiled), so copying even
+    /// the base table's row pointers per execution would be pure overhead.
+    /// Both sides of a join, the inner side of a semijoin and the inner side
+    /// of a decorrelated semijoin are borrowed `whatever_the_alias`: nothing
+    /// reads their schema. The preserved side of a semijoin hands its schema
+    /// on to the result, so it is borrowed only when the scan's schema is
+    /// the stored one.
     fn exec_rel<'e>(
         &'e self,
         node: &CompiledExpr,
@@ -437,7 +470,8 @@ impl<'a> Engine<'a> {
             if whatever_the_alias || Arc::ptr_eq(rel.schema(), schema) || rel.schema() == schema {
                 if let Some(p) = prof {
                     // Borrowing the base table is free; the scan still counts
-                    // as one invocation producing the table's rows.
+                    // as one invocation producing the table's rows (and no
+                    // values: nothing was materialised).
                     p.stats.record_invocation(rel.len() as u64, 0);
                 }
                 return Ok(Cow::Borrowed(rel));
@@ -462,6 +496,7 @@ impl<'a> Engine<'a> {
                 let timer = Timer::start();
                 let rel = self.exec_node(node, scalars, prof)?;
                 p.stats.record_invocation(rel.len() as u64, timer.elapsed_ns());
+                p.stats.record_values_out((rel.len() * rel.arity()) as u64);
                 Ok(rel)
             }
         }
@@ -480,6 +515,9 @@ impl<'a> Engine<'a> {
         // binary operators are [left, right], unions are arms in order).
         let pc = |i: usize| prof.and_then(|p| p.child(i));
         match node {
+            // Reached only where the consumer needs an owned relation (a
+            // union arm, a set operation, the plan root, …): the copy is of
+            // row pointers, the rows stay the base relation's.
             CompiledExpr::Scan { name, schema } => {
                 let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
                 Ok(Relation::from_parts(schema.clone(), rel.tuples().to_vec()))
@@ -489,15 +527,15 @@ impl<'a> Engine<'a> {
             CompiledExpr::Fused { source, steps, schema, dedup, partitions, vec_plan } => {
                 self.exec_fused(source, steps, schema, *dedup, *partitions, vec_plan, scalars, prof)
             }
-            CompiledExpr::HashJoin { left, right, keys, schema, partitions } => {
-                let l = self.exec_rel(left, false, scalars, pc(0))?;
+            CompiledExpr::HashJoin { left, right, keys, schema, emit, partitions } => {
+                let l = self.exec_rel(left, true, scalars, pc(0))?;
                 let r = self.exec_rel(right, true, scalars, pc(1))?;
-                self.hash_join(&l, &r, keys, schema, *partitions, scalars, prof)
+                self.hash_join(&l, &r, keys, schema, emit, *partitions, scalars, prof)
             }
-            CompiledExpr::NlJoin { left, right, pred, schema, partitions } => {
-                let l = self.exec_rel(left, false, scalars, pc(0))?;
+            CompiledExpr::NlJoin { left, right, pred, schema, emit, partitions } => {
+                let l = self.exec_rel(left, true, scalars, pc(0))?;
                 let r = self.exec_rel(right, true, scalars, pc(1))?;
-                self.nl_join(&l, &r, pred, schema, *partitions, scalars, prof)
+                self.nl_join(&l, &r, pred, schema, emit, *partitions, scalars, prof)
             }
             CompiledExpr::HashSemi { left, right, keys, keep_matching, partitions } => {
                 let l = self.exec_rel(left, false, scalars, pc(0))?;
@@ -511,8 +549,10 @@ impl<'a> Engine<'a> {
             }
             CompiledExpr::DecorrelatedSemi { left, right, pred, keep_matching, left_schema } => {
                 // The predicate never looks at the outer side, so the inner
-                // side decides the fate of *all* outer tuples at once.
-                let r = self.exec(right, scalars, pc(1))?;
+                // side decides the fate of *all* outer tuples at once. A base
+                // relation is borrowed: the witness search touches the rows
+                // it inspects and nothing else.
+                let r = self.exec_rel(right, true, scalars, pc(1))?;
                 if let Some(p) = prof {
                     p.stats.record_rows_in(r.len() as u64);
                 }
@@ -582,11 +622,13 @@ impl<'a> Engine<'a> {
                     let ok = r.iter().all(|rt| {
                         // Reassemble a dividend tuple with this key and the
                         // divisor values.
-                        let mut vals: Vec<Value> = lt.values().to_vec();
-                        for (ri, &lp) in shared_positions.iter().enumerate() {
-                            vals[lp] = rt[ri].clone();
-                        }
-                        all.contains(&Tuple::new(vals))
+                        let candidate: Tuple = (0..lt.len())
+                            .map(|p| match shared_positions.iter().rposition(|&lp| lp == p) {
+                                Some(ri) => rt[ri].clone(),
+                                None => lt[p].clone(),
+                            })
+                            .collect();
+                        all.contains(&candidate)
                     });
                     if ok {
                         tuples.push(key);
@@ -782,12 +824,8 @@ impl<'a> Engine<'a> {
             for (first, members) in groups {
                 let rows: Vec<&Tuple> =
                     members.iter().map(|&i| &rel.tuples()[i as usize]).collect();
-                let mut out: Vec<Value> =
-                    rel.tuples()[first as usize].project(group_pos).into_values();
-                for (func, pos) in aggs {
-                    out.push(certus_algebra::eval::compute_aggregate(*func, *pos, &rows));
-                }
-                tuples.push(Tuple::new(out));
+                let first = &rel.tuples()[first as usize];
+                tuples.push(aggregate_row(group_pos.iter().map(|&p| &first[p]), aggs, &rows));
             }
             return Ok(Relation::from_parts(schema.clone(), tuples));
         }
@@ -808,12 +846,7 @@ impl<'a> Engine<'a> {
         }
         let mut tuples = Vec::with_capacity(order.len());
         for key in order {
-            let rows = &groups[&key];
-            let mut out: Vec<Value> = key.into_values();
-            for (func, pos) in aggs {
-                out.push(certus_algebra::eval::compute_aggregate(*func, *pos, rows));
-            }
-            tuples.push(Tuple::new(out));
+            tuples.push(aggregate_row(key.values().iter(), aggs, &groups[&key]));
         }
         Ok(Relation::from_parts(schema.clone(), tuples))
     }
@@ -1055,6 +1088,7 @@ impl<'a> Engine<'a> {
         r: &Relation,
         keys: &HashKeys,
         schema: &Arc<Schema>,
+        emit: &Emit,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
@@ -1065,7 +1099,7 @@ impl<'a> Engine<'a> {
         let matcher = self.hash_matcher(l, r, keys, scalars, prof);
         let tuples = self.probe_emit(l.len(), n, prof, |i, out| {
             matcher.partners(i, |j| {
-                out.push(l.tuples()[i].concat(&r.tuples()[j]));
+                out.push(emit.row(&l.tuples()[i], &r.tuples()[j]));
                 true
             })
         })?;
@@ -1137,6 +1171,7 @@ impl<'a> Engine<'a> {
         r: &Relation,
         pred: &CompiledPredicate,
         schema: &Arc<Schema>,
+        emit: &Emit,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
@@ -1150,11 +1185,11 @@ impl<'a> Engine<'a> {
             match &bound {
                 Some(bound) => bound
                     .eval(lt, values, semantics, pool)
-                    .for_each_true(|j| out.push(lt.concat(&r.tuples()[j]))),
+                    .for_each_true(|j| out.push(emit.row(lt, &r.tuples()[j]))),
                 None => {
                     for rt in r.iter() {
                         if pred.eval(RowView::pair(lt, rt), values, semantics).is_true() {
-                            out.push(lt.concat(rt));
+                            out.push(emit.row(lt, rt));
                         }
                     }
                 }
@@ -1498,6 +1533,18 @@ struct ScalarCtx<'p> {
     values: ScalarValues,
 }
 
+/// The output row of one group: the group key, then the aggregates over the
+/// group's `rows` — built in one allocation.
+fn aggregate_row<'k>(
+    key: impl Iterator<Item = &'k Value>,
+    aggs: &[(AggFunc, Option<usize>)],
+    rows: &[&Tuple],
+) -> Tuple {
+    let aggregates =
+        aggs.iter().map(|(func, pos)| certus_algebra::eval::compute_aggregate(*func, *pos, rows));
+    key.cloned().chain(aggregates).collect()
+}
+
 /// Keep exactly the flagged tuples of a (anti-)semijoin's preserved side:
 /// an owned input retains by move, a borrowed base relation clones only the
 /// survivors.
@@ -1672,6 +1719,71 @@ mod tests {
             .anti_join(RaExpr::relation("orders"), eq_const("o_custkey", 999i64));
         assert_eq!(sql_engine(&db).execute(&q2).unwrap().len(), 100);
         assert_same_as_reference(&q2, &db);
+    }
+
+    #[test]
+    fn decorrelated_semi_borrows_a_base_scan_and_evaluates_anything_else() {
+        let mut db = Database::new();
+        db.insert_relation("big", rel(&["x"], (0..100).map(|i| vec![Value::Int(i)]).collect()));
+        db.insert_relation(
+            "orders",
+            rel(
+                &["o_orderkey", "o_custkey"],
+                vec![vec![Value::Int(1), Value::Int(7)], vec![Value::Int(2), null(1)]],
+            ),
+        );
+        db.insert_relation("none", rel(&["o_orderkey", "o_custkey"], vec![]));
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
+        let big = || RaExpr::relation("big");
+        // Over a base scan — aliased or not — the witness search reads the
+        // relation in place: the scan reports its rows, and no values.
+        for inner in [RaExpr::relation("orders"), RaExpr::relation_as("orders", "o")] {
+            let q = big().anti_join(inner, is_null("o_custkey"));
+            let compiled = engine.compile(&engine.plan(&q).unwrap()).unwrap();
+            let (out, profile) = engine.execute_compiled_profiled(&compiled).unwrap();
+            assert!(out.is_empty());
+            assert_eq!(profile.op, "decorrelated_semi");
+            let scan = &profile.children[1];
+            assert_eq!((scan.op.as_str(), scan.rows_out, scan.values_out), ("scan(orders)", 2, 0));
+            assert_same_as_reference(&q, &db);
+        }
+        // Over anything else the inner side is executed: a filtered
+        // relation (with and without a witness), an empty one.
+        let filtered = |key: i64| RaExpr::relation("orders").select(eq_const("o_orderkey", key));
+        for inner in [filtered(2), filtered(1), filtered(9), RaExpr::relation("none")] {
+            for q in [
+                big().anti_join(inner.clone(), is_null("o_custkey")),
+                big().semi_join(inner, is_null("o_custkey")),
+            ] {
+                let plan = engine.plan(&q).unwrap();
+                assert!(plan.label().contains("Decorrelated"), "{}", plan.label());
+                assert_eq!(
+                    engine.execute_physical(&plan).unwrap(),
+                    eval(&q, &db, NullSemantics::Sql).unwrap(),
+                    "query: {q}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_filter_only_answer_shares_its_rows_with_the_base_relation() {
+        let mut db = Database::new();
+        db.insert_relation(
+            "r",
+            rel(&["a", "b"], (0..20).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect()),
+        );
+        let base = db.relation("r").unwrap();
+        for vectorized in [true, false] {
+            let config = EngineConfig::serial().with_vectorized(vectorized);
+            let engine = Engine::configured(&db, NullSemantics::Sql, config);
+            let out = engine.execute(&RaExpr::relation("r").select(eq_const("a", 3i64))).unwrap();
+            let survivors: Vec<_> = base.iter().filter(|t| t[0] == Value::Int(3)).collect();
+            assert_eq!(out.len(), 5);
+            for (answer, stored) in out.iter().zip(survivors) {
+                assert!(std::ptr::eq(answer.values().as_ptr(), stored.values().as_ptr()));
+            }
+        }
     }
 
     #[test]

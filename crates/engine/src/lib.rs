@@ -38,7 +38,9 @@
 //! inference runs once per plan, every condition becomes a
 //! [`CompiledPredicate`] over positional accessors, join keys and
 //! projection/rename/aggregate column lists are resolved to positions, and
-//! filter/project/rename/distinct chains fuse into single-pass pipelines.
+//! filter/project/rename/distinct chains fuse into single-pass pipelines;
+//! a column-liveness pass then narrows every join to the columns an
+//! ancestor reads (see [`engine`], "What an operator emits").
 //! [`Engine::execute_compiled`] then runs the plan with zero name lookups,
 //! zero schema inference and zero logical-expression reconstruction per
 //! execution — `certus::Session` caches compiled plans inside its
@@ -63,6 +65,7 @@
 pub mod analyze;
 pub mod compile;
 pub mod engine;
+pub(crate) mod liveness;
 pub(crate) mod vector;
 
 pub use certus_plan::{cost, equi};

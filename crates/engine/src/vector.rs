@@ -190,9 +190,9 @@ impl BoundPred {
         let cols = ColumnSet::extract(r_rows, &inner, pool);
         // Invariant subtrees never index into the outer row, so an empty
         // tuple stands in while they are pre-evaluated.
-        static NO_OUTER: Tuple = Tuple::empty();
+        let no_outer = Tuple::empty();
         let invariant_ctx =
-            Ctx { cols: &cols, bound: Some((&NO_OUTER, l_arity)), scalars, semantics, pool };
+            Ctx { cols: &cols, bound: Some((&no_outer, l_arity)), scalars, semantics, pool };
         let node = bind(pred.pred(), l_arity, &invariant_ctx);
         BoundPred { cols, l_arity, node }
     }

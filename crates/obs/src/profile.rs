@@ -21,6 +21,9 @@ pub struct NodeStats {
     pub rows_in: AtomicU64,
     /// Tuples produced by the operator.
     pub rows_out: AtomicU64,
+    /// Values materialised by the operator: rows emitted × emitted width.
+    /// Zero for a borrowed base relation — nothing was copied.
+    pub values_out: AtomicU64,
     /// Batches/morsels processed on chunked paths.
     pub batches: AtomicU64,
     /// Times the operator ran (>1 under re-execution of a cached plan tree).
@@ -55,6 +58,12 @@ impl NodeStats {
         Self::add(&self.invocations, 1);
         Self::add(&self.rows_out, rows_out);
         Self::add(&self.wall_ns, wall_ns);
+    }
+
+    /// Record the values an invocation materialised (rows × width).
+    #[inline]
+    pub fn record_values_out(&self, n: u64) {
+        Self::add(&self.values_out, n);
     }
 
     /// Record input cardinality.
@@ -112,6 +121,7 @@ pub struct ProfNode {
     pub stats: NodeStats,
     step_ops: Vec<String>,
     step_rows: Vec<AtomicU64>,
+    cols: Option<(usize, usize)>,
     children: Vec<ProfNode>,
 }
 
@@ -124,7 +134,15 @@ impl ProfNode {
     /// A node labelled `op` with fused pipeline step labels and children.
     pub fn with(op: impl Into<String>, step_ops: Vec<String>, children: Vec<ProfNode>) -> ProfNode {
         let step_rows = step_ops.iter().map(|_| AtomicU64::new(0)).collect();
-        ProfNode { op: op.into(), stats: NodeStats::default(), step_ops, step_rows, children }
+        let stats = NodeStats::default();
+        ProfNode { op: op.into(), stats, step_ops, step_rows, cols: None, children }
+    }
+
+    /// Mark the node as a join emitting `cols` of the `of` columns of its
+    /// (left, right) pair — fixed when the plan was compiled.
+    pub fn emitting(mut self, cols: usize, of: usize) -> ProfNode {
+        self.cols = Some((cols, of));
+        self
     }
 
     /// The operator label.
@@ -163,6 +181,8 @@ impl ProfNode {
             op: self.op.clone(),
             rows_in: load(&self.stats.rows_in),
             rows_out: load(&self.stats.rows_out),
+            values_out: load(&self.stats.values_out),
+            cols: self.cols,
             batches: load(&self.stats.batches),
             invocations: load(&self.stats.invocations),
             wall_ns: load(&self.stats.wall_ns),
@@ -203,6 +223,12 @@ pub struct QueryProfile {
     pub rows_in: u64,
     /// Tuples produced.
     pub rows_out: u64,
+    /// Values materialised: rows emitted × emitted width (zero for a
+    /// borrowed base relation).
+    pub values_out: u64,
+    /// For joins: `(k, n)` — the join emits `k` of the `n` columns of its
+    /// (left, right) pair, the ones an ancestor reads.
+    pub cols: Option<(usize, usize)>,
     /// Batches/morsels processed.
     pub batches: u64,
     /// Times the operator ran.
@@ -243,6 +269,12 @@ impl QueryProfile {
         1 + self.children.iter().map(QueryProfile::node_count).sum::<usize>()
     }
 
+    /// `cols=k/n` when this is a join that emits fewer columns than its
+    /// (left, right) pair has.
+    pub fn narrowed_cols(&self) -> Option<String> {
+        self.cols.filter(|(k, n)| k < n).map(|(k, n)| format!("cols={k}/{n}"))
+    }
+
     /// Probe hit rate for hash operators (0 when nothing was probed).
     pub fn probe_hit_rate(&self) -> f64 {
         let total = self.probe_hits + self.probe_misses;
@@ -275,6 +307,9 @@ impl QueryProfile {
             fmt_ns(self.wall_ns),
             fmt_ns(self.self_wall_ns())
         ));
+        if let Some(cols) = self.narrowed_cols() {
+            out.push_str(&format!(" [{cols}]"));
+        }
         if self.vec_runs > 0 {
             out.push_str(" [vec]");
         }
@@ -304,13 +339,14 @@ impl QueryProfile {
     /// Render the profile tree as JSON.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"op\": \"{}\", \"rows_in\": {}, \"rows_out\": {}, \"batches\": {}, \
-             \"invocations\": {}, \"wall_ns\": {}, \"self_ns\": {}, \"vec_runs\": {}, \
-             \"row_fallbacks\": {}, \"build_rows\": {}, \"probe_hits\": {}, \
+            "{{\"op\": \"{}\", \"rows_in\": {}, \"rows_out\": {}, \"values_out\": {}, \
+             \"batches\": {}, \"invocations\": {}, \"wall_ns\": {}, \"self_ns\": {}, \
+             \"vec_runs\": {}, \"row_fallbacks\": {}, \"build_rows\": {}, \"probe_hits\": {}, \
              \"probe_misses\": {}, \"morsels\": {}, \"workers\": {}",
             json::escape(&self.op),
             self.rows_in,
             self.rows_out,
+            self.values_out,
             self.batches,
             self.invocations,
             self.wall_ns,
@@ -323,6 +359,9 @@ impl QueryProfile {
             self.morsels,
             self.workers
         );
+        if let Some((k, n)) = self.cols {
+            out.push_str(&format!(", \"cols_out\": {k}, \"cols_of\": {n}"));
+        }
         if !self.steps.is_empty() {
             out.push_str(", \"steps\": [");
             for (i, s) in self.steps.iter().enumerate() {
@@ -383,6 +422,7 @@ mod tests {
     fn finish_freezes_recorded_counters() {
         let prof = sample();
         prof.stats.record_invocation(10, 500);
+        prof.stats.record_values_out(30);
         prof.stats.record_build_rows(4);
         prof.stats.record_probes(8, 2);
         let fused = prof.child(0).unwrap();
@@ -395,6 +435,7 @@ mod tests {
         let snap = prof.finish();
         assert_eq!(snap.op, "hash_join");
         assert_eq!(snap.rows_out, 10);
+        assert_eq!(snap.values_out, 30);
         assert_eq!(snap.wall_ns, 500);
         assert_eq!(snap.self_wall_ns(), 200);
         assert_eq!(snap.build_rows, 4);
@@ -424,12 +465,14 @@ mod tests {
 
     #[test]
     fn render_and_json_are_well_formed() {
-        let prof = sample();
+        let prof = sample().emitting(2, 5);
         prof.stats.record_invocation(3, 1_000);
         prof.child(0).unwrap().stats.record_vec_run();
         let snap = prof.finish();
         let text = snap.to_string();
         assert!(text.contains("hash_join"));
+        assert!(text.lines().next().unwrap().contains("[cols=2/5]"));
+        assert_eq!(sample().emitting(5, 5).finish().narrowed_cols(), None);
         assert!(text.contains("[vec]"));
         assert!(text.contains("· filter"));
         let json = snap.to_json();

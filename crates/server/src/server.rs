@@ -957,9 +957,7 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
                         // untouched.
                         let mut scratch = db.relation(table).map_err(|e| e.to_string())?.clone();
                         for row in rows {
-                            scratch
-                                .insert_values(row.values().to_vec())
-                                .map_err(|e| e.to_string())?;
+                            scratch.insert(row.clone()).map_err(|e| e.to_string())?;
                         }
                         *db.relation_mut(table).map_err(|e| e.to_string())? = scratch;
                         Ok(db.schema_epoch())

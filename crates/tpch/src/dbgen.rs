@@ -60,7 +60,7 @@ impl DbGen {
             let name = db.intern_str(name);
             db.relation_mut("region")
                 .expect("table exists")
-                .insert_values(vec![Value::Int(i as i64), name])
+                .insert_values([Value::Int(i as i64), name])
                 .expect("arity");
         }
         // nation
@@ -68,7 +68,7 @@ impl DbGen {
             let name = db.intern_str(name);
             db.relation_mut("nation")
                 .expect("table exists")
-                .insert_values(vec![Value::Int(i as i64), name, Value::Int(*region as i64)])
+                .insert_values([Value::Int(i as i64), name, Value::Int(*region as i64)])
                 .expect("arity");
         }
         // supplier
@@ -76,7 +76,7 @@ impl DbGen {
             let name = db.intern_str(&format!("Supplier#{i:09}"));
             db.relation_mut("supplier")
                 .expect("table exists")
-                .insert_values(vec![
+                .insert_values([
                     Value::Int(i as i64),
                     name,
                     Value::Int(rng.gen_range(0..25)),
@@ -89,7 +89,7 @@ impl DbGen {
             let name = db.intern_str(&format!("Customer#{i:09}"));
             db.relation_mut("customer")
                 .expect("table exists")
-                .insert_values(vec![
+                .insert_values([
                     Value::Int(i as i64),
                     name,
                     Value::Int(rng.gen_range(0..25)),
@@ -102,7 +102,7 @@ impl DbGen {
             let name = db.intern_str(&Self::part_name(&mut rng));
             db.relation_mut("part")
                 .expect("table exists")
-                .insert_values(vec![
+                .insert_values([
                     Value::Int(i as i64),
                     name,
                     Value::Decimal(rng.gen_range(90_000..200_000)),
@@ -121,7 +121,7 @@ impl DbGen {
                 }
                 db.relation_mut("partsupp")
                     .expect("table exists")
-                    .insert_values(vec![
+                    .insert_values([
                         Value::Int(partkey as i64),
                         Value::Int(suppkey as i64),
                         Value::Decimal(rng.gen_range(100..100_000)),
@@ -138,7 +138,7 @@ impl DbGen {
             let status = db.intern_str(ORDER_STATUS[rng.gen_range(0..ORDER_STATUS.len())]);
             db.relation_mut("orders")
                 .expect("table exists")
-                .insert_values(vec![
+                .insert_values([
                     Value::Int(o as i64),
                     Value::Int(custkey),
                     status,
@@ -153,7 +153,7 @@ impl DbGen {
                 let receiptdate = shipdate + rng.gen_range(1..=30);
                 db.relation_mut("lineitem")
                     .expect("table exists")
-                    .insert_values(vec![
+                    .insert_values([
                         Value::Int(o as i64),
                         Value::Int(ln as i64),
                         Value::Int(rng.gen_range(1..=card.part) as i64),

@@ -101,6 +101,45 @@ fn explain_analyze_annotates_every_node() {
     assert_eq!(json.matches("\"rows_act\"").count(), analyzed.node_count());
 }
 
+/// Column liveness, countably: on the benchmark's instance (scale 0.002, null
+/// rate 0.03, seed 42) Q4⁺'s three joins used to materialise every column of
+/// every joining pair — 12,117 × 12 + 20,021 × 16 + 2,042 × 19 = 504,538
+/// values per execution — for an anti-join above them that reads one. They
+/// now emit 2, 2 and 1 columns: the same rows, 66,318 values.
+#[test]
+fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
+    let w = Workload::new(0.002, 0.03, 42);
+    let db = w.incomplete_instance();
+    let q4 = certus::tpch::q4(&w.params(&db, 0));
+    let session = Session::builder(db).config(EngineConfig::serial()).build();
+    let prepared = session.prepare(&q4, Certainty::CertainPlus).unwrap();
+    let (_, profiles) = session.execute_prepared_profiled(&prepared).unwrap();
+    let joins: Vec<&QueryProfile> = profiles[0]
+        .flatten()
+        .into_iter()
+        .filter(|n| n.op == "hash_join" || n.op == "nl_join")
+        .collect();
+    let mut emitted: Vec<(u64, Option<(usize, usize)>)> =
+        joins.iter().map(|j| (j.rows_out, j.cols)).collect();
+    emitted.sort();
+    assert_eq!(
+        emitted,
+        vec![(2_042, Some((1, 19))), (12_117, Some((2, 12))), (20_021, Some((2, 16)))]
+    );
+    assert_eq!(joins.iter().map(|j| j.values_out).sum::<u64>(), 66_318);
+    let full: u64 = joins.iter().map(|j| j.rows_out * j.cols.unwrap().1 as u64).sum();
+    assert_eq!(full, 504_538);
+    // EXPLAIN ANALYZE shows the narrowing on the join lines, and only there.
+    let analyzed = session.explain_analyze(&q4, Certainty::CertainPlus).unwrap();
+    let rendered = analyzed.to_string();
+    let narrowed: Vec<&str> = rendered.lines().filter(|l| l.contains("cols=")).collect();
+    assert_eq!(narrowed.len(), 3, "{analyzed}");
+    assert!(narrowed.iter().all(|l| l.contains("Join")), "{analyzed}");
+    for cols in ["[cols=2/12]", "[cols=2/16]", "[cols=1/19]"] {
+        assert!(narrowed.iter().any(|l| l.contains(cols)), "{cols} missing:\n{analyzed}");
+    }
+}
+
 #[test]
 fn skewed_nulls_flag_estimate_divergence() {
     // The translated Q4+ keeps `… OR x IS NULL` disjunction joins whose

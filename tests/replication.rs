@@ -179,6 +179,14 @@ fn a_late_replica_bootstraps_from_checkpoint_and_follows_rotations() {
         (log_values(&mut rc) == expected).then_some(())
     });
 
+    // The rows can be visible before the re-bootstrap is counted (the new
+    // generation's checkpoint is installed, then recorded): let the count
+    // settle before taking it as the baseline below.
+    wait_for("the re-bootstrap to be recorded", Duration::from_secs(5), || {
+        let installed = replica.durable().expect("replica is durable").checkpoints_installed();
+        (installed == 2).then_some(())
+    });
+
     // A fold at quiescence is different: the caught-up subscriber sits
     // exactly at the retired generation's final position, so it follows
     // with a cheap local rotation — no checkpoint transfer.
