@@ -4,7 +4,7 @@
 
 use crate::timing::{fmt_ratio, time, time_mean};
 use certus::obs::{failpoints, FailAction};
-use certus::Session;
+use certus::{Certainty, Session};
 use certus_algebra::builder::eq_const;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::NullSemantics;
@@ -105,27 +105,30 @@ pub struct RelPerfRow {
 }
 
 /// Measure the relative performance of the translated queries (Figure 4).
+/// Both sides are prepared once by one serial [`Session`] — same rewrite
+/// passes, same planner — and only their executions are timed, so the ratio
+/// is the one the system delivers.
 pub fn figure4(
     scale_factor: f64,
     null_rates: &[f64],
     instances: u64,
     reps: usize,
 ) -> Vec<RelPerfRow> {
-    let rewriter = CertainRewriter::new();
     let mut rows = Vec::new();
     for &rate in null_rates {
         let mut sums = [0.0f64; 4];
         let mut counts = [0usize; 4];
         for inst in 0..instances {
             let w = Workload::new(scale_factor, rate, 500 + inst);
-            let db = w.incomplete_instance();
-            let engine = serial_engine(&db);
-            let params = w.params(&db, inst);
+            let session =
+                Session::builder(w.incomplete_instance()).config(EngineConfig::serial()).build();
+            let params = w.params(session.database(), inst);
             for q in 1..=4usize {
                 let expr = query_by_number(q, &params).expect("query exists");
-                let plus = rewriter.rewrite_plus(&expr, &db).expect("translates");
-                let t_orig = time_mean(reps, || engine.execute(&expr).expect("runs"));
-                let t_plus = time_mean(reps, || engine.execute(&plus).expect("runs"));
+                let [t_orig, t_plus] = [Certainty::Plain, Certainty::CertainPlus].map(|c| {
+                    let prepared = session.prepare(&expr, c).expect("plans");
+                    time_mean(reps, || session.execute_prepared(&prepared).expect("runs"))
+                });
                 if t_orig > 0.0 {
                     sums[q - 1] += t_plus / t_orig;
                     counts[q - 1] += 1;

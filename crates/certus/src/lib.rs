@@ -10,9 +10,9 @@
 //! * [`algebra`] — the relational-algebra IR and reference evaluator;
 //! * [`core`] — the certain-answer translations `Q⁺`/`Q★`, the Figure 2
 //!   baseline, the exact oracle and metrics;
-//! * [`plan`] — the planning subsystem: the rewrite-pass pipeline (including
-//!   the paper's Section 7 optimizations), statistics catalog, cost model and
-//!   cost-based physical planner;
+//! * [`plan`] — the planning subsystem: the rewrite passes (including the
+//!   paper's Section 7 optimizations), the physical planner, and the
+//!   statistics catalog and cost model behind its `EXPLAIN` estimates;
 //! * [`engine`] — hash-join based physical execution of the planner's plans;
 //! * [`obs`] — observability: the process-wide metrics registry,
 //!   per-execution [`QueryProfile`]s and the `EXPLAIN ANALYZE`
@@ -67,11 +67,9 @@ pub use certus_core::{CertainOracle, CertainRewriter, ConditionDialect};
 pub use certus_data::{Database, Relation, Tuple, Value};
 pub use certus_engine::{Engine, EngineConfig};
 pub use certus_obs::{AnalyzedPlan, MetricsSnapshot, QueryProfile};
-pub use certus_plan::{Parallelism, PassManager, PhysicalPlanner, Planner, StatisticsCatalog};
+pub use certus_plan::{Parallelism, PassManager, PhysicalPlanner, StatisticsCatalog};
 pub use error::{CertusError, Result};
-pub use session::{
-    AnswerSet, Certainty, PlannerKind, PreparedQuery, Session, SessionBuilder, SharedPlanCache,
-};
+pub use session::{AnswerSet, Certainty, PreparedQuery, Session, SessionBuilder, SharedPlanCache};
 
 /// The semantic version of the certus workspace.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -18,14 +18,11 @@
 //! * [`naive_translation::translate_t`] / [`naive_translation::translate_f`] —
 //!   the original translation `Q ↦ (Qᵗ, Qᶠ)` of \[22\] (Figure 2), kept as the
 //!   baseline whose impracticality Section 5 demonstrates.
-//! * [`optimize`] — compatibility facade for the syntactic manipulations of
-//!   Section 7 (OR-splitting of `NOT EXISTS` conditions, nullability-aware
-//!   pruning of `IS NULL` checks, the key-based simplification
-//!   `R ⋉̸⇑ S → R − S`), which now live as passes in the `certus-plan`
-//!   rewrite pipeline.
 //! * [`certain`] — an exact (exponential) certain-answer oracle used as ground
 //!   truth, plus a sampled refuter.
-//! * [`rewriter::CertainRewriter`] — the high-level API tying it together.
+//! * [`rewriter::CertainRewriter`] — the high-level API tying it together:
+//!   a translation followed by the rewrite passes of `certus-plan` (the
+//!   syntactic manipulations of Section 7 among them).
 //! * [`metrics`] — precision / recall / false-positive accounting used by the
 //!   experiments.
 
@@ -34,7 +31,6 @@ pub mod dialect;
 pub mod error;
 pub mod metrics;
 pub mod naive_translation;
-pub mod optimize;
 pub mod rewriter;
 pub mod theta;
 pub mod translate;

@@ -3,13 +3,13 @@
 use crate::certain::CertainOracle;
 use crate::dialect::ConditionDialect;
 use crate::metrics::AnswerBreakdown;
-use crate::optimize::{optimize, OptimizeOptions};
 use crate::translate::{translate_plus, translate_star};
 use crate::Result;
 use certus_algebra::eval::eval;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::Catalog;
 use certus_data::{Database, Relation};
+use certus_plan::PassManager;
 
 /// The front door of `certus-core`: turns a query `Q` into its
 /// correctness-guaranteed variant `Q⁺` (optionally optimized for execution)
@@ -34,20 +34,15 @@ use certus_data::{Database, Relation};
 pub struct CertainRewriter {
     /// Condition-translation dialect (SQL-adjusted by default).
     pub dialect: ConditionDialect,
-    /// Post-translation optimizations.
-    pub optimize: OptimizeOptions,
-    /// Whether to apply the optimizations at all (the ablation experiments
-    /// turn this off to reproduce the "confused optimizer" behaviour).
+    /// Whether to run the rewrite passes over the translation (the ablation
+    /// experiments turn this off to reproduce the "confused optimizer"
+    /// behaviour).
     pub apply_optimizations: bool,
 }
 
 impl Default for CertainRewriter {
     fn default() -> Self {
-        CertainRewriter {
-            dialect: ConditionDialect::Sql,
-            optimize: OptimizeOptions::default(),
-            apply_optimizations: true,
-        }
+        CertainRewriter { dialect: ConditionDialect::Sql, apply_optimizations: true }
     }
 }
 
@@ -71,21 +66,19 @@ impl CertainRewriter {
     /// Produce `Q⁺`, optionally optimized against the catalog's schema and
     /// key information.
     pub fn rewrite_plus(&self, expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
-        let plus = translate_plus(expr, self.dialect)?;
-        if self.apply_optimizations {
-            optimize(&plus, catalog, &self.optimize)
-        } else {
-            Ok(plus)
-        }
+        self.passes(translate_plus(expr, self.dialect)?, catalog)
     }
 
     /// Produce `Q★` (the potential-answer query).
     pub fn rewrite_star(&self, expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
-        let star = translate_star(expr, self.dialect)?;
+        self.passes(translate_star(expr, self.dialect)?, catalog)
+    }
+
+    fn passes(&self, translated: RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
         if self.apply_optimizations {
-            optimize(&star, catalog, &self.optimize)
+            Ok(PassManager::standard().run(&translated, catalog)?)
         } else {
-            Ok(star)
+            Ok(translated)
         }
     }
 

@@ -6,7 +6,7 @@
 //! satisfies `θ**` (possibly true). By Corollary 1 of the paper any
 //! strengthening of `θ*` and weakening of `θ**` preserves the correctness
 //! guarantees, which is what licenses the per-dialect adjustments below and
-//! the nullability-aware pruning in [`crate::optimize`].
+//! the nullability-aware pruning in [`certus_plan::passes::null_prune`].
 //!
 //! The atoms of the paper are (dis)equalities between attributes and
 //! constants. Our condition language additionally has order comparisons,

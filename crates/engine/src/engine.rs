@@ -32,8 +32,8 @@
 //!   scratch-set tuple clones).
 //!
 //! [`Engine::execute`] is the convenience entry point for logical plans: it
-//! runs the statistics-free [`heuristic_plan`](certus_plan::physical::heuristic_plan)
-//! and executes the result. The semantics oracle is the reference evaluator,
+//! plans them as given — no rewrite passes, no statistics; see
+//! [`certus_plan::physical::heuristic_plan_with`] — and executes the result. The semantics oracle is the reference evaluator,
 //! `certus_algebra::eval`; the differential suites compare against it.
 //!
 //! # One kernel per join operator
@@ -122,7 +122,7 @@
 //! # Parallel execution
 //!
 //! Plans may contain [`PhysicalExpr::Exchange`] operators (inserted by the
-//! planners when configured with a [`Parallelism`]); the compiler absorbs
+//! planner when configured with a [`Parallelism`]); the compiler absorbs
 //! them into the owning operator and the engine turns them into tasks
 //! submitted to the process-wide work-stealing worker pool
 //! ([`certus_exec::Pool`]) — no per-exchange thread spawning:
@@ -173,13 +173,14 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of worker threads exchange operators may fan out to
-    /// (1 = serial execution, and the planners insert no exchanges).
+    /// (1 = serial execution, and the planner inserts no exchanges).
     pub threads: usize,
     /// Minimum input work (rows for hash/filter operators, pairs for nested
     /// loops) before a parallel operator actually spawns threads; smaller
     /// inputs run inline so tiny queries never pay the scope overhead. The
-    /// heuristic planner has no statistics, so this runtime floor is what
-    /// keeps its exchanges harmless on small data.
+    /// planner exchanges every eligible site whatever its estimated size,
+    /// so this floor on actual rows is what keeps exchanges harmless on
+    /// small data.
     pub parallel_floor: usize,
     /// Whether predicates and hash keys evaluate batch-at-a-time over typed
     /// columns (the default) or row-at-a-time over `Value`s. This selects
@@ -246,7 +247,7 @@ impl EngineConfig {
         self
     }
 
-    /// The [`Parallelism`] the heuristic planner should plan for.
+    /// The [`Parallelism`] the planner should plan for.
     pub fn parallelism(&self) -> Parallelism {
         Parallelism::new(self.threads)
     }
@@ -342,15 +343,15 @@ impl<'a> Engine<'a> {
         &self.config
     }
 
-    /// The physical plan [`Engine::execute`] would run: the statistics-free
-    /// heuristic plan, with exchange operators iff `threads > 1`.
+    /// The physical plan [`Engine::execute`] would run, with exchange
+    /// operators iff `threads > 1`.
     pub fn plan(&self, expr: &RaExpr) -> Result<PhysicalExpr> {
         Ok(heuristic_plan_with(expr, self.db, &self.config.parallelism())?)
     }
 
-    /// Execute a logical query: plan it with the statistics-free heuristic
-    /// planner (inserting exchanges when this engine is multi-threaded),
-    /// then compile and execute the physical plan.
+    /// Execute a logical query: plan it as given (inserting exchanges when
+    /// this engine is multi-threaded), then compile and execute the
+    /// physical plan.
     pub fn execute(&self, expr: &RaExpr) -> Result<Relation> {
         let plan = self.plan(expr)?;
         self.execute_physical(&plan)
@@ -1603,7 +1604,7 @@ mod tests {
     use certus_core::{CertainRewriter, ConditionDialect};
     use certus_data::builder::rel;
     use certus_data::null::NullId;
-    use certus_plan::{PhysicalPlanner, Planner, StatisticsCatalog};
+    use certus_plan::{PassManager, PhysicalPlanner, StatisticsCatalog};
     use certus_tpch::{q1, q2, q3, q4, DbGen, QueryParams};
 
     fn null(i: u64) -> Value {
@@ -1809,10 +1810,9 @@ mod tests {
         let params = QueryParams::random(&db, 4);
         let engine = sql_engine(&db);
         let rewriter = CertainRewriter::unoptimized();
-        let planner = Planner::new();
         for q in [q3(&params), q4(&params)] {
             let raw = rewriter.rewrite_plus(&q, &db).unwrap();
-            let optimized = planner.optimize(&raw, &db).unwrap();
+            let optimized = PassManager::standard().run(&raw, &db).unwrap();
             let a = engine.execute(&raw).unwrap().sorted().distinct();
             let b = engine.execute(&optimized).unwrap().sorted().distinct();
             assert_eq!(a.tuples(), b.tuples(), "Q pipeline changed results");
@@ -2031,9 +2031,8 @@ mod tests {
         }
         // A morsel-parallel filter via an explicitly planned exchange.
         let stats = StatisticsCatalog::analyze(&db);
-        let mut par = certus_plan::Parallelism::new(3);
-        par.row_threshold = 0.0;
-        let planner = PhysicalPlanner::with_parallelism(&db, &stats, par);
+        let planner =
+            PhysicalPlanner::with_parallelism(&db, &stats, certus_plan::Parallelism::new(3));
         let q = RaExpr::relation("lineitem").select(is_null("l_commitdate"));
         let plan = planner.plan(&q).unwrap();
         assert!(plan.has_exchange());

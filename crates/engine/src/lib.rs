@@ -17,7 +17,7 @@
 //! * `NOT EXISTS` subqueries that are **uncorrelated** (the decorrelated
 //!   null-check that the translation adds to query Q2) are evaluated once and
 //!   short-circuit the whole query when they trip;
-//! * plans carrying **exchange operators** (inserted by the planners when
+//! * plans carrying **exchange operators** (inserted by the planner when
 //!   configured with a [`Parallelism`]) execute multi-threaded:
 //!   morsel-parallel probes and filters, concurrent union arms,
 //!   governed by [`EngineConfig`] (`CERTUS_THREADS` overrides the default of

@@ -1,9 +1,9 @@
 //! Plan caching: hashable keys over logical expressions and a small LRU
 //! cache with hit/miss accounting.
 //!
-//! Planning a translated query is not free — the rewrite-pass pipeline runs
-//! to a fixpoint and the cost-based planner consults statistics per node — so
-//! repeated workload queries should plan **once**. [`PlanKey`] makes a
+//! Planning a translated query is not free — translation, seven rewrite
+//! passes, physical planning and operator compilation — so repeated workload
+//! queries should plan **once**. [`PlanKey`] makes a
 //! logical [`RaExpr`] usable as a hash-map key (the expression tree carries
 //! no `Hash` impl of its own; the key hashes a structural fingerprint and
 //! falls back to full equality on collisions), qualified by everything else

@@ -12,13 +12,13 @@
 //! * **statistics-backed** ([`estimate_with`]): base cardinalities, equality
 //!   selectivities (`1 / distinct`) and null-check selectivities (the
 //!   measured null fraction) come from a [`StatisticsCatalog`], which is what
-//!   the physical planner uses.
+//!   the physical planner's explain trees use.
 //!
 //! Costs are *per-row operation counts*, independent of how the engine
 //! executes a plan. In particular the engine's compiled runtime fuses
 //! `Filter`/`Project`/`Rename`/`Distinct` chains into a single pass, so the
 //! per-operator charges of such a chain over-count the constant factor but
-//! preserve the ordering between plans — which is all the planner compares.
+//! preserve the ordering between plans.
 
 use crate::equi::{references_schema, split_equi};
 use crate::stats::StatisticsCatalog;

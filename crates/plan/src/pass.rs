@@ -1,5 +1,5 @@
-//! The pass manager: an ordered, re-runnable pipeline of logical rewrite
-//! passes over [`RaExpr`].
+//! The pass pipeline: a fixed, ordered list of logical rewrite passes over
+//! [`RaExpr`], each run once.
 //!
 //! Every pass must be *semantics-preserving in the strong sense*: it may only
 //! produce an expression that evaluates to the same relation on **every**
@@ -8,90 +8,44 @@
 //! rewritten subtree ends up in. The equivalence test suite at the repository
 //! root checks exactly this on randomized databases with nulls.
 //!
-//! The manager runs its passes in order and repeats the whole round until a
-//! fixpoint is reached (no pass changed the expression) or `max_rounds` is
-//! exhausted — re-running matters because e.g. predicate pushdown exposes new
-//! constant-folding opportunities, exactly as in the incresql/readyset
-//! pipelines this design follows.
+//! The order is deliberate, as in the incresql/readyset pipelines this design
+//! follows: folding first so pushdown sees clean conditions, pushdown before
+//! the Section 7 rewrites so they see conditions where they will execute,
+//! the OR-splits last because they duplicate subtrees. No later pass opens
+//! work for an earlier one — running the list over its own output changes
+//! nothing, which debug builds assert — so there is no loop; should a pass
+//! ever need a second go, it is listed a second time where it is needed.
 
-use crate::error::PlanError;
+use crate::passes::{collapse, fold, key_antijoin, null_prune, or_split, pushdown};
 use crate::Result;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::Catalog;
+use std::borrow::Cow;
 
-/// Options controlling which passes run and how aggressively.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanOptions {
-    /// Constant / condition folding.
-    pub fold: bool,
-    /// Predicate pushdown (selections move towards the scans and merge into
-    /// join conditions).
-    pub pushdown: bool,
-    /// Projection / distinct collapsing.
-    pub collapse: bool,
-    /// Nullability-aware pruning of `IS [NOT] NULL` checks (paper, Cor. 1).
-    pub prune_nonnullable: bool,
-    /// OR-splitting of anti-join conditions (paper, Section 7).
-    pub split_or: bool,
-    /// OR-splitting of theta-join conditions into unions (the paper's
-    /// "view" form used for Q⁺4).
-    pub split_or_joins: bool,
-    /// Key-based simplification `R ⋉̸⇑ S → R − S` (paper, Section 7).
-    pub key_simplify: bool,
-    /// Maximum number of disjuncts OR-splitting may expand (prevents
-    /// exponential blow-up).
-    pub max_split: usize,
-    /// Maximum number of full pipeline rounds before giving up on a fixpoint.
-    pub max_rounds: usize,
-}
+/// A logical rewrite pass. Must be semantics-preserving on every database
+/// and return a structurally identical expression when it has nothing to do.
+pub type Pass = fn(&RaExpr, &dyn Catalog) -> Result<RaExpr>;
 
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            fold: true,
-            pushdown: true,
-            collapse: true,
-            prune_nonnullable: true,
-            split_or: true,
-            split_or_joins: true,
-            key_simplify: true,
-            max_split: 16,
-            max_rounds: 4,
-        }
-    }
-}
-
-/// Everything a pass may consult while rewriting: the schema/key catalog and
-/// the pipeline options.
-pub struct PassContext<'a> {
-    /// Table schemas and declared keys.
-    pub catalog: &'a dyn Catalog,
-    /// Pipeline options (passes read e.g. `max_split`).
-    pub options: &'a PlanOptions,
-}
-
-/// A single logical rewrite pass.
-pub trait Pass {
-    /// Stable, human-readable pass name (shown in traces).
-    fn name(&self) -> &'static str;
-
-    /// Whether the pass is enabled under the given options.
-    fn enabled(&self, _options: &PlanOptions) -> bool {
-        true
-    }
-
-    /// Rewrite an expression. Must be semantics-preserving on every database
-    /// and must return a structurally identical expression when it has
-    /// nothing to do (the manager detects fixpoints by equality).
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr>;
-}
+/// The pipeline, in execution order: folding, predicate pushdown, projection
+/// collapsing, then the paper's Section 7 rewrites (nullability pruning,
+/// key-based anti-join simplification, OR-splitting of anti-joins and of
+/// joins).
+pub const PASSES: [(&str, Pass); 7] = [
+    ("fold", fold::fold),
+    ("predicate-pushdown", pushdown::pushdown),
+    ("collapse-projections", collapse::collapse),
+    ("prune-null-checks", null_prune::prune_null_checks),
+    ("key-antijoin", key_antijoin::simplify_key_antijoin),
+    ("split-or-antijoin", or_split::split_or_antijoin),
+    ("split-or-join", or_split::split_or_join),
+];
 
 /// One trace record per executed pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassTrace {
     /// Pass name.
     pub pass: &'static str,
-    /// 1-based round in which the pass ran.
+    /// Always 1: every pass runs once.
     pub round: usize,
     /// Whether the pass changed the expression.
     pub changed: bool,
@@ -101,139 +55,48 @@ pub struct PassTrace {
     pub nodes_after: usize,
 }
 
-/// An ordered, re-runnable pipeline of rewrite passes.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    /// Options consulted by the manager and handed to every pass.
-    pub options: PlanOptions,
-}
+/// Runs [`PASSES`] over an expression.
+#[derive(Debug)]
+pub struct PassManager;
 
 impl PassManager {
-    /// A manager with no passes (the identity pipeline).
-    pub fn empty() -> Self {
-        PassManager { passes: Vec::new(), options: PlanOptions::default() }
-    }
-
-    /// The standard pipeline in its canonical order: folding, predicate
-    /// pushdown, projection collapsing, then the paper's Section 7 rewrites
-    /// (nullability pruning, key-based anti-join simplification,
-    /// OR-splitting of anti-joins and of joins).
+    /// The standard pipeline ([`PASSES`]).
     pub fn standard() -> Self {
-        Self::with_options(PlanOptions::default())
+        PassManager
     }
 
-    /// The standard pipeline under explicit options.
-    pub fn with_options(options: PlanOptions) -> Self {
-        use crate::passes::*;
-        let mut m = PassManager { passes: Vec::new(), options };
-        m.push(fold::FoldPass);
-        m.push(pushdown::PushdownPass);
-        m.push(collapse::CollapsePass);
-        m.push(null_prune::NullPrunePass);
-        m.push(key_antijoin::KeyAntiJoinPass);
-        m.push(or_split::SplitOrAntiJoinPass);
-        m.push(or_split::SplitOrJoinPass);
-        m
-    }
-
-    /// Append a pass to the pipeline.
-    pub fn push(&mut self, pass: impl Pass + 'static) -> &mut Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// The names of the registered passes, in pipeline order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Run the pipeline to a fixpoint (or `max_rounds`) and return the
-    /// rewritten expression.
+    /// Run every pass once, in order, and return the rewritten expression.
     pub fn run(&self, expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
         self.run_traced(expr, catalog).map(|(e, _)| e)
     }
 
-    /// Run the pipeline, also returning one [`PassTrace`] per executed pass.
+    /// Run the pipeline, also returning one [`PassTrace`] per pass.
     pub fn run_traced(
         &self,
         expr: &RaExpr,
         catalog: &dyn Catalog,
     ) -> Result<(RaExpr, Vec<PassTrace>)> {
-        let ctx = PassContext { catalog, options: &self.options };
-        let mut current = expr.clone();
-        let mut traces = Vec::new();
-        for round in 1..=self.options.max_rounds.max(1) {
-            let mut round_changed = false;
-            for pass in &self.passes {
-                if !pass.enabled(&self.options) {
-                    continue;
-                }
-                let nodes_before = current.size();
-                let next = pass.run(&current, &ctx)?;
-                let changed = next != current;
-                traces.push(PassTrace {
-                    pass: pass.name(),
-                    round,
-                    changed,
-                    nodes_before,
-                    nodes_after: next.size(),
-                });
-                round_changed |= changed;
-                current = next;
-            }
-            if !round_changed {
-                break;
-            }
-        }
-        Ok((current, traces))
+        let (out, traces) = walk(expr, catalog)?;
+        debug_assert!(
+            walk(&out, catalog).is_ok_and(|(again, _)| again == out),
+            "a second walk over the pass list changed the plan of {expr}"
+        );
+        Ok((out, traces))
     }
 }
 
-impl std::fmt::Debug for PassManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassManager")
-            .field("passes", &self.pass_names())
-            .field("options", &self.options)
-            .finish()
+fn walk(expr: &RaExpr, catalog: &dyn Catalog) -> Result<(RaExpr, Vec<PassTrace>)> {
+    let mut current = Cow::Borrowed(expr);
+    let mut nodes = expr.size();
+    let mut traces = Vec::with_capacity(PASSES.len());
+    for (name, pass) in PASSES {
+        let next = pass(&current, catalog)?;
+        let nodes_after = next.size();
+        let changed = next != *current;
+        traces.push(PassTrace { pass: name, round: 1, changed, nodes_before: nodes, nodes_after });
+        (current, nodes) = (Cow::Owned(next), nodes_after);
     }
-}
-
-/// A pass defined by a plain function (convenient in tests).
-pub struct FnPass<F> {
-    name: &'static str,
-    f: F,
-}
-
-impl<F> FnPass<F>
-where
-    F: Fn(&RaExpr, &PassContext<'_>) -> Result<RaExpr>,
-{
-    /// Wrap a function as a pass.
-    pub fn new(name: &'static str, f: F) -> Self {
-        FnPass { name, f }
-    }
-}
-
-impl<F> Pass for FnPass<F>
-where
-    F: Fn(&RaExpr, &PassContext<'_>) -> Result<RaExpr>,
-{
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        (self.f)(expr, ctx)
-    }
-}
-
-/// Guard helper: a manager-level invariant check that a rewrite did not
-/// change the expression's output schema (used in debug assertions and
-/// tests).
-pub fn schemas_agree(a: &RaExpr, b: &RaExpr, catalog: &dyn Catalog) -> Result<bool> {
-    let sa = certus_algebra::schema_infer::output_schema(a, catalog).map_err(PlanError::Algebra)?;
-    let sb = certus_algebra::schema_infer::output_schema(b, catalog).map_err(PlanError::Algebra)?;
-    Ok(sa.arity() == sb.arity())
+    Ok((current.into_owned(), traces))
 }
 
 #[cfg(test)]
@@ -251,19 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_manager_is_identity() {
-        let db = db();
-        let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
-        let out = PassManager::empty().run(&q, &db).unwrap();
-        assert_eq!(out, q);
-    }
-
-    #[test]
     fn standard_manager_registers_all_seven_passes() {
-        let m = PassManager::standard();
         assert_eq!(
-            m.pass_names(),
-            vec![
+            PASSES.map(|(name, _)| name),
+            [
                 "fold",
                 "predicate-pushdown",
                 "collapse-projections",
@@ -286,29 +140,9 @@ mod tests {
         let (again, traces2) = m.run_traced(&out, &db).unwrap();
         assert_eq!(out, again);
         assert!(traces2.iter().all(|t| !t.changed));
-        // The first run stopped before max_rounds * passes entries.
-        let max = m.options.max_rounds * m.pass_names().len();
-        assert!(traces.len() < max, "expected early fixpoint, got {} traces", traces.len());
-    }
-
-    #[test]
-    fn fn_pass_and_custom_pipelines() {
-        let db = db();
-        // A toy pass that wraps the root in Distinct once.
-        let m = {
-            let mut m = PassManager::empty();
-            m.push(FnPass::new("distinct-root", |e: &RaExpr, _ctx: &PassContext<'_>| {
-                Ok(match e {
-                    RaExpr::Distinct { .. } => e.clone(),
-                    other => other.clone().distinct(),
-                })
-            }));
-            m
-        };
-        let q = RaExpr::relation("r");
-        let out = m.run(&q, &db).unwrap();
-        assert!(matches!(out, RaExpr::Distinct { .. }));
-        assert_eq!(m.pass_names(), vec!["distinct-root"]);
+        // One walk: each pass ran exactly once.
+        assert_eq!(traces.len(), PASSES.len());
+        assert!(traces.iter().all(|t| t.round == 1));
     }
 
     #[test]
@@ -321,13 +155,5 @@ mod tests {
         assert!(fold.changed);
         assert_eq!(fold.nodes_before, 2);
         assert_eq!(fold.nodes_after, 1);
-    }
-
-    #[test]
-    fn schemas_agree_helper() {
-        let db = db();
-        let q = RaExpr::relation("r");
-        let p = RaExpr::relation("r").distinct();
-        assert!(schemas_agree(&q, &p, &db).unwrap());
     }
 }

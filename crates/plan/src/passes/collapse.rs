@@ -9,27 +9,9 @@
 //! * `δ(e) → e` when `e` is itself duplicate-free by construction (set
 //!   operations, projections, distinct).
 
-use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::{PlanError, Result};
 use certus_algebra::expr::{ProjCol, RaExpr};
 use certus_algebra::schema_infer::{output_schema, Catalog};
-
-/// The collapsing pass.
-pub struct CollapsePass;
-
-impl Pass for CollapsePass {
-    fn name(&self) -> &'static str {
-        "collapse-projections"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.collapse
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        collapse(expr, ctx.catalog)
-    }
-}
 
 /// Whether an operator's output is duplicate-free by construction.
 fn dedups(expr: &RaExpr) -> bool {

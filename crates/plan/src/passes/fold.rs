@@ -10,30 +10,12 @@
 //!   input's schema; a join whose folded condition is `FALSE` likewise
 //!   becomes an empty literal relation.
 
-use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::{PlanError, Result};
 use certus_algebra::condition::{Condition, Operand};
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::{output_schema, Catalog};
 use certus_data::compare::sql_cmp;
 use certus_data::Truth;
-
-/// The folding pass.
-pub struct FoldPass;
-
-impl Pass for FoldPass {
-    fn name(&self) -> &'static str {
-        "fold"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.fold
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        fold(expr, ctx.catalog)
-    }
-}
 
 /// Fold constants and trivial conditions everywhere in the expression.
 pub fn fold(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {

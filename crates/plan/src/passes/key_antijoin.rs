@@ -4,49 +4,28 @@
 //! can never unify, so "unifies with no tuple of S ⊆ R" collapses to plain
 //! set difference — which the engine evaluates with a hash table.
 
-use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::Result;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::Catalog;
-use std::convert::Infallible;
-
-/// The key-based anti-join simplification pass.
-pub struct KeyAntiJoinPass;
-
-impl Pass for KeyAntiJoinPass {
-    fn name(&self) -> &'static str {
-        "key-antijoin"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.key_simplify
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        Ok(simplify_key_antijoin(expr, ctx.catalog))
-    }
-}
 
 /// Replace `R ⋉̸⇑ S` by `R − S` when `R` is a keyed base relation and `S` is
 /// structurally contained in `R`.
-pub fn simplify_key_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> RaExpr {
+pub fn simplify_key_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::UnifyAntiSemiJoin { left, right } => {
-            let left = simplify_key_antijoin(left, catalog);
-            let right = simplify_key_antijoin(right, catalog);
+            let left = simplify_key_antijoin(left, catalog)?;
+            let right = simplify_key_antijoin(right, catalog)?;
             let has_key = match &left {
                 RaExpr::Relation { name, .. } => !catalog.table_key(name).is_empty(),
                 _ => false,
             };
-            if has_key && contained_in(&right, &left) {
+            Ok(if has_key && contained_in(&right, &left) {
                 left.difference(right)
             } else {
                 left.unify_anti_join(right)
-            }
+            })
         }
-        other => other
-            .map_children(&mut |c| Ok::<RaExpr, Infallible>(simplify_key_antijoin(c, catalog)))
-            .expect("infallible"),
+        other => other.map_children(&mut |c| simplify_key_antijoin(c, catalog)),
     }
 }
 
@@ -95,7 +74,7 @@ mod tests {
         let db = keyed_db();
         let sub = RaExpr::relation("keyed").select(eq("k", "v"));
         let q = RaExpr::relation("keyed").unify_anti_join(sub);
-        assert!(matches!(simplify_key_antijoin(&q, &db), RaExpr::Difference { .. }));
+        assert!(matches!(simplify_key_antijoin(&q, &db).unwrap(), RaExpr::Difference { .. }));
     }
 
     #[test]
@@ -103,9 +82,9 @@ mod tests {
         let db = keyed_db();
         let no_key = RaExpr::relation("plain")
             .unify_anti_join(RaExpr::relation("plain").select(eq("x", "y")));
-        assert_eq!(simplify_key_antijoin(&no_key, &db), no_key);
+        assert_eq!(simplify_key_antijoin(&no_key, &db).unwrap(), no_key);
         let unrelated = RaExpr::relation("keyed").unify_anti_join(RaExpr::relation("plain"));
-        assert_eq!(simplify_key_antijoin(&unrelated, &db), unrelated);
+        assert_eq!(simplify_key_antijoin(&unrelated, &db).unwrap(), unrelated);
     }
 
     #[test]
@@ -125,7 +104,7 @@ mod tests {
         let db = keyed_db();
         let q = RaExpr::relation("keyed")
             .unify_anti_join(RaExpr::relation("keyed").select(eq("k", "v")));
-        let once = simplify_key_antijoin(&q, &db);
-        assert_eq!(simplify_key_antijoin(&once, &db), once);
+        let once = simplify_key_antijoin(&q, &db).unwrap();
+        assert_eq!(simplify_key_antijoin(&once, &db).unwrap(), once);
     }
 }

@@ -1,8 +1,7 @@
 //! The individual rewrite passes.
 //!
-//! Each module exposes a [`crate::pass::Pass`] implementation plus the
-//! underlying free function, so callers can run a rewrite outside the
-//! pipeline (as `certus-core`'s compatibility layer does):
+//! Each module exposes its rewrite as a free function of the
+//! [`crate::pass::Pass`] shape; [`crate::pass::PASSES`] lists them in order:
 //!
 //! * [`fold`] — constant / condition folding and trivial-selection removal;
 //! * [`pushdown`] — predicate pushdown towards the scans;

@@ -7,29 +7,11 @@
 //! re-simplify. This is sanctioned by Corollary 1 (it strengthens `θ*` and
 //! weakens nothing in `θ**` that could ever be true).
 
-use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::{PlanError, Result};
 use certus_algebra::condition::Condition;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::{output_schema, Catalog};
 use certus_data::Schema;
-
-/// The nullability-pruning pass.
-pub struct NullPrunePass;
-
-impl Pass for NullPrunePass {
-    fn name(&self) -> &'static str {
-        "prune-null-checks"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.prune_nonnullable
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        prune_null_checks(expr, ctx.catalog)
-    }
-}
 
 /// Simplify `IS NULL` / `IS NOT NULL` atoms over columns that can never be
 /// null according to the schema: `col IS NULL → FALSE`, `col IS NOT NULL →
@@ -143,6 +125,10 @@ mod tests {
         let q = RaExpr::relation("t")
             .anti_join(RaExpr::relation("t").rename(&["k2", "v2"]), eq("k", "k2").or(is_null("k")));
         let once = prune_null_checks(&q, &db).unwrap();
+        // Join conditions are pruned like selections: `k` is a key column.
+        assert!(
+            matches!(once, RaExpr::AntiJoin { ref condition, .. } if *condition == eq("k", "k2"))
+        );
         let twice = prune_null_checks(&once, &db).unwrap();
         assert_eq!(once, twice);
     }

@@ -1,4 +1,4 @@
-//! OR-splitting (paper, Section 7) — cost-guarded.
+//! OR-splitting (paper, Section 7), guarded by hashability.
 //!
 //! After the certain-answer translation, join conditions inside `NOT EXISTS`
 //! subqueries look like `(A = B OR A IS NULL) ∧ …` — the disjunction hides
@@ -15,56 +15,21 @@
 //! Splitting unconditionally can *pessimize*: a DNF disjunct with no
 //! extractable equality still runs as a nested loop, so a union/chain with
 //! several keyless branches multiplies the quadratic work the rewrite was
-//! supposed to remove. The pipeline passes therefore split only when the
-//! unsplit condition is unhashable and the split branches actually hash —
-//! every branch for a join (each union branch rescans both inputs), all but
-//! at most one for an anti-join chain (hashable branches run first and
-//! shrink the left side before the lone nested-loop step). The raw,
-//! unguarded rewrites remain available as [`split_or_antijoin`] /
-//! [`split_or_join`].
+//! supposed to remove. Both passes therefore split only when the unsplit
+//! condition is unhashable and the split branches actually hash — every
+//! branch for a join (each union branch rescans both inputs), all but at
+//! most one for an anti-join chain (hashable branches run first and shrink
+//! the left side before the lone nested-loop step).
 
 use crate::equi::split_equi;
-use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::{PlanError, Result};
 use certus_algebra::condition::Condition;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::{output_schema, Catalog};
-use std::convert::Infallible;
 
-/// OR-splitting of anti-join conditions (guarded by hashability).
-pub struct SplitOrAntiJoinPass;
-
-impl Pass for SplitOrAntiJoinPass {
-    fn name(&self) -> &'static str {
-        "split-or-antijoin"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.split_or
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        split_or_antijoin_guarded(expr, ctx.catalog, ctx.options.max_split)
-    }
-}
-
-/// OR-splitting of theta-join conditions into unions (guarded by
-/// hashability).
-pub struct SplitOrJoinPass;
-
-impl Pass for SplitOrJoinPass {
-    fn name(&self) -> &'static str {
-        "split-or-join"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.split_or_joins
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        split_or_join_guarded(expr, ctx.catalog, ctx.options.max_split)
-    }
-}
+/// Most disjuncts a condition may have and still be split (prevents
+/// exponential blow-up).
+const MAX_SPLIT: usize = 16;
 
 /// The disjuncts of a condition, when splitting stands a chance of paying
 /// off: the unsplit condition extracts no hash keys, the disjunct count is
@@ -75,10 +40,9 @@ fn splittable_disjuncts(
     left: &RaExpr,
     right: &RaExpr,
     catalog: &dyn Catalog,
-    max_split: usize,
 ) -> Result<Option<(Vec<Condition>, usize)>> {
     let disjuncts = condition.to_dnf();
-    if disjuncts.len() < 2 || disjuncts.len() > max_split {
+    if disjuncts.len() < 2 || disjuncts.len() > MAX_SPLIT {
         return Ok(None);
     }
     let l_schema = output_schema(left, catalog).map_err(PlanError::Algebra)?;
@@ -98,19 +62,15 @@ fn splittable_disjuncts(
     Ok(Some((ordered, keyless_count)))
 }
 
-/// Guarded OR-splitting of anti-joins: split into a chain only when the
-/// unsplit condition is unhashable and at most one branch stays keyless
-/// (hashable branches run first, shrinking the left side).
-pub fn split_or_antijoin_guarded(
-    expr: &RaExpr,
-    catalog: &dyn Catalog,
-    max_split: usize,
-) -> Result<RaExpr> {
+/// OR-splitting of anti-joins: split into a chain only when the unsplit
+/// condition is unhashable and at most one branch stays keyless (hashable
+/// branches run first, shrinking the left side).
+pub fn split_or_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::AntiJoin { left, right, condition } => {
-            let left = split_or_antijoin_guarded(left, catalog, max_split)?;
-            let right = split_or_antijoin_guarded(right, catalog, max_split)?;
-            match splittable_disjuncts(condition, &left, &right, catalog, max_split)? {
+            let left = split_or_antijoin(left, catalog)?;
+            let right = split_or_antijoin(right, catalog)?;
+            match splittable_disjuncts(condition, &left, &right, catalog)? {
                 Some((disjuncts, keyless)) if keyless <= 1 => {
                     let mut out = left;
                     for d in disjuncts {
@@ -121,24 +81,20 @@ pub fn split_or_antijoin_guarded(
                 _ => Ok(left.anti_join(right, condition.clone())),
             }
         }
-        other => other.map_children(&mut |c| split_or_antijoin_guarded(c, catalog, max_split)),
+        other => other.map_children(&mut |c| split_or_antijoin(c, catalog)),
     }
 }
 
-/// Guarded OR-splitting of joins into unions: split only when the unsplit
-/// condition is unhashable and **every** branch hashes (each union branch
-/// rescans both inputs, so a single keyless branch already costs as much as
-/// not splitting at all).
-pub fn split_or_join_guarded(
-    expr: &RaExpr,
-    catalog: &dyn Catalog,
-    max_split: usize,
-) -> Result<RaExpr> {
+/// OR-splitting of joins into unions: split only when the unsplit condition
+/// is unhashable and **every** branch hashes (each union branch rescans both
+/// inputs, so a single keyless branch already costs as much as not splitting
+/// at all).
+pub fn split_or_join(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::Join { left, right, condition } => {
-            let left = split_or_join_guarded(left, catalog, max_split)?;
-            let right = split_or_join_guarded(right, catalog, max_split)?;
-            match splittable_disjuncts(condition, &left, &right, catalog, max_split)? {
+            let left = split_or_join(left, catalog)?;
+            let right = split_or_join(right, catalog)?;
+            match splittable_disjuncts(condition, &left, &right, catalog)? {
                 Some((disjuncts, 0)) => {
                     let mut iter = disjuncts.into_iter();
                     let first = left.clone().join(right.clone(), iter.next().expect("non-empty"));
@@ -147,65 +103,14 @@ pub fn split_or_join_guarded(
                 _ => Ok(left.join(right, condition.clone())),
             }
         }
-        other => other.map_children(&mut |c| split_or_join_guarded(c, catalog, max_split)),
-    }
-}
-
-/// OR-splitting of anti-joins: `l ▷_{φ1 ∨ … ∨ φk} r` is rewritten into
-/// `(((l ▷_{φ1} r) ▷_{φ2} r) … ) ▷_{φk} r`, which is equivalent (a tuple
-/// survives iff it has no match under any disjunct) and lets the physical
-/// planner use a hash anti-join for every disjunct that is a conjunction of
-/// equalities plus residual predicates.
-pub fn split_or_antijoin(expr: &RaExpr, max_split: usize) -> RaExpr {
-    match expr {
-        RaExpr::AntiJoin { left, right, condition } => {
-            let left = split_or_antijoin(left, max_split);
-            let right = split_or_antijoin(right, max_split);
-            let disjuncts = condition.to_dnf();
-            if disjuncts.len() > 1 && disjuncts.len() <= max_split {
-                let mut out = left;
-                for d in disjuncts {
-                    out = out.anti_join(right.clone(), d);
-                }
-                out
-            } else {
-                left.anti_join(right, condition.clone())
-            }
-        }
-        other => other
-            .map_children(&mut |c| Ok::<RaExpr, Infallible>(split_or_antijoin(c, max_split)))
-            .expect("infallible"),
-    }
-}
-
-/// OR-splitting for theta-joins: `l ⋈_{φ1 ∨ … ∨ φk} r` is rewritten into the
-/// union `(l ⋈_{φ1} r) ∪ … ∪ (l ⋈_{φk} r)`, which is equivalent under set
-/// semantics. This is the union/view form the paper uses for Q⁺4 (its
-/// `part_view` / `supp_view` are exactly such unions).
-pub fn split_or_join(expr: &RaExpr, max_split: usize) -> RaExpr {
-    match expr {
-        RaExpr::Join { left, right, condition } => {
-            let left = split_or_join(left, max_split);
-            let right = split_or_join(right, max_split);
-            let disjuncts = condition.to_dnf();
-            if disjuncts.len() > 1 && disjuncts.len() <= max_split {
-                let mut iter = disjuncts.into_iter();
-                let first = left.clone().join(right.clone(), iter.next().expect("non-empty"));
-                iter.fold(first, |acc, d| acc.union(left.clone().join(right.clone(), d)))
-            } else {
-                left.join(right, condition.clone())
-            }
-        }
-        other => other
-            .map_children(&mut |c| Ok::<RaExpr, Infallible>(split_or_join(c, max_split)))
-            .expect("infallible"),
+        other => other.map_children(&mut |c| split_or_join(c, catalog)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certus_algebra::builder::{eq, is_null, neq};
+    use certus_algebra::builder::{eq, eq_const, is_null, neq};
     use certus_algebra::eval::eval;
     use certus_algebra::NullSemantics;
     use certus_data::builder::rel;
@@ -238,44 +143,22 @@ mod tests {
     }
 
     #[test]
-    fn antijoin_or_splits_into_a_chain() {
-        let db = db();
-        let cond = eq("a", "c").or(is_null("c"));
-        let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), cond);
-        let split = split_or_antijoin(&q, 16);
-        let mut count = 0;
-        let mut cur = &split;
-        while let RaExpr::AntiJoin { left, .. } = cur {
-            count += 1;
-            cur = left;
-        }
-        assert_eq!(count, 2);
-        let a = eval(&q, &db, NullSemantics::Sql).unwrap().sorted();
-        let b = eval(&split, &db, NullSemantics::Sql).unwrap().sorted();
-        assert_eq!(a.tuples(), b.tuples());
-    }
-
-    #[test]
-    fn join_or_splits_into_a_union() {
-        let db = db();
-        let cond = eq("a", "c").or(is_null("d").and(neq("b", "d")));
-        let q = RaExpr::relation("r").join(RaExpr::relation("s"), cond);
-        let split = split_or_join(&q, 16);
-        assert!(matches!(split, RaExpr::Union { .. }), "{split}");
-        let a = eval(&q, &db, NullSemantics::Sql).unwrap().sorted().distinct();
-        let b = eval(&split, &db, NullSemantics::Sql).unwrap().sorted().distinct();
-        assert_eq!(a.tuples(), b.tuples());
-    }
-
-    #[test]
     fn max_split_bounds_the_expansion() {
-        let cond = is_null("c").or(is_null("d")).or(neq("a", "c"));
-        let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), cond.clone());
-        let kept = split_or_antijoin(&q, 2);
-        assert!(matches!(kept, RaExpr::AntiJoin { ref condition, .. } if *condition == cond));
-        let j = RaExpr::relation("r").join(RaExpr::relation("s"), cond.clone());
-        let kept = split_or_join(&j, 2);
-        assert!(matches!(kept, RaExpr::Join { ref condition, .. } if *condition == cond));
+        let db = db();
+        // Every disjunct `a = c AND b = k` hashes; one more than MAX_SPLIT of
+        // them is left alone.
+        let wide = |n: i64| {
+            (1..n).fold(eq("a", "c").and(eq_const("b", 0)), |acc, k| {
+                acc.or(eq("a", "c").and(eq_const("b", k)))
+            })
+        };
+        let at = RaExpr::relation("r").join(RaExpr::relation("s"), wide(MAX_SPLIT as i64));
+        assert!(matches!(split_or_join(&at, &db).unwrap(), RaExpr::Union { .. }));
+        let over = MAX_SPLIT as i64 + 1;
+        let j = RaExpr::relation("r").join(RaExpr::relation("s"), wide(over));
+        assert_eq!(split_or_join(&j, &db).unwrap(), j);
+        let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), wide(over));
+        assert_eq!(split_or_antijoin(&q, &db).unwrap(), q);
     }
 
     #[test]
@@ -285,7 +168,7 @@ mod tests {
         // branch first.
         let q =
             RaExpr::relation("r").anti_join(RaExpr::relation("s"), is_null("c").or(eq("a", "c")));
-        let split = split_or_antijoin_guarded(&q, &db, 16).unwrap();
+        let split = split_or_antijoin(&q, &db).unwrap();
         match &split {
             RaExpr::AntiJoin { left, condition, .. } => {
                 // Outermost step is the keyless isnull branch; the hashable
@@ -304,12 +187,12 @@ mod tests {
         // Two keyless branches: splitting would multiply nested-loop work.
         let q = RaExpr::relation("r")
             .anti_join(RaExpr::relation("s"), is_null("c").or(is_null("d")).or(eq("a", "c")));
-        assert_eq!(split_or_antijoin_guarded(&q, &db, 16).unwrap(), q);
+        assert_eq!(split_or_antijoin(&q, &db).unwrap(), q);
 
         // Already hashable with residual: no split either.
         let q = RaExpr::relation("r")
             .anti_join(RaExpr::relation("s"), eq("a", "c").and(neq("b", "d").or(is_null("d"))));
-        assert_eq!(split_or_antijoin_guarded(&q, &db, 16).unwrap(), q);
+        assert_eq!(split_or_antijoin(&q, &db).unwrap(), q);
     }
 
     #[test]
@@ -318,7 +201,7 @@ mod tests {
         // Both branches hash → union split.
         let all_hash =
             RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(eq("b", "d")));
-        let split = split_or_join_guarded(&all_hash, &db, 16).unwrap();
+        let split = split_or_join(&all_hash, &db).unwrap();
         assert!(matches!(split, RaExpr::Union { .. }), "{split}");
         let a = eval(&all_hash, &db, NullSemantics::Sql).unwrap().sorted().distinct();
         let b = eval(&split, &db, NullSemantics::Sql).unwrap().sorted().distinct();
@@ -327,17 +210,20 @@ mod tests {
         // A keyless branch would rescan both inputs as a nested loop: keep.
         let mixed =
             RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(is_null("d")));
-        assert_eq!(split_or_join_guarded(&mixed, &db, 16).unwrap(), mixed);
+        assert_eq!(split_or_join(&mixed, &db).unwrap(), mixed);
     }
 
     #[test]
     fn splitting_is_idempotent() {
+        let db = db();
         let q =
             RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "c").or(is_null("c")));
-        let once = split_or_antijoin(&q, 16);
-        assert_eq!(split_or_antijoin(&once, 16), once);
-        let j = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(is_null("c")));
-        let once = split_or_join(&j, 16);
-        assert_eq!(split_or_join(&once, 16), once);
+        let once = split_or_antijoin(&q, &db).unwrap();
+        assert_ne!(once, q);
+        assert_eq!(split_or_antijoin(&once, &db).unwrap(), once);
+        let j = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(eq("b", "d")));
+        let once = split_or_join(&j, &db).unwrap();
+        assert_ne!(once, j);
+        assert_eq!(split_or_join(&once, &db).unwrap(), once);
     }
 }

@@ -21,29 +21,11 @@
 //! commute with the tuple-preserving operators used here.
 
 use crate::equi::{JoinSides, Side};
-use crate::pass::{Pass, PassContext, PlanOptions};
 use crate::{PlanError, Result};
 use certus_algebra::condition::Condition;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::{output_schema, Catalog};
 use certus_data::Schema;
-
-/// The predicate-pushdown pass.
-pub struct PushdownPass;
-
-impl Pass for PushdownPass {
-    fn name(&self) -> &'static str {
-        "predicate-pushdown"
-    }
-
-    fn enabled(&self, options: &PlanOptions) -> bool {
-        options.pushdown
-    }
-
-    fn run(&self, expr: &RaExpr, ctx: &PassContext<'_>) -> Result<RaExpr> {
-        pushdown(expr, ctx.catalog)
-    }
-}
 
 /// Push every selection in the expression — and every single-side conjunct
 /// of a join condition — as far down as it can go.

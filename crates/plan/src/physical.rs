@@ -1,18 +1,17 @@
 //! Physical planning: turning a logical [`RaExpr`] into a [`PhysicalExpr`]
 //! tree with an explicit algorithm choice per join-like node.
 //!
-//! Two planners are provided:
-//!
-//! * [`heuristic_plan`] — the statistics-free rules the engine always
-//!   applied inline before this subsystem existed (hash join whenever a
-//!   key — plain or null-aware, see [`crate::equi`] — can be extracted,
-//!   decorrelated short-circuit whenever a semijoin condition ignores the
-//!   outer side, nested loops otherwise). `Engine::execute` uses it so plain
-//!   execution needs no statistics.
-//! * [`PhysicalPlanner`] — the same algorithm rule per node, plus a
-//!   [`StatisticsCatalog`] and the cost model for row/cost estimates and
-//!   exchange placement; emits an [`ExplainPlan`] tree with per-node
-//!   estimates (rendered by `examples/explain_plans.rs`).
+//! There is one planner, [`PhysicalPlanner`], and its choices follow from
+//! the expression and the thread count alone: hash join whenever a key —
+//! plain or null-aware, see [`crate::equi`] — can be extracted, decorrelated
+//! short-circuit whenever a semijoin condition ignores the outer side,
+//! nested loops otherwise; an exchange at every site the engine can run in
+//! parallel when there is more than one thread (the engine decides at run
+//! time, on the rows that actually arrive, whether to use it). The
+//! [`StatisticsCatalog`] feeds only the row/cost estimates of the
+//! [`ExplainPlan`] tree, so planning with or without statistics yields the
+//! same [`PhysicalExpr`]; [`heuristic_plan_with`] is the planner over
+//! [`StatisticsCatalog::empty`], for callers that want no estimates.
 
 use crate::equi::{references_schema, split_equi, EquiSplit, NullOk};
 use crate::stats::StatisticsCatalog;
@@ -56,31 +55,24 @@ impl Partitioning {
     }
 }
 
-/// Parallelism configuration for the planners: how many worker threads the
-/// executing engine has, and how many estimated rows an input must clear
-/// before an exchange is worth its repartitioning cost.
+/// Parallelism configuration for the planner: how many worker threads the
+/// executing engine has.
 ///
-/// With `threads == 1` (the [`Parallelism::serial`] default) the planners
-/// insert no exchange operators at all, so plans — and therefore the engine's
-/// execution path — degenerate to the serial ones.
+/// With `threads == 1` (the [`Parallelism::serial`] default) the planner
+/// inserts no exchange operators at all, so plans — and therefore the engine's
+/// execution path — degenerate to the serial ones. With more, every eligible
+/// site gets one: an exchange only *permits* the engine to go parallel, and
+/// the engine's runtime floor on actual rows decides whether it does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parallelism {
     /// Worker threads available to the executor (1 = serial).
     pub threads: usize,
-    /// Minimum estimated input rows before an exchange is inserted. Only
-    /// consulted when statistics are available; the statistics-free heuristic
-    /// planner has no row estimates and gates on `threads` alone.
-    pub row_threshold: f64,
 }
 
 impl Parallelism {
-    /// Default row threshold: repartitioning costs one pass over the input,
-    /// so tiny inputs are not worth exchanging.
-    pub const DEFAULT_ROW_THRESHOLD: f64 = 1024.0;
-
     /// Parallelism over the given number of worker threads.
     pub fn new(threads: usize) -> Self {
-        Parallelism { threads: threads.max(1), row_threshold: Self::DEFAULT_ROW_THRESHOLD }
+        Parallelism { threads: threads.max(1) }
     }
 
     /// Serial planning: no exchange operators.
@@ -88,15 +80,9 @@ impl Parallelism {
         Parallelism::new(1)
     }
 
-    /// Whether exchanges may be inserted at all.
+    /// Whether exchanges are inserted.
     pub fn enabled(&self) -> bool {
         self.threads > 1
-    }
-
-    /// Whether an input with the given estimated rows should be exchanged.
-    /// `estimated` is `None` when planning without statistics.
-    fn worthwhile(&self, estimated: Option<f64>) -> bool {
-        self.enabled() && estimated.map(|r| r >= self.row_threshold).unwrap_or(true)
     }
 }
 
@@ -499,27 +485,23 @@ impl fmt::Display for ExplainPlan {
     }
 }
 
-/// The statistics-free planner: hash wherever a key (plain or null-aware)
-/// exists, decorrelated short-circuit wherever a semijoin ignores its outer
-/// side, nested loops otherwise.
+/// [`heuristic_plan_with`] for a serial engine.
 pub fn heuristic_plan(expr: &RaExpr, catalog: &dyn Catalog) -> Result<PhysicalExpr> {
     heuristic_plan_with(expr, catalog, &Parallelism::serial())
 }
 
-/// The heuristic planner with a parallelism configuration: same algorithm
-/// choices as [`heuristic_plan`], plus exchange operators above hash-join
-/// builds and union branches when more than one worker thread is available.
-/// (There are no statistics here, so the row threshold cannot be consulted —
-/// every eligible site is exchanged.)
+/// The plan of [`PhysicalPlanner`] without a statistics catalog at hand —
+/// the same tree, since statistics only feed estimates.
 pub fn heuristic_plan_with(
     expr: &RaExpr,
     catalog: &dyn Catalog,
     parallelism: &Parallelism,
 ) -> Result<PhysicalExpr> {
-    plan_rec(expr, catalog, None, parallelism).map(|p| p.phys)
+    plan_rec(expr, catalog, &StatisticsCatalog::empty(), parallelism).map(|p| p.phys)
 }
 
-/// A cost-based physical planner over a statistics catalog.
+/// The physical planner. Statistics feed the estimates of the explain tree
+/// and nothing else.
 pub struct PhysicalPlanner<'a> {
     catalog: &'a dyn Catalog,
     stats: &'a StatisticsCatalog,
@@ -532,8 +514,8 @@ impl<'a> PhysicalPlanner<'a> {
         PhysicalPlanner::with_parallelism(catalog, stats, Parallelism::serial())
     }
 
-    /// A planner that inserts exchange operators wherever the estimated rows
-    /// clear the parallelism configuration's threshold.
+    /// A planner that inserts exchange operators when `parallelism` has more
+    /// than one thread.
     pub fn with_parallelism(
         catalog: &'a dyn Catalog,
         stats: &'a StatisticsCatalog,
@@ -544,18 +526,17 @@ impl<'a> PhysicalPlanner<'a> {
 
     /// Produce the physical plan for an expression.
     pub fn plan(&self, expr: &RaExpr) -> Result<PhysicalExpr> {
-        plan_rec(expr, self.catalog, Some(self.stats), &self.parallelism).map(|p| p.phys)
+        self.plan_explained(expr).map(|(phys, _)| phys)
     }
 
     /// Produce the physical plan together with its explain tree.
     pub fn plan_explained(&self, expr: &RaExpr) -> Result<(PhysicalExpr, ExplainPlan)> {
-        plan_rec(expr, self.catalog, Some(self.stats), &self.parallelism)
-            .map(|p| (p.phys, p.explain))
+        plan_rec(expr, self.catalog, self.stats, &self.parallelism).map(|p| (p.phys, p.explain))
     }
 
     /// Produce only the explain tree.
     pub fn explain(&self, expr: &RaExpr) -> Result<ExplainPlan> {
-        plan_rec(expr, self.catalog, Some(self.stats), &self.parallelism).map(|p| p.explain)
+        self.plan_explained(expr).map(|(_, explain)| explain)
     }
 }
 
@@ -585,14 +566,12 @@ fn exchange(child: Planned, partitioning: Partitioning) -> Planned {
 fn plan_rec(
     expr: &RaExpr,
     catalog: &dyn Catalog,
-    stats: Option<&StatisticsCatalog>,
+    stats: &StatisticsCatalog,
     par: &Parallelism,
 ) -> Result<Planned> {
-    let empty_stats = StatisticsCatalog::empty();
-    let st = stats.unwrap_or(&empty_stats);
     Ok(match expr {
         RaExpr::Relation { name, .. } => {
-            let rows = st.row_count(name).unwrap_or(0) as f64;
+            let rows = stats.row_count(name).unwrap_or(0) as f64;
             explained(PhysicalExpr::Source(expr.clone()), rows, rows, vec![])
         }
         RaExpr::Values { rows, .. } => {
@@ -601,16 +580,14 @@ fn plan_rec(
         }
         RaExpr::Select { input, condition } => {
             let mut c = plan_rec(input, catalog, stats, par)?;
-            let rows = c.explain.rows * crate::cost::selectivity_with(condition, st);
+            let rows = c.explain.rows * crate::cost::selectivity_with(condition, stats);
             // Batch-eligible filters run column-wise in the engine's
             // vectorized pipelines and charge a discounted per-row factor.
             let cpu = crate::cost::filter_cpu_factor(condition);
             let mut cost = c.explain.cost + c.explain.rows * cpu;
-            // A filter over a large input is data-parallel: split it into
-            // contiguous morsels, one per worker. Only worthwhile when
-            // statistics prove the input large — the heuristic planner
-            // (stats-free) never knows, so it never exchanges filters.
-            if stats.is_some() && par.worthwhile(Some(c.explain.rows)) {
+            // A filter is data-parallel: the exchange marks the fused
+            // pipeline for contiguous morsels, one per worker.
+            if par.enabled() {
                 c = exchange(c, Partitioning::RoundRobin { partitions: par.threads });
                 cost = c.explain.cost + c.explain.rows * cpu;
             }
@@ -709,7 +686,7 @@ fn plan_rec(
             // Duplicate elimination partitions by full-row hash in the
             // engine, so any repartitioning marker works; round-robin keeps
             // the exchange cost model identical to the filter case.
-            if par.worthwhile(stats.map(|_| c.explain.rows)) {
+            if par.enabled() {
                 c = exchange(c, Partitioning::RoundRobin { partitions: par.threads });
             }
             let (rows, cost) = (c.explain.rows, c.explain.cost + c.explain.rows);
@@ -726,7 +703,7 @@ fn plan_rec(
             // row of a group lands in the same partition, so partitions
             // aggregate independently. A global aggregate (no key) has a
             // single group and stays serial.
-            if !group_by.is_empty() && par.worthwhile(stats.map(|_| c.explain.rows)) {
+            if !group_by.is_empty() && par.enabled() {
                 let p = Partitioning::Hash { keys: group_by.clone(), partitions: par.threads };
                 c = exchange(c, p);
             }
@@ -751,19 +728,19 @@ fn plan_setop(
     left: &RaExpr,
     right: &RaExpr,
     catalog: &dyn Catalog,
-    stats: Option<&StatisticsCatalog>,
+    stats: &StatisticsCatalog,
     par: &Parallelism,
 ) -> Result<Planned> {
     let mut l = plan_rec(left, catalog, stats, par)?;
     let mut r = plan_rec(right, catalog, stats, par)?;
     let rows = crate::cost::setop_rows(l.explain.rows, r.explain.rows);
     let mut cost = l.explain.cost + r.explain.cost + l.explain.rows + r.explain.rows;
-    // Mark both sides for parallel evaluation when the combined input clears
-    // the threshold. Union branches are independent and run concurrently
-    // (the translation's split unions — the Q⁺ arms — are the target);
-    // intersect and difference hash-partition by full row in the engine, so
-    // the exchange is the same pass-through repartitioning marker.
-    if par.worthwhile(stats.map(|_| l.explain.rows + r.explain.rows)) {
+    // Mark both sides for parallel evaluation. Union branches are
+    // independent and run concurrently (the translation's split unions —
+    // the Q⁺ arms — are the target); intersect and difference
+    // hash-partition by full row in the engine, so the exchange is the same
+    // pass-through repartitioning marker.
+    if par.enabled() {
         let p = Partitioning::RoundRobin { partitions: par.threads };
         l = exchange(l, p.clone());
         r = exchange(r, p);
@@ -802,7 +779,7 @@ fn plan_join(
     right: &RaExpr,
     condition: &Condition,
     catalog: &dyn Catalog,
-    stats: Option<&StatisticsCatalog>,
+    stats: &StatisticsCatalog,
     par: &Parallelism,
 ) -> Result<Planned> {
     let l = plan_rec(left, catalog, stats, par)?;
@@ -816,35 +793,26 @@ fn plan_join(
     // that actually arrive are common enough that trusting them to pick a
     // nested loop costs more than it can save.
     let algo = if split.has_keys() { JoinAlgo::hash(split) } else { JoinAlgo::NestedLoop };
-    let empty_stats = StatisticsCatalog::empty();
-    let st = stats.unwrap_or(&empty_stats);
     // Shared with the logical estimator (products — condition TRUE — keep
     // the full cross-product cardinality).
-    let out_rows = crate::cost::join_rows(lr, rr, condition, st);
+    let out_rows = crate::cost::join_rows(lr, rr, condition, stats);
     let op_cost = match &algo {
         JoinAlgo::Hash { .. } => lr + rr,
         JoinAlgo::NestedLoop => lr * rr,
     };
     // Partition the build side by key hash so the executor can build and
-    // probe each partition on its own worker. The executor splits *both*
-    // sides, so the threshold is on the total work, not the build alone.
-    // Nested loops (conditions with no key at all) are morsel-parallel
-    // instead: the outer side is split round-robin and every worker loops
-    // over the full inner side.
+    // probe each partition on its own worker. Nested loops (conditions with
+    // no key at all) are morsel-parallel instead: the outer side is split
+    // round-robin and every worker loops over the full inner side.
     let mut l = l;
     match &algo {
+        _ if !par.enabled() => {}
         JoinAlgo::Hash { right_keys, .. } => {
-            if par.worthwhile(stats.map(|_| lr + rr)) {
-                r = exchange(
-                    r,
-                    Partitioning::Hash { keys: right_keys.clone(), partitions: par.threads },
-                );
-            }
+            let p = Partitioning::Hash { keys: right_keys.clone(), partitions: par.threads };
+            r = exchange(r, p);
         }
         JoinAlgo::NestedLoop => {
-            if par.worthwhile(stats.map(|_| lr * rr)) {
-                l = exchange(l, Partitioning::RoundRobin { partitions: par.threads });
-            }
+            l = exchange(l, Partitioning::RoundRobin { partitions: par.threads });
         }
     }
     let cost = l.explain.cost + r.explain.cost + op_cost;
@@ -867,7 +835,7 @@ fn plan_semi(
     condition: &Condition,
     anti: bool,
     catalog: &dyn Catalog,
-    stats: Option<&StatisticsCatalog>,
+    stats: &StatisticsCatalog,
     par: &Parallelism,
 ) -> Result<Planned> {
     let l = plan_rec(left, catalog, stats, par)?;
@@ -896,18 +864,13 @@ fn plan_semi(
     // (anti-)semijoins go morsel-parallel over the preserved side.
     let mut l = l;
     match &algo {
+        _ if !par.enabled() => {}
         SemiAlgo::Hash { right_keys, .. } => {
-            if par.worthwhile(stats.map(|_| lr + rr)) {
-                r = exchange(
-                    r,
-                    Partitioning::Hash { keys: right_keys.clone(), partitions: par.threads },
-                );
-            }
+            let p = Partitioning::Hash { keys: right_keys.clone(), partitions: par.threads };
+            r = exchange(r, p);
         }
         SemiAlgo::NestedLoop => {
-            if par.worthwhile(stats.map(|_| lr * rr)) {
-                l = exchange(l, Partitioning::RoundRobin { partitions: par.threads });
-            }
+            l = exchange(l, Partitioning::RoundRobin { partitions: par.threads });
         }
         SemiAlgo::Decorrelated => {}
     }
@@ -1034,9 +997,8 @@ mod tests {
 
     #[test]
     fn both_planners_hash_whenever_keys_exist() {
-        // One row on each side: the cost-based planner used to prefer a
-        // nested loop here, so EXPLAIN ANALYZE described an algorithm the
-        // default (heuristic) session never ran.
+        // One row on each side: a nested loop would be cheaper by the
+        // estimates, and estimates choose nothing.
         let mut db = Database::new();
         db.insert_relation("r", rel(&["a", "b"], vec![vec![Value::Int(1), Value::Int(2)]]));
         db.insert_relation("s", rel(&["c", "d"], vec![vec![Value::Int(1), Value::Int(2)]]));
@@ -1164,19 +1126,41 @@ mod tests {
     }
 
     #[test]
-    fn cost_based_planner_gates_exchanges_on_the_row_threshold() {
+    fn statistics_never_change_the_plan() {
         let db = db();
-        let stats = StatisticsCatalog::analyze(&db);
-        let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
-        // 40 build rows < the default 1024-row threshold: not worth it.
-        let thresholded = PhysicalPlanner::with_parallelism(&db, &stats, Parallelism::new(4));
-        assert!(!thresholded.plan(&q).unwrap().has_exchange());
-        // Zero threshold: the exchange appears, and the explain renders it
-        // with pass-through rows and a repartition cost.
-        let mut par = Parallelism::new(4);
-        par.row_threshold = 0.0;
-        let eager = PhysicalPlanner::with_parallelism(&db, &stats, par);
-        let (plan, explain) = eager.plan_explained(&q).unwrap();
+        let analysed = StatisticsCatalog::analyze(&db);
+        let empty = StatisticsCatalog::empty();
+        let r = || RaExpr::relation("r");
+        let s = || RaExpr::relation("s");
+        // One query per exchange site: filter, distinct, grouped aggregate,
+        // set operation, hash and nested-loop join, hash and nested-loop
+        // (anti-)semijoin — plus the decorrelated one, which has none.
+        let queries = [
+            r().select(is_null("b")),
+            r().project(&["a"]).distinct(),
+            r().aggregate(&["a"], vec![]),
+            r().union(r().select(is_null("b"))),
+            r().join(s(), eq("a", "c")),
+            r().join(s(), eq("a", "c").or(is_null("d"))),
+            r().semi_join(s(), eq("a", "c")),
+            r().anti_join(s(), eq("a", "c").or(is_null("d"))),
+            r().anti_join(s(), is_null("d")),
+        ];
+        for threads in [1, 4] {
+            let par = Parallelism::new(threads);
+            for q in &queries {
+                let plan = |stats| {
+                    PhysicalPlanner::with_parallelism(&db, stats, par.clone()).plan(q).unwrap()
+                };
+                assert_eq!(plan(&analysed), plan(&empty), "{threads} threads, {q}");
+                assert_eq!(plan(&analysed), heuristic_plan_with(q, &db, &par).unwrap(), "{q}");
+            }
+        }
+        // 40 build rows are far below the engine's parallel floor; the
+        // exchange is planned all the same, and the explain renders it with
+        // pass-through rows and a repartition cost.
+        let planner = PhysicalPlanner::with_parallelism(&db, &analysed, Parallelism::new(4));
+        let (plan, explain) = planner.plan_explained(&r().join(s(), eq("a", "c"))).unwrap();
         assert!(plan.has_exchange());
         let text = explain.to_string();
         assert!(text.contains("Exchange hash(c) x4"), "{text}");

@@ -2,9 +2,10 @@
 //! fractions / distinct-count estimates, computed from materialised
 //! `certus-data` relations.
 //!
-//! The cost model ([`crate::cost`]) and the physical planner
-//! ([`crate::physical::PhysicalPlanner`]) consult these statistics instead of
-//! the fixed magic selectivities a statistics-free estimate falls back to.
+//! The cost model ([`crate::cost`]) and the estimates the physical planner
+//! ([`crate::physical::PhysicalPlanner`]) puts on its explain trees consult
+//! these statistics instead of the fixed magic selectivities a
+//! statistics-free estimate falls back to; no plan choice depends on them.
 //! Everything is exact (one full scan per table at [`StatisticsCatalog::analyze`]
 //! time) — sampling and sketches are future work, the instances the paper's
 //! experiments use are milli-scale.

@@ -14,8 +14,8 @@
 //!   ([`queue`]). Reads execute against pinned
 //!   [`SnapshotStore`](certus_data::snapshot::SnapshotStore) snapshots, so
 //!   writers never block readers; plans are shared process-wide through one
-//!   [`certus::SharedPlanCache`] keyed by (fingerprint, certainty/semantics/
-//!   planner, schema epoch, threads).
+//!   [`certus::SharedPlanCache`] keyed by (fingerprint, certainty/semantics,
+//!   schema epoch, threads).
 //! * [`client`] — `certus-client`, a blocking client with closed-loop and
 //!   pipelined (open-loop) request styles (both exercised by
 //!   `tests/server.rs`); [`ClusterClient`] adds replica-aware read distribution,

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example price_of_correctness`.
 
 use certus::tpch::{query_by_number, Workload};
-use certus::{CertainRewriter, Engine, EngineConfig, NullSemantics};
+use certus::{Certainty, Session};
 use std::time::Instant;
 
 fn time_it(mut f: impl FnMut()) -> f64 {
@@ -20,22 +20,24 @@ fn time_it(mut f: impl FnMut()) -> f64 {
 fn main() {
     let workload = Workload::new(0.001, 0.02, 7);
     let db = workload.incomplete_instance();
-    let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default());
-    let rewriter = CertainRewriter::new();
     let params = workload.params(&db, 0);
-
     println!("TPC-H micro-instance: {} tuples, 2% null rate\n", db.total_tuples());
+    let session = Session::new(db);
+
     println!("{:>5} {:>12} {:>12} {:>10} {:>10}", "query", "t(Q) s", "t(Q+) s", "ratio", "answers");
     for q in 1..=4 {
         let expr = query_by_number(q, &params).expect("query exists");
-        let plus = rewriter.rewrite_plus(&expr, &db).expect("translation succeeds");
+        // Both sides take the same road — rewrite passes, planner, compiled
+        // once — so the ratio is the one the system delivers.
+        let plain = session.prepare(&expr, Certainty::Plain).expect("plans");
+        let certain = session.prepare(&expr, Certainty::CertainPlus).expect("plans");
         let t_orig = time_it(|| {
-            engine.execute(&expr).expect("runs");
+            session.execute_prepared(&plain).expect("runs");
         });
         let t_plus = time_it(|| {
-            engine.execute(&plus).expect("runs");
+            session.execute_prepared(&certain).expect("runs");
         });
-        let answers = engine.execute(&plus).expect("runs").len();
+        let answers = session.execute_prepared(&certain).expect("runs").len();
         println!(
             "{:>5} {:>12.5} {:>12.5} {:>10.3} {:>10}",
             format!("Q{q}"),

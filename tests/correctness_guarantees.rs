@@ -11,7 +11,7 @@ use certus::core::{translate_plus, translate_star, ConditionDialect};
 use certus::data::builder::rel;
 use certus::data::null::NullId;
 use certus::data::{Database, Value};
-use certus::plan::Planner;
+use certus::plan::PassManager;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,12 +66,12 @@ fn fragment_queries() -> Vec<RaExpr> {
 #[test]
 fn q_plus_returns_only_certain_answers() {
     let mut rng = StdRng::seed_from_u64(0x7E0);
-    let planner = Planner::new();
+    let passes = PassManager::standard();
     for case in 0..10 {
         let db = random_db(&mut rng);
         for q in fragment_queries() {
             let plus = translate_plus(&q, ConditionDialect::Sql).unwrap();
-            let optimized = planner.optimize(&plus, &db).unwrap();
+            let optimized = passes.run(&plus, &db).unwrap();
             for rewritten in [&plus, &optimized] {
                 let answers = eval(rewritten, &db, NullSemantics::Sql).unwrap();
                 let oracle = CertainOracle::with_limit(4_000_000);

@@ -2,7 +2,7 @@
 //! the paper's queries and their certainty-preserving rewritings through the
 //! engine, and check the paper's headline claims on the results.
 
-use certus::plan::physical::{heuristic_plan_with, JoinAlgo, PhysicalExpr, SemiAlgo};
+use certus::plan::physical::{heuristic_plan_with, ExplainPlan, JoinAlgo, PhysicalExpr, SemiAlgo};
 use certus::tpch::fp_detect::count_false_positives;
 use certus::tpch::{query_by_number, Workload};
 use certus::{
@@ -131,4 +131,37 @@ fn certain_answer_plans_have_no_nested_loops_and_q2_q3_plans_stay_put() {
         }
     }
     assert_eq!(q2_q3_plans, include_str!("fixtures/q2p_q3p_plans_at_d2876e0.txt"));
+}
+
+/// The filters of an explain tree, each with whether a join runs beneath it;
+/// returns whether `node`'s subtree holds a join.
+fn filters_over_joins(node: &ExplainPlan, out: &mut Vec<(String, bool)>) -> bool {
+    let mut below = false;
+    for child in &node.children {
+        below |= filters_over_joins(child, out);
+    }
+    if node.op.starts_with("Filter") {
+        out.push((node.op.clone(), below));
+    }
+    below || node.op.contains("Join")
+}
+
+/// The queries as written take the same rewrite passes as their
+/// translations: in the plans `prepare` compiles for plain Q1 and Q4, the
+/// single-table conjuncts that the queries write as join conditions
+/// (`l3.l_receiptdate > l3.l_commitdate`, `p_name LIKE …`) are filters
+/// beneath the joins, and no filter is left above one.
+#[test]
+fn plain_q1_and_q4_are_prepared_with_their_filters_beneath_the_joins() {
+    let workload = Workload::new(0.0001, 0.03, 42);
+    let session = Session::builder(workload.incomplete_instance()).threads(1).build();
+    let params = workload.params(session.database(), 0);
+    for (q, pushed) in [(1, "l3.l_receiptdate > l3.l_commitdate"), (4, "p_name LIKE")] {
+        let expr = query_by_number(q, &params).expect("query exists");
+        let explain = session.explain(&expr, Certainty::Plain).expect("explains");
+        let mut filters = Vec::new();
+        filters_over_joins(&explain, &mut filters);
+        assert!(filters.iter().all(|(_, over_join)| !over_join), "Q{q}:\n{explain}");
+        assert!(filters.iter().any(|(op, _)| op.contains(pushed)), "Q{q}:\n{explain}");
+    }
 }

@@ -10,7 +10,7 @@ use certus::data::builder::rel;
 use certus::data::null::NullId;
 use certus::data::{Database, Value};
 use certus::plan::physical::{JoinAlgo, PhysicalExpr, SemiAlgo};
-use certus::plan::{NullOk, Pass, PassContext, PassManager, PlanOptions, Planner};
+use certus::plan::{NullOk, PassManager, PhysicalPlanner, PASSES};
 use certus::{Condition, Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -346,38 +346,29 @@ fn planner_queries() -> Vec<RaExpr> {
 
 /// Every pass individually, and the full pipeline, must be result-equivalent
 /// to the unplanned reference evaluation — under both null semantics, so the
-/// rewrites are *strongly* semantics-preserving.
+/// rewrites are *strongly* semantics-preserving — and the pipeline run over
+/// its own output must change nothing: that is what lets it run once.
 #[test]
 fn passes_and_pipeline_are_result_equivalent_to_reference() {
     let manager = PassManager::standard();
-    let options = PlanOptions::default();
     let mut rng = StdRng::seed_from_u64(0x9A55);
     for case in 0..24 {
         let db = random_db(&mut rng);
         for q in planner_queries() {
-            let ctx = PassContext { catalog: &db, options: &options };
-            for pass in [
-                &certus::plan::passes::fold::FoldPass as &dyn Pass,
-                &certus::plan::passes::pushdown::PushdownPass,
-                &certus::plan::passes::collapse::CollapsePass,
-                &certus::plan::passes::null_prune::NullPrunePass,
-                &certus::plan::passes::key_antijoin::KeyAntiJoinPass,
-                &certus::plan::passes::or_split::SplitOrAntiJoinPass,
-                &certus::plan::passes::or_split::SplitOrJoinPass,
-            ] {
-                let rewritten = pass.run(&q, &ctx).unwrap();
+            for (name, pass) in PASSES {
+                let rewritten = pass(&q, &db).unwrap();
                 for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
                     let a = eval(&q, &db, semantics).unwrap().distinct().sorted();
                     let b = eval(&rewritten, &db, semantics).unwrap().distinct().sorted();
                     assert_eq!(
                         a.tuples(),
                         b.tuples(),
-                        "case {case}, pass {}, query {q} → {rewritten}, {semantics:?}",
-                        pass.name()
+                        "case {case}, pass {name}, query {q} → {rewritten}, {semantics:?}"
                     );
                 }
             }
             let piped = manager.run(&q, &db).unwrap();
+            assert_eq!(manager.run(&piped, &db).unwrap(), piped, "case {case}, query {q}");
             for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
                 let a = eval(&q, &db, semantics).unwrap().distinct().sorted();
                 let b = eval(&piped, &db, semantics).unwrap().distinct().sorted();
@@ -391,23 +382,23 @@ fn passes_and_pipeline_are_result_equivalent_to_reference() {
     }
 }
 
-/// Planner-on and planner-off must produce identical results through the
-/// physical engine as well (heuristic plans of the raw query vs. cost-based
-/// plans of the rewritten query).
+/// Passes on and passes off must produce identical results through the
+/// physical engine as well (plans of the raw query vs. plans of the
+/// rewritten query made with statistics at hand).
 #[test]
 fn planner_on_vs_off_execute_identically() {
     let mut rng = StdRng::seed_from_u64(0x0FF0);
-    let planner = Planner::new();
+    let passes = PassManager::standard();
     for case in 0..16 {
         let db = random_db(&mut rng);
         let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default());
         let stats = certus::StatisticsCatalog::analyze(&db);
         for q in planner_queries() {
             let off = engine.execute(&q).unwrap().distinct().sorted();
-            let optimized = planner.optimize(&q, &db).unwrap();
+            let optimized = passes.run(&q, &db).unwrap();
             let on = engine.execute(&optimized).unwrap().distinct().sorted();
             assert_eq!(off.tuples(), on.tuples(), "case {case}, query {q}");
-            let physical = planner.plan_with(&q, &db, &stats).unwrap();
+            let physical = PhysicalPlanner::new(&db, &stats).plan(&optimized).unwrap();
             let cost_based = engine.execute_physical(&physical).unwrap().distinct().sorted();
             assert_eq!(off.tuples(), cost_based.tuples(), "case {case}, physical, query {q}");
         }
@@ -422,9 +413,15 @@ fn engine_agrees_on_translated_tpch_queries() {
     let db = workload.incomplete_instance();
     let params = workload.params(&db, 0);
     let rewriter = CertainRewriter::new();
+    let passes = PassManager::standard();
     for q in 1..=4usize {
         let expr = query_by_number(q, &params).expect("query exists");
         let plus = rewriter.rewrite_plus(&expr, &db).expect("translates");
+        // Q, Q⁺ and Q★ after the passes: a second run changes none of them.
+        let star = rewriter.rewrite_star(&expr, &db).expect("translates");
+        for piped in [&passes.run(&expr, &db).expect("passes run"), &plus, &star] {
+            assert_eq!(&passes.run(piped, &db).expect("passes run"), piped, "Q{q}: {piped}");
+        }
         for query in [&expr, &plus] {
             let engine_out = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default())
                 .execute(query)

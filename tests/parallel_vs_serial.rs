@@ -12,7 +12,7 @@
 use certus::algebra::NullSemantics;
 use certus::data::inject::NullInjector;
 use certus::engine::{Engine, EngineConfig};
-use certus::plan::{heuristic_plan, Parallelism, PhysicalPlanner, Planner, StatisticsCatalog};
+use certus::plan::{heuristic_plan, Parallelism, PassManager, PhysicalPlanner, StatisticsCatalog};
 use certus::tpch::{q1, q2, q3, q4, DbGen, QueryParams};
 use certus::{CertainRewriter, Database, RaExpr};
 
@@ -26,11 +26,11 @@ fn workload_db(seed: u64) -> Database {
 fn pipeline_optimized_queries(db: &Database, seed: u64) -> Vec<RaExpr> {
     let params = QueryParams::random(db, seed);
     let raw_rewriter = CertainRewriter::unoptimized();
-    let planner = Planner::new();
+    let passes = PassManager::standard();
     let mut queries = vec![q1(&params), q2(&params), q3(&params), q4(&params)];
     for q in [q1(&params), q2(&params), q3(&params), q4(&params)] {
         let raw = raw_rewriter.rewrite_plus(&q, db).expect("translates");
-        queries.push(planner.optimize(&raw, db).expect("pipeline runs"));
+        queries.push(passes.run(&raw, db).expect("pipeline runs"));
     }
     queries
 }
@@ -73,11 +73,7 @@ fn cost_based_parallel_plans_match_serial_execution() {
     let params = QueryParams::random(&db, 7);
     let stats = StatisticsCatalog::analyze(&db);
     let serial_planner = PhysicalPlanner::new(&db, &stats);
-    // Zero threshold: exchange every eligible site, maximising the parallel
-    // paths exercised regardless of instance size.
-    let mut par = Parallelism::new(4);
-    par.row_threshold = 0.0;
-    let parallel_planner = PhysicalPlanner::with_parallelism(&db, &stats, par);
+    let parallel_planner = PhysicalPlanner::with_parallelism(&db, &stats, Parallelism::new(4));
     let serial_engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
     let parallel_engine = Engine::configured(
         &db,
@@ -359,15 +355,13 @@ fn single_thread_config_degenerates_to_serial_plans() {
     let text = serial.explain(&q).expect("plans").to_string();
     assert!(!text.contains("Exchange"), "serial explain must not exchange:\n{text}");
 
-    // threads = 4 (zero threshold): exchanges appear in the rendering.
-    let mut par = Parallelism::new(4);
-    par.row_threshold = 0.0;
-    let parallel = PhysicalPlanner::with_parallelism(&db, &stats, par);
+    // threads = 4: exchanges appear in the rendering.
+    let parallel = PhysicalPlanner::with_parallelism(&db, &stats, Parallelism::new(4));
     let text = parallel.explain(&q).expect("plans").to_string();
     assert!(text.contains("Exchange hash("), "parallel explain should exchange:\n{text}");
 
-    // The engine's own heuristic plan at one thread is *identical* to the
-    // plain serial heuristic plan, and free of exchanges.
+    // The engine's own plan at one thread is *identical* to the serial
+    // plan, and free of exchanges.
     let engine1 = Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(1));
     let plan1 = engine1.plan(&q).expect("plans");
     assert_eq!(plan1, heuristic_plan(&q, &db).expect("plans"));

@@ -10,8 +10,8 @@ use certus::data::inject::NullInjector;
 use certus::data::null::NullId;
 use certus::tpch::{q1, q2, q3, q4, DbGen, QueryParams};
 use certus::{
-    CertainRewriter, Certainty, CertusError, Database, Engine, EngineConfig, NullSemantics,
-    PlannerKind, RaExpr, Session, Value,
+    CertainRewriter, Certainty, CertusError, Database, Engine, EngineConfig, NullSemantics, RaExpr,
+    Session, Value,
 };
 
 fn small_db() -> Database {
@@ -163,31 +163,15 @@ fn session_matches_the_direct_rewriter_plus_engine_path() {
 }
 
 #[test]
-fn cost_based_sessions_agree_with_heuristic_sessions() {
-    let complete = DbGen::new(0.0002, 23).generate();
-    let db = NullInjector::new(0.05, 29).inject(&complete);
-    let params = QueryParams::random(&db, 3);
-    let heuristic = Session::builder(db.clone()).config(EngineConfig::serial()).build();
-    let cost_based =
-        Session::builder(db).planner(PlannerKind::CostBased).config(EngineConfig::serial()).build();
-    for q in [q1(&params), q3(&params), q4(&params)] {
-        for certainty in [Certainty::Plain, Certainty::CertainPlus] {
-            let a = heuristic.execute(&q, certainty).unwrap().relation().sorted().distinct();
-            let b = cost_based.execute(&q, certainty).unwrap().relation().sorted().distinct();
-            assert_eq!(a.tuples(), b.tuples(), "planner kinds disagree on {q}");
-        }
-    }
-}
-
-#[test]
 fn session_explain_matches_planner_output_shape() {
     let session = Session::new(small_db());
     let explain = session.explain(&diff_query(), Certainty::CertainPlus).unwrap();
     assert!(explain.size() >= 2);
     let rendered = explain.to_string();
     assert!(rendered.contains("rows≈"), "{rendered}");
-    // Parallel sessions render exchange operators for large enough inputs —
-    // on this tiny database the tree simply stays serial but must still plan.
+    // Parallel sessions render the exchanges their plans carry, however
+    // small the input.
     let parallel = Session::builder(small_db()).threads(4).build();
-    parallel.explain(&diff_query(), Certainty::Plain).unwrap();
+    let rendered = parallel.explain(&diff_query(), Certainty::Plain).unwrap().to_string();
+    assert!(rendered.contains("Exchange hash(b) x4"), "{rendered}");
 }
