@@ -36,13 +36,54 @@ impl Catalog for Database {
 /// Compute the output schema of an expression, validating column references,
 /// arities and set-operation compatibility along the way.
 pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
+    shared_schema(expr, catalog).map(Arc::unwrap_or_clone)
+}
+
+fn shared_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Arc<Schema>> {
+    infer(expr, catalog, &mut |input| shared_schema(input, catalog))
+}
+
+/// The output schemas of the nodes of one expression, each inferred once
+/// however often it is asked for: for a walk that needs the schemas of a
+/// node's inputs before it descends into them.
+pub struct SchemaMemo<'e> {
+    catalog: &'e dyn Catalog,
+    /// A few dozen nodes at most: a scan finds one faster than a hash would.
+    known: Vec<(&'e RaExpr, Arc<Schema>)>,
+}
+
+impl<'e> SchemaMemo<'e> {
+    /// An empty memo over the catalog's tables.
+    pub fn new(catalog: &'e dyn Catalog) -> Self {
+        SchemaMemo { catalog, known: Vec::new() }
+    }
+
+    /// [`output_schema`] of this node (the node at this address, not an
+    /// equal one), remembered together with those of the nodes beneath it.
+    pub fn schema_of(&mut self, expr: &'e RaExpr) -> Result<Arc<Schema>> {
+        if let Some((_, known)) = self.known.iter().find(|(node, _)| std::ptr::eq(*node, expr)) {
+            return Ok(known.clone());
+        }
+        let schema = infer(expr, self.catalog, &mut |input| self.schema_of(input))?;
+        self.known.push((expr, schema.clone()));
+        Ok(schema)
+    }
+}
+
+/// The rule of each operator: its output schema from those of its inputs,
+/// which `input` answers.
+fn infer<'e>(
+    expr: &'e RaExpr,
+    catalog: &dyn Catalog,
+    input: &mut dyn FnMut(&'e RaExpr) -> Result<Arc<Schema>>,
+) -> Result<Arc<Schema>> {
     certus_data::profile::record_schema_inference();
     match expr {
         RaExpr::Relation { name, alias } => {
             let schema = catalog.table_schema(name)?;
             Ok(match alias {
-                Some(a) => schema.qualify(a),
-                None => (*schema).clone(),
+                Some(a) => Arc::new(schema.qualify(a)),
+                None => schema,
             })
         }
         RaExpr::Values { schema, rows } => {
@@ -55,15 +96,15 @@ pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
                     )));
                 }
             }
-            Ok(schema.clone())
+            Ok(Arc::new(schema.clone()))
         }
-        RaExpr::Select { input, condition } => {
-            let schema = output_schema(input, catalog)?;
+        RaExpr::Select { input: child, condition } => {
+            let schema = input(child)?;
             check_condition(condition, &schema)?;
             Ok(schema)
         }
-        RaExpr::Project { input, columns } => {
-            let schema = output_schema(input, catalog)?;
+        RaExpr::Project { input: child, columns } => {
+            let schema = input(child)?;
             let mut attrs = Vec::with_capacity(columns.len());
             for c in columns {
                 let pos = schema.position_of(&c.column).map_err(AlgebraError::Data)?;
@@ -74,21 +115,19 @@ pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
                     nullable: src.nullable,
                 });
             }
-            Ok(Schema::new(attrs))
+            Ok(Arc::new(Schema::new(attrs)))
         }
-        RaExpr::Product { left, right } => {
-            Ok(output_schema(left, catalog)?.concat(&output_schema(right, catalog)?))
-        }
+        RaExpr::Product { left, right } => Ok(Arc::new(input(left)?.concat(&*input(right)?))),
         RaExpr::Join { left, right, condition } => {
-            let schema = output_schema(left, catalog)?.concat(&output_schema(right, catalog)?);
+            let schema = input(left)?.concat(&*input(right)?);
             check_condition(condition, &schema)?;
-            Ok(schema)
+            Ok(Arc::new(schema))
         }
         RaExpr::Union { left, right }
         | RaExpr::Intersect { left, right }
         | RaExpr::Difference { left, right } => {
-            let l = output_schema(left, catalog)?;
-            let r = output_schema(right, catalog)?;
+            let l = input(left)?;
+            let r = input(right)?;
             if !l.union_compatible(&r) {
                 return Err(AlgebraError::Malformed(format!(
                     "set operation over incompatible schemas {l} and {r}"
@@ -98,14 +137,14 @@ pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
         }
         RaExpr::SemiJoin { left, right, condition }
         | RaExpr::AntiJoin { left, right, condition } => {
-            let l = output_schema(left, catalog)?;
-            let combined = l.concat(&output_schema(right, catalog)?);
+            let l = input(left)?;
+            let combined = l.concat(&*input(right)?);
             check_condition(condition, &combined)?;
             Ok(l)
         }
         RaExpr::UnifySemiJoin { left, right } | RaExpr::UnifyAntiSemiJoin { left, right } => {
-            let l = output_schema(left, catalog)?;
-            let r = output_schema(right, catalog)?;
+            let l = input(left)?;
+            let r = input(right)?;
             if l.arity() != r.arity() {
                 return Err(AlgebraError::Malformed(format!(
                     "unification semijoin over different arities {} and {}",
@@ -116,8 +155,8 @@ pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
             Ok(l)
         }
         RaExpr::Division { left, right } => {
-            let l = output_schema(left, catalog)?;
-            let r = output_schema(right, catalog)?;
+            let l = input(left)?;
+            let r = input(right)?;
             // Divisor columns are matched against dividend columns by base name.
             let mut keep = Vec::new();
             for (i, a) in l.attrs().iter().enumerate() {
@@ -132,15 +171,14 @@ pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
                         .into(),
                 ));
             }
-            Ok(l.project(&keep))
+            Ok(Arc::new(l.project(&keep)))
         }
-        RaExpr::Rename { input, columns } => {
-            let schema = output_schema(input, catalog)?;
-            schema.rename(columns).map_err(AlgebraError::Data)
+        RaExpr::Rename { input: child, columns } => {
+            input(child)?.rename(columns).map(Arc::new).map_err(AlgebraError::Data)
         }
-        RaExpr::Distinct { input } => output_schema(input, catalog),
-        RaExpr::Aggregate { input, group_by, aggregates } => {
-            let schema = output_schema(input, catalog)?;
+        RaExpr::Distinct { input: child } => input(child),
+        RaExpr::Aggregate { input: child, group_by, aggregates } => {
+            let schema = input(child)?;
             let mut attrs = Vec::new();
             for g in group_by {
                 let pos = schema.position_of(g).map_err(AlgebraError::Data)?;
@@ -166,7 +204,7 @@ pub fn output_schema(expr: &RaExpr, catalog: &dyn Catalog) -> Result<Schema> {
                 }
                 attrs.push(Attribute { name: a.alias.clone(), ty, nullable: true });
             }
-            Ok(Schema::new(attrs))
+            Ok(Arc::new(Schema::new(attrs)))
         }
     }
 }
@@ -268,6 +306,29 @@ mod tests {
         let bad =
             RaExpr::relation("r").anti_join(RaExpr::relation("s"), Condition::eq_cols("a", "zzz"));
         assert!(output_schema(&bad, &db).is_err());
+    }
+
+    #[test]
+    fn memo_answers_as_output_schema_does_for_every_node() {
+        let db = db();
+        let join = RaExpr::relation("r").join(RaExpr::relation("s"), Condition::eq_cols("a", "c"));
+        let q = join
+            .clone()
+            .semi_join(RaExpr::relation_as("s", "u"), Condition::eq_cols("b", "u.c"))
+            .project_cols(vec![ProjCol::aliased("c", "cc")])
+            .union(RaExpr::relation("s"));
+        let mut memo = SchemaMemo::new(&db);
+        let mut nodes = vec![&q];
+        while let Some(node) = nodes.pop() {
+            // Twice: inferred, then remembered.
+            for _ in 0..2 {
+                assert_eq!(*memo.schema_of(node).unwrap(), output_schema(node, &db).unwrap());
+            }
+            nodes.extend(node.children());
+        }
+        // Validation comes with it, as in `output_schema`.
+        let bad = join.select(Condition::eq_cols("a", "zzz"));
+        assert!(SchemaMemo::new(&db).schema_of(&bad).is_err());
     }
 
     #[test]

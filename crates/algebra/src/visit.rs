@@ -16,9 +16,9 @@ use crate::expr::RaExpr;
 impl RaExpr {
     /// Rebuild this node, applying a fallible transformation to every direct
     /// child. Leaf nodes are cloned.
-    pub fn map_children<E>(
-        &self,
-        f: &mut impl FnMut(&RaExpr) -> Result<RaExpr, E>,
+    pub fn map_children<'a, E>(
+        &'a self,
+        f: &mut impl FnMut(&'a RaExpr) -> Result<RaExpr, E>,
     ) -> Result<RaExpr, E> {
         Ok(match self {
             RaExpr::Relation { .. } | RaExpr::Values { .. } => self.clone(),

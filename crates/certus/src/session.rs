@@ -774,19 +774,37 @@ mod tests {
             out.push(explain.op.trim_end_matches(" [vec]").to_string());
             explain.children.iter().for_each(|c| ops(c, out));
         }
+        // EXPLAIN's operators, checked against what `build_plans` compiles
+        // (no statistics at hand).
+        fn explained(session: &Session, query: &RaExpr, certainty: Certainty) -> Vec<String> {
+            let mut explained = Vec::new();
+            ops(&session.explain(query, certainty).unwrap(), &mut explained);
+            let expr = session.logical(query, certainty.primary()).unwrap();
+            let (phys, _) = session.physical(&expr, &StatisticsCatalog::empty()).unwrap();
+            let mut prepared = Vec::new();
+            labels(&phys, &mut prepared);
+            let threads = session.config().threads;
+            assert_eq!(explained, prepared, "{threads} threads, {certainty:?}");
+            assert_eq!(phys.has_exchange(), threads > 1);
+            explained
+        }
+        let w = certus_tpch::Workload::new(0.0002, 0.03, 42);
+        let q4 = certus_tpch::q4(&w.params(&w.incomplete_instance(), 0));
         for threads in [1, 4] {
             let session = Session::builder(db()).threads(threads).build();
             for certainty in [Certainty::Plain, Certainty::CertainPlus, Certainty::PossibleStar] {
-                let mut explained = Vec::new();
-                ops(&session.explain(&query(), certainty).unwrap(), &mut explained);
-                // What `build_plans` compiles: no statistics at hand.
-                let expr = session.logical(&query(), certainty.primary()).unwrap();
-                let (phys, _) = session.physical(&expr, &StatisticsCatalog::empty()).unwrap();
-                let mut prepared = Vec::new();
-                labels(&phys, &mut prepared);
-                assert_eq!(explained, prepared, "{threads} threads, {certainty:?}");
-                assert_eq!(phys.has_exchange(), threads > 1);
+                explained(&session, &query(), certainty);
             }
+            // Under Q4⁺'s NOT EXISTS only `⋈ supplier` hands a column on: the
+            // other two joins are planned, shown and run as semijoins.
+            let session = Session::builder(w.incomplete_instance()).threads(threads).build();
+            let ops = explained(&session, &q4, Certainty::CertainPlus);
+            let count = |op: &str| ops.iter().filter(|o| o.starts_with(op)).count();
+            let null_aware_semijoins = ops
+                .iter()
+                .filter(|o| o.starts_with("HashSemiJoin [") && o.contains("null matches"))
+                .count();
+            assert_eq!((null_aware_semijoins, count("HashJoin [")), (2, 1), "{ops:#?}");
         }
     }
 

@@ -6,6 +6,33 @@ use crate::Result;
 use std::fmt;
 use std::sync::Arc;
 
+/// The unqualified part of a column name (after the last `.`).
+fn base_of(name: &str) -> &str {
+    name.rfind('.').map_or(name, |i| &name[i + 1..])
+}
+
+/// Resolve a (possibly unqualified) column name among `attrs` — one schema,
+/// or the schemas of a join's inputs one after the other — to its position;
+/// `None` when it is unknown or ambiguous.
+///
+/// Resolution first looks for an exact match on the full name; failing that
+/// it matches against the unqualified base names. Asking costs no
+/// allocation, whatever the answer.
+pub fn resolve<'a>(
+    attrs: impl Iterator<Item = &'a Attribute> + Clone,
+    name: &str,
+) -> Option<usize> {
+    crate::profile::record_name_resolution();
+    let mut exact = attrs.clone().enumerate().filter(|(_, a)| a.name == name);
+    if let Some((first, _)) = exact.next() {
+        return exact.next().is_none().then_some(first);
+    }
+    let base = base_of(name);
+    let mut by_base = attrs.enumerate().filter(|(_, a)| a.base_name() == base);
+    let (first, _) = by_base.next()?;
+    by_base.next().is_none().then_some(first)
+}
+
 /// A single column of a relation schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
@@ -31,16 +58,13 @@ impl Attribute {
 
     /// The unqualified part of the column name (after the last `.`).
     pub fn base_name(&self) -> &str {
-        match self.name.rfind('.') {
-            Some(i) => &self.name[i + 1..],
-            None => &self.name,
-        }
+        base_of(&self.name)
     }
 
     /// A copy of the attribute with a qualifier prefix (`alias.name`).
     pub fn qualified(&self, qualifier: &str) -> Attribute {
         Attribute {
-            name: format!("{qualifier}.{}", self.base_name()),
+            name: [qualifier, ".", self.base_name()].concat(),
             ty: self.ty,
             nullable: self.nullable,
         }
@@ -94,54 +118,37 @@ impl Schema {
         self.attrs.iter().map(|a| a.name.as_str()).collect()
     }
 
-    /// Resolve a (possibly unqualified) column name to its position.
-    ///
-    /// Resolution first looks for an exact match on the full name; failing
-    /// that it matches against the unqualified base names. An ambiguous
-    /// unqualified reference is an error, as in SQL.
+    /// Resolve a (possibly unqualified) column name to its position; `None`
+    /// when it is unknown or ambiguous ([`resolve`] over this schema).
+    pub fn find(&self, name: &str) -> Option<usize> {
+        resolve(self.attrs.iter(), name)
+    }
+
+    /// [`Schema::find`], with the reason when the name does not resolve: an
+    /// ambiguous unqualified reference is an error, as in SQL.
     pub fn position_of(&self, name: &str) -> Result<usize> {
-        crate::profile::record_name_resolution();
-        // Exact match.
-        let exact: Vec<usize> =
-            self.attrs.iter().enumerate().filter(|(_, a)| a.name == name).map(|(i, _)| i).collect();
-        match exact.len() {
-            1 => return Ok(exact[0]),
-            n if n > 1 => {
-                return Err(DataError::AmbiguousAttribute {
+        self.find(name).ok_or_else(|| {
+            let exact = self.attrs.iter().any(|a| a.name == name);
+            let matches: Vec<String> = self
+                .attrs
+                .iter()
+                .filter(|a| if exact { a.name == name } else { a.base_name() == base_of(name) })
+                .map(|a| a.name.clone())
+                .collect();
+            if matches.is_empty() {
+                DataError::UnknownAttribute {
                     name: name.to_string(),
-                    matches: exact.iter().map(|&i| self.attrs[i].name.clone()).collect(),
-                })
+                    available: self.attrs.iter().map(|a| a.name.clone()).collect(),
+                }
+            } else {
+                DataError::AmbiguousAttribute { name: name.to_string(), matches }
             }
-            _ => {}
-        }
-        // Unqualified match on base names.
-        let base = match name.rfind('.') {
-            Some(i) => &name[i + 1..],
-            None => name,
-        };
-        let by_base: Vec<usize> = self
-            .attrs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.base_name() == base)
-            .map(|(i, _)| i)
-            .collect();
-        match by_base.len() {
-            1 => Ok(by_base[0]),
-            0 => Err(DataError::UnknownAttribute {
-                name: name.to_string(),
-                available: self.attrs.iter().map(|a| a.name.clone()).collect(),
-            }),
-            _ => Err(DataError::AmbiguousAttribute {
-                name: name.to_string(),
-                matches: by_base.iter().map(|&i| self.attrs[i].name.clone()).collect(),
-            }),
-        }
+        })
     }
 
     /// Whether a column with this name can be resolved.
     pub fn contains(&self, name: &str) -> bool {
-        self.position_of(name).is_ok()
+        self.find(name).is_some()
     }
 
     /// Resolve a list of column names to positions.
@@ -234,6 +241,26 @@ mod tests {
         ]);
         assert!(matches!(s.position_of("x"), Err(DataError::AmbiguousAttribute { .. })));
         assert_eq!(s.position_of("b.x").unwrap(), 1);
+        // Two columns under one full name: the error names the exact matches.
+        let twice = Schema::of_names(&["x", "x", "t.x"]);
+        assert!(matches!(
+            twice.position_of("x"),
+            Err(DataError::AmbiguousAttribute { matches, .. }) if matches == ["x", "x"]
+        ));
+    }
+
+    #[test]
+    fn resolution_over_two_schemas_is_resolution_over_their_concatenation() {
+        let (l, r) = (sample(), Schema::of_names(&["c.o_custkey", "y"]));
+        let both = l.concat(&r);
+        for name in ["o.o_custkey", "c.o_custkey", "o_custkey", "o_orderkey", "y", "x.y", "missing"]
+        {
+            let chained = resolve(l.attrs().iter().chain(r.attrs()), name);
+            assert_eq!(chained, both.find(name), "{name}");
+            assert_eq!(chained, both.position_of(name).ok(), "{name}");
+        }
+        assert_eq!(both.find("o_custkey"), None);
+        assert_eq!(both.find("x.y"), Some(4));
     }
 
     #[test]

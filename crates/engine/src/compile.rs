@@ -497,20 +497,24 @@ pub(crate) enum CompiledExpr {
         emit: Emit,
         partitions: usize,
     },
-    /// Hash (anti-)semijoin.
+    /// Hash (anti-)semijoin. `schema` is the preserved side's, carried here
+    /// so the result can be built from a borrowed base relation whatever
+    /// alias the scan runs under.
     HashSemi {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
         keys: HashKeys,
         keep_matching: bool,
+        schema: Arc<Schema>,
         partitions: usize,
     },
-    /// Nested-loop (anti-)semijoin.
+    /// Nested-loop (anti-)semijoin; `schema` as for [`CompiledExpr::HashSemi`].
     NlSemi {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
         pred: CompiledPredicate,
         keep_matching: bool,
+        schema: Arc<Schema>,
         partitions: usize,
     },
     /// Decorrelated (anti-)semijoin: the predicate only reads the right
@@ -568,15 +572,15 @@ impl CompiledExpr {
             | CompiledExpr::Fused { schema, .. }
             | CompiledExpr::HashJoin { schema, .. }
             | CompiledExpr::NlJoin { schema, .. }
+            | CompiledExpr::HashSemi { schema, .. }
+            | CompiledExpr::NlSemi { schema, .. }
             | CompiledExpr::Union { schema, .. }
             | CompiledExpr::Division { schema, .. }
             | CompiledExpr::Rename { schema, .. }
             | CompiledExpr::Aggregate { schema, .. } => schema,
             CompiledExpr::Values { rel } => rel.schema(),
             CompiledExpr::DecorrelatedSemi { left_schema, .. } => left_schema,
-            CompiledExpr::HashSemi { left, .. }
-            | CompiledExpr::NlSemi { left, .. }
-            | CompiledExpr::Intersect { left, .. }
+            CompiledExpr::Intersect { left, .. }
             | CompiledExpr::Difference { left, .. }
             | CompiledExpr::UnifySemi { left, .. } => left.schema(),
             CompiledExpr::Distinct { input, .. } => input.schema(),
@@ -741,6 +745,7 @@ fn compile_expr(
                         null_aware: compile_null_aware(null_ok, condition, &combined, scalars)?,
                     };
                     Ok(CompiledExpr::HashSemi {
+                        schema: l.schema().clone(),
                         left: Box::new(l),
                         right: Box::new(r),
                         keys,
@@ -755,6 +760,7 @@ fn compile_expr(
                     let combined = l.schema().concat(r.schema()).shared();
                     let pred = compile_condition(condition, &combined, scalars)?;
                     Ok(CompiledExpr::NlSemi {
+                        schema: l.schema().clone(),
                         left: Box::new(l),
                         right: Box::new(r),
                         pred,

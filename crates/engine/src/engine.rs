@@ -110,11 +110,11 @@
 //!   (rows × emitted width) and `EXPLAIN ANALYZE`'s `[cols=k/n]` on join
 //!   lines show what it saved.
 //! * **Base relations are borrowed.** A scan under a fused pipeline, on
-//!   either side of a join, on the inner side of a semijoin and on the
-//!   inner side of a decorrelated semijoin is read in place, whatever its
-//!   alias (predicates and keys are positional, output schemas
-//!   precompiled); the preserved side of a semijoin is borrowed when the
-//!   scan's schema is the stored one (it hands its schema on). A borrowed
+//!   either side of a join or of a semijoin and on the inner side of a
+//!   decorrelated semijoin is read in place, whatever its alias (predicates
+//!   and keys are positional, output schemas precompiled — a semijoin
+//!   builds its result under the schema compiled onto its node, not the
+//!   preserved relation's). A borrowed
 //!   scan is never narrowed and materialises nothing (`values_out` 0). Only
 //!   a scan consumed by an operator that needs an owned relation — a union
 //!   arm, a set operation, the plan root — copies, and then row pointers.
@@ -454,29 +454,24 @@ impl<'a> Engine<'a> {
     /// when the child is a scan — the join operators only read tuples
     /// through positions (output schemas are precompiled), so copying even
     /// the base table's row pointers per execution would be pure overhead.
-    /// Both sides of a join, the inner side of a semijoin and the inner side
-    /// of a decorrelated semijoin are borrowed `whatever_the_alias`: nothing
-    /// reads their schema. The preserved side of a semijoin hands its schema
-    /// on to the result, so it is borrowed only when the scan's schema is
-    /// the stored one.
+    /// The borrowed relation carries the *stored* schema, not the alias the
+    /// scan runs under: nothing reads it — a semijoin builds its result under
+    /// the schema compiled onto its own node.
     fn exec_rel<'e>(
         &'e self,
         node: &CompiledExpr,
-        whatever_the_alias: bool,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Cow<'e, Relation>> {
-        if let CompiledExpr::Scan { name, schema } = node {
+        if let CompiledExpr::Scan { name, .. } = node {
             let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
-            if whatever_the_alias || Arc::ptr_eq(rel.schema(), schema) || rel.schema() == schema {
-                if let Some(p) = prof {
-                    // Borrowing the base table is free; the scan still counts
-                    // as one invocation producing the table's rows (and no
-                    // values: nothing was materialised).
-                    p.stats.record_invocation(rel.len() as u64, 0);
-                }
-                return Ok(Cow::Borrowed(rel));
+            if let Some(p) = prof {
+                // Borrowing the base table is free; the scan still counts
+                // as one invocation producing the table's rows (and no
+                // values: nothing was materialised).
+                p.stats.record_invocation(rel.len() as u64, 0);
             }
+            return Ok(Cow::Borrowed(rel));
         }
         self.exec(node, scalars, prof).map(Cow::Owned)
     }
@@ -529,31 +524,35 @@ impl<'a> Engine<'a> {
                 self.exec_fused(source, steps, schema, *dedup, *partitions, vec_plan, scalars, prof)
             }
             CompiledExpr::HashJoin { left, right, keys, schema, emit, partitions } => {
-                let l = self.exec_rel(left, true, scalars, pc(0))?;
-                let r = self.exec_rel(right, true, scalars, pc(1))?;
+                let l = self.exec_rel(left, scalars, pc(0))?;
+                let r = self.exec_rel(right, scalars, pc(1))?;
                 self.hash_join(&l, &r, keys, schema, emit, *partitions, scalars, prof)
             }
             CompiledExpr::NlJoin { left, right, pred, schema, emit, partitions } => {
-                let l = self.exec_rel(left, true, scalars, pc(0))?;
-                let r = self.exec_rel(right, true, scalars, pc(1))?;
+                let l = self.exec_rel(left, scalars, pc(0))?;
+                let r = self.exec_rel(right, scalars, pc(1))?;
                 self.nl_join(&l, &r, pred, schema, emit, *partitions, scalars, prof)
             }
-            CompiledExpr::HashSemi { left, right, keys, keep_matching, partitions } => {
-                let l = self.exec_rel(left, false, scalars, pc(0))?;
-                let r = self.exec_rel(right, true, scalars, pc(1))?;
-                self.hash_semi(l, &r, keys, *keep_matching, *partitions, scalars, prof)
+            CompiledExpr::HashSemi { left, right, keys, keep_matching, schema, partitions } => {
+                let l = self.exec_rel(left, scalars, pc(0))?;
+                let r = self.exec_rel(right, scalars, pc(1))?;
+                let keep =
+                    self.hash_semi(&l, &r, keys, *keep_matching, *partitions, scalars, prof)?;
+                Ok(semi_result(l, keep, schema))
             }
-            CompiledExpr::NlSemi { left, right, pred, keep_matching, partitions } => {
-                let l = self.exec_rel(left, false, scalars, pc(0))?;
-                let r = self.exec_rel(right, true, scalars, pc(1))?;
-                self.nl_semi(l, &r, pred, *keep_matching, *partitions, scalars, prof)
+            CompiledExpr::NlSemi { left, right, pred, keep_matching, schema, partitions } => {
+                let l = self.exec_rel(left, scalars, pc(0))?;
+                let r = self.exec_rel(right, scalars, pc(1))?;
+                let keep =
+                    self.nl_semi(&l, &r, pred, *keep_matching, *partitions, scalars, prof)?;
+                Ok(semi_result(l, keep, schema))
             }
             CompiledExpr::DecorrelatedSemi { left, right, pred, keep_matching, left_schema } => {
                 // The predicate never looks at the outer side, so the inner
                 // side decides the fate of *all* outer tuples at once. A base
                 // relation is borrowed: the witness search touches the rows
                 // it inspects and nothing else.
-                let r = self.exec_rel(right, true, scalars, pc(1))?;
+                let r = self.exec_rel(right, scalars, pc(1))?;
                 if let Some(p) = prof {
                     p.stats.record_rows_in(r.len() as u64);
                 }
@@ -1110,27 +1109,26 @@ impl<'a> Engine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn hash_semi(
         &self,
-        l: Cow<'_, Relation>,
+        l: &Relation,
         r: &Relation,
         keys: &HashKeys,
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
+    ) -> Result<Vec<bool>> {
         let work = l.len() + r.len();
         let n =
-            self.join_workers(&l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
-        let matcher = self.hash_matcher(&l, r, keys, scalars, prof);
-        let keep = self.probe_keep(l.len(), n, keep_matching, prof, |i| {
+            self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
+        let matcher = self.hash_matcher(l, r, keys, scalars, prof);
+        self.probe_keep(l.len(), n, keep_matching, prof, |i| {
             let mut matched = false;
             matcher.partners(i, |_| {
                 matched = true;
                 false
             });
             matched
-        })?;
-        Ok(semi_result(l, keep))
+        })
     }
 
     /// The vectorized evaluator of a nested loop's predicate, when this
@@ -1202,19 +1200,19 @@ impl<'a> Engine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn nl_semi(
         &self,
-        l: Cow<'_, Relation>,
+        l: &Relation,
         r: &Relation,
         pred: &CompiledPredicate,
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
+    ) -> Result<Vec<bool>> {
         let pairs = l.len().saturating_mul(r.len());
-        let n = self.join_workers(&l, r, pred, pairs, partitions, scalars, prof)?;
-        let bound = self.bind_inner(pred, &l, r, scalars, prof);
+        let n = self.join_workers(l, r, pred, pairs, partitions, scalars, prof)?;
+        let bound = self.bind_inner(pred, l, r, scalars, prof);
         let (values, semantics, pool) = (&scalars.values, self.semantics, self.db.str_pool());
-        let keep = self.probe_keep(l.len(), n, keep_matching, None, |i| {
+        self.probe_keep(l.len(), n, keep_matching, None, |i| {
             let lt = &l.tuples()[i];
             match &bound {
                 Some(bound) => bound.eval(lt, values, semantics, pool).any_true(),
@@ -1222,8 +1220,7 @@ impl<'a> Engine<'a> {
                     r.iter().any(|rt| pred.eval(RowView::pair(lt, rt), values, semantics).is_true())
                 }
             }
-        })?;
-        Ok(semi_result(l, keep))
+        })
     }
 
     /// Execute a union: evaluate the arms (concurrently when the plan marked
@@ -1548,14 +1545,14 @@ fn aggregate_row<'k>(
 
 /// Keep exactly the flagged tuples of a (anti-)semijoin's preserved side:
 /// an owned input retains by move, a borrowed base relation clones only the
-/// survivors.
-fn semi_result(l: Cow<'_, Relation>, keep: Vec<bool>) -> Relation {
+/// survivors, under the node's `schema` (the scan's alias, if it has one).
+fn semi_result(l: Cow<'_, Relation>, keep: Vec<bool>, schema: &Arc<Schema>) -> Relation {
     match l {
         Cow::Owned(rel) => retain_by_flags(rel, keep),
         Cow::Borrowed(rel) => {
             let tuples =
                 rel.iter().zip(&keep).filter(|(_, k)| **k).map(|(t, _)| t.clone()).collect();
-            Relation::from_parts(rel.schema().clone(), tuples)
+            Relation::from_parts(schema.clone(), tuples)
         }
     }
 }
@@ -1764,6 +1761,39 @@ mod tests {
                     "query: {q}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn semijoin_borrows_its_preserved_scan_whatever_the_alias() {
+        let mut db = Database::new();
+        db.insert_relation(
+            "r",
+            rel(&["a", "b"], (0..20).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect()),
+        );
+        db.insert_relation("s", rel(&["c"], vec![vec![Value::Int(3)], vec![null(1)]]));
+        let base = db.relation("r").unwrap();
+        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
+        let l1 = || RaExpr::relation_as("r", "l1");
+        // Hash and nested-loop, semi and anti: the aliased scan reports its
+        // rows and no values, and the answer is the base relation's rows —
+        // by pointer — under the alias's schema.
+        for (q, op) in [
+            (l1().semi_join(RaExpr::relation("s"), eq("l1.a", "c")), "hash_semi"),
+            (l1().anti_join(RaExpr::relation("s"), eq("l1.a", "c")), "hash_semi"),
+            (l1().semi_join(RaExpr::relation("s"), neq("l1.a", "c")), "nl_semi"),
+        ] {
+            let compiled = engine.compile(&engine.plan(&q).unwrap()).unwrap();
+            let (out, profile) = engine.execute_compiled_profiled(&compiled).unwrap();
+            assert_eq!(profile.op, op, "{q}");
+            let scan = &profile.children[0];
+            assert_eq!((scan.op.as_str(), scan.rows_out, scan.values_out), ("scan(r)", 20, 0));
+            assert_eq!(out.schema().names(), vec!["l1.a", "l1.b"]);
+            assert!(!out.is_empty());
+            for answer in out.iter() {
+                assert!(base.iter().any(|t| std::ptr::eq(answer.values(), t.values())), "{q}");
+            }
+            assert_same_as_reference(&q, &db);
         }
     }
 

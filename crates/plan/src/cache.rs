@@ -1,7 +1,7 @@
 //! Plan caching: hashable keys over logical expressions and a small LRU
 //! cache with hit/miss accounting.
 //!
-//! Planning a translated query is not free — translation, seven rewrite
+//! Planning a translated query is not free — translation, eight rewrite
 //! passes, physical planning and operator compilation — so repeated workload
 //! queries should plan **once**. [`PlanKey`] makes a
 //! logical [`RaExpr`] usable as a hash-map key (the expression tree carries

@@ -29,6 +29,7 @@
 
 use certus_algebra::condition::{Condition, Operand};
 use certus_data::compare::CmpOp;
+use certus_data::schema::resolve;
 use certus_data::Schema;
 
 /// One input of a join-like operator.
@@ -40,25 +41,25 @@ pub enum Side {
     Right,
 }
 
-/// The schemas of a join-like operator's two inputs, concatenated once: the
-/// rule for which side a column belongs to.
-#[derive(Debug, Clone)]
-pub struct JoinSides {
-    combined: Schema,
-    left_arity: usize,
+/// The schemas of a join-like operator's two inputs: the rule for which side
+/// a column belongs to.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinSides<'a> {
+    left: &'a Schema,
+    right: &'a Schema,
 }
 
-impl JoinSides {
+impl<'a> JoinSides<'a> {
     /// The sides of a join over the given input schemas.
-    pub fn new(left: &Schema, right: &Schema) -> Self {
-        JoinSides { combined: left.concat(right), left_arity: left.arity() }
+    pub fn new(left: &'a Schema, right: &'a Schema) -> Self {
+        JoinSides { left, right }
     }
 
     /// The side `column` belongs to and its position in `left ++ right`;
     /// `None` when the name is unknown or ambiguous there.
     fn locate(&self, column: &str) -> Option<(Side, usize)> {
-        let pos = self.combined.position_of(column).ok()?;
-        Some((if pos < self.left_arity { Side::Left } else { Side::Right }, pos))
+        let pos = resolve(self.left.attrs().iter().chain(self.right.attrs()), column)?;
+        Some((if pos < self.left.arity() { Side::Left } else { Side::Right }, pos))
     }
 
     /// The side `column` belongs to; `None` when the name is unknown or
@@ -147,7 +148,7 @@ pub fn split_equi(condition: &Condition, left: &Schema, right: &Schema) -> EquiS
 /// The `(left column, right column, null flags)` of a conjunct that is a
 /// key: one equality between columns of opposite sides, alone or in a
 /// disjunction with `IS NULL` tests on those same two columns.
-fn key_of(conjunct: &Condition, sides: &JoinSides) -> Option<(String, String, NullOk)> {
+fn key_of(conjunct: &Condition, sides: &JoinSides<'_>) -> Option<(String, String, NullOk)> {
     let mut key = None;
     let mut null_tests = Vec::new();
     for disjunct in conjunct.disjuncts() {

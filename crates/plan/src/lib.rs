@@ -10,10 +10,11 @@
 //!   both SQL and naive null semantics), so translated queries keep their
 //!   certain-answer guarantee.
 //! * [`passes`] — the individual passes: constant/condition folding,
-//!   predicate pushdown, projection collapsing, plus the paper's Section 7
+//!   predicate pushdown, projection collapsing, the paper's Section 7
 //!   rewrites (nullability-aware `IS NULL` pruning, OR-splitting of
 //!   `NOT EXISTS` and join conditions, the key-based simplification
-//!   `R ⋉̸⇑ S → R − S`).
+//!   `R ⋉̸⇑ S → R − S`), and join-to-semijoin for joins that only test
+//!   existence.
 //! * [`stats`] — a [`StatisticsCatalog`] of per-relation cardinalities and
 //!   per-column null fractions / distinct counts computed from
 //!   `certus-data` relations.
@@ -102,6 +103,7 @@ mod tests {
         let stats = StatisticsCatalog::analyze(&db);
         let (plan, explain) = PhysicalPlanner::new(&db, &stats).plan_explained(&optimized).unwrap();
         assert!(plan.size() >= 3);
-        assert!(explain.to_string().contains("HashJoin"), "{explain}");
+        // Only `a` is read above the join and the projection deduplicates.
+        assert!(explain.to_string().contains("HashSemiJoin"), "{explain}");
     }
 }

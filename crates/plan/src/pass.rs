@@ -11,12 +11,19 @@
 //! The order is deliberate, as in the incresql/readyset pipelines this design
 //! follows: folding first so pushdown sees clean conditions, pushdown before
 //! the Section 7 rewrites so they see conditions where they will execute,
-//! the OR-splits last because they duplicate subtrees. No later pass opens
-//! work for an earlier one — running the list over its own output changes
-//! nothing, which debug builds assert — so there is no loop; should a pass
-//! ever need a second go, it is listed a second time where it is needed.
+//! the OR-splits late because they duplicate subtrees, and join-to-semijoin
+//! last: it needs the conditions where pushdown left them (a filter still
+//! sitting above a join would read the right columns it is about to drop),
+//! and it must come after split-or-join, which only knows how to split a
+//! *join* on a disjunction. No later pass opens work for an earlier one —
+//! the semijoin a join becomes keeps its condition and its inputs, so
+//! folding, pushdown and pruning find it as they left it, and a projection
+//! it turns into the identity is written as `collapse` would write it —
+//! running the list over its own output changes nothing, which debug builds
+//! assert; so there is no loop. Should a pass ever need a second go, it is
+//! listed a second time where it is needed.
 
-use crate::passes::{collapse, fold, key_antijoin, null_prune, or_split, pushdown};
+use crate::passes::{collapse, fold, key_antijoin, null_prune, or_split, pushdown, semijoin};
 use crate::Result;
 use certus_algebra::expr::RaExpr;
 use certus_algebra::schema_infer::Catalog;
@@ -27,10 +34,10 @@ use std::borrow::Cow;
 pub type Pass = fn(&RaExpr, &dyn Catalog) -> Result<RaExpr>;
 
 /// The pipeline, in execution order: folding, predicate pushdown, projection
-/// collapsing, then the paper's Section 7 rewrites (nullability pruning,
+/// collapsing, the paper's Section 7 rewrites (nullability pruning,
 /// key-based anti-join simplification, OR-splitting of anti-joins and of
-/// joins).
-pub const PASSES: [(&str, Pass); 7] = [
+/// joins), then joins that only test existence to semijoins.
+pub const PASSES: [(&str, Pass); 8] = [
     ("fold", fold::fold),
     ("predicate-pushdown", pushdown::pushdown),
     ("collapse-projections", collapse::collapse),
@@ -38,6 +45,7 @@ pub const PASSES: [(&str, Pass); 7] = [
     ("key-antijoin", key_antijoin::simplify_key_antijoin),
     ("split-or-antijoin", or_split::split_or_antijoin),
     ("split-or-join", or_split::split_or_join),
+    ("join-to-semijoin", semijoin::join_to_semijoin),
 ];
 
 /// One trace record per executed pass.
@@ -114,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn standard_manager_registers_all_seven_passes() {
+    fn standard_manager_lists_the_passes_in_order() {
         assert_eq!(
             PASSES.map(|(name, _)| name),
             [
@@ -125,6 +133,7 @@ mod tests {
                 "key-antijoin",
                 "split-or-antijoin",
                 "split-or-join",
+                "join-to-semijoin",
             ]
         );
     }

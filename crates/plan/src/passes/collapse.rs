@@ -12,6 +12,7 @@
 use crate::{PlanError, Result};
 use certus_algebra::expr::{ProjCol, RaExpr};
 use certus_algebra::schema_infer::{output_schema, Catalog};
+use certus_data::Schema;
 
 /// Whether an operator's output is duplicate-free by construction.
 fn dedups(expr: &RaExpr) -> bool {
@@ -49,27 +50,31 @@ pub fn collapse(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
                 // A projection over a distinct dedups on its own.
                 RaExpr::Distinct { input: inner } => inner.project_cols(columns),
                 inner => {
-                    // Identity projection → Distinct (it only deduplicates).
                     let schema = output_schema(&inner, catalog).map_err(PlanError::Algebra)?;
-                    let identity = columns.len() == schema.arity()
-                        && columns
-                            .iter()
-                            .enumerate()
-                            .all(|(i, pc)| pc.alias.is_none() && pc.column == schema.attr(i).name);
-                    if identity {
-                        if dedups(&inner) {
-                            inner
-                        } else {
-                            inner.distinct()
-                        }
-                    } else {
-                        inner.project_cols(columns)
-                    }
+                    project_over(inner, columns, &schema)
                 }
             },
             other => other,
         })
     })
+}
+
+/// `π_columns(input)` over an input of the given schema — or, for the
+/// identity projection (every column, under its own name, in order), the
+/// deduplication that is all it does.
+pub(crate) fn project_over(input: RaExpr, columns: Vec<ProjCol>, schema: &Schema) -> RaExpr {
+    let identity = columns.len() == schema.arity()
+        && columns
+            .iter()
+            .enumerate()
+            .all(|(i, pc)| pc.alias.is_none() && pc.column == schema.attr(i).name);
+    if !identity {
+        input.project_cols(columns)
+    } else if dedups(&input) {
+        input
+    } else {
+        input.distinct()
+    }
 }
 
 /// Compose `outer ∘ inner`: each outer column must name an output column of

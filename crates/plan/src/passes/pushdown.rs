@@ -159,11 +159,11 @@ fn push_select(input: RaExpr, condition: Condition, catalog: &dyn Catalog) -> Re
     }
 }
 
-/// The sides of the join of two expressions.
-fn sides_of(left: &RaExpr, right: &RaExpr, catalog: &dyn Catalog) -> Result<JoinSides> {
+/// The schemas of the two inputs of a join.
+fn schemas_of(left: &RaExpr, right: &RaExpr, catalog: &dyn Catalog) -> Result<(Schema, Schema)> {
     let l_schema = output_schema(left, catalog).map_err(PlanError::Algebra)?;
     let r_schema = output_schema(right, catalog).map_err(PlanError::Algebra)?;
-    Ok(JoinSides::new(&l_schema, &r_schema))
+    Ok((l_schema, r_schema))
 }
 
 /// Distribute the conjuncts of a join condition: conjuncts that read only
@@ -174,7 +174,8 @@ fn distribute(
     condition: Condition,
     catalog: &dyn Catalog,
 ) -> Result<(RaExpr, RaExpr, Condition)> {
-    let sides = sides_of(&left, &right, catalog)?;
+    let (l_schema, r_schema) = schemas_of(&left, &right, catalog)?;
+    let sides = JoinSides::new(&l_schema, &r_schema);
     let mut left_only = Condition::True;
     let mut right_only = Condition::True;
     let mut keep = Condition::True;
@@ -210,7 +211,8 @@ fn push_inner_only(
     condition: &Condition,
     catalog: &dyn Catalog,
 ) -> Result<(RaExpr, Condition)> {
-    let sides = sides_of(left, &right, catalog)?;
+    let (l_schema, r_schema) = schemas_of(left, &right, catalog)?;
+    let sides = JoinSides::new(&l_schema, &r_schema);
     let (inner_only, kept): (Vec<Condition>, Vec<Condition>) = condition
         .conjuncts()
         .into_iter()

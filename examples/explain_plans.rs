@@ -5,7 +5,10 @@
 //! and of its translation Q⁺4 — the plans the session executes, with
 //! statistics-backed row/cost estimates, the chosen join algorithm per node
 //! and null-aware keys marked `| <column> null matches` — for a serial and
-//! for a 4-thread session.
+//! for a 4-thread session. Under the `NOT EXISTS` only existence matters:
+//! the two joins whose right columns nobody reads (`part`, `nation`) are
+//! planned, shown and run as `HashSemiJoin`s, in Q4 and Q⁺4 alike; the join
+//! with `supplier` hands `s_nationkey` on and stays a `HashJoin`.
 //!
 //! Run with `cargo run --release --example explain_plans`.
 
