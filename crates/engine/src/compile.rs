@@ -16,6 +16,10 @@
 //! * `Filter`/`Project`/`Rename`/`Distinct` chains are **fused** into a
 //!   single step pipeline executed in one pass over the input — a filter
 //!   directly above a scan shares the surviving rows with the base relation;
+//! * an [`PhysicalExpr::Exchange`] is absorbed by the operator above it as a
+//!   partition count on the compiled node — a filter peels its input, a
+//!   hash operator its build side, a nested loop its outer side, a union
+//!   its arms — and is the identity anywhere else;
 //! * a last pass over the compiled tree (`liveness.rs`) narrows every join
 //!   to the columns an ancestor reads and remaps keys, residuals and fused
 //!   steps onto the narrower rows — once, here;
@@ -42,7 +46,7 @@ use certus_data::{Attribute, Database, Relation, Schema, Truth, Tuple, Value, Va
 use certus_obs::metrics::{registry, Counter};
 use certus_obs::names;
 use certus_obs::ProfNode;
-use certus_plan::physical::{JoinAlgo, Partitioning, PhysicalExpr, SemiAlgo};
+use certus_plan::physical::{JoinAlgo, PhysicalExpr, SemiAlgo};
 use certus_plan::NullOk;
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -462,8 +466,8 @@ pub(crate) enum CompiledExpr {
     /// relations or literals, so this is a defensive fallback).
     Opaque { expr: RaExpr, schema: Arc<Schema> },
     /// A fused chain of per-row steps over one source, executed in a single
-    /// pass. `partitions > 0` marks a round-robin exchange under the first
-    /// filter (morsel-parallel execution); `dedup` marks a projection or
+    /// pass. `partitions > 0` marks an exchange under a filter of the chain
+    /// (morsel-parallel execution); `dedup` marks a projection or
     /// distinct in the chain (set semantics: deduplicate the output).
     /// `vec_plan` is the batch-at-a-time form of the chain (present whenever
     /// the chain filters); the engine picks the vectorized or the row path
@@ -478,7 +482,8 @@ pub(crate) enum CompiledExpr {
     },
     /// Hash join: build on the right, probe with the left, residual applied
     /// to the (left, right) pair, `emit` of each joining pair emitted.
-    /// `partitions > 0` marks a hash exchange on the build side.
+    /// `partitions > 0` marks an exchange on the build side: the probe runs
+    /// in morsels of the left side.
     HashJoin {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
@@ -487,8 +492,8 @@ pub(crate) enum CompiledExpr {
         emit: Emit,
         partitions: usize,
     },
-    /// Nested-loop join. `partitions > 0` marks a round-robin exchange on
-    /// the outer (left) side.
+    /// Nested-loop join. `partitions > 0` marks an exchange on the outer
+    /// (left) side.
     NlJoin {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
@@ -530,12 +535,10 @@ pub(crate) enum CompiledExpr {
     /// concurrent evaluation are absorbed into `parallel`).
     Union { arms: Vec<CompiledExpr>, schema: Arc<Schema>, parallel: bool },
     /// Set intersection (positional, left schema wins — the reference
-    /// evaluator's schema alignment). `partitions > 0` when the plan carried
-    /// an exchange: membership tests are hash-partitioned across pool tasks.
-    Intersect { left: Box<CompiledExpr>, right: Box<CompiledExpr>, partitions: usize },
-    /// Set difference (positional, left schema wins); `partitions` as for
-    /// [`CompiledExpr::Intersect`].
-    Difference { left: Box<CompiledExpr>, right: Box<CompiledExpr>, partitions: usize },
+    /// evaluator's schema alignment).
+    Intersect { left: Box<CompiledExpr>, right: Box<CompiledExpr> },
+    /// Set difference (positional, left schema wins).
+    Difference { left: Box<CompiledExpr>, right: Box<CompiledExpr> },
     /// Unification (anti-)semijoin of Definition 4.
     UnifySemi { left: Box<CompiledExpr>, right: Box<CompiledExpr>, keep_matching: bool },
     /// Relational division with divisor↔dividend column positions resolved.
@@ -548,18 +551,14 @@ pub(crate) enum CompiledExpr {
     },
     /// Column renaming: a schema swap, no tuple work.
     Rename { input: Box<CompiledExpr>, schema: Arc<Schema> },
-    /// Duplicate elimination; `partitions > 0` when the plan carried an
-    /// exchange — rows are hash-partitioned and deduplicated per pool task.
-    Distinct { input: Box<CompiledExpr>, partitions: usize },
-    /// Grouping and aggregation with positions resolved; `partitions > 0`
-    /// when the plan carried an exchange — grouping is hash-partitioned on
-    /// the group key across pool tasks.
+    /// Duplicate elimination.
+    Distinct { input: Box<CompiledExpr> },
+    /// Grouping and aggregation with positions resolved.
     Aggregate {
         input: Box<CompiledExpr>,
         group_pos: Vec<usize>,
         aggs: Vec<(AggFunc, Option<usize>)>,
         schema: Arc<Schema>,
-        partitions: usize,
     },
 }
 
@@ -638,13 +637,7 @@ fn compile_expr(
         // An exchange nobody above exploits is the identity.
         PhysicalExpr::Exchange { input, .. } => compile_expr(input, db, scalars),
         PhysicalExpr::Filter { input, condition } => {
-            let (inner, partitions) = match input.as_ref() {
-                PhysicalExpr::Exchange {
-                    input,
-                    partitioning: Partitioning::RoundRobin { partitions },
-                } => (input.as_ref(), *partitions),
-                other => (other, 0),
-            };
+            let (inner, partitions) = peel_exchange(input);
             let child = compile_expr(inner, db, scalars)?;
             let pred = compile_condition(condition, child.schema(), scalars)?;
             Ok(push_step(child, Step::Filter(pred), None, partitions))
@@ -665,25 +658,17 @@ fn compile_expr(
             })
         }
         PhysicalExpr::Distinct { input } => {
-            let (inner, partitions) = peel_any_exchange(input);
-            let child = compile_expr(inner, db, scalars)?;
+            let child = compile_expr(input, db, scalars)?;
             Ok(match child {
-                CompiledExpr::Fused {
-                    source, steps, schema, partitions: fused, vec_plan, ..
-                } => CompiledExpr::Fused {
-                    source,
-                    steps,
-                    schema,
-                    dedup: true,
-                    partitions: fused.max(partitions),
-                    vec_plan,
-                },
-                other => CompiledExpr::Distinct { input: Box::new(other), partitions },
+                CompiledExpr::Fused { source, steps, schema, partitions, vec_plan, .. } => {
+                    CompiledExpr::Fused { source, steps, schema, dedup: true, partitions, vec_plan }
+                }
+                other => CompiledExpr::Distinct { input: Box::new(other) },
             })
         }
         PhysicalExpr::Join { left, right, condition, algo } => match algo {
             JoinAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
-                let (build, partitions) = peel_hash_exchange(right);
+                let (build, partitions) = peel_exchange(right);
                 let l = compile_expr(left, db, scalars)?;
                 let r = compile_expr(build, db, scalars)?;
                 let schema = l.schema().concat(r.schema()).shared();
@@ -703,7 +688,7 @@ fn compile_expr(
                 })
             }
             JoinAlgo::NestedLoop => {
-                let (outer, partitions) = peel_rr_exchange(left);
+                let (outer, partitions) = peel_exchange(left);
                 let l = compile_expr(outer, db, scalars)?;
                 let r = compile_expr(right, db, scalars)?;
                 let schema = l.schema().concat(r.schema()).shared();
@@ -734,7 +719,7 @@ fn compile_expr(
                     })
                 }
                 SemiAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
-                    let (build, partitions) = peel_hash_exchange(right);
+                    let (build, partitions) = peel_exchange(right);
                     let l = compile_expr(left, db, scalars)?;
                     let r = compile_expr(build, db, scalars)?;
                     let combined = l.schema().concat(r.schema());
@@ -754,7 +739,7 @@ fn compile_expr(
                     })
                 }
                 SemiAlgo::NestedLoop => {
-                    let (outer, partitions) = peel_rr_exchange(left);
+                    let (outer, partitions) = peel_exchange(left);
                     let l = compile_expr(outer, db, scalars)?;
                     let r = compile_expr(right, db, scalars)?;
                     let combined = l.schema().concat(r.schema()).shared();
@@ -786,26 +771,14 @@ fn compile_expr(
             Ok(CompiledExpr::Union { arms, schema, parallel })
         }
         PhysicalExpr::Intersect { left, right } => {
-            let (li, lp) = peel_any_exchange(left);
-            let (ri, rp) = peel_any_exchange(right);
-            let l = compile_expr(li, db, scalars)?;
-            let r = compile_expr(ri, db, scalars)?;
-            Ok(CompiledExpr::Intersect {
-                left: Box::new(l),
-                right: Box::new(r),
-                partitions: lp.max(rp),
-            })
+            let l = compile_expr(left, db, scalars)?;
+            let r = compile_expr(right, db, scalars)?;
+            Ok(CompiledExpr::Intersect { left: Box::new(l), right: Box::new(r) })
         }
         PhysicalExpr::Difference { left, right } => {
-            let (li, lp) = peel_any_exchange(left);
-            let (ri, rp) = peel_any_exchange(right);
-            let l = compile_expr(li, db, scalars)?;
-            let r = compile_expr(ri, db, scalars)?;
-            Ok(CompiledExpr::Difference {
-                left: Box::new(l),
-                right: Box::new(r),
-                partitions: lp.max(rp),
-            })
+            let l = compile_expr(left, db, scalars)?;
+            let r = compile_expr(right, db, scalars)?;
+            Ok(CompiledExpr::Difference { left: Box::new(l), right: Box::new(r) })
         }
         PhysicalExpr::UnifySemi { left, right, anti } => {
             let l = compile_expr(left, db, scalars)?;
@@ -855,8 +828,7 @@ fn compile_expr(
             })
         }
         PhysicalExpr::Aggregate { input, group_by, aggregates } => {
-            let (inner, partitions) = peel_any_exchange(input);
-            let child = compile_expr(inner, db, scalars)?;
+            let child = compile_expr(input, db, scalars)?;
             let group_pos = resolve_positions(child.schema(), group_by)?;
             let mut aggs = Vec::with_capacity(aggregates.len());
             let mut attrs: Vec<Attribute> =
@@ -887,7 +859,6 @@ fn compile_expr(
                 group_pos,
                 aggs,
                 schema: Schema::new(attrs).shared(),
-                partitions,
             })
         }
     }
@@ -990,36 +961,13 @@ fn compile_null_aware(
     Ok(Some(NullAware { null_ok: null_ok.to_vec(), full }))
 }
 
-fn peel_hash_exchange(plan: &PhysicalExpr) -> (&PhysicalExpr, usize) {
+/// The child an operator fans out over, without its exchange, and how many
+/// ways the planner allowed the split (0: not at all). Which child that is
+/// is the caller's choice: a filter's input, a hash operator's build side, a
+/// nested loop's outer side.
+fn peel_exchange(plan: &PhysicalExpr) -> (&PhysicalExpr, usize) {
     match plan {
-        PhysicalExpr::Exchange { input, partitioning: Partitioning::Hash { partitions, .. } } => {
-            (input, *partitions)
-        }
-        other => (other, 0),
-    }
-}
-
-fn peel_rr_exchange(plan: &PhysicalExpr) -> (&PhysicalExpr, usize) {
-    match plan {
-        PhysicalExpr::Exchange { input, partitioning: Partitioning::RoundRobin { partitions } } => {
-            (input, *partitions)
-        }
-        other => (other, 0),
-    }
-}
-
-/// Peel an exchange of either partitioning kind. Operators that partition
-/// by their own runtime row/key hash (distinct, set ops, aggregation) only
-/// need the partition count; the plan-side partitioning is advisory.
-fn peel_any_exchange(plan: &PhysicalExpr) -> (&PhysicalExpr, usize) {
-    match plan {
-        PhysicalExpr::Exchange { input, partitioning } => {
-            let partitions = match partitioning {
-                Partitioning::Hash { partitions, .. } => *partitions,
-                Partitioning::RoundRobin { partitions } => *partitions,
-            };
-            (input, partitions)
-        }
+        PhysicalExpr::Exchange { input, partitions } => (input, *partitions),
         other => (other, 0),
     }
 }

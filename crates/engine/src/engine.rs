@@ -29,7 +29,8 @@
 //!   than Q2, as in the paper;
 //! * set operations, unification semijoins, division, renaming and
 //!   aggregation all run natively on owned relations (no schema clones, no
-//!   scratch-set tuple clones).
+//!   scratch-set tuple clones); aggregation groups through the hash
+//!   operators' key sets, nulls as ordinary key values.
 //!
 //! [`Engine::execute`] is the convenience entry point for logical plans: it
 //! plans them as given — no rewrite passes, no statistics; see
@@ -127,18 +128,20 @@
 //! submitted to the process-wide work-stealing worker pool
 //! ([`certus_exec::Pool`]) — no per-exchange thread spawning:
 //!
-//! * an exchange under a join-like operator (hash exchange on a hash
-//!   operator's build side, round-robin on a nested loop's outer side) marks
-//!   it for a **morsel-parallel probe**: one shared build table or bound
-//!   predicate, the outer side split into contiguous morsels;
+//! * an exchange under a join-like operator (on a hash operator's build
+//!   side, on a nested loop's outer side) marks it for a **morsel-parallel
+//!   probe**: one shared build table or bound predicate, the outer side
+//!   split into contiguous morsels;
 //! * exchanges under a union mark its branches (the translation's split-union
 //!   `Q⁺` arms) for **concurrent evaluation**;
-//! * an exchange with [`Partitioning::RoundRobin`](certus_plan::physical::Partitioning::RoundRobin)
-//!   under a filter splits the
-//!   input into contiguous morsels run through the fused step pipeline in
-//!   parallel;
-//! * exchanges under distinct, set operations and aggregation hash-partition
-//!   the rows across pool tasks.
+//! * an exchange under a filter splits the input into contiguous morsels
+//!   run through the fused step pipeline in parallel.
+//!
+//! Nothing is hash-partitioned: every fan-out is over contiguous index
+//! ranges (or whole union arms) concatenated in order. Deduplication,
+//! intersection, difference and aggregation run on the calling thread —
+//! one pass over a hash set or a keyed table is faster than hashing every
+//! row first to route it — and so do the unification semijoins and division.
 //!
 //! With [`EngineConfig::threads`] `== 1` (or on plans without exchanges)
 //! every operator runs inline on the calling thread. All parallel paths are
@@ -165,7 +168,7 @@ use certus_obs::names;
 use certus_obs::{ProfNode, QueryProfile, Timer};
 use certus_plan::physical::{heuristic_plan_with, Parallelism, PhysicalExpr};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -290,8 +293,8 @@ impl<'a> Engine<'a> {
 
     /// Submit this engine's parallel tasks to `pool` instead of the
     /// process-wide [`certus_exec::global`] pool. The pool only decides
-    /// *scheduling*; partition routing (and therefore output order) is a
-    /// function of [`EngineConfig::threads`] alone.
+    /// *scheduling*; how work is split into morsels is a function of
+    /// [`EngineConfig::threads`] alone, and output order depends on neither.
     pub fn with_worker_pool(mut self, pool: Arc<certus_exec::Pool>) -> Self {
         self.pool = Some(pool);
         self
@@ -573,68 +576,21 @@ impl<'a> Engine<'a> {
             CompiledExpr::Union { arms, schema, parallel } => {
                 self.exec_union(arms, schema, *parallel, scalars, prof)
             }
-            CompiledExpr::Intersect { left, right, partitions } => {
-                let l = self.exec(left, scalars, pc(0))?;
-                let r = self.exec(right, scalars, pc(1))?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in((l.len() + r.len()) as u64);
-                }
-                self.exec_setop(l, &r, true, *partitions, prof)
+            CompiledExpr::Intersect { left, right } => {
+                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+                Ok(set_filter(l, &r, true))
             }
-            CompiledExpr::Difference { left, right, partitions } => {
-                let l = self.exec(left, scalars, pc(0))?;
-                let r = self.exec(right, scalars, pc(1))?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in((l.len() + r.len()) as u64);
-                }
-                self.exec_setop(l, &r, false, *partitions, prof)
+            CompiledExpr::Difference { left, right } => {
+                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+                Ok(set_filter(l, &r, false))
             }
             CompiledExpr::UnifySemi { left, right, keep_matching } => {
-                let l = self.exec(left, scalars, pc(0))?;
-                let r = self.exec(right, scalars, pc(1))?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in((l.len() + r.len()) as u64);
-                }
-                let keep: Vec<bool> = l
-                    .iter()
-                    .map(|lt| {
-                        r.iter().any(|rt| certus_data::unify::tuples_unify(lt, rt))
-                            == *keep_matching
-                    })
-                    .collect();
-                Ok(retain_by_flags(l, keep))
+                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+                self.unify_semi(l, &r, *keep_matching)
             }
             CompiledExpr::Division { left, right, key_positions, shared_positions, schema } => {
-                let l = self.exec(left, scalars, pc(0))?;
-                let r = self.exec(right, scalars, pc(1))?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in((l.len() + r.len()) as u64);
-                }
-                let mut all: HashSet<&Tuple> = HashSet::with_capacity(l.len());
-                all.extend(l.iter());
-                let mut seen_keys = HashSet::with_capacity(l.len());
-                let mut tuples = Vec::new();
-                for lt in l.iter() {
-                    let key = lt.project(key_positions);
-                    if !seen_keys.insert(key.clone()) {
-                        continue;
-                    }
-                    let ok = r.iter().all(|rt| {
-                        // Reassemble a dividend tuple with this key and the
-                        // divisor values.
-                        let candidate: Tuple = (0..lt.len())
-                            .map(|p| match shared_positions.iter().rposition(|&lp| lp == p) {
-                                Some(ri) => rt[ri].clone(),
-                                None => lt[p].clone(),
-                            })
-                            .collect();
-                        all.contains(&candidate)
-                    });
-                    if ok {
-                        tuples.push(key);
-                    }
-                }
-                Ok(Relation::from_parts(schema.clone(), tuples))
+                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+                self.division(&l, &r, key_positions, shared_positions, schema)
             }
             CompiledExpr::Rename { input, schema } => {
                 let rel = self.exec(input, scalars, pc(0))?;
@@ -643,244 +599,116 @@ impl<'a> Engine<'a> {
                 }
                 Ok(Relation::from_parts(schema.clone(), rel.into_tuples()))
             }
-            CompiledExpr::Distinct { input, partitions } => {
+            CompiledExpr::Distinct { input } => {
                 let rel = self.exec(input, scalars, pc(0))?;
                 if let Some(p) = prof {
                     p.stats.record_rows_in(rel.len() as u64);
                 }
-                self.exec_distinct(rel, *partitions, prof)
+                Ok(rel.into_distinct())
             }
-            CompiledExpr::Aggregate { input, group_pos, aggs, schema, partitions } => {
+            CompiledExpr::Aggregate { input, group_pos, aggs, schema } => {
                 let rel = self.exec(input, scalars, pc(0))?;
                 if let Some(p) = prof {
                     p.stats.record_rows_in(rel.len() as u64);
                 }
-                self.exec_aggregate(rel, group_pos, aggs, schema, *partitions, prof)
+                self.exec_aggregate(&rel, group_pos, aggs, schema)
             }
         }
     }
 
-    /// Execute a standalone distinct. With plan-side partitions and enough
-    /// rows, rows are hash-partitioned into selection vectors; each pool
-    /// task keeps its partition's first occurrences, and the merged survivor
-    /// indices (sorted back to input order) reproduce the serial
-    /// first-occurrence-in-input-order result exactly.
-    fn exec_distinct(
+    /// Execute both inputs of an operator that consumes them whole (the set
+    /// operations, the unification semijoins, division), left first.
+    fn exec_both(
         &self,
-        rel: Relation,
-        partitions: usize,
+        left: &CompiledExpr,
+        right: &CompiledExpr,
+        scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
-        let n = if partitions > 0 && self.config.threads > 1 {
-            self.workers(partitions, rel.len())
-        } else {
-            1
-        };
-        if n <= 1 {
-            return Ok(rel.into_distinct());
-        }
+    ) -> Result<(Relation, Relation)> {
+        let l = self.exec(left, scalars, prof.and_then(|p| p.child(0)))?;
+        let r = self.exec(right, scalars, prof.and_then(|p| p.child(1)))?;
         if let Some(p) = prof {
-            p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
+            p.stats.record_rows_in((l.len() + r.len()) as u64);
         }
-        let hashes = self.row_hashes(rel.tuples(), None);
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, &h) in hashes.iter().enumerate() {
-            parts[(h % n as u64) as usize].push(i as u32);
-        }
-        let mut kept = self.parallel_flat(&parts, |part| {
-            let mut buckets: HashMap<u64, Vec<u32>> = HashMap::with_capacity(part.len());
-            let mut keep = Vec::new();
-            'rows: for &i in part {
-                let bucket = buckets.entry(hashes[i as usize]).or_default();
-                for &j in bucket.iter() {
-                    if rel.tuples()[j as usize] == rel.tuples()[i as usize] {
-                        continue 'rows;
-                    }
-                }
-                bucket.push(i);
-                keep.push(i);
-            }
-            Ok(keep)
-        })?;
-        kept.sort_unstable();
-        let mut flags = vec![false; rel.len()];
-        for &i in &kept {
-            flags[i as usize] = true;
-        }
-        Ok(retain_by_flags(rel, flags))
+        Ok((l, r))
     }
 
-    /// Set intersection (`want_member`) or difference. With plan-side
-    /// partitions and enough rows, both sides are hash-partitioned by full
-    /// row (equal tuples always share a partition) and each pool task
-    /// decides membership for its partition's left rows; decisions merge
-    /// into per-row keep flags, so output order matches the serial pass.
-    fn exec_setop(
+    /// Unification (anti-)semijoin: compares every pair, so it runs on the
+    /// probe driver and stays cancellable.
+    fn unify_semi(&self, l: Relation, r: &Relation, keep_matching: bool) -> Result<Relation> {
+        let keep = self.probe_keep(l.len(), 1, keep_matching, None, |i| {
+            r.iter().any(|rt| certus_data::unify::tuples_unify(&l.tuples()[i], rt))
+        })?;
+        Ok(retain_by_flags(l, keep))
+    }
+
+    /// Relational division: the dividend keys whose combination with every
+    /// divisor row is a dividend row. `|keys| × |r|` lookups, so the token
+    /// is checked once per key.
+    fn division(
         &self,
-        l: Relation,
+        l: &Relation,
         r: &Relation,
-        want_member: bool,
-        partitions: usize,
-        prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
-        let n = if partitions > 0 && self.config.threads > 1 {
-            self.workers(partitions, l.len() + r.len())
-        } else {
-            1
-        };
-        if n <= 1 {
-            return Ok(set_filter(l, r, want_member));
-        }
-        if let Some(p) = prof {
-            p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
-        }
-        let (l_hash, r_hash) = self.row_hashes_pair(l.tuples(), r.tuples());
-        let mut parts: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); n];
-        for (i, &h) in l_hash.iter().enumerate() {
-            parts[(h % n as u64) as usize].0.push(i as u32);
-        }
-        for (j, &h) in r_hash.iter().enumerate() {
-            parts[(h % n as u64) as usize].1.push(j as u32);
-        }
-        let members = self.parallel_flat(&parts, |(li, ri)| {
-            let mut table: HashMap<u64, Vec<u32>> = HashMap::with_capacity(ri.len());
-            for &j in ri {
-                table.entry(r_hash[j as usize]).or_default().push(j);
-            }
-            Ok(li
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    table.get(&l_hash[i as usize]).is_some_and(|cands| {
-                        cands.iter().any(|&j| r.tuples()[j as usize] == l.tuples()[i as usize])
-                    })
-                })
-                .collect())
-        })?;
-        let mut keep = vec![!want_member; l.len()];
-        for i in members {
-            keep[i as usize] = want_member;
-        }
-        let mut out = retain_by_flags(l, keep);
-        out.dedup();
-        Ok(out)
-    }
-
-    /// Execute grouping + aggregation. With plan-side partitions, a
-    /// non-empty group key and enough rows, rows are hash-partitioned on
-    /// the group key; each pool task groups its partition (recording every
-    /// group's first input index), the groups merge sorted by first
-    /// occurrence, and the aggregates are computed in that order — the
-    /// exact group order (and fresh-null allocation order) of the serial
-    /// pass.
-    fn exec_aggregate(
-        &self,
-        rel: Relation,
-        group_pos: &[usize],
-        aggs: &[(AggFunc, Option<usize>)],
+        key_positions: &[usize],
+        shared_positions: &[usize],
         schema: &Arc<Schema>,
-        partitions: usize,
-        prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let n = if partitions > 0 && !group_pos.is_empty() && self.config.threads > 1 {
-            self.workers(partitions, rel.len())
-        } else {
-            1
-        };
-        if n > 1 {
-            if let Some(p) = prof {
-                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
+        let mut all: HashSet<&Tuple> = HashSet::with_capacity(l.len());
+        all.extend(l.iter());
+        let mut seen_keys = HashSet::with_capacity(l.len());
+        let mut tuples = Vec::new();
+        for lt in l.iter() {
+            let key = lt.project(key_positions);
+            if !seen_keys.insert(key.clone()) {
+                continue;
             }
-            let hashes = self.row_hashes(rel.tuples(), Some(group_pos));
-            let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (i, &h) in hashes.iter().enumerate() {
-                parts[(h % n as u64) as usize].push(i as u32);
+            self.check_cancelled()?;
+            let ok = r.iter().all(|rt| {
+                // Reassemble a dividend tuple with this key and the
+                // divisor values.
+                let candidate: Tuple = (0..lt.len())
+                    .map(|p| match shared_positions.iter().rposition(|&lp| lp == p) {
+                        Some(ri) => rt[ri].clone(),
+                        None => lt[p].clone(),
+                    })
+                    .collect();
+                all.contains(&candidate)
+            });
+            if ok {
+                tuples.push(key);
             }
-            let keys_eq = |a: u32, b: u32| {
-                group_pos
-                    .iter()
-                    .all(|&p| rel.tuples()[a as usize][p] == rel.tuples()[b as usize][p])
-            };
-            let mut groups: Vec<(u32, Vec<u32>)> = self.parallel_flat(&parts, |part| {
-                // Local groups in first-occurrence order; the hash index
-                // maps to positions in the local group list.
-                let mut index: HashMap<u64, Vec<usize>> = HashMap::with_capacity(part.len());
-                let mut local: Vec<(u32, Vec<u32>)> = Vec::new();
-                'rows: for &i in part {
-                    let slot = index.entry(hashes[i as usize]).or_default();
-                    for &g in slot.iter() {
-                        if keys_eq(local[g].0, i) {
-                            local[g].1.push(i);
-                            continue 'rows;
-                        }
-                    }
-                    slot.push(local.len());
-                    local.push((i, vec![i]));
-                }
-                Ok(local)
-            })?;
-            groups.sort_unstable_by_key(|g| g.0);
-            let mut tuples = Vec::with_capacity(groups.len());
-            for (first, members) in groups {
-                let rows: Vec<&Tuple> =
-                    members.iter().map(|&i| &rel.tuples()[i as usize]).collect();
-                let first = &rel.tuples()[first as usize];
-                tuples.push(aggregate_row(group_pos.iter().map(|&p| &first[p]), aggs, &rows));
-            }
-            return Ok(Relation::from_parts(schema.clone(), tuples));
-        }
-        let mut groups: HashMap<Tuple, Vec<&Tuple>> = HashMap::with_capacity(rel.len());
-        let mut order: Vec<Tuple> = Vec::new();
-        for t in rel.iter() {
-            let key = t.project(group_pos);
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(t);
-        }
-        // A global aggregate over an empty input still yields a row.
-        if group_pos.is_empty() && groups.is_empty() {
-            let key = Tuple::empty();
-            order.push(key.clone());
-            groups.insert(key, Vec::new());
-        }
-        let mut tuples = Vec::with_capacity(order.len());
-        for key in order {
-            tuples.push(aggregate_row(key.values().iter(), aggs, &groups[&key]));
         }
         Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
-    /// Deterministic per-row hashes over the given positions (the whole
-    /// tuple when `pos` is `None`), used to partition rows for parallel
-    /// distinct/aggregate execution. The only requirement is that equal
-    /// projected tuples hash equal *within one call* — the partition modulus
-    /// consumes the hashes and collisions always re-compare tuples. These
-    /// are the join-side key hashes ([`KeySet::build`], nulls hashed by id
-    /// so every row stays valid): column-wise when vectorized and typable,
-    /// `Value` hashes otherwise.
-    fn row_hashes(&self, rows: &[Tuple], pos: Option<&[usize]>) -> Vec<u64> {
-        let all: Vec<usize>;
-        let pos = match pos {
-            Some(pos) => pos,
-            None => {
-                all = (0..rows.first().map_or(0, |t| t.values().len())).collect();
-                &all
+    /// Grouping + aggregation as one keyed loop: the group columns become a
+    /// [`KeySet`] in which nulls are ordinary key values (a marked null
+    /// groups with itself), and a row that is the first of its key emits the
+    /// group — its key, then the aggregates over the rows sharing it, in
+    /// input order. Groups therefore come out in first-occurrence order, and
+    /// the fresh nulls of empty aggregates are allocated in that order.
+    fn exec_aggregate(
+        &self,
+        rel: &Relation,
+        group_pos: &[usize],
+        aggs: &[(AggFunc, Option<usize>)],
+        schema: &Arc<Schema>,
+    ) -> Result<Relation> {
+        let rows = rel.tuples();
+        let keys = KeySet::build(rows, group_pos, true, self.config.vectorized, self.db.str_pool());
+        let table = keys.table();
+        let mut tuples = self.for_each_outer(rows.len(), 1, |i, out| {
+            let mut group = keys.matches(i, &keys, &table).peekable();
+            if group.peek() == Some(&i) {
+                let members: Vec<&Tuple> = group.map(|j| &rows[j]).collect();
+                out.push(aggregate_row(group_pos.iter().map(|&p| &rows[i][p]), aggs, &members));
             }
-        };
-        KeySet::build(rows, pos, true, self.config.vectorized, self.db.str_pool()).hashes
-    }
-
-    /// Per-row full-tuple hashes for *both* sides of a set operation. Equal
-    /// tuples across the two relations must hash equal, which
-    /// [`KeySet::pair`] guarantees by keying both sides in one
-    /// representation.
-    fn row_hashes_pair(&self, l: &[Tuple], r: &[Tuple]) -> (Vec<u64>, Vec<u64>) {
-        let arity = l.first().or_else(|| r.first()).map_or(0, |t| t.values().len());
-        let pos: Vec<usize> = (0..arity).collect();
-        let (lk, rk) =
-            KeySet::pair(l, &pos, r, &pos, true, self.config.vectorized, self.db.str_pool());
-        (lk.hashes, rk.hashes)
+        })?;
+        // A global aggregate over an empty input still yields a row.
+        if group_pos.is_empty() && rows.is_empty() {
+            tuples.push(aggregate_row(std::iter::empty(), aggs, &[]));
+        }
+        Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
     /// Execute a fused step pipeline: a scan source streams borrowed base
@@ -931,7 +759,7 @@ impl<'a> Engine<'a> {
     /// batch-at-a-time evaluator when `vec_plan` is given (extract the filter
     /// columns, evaluate the predicates into truth masks, gather survivors)
     /// and row-at-a-time through [`apply_steps`] otherwise. Only pipelines
-    /// whose plan carried a round-robin exchange fan out, over contiguous
+    /// whose plan carried an exchange under a filter fan out, over contiguous
     /// morsels concatenated in order — output order is input order either
     /// way.
     fn run_steps(
@@ -1243,42 +1071,27 @@ impl<'a> Engine<'a> {
             && arms.len() > 1
             && arms.iter().map(|a| self.input_rows_hint(a)).sum::<usize>()
                 >= self.config.parallel_floor;
-        let pc = |i: usize| prof.and_then(|p| p.child(i));
-        let relations: Vec<Relation> = if fan_out {
-            // One pool task per arm; the shared pool decides how many run at
-            // once, and this thread helps while it waits. Results land in
-            // per-arm slots, so arm order is preserved.
+        let run = |i: usize, arm: &CompiledExpr| {
+            self.exec(arm, scalars, prof.and_then(|p| p.child(i))).map(Relation::into_tuples)
+        };
+        let tuples = if fan_out {
+            // One pool task per arm, concatenated in arm order.
             if let Some(p) = prof {
                 p.stats
                     .record_parallel(arms.len() as u64, self.pool().width().min(arms.len()) as u64);
             }
-            let mut slots: Vec<Option<Result<Relation>>> = Vec::new();
-            slots.resize_with(arms.len(), || None);
-            self.pool().scope(|s| {
-                for (i, (arm, slot)) in arms.iter().zip(slots.iter_mut()).enumerate() {
-                    s.spawn(move || *slot = Some(self.exec(arm, scalars, pc(i))));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|r| r.expect("pool scope ran every arm"))
-                .collect::<Result<_>>()?
+            let indexed: Vec<(usize, &CompiledExpr)> = arms.iter().enumerate().collect();
+            self.parallel_flat(&indexed, |&(i, arm)| run(i, arm))?
         } else {
-            arms.iter()
-                .enumerate()
-                .map(|(i, a)| self.exec(a, scalars, pc(i)))
-                .collect::<Result<_>>()?
+            let mut tuples = Vec::new();
+            for (i, arm) in arms.iter().enumerate() {
+                tuples.extend(run(i, arm)?);
+            }
+            tuples
         };
         if let Some(p) = prof {
-            p.stats.record_rows_in(relations.iter().map(|r| r.len() as u64).sum());
-            p.stats.record_batches(relations.len() as u64);
-        }
-        let mut iter = relations.into_iter();
-        let first =
-            iter.next().ok_or_else(|| AlgebraError::Malformed("union with no arms".into()))?;
-        let mut tuples = first.into_tuples();
-        for rel in iter {
-            tuples.extend(rel.into_tuples());
+            p.stats.record_rows_in(tuples.len() as u64);
+            p.stats.record_batches(arms.len() as u64);
         }
         let mut out = Relation::from_parts(schema.clone(), tuples);
         out.dedup();
@@ -1329,11 +1142,11 @@ impl<'a> Engine<'a> {
             1
         } else {
             // Deliberately a pure function of plan and config: this value is
-            // the routing modulus / morsel count, and output order depends
-            // on it, so it must be deterministic. How many OS threads run
-            // the resulting tasks is the pool's concern — its fixed width
-            // bounds oversubscription across nested regions and concurrent
-            // queries alike.
+            // the morsel count, so the split (and the profile reporting it)
+            // is the same on every machine. How many OS threads run the
+            // resulting tasks is the pool's concern — its fixed width bounds
+            // oversubscription across nested regions and concurrent queries
+            // alike.
             partitions.clamp(1, self.config.threads.max(1))
         }
     }
@@ -1620,36 +1433,24 @@ mod tests {
     }
 
     #[test]
-    fn row_hashes_agree_between_typed_and_row_valued_keys_on_equality() {
-        // The partitioner only needs "equal tuples hash equal within one
-        // call" — but typed and row-valued keys must each deliver it over
-        // every value shape, nulls included, and across set-op sides.
-        let rows = rel(
-            &["a", "b"],
-            vec![
-                vec![Value::Int(1), Value::str("x")],
-                vec![Value::Int(1), Value::str("x")],
-                vec![null(7), Value::str("y")],
-                vec![null(7), Value::str("y")],
-                vec![null(8), Value::str("y")],
-            ],
-        );
-        let other = rel(
-            &["a", "b"],
-            vec![vec![Value::Int(1), Value::str("x")], vec![null(7), Value::str("y")]],
-        );
+    fn the_quadratic_loops_of_unification_and_division_honour_a_tripped_token() {
+        // Operator entry checks the token too, so the loops are entered
+        // directly: the token trips after the inputs were computed.
         let db = Database::new();
-        for vectorized in [true, false] {
-            let config = EngineConfig::with_threads(2).with_vectorized(vectorized);
-            let engine = Engine::configured(&db, NullSemantics::Sql, config);
-            let hashes = engine.row_hashes(rows.tuples(), None);
-            assert_eq!(hashes[0], hashes[1], "equal ground tuples");
-            assert_eq!(hashes[2], hashes[3], "equal nulls hash by id");
-            assert_ne!(hashes[2], hashes[4], "distinct nulls should split");
-            let (l, r) = engine.row_hashes_pair(rows.tuples(), other.tuples());
-            assert_eq!(l[0], r[0], "equal tuples across sides share a hash");
-            assert_eq!(l[2], r[1], "null tuples across sides share a hash");
+        let l = rel(&["a", "b"], vec![vec![Value::Int(1), null(1)], vec![Value::Int(2), null(2)]]);
+        let r = rel(&["b"], vec![vec![Value::Int(7)]]);
+        let token = certus_exec::CancelToken::new();
+        let engine = sql_engine(&db).with_cancel_token(token.clone());
+        let schema = l.schema().project(&[0]).shared();
+        let divide = || engine.division(&l, &r, &[0], &[1], &schema);
+        assert!(engine.unify_semi(l.clone(), &l, true).is_ok());
+        assert!(divide().is_ok());
+        token.cancel();
+        for keep_matching in [true, false] {
+            let out = engine.unify_semi(l.clone(), &l, keep_matching);
+            assert!(matches!(out, Err(AlgebraError::Cancelled)), "{out:?}");
         }
+        assert!(matches!(divide(), Err(AlgebraError::Cancelled)));
     }
 
     #[test]

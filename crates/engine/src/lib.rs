@@ -73,8 +73,8 @@ pub use certus_plan::{cost, equi};
 pub use analyze::annotate;
 pub use certus_obs::{AnalyzedPlan, QueryProfile};
 pub use certus_plan::physical::{
-    heuristic_plan, heuristic_plan_with, ExplainPlan, JoinAlgo, Parallelism, Partitioning,
-    PhysicalExpr, PhysicalPlanner, SemiAlgo,
+    heuristic_plan, heuristic_plan_with, ExplainPlan, JoinAlgo, Parallelism, PhysicalExpr,
+    PhysicalPlanner, SemiAlgo,
 };
 pub use compile::{CompiledPlan, CompiledPredicate, RowView};
 pub use cost::{estimate, CostEstimate};

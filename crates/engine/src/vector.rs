@@ -714,7 +714,7 @@ pub(crate) struct KeySet<'r> {
     cols: KeyCols<'r>,
     /// Hash of the key, per row (equal keys hash equal within one
     /// representation).
-    pub(crate) hashes: Vec<u64>,
+    hashes: Vec<u64>,
     /// Whether the row participates in hashing at all.
     valid: Vec<bool>,
     /// Per row, whether it has a `NULL` in a key column whose `NULL`

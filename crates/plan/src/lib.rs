@@ -47,8 +47,8 @@ pub use equi::{references_schema, split_equi, EquiSplit, JoinSides, NullOk, Side
 pub use error::PlanError;
 pub use pass::{Pass, PassManager, PassTrace, PASSES};
 pub use physical::{
-    heuristic_plan, heuristic_plan_with, ExplainPlan, JoinAlgo, Parallelism, Partitioning,
-    PhysicalExpr, PhysicalPlanner, SemiAlgo,
+    heuristic_plan, heuristic_plan_with, ExplainPlan, JoinAlgo, Parallelism, PhysicalExpr,
+    PhysicalPlanner, SemiAlgo,
 };
 pub use stats::{ColumnStats, StatisticsCatalog, TableStats};
 

@@ -22,39 +22,6 @@ use certus_algebra::schema_infer::{output_schema, Catalog};
 use certus_data::Schema;
 use std::fmt;
 
-/// How an [`PhysicalExpr::Exchange`] operator redistributes its input
-/// across workers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Partitioning {
-    /// Partition by a deterministic hash of the given key columns: every
-    /// tuple with the same key lands in the same partition, so a hash join
-    /// can build and probe each partition independently.
-    Hash {
-        /// Key columns (resolved in the input schema).
-        keys: Vec<String>,
-        /// Number of partitions.
-        partitions: usize,
-    },
-    /// Split the input into contiguous morsels, one per worker — used for
-    /// data-parallel scans/filters and to mark union branches that may be
-    /// evaluated concurrently.
-    RoundRobin {
-        /// Number of partitions.
-        partitions: usize,
-    },
-}
-
-impl Partitioning {
-    /// Number of partitions this exchange produces.
-    pub fn partitions(&self) -> usize {
-        match self {
-            Partitioning::Hash { partitions, .. } | Partitioning::RoundRobin { partitions } => {
-                *partitions
-            }
-        }
-    }
-}
-
 /// Parallelism configuration for the planner: how many worker threads the
 /// executing engine has.
 ///
@@ -312,14 +279,16 @@ pub enum PhysicalExpr {
         /// Aggregates to compute.
         aggregates: Vec<AggExpr>,
     },
-    /// Exchange (repartition) operator: marks where the executor may split
-    /// its input across worker threads. Semantically the identity — a serial
+    /// Exchange operator: marks where the executor may split the work of
+    /// the operator above across worker threads — how is that operator's
+    /// business (contiguous morsels of a filter's input or a join's outer
+    /// side, one task per union arm). Semantically the identity — a serial
     /// executor (or one with a single thread) just passes the input through.
     Exchange {
         /// Input plan.
         input: Box<PhysicalExpr>,
-        /// How the input is redistributed.
-        partitioning: Partitioning,
+        /// How many ways the work may be split.
+        partitions: usize,
     },
 }
 
@@ -386,14 +355,7 @@ impl PhysicalExpr {
             PhysicalExpr::Rename { .. } => "Rename".to_string(),
             PhysicalExpr::Distinct { .. } => "Distinct".to_string(),
             PhysicalExpr::Aggregate { .. } => "Aggregate".to_string(),
-            PhysicalExpr::Exchange { partitioning, .. } => match partitioning {
-                Partitioning::Hash { keys, partitions } => {
-                    format!("Exchange hash({}) x{partitions}", keys.join(", "))
-                }
-                Partitioning::RoundRobin { partitions } => {
-                    format!("Exchange round-robin x{partitions}")
-                }
-            },
+            PhysicalExpr::Exchange { partitions, .. } => format!("Exchange x{partitions}"),
         }
     }
 
@@ -552,11 +514,11 @@ fn explained(phys: PhysicalExpr, rows: f64, cost: f64, children: Vec<ExplainPlan
 
 /// Wrap a planned subtree in an exchange operator. Rows pass through
 /// unchanged; the repartitioning cost comes from the shared cost model.
-fn exchange(child: Planned, partitioning: Partitioning) -> Planned {
+fn exchange(child: Planned, partitions: usize) -> Planned {
     let rows = child.explain.rows;
-    let cost = child.explain.cost + crate::cost::exchange_cost(rows, partitioning.partitions());
+    let cost = child.explain.cost + crate::cost::exchange_cost(rows, partitions);
     explained(
-        PhysicalExpr::Exchange { input: Box::new(child.phys), partitioning },
+        PhysicalExpr::Exchange { input: Box::new(child.phys), partitions },
         rows,
         cost,
         vec![child.explain],
@@ -588,7 +550,7 @@ fn plan_rec(
             // A filter is data-parallel: the exchange marks the fused
             // pipeline for contiguous morsels, one per worker.
             if par.enabled() {
-                c = exchange(c, Partitioning::RoundRobin { partitions: par.threads });
+                c = exchange(c, par.threads);
                 cost = c.explain.cost + c.explain.rows * cpu;
             }
             let mut planned = explained(
@@ -682,13 +644,7 @@ fn plan_rec(
             )
         }
         RaExpr::Distinct { input } => {
-            let mut c = plan_rec(input, catalog, stats, par)?;
-            // Duplicate elimination partitions by full-row hash in the
-            // engine, so any repartitioning marker works; round-robin keeps
-            // the exchange cost model identical to the filter case.
-            if par.enabled() {
-                c = exchange(c, Partitioning::RoundRobin { partitions: par.threads });
-            }
+            let c = plan_rec(input, catalog, stats, par)?;
             let (rows, cost) = (c.explain.rows, c.explain.cost + c.explain.rows);
             explained(
                 PhysicalExpr::Distinct { input: Box::new(c.phys) },
@@ -698,15 +654,7 @@ fn plan_rec(
             )
         }
         RaExpr::Aggregate { input, group_by, aggregates } => {
-            let mut c = plan_rec(input, catalog, stats, par)?;
-            // Grouped aggregation hash-partitions on the group key: every
-            // row of a group lands in the same partition, so partitions
-            // aggregate independently. A global aggregate (no key) has a
-            // single group and stays serial.
-            if !group_by.is_empty() && par.enabled() {
-                let p = Partitioning::Hash { keys: group_by.clone(), partitions: par.threads };
-                c = exchange(c, p);
-            }
+            let c = plan_rec(input, catalog, stats, par)?;
             let rows = crate::cost::aggregate_rows(c.explain.rows, !group_by.is_empty());
             let cost = c.explain.cost + c.explain.rows;
             explained(
@@ -734,20 +682,16 @@ fn plan_setop(
     let mut l = plan_rec(left, catalog, stats, par)?;
     let mut r = plan_rec(right, catalog, stats, par)?;
     let rows = crate::cost::setop_rows(l.explain.rows, r.explain.rows);
-    let mut cost = l.explain.cost + r.explain.cost + l.explain.rows + r.explain.rows;
-    // Mark both sides for parallel evaluation. Union branches are
-    // independent and run concurrently (the translation's split unions —
-    // the Q⁺ arms — are the target); intersect and difference
-    // hash-partition by full row in the engine, so the exchange is the same
-    // pass-through repartitioning marker.
-    if par.enabled() {
-        let p = Partitioning::RoundRobin { partitions: par.threads };
-        l = exchange(l, p.clone());
-        r = exchange(r, p);
-        // Same merge charge as the serial branch (exchanges pass rows
-        // through), so serial and parallel plans stay cost-comparable.
-        cost = l.explain.cost + r.explain.cost + l.explain.rows + r.explain.rows;
+    // Union branches are independent and run concurrently (the
+    // translation's split unions — the Q⁺ arms — are the target).
+    // Intersection and difference run on the calling thread.
+    if par.enabled() && matches!(expr, RaExpr::Union { .. }) {
+        l = exchange(l, par.threads);
+        r = exchange(r, par.threads);
     }
+    // The same merge charge with or without exchanges (they pass rows
+    // through), so serial and parallel plans stay cost-comparable.
+    let cost = l.explain.cost + r.explain.cost + l.explain.rows + r.explain.rows;
     let phys = match expr {
         RaExpr::Union { .. } => {
             PhysicalExpr::Union { left: Box::new(l.phys), right: Box::new(r.phys) }
@@ -800,20 +744,14 @@ fn plan_join(
         JoinAlgo::Hash { .. } => lr + rr,
         JoinAlgo::NestedLoop => lr * rr,
     };
-    // Partition the build side by key hash so the executor can build and
-    // probe each partition on its own worker. Nested loops (conditions with
-    // no key at all) are morsel-parallel instead: the outer side is split
-    // round-robin and every worker loops over the full inner side.
+    // Both algorithms run morsel-parallel over the outer (left) side. A
+    // hash operator carries its exchange on the build side, a nested loop
+    // on the outer side — the child the compiler peels for each.
     let mut l = l;
     match &algo {
         _ if !par.enabled() => {}
-        JoinAlgo::Hash { right_keys, .. } => {
-            let p = Partitioning::Hash { keys: right_keys.clone(), partitions: par.threads };
-            r = exchange(r, p);
-        }
-        JoinAlgo::NestedLoop => {
-            l = exchange(l, Partitioning::RoundRobin { partitions: par.threads });
-        }
+        JoinAlgo::Hash { .. } => r = exchange(r, par.threads),
+        JoinAlgo::NestedLoop => l = exchange(l, par.threads),
     }
     let cost = l.explain.cost + r.explain.cost + op_cost;
     explained_ok(
@@ -859,19 +797,12 @@ fn plan_semi(
         SemiAlgo::Hash { .. } => lr + rr,
         SemiAlgo::NestedLoop => lr * rr,
     };
-    // Same build-side partitioning as hash joins: the (anti-)semijoin of
-    // each partition only needs that partition's build table. Nested-loop
-    // (anti-)semijoins go morsel-parallel over the preserved side.
+    // Exchanges as for joins: the preserved side is probed in morsels.
     let mut l = l;
     match &algo {
         _ if !par.enabled() => {}
-        SemiAlgo::Hash { right_keys, .. } => {
-            let p = Partitioning::Hash { keys: right_keys.clone(), partitions: par.threads };
-            r = exchange(r, p);
-        }
-        SemiAlgo::NestedLoop => {
-            l = exchange(l, Partitioning::RoundRobin { partitions: par.threads });
-        }
+        SemiAlgo::Hash { .. } => r = exchange(r, par.threads),
+        SemiAlgo::NestedLoop => l = exchange(l, par.threads),
         SemiAlgo::Decorrelated => {}
     }
     let rows = crate::cost::semi_rows(lr);
@@ -1072,34 +1003,24 @@ mod tests {
     fn heuristic_parallel_plan_partitions_hash_builds() {
         let db = db();
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
-        // Serial: no exchange. Parallel: the build side is hash-partitioned.
+        // Serial: no exchange. Parallel: the build side carries one.
         assert!(!heuristic_plan(&q, &db).unwrap().has_exchange());
-        let plan = heuristic_plan_with(&q, &db, &Parallelism::new(4)).unwrap();
-        match plan {
-            PhysicalExpr::Join { right, algo: JoinAlgo::Hash { .. }, .. } => match *right {
-                PhysicalExpr::Exchange {
-                    partitioning: Partitioning::Hash { keys, partitions },
-                    ..
-                } => {
-                    assert_eq!(keys, vec!["c"]);
-                    assert_eq!(partitions, 4);
-                }
-                other => panic!("expected exchange on build side, got {other:?}"),
-            },
+        match heuristic_plan_with(&q, &db, &Parallelism::new(4)).unwrap() {
+            PhysicalExpr::Join { left, right, algo: JoinAlgo::Hash { .. }, .. } => {
+                assert!(
+                    matches!(*right, PhysicalExpr::Exchange { partitions: 4, .. }),
+                    "{right:?}"
+                );
+                assert!(!left.has_exchange());
+            }
             other => panic!("expected hash join, got {other:?}"),
         }
-        // Nested-loop joins have no keys to partition on: the outer side is
-        // split into round-robin morsels instead.
+        // Nested-loop joins carry theirs on the outer side.
         let nl = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(is_null("d")));
         match heuristic_plan_with(&nl, &db, &Parallelism::new(4)).unwrap() {
-            PhysicalExpr::Join { left, algo: JoinAlgo::NestedLoop, .. } => {
-                assert!(matches!(
-                    *left,
-                    PhysicalExpr::Exchange {
-                        partitioning: Partitioning::RoundRobin { partitions: 4 },
-                        ..
-                    }
-                ));
+            PhysicalExpr::Join { left, right, algo: JoinAlgo::NestedLoop, .. } => {
+                assert!(matches!(*left, PhysicalExpr::Exchange { partitions: 4, .. }), "{left:?}");
+                assert!(!right.has_exchange());
             }
             other => panic!("expected nested-loop join, got {other:?}"),
         }
@@ -1112,16 +1033,104 @@ mod tests {
         let plan = heuristic_plan_with(&q, &db, &Parallelism::new(2)).unwrap();
         match plan {
             PhysicalExpr::Union { left, right } => {
-                assert!(matches!(
-                    *left,
-                    PhysicalExpr::Exchange {
-                        partitioning: Partitioning::RoundRobin { partitions: 2 },
-                        ..
-                    }
-                ));
-                assert!(matches!(*right, PhysicalExpr::Exchange { .. }));
+                assert!(matches!(*left, PhysicalExpr::Exchange { partitions: 2, .. }));
+                assert!(matches!(*right, PhysicalExpr::Exchange { partitions: 2, .. }));
             }
             other => panic!("expected union, got {other:?}"),
+        }
+    }
+
+    /// Remove every exchange of a plan, in place.
+    fn strip_exchanges(plan: &mut PhysicalExpr) {
+        while let PhysicalExpr::Exchange { input, .. } = plan {
+            *plan = std::mem::replace(&mut **input, PhysicalExpr::Source(RaExpr::relation("")));
+        }
+        match plan {
+            PhysicalExpr::Source(_) => {}
+            PhysicalExpr::Filter { input, .. }
+            | PhysicalExpr::Project { input, .. }
+            | PhysicalExpr::Rename { input, .. }
+            | PhysicalExpr::Distinct { input }
+            | PhysicalExpr::Aggregate { input, .. }
+            | PhysicalExpr::Exchange { input, .. } => strip_exchanges(input),
+            PhysicalExpr::Join { left, right, .. }
+            | PhysicalExpr::Semi { left, right, .. }
+            | PhysicalExpr::Union { left, right }
+            | PhysicalExpr::Intersect { left, right }
+            | PhysicalExpr::Difference { left, right }
+            | PhysicalExpr::UnifySemi { left, right, .. }
+            | PhysicalExpr::Division { left, right } => {
+                strip_exchanges(left);
+                strip_exchanges(right);
+            }
+        }
+    }
+
+    /// Per child of `node`, whether the engine fans the node's work out when
+    /// that child is an exchange.
+    fn exchange_sites(node: &PhysicalExpr) -> [bool; 2] {
+        match node {
+            PhysicalExpr::Filter { .. } => [true, false],
+            PhysicalExpr::Union { .. } => [true, true],
+            PhysicalExpr::Join { algo: JoinAlgo::Hash { .. }, .. }
+            | PhysicalExpr::Semi { algo: SemiAlgo::Hash { .. }, .. } => [false, true],
+            PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, .. }
+            | PhysicalExpr::Semi { algo: SemiAlgo::NestedLoop, .. } => [true, false],
+            _ => [false, false],
+        }
+    }
+
+    /// Assert that exactly the children [`exchange_sites`] names are
+    /// exchanges, all over the plan.
+    fn assert_exchange_rule(node: &PhysicalExpr, partitions: usize) {
+        let node = match node {
+            PhysicalExpr::Exchange { input, .. } => input,
+            other => other,
+        };
+        assert!(!matches!(node, PhysicalExpr::Exchange { .. }), "exchange over an exchange");
+        for (child, site) in node.children().into_iter().zip(exchange_sites(node)) {
+            match child {
+                PhysicalExpr::Exchange { partitions: n, .. } => {
+                    assert!(site, "{} must not sit under {}", child.label(), node.label());
+                    assert_eq!(*n, partitions);
+                }
+                _ => assert!(!site, "{} lacks an exchange over {}", node.label(), child.label()),
+            }
+            assert_exchange_rule(child, partitions);
+        }
+    }
+
+    #[test]
+    fn every_exchange_sits_under_a_filter_a_join_like_operator_or_a_union() {
+        use certus_algebra::expr::AggExpr;
+        let tpch = certus_tpch::DbGen::new(0.0002, 11).generate();
+        let params = certus_tpch::QueryParams::random(&tpch, 11);
+        let rewriter = certus_core::CertainRewriter::new();
+        let mut cases: Vec<(RaExpr, &Database)> = [
+            certus_tpch::q1(&params),
+            certus_tpch::q2(&params),
+            certus_tpch::q3(&params),
+            certus_tpch::q4(&params),
+        ]
+        .iter()
+        .map(|q| (rewriter.rewrite_plus(q, &tpch).unwrap(), &tpch))
+        .collect();
+        // δ, ∩, − and γ fan nothing out; the filters beneath them still do.
+        let db = db();
+        let r = || RaExpr::relation("r");
+        let sets = r().select(is_null("b")).intersect(r()).difference(r().select(eq("a", "b")));
+        cases.push((
+            sets.distinct().aggregate(&["a"], vec![AggExpr::count_star("n")]).project(&["n"]),
+            &db,
+        ));
+        for (q, db) in &cases {
+            let serial = heuristic_plan(q, *db).unwrap();
+            assert!(!serial.has_exchange(), "{q}");
+            let mut parallel = heuristic_plan_with(q, *db, &Parallelism::new(4)).unwrap();
+            assert!(parallel.has_exchange(), "{q}");
+            assert_exchange_rule(&parallel, 4);
+            strip_exchanges(&mut parallel);
+            assert_eq!(parallel, serial, "{q}");
         }
     }
 
@@ -1132,9 +1141,9 @@ mod tests {
         let empty = StatisticsCatalog::empty();
         let r = || RaExpr::relation("r");
         let s = || RaExpr::relation("s");
-        // One query per exchange site: filter, distinct, grouped aggregate,
-        // set operation, hash and nested-loop join, hash and nested-loop
-        // (anti-)semijoin — plus the decorrelated one, which has none.
+        // One query per exchange site — filter, union, hash and nested-loop
+        // join, hash and nested-loop (anti-)semijoin — plus the operators
+        // that have none: distinct, grouped aggregate, decorrelated semijoin.
         let queries = [
             r().select(is_null("b")),
             r().project(&["a"]).distinct(),
@@ -1163,7 +1172,7 @@ mod tests {
         let (plan, explain) = planner.plan_explained(&r().join(s(), eq("a", "c"))).unwrap();
         assert!(plan.has_exchange());
         let text = explain.to_string();
-        assert!(text.contains("Exchange hash(c) x4"), "{text}");
+        assert!(text.contains("Exchange x4"), "{text}");
         let exchange = &explain.children[1];
         assert_eq!(exchange.rows, 40.0);
         assert_eq!(
@@ -1194,15 +1203,11 @@ mod tests {
 
     #[test]
     fn exchange_labels_and_partition_counts() {
-        let hash = Partitioning::Hash { keys: vec!["a".into(), "b".into()], partitions: 8 };
-        let rr = Partitioning::RoundRobin { partitions: 2 };
-        assert_eq!(hash.partitions(), 8);
-        assert_eq!(rr.partitions(), 2);
         let node = PhysicalExpr::Exchange {
             input: Box::new(PhysicalExpr::Source(RaExpr::relation("r"))),
-            partitioning: hash,
+            partitions: 8,
         };
-        assert_eq!(node.label(), "Exchange hash(a, b) x8");
+        assert_eq!(node.label(), "Exchange x8");
         assert!(node.has_exchange());
         assert_eq!(node.size(), 2);
     }

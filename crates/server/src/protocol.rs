@@ -506,6 +506,20 @@ pub enum Response {
 }
 
 impl Response {
+    /// An [`Response::Error`] without a retry hint.
+    pub fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+        Response::error_after(code, message, 0)
+    }
+
+    /// An [`Response::Error`] suggesting a retry after `retry_after_ms`.
+    pub(crate) fn error_after(
+        code: ErrorCode,
+        message: impl Into<String>,
+        retry_after_ms: u64,
+    ) -> Response {
+        Response::Error { code, message: message.into(), retry_after_ms }
+    }
+
     fn tag(&self) -> u8 {
         match self {
             Response::Pong { .. } => 0,

@@ -773,5 +773,5 @@ fn run_subscription(state: &Arc<State>) -> Result<(), String> {
 /// The `NotPrimary` refusal for a write (or subscribe) hitting a replica:
 /// the message is exactly the primary's address, for redirect-following.
 pub(crate) fn not_primary(primary: String) -> Response {
-    Response::Error { code: ErrorCode::NotPrimary, message: primary, retry_after_ms: 0 }
+    Response::error(ErrorCode::NotPrimary, primary)
 }

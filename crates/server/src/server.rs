@@ -423,7 +423,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
 
 /// Reject a connection with a single error frame (request id 0) and close.
 fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str, retry_after_ms: u64) {
-    let resp = Response::Error { code, message: message.to_string(), retry_after_ms };
+    let resp = Response::error_after(code, message, retry_after_ms);
     let _ = write_frame(&mut stream, &encode_response(0, &resp));
 }
 
@@ -546,11 +546,7 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
             Err(Fill::Corrupt) => {
                 conn.send(
                     0,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: "frame length exceeds maximum".into(),
-                        retry_after_ms: 0,
-                    },
+                    &Response::error(ErrorCode::Malformed, "frame length exceeds maximum"),
                 );
                 drain_outstanding(&conn);
                 break;
@@ -570,14 +566,7 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                     .get(..8)
                     .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
                     .unwrap_or(0);
-                conn.send(
-                    id,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                        retry_after_ms: 0,
-                    },
-                );
+                conn.send(id, &Response::error(ErrorCode::Malformed, e.to_string()));
                 continue;
             }
         };
@@ -622,33 +611,27 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                 if state.shutting_down() {
                     conn.send(
                         request_id,
-                        &Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "server is shutting down".into(),
-                            retry_after_ms: 0,
-                        },
+                        &Response::error(ErrorCode::ShuttingDown, "server is shutting down"),
                     );
                     continue;
                 }
                 if state.durable.is_none() {
                     conn.send(
                         request_id,
-                        &Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "replication requires a durable server (set data_dir)".into(),
-                            retry_after_ms: 0,
-                        },
+                        &Response::error(
+                            ErrorCode::Internal,
+                            "replication requires a durable server (set data_dir)",
+                        ),
                     );
                     continue;
                 }
                 if subscription.is_some() {
                     conn.send(
                         request_id,
-                        &Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: "connection already carries a subscription".into(),
-                            retry_after_ms: 0,
-                        },
+                        &Response::error(
+                            ErrorCode::Malformed,
+                            "connection already carries a subscription",
+                        ),
                     );
                     continue;
                 }
@@ -671,11 +654,7 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                 if state.shutting_down() {
                     conn.send(
                         request_id,
-                        &Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "server is shutting down".into(),
-                            retry_after_ms: 0,
-                        },
+                        &Response::error(ErrorCode::ShuttingDown, "server is shutting down"),
                     );
                     continue;
                 }
@@ -692,11 +671,11 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                     state.rejected.incr();
                     conn.send(
                         request_id,
-                        &Response::Error {
-                            code: ErrorCode::Overloaded,
-                            message: "request queue is full".into(),
-                            retry_after_ms: state.retry_after_ms(),
-                        },
+                        &Response::error_after(
+                            ErrorCode::Overloaded,
+                            "request queue is full",
+                            state.retry_after_ms(),
+                        ),
                     );
                 }
             }
@@ -752,11 +731,11 @@ fn handle_promote(state: &Arc<State>) -> Response {
                 thread::sleep(Duration::from_millis(1));
             }
             if !state.repl.apply_stopped() {
-                return Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "replica apply loop did not stop; promotion aborted".into(),
-                    retry_after_ms: 100,
-                };
+                return Response::error_after(
+                    ErrorCode::Internal,
+                    "replica apply loop did not stop; promotion aborted",
+                    100,
+                );
             }
             state.repl.complete_promote();
             Response::Ack { epoch: state.store.epoch() }
@@ -787,16 +766,12 @@ fn query_error(state: &State, e: &CertusError) -> Response {
     if e.is_cancelled() {
         return deadline_error(state);
     }
-    Response::Error { code: ErrorCode::QueryError, message: e.to_string(), retry_after_ms: 0 }
+    Response::error(ErrorCode::QueryError, e.to_string())
 }
 
 fn deadline_error(state: &State) -> Response {
     state.deadline_exceeded.incr();
-    Response::Error {
-        code: ErrorCode::DeadlineExceeded,
-        message: "request deadline exceeded".into(),
-        retry_after_ms: 0,
-    }
+    Response::error(ErrorCode::DeadlineExceeded, "request deadline exceeded")
 }
 
 /// Resolve a request's deadline field against its arrival time. Returns
@@ -847,11 +822,10 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
             let session = state.session_over(&snapshot, cancel);
             let mut entries = work.conn.prepared.lock().expect("prepared map poisoned");
             let Some(entry) = entries.get_mut(prepared) else {
-                return Response::Error {
-                    code: ErrorCode::UnknownPrepared,
-                    message: format!("no prepared statement {prepared} on this connection"),
-                    retry_after_ms: 0,
-                };
+                return Response::error(
+                    ErrorCode::UnknownPrepared,
+                    format!("no prepared statement {prepared} on this connection"),
+                );
             };
             match session.execute_prepared(&entry.prepared) {
                 Ok(answers) => Response::Answers { body: answer_body(&answers), reprepared: false },
@@ -911,13 +885,11 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
                             // streaming to replicas) but the ack is
                             // withheld — the canonical indeterminate write.
                             _ => {
-                                return Response::Error {
-                                    code: ErrorCode::Internal,
-                                    message: "injected fault at server.publish: write durable \
-                                              but unacknowledged"
-                                        .into(),
-                                    retry_after_ms: 0,
-                                }
+                                return Response::error(
+                                    ErrorCode::Internal,
+                                    "injected fault at server.publish: write durable \
+                                     but unacknowledged",
+                                )
                             }
                         }
                         if let Some((quorum, timeout)) = state.repl.sync_quorum() {
@@ -928,27 +900,22 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
                                 .record(timer.elapsed_ns());
                             if !reached {
                                 registry().counter(names::REPL_QUORUM_TIMEOUTS).incr();
-                                return Response::Error {
-                                    code: ErrorCode::Internal,
-                                    message: format!(
+                                return Response::error(
+                                    ErrorCode::Internal,
+                                    format!(
                                         "write is durable locally but {quorum} replica ack(s) \
                                          did not arrive within {}ms; replication state unknown",
                                         timeout.as_millis()
                                     ),
-                                    retry_after_ms: 0,
-                                };
+                                );
                             }
                         }
                         Response::Ack { epoch }
                     }
-                    Err(WalError::Data(message)) => {
-                        Response::Error { code: ErrorCode::QueryError, message, retry_after_ms: 0 }
+                    Err(WalError::Data(message)) => Response::error(ErrorCode::QueryError, message),
+                    Err(e) => {
+                        Response::error(ErrorCode::Internal, format!("durable write failed: {e}"))
                     }
-                    Err(e) => Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("durable write failed: {e}"),
-                        retry_after_ms: 0,
-                    },
                 },
                 None => {
                     let outcome = state.store.update(|db| -> Result<u64, String> {
@@ -964,11 +931,7 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
                     });
                     match outcome {
                         Ok(epoch) => Response::Ack { epoch },
-                        Err(message) => Response::Error {
-                            code: ErrorCode::QueryError,
-                            message,
-                            retry_after_ms: 0,
-                        },
+                        Err(message) => Response::error(ErrorCode::QueryError, message),
                     }
                 }
             }
@@ -981,10 +944,8 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
         | Request::Subscribe { .. }
         | Request::ReplicaAck { .. }
         | Request::Promote
-        | Request::ReplStatus => Response::Error {
-            code: ErrorCode::Internal,
-            message: "inline request routed to executor".into(),
-            retry_after_ms: 0,
-        },
+        | Request::ReplStatus => {
+            Response::error(ErrorCode::Internal, "inline request routed to executor")
+        }
     }
 }

@@ -32,10 +32,11 @@ fn main() {
     println!("=== Translation Q4+ (its OR .. IS NULL conditions are null-aware hash keys) ===");
     println!("{}", session.explain(&query, Certainty::CertainPlus).expect("plans"));
 
-    // The same queries, explained by a 4-thread session: exchange operators
-    // mark every site the engine may run in parallel — partitioned hash-join
-    // builds, morsel-wise filters, concurrent union arms. Whether it does is
-    // decided at run time, on the rows that actually arrive.
+    // The same queries, explained by a 4-thread session: an `Exchange x4`
+    // marks every site the engine may fan out — a hash operator's build side
+    // (the probe then runs in morsels), a filter's input, a union's arms.
+    // Whether it does is decided at run time, on the rows that actually
+    // arrive. Nothing else differs from the serial trees.
     let parallel = Session::builder(session.into_database()).threads(4).build();
     println!("=== Original Q4, planned for 4 worker threads ===");
     println!("{}", parallel.explain(&query, Certainty::Plain).expect("plans"));

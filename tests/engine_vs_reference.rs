@@ -149,6 +149,97 @@ fn vectorized_runtime_agrees_with_row_path_and_reference() {
     }
 }
 
+/// γ against the reference evaluator row for row — *no sorting*: groups come
+/// out in first-occurrence order whatever the thread count and the key
+/// representation, a marked null groups with itself and with nothing else,
+/// and an empty aggregate is a null in its group's position (a fresh one, so
+/// only its being a null can be compared).
+#[test]
+fn aggregation_matches_the_reference_row_for_row_on_adversarial_nulls() {
+    use certus::algebra::{AggExpr, AggFunc};
+    let null = |i: u64| Value::Null(NullId(i));
+    let int = Value::Int;
+    let with_v = |groups: Vec<Value>| {
+        groups.into_iter().enumerate().map(|(i, g)| vec![g, int(i as i64)]).collect::<Vec<_>>()
+    };
+    // (what is adversarial, rows of t(g, v), group key, groups expected)
+    type Rows = Vec<Vec<Value>>;
+    let cases: Vec<(&str, Rows, &[&str], usize)> = vec![
+        (
+            "one marked null repeated across rows",
+            with_v(vec![null(1), int(2), null(1), null(2), int(2), null(1)]),
+            &["g"],
+            3,
+        ),
+        (
+            "all-null group column",
+            with_v(vec![null(3), null(1), null(3), null(2), null(1)]),
+            &["g"],
+            3,
+        ),
+        (
+            "mixed-variant group column",
+            with_v(vec![
+                int(1),
+                Value::str("1"),
+                Value::Float(1.0),
+                null(1),
+                Value::str("1"),
+                int(1),
+            ]),
+            &["g"],
+            4,
+        ),
+        (
+            "SUM over an all-null group between two summable ones",
+            vec![
+                vec![int(1), int(10)],
+                vec![int(2), null(4)],
+                vec![int(3), int(30)],
+                vec![int(2), null(5)],
+                vec![int(1), int(11)],
+            ],
+            &["g"],
+            3,
+        ),
+        ("both columns as the key", with_v(vec![null(1), null(1), int(1)]), &["g", "v"], 3),
+        ("empty group key", with_v(vec![int(1), null(1), int(1)]), &[], 1),
+        ("empty group key over an empty input", Vec::new(), &[], 1),
+        ("grouped over an empty input", Vec::new(), &["g"], 0),
+    ];
+    for (name, rows, group_by, groups) in cases {
+        let mut db = Database::new();
+        db.insert_relation("t", rel(&["g", "v"], rows));
+        let q = RaExpr::relation("t").aggregate(
+            group_by,
+            vec![
+                AggExpr::count_star("n"),
+                AggExpr::new(AggFunc::Count, "v", "nv"),
+                AggExpr::new(AggFunc::Sum, "v", "sv"),
+            ],
+        );
+        for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+            let reference = eval(&q, &db, semantics).unwrap();
+            for (threads, vectorized) in [(1, true), (1, false), (4, true), (4, false)] {
+                let config = EngineConfig::with_threads(threads)
+                    .with_parallel_floor(0)
+                    .with_vectorized(vectorized);
+                let out = Engine::configured(&db, semantics, config).execute(&q).unwrap();
+                let context = format!("{name}, {semantics:?}, {threads} threads, {vectorized}");
+                assert_eq!((out.len(), reference.len()), (groups, groups), "{context}");
+                for (row, expected) in out.iter().zip(reference.iter()) {
+                    let (key, aggs) = row.values().split_at(group_by.len());
+                    let (expected_key, expected_aggs) = expected.values().split_at(group_by.len());
+                    assert_eq!(key, expected_key, "{context}");
+                    for (a, e) in aggs.iter().zip(expected_aggs) {
+                        assert!(a == e || (a.is_null() && e.is_null()), "{context}: {a} vs {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Three-column tables `r(a, b, x)` / `s(c, d, y)` for the null-aware hash
 /// matrix: key columns `a`/`c` and `b`/`d` with nulls *clustered* on them
 /// (four in ten values, drawn from four marked nulls so the same `⊥ᵢ` recurs

@@ -358,7 +358,7 @@ fn single_thread_config_degenerates_to_serial_plans() {
     // threads = 4: exchanges appear in the rendering.
     let parallel = PhysicalPlanner::with_parallelism(&db, &stats, Parallelism::new(4));
     let text = parallel.explain(&q).expect("plans").to_string();
-    assert!(text.contains("Exchange hash("), "parallel explain should exchange:\n{text}");
+    assert!(text.contains("Exchange x4"), "parallel explain should exchange:\n{text}");
 
     // The engine's own plan at one thread is *identical* to the serial
     // plan, and free of exchanges.

@@ -173,5 +173,5 @@ fn session_explain_matches_planner_output_shape() {
     // small the input.
     let parallel = Session::builder(small_db()).threads(4).build();
     let rendered = parallel.explain(&diff_query(), Certainty::Plain).unwrap().to_string();
-    assert!(rendered.contains("Exchange hash(b) x4"), "{rendered}");
+    assert!(rendered.contains("Exchange x4"), "{rendered}");
 }
