@@ -508,7 +508,7 @@ impl ChaosOracle {
     }
 }
 
-/// A small durable node for the chaos loops: two executors, a serial
+/// A small durable node for the chaos loops: two execution slots, a serial
 /// engine, state under `dir`.
 fn node_config(dir: &std::path::Path) -> ServerConfig {
     ServerConfig {

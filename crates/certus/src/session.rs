@@ -393,7 +393,7 @@ impl Session {
 
     /// Mutable access to the database. Any mutation done through this bumps
     /// the database's schema epoch, invalidating cached plans, statistics,
-    /// and outstanding [`PreparedQuery`]s. If the database handle is shared
+    /// and every existing [`PreparedQuery`]. If the database handle is shared
     /// (built via [`Session::builder_over`]), this copies it first
     /// (copy-on-write), so the other holders never observe the mutation.
     pub fn database_mut(&mut self) -> &mut Database {

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Shared pin accounting, owned by the store and referenced by every
-/// outstanding [`Snapshot`] so drops decrement the live count even after the
+/// live [`Snapshot`] so drops decrement the live count even after the
 /// store itself is gone.
 #[derive(Debug)]
 struct PinStats {

@@ -37,9 +37,10 @@ pub const SESSION_EXECUTE_NS: &str = "session.execute_ns";
 
 /// Requests completed by the query server (all types, success or error).
 pub const SERVER_REQUESTS: &str = "server.requests";
-/// Depth of the server's bounded request queue (gauge).
+/// Requests waiting for an execution slot at the server's admission gate
+/// (gauge).
 pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
-/// Requests shed by admission control (queue full or over connection cap).
+/// Requests shed by admission control (gate full or over connection cap).
 pub const SERVER_REJECTED: &str = "server.rejected";
 /// Database snapshots pinned by readers since process start.
 pub const SERVER_SNAPSHOT_PINS: &str = "server.snapshot_pins";
@@ -49,11 +50,13 @@ pub const SERVER_SNAPSHOT_PINS_LIVE: &str = "server.snapshot_pins_live";
 pub const SERVER_CONNECTIONS: &str = "server.connections";
 /// Prepared executions that hit `StalePlan` and were re-prepared server-side.
 pub const SERVER_STALE_REPLANS: &str = "server.stale_replans";
-/// Latency histogram (nanoseconds) of server request handling.
+/// Latency histogram (nanoseconds) of admitted server requests, from
+/// taking an execution slot to the response written (slot wait excluded).
 pub const SERVER_REQUEST_NS: &str = "server.request_ns";
 /// Idle connections the server closed after `idle_timeout_ms`.
 pub const SERVER_IDLE_CLOSED: &str = "server.idle_closed";
-/// Requests that failed because their deadline expired (queued or running).
+/// Requests that failed because their deadline expired (waiting for a slot
+/// or running).
 pub const SERVER_DEADLINE_EXCEEDED: &str = "server.deadline_exceeded";
 
 /// Records appended to the write-ahead log.

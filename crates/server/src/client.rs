@@ -6,8 +6,9 @@
 //!   [`Client::execute`], …) send one request and block for its response.
 //! * **Open loop / pipelined** — [`Client::send_query`] (and friends) write
 //!   a request and return its id immediately; [`Client::recv`] pulls the
-//!   next response off the wire. The server may answer out of order, so
-//!   match responses to requests by id.
+//!   next response off the wire. The server runs one connection's requests
+//!   in the order sent and answers them in that order, so pipelining saves
+//!   round trips, not execution time; parallelism comes from connections.
 //!
 //! Closed-loop calls can retry transparently under a [`RetryPolicy`]:
 //! `Overloaded` responses (shed before execution, so always safe to resend)
@@ -31,7 +32,7 @@
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, AnswerBody, ErrorCode, ReplRole,
-    ReplStatusBody, Request, Response, ServerStats, WireCertainty, WireError, WireResult,
+    ReplStatusBody, Request, Response, ServerStats, WireCertainty, WireError,
 };
 use certus_algebra::RaExpr;
 use certus_data::Tuple;
@@ -213,10 +214,10 @@ impl Client {
         Ok(decode_response(&payload)?)
     }
 
-    /// Block until the response for `id` arrives. Responses are ordered per
-    /// request only, so interleavings from pipelined requests are skipped —
-    /// callers mixing the closed-loop helpers with manual pipelining should
-    /// drain pipelined responses first.
+    /// Block until the response for `id` arrives. Responses to requests
+    /// pipelined before it arrive first and are skipped — callers mixing
+    /// the closed-loop helpers with manual pipelining should drain
+    /// pipelined responses first.
     fn wait_for(&mut self, id: u64) -> ClientResult<Response> {
         loop {
             let (got, resp) = self.recv()?;
@@ -387,8 +388,9 @@ impl Client {
         }
     }
 
-    /// Drain this connection server-side (all in-flight responses flush
-    /// first) and close it.
+    /// Close this connection. The server answers every request sent before
+    /// the `Close` first, so pipelined responses still in the socket are
+    /// skipped.
     pub fn close(mut self) -> ClientResult<()> {
         match self.rpc(&Request::Close)? {
             Response::Ack { .. } => Ok(()),
@@ -425,12 +427,6 @@ impl Client {
             (_, other) => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
     }
-}
-
-/// A convenience: try to connect, returning the wire result directly (used
-/// by harnesses probing whether a server is up).
-pub fn try_connect(addr: impl ToSocketAddrs) -> WireResult<TcpStream> {
-    TcpStream::connect(addr).map_err(WireError::Io)
 }
 
 /// A replica-aware client over a set of node addresses.

@@ -13,15 +13,17 @@ pub struct ServerConfig {
     /// Admission control: connections beyond this cap are refused with
     /// [`crate::protocol::ErrorCode::TooManyConnections`].
     pub max_connections: usize,
-    /// Admission control: requests beyond this queue depth are shed with
+    /// Admission control: how many requests may wait for an execution slot,
+    /// admitted in arrival order. Requests beyond it are shed with
     /// [`crate::protocol::ErrorCode::Overloaded`] instead of building
     /// unbounded backlog.
     pub queue_capacity: usize,
-    /// Number of executor threads draining the request queue. Each executes
-    /// one request at a time over its own pinned snapshot.
+    /// Execution slots: how many requests run at once, across all
+    /// connections. Each runs on its connection's reader thread over its
+    /// own pinned snapshot.
     pub executors: usize,
     /// Intra-query parallelism: worker threads the engine fans out on for a
-    /// single request (shared pool across all executors).
+    /// single request (one pool shared by every running request).
     pub engine_threads: usize,
     /// Null-comparison semantics sessions run under.
     pub semantics: NullSemantics,
@@ -31,12 +33,12 @@ pub struct ServerConfig {
     /// milliseconds. Smaller is more responsive to shutdown; larger burns
     /// less idle CPU.
     pub poll_interval_ms: u64,
-    /// Close a connection that has sent nothing for this long (and has no
-    /// in-flight requests), announcing the close with a clean `Ack` on the
+    /// Close a connection that has sent nothing for this long since its
+    /// last response, announcing the close with a clean `Ack` on the
     /// server channel (request id 0) first. `0` disables idle reaping.
     pub idle_timeout_ms: u64,
     /// Write timeout applied to accepted sockets so one stalled peer can
-    /// never wedge an executor mid-response. `0` means no timeout.
+    /// never hold an execution slot mid-response. `0` means no timeout.
     pub write_timeout_ms: u64,
     /// Durability: when set, the server opens a
     /// [`certus_data::wal::DurableStore`] in this directory — recovering

@@ -9,9 +9,10 @@
 //!   requests (ping / prepare / execute / query / insert / stats / close /
 //!   shutdown), responses, and codecs for the full `RaExpr` algebra. The
 //!   grammar is documented in `PROTOCOL.md` at the repository root.
-//! * [`server`] — the service itself: an acceptor, per-connection reader
-//!   threads, and executor threads draining a bounded request queue
-//!   ([`queue`]). Reads execute against pinned
+//! * [`server`] — the service itself: an acceptor and per-connection reader
+//!   threads that execute their connection's requests in order, behind an
+//!   admission gate bounding how many run and how many wait. Reads execute
+//!   against pinned
 //!   [`SnapshotStore`](certus_data::snapshot::SnapshotStore) snapshots, so
 //!   writers never block readers; plans are shared process-wide through one
 //!   [`certus::SharedPlanCache`] keyed by (fingerprint, certainty/semantics,
@@ -42,7 +43,6 @@
 pub mod client;
 pub mod config;
 pub mod protocol;
-pub mod queue;
 pub mod replication;
 pub mod server;
 

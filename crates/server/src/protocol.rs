@@ -72,7 +72,8 @@ fn bad(msg: impl Into<String>) -> WireError {
 pub enum ErrorCode {
     /// The request could not be decoded.
     Malformed,
-    /// The bounded request queue is full; retry later.
+    /// Every execution slot is busy and the waiting line is full; retry
+    /// later.
     Overloaded,
     /// The server is at its connection cap.
     TooManyConnections,
@@ -180,8 +181,9 @@ pub enum Request {
         prepared: u64,
         /// Milliseconds the client is willing to wait, measured from the
         /// moment the server reads the request; `0` means no deadline. Past
-        /// it the server abandons the work (queued requests are dropped,
-        /// running ones cancel at the next morsel boundary) and answers
+        /// it the server abandons the work (a request still waiting for a
+        /// slot never runs, a running one cancels at the next morsel
+        /// boundary) and answers
         /// [`ErrorCode::DeadlineExceeded`].
         deadline_ms: u64,
     },
@@ -202,7 +204,7 @@ pub enum Request {
         /// Rows to append (each must match the table's arity).
         rows: Vec<Tuple>,
     },
-    /// Drain this connection (all in-flight responses flush) and close it.
+    /// Close this connection, after answering every request sent before it.
     Close,
     /// Server + cache counters; answered inline with [`Response::Stats`].
     Stats,
@@ -430,7 +432,7 @@ pub struct ServerStats {
     pub connections: u64,
     /// Currently pinned snapshots.
     pub live_pins: u64,
-    /// Current depth of the bounded request queue.
+    /// Requests currently waiting for an execution slot.
     pub queue_depth: u64,
     /// Shared plan-cache hits.
     pub cache_hits: u64,
@@ -479,8 +481,9 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
         /// For [`ErrorCode::Overloaded`]: how long (milliseconds) the
-        /// server suggests waiting before a retry, derived from the current
-        /// queue depth. `0` means no hint; other codes always send `0`.
+        /// server suggests waiting before a retry, derived from how many
+        /// requests wait for a slot. `0` means no hint; other codes always
+        /// send `0`.
         retry_after_ms: u64,
     },
     /// Server counters.

@@ -1,24 +1,26 @@
-//! The server: a TCP acceptor, per-connection reader threads, and a pool of
-//! executor threads draining one bounded request queue.
+//! The server: a TCP acceptor and one reader thread per connection, which
+//! executes that connection's requests itself behind one admission gate.
 //!
 //! Concurrency model:
 //!
-//! * Each accepted connection gets a **reader thread** that decodes frames
-//!   and answers cheap requests (ping, stats, close, shutdown) inline.
-//!   Query/prepare/execute/insert requests are enqueued for the executors so
-//!   a slow query on one connection never stalls another connection's reads.
-//! * **Executor threads** pop requests, pin a [`Snapshot`] of the database,
-//!   build a [`Session`] over it (sharing the process-wide plan cache and
-//!   the engine worker pool), execute, and write the response back through
-//!   the connection's write half. Responses to one connection may therefore
-//!   complete out of order; the client matches them by request id.
+//! * Each accepted connection gets a **reader thread** that decodes a
+//!   frame, handles it and writes the response before reading the next.
+//!   Cheap requests (ping, stats, close, shutdown, replication) are answered
+//!   at once. Query/prepare/execute/insert requests first take a slot from
+//!   the **admission gate**, then pin a [`Snapshot`] of the database, build
+//!   a [`Session`] over it (sharing the process-wide plan cache and the
+//!   engine worker pool), execute, and answer. A connection's requests
+//!   therefore run in the order sent and are answered in that order;
+//!   parallelism comes from connections.
 //! * **Writers** go through [`SnapshotStore::update`]: copy-on-write of the
 //!   touched relations and an atomic publish. Readers executing against
 //!   pinned snapshots are never blocked and never observe partial writes.
 //!
 //! Admission control is two-layered: a connection cap (refused with
-//! `TooManyConnections`) and a bounded queue (refused with `Overloaded`,
-//! carrying a retry-after hint derived from the current queue depth).
+//! `TooManyConnections`) and the gate: at most [`ServerConfig::executors`]
+//! requests run at once, at most [`ServerConfig::queue_capacity`] more wait
+//! for a slot in arrival order, and a request beyond both is refused with
+//! `Overloaded`, carrying a retry-after hint derived from the waiting count.
 //!
 //! Robustness additions on top of that model:
 //!
@@ -28,21 +30,21 @@
 //!   appended to the WAL and fsync'd *before* the `Ack` is written back.
 //!   An acknowledged write therefore survives a crash at any instant.
 //! * **Deadlines** — `Query`/`Execute` requests may carry a deadline;
-//!   requests still queued past it are dropped without executing, and
-//!   running requests are cancelled cooperatively at morsel boundaries.
+//!   the budget runs from decode, so a request whose deadline passed while
+//!   it waited for a slot is answered without executing, and running
+//!   requests are cancelled cooperatively at morsel boundaries.
 //! * **Idle reaping / write timeouts** — connections silent past
-//!   [`ServerConfig::idle_timeout_ms`] are closed with a clean `Ack` on the
-//!   server channel, and sockets carry a write timeout so one stalled peer
-//!   cannot wedge an executor mid-response.
+//!   [`ServerConfig::idle_timeout_ms`] since their last response are closed
+//!   with a clean `Ack` on the server channel, and sockets carry a write
+//!   timeout so one stalled peer cannot hold a slot mid-response.
 
 use crate::config::ServerConfig;
 use crate::protocol::{
     decode_request, encode_response, write_frame, AnswerBody, ErrorCode, ReplStatusBody, Request,
     Response, ServerStats, WireCertainty, MAX_FRAME_LEN,
 };
-use crate::queue::Queue;
 use crate::replication::{self, ReplState, Subscription};
-use certus::{Certainty, CertusError, Database, PreparedQuery, Session, SharedPlanCache};
+use certus::{Certainty, CertusError, Database, PreparedQuery, Session, SharedPlanCache, Tuple};
 use certus_algebra::RaExpr;
 use certus_data::snapshot::{Snapshot, SnapshotStore};
 use certus_data::wal::{DurableStore, ReplPosition, WalError};
@@ -53,16 +55,16 @@ use certus_obs::{names, Timer};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Failpoint checked before handing a request to the executor queue:
-/// non-`Off` sheds the request exactly as if the queue were full
+/// Failpoint checked before a request asks the admission gate for a slot:
+/// non-`Off` sheds the request exactly as if the gate were full
 /// (`Overloaded` with a retry hint), exercising admission control above
 /// the storage layer.
-pub const FP_ENQUEUE: &str = "server.enqueue";
+pub const FP_ADMIT: &str = "server.admit";
 /// Failpoint checked before any response frame is written: non-`Off` drops
 /// the response on the floor, modeling a lost ack or a peer that died
 /// mid-reply. Clients must treat the resulting timeout as indeterminate.
@@ -123,17 +125,10 @@ struct PreparedEntry {
     prepared: PreparedQuery,
 }
 
-/// Per-connection state shared between its reader thread, the executors,
-/// and (for subscriber connections) the replication sender thread.
+/// A connection's write half, shared between its reader thread and (for
+/// subscriber connections) the replication sender thread.
 pub(crate) struct Conn {
-    /// Write half; executors, the reader and replication senders all
-    /// respond through it.
     pub(crate) writer: Mutex<TcpStream>,
-    /// Requests handed to the executors and not yet responded to.
-    outstanding: AtomicUsize,
-    /// Prepared statements, keyed by connection-scoped id.
-    prepared: Mutex<HashMap<u64, PreparedEntry>>,
-    next_prepared: AtomicU64,
 }
 
 impl Conn {
@@ -154,18 +149,78 @@ impl Conn {
     }
 }
 
-/// A unit of executor work: one decoded request bound to its connection.
-struct Work {
-    conn: Arc<Conn>,
-    request_id: u64,
-    request: Request,
-    /// When the reader finished decoding the request; deadlines are measured
-    /// from here, so time spent queued counts against them.
-    arrival: Instant,
+/// The admission gate: at most `slots` requests execute at once, at most
+/// `capacity` more wait for a slot, and waiters are admitted in arrival
+/// order by ticket.
+struct Gate {
+    state: Mutex<Tickets>,
+    freed: Condvar,
+    slots: usize,
+    capacity: usize,
+    /// Mirrors the waiting count.
+    waiting_gauge: Arc<Gauge>,
 }
 
-/// Everything the acceptor, readers, executors and replication threads
-/// share.
+/// Requests running, and the tickets waiters draw in arrival order: `next`
+/// is the next one drawn, `serving` the next one admitted.
+#[derive(Default)]
+struct Tickets {
+    running: usize,
+    next: u64,
+    serving: u64,
+}
+
+impl Tickets {
+    fn waiting(&self) -> usize {
+        (self.next - self.serving) as usize
+    }
+}
+
+/// A slot taken from the [`Gate`]; dropping it frees the slot.
+struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    /// Take a slot, waiting behind every earlier waiter; `None` when
+    /// `capacity` requests are already waiting.
+    fn admit(&self) -> Option<Slot<'_>> {
+        let mut t = self.state.lock().expect("admission gate poisoned");
+        if t.waiting() == 0 && t.running < self.slots {
+            t.running += 1;
+            return Some(Slot(self));
+        }
+        if t.waiting() >= self.capacity {
+            return None;
+        }
+        let ticket = t.next;
+        t.next += 1;
+        self.waiting_gauge.set(t.waiting() as u64);
+        while t.serving != ticket || t.running >= self.slots {
+            t = self.freed.wait(t).expect("admission gate poisoned");
+        }
+        t.serving += 1;
+        t.running += 1;
+        self.waiting_gauge.set(t.waiting() as u64);
+        drop(t);
+        // The next ticket may fit into a slot freed at the same time.
+        self.freed.notify_all();
+        Some(Slot(self))
+    }
+
+    fn waiting(&self) -> usize {
+        self.state.lock().expect("admission gate poisoned").waiting()
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // Every update of the counters is a single step, so a poisoned lock
+        // still guards valid counts; the slot must be freed either way.
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner).running -= 1;
+        self.0.freed.notify_all();
+    }
+}
+
+/// Everything the acceptor, readers and replication threads share.
 pub(crate) struct State {
     pub(crate) config: ServerConfig,
     store: Arc<SnapshotStore>,
@@ -176,7 +231,7 @@ pub(crate) struct State {
     pub(crate) repl: ReplState,
     cache: SharedPlanCache,
     pool: Arc<certus_exec::Pool>,
-    queue: Queue<Work>,
+    gate: Gate,
     shutdown: AtomicBool,
     open_connections: AtomicUsize,
     readers: Mutex<Vec<JoinHandle<()>>>,
@@ -219,11 +274,11 @@ impl State {
     }
 
     /// How long an `Overloaded` client should wait before retrying: the
-    /// current backlog divided across the executors, in poll-interval
-    /// granules. Deep queues push retries further out; an almost-empty
-    /// queue suggests an immediate retry will succeed.
+    /// requests waiting for a slot divided across the slots, in
+    /// poll-interval granules. A long wait pushes retries further out; an
+    /// almost-empty one suggests an immediate retry will succeed.
     fn retry_after_ms(&self) -> u64 {
-        let depth = self.queue.depth() as u64;
+        let depth = self.gate.waiting() as u64;
         let executors = self.config.executors.max(1) as u64;
         let granule = self.config.poll_interval_ms.max(1);
         ((depth * granule) / executors).clamp(granule, 2_000)
@@ -237,7 +292,7 @@ impl State {
             stale_replans: self.stale_replans.value(),
             connections: self.open_connections.load(Ordering::Relaxed) as u64,
             live_pins: self.store.live_pins(),
-            queue_depth: self.queue.depth() as u64,
+            queue_depth: self.gate.waiting() as u64,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
@@ -247,12 +302,11 @@ impl State {
 }
 
 /// A running query server. Dropping (or calling [`Server::shutdown`])
-/// stops accepting, drains in-flight requests, and joins every thread.
+/// stops accepting, answers every admitted request, and joins every thread.
 pub struct Server {
     state: Arc<State>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
     /// The replica apply loop, when this node started as a replica.
     replica: Option<JoinHandle<()>>,
 }
@@ -295,7 +349,13 @@ impl Server {
             repl,
             cache: SharedPlanCache::new(config.cache_capacity),
             pool: Arc::new(certus_exec::Pool::new(config.engine_threads)),
-            queue: Queue::new(config.queue_capacity, reg.gauge(names::SERVER_QUEUE_DEPTH)),
+            gate: Gate {
+                state: Mutex::default(),
+                freed: Condvar::new(),
+                slots: config.executors.max(1),
+                capacity: config.queue_capacity,
+                waiting_gauge: reg.gauge(names::SERVER_QUEUE_DEPTH),
+            },
             shutdown: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
             readers: Mutex::new(Vec::new()),
@@ -309,12 +369,6 @@ impl Server {
             config,
         });
 
-        let executors = (0..state.config.executors.max(1))
-            .map(|_| {
-                let state = Arc::clone(&state);
-                thread::spawn(move || executor_loop(&state))
-            })
-            .collect();
         let acceptor = {
             let state = Arc::clone(&state);
             thread::spawn(move || accept_loop(&listener, &state))
@@ -324,7 +378,7 @@ impl Server {
             thread::spawn(move || replication::replica_loop(&state))
         });
 
-        Ok(Server { state, addr, acceptor: Some(acceptor), executors, replica })
+        Ok(Server { state, addr, acceptor: Some(acceptor), replica })
     }
 
     /// The address the server actually bound (resolves port 0).
@@ -347,8 +401,7 @@ impl Server {
         self.state.shutting_down()
     }
 
-    /// Stop accepting, drain the queue, flush in-flight responses, join all
-    /// threads.
+    /// Stop accepting, answer every admitted request, join all threads.
     pub fn shutdown(mut self) {
         self.teardown();
     }
@@ -361,18 +414,12 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Readers exit on the shutdown flag once their in-flight work has
-        // been answered (subscriber readers additionally wait for their
-        // sender thread to finish draining); join them before closing the
-        // queue so everything they enqueued is still drained by the
-        // executors.
+        // Readers exit on the shutdown flag after answering the request they
+        // are running or waiting for a slot for (subscriber readers
+        // additionally wait for their sender thread to finish draining).
         let readers = std::mem::take(&mut *self.state.readers.lock().unwrap());
         for r in readers {
             let _ = r.join();
-        }
-        self.state.queue.close();
-        for e in self.executors.drain(..) {
-            let _ = e.join();
         }
         if let Some(replica) = self.replica.take() {
             let _ = replica.join();
@@ -489,8 +536,8 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
     let poll = Duration::from_millis(state.config.poll_interval_ms.max(1));
     let _ = stream.set_read_timeout(Some(poll));
     if state.config.write_timeout_ms > 0 {
-        // Applies to the shared socket, so the executors' write half is
-        // covered too: a peer that stops draining cannot wedge an executor.
+        // Applies to the shared socket, so the write half is covered too: a
+        // peer that stops draining cannot hold a slot mid-response.
         let _ =
             stream.set_write_timeout(Some(Duration::from_millis(state.config.write_timeout_ms)));
     }
@@ -499,15 +546,13 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let conn = Arc::new(Conn {
-        writer: Mutex::new(writer),
-        outstanding: AtomicUsize::new(0),
-        prepared: Mutex::new(HashMap::new()),
-        next_prepared: AtomicU64::new(1),
-    });
+    let conn = Arc::new(Conn { writer: Mutex::new(writer) });
     let peer_addr = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "unknown".into());
     let mut stream = stream;
     let mut frames = FrameBuffer::new();
+    // Prepared statements, keyed by connection-scoped id. None is ever
+    // dropped, so ids run densely from 1.
+    let mut statements: HashMap<u64, PreparedEntry> = HashMap::new();
     let idle_limit = (state.config.idle_timeout_ms > 0)
         .then(|| Duration::from_millis(state.config.idle_timeout_ms));
     let mut last_activity = Instant::now();
@@ -525,17 +570,13 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
             }
             Ok(None) => {
                 if state.shutting_down() {
-                    drain_outstanding(&conn);
                     break;
                 }
                 if let Some(limit) = idle_limit {
-                    // Only reap truly quiet connections: nothing in flight,
-                    // no subscription (a caught-up subscriber is legitimately
-                    // silent), and nothing received for the whole window.
-                    if subscription.is_none()
-                        && conn.outstanding.load(Ordering::Acquire) == 0
-                        && last_activity.elapsed() >= limit
-                    {
+                    // Only reap truly quiet connections: no subscription (a
+                    // caught-up subscriber is legitimately silent), and
+                    // nothing received or answered for the whole window.
+                    if subscription.is_none() && last_activity.elapsed() >= limit {
                         state.idle_closed.incr();
                         conn.send(0, &Response::Ack { epoch: state.store.epoch() });
                         return;
@@ -548,13 +589,9 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                     0,
                     &Response::error(ErrorCode::Malformed, "frame length exceeds maximum"),
                 );
-                drain_outstanding(&conn);
                 break;
             }
-            Err(Fill::Eof) => {
-                drain_outstanding(&conn);
-                break;
-            }
+            Err(Fill::Eof) => break,
         };
 
         let (request_id, request) = match decode_request(&payload) {
@@ -579,14 +616,12 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                 conn.send(request_id, &Response::Stats(state.stats()));
             }
             Request::Close => {
-                drain_outstanding(&conn);
                 conn.send(request_id, &Response::Ack { epoch: state.store.epoch() });
                 break;
             }
             Request::Shutdown => {
                 state.shutdown.store(true, Ordering::Relaxed);
                 state.repl.wake_all();
-                drain_outstanding(&conn);
                 conn.send(request_id, &Response::Ack { epoch: state.store.epoch() });
                 break;
             }
@@ -647,39 +682,26 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
                 let resp = handle_promote(state);
                 conn.send(request_id, &resp);
             }
-            req @ (Request::Prepare { .. }
-            | Request::Execute { .. }
-            | Request::Query { .. }
-            | Request::Insert { .. }) => {
-                if state.shutting_down() {
-                    conn.send(
-                        request_id,
-                        &Response::error(ErrorCode::ShuttingDown, "server is shutting down"),
-                    );
-                    continue;
-                }
-                conn.outstanding.fetch_add(1, Ordering::AcqRel);
-                let work = Work {
-                    conn: Arc::clone(&conn),
-                    request_id,
-                    request: req,
-                    arrival: Instant::now(),
-                };
-                let shed = !matches!(apply_delay(failpoints().check(FP_ENQUEUE)), FailAction::Off);
-                if shed || state.queue.push_try(work).is_err() {
-                    conn.outstanding.fetch_sub(1, Ordering::AcqRel);
-                    state.rejected.incr();
-                    conn.send(
-                        request_id,
-                        &Response::error_after(
-                            ErrorCode::Overloaded,
-                            "request queue is full",
-                            state.retry_after_ms(),
-                        ),
-                    );
-                }
+            Request::Prepare { certainty, query } => serve(state, &conn, request_id, 0, |_| {
+                prepare(state, &mut statements, &query, certainty.into())
+            }),
+            Request::Execute { prepared, deadline_ms } => {
+                serve(state, &conn, request_id, deadline_ms, |cancel| {
+                    execute(state, &mut statements, prepared, cancel)
+                })
+            }
+            Request::Query { certainty, query, deadline_ms } => {
+                serve(state, &conn, request_id, deadline_ms, |cancel| {
+                    run_query(state, &query, certainty.into(), cancel)
+                })
+            }
+            Request::Insert { table, rows } => {
+                serve(state, &conn, request_id, 0, |_| insert(state, &table, &rows))
             }
         }
+        // The idle window runs from the last response, so a request that
+        // ran longer than the window does not count as silence.
+        last_activity = Instant::now();
     }
 
     if let Some(sub) = subscription.take() {
@@ -743,23 +765,43 @@ fn handle_promote(state: &Arc<State>) -> Response {
     }
 }
 
-/// Busy-wait (politely) until every request this connection handed to the
-/// executors has been answered, so close/shutdown never drop responses.
-fn drain_outstanding(conn: &Conn) {
-    while conn.outstanding.load(Ordering::Acquire) > 0 {
-        thread::sleep(Duration::from_millis(1));
+/// Admit, execute and answer one request on the calling reader thread.
+/// A nonzero `deadline_ms` runs from decode, so time spent waiting for a
+/// slot counts against it: a request whose deadline passed while it waited
+/// is answered without running, and `run` gets a token cancelling it at
+/// the deadline otherwise.
+fn serve(
+    state: &State,
+    conn: &Conn,
+    request_id: u64,
+    deadline_ms: u64,
+    run: impl FnOnce(Option<CancelToken>) -> Response,
+) {
+    let arrival = Instant::now();
+    if state.shutting_down() {
+        conn.send(request_id, &Response::error(ErrorCode::ShuttingDown, "server is shutting down"));
+        return;
     }
-}
-
-fn executor_loop(state: &Arc<State>) {
-    while let Some(work) = state.queue.pop() {
-        let timer = Timer::start();
-        let response = respond(state, &work);
-        work.conn.send(work.request_id, &response);
-        work.conn.outstanding.fetch_sub(1, Ordering::AcqRel);
-        state.requests.incr();
-        state.request_ns.record(timer.elapsed_ns());
-    }
+    let shed = !matches!(apply_delay(failpoints().check(FP_ADMIT)), FailAction::Off);
+    let Some(slot) = (if shed { None } else { state.gate.admit() }) else {
+        state.rejected.incr();
+        let retry_after_ms = state.retry_after_ms();
+        conn.send(
+            request_id,
+            &Response::error_after(ErrorCode::Overloaded, "request queue is full", retry_after_ms),
+        );
+        return;
+    };
+    let timer = Timer::start();
+    let deadline = (deadline_ms > 0).then(|| arrival + Duration::from_millis(deadline_ms));
+    let response = match deadline {
+        Some(deadline) if Instant::now() >= deadline => deadline_error(state),
+        _ => run(deadline.map(CancelToken::with_deadline)),
+    };
+    conn.send(request_id, &response);
+    drop(slot);
+    state.requests.incr();
+    state.request_ns.record(timer.elapsed_ns());
 }
 
 fn query_error(state: &State, e: &CertusError) -> Response {
@@ -774,76 +816,52 @@ fn deadline_error(state: &State) -> Response {
     Response::error(ErrorCode::DeadlineExceeded, "request deadline exceeded")
 }
 
-/// Resolve a request's deadline field against its arrival time. Returns
-/// `Err` with the ready-made error response when the deadline has already
-/// passed (the request spent too long queued), `Ok(None)` when no deadline
-/// was set.
-fn resolve_deadline(
+fn prepare(
     state: &State,
-    work: &Work,
-    deadline_ms: u64,
-) -> Result<Option<CancelToken>, Box<Response>> {
-    if deadline_ms == 0 {
-        return Ok(None);
+    statements: &mut HashMap<u64, PreparedEntry>,
+    query: &RaExpr,
+    certainty: Certainty,
+) -> Response {
+    let snapshot = state.store.pin();
+    let session = state.session_over(&snapshot, None);
+    match session.prepare(query, certainty) {
+        Ok(prepared) => {
+            let epoch = prepared.schema_epoch();
+            let id = statements.len() as u64 + 1;
+            statements.insert(id, PreparedEntry { query: query.clone(), certainty, prepared });
+            Response::Prepared { prepared: id, epoch }
+        }
+        Err(e) => query_error(state, &e),
     }
-    let deadline = work.arrival + Duration::from_millis(deadline_ms);
-    if Instant::now() >= deadline {
-        return Err(Box::new(deadline_error(state)));
-    }
-    Ok(Some(CancelToken::with_deadline(deadline)))
 }
 
-fn respond(state: &Arc<State>, work: &Work) -> Response {
-    match &work.request {
-        Request::Prepare { certainty, query } => {
-            let snapshot = state.store.pin();
-            let session = state.session_over(&snapshot, None);
-            let certainty = Certainty::from(*certainty);
-            match session.prepare(query, certainty) {
-                Ok(prepared) => {
-                    let epoch = prepared.schema_epoch();
-                    let id = work.conn.next_prepared.fetch_add(1, Ordering::Relaxed);
-                    work.conn
-                        .prepared
-                        .lock()
-                        .expect("prepared map poisoned")
-                        .insert(id, PreparedEntry { query: query.clone(), certainty, prepared });
-                    Response::Prepared { prepared: id, epoch }
-                }
-                Err(e) => query_error(state, &e),
-            }
-        }
-        Request::Execute { prepared, deadline_ms } => {
-            let cancel = match resolve_deadline(state, work, *deadline_ms) {
-                Ok(cancel) => cancel,
-                Err(resp) => return *resp,
-            };
-            let snapshot = state.store.pin();
-            let session = state.session_over(&snapshot, cancel);
-            let mut entries = work.conn.prepared.lock().expect("prepared map poisoned");
-            let Some(entry) = entries.get_mut(prepared) else {
-                return Response::error(
-                    ErrorCode::UnknownPrepared,
-                    format!("no prepared statement {prepared} on this connection"),
-                );
-            };
-            match session.execute_prepared(&entry.prepared) {
-                Ok(answers) => Response::Answers { body: answer_body(&answers), reprepared: false },
-                Err(CertusError::StalePlan { .. }) => {
-                    // The schema epoch moved past the plan: transparently
-                    // re-prepare against the pinned snapshot and retry. The
-                    // refreshed plan is stored for subsequent executes.
-                    state.stale_replans.incr();
-                    match session.prepare(&entry.query, entry.certainty) {
-                        Ok(fresh) => {
-                            entry.prepared = fresh;
-                            match session.execute_prepared(&entry.prepared) {
-                                Ok(answers) => Response::Answers {
-                                    body: answer_body(&answers),
-                                    reprepared: true,
-                                },
-                                Err(e) => query_error(state, &e),
-                            }
+fn execute(
+    state: &State,
+    statements: &mut HashMap<u64, PreparedEntry>,
+    prepared: u64,
+    cancel: Option<CancelToken>,
+) -> Response {
+    let snapshot = state.store.pin();
+    let session = state.session_over(&snapshot, cancel);
+    let Some(entry) = statements.get_mut(&prepared) else {
+        return Response::error(
+            ErrorCode::UnknownPrepared,
+            format!("no prepared statement {prepared} on this connection"),
+        );
+    };
+    match session.execute_prepared(&entry.prepared) {
+        Ok(answers) => Response::Answers { body: answer_body(&answers), reprepared: false },
+        Err(CertusError::StalePlan { .. }) => {
+            // The schema epoch moved past the plan: transparently
+            // re-prepare against the pinned snapshot and retry. The
+            // refreshed plan is stored for subsequent executes.
+            state.stale_replans.incr();
+            match session.prepare(&entry.query, entry.certainty) {
+                Ok(fresh) => {
+                    entry.prepared = fresh;
+                    match session.execute_prepared(&entry.prepared) {
+                        Ok(answers) => {
+                            Response::Answers { body: answer_body(&answers), reprepared: true }
                         }
                         Err(e) => query_error(state, &e),
                     }
@@ -851,101 +869,132 @@ fn respond(state: &Arc<State>, work: &Work) -> Response {
                 Err(e) => query_error(state, &e),
             }
         }
-        Request::Query { certainty, query, deadline_ms } => {
-            let cancel = match resolve_deadline(state, work, *deadline_ms) {
-                Ok(cancel) => cancel,
-                Err(resp) => return *resp,
-            };
-            let snapshot = state.store.pin();
-            let session = state.session_over(&snapshot, cancel);
-            match session.execute(query, Certainty::from(*certainty)) {
-                Ok(answers) => Response::Answers { body: answer_body(&answers), reprepared: false },
-                Err(e) => query_error(state, &e),
-            }
-        }
-        Request::Insert { table, rows } => {
-            if let Some(primary) = state.repl.write_refusal() {
-                // Replicas serve reads only; the message carries the
-                // primary's address so clients can follow the redirect.
-                return replication::not_primary(primary);
-            }
-            match &state.durable {
-                // Durable path: the row is validated against the pinned
-                // snapshot, WAL-appended and fsync'd, and only then published
-                // and acknowledged. The Ack *is* the durability guarantee —
-                // and under sync replication it additionally waits for the
-                // configured quorum of replica acks.
-                Some(durable) => match durable.insert(table, rows) {
-                    Ok(epoch) => {
-                        let pos = durable.position();
-                        state.repl.publish(pos);
-                        match apply_delay(failpoints().check(FP_PUBLISH)) {
-                            FailAction::Off => {}
-                            // Injected: the write is durable (and already
-                            // streaming to replicas) but the ack is
-                            // withheld — the canonical indeterminate write.
-                            _ => {
-                                return Response::error(
-                                    ErrorCode::Internal,
-                                    "injected fault at server.publish: write durable \
-                                     but unacknowledged",
-                                )
-                            }
-                        }
-                        if let Some((quorum, timeout)) = state.repl.sync_quorum() {
-                            let timer = Timer::start();
-                            let reached = state.repl.wait_quorum(pos, quorum, timeout);
-                            registry()
-                                .histogram(names::REPL_QUORUM_WAIT_NS)
-                                .record(timer.elapsed_ns());
-                            if !reached {
-                                registry().counter(names::REPL_QUORUM_TIMEOUTS).incr();
-                                return Response::error(
-                                    ErrorCode::Internal,
-                                    format!(
-                                        "write is durable locally but {quorum} replica ack(s) \
-                                         did not arrive within {}ms; replication state unknown",
-                                        timeout.as_millis()
-                                    ),
-                                );
-                            }
-                        }
-                        Response::Ack { epoch }
-                    }
-                    Err(WalError::Data(message)) => Response::error(ErrorCode::QueryError, message),
-                    Err(e) => {
-                        Response::error(ErrorCode::Internal, format!("durable write failed: {e}"))
-                    }
-                },
-                None => {
-                    let outcome = state.store.update(|db| -> Result<u64, String> {
-                        // Validate against a scratch copy first so a bad row
-                        // leaves the published database (and its epoch)
-                        // untouched.
-                        let mut scratch = db.relation(table).map_err(|e| e.to_string())?.clone();
-                        for row in rows {
-                            scratch.insert(row.clone()).map_err(|e| e.to_string())?;
-                        }
-                        *db.relation_mut(table).map_err(|e| e.to_string())? = scratch;
-                        Ok(db.schema_epoch())
-                    });
-                    match outcome {
-                        Ok(epoch) => Response::Ack { epoch },
-                        Err(message) => Response::error(ErrorCode::QueryError, message),
+        Err(e) => query_error(state, &e),
+    }
+}
+
+fn run_query(
+    state: &State,
+    query: &RaExpr,
+    certainty: Certainty,
+    cancel: Option<CancelToken>,
+) -> Response {
+    let snapshot = state.store.pin();
+    let session = state.session_over(&snapshot, cancel);
+    match session.execute(query, certainty) {
+        Ok(answers) => Response::Answers { body: answer_body(&answers), reprepared: false },
+        Err(e) => query_error(state, &e),
+    }
+}
+
+fn insert(state: &State, table: &str, rows: &[Tuple]) -> Response {
+    if let Some(primary) = state.repl.write_refusal() {
+        // Replicas serve reads only; the message carries the
+        // primary's address so clients can follow the redirect.
+        return replication::not_primary(primary);
+    }
+    match &state.durable {
+        // Durable path: the row is validated against the pinned
+        // snapshot, WAL-appended and fsync'd, and only then published
+        // and acknowledged. The Ack *is* the durability guarantee —
+        // and under sync replication it additionally waits for the
+        // configured quorum of replica acks.
+        Some(durable) => match durable.insert(table, rows) {
+            Ok(epoch) => {
+                let pos = durable.position();
+                state.repl.publish(pos);
+                match apply_delay(failpoints().check(FP_PUBLISH)) {
+                    FailAction::Off => {}
+                    // Injected: the write is durable (and already
+                    // streaming to replicas) but the ack is
+                    // withheld — the canonical indeterminate write.
+                    _ => {
+                        return Response::error(
+                            ErrorCode::Internal,
+                            "injected fault at server.publish: write durable \
+                             but unacknowledged",
+                        )
                     }
                 }
+                if let Some((quorum, timeout)) = state.repl.sync_quorum() {
+                    let timer = Timer::start();
+                    let reached = state.repl.wait_quorum(pos, quorum, timeout);
+                    registry().histogram(names::REPL_QUORUM_WAIT_NS).record(timer.elapsed_ns());
+                    if !reached {
+                        registry().counter(names::REPL_QUORUM_TIMEOUTS).incr();
+                        return Response::error(
+                            ErrorCode::Internal,
+                            format!(
+                                "write is durable locally but {quorum} replica ack(s) \
+                                 did not arrive within {}ms; replication state unknown",
+                                timeout.as_millis()
+                            ),
+                        );
+                    }
+                }
+                Response::Ack { epoch }
+            }
+            Err(WalError::Data(message)) => Response::error(ErrorCode::QueryError, message),
+            Err(e) => Response::error(ErrorCode::Internal, format!("durable write failed: {e}")),
+        },
+        None => {
+            let outcome = state.store.update(|db| -> Result<u64, String> {
+                // Validate against a scratch copy first so a bad row
+                // leaves the published database (and its epoch)
+                // untouched.
+                let mut scratch = db.relation(table).map_err(|e| e.to_string())?.clone();
+                for row in rows {
+                    scratch.insert(row.clone()).map_err(|e| e.to_string())?;
+                }
+                *db.relation_mut(table).map_err(|e| e.to_string())? = scratch;
+                Ok(db.schema_epoch())
+            });
+            match outcome {
+                Ok(epoch) => Response::Ack { epoch },
+                Err(message) => Response::error(ErrorCode::QueryError, message),
             }
         }
-        // Inline requests never reach the executors.
-        Request::Ping
-        | Request::Stats
-        | Request::Close
-        | Request::Shutdown
-        | Request::Subscribe { .. }
-        | Request::ReplicaAck { .. }
-        | Request::Promote
-        | Request::ReplStatus => {
-            Response::error(ErrorCode::Internal, "inline request routed to executor")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gate(slots: usize, capacity: usize) -> Gate {
+        Gate {
+            state: Mutex::default(),
+            freed: Condvar::new(),
+            slots,
+            capacity,
+            waiting_gauge: registry().gauge("test.gate.waiting"),
         }
+    }
+
+    fn wait_until_waiting(gate: &Gate, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate.waiting() != n {
+            assert!(Instant::now() < deadline, "gate never reached {n} waiting");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn gate_sheds_beyond_waiting_places() {
+        let gate = gate(1, 2);
+        let running = gate.admit().expect("a free slot admits at once");
+        thread::scope(|s| {
+            let first = s.spawn(|| drop(gate.admit().expect("a waiting place admits")));
+            wait_until_waiting(&gate, 1);
+            let second = s.spawn(|| drop(gate.admit().expect("a waiting place admits")));
+            wait_until_waiting(&gate, 2);
+            assert!(gate.admit().is_none(), "a full gate sheds");
+            assert_eq!(gate.waiting(), 2);
+            drop(running);
+            first.join().unwrap();
+            second.join().unwrap();
+        });
+        assert_eq!(gate.waiting(), 0);
+        assert!(gate.admit().is_some(), "a drained gate admits again");
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests for the robustness layer: durable inserts surviving
 //! server restarts (WAL recovery), per-request deadlines, idle-connection
-//! reaping, and the client's retry behavior against a scripted peer.
+//! reaping (timed from the last response), and the client's retry behavior
+//! against a scripted peer.
 
 use certus::data::builder::rel;
 use certus::{Database, RaExpr, Tuple, Value};
@@ -8,7 +9,7 @@ use certus_server::client::{Client, RetryPolicy};
 use certus_server::protocol::{
     decode_request, encode_response, read_frame, write_frame, Request, Response, WireCertainty,
 };
-use certus_server::{ErrorCode, Server, ServerConfig};
+use certus_server::{ErrorCode, ReplMode, ReplicationConfig, Server, ServerConfig};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,8 +117,8 @@ fn recovery_folds_through_repeated_restarts() {
 #[test]
 fn an_expired_deadline_is_reported_not_executed() {
     // A deliberately heavy query (a three-way cross product) so a 1ms
-    // deadline always expires — either while queued or at one of the
-    // engine's morsel-boundary cancellation checks.
+    // deadline always expires — either while waiting for a slot or at one
+    // of the engine's morsel-boundary cancellation checks.
     let rows: Vec<Vec<Value>> = (0..300).map(|i| vec![Value::Int(i)]).collect();
     let mut db = Database::new();
     db.insert_relation("a", rel(&["x"], rows.clone()));
@@ -168,6 +169,38 @@ fn idle_connections_are_reaped_with_a_clean_ack() {
         other => panic!("expected a clean Ack on id 0, got {other:?}"),
     }
     server.shutdown();
+}
+
+#[test]
+fn the_idle_window_runs_from_the_last_response() {
+    // A sync-replicated primary that no replica joins holds each insert's
+    // answer for the quorum timeout: one request that runs five idle
+    // windows. A connection answered a moment ago is not idle.
+    let dir = temp_dir("idle-long");
+    let repl = ReplicationConfig {
+        ack_timeout_ms: 300,
+        ..ReplicationConfig::primary(ReplMode::Sync { quorum: 1 })
+    };
+    let config = ServerConfig {
+        idle_timeout_ms: 60,
+        poll_interval_ms: 5,
+        replication: Some(repl),
+        ..durable_config(&dir)
+    };
+    let server = Server::start(seed_db(), config).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    match client.insert("log", vec![Tuple::new(vec![Value::Int(1)])]) {
+        Err(certus_server::ClientError::Server { code: ErrorCode::Internal, message }) => {
+            assert!(message.contains("replica ack"), "a quorum timeout: {message}")
+        }
+        other => panic!("expected the quorum timeout, got {other:?}"),
+    }
+    thread::sleep(Duration::from_millis(10));
+    client.ping().expect("a Pong, not the reaper's Ack and EOF");
+    client.close().expect("close");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A scripted peer speaking the wire protocol, for deterministic retry

@@ -10,7 +10,7 @@ use certus::{Database, RaExpr, Tuple, Value};
 use certus_server::client::{Client, RetryPolicy};
 use certus_server::protocol::ReplRole;
 use certus_server::replication::{FP_REPL_APPLY, FP_REPL_SEND};
-use certus_server::server::{FP_ENQUEUE, FP_PUBLISH, FP_RESPOND};
+use certus_server::server::{FP_ADMIT, FP_PUBLISH, FP_RESPOND};
 use certus_server::{
     ClientError, ClusterClient, ErrorCode, ReplMode, ReplicationConfig, Server, ServerConfig,
     WireCertainty,
@@ -466,9 +466,9 @@ fn server_failpoints_inject_failures_above_the_storage_layer() {
         });
     client.set_op_timeout(Some(Duration::from_millis(500))).expect("op timeout");
 
-    // server.enqueue: the request is shed as Overloaded before touching any
+    // server.admit: the request is shed as Overloaded before touching any
     // state; the client's retry policy resends and succeeds.
-    failpoints().arm(FP_ENQUEUE, FailAction::Error, 0, 1);
+    failpoints().arm(FP_ADMIT, FailAction::Error, 0, 1);
     client.query(WireCertainty::Plain, &RaExpr::relation("log")).expect("retried past the shed");
     assert_eq!(client.retries(), 1);
 

@@ -1,7 +1,8 @@
 //! End-to-end tests for the certus-server subsystem: snapshot isolation
 //! under concurrent writers, byte-identical server vs. local execution,
-//! transparent re-preparation across epoch bumps, admission control, and
-//! graceful shutdown under a multi-client burst.
+//! transparent re-preparation across epoch bumps, in-order execution per
+//! connection, admission control, and graceful shutdown under a
+//! multi-client burst.
 
 use certus::algebra::builder::eq;
 use certus::data::builder::rel;
@@ -9,11 +10,19 @@ use certus::data::null::NullId;
 use certus::data::snapshot::SnapshotStore;
 use certus::{Certainty, Database, RaExpr, Session, Tuple, Value};
 use certus_server::client::Client;
-use certus_server::protocol::WireCertainty;
-use certus_server::{answer_body, ErrorCode, Server, ServerConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use certus_server::protocol::{
+    decode_response, encode_request, read_frame, write_frame, WireCertainty,
+};
+use certus_server::{
+    answer_body, ErrorCode, ReplMode, ReplicationConfig, Request, Response, Server, ServerConfig,
+    ServerStats,
+};
+use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// A small incomplete database where plain SQL produces false positives:
 /// `r.a = 1` is returned by `r ANTIJOIN s` under SQL semantics although a
@@ -30,6 +39,69 @@ fn incomplete_db() -> Database {
 
 fn anti_join() -> RaExpr {
     RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"))
+}
+
+fn row(v: i64) -> Vec<Tuple> {
+    vec![Tuple::new(vec![Value::Int(v)])]
+}
+
+/// A sync-replicated primary that no replica ever joins, serving `r`, `s`
+/// and `log`. It publishes each insert and then holds the insert's answer
+/// for `hold_ms` waiting for a quorum that never comes: a request that
+/// occupies its execution slot for a known time without burning a core.
+fn slot_holding_server(tag: &str, hold_ms: u64, config: ServerConfig) -> (Server, PathBuf) {
+    static UNIQ: AtomicU64 = AtomicU64::new(0);
+    let n = UNIQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("certus-server-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = incomplete_db();
+    db.insert_relation("log", rel(&["v"], vec![vec![Value::Int(0)]]));
+    let repl = ReplicationConfig {
+        ack_timeout_ms: hold_ms,
+        ..ReplicationConfig::primary(ReplMode::Sync { quorum: 1 })
+    };
+    let config = ServerConfig { data_dir: Some(dir.clone()), replication: Some(repl), ..config };
+    (Server::start(db, config).unwrap(), dir)
+}
+
+/// Poll the server's `Stats` through `observer` until `done` holds.
+fn wait_for_stats(observer: &mut Client, what: &str, done: impl Fn(&ServerStats) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(&observer.stats().unwrap()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Send an insert that takes the slot and holds it, returning once it is
+/// published (so it is running) together with its connection.
+fn hold_a_slot(server: &Server, observer: &mut Client, v: i64) -> Client {
+    let epoch = observer.stats().unwrap().epoch;
+    let mut holder = Client::connect(server.local_addr()).unwrap();
+    holder.send_insert("log", row(v)).unwrap();
+    wait_for_stats(observer, "the holder's insert to publish", |s| s.epoch > epoch);
+    holder
+}
+
+/// Receive the answer of an insert whose quorum never came.
+fn expect_held_insert(client: &mut Client) {
+    match client.recv().unwrap() {
+        (_, Response::Error { code: ErrorCode::Internal, message, .. }) => {
+            assert!(message.contains("replica ack"), "a quorum timeout: {message}");
+        }
+        other => panic!("expected the quorum timeout, got {other:?}"),
+    }
+}
+
+fn log_values(client: &mut Client) -> Vec<i64> {
+    let answers = client.query(WireCertainty::Plain, &RaExpr::relation("log")).unwrap();
+    let rows = answers.body.plain.expect("plain answers");
+    rows.iter()
+        .map(|t| match t.values()[0] {
+            Value::Int(v) => v,
+            ref other => panic!("unexpected value {other:?}"),
+        })
+        .collect()
 }
 
 #[test]
@@ -196,44 +268,141 @@ fn connection_cap_refuses_excess_clients() {
 
 #[test]
 fn full_queue_sheds_requests_with_overloaded() {
-    // One executor, a two-slot queue: a heavy query occupies the executor
-    // while a burst of pipelined queries lands, so most of the burst must be
-    // shed with `Overloaded` rather than queued without bound.
-    let mut db = Database::new();
-    let rows: Vec<Vec<Value>> = (0..400).map(|i| vec![Value::Int(i)]).collect();
-    db.insert_relation("big", rel(&["a"], rows));
+    // One execution slot and room for two waiters: connection A holds the
+    // slot while ten other connections each send one light query, so most
+    // of the burst must be shed with `Overloaded` rather than wait without
+    // bound.
     let config = ServerConfig { executors: 1, queue_capacity: 2, ..ServerConfig::default() };
-    let server = Server::start(db, config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (server, dir) = slot_holding_server("shed", 1000, config);
+    let mut observer = Client::connect(server.local_addr()).unwrap();
+    let mut burst: Vec<Client> =
+        (0..10).map(|_| Client::connect(server.local_addr()).unwrap()).collect();
+    let mut holder = hold_a_slot(&server, &mut observer, 1);
 
-    let heavy = RaExpr::relation("big").product(RaExpr::relation("big"));
-    let light = RaExpr::relation("big");
-    let mut ids = vec![client.send_query(WireCertainty::Plain, &heavy).unwrap()];
-    for _ in 0..10 {
-        ids.push(client.send_query(WireCertainty::Plain, &light).unwrap());
-    }
+    let ids: Vec<u64> = burst
+        .iter_mut()
+        .map(|c| c.send_query(WireCertainty::Plain, &anti_join()).unwrap())
+        .collect();
+    let deepest = (0..50)
+        .map(|_| {
+            thread::sleep(Duration::from_millis(1));
+            observer.stats().unwrap().queue_depth
+        })
+        .max();
+    assert!(deepest <= Some(2), "no more than two requests ever wait: {deepest:?}");
 
     let mut answered = 0;
     let mut shed = 0;
-    for _ in 0..ids.len() {
-        let (id, resp) = client.recv().unwrap();
-        assert!(ids.contains(&id), "response {id} matches a request");
-        match resp {
-            certus_server::Response::Answers { .. } => answered += 1,
-            certus_server::Response::Error { code, .. } => {
-                assert_eq!(code, ErrorCode::Overloaded);
-                shed += 1;
-            }
+    for (client, id) in burst.iter_mut().zip(ids) {
+        match client.recv().unwrap() {
+            (got, Response::Answers { .. }) if got == id => answered += 1,
+            (got, Response::Error { code: ErrorCode::Overloaded, .. }) if got == id => shed += 1,
             other => panic!("unexpected response {other:?}"),
         }
     }
+    // The holder's own request ran to its end and was answered.
+    expect_held_insert(&mut holder);
+    answered += 1;
     assert_eq!(answered + shed, 11, "every request gets exactly one response");
-    assert!(shed >= 1, "a two-slot queue cannot hold a ten-request burst");
-    assert!(answered >= 1, "the heavy query itself completes");
-    let stats = client.stats().unwrap();
+    assert!(shed >= 1, "two waiting places cannot hold a ten-request burst");
+    assert!(answered >= 1, "the holder's request itself completes");
+    let stats = observer.stats().unwrap();
     assert!(stats.rejected >= shed as u64);
+    drop((holder, burst));
+    observer.close().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_connections_requests_run_in_the_order_sent() {
+    // Four execution slots, but one connection: a pipelined insert and the
+    // execute behind it run in the order sent, so every execute sees its
+    // insert.
+    let server = Server::start(incomplete_db(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (stmt, _) = client.prepare(WireCertainty::Plain, &RaExpr::relation("r")).unwrap();
+    let mut expected = client.execute(stmt).unwrap().body.plain.expect("plain").len();
+
+    for pair in 0..20i64 {
+        let rows = (0..4).map(|k| Tuple::new(vec![Value::Int(100 + 4 * pair + k)])).collect();
+        let insert = client.send_insert("r", rows).unwrap();
+        let execute = client.send_execute(stmt).unwrap();
+        match client.recv().unwrap() {
+            (id, Response::Ack { .. }) => assert_eq!(id, insert, "the insert is answered first"),
+            other => panic!("expected the insert's Ack, got {other:?}"),
+        }
+        let (id, answers) = client.recv_answers().unwrap();
+        assert_eq!(id, execute);
+        expected += 4;
+        assert!(answers.reprepared, "the execute ran after the insert moved the epoch");
+        assert_eq!(answers.body.plain.expect("plain").len(), expected, "pair {pair}");
+    }
     client.close().unwrap();
     server.shutdown();
+}
+
+#[test]
+fn waiting_requests_are_admitted_in_arrival_order() {
+    // One execution slot. A holds it; B starts waiting, then C. Every
+    // request's answer is written before its slot is freed, and each insert
+    // appends its row when it runs, so `log` records the admission order.
+    let config = ServerConfig { executors: 1, ..ServerConfig::default() };
+    let (server, dir) = slot_holding_server("fifo", 500, config);
+    let mut observer = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut a = hold_a_slot(&server, &mut observer, 1);
+
+    b.send_insert("log", row(2)).unwrap();
+    wait_for_stats(&mut observer, "B to wait", |s| s.queue_depth == 1);
+    c.send_insert("log", row(3)).unwrap();
+    wait_for_stats(&mut observer, "C to wait behind B", |s| s.queue_depth == 2);
+
+    for client in [&mut a, &mut b, &mut c] {
+        expect_held_insert(client);
+    }
+    assert_eq!(log_values(&mut observer), vec![0, 1, 2, 3], "A, then B, then C");
+    drop((a, b, c));
+    observer.close().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn close_and_shutdown_answer_every_admitted_request_first() {
+    // Close: two pipelined queries and a Close on one raw connection come
+    // back as two answers, then the Ack.
+    let server = Server::start(incomplete_db(), ServerConfig::default()).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let query =
+        Request::Query { certainty: WireCertainty::Plain, query: anti_join(), deadline_ms: 0 };
+    for (id, request) in [(1, &query), (2, &query), (3, &Request::Close)] {
+        write_frame(&mut raw, &encode_request(id, request)).unwrap();
+    }
+    let responses: Vec<(u64, Response)> =
+        (0..3).map(|_| decode_response(&read_frame(&mut raw).unwrap()).unwrap()).collect();
+    assert!(matches!(responses[0], (1, Response::Answers { .. })), "{responses:?}");
+    assert!(matches!(responses[1], (2, Response::Answers { .. })), "{responses:?}");
+    assert!(matches!(responses[2], (3, Response::Ack { .. })), "{responses:?}");
+    server.shutdown();
+
+    // Shutdown: a request still waiting for the slot when the server starts
+    // shutting down is answered, not dropped.
+    let config = ServerConfig { executors: 1, ..ServerConfig::default() };
+    let (server, dir) = slot_holding_server("drain", 500, config);
+    let mut observer = Client::connect(server.local_addr()).unwrap();
+    let mut waiter = Client::connect(server.local_addr()).unwrap();
+    let mut holder = hold_a_slot(&server, &mut observer, 1);
+    let id = waiter.send_query(WireCertainty::Plain, &anti_join()).unwrap();
+    wait_for_stats(&mut observer, "the query to wait", |s| s.queue_depth == 1);
+    observer.shutdown_server().unwrap();
+    assert!(server.shutdown_requested());
+    let (got, _) = waiter.recv_answers().expect("the waiting query is answered");
+    assert_eq!(got, id);
+    expect_held_insert(&mut holder);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
