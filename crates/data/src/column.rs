@@ -25,6 +25,10 @@
 //! interned column elements are equal iff their ids are equal, which is what
 //! makes hashing and comparing string join keys cheap.
 //!
+//! A [`Relation`] keeps the columns it was asked for
+//! ([`Relation::column`]): a base relation is extracted once per snapshot,
+//! not once per operator per execution.
+//!
 //! [`Values`]: ColumnData::Values
 
 use crate::intern::{StrId, StrPool};
@@ -173,8 +177,11 @@ impl Column {
         Self::build(values.len(), |i| &values[i], pool)
     }
 
-    /// Extract the column at `pos` from a slice of rows.
+    /// Extract the column at `pos` from a slice of rows (counted as
+    /// `data.column_extractions`). A whole relation's columns are better
+    /// read through [`Relation::column`], which extracts each once.
     pub fn extract(rows: &[Tuple], pos: usize, pool: &StrPool) -> Column {
+        crate::profile::record_column_extraction();
         Self::build(rows.len(), |i| &rows[i][pos], pool)
     }
 

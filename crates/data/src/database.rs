@@ -80,7 +80,10 @@ impl ActiveDomain {
 /// that relation. This is what the snapshot/epoch storage
 /// ([`crate::snapshot::SnapshotStore`]) builds on: readers pin an immutable
 /// snapshot while a writer clones the database, rewrites just the touched
-/// relations, and publishes the result under a bumped schema epoch.
+/// relations, and publishes the result under a bumped schema epoch. A
+/// relation's cached columns ([`Relation::column`]) travel with its `Arc`:
+/// every snapshot sharing the relation shares them, and the writer's copy
+/// starts without any.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Relation>>,
@@ -314,8 +317,10 @@ impl fmt::Display for Database {
 mod tests {
     use super::*;
     use crate::builder::rel;
+    use crate::column::{Column, ColumnData};
     use crate::schema::Attribute;
     use crate::types::ValueType;
+    use std::borrow::Cow;
 
     fn db_with_r() -> Database {
         let mut db = Database::new();
@@ -441,6 +446,52 @@ mod tests {
         ));
         assert_eq!(db.relation("r").unwrap().len(), 2);
         assert_eq!(copy.relation("r").unwrap().len(), 3);
+    }
+
+    /// The cached column behind a borrow (the cache never hands out a copy
+    /// to the pool it was filled under).
+    fn cached<'a>(db: &'a Database, name: &str, pos: usize) -> &'a Column {
+        match db.relation(name).unwrap().column(pos, db.str_pool()) {
+            Cow::Borrowed(col) => col,
+            Cow::Owned(_) => panic!("{name}.{pos} was extracted without the cache"),
+        }
+    }
+
+    #[test]
+    fn clones_share_cached_columns_until_copy_on_write() {
+        let db = db_with_r();
+        let col = cached(&db, "r", 0);
+        let mut copy = db.clone();
+        assert!(std::ptr::eq(col, cached(&copy, "r", 0)), "a snapshot shares the cache");
+        copy.relation_mut("r").unwrap().insert_values([Value::Int(5), Value::Int(6)]).unwrap();
+        // The writer's copy starts empty and sees its insert…
+        assert_eq!(cached(&copy, "r", 0).len(), 3);
+        // …while the other snapshot keeps the very column it had.
+        assert!(std::ptr::eq(col, cached(&db, "r", 0)));
+        assert_eq!(col.len(), 2);
+    }
+
+    #[test]
+    fn a_relation_moved_to_another_pool_is_not_read_through_the_old_ids() {
+        let rows = ["x", "y", "x"].map(|s| vec![Value::str(s)]).to_vec();
+        let mut first = Database::new();
+        first.insert_relation("t", rel(&["s"], rows));
+        // Cached under the first pool, which numbered "x" 0 and "y" 1.
+        cached(&first, "t", 0);
+        let shared = first.relation_shared("t").unwrap();
+        drop(first);
+        let moved = Arc::try_unwrap(shared).expect("the only handle left");
+        let mut second = Database::new();
+        second.intern_str("y");
+        second.intern_str("x");
+        second.insert_relation("t", moved);
+        // `s = 'x'` the way the vectorized filter evaluates it: the
+        // constant's id in the database's pool against the column's ids.
+        let want = second.str_pool().lookup("x");
+        let col = second.relation("t").unwrap().column(0, second.str_pool());
+        let ColumnData::Str(ids) = col.data() else { panic!("a string column: {col:?}") };
+        let hits: Vec<usize> = (0..ids.len()).filter(|&i| Some(ids[i]) == want).collect();
+        assert_eq!(hits, vec![0, 2]);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use certus_obs::metrics::{registry, Gauge};
 use certus_obs::names;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The process-wide `interner.strings` gauge: updated on every pool growth
@@ -64,15 +65,37 @@ impl PoolInner {
 
 /// A deduplicating string pool (see the module docs). Cloning a pool clones
 /// its table but shares the underlying string allocations.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StrPool {
     inner: RwLock<PoolInner>,
+    id: u64,
+}
+
+/// A process-unique pool id: ids issued by two pools with different ids
+/// must never be compared or resolved across them.
+fn next_pool_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for StrPool {
+    fn default() -> Self {
+        StrPool { inner: RwLock::default(), id: next_pool_id() }
+    }
 }
 
 impl StrPool {
     /// An empty pool.
     pub fn new() -> Self {
         StrPool::default()
+    }
+
+    /// The pool's process-unique identity. A clone is a different pool (its
+    /// table may number new strings differently), so it gets a new id.
+    /// Anything that keeps string ids beyond one call — a relation's
+    /// cached columns — records the id of the pool that issued them.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Intern a string, returning its id and the shared allocation.
@@ -158,6 +181,7 @@ impl Clone for StrPool {
                 map: inner.map.clone(),
                 strings: inner.strings.clone(),
             }),
+            id: next_pool_id(),
         }
     }
 }
@@ -208,6 +232,9 @@ mod tests {
         // The copy is independent: new strings in one don't appear in the other.
         copy.intern("only in copy");
         assert!(pool.lookup("only in copy").is_none());
+        // So it is a different pool, by identity too.
+        assert_ne!(copy.id(), pool.id());
+        assert_ne!(StrPool::new().id(), StrPool::new().id());
     }
 
     #[test]

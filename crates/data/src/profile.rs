@@ -4,7 +4,11 @@
 //! Two kinds of per-execution overhead belong to planning and compilation,
 //! never to executing a compiled plan: column-*name resolution* (string
 //! lookups in [`crate::Schema::position_of`]) and *schema inference*
-//! (re-deriving operator output schemas).
+//! (re-deriving operator output schemas). A third, *column extraction*
+//! ([`crate::column::Column::extract`]), belongs to execution but depends
+//! only on the snapshot for base relations, which keep their extracted
+//! columns ([`crate::Relation::column`]); re-executing a plan over an
+//! unchanged snapshot extracts only the columns of its intermediates.
 //!
 //! The counters themselves now live in the process-wide
 //! [`certus_obs::metrics::MetricsRegistry`] under the `data.*` names — this
@@ -31,6 +35,11 @@ fn schema_inferences() -> &'static Counter {
     H.get_or_init(|| registry().counter(names::DATA_SCHEMA_INFERENCES))
 }
 
+fn column_extractions() -> &'static Counter {
+    static H: OnceLock<Arc<Counter>> = OnceLock::new();
+    H.get_or_init(|| registry().counter(names::DATA_COLUMN_EXTRACTIONS))
+}
+
 /// A snapshot of all profiling counters, for delta assertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileSnapshot {
@@ -38,6 +47,8 @@ pub struct ProfileSnapshot {
     pub name_resolutions: u64,
     /// Operator output-schema inferences performed so far.
     pub schema_inferences: u64,
+    /// Columns extracted from rows so far.
+    pub column_extractions: u64,
 }
 
 impl ProfileSnapshot {
@@ -46,6 +57,7 @@ impl ProfileSnapshot {
         ProfileSnapshot {
             name_resolutions: name_resolutions().value(),
             schema_inferences: schema_inferences().value(),
+            column_extractions: column_extractions().value(),
         }
     }
 
@@ -54,10 +66,13 @@ impl ProfileSnapshot {
         ProfileSnapshot {
             name_resolutions: self.name_resolutions - earlier.name_resolutions,
             schema_inferences: self.schema_inferences - earlier.schema_inferences,
+            column_extractions: self.column_extractions - earlier.column_extractions,
         }
     }
 
-    /// Whether no counted work happened between `earlier` and this snapshot.
+    /// Whether no planning or compilation work (name resolution, schema
+    /// inference) happened between `earlier` and this snapshot. Column
+    /// extraction is execution work and does not count.
     pub fn is_zero(&self) -> bool {
         self.name_resolutions == 0 && self.schema_inferences == 0
     }
@@ -76,6 +91,13 @@ pub fn record_schema_inference() {
     schema_inferences().incr();
 }
 
+/// Record one column extraction (called by
+/// [`crate::column::Column::extract`]).
+#[inline]
+pub(crate) fn record_column_extraction() {
+    column_extractions().incr();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,11 +108,13 @@ mod tests {
         let before = ProfileSnapshot::now();
         record_name_resolution();
         record_schema_inference();
+        record_column_extraction();
         let delta = ProfileSnapshot::now().delta_since(&before);
         // Other tests in this process may also record events concurrently,
         // so only lower bounds are stable here.
         assert!(delta.name_resolutions >= 1);
         assert!(delta.schema_inferences >= 1);
+        assert!(delta.column_extractions >= 1);
         assert!(!delta.is_zero());
     }
 

@@ -1,14 +1,17 @@
 //! Relations: a schema plus a set of tuples.
 
+use crate::column::Column;
 use crate::error::DataError;
+use crate::intern::StrPool;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
 use crate::value::Value;
 use crate::Result;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A relation instance: an ordered schema and a *set* of tuples.
 ///
@@ -16,16 +19,31 @@ use std::sync::Arc;
 /// Section 8); `Relation` therefore deduplicates on insertion points that
 /// matter (set operations, distinct projection) while physically storing a
 /// `Vec` for cheap iteration.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A relation also keeps the typed columns it has been asked for
+/// ([`Relation::column`]). The cache is not part of the value: a clone
+/// starts without it, every `&mut self` method drops it, and equality and
+/// `Debug` ignore it. Databases share relations through `Arc`s, so every
+/// snapshot that shares a relation shares its cached columns, and a
+/// writer's copy-on-write starts empty.
 pub struct Relation {
     schema: Arc<Schema>,
     tuples: Vec<Tuple>,
+    columns: OnceLock<ColumnCache>,
+}
+
+/// The columns extracted from a relation's tuples, one slot per position,
+/// each filled on first use. String ids in them were issued by the pool
+/// whose [`StrPool::id`] is `pool`.
+struct ColumnCache {
+    pool: u64,
+    cols: Box<[OnceLock<Column>]>,
 }
 
 impl Relation {
     /// Create an empty relation with the given schema.
     pub fn empty(schema: Arc<Schema>) -> Self {
-        Relation { schema, tuples: Vec::new() }
+        Relation::from_parts(schema, Vec::new())
     }
 
     /// Create a relation from a schema and tuples (arity-checked).
@@ -35,13 +53,39 @@ impl Relation {
                 return Err(DataError::ArityMismatch { expected: schema.arity(), found: t.len() });
             }
         }
-        Ok(Relation { schema, tuples })
+        Ok(Relation::from_parts(schema, tuples))
     }
 
     /// Create a relation without checking arities (used by operators that
     /// construct tuples of the right shape by construction).
     pub fn from_parts(schema: Arc<Schema>, tuples: Vec<Tuple>) -> Self {
-        Relation { schema, tuples }
+        Relation { schema, tuples, columns: OnceLock::new() }
+    }
+
+    /// The column at `pos` in typed form, extracted from the tuples on
+    /// first use and kept until the relation is mutated. Concurrent callers
+    /// extract it once between them.
+    ///
+    /// The cache belongs to the pool of its first caller. A caller with
+    /// another pool gets a column extracted afresh and nothing is cached,
+    /// so a string id is never resolved through a pool that did not issue
+    /// it — a relation moved into another database stays correct.
+    pub fn column(&self, pos: usize, pool: &StrPool) -> Cow<'_, Column> {
+        let cache = self.columns.get_or_init(|| ColumnCache {
+            pool: pool.id(),
+            cols: (0..self.arity()).map(|_| OnceLock::new()).collect(),
+        });
+        if cache.pool != pool.id() {
+            return Cow::Owned(Column::extract(&self.tuples, pos, pool));
+        }
+        let col = cache.cols[pos].get_or_init(|| Column::extract(&self.tuples, pos, pool));
+        debug_assert_eq!(col.len(), self.len(), "a cached column outlived a mutation");
+        Cow::Borrowed(col)
+    }
+
+    /// Drop the cached columns: every `&mut self` method calls this.
+    fn invalidate_columns(&mut self) {
+        self.columns.take();
     }
 
     /// The schema of the relation.
@@ -87,6 +131,7 @@ impl Relation {
                 found: tuple.len(),
             });
         }
+        self.invalidate_columns();
         self.tuples.push(tuple);
         Ok(())
     }
@@ -106,6 +151,7 @@ impl Relation {
     /// Deduplication hashes *borrowed* rows: no tuple is cloned into the
     /// scratch set, so the only writes are the in-place removals.
     pub fn dedup(&mut self) {
+        self.invalidate_columns();
         let mut seen: HashSet<&Tuple> = HashSet::with_capacity(self.tuples.len());
         let keep: Vec<bool> = self.tuples.iter().map(|t| seen.insert(t)).collect();
         drop(seen);
@@ -134,6 +180,7 @@ impl Relation {
     /// only moved and extended with the right side's.
     pub fn union_owned(mut self, other: &Relation) -> Result<Relation> {
         self.check_compatible(other, "union")?;
+        self.invalidate_columns();
         self.tuples.extend(other.tuples.iter().cloned());
         self.dedup();
         Ok(self)
@@ -148,6 +195,7 @@ impl Relation {
     /// not cloned).
     pub fn difference_owned(mut self, other: &Relation) -> Result<Relation> {
         self.check_compatible(other, "difference")?;
+        self.invalidate_columns();
         let right: HashSet<&Tuple> = other.tuples.iter().collect();
         let keep: Vec<bool> = self.tuples.iter().map(|t| !right.contains(t)).collect();
         drop(right);
@@ -166,6 +214,7 @@ impl Relation {
     /// not cloned).
     pub fn intersect_owned(mut self, other: &Relation) -> Result<Relation> {
         self.check_compatible(other, "intersection")?;
+        self.invalidate_columns();
         let right: HashSet<&Tuple> = other.tuples.iter().collect();
         let keep: Vec<bool> = self.tuples.iter().map(|t| right.contains(t)).collect();
         drop(right);
@@ -178,12 +227,8 @@ impl Relation {
     /// Apply a valuation to every tuple, producing a (possibly complete)
     /// relation.
     pub fn apply(&self, v: &Valuation) -> Relation {
-        let mut out = Relation {
-            schema: self.schema.clone(),
-            tuples: self.tuples.iter().map(|t| t.apply(v)).collect(),
-        };
-        out.dedup();
-        out
+        Relation::from_parts(self.schema.clone(), self.tuples.iter().map(|t| t.apply(v)).collect())
+            .into_distinct()
     }
 
     /// Whether any tuple contains a null.
@@ -233,6 +278,29 @@ impl Relation {
             });
         }
         Ok(())
+    }
+}
+
+impl Clone for Relation {
+    /// Clones the schema and the row pointers; the clone's column cache
+    /// starts empty (it will be mutated, or it would have been shared).
+    fn clone(&self) -> Self {
+        Relation::from_parts(self.schema.clone(), self.tuples.clone())
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.tuples == other.tuples
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("tuples", &self.tuples)
+            .finish()
     }
 }
 
@@ -309,6 +377,57 @@ mod tests {
         assert_eq!(consts.len(), 2);
         assert!(consts.contains(&Value::Int(1)));
         assert_eq!(r.null_ids().len(), 1);
+    }
+
+    #[test]
+    fn a_column_is_extracted_once_and_then_borrowed() {
+        let p = StrPool::new();
+        let r = rel(&["a", "b"], vec![vec![Value::Int(1), Value::str("x")]]);
+        let (first, second) = (r.column(1, &p), r.column(1, &p));
+        match (&first, &second) {
+            (Cow::Borrowed(a), Cow::Borrowed(b)) => assert!(std::ptr::eq(*a, *b)),
+            _ => panic!("the cache hands out borrows"),
+        }
+        assert_eq!(*first, Column::extract(r.tuples(), 1, &p));
+        // A clone is a relation about to diverge: it starts without a cache.
+        assert!(r.clone().columns.get().is_none());
+        assert_eq!(r.clone(), r, "equality ignores the cache");
+    }
+
+    #[test]
+    fn every_mutating_method_drops_the_cached_columns() {
+        let p = StrPool::new();
+        let int = |xs: &[i64]| rel(&["a"], xs.iter().map(|&x| vec![Value::Int(x)]).collect());
+        let (base, other) = (int(&[1, 2, 2]), int(&[2, 3]));
+        type Mutation<'a> = Box<dyn Fn(Relation) -> Relation + 'a>;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            (
+                "insert",
+                Box::new(|mut r: Relation| {
+                    r.insert_values([Value::Int(9)]).unwrap();
+                    r
+                }),
+            ),
+            (
+                "dedup",
+                Box::new(|mut r: Relation| {
+                    r.dedup();
+                    r
+                }),
+            ),
+            ("union", Box::new(|r: Relation| r.union_owned(&other).unwrap())),
+            ("difference", Box::new(|r: Relation| r.difference_owned(&other).unwrap())),
+            ("intersect", Box::new(|r: Relation| r.intersect_owned(&other).unwrap())),
+        ];
+        for (name, mutate) in mutations {
+            let warm = base.clone();
+            assert_eq!(warm.column(0, &p).len(), 3);
+            assert!(warm.columns.get().is_some());
+            let changed = mutate(warm);
+            assert!(changed.columns.get().is_none(), "{name} kept the cached columns");
+            let fresh = Column::extract(changed.tuples(), 0, &p);
+            assert_eq!(*changed.column(0, &p), fresh, "{name}");
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub fn annotate(
 }
 
 fn tags_of(p: &QueryProfile) -> Vec<String> {
-    let mut tags: Vec<String> = p.narrowed_cols().into_iter().collect();
+    let mut tags: Vec<String> = p.narrowed_cols().into_iter().chain(p.build_time()).collect();
     if p.vec_runs > 0 {
         tags.push("vec".to_string());
     }

@@ -119,6 +119,9 @@
 //!   scan is never narrowed and materialises nothing (`values_out` 0). Only
 //!   a scan consumed by an operator that needs an owned relation — a union
 //!   arm, a set operation, the plan root — copies, and then row pointers.
+//!   The typed columns filters and hash keys read come from the relation's
+//!   own cache ([`Relation::column`]), so a borrowed base relation is
+//!   extracted once per snapshot, not once per operator per execution.
 //!
 //! # Parallel execution
 //!
@@ -158,7 +161,7 @@ use crate::compile::{
     apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, Emit, HashKeys, RowView,
     ScalarValues, Step, VecPlan,
 };
-use crate::vector::{self, BoundPred, KeySet, KeyTable};
+use crate::vector::{self, BoundPred, KeySet, KeyTable, Rows};
 use certus_algebra::eval::Evaluator;
 use certus_algebra::expr::{AggFunc, RaExpr};
 use certus_algebra::{AlgebraError, NullSemantics, Result};
@@ -695,7 +698,7 @@ impl<'a> Engine<'a> {
         schema: &Arc<Schema>,
     ) -> Result<Relation> {
         let rows = rel.tuples();
-        let keys = KeySet::build(rows, group_pos, true, self.config.vectorized, self.db.str_pool());
+        let keys = KeySet::build(rel, group_pos, true, self.config.vectorized, self.db.str_pool());
         let table = keys.table();
         let mut tuples = self.for_each_outer(rows.len(), 1, |i, out| {
             let mut group = keys.matches(i, &keys, &table).peekable();
@@ -726,7 +729,7 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<Relation> {
-        let input: Cow<'_, [Tuple]> = match source {
+        let input: Cow<'_, Relation> = match source {
             CompiledExpr::Scan { name, .. } => {
                 let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
                 // The pipeline streams the base table without executing the
@@ -734,11 +737,9 @@ impl<'a> Engine<'a> {
                 if let Some(c) = prof.and_then(|p| p.child(0)) {
                     c.stats.record_invocation(rel.len() as u64, 0);
                 }
-                Cow::Borrowed(rel.tuples())
+                Cow::Borrowed(rel)
             }
-            other => {
-                Cow::Owned(self.exec(other, scalars, prof.and_then(|p| p.child(0)))?.into_tuples())
-            }
+            other => Cow::Owned(self.exec(other, scalars, prof.and_then(|p| p.child(0)))?),
         };
         if let Some(p) = prof {
             p.stats.record_rows_in(input.len() as u64);
@@ -756,15 +757,16 @@ impl<'a> Engine<'a> {
     }
 
     /// The one morsel driver of fused pipelines. A morsel runs through the
-    /// batch-at-a-time evaluator when `vec_plan` is given (extract the filter
+    /// batch-at-a-time evaluator when `vec_plan` is given (read the filter
     /// columns, evaluate the predicates into truth masks, gather survivors)
     /// and row-at-a-time through [`apply_steps`] otherwise. Only pipelines
     /// whose plan carried an exchange under a filter fan out, over contiguous
     /// morsels concatenated in order — output order is input order either
-    /// way.
+    /// way. Serially the morsel is the whole input, whose columns come from
+    /// its cache.
     fn run_steps(
         &self,
-        input: Cow<'_, [Tuple]>,
+        input: Cow<'_, Relation>,
         steps: &[Step],
         vec_plan: Option<&VecPlan>,
         partitions: usize,
@@ -779,7 +781,7 @@ impl<'a> Engine<'a> {
             }
             _ => Vec::new(),
         };
-        let run_morsel = |rows: &[Tuple]| -> Vec<Tuple> {
+        let run_morsel = |rows: Rows<'_>| -> Vec<Tuple> {
             match vec_plan {
                 Some(plan) => vector::filter_gather(
                     rows,
@@ -790,6 +792,7 @@ impl<'a> Engine<'a> {
                     prof.map(|p| (p, filter_steps.as_slice())),
                 ),
                 None => rows
+                    .tuples()
                     .iter()
                     .filter_map(|t| {
                         apply_steps(Cow::Borrowed(t), steps, &scalars.values, self.semantics, prof)
@@ -802,7 +805,7 @@ impl<'a> Engine<'a> {
         }
         let n = self.workers(partitions, input.len());
         if n > 1 {
-            let morsels: Vec<&[Tuple]> = chunks_of(&input, n);
+            let morsels: Vec<&[Tuple]> = chunks_of(input.tuples(), n);
             if let Some(p) = prof {
                 p.stats.record_batches(morsels.len() as u64);
                 // Small inputs chunk into fewer morsels than `n`; never
@@ -810,19 +813,20 @@ impl<'a> Engine<'a> {
                 let cap = self.pool().width().min(n).min(morsels.len());
                 p.stats.record_parallel(morsels.len() as u64, cap as u64);
             }
-            return self.parallel_flat(&morsels, |rows| Ok(run_morsel(rows)));
+            return self.parallel_flat(&morsels, |rows| Ok(run_morsel(Rows::Morsel(rows))));
         }
         if let Some(p) = prof {
             p.stats.record_batches(1);
         }
         Ok(match input {
-            Cow::Owned(rows) if vec_plan.is_none() => rows
+            Cow::Owned(rel) if vec_plan.is_none() => rel
+                .into_tuples()
                 .into_iter()
                 .filter_map(|t| {
                     apply_steps(Cow::Owned(t), steps, &scalars.values, self.semantics, prof)
                 })
                 .collect(),
-            rows => run_morsel(&rows),
+            rel => run_morsel(Rows::Whole(&rel)),
         })
     }
 
@@ -865,8 +869,9 @@ impl<'a> Engine<'a> {
     /// null-aware keys, the rows holding a `NULL` that satisfies a key on its
     /// own are set aside on both sides for [`HashMatcher::partners`] to match
     /// by the full condition. The profile records which key representation
-    /// ran: typed columns are a vectorized run, row-valued keys a row
-    /// fallback when the vectorized evaluator was asked for.
+    /// ran (typed columns are a vectorized run, row-valued keys a row
+    /// fallback when the vectorized evaluator was asked for) and how long
+    /// the matcher took to build, apart from the probes.
     fn hash_matcher<'r>(
         &self,
         l: &'r Relation,
@@ -875,10 +880,11 @@ impl<'a> Engine<'a> {
         scalars: &'r ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> HashMatcher<'r> {
+        let profiled = prof.map(|p| (p, Timer::start()));
         let (mut probe, mut build) = KeySet::pair(
-            l.tuples(),
+            l,
             &keys.left,
-            r.tuples(),
+            r,
             &keys.right,
             self.semantics == NullSemantics::Naive,
             self.config.vectorized,
@@ -888,7 +894,9 @@ impl<'a> Engine<'a> {
             probe.set_wild(null_aware.null_ok.iter().map(|ok| ok.left));
             build.set_wild(null_aware.null_ok.iter().map(|ok| ok.right));
         }
-        if let Some(p) = prof {
+        let table = build.table();
+        if let Some((p, timer)) = profiled {
+            p.stats.record_build_ns(timer.elapsed_ns());
             if probe.is_typed() {
                 p.stats.record_vec_run();
             } else if self.config.vectorized {
@@ -897,7 +905,7 @@ impl<'a> Engine<'a> {
             p.stats.record_build_rows(build.valid_rows() as u64);
         }
         HashMatcher {
-            table: build.table(),
+            table,
             wild_build: build.wild_rows(),
             probe,
             build,
@@ -960,21 +968,22 @@ impl<'a> Engine<'a> {
     }
 
     /// The vectorized evaluator of a nested loop's predicate, when this
-    /// execution uses one: the inner columns the predicate reads extracted
-    /// once, its outer-independent subtrees hoisted into cached masks, so
-    /// each outer row evaluates against *all* inner rows at once. `None`
+    /// execution uses one: the inner columns the predicate reads, taken
+    /// once from the inner relation's cache, its outer-independent subtrees
+    /// hoisted into cached masks, so each outer row evaluates against *all*
+    /// inner rows at once. `None`
     /// selects per-pair scalar evaluation: `vectorized = false`, or an empty
     /// side — there are no pairs then, and preparing eagerly evaluates the
     /// hoisted subtrees, whose scalar subqueries are only ensured when both
     /// inputs are non-empty.
-    fn bind_inner(
+    fn bind_inner<'r>(
         &self,
         pred: &CompiledPredicate,
         l: &Relation,
-        r: &Relation,
+        r: &'r Relation,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Option<BoundPred> {
+    ) -> Option<BoundPred<'r>> {
         if !self.config.vectorized || l.is_empty() || r.is_empty() {
             return None;
         }
@@ -983,7 +992,7 @@ impl<'a> Engine<'a> {
         }
         Some(BoundPred::prepare(
             pred,
-            r.tuples(),
+            r,
             l.schema().arity(),
             &scalars.values,
             self.semantics,

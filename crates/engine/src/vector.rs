@@ -3,22 +3,28 @@
 //! Two hot paths of the compiled runtime move column-wise here instead of
 //! row-wise:
 //!
-//! * **Fused pipelines** ([`filter_gather`]): the engine extracts only the
-//!   columns a pipeline's filters read into typed vectors
+//! * **Fused pipelines** ([`filter_gather`]): the engine reads only the
+//!   columns a pipeline's filters read, as typed vectors
 //!   ([`certus_data::column::Column`]), evaluates every
 //!   [`CompiledPredicate`] into a three-valued [`TruthMask`] (Kleene
 //!   connectives are word-wise bit operations), intersects the masks into a
 //!   selection, and gathers the surviving rows once at the pipeline edge —
 //!   no per-row `Vec<Value>` materialisation, no per-row enum dispatch for
 //!   type-uniform columns.
-//! * **Hash join/semijoin keys** ([`KeySet`]): key columns are extracted
-//!   once per side, per-row `u64` hashes are computed column-wise, and the
-//!   hash table maps precomputed hashes to row indices (collisions verified
-//!   by typed column comparison) — no per-row key clones. Keys that cannot
-//!   be typed are the same structure over `Value` hash and `Value ==`, so
-//!   the hash operators have one build/probe loop. Either representation
+//! * **Hash join/semijoin keys** ([`KeySet`]): key columns are read once
+//!   per side, per-row `u64` hashes are computed column-wise, and the
+//!   chained [`KeyTable`] maps precomputed hashes to row indices
+//!   (collisions verified by typed column comparison) — no per-row key
+//!   clones, no container per key. Keys that cannot be typed are the same
+//!   structure over `Value` hash and `Value ==`, so the hash operators have
+//!   one build/probe loop. Either representation
 //!   can set aside the rows with a `NULL` in a null-aware key column
 //!   ([`KeySet::set_wild`]) for the operator to match by its full condition.
+//!
+//! Columns come from [`Relation::column`]: a base relation's are extracted
+//! once per snapshot and shared by every operator and execution that reads
+//! them; an intermediate's live as long as the intermediate. Only a
+//! parallel filter's morsel ([`Rows::Morsel`]) extracts outside a cache.
 //!
 //! Everything here is semantics-preserving by construction: typed fast
 //! paths replicate [`certus_data::compare`] exactly (numeric comparisons go
@@ -39,8 +45,9 @@ use certus_data::intern::{StrId, StrPool};
 use certus_data::like::like_match;
 use certus_data::truth::Truth;
 use certus_data::value::normalized_float_bits;
-use certus_data::{Tuple, Value};
+use certus_data::{Relation, Tuple, Value};
 use certus_obs::ProfNode;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -49,29 +56,56 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 // Fused pipelines: columnar predicate evaluation over a selection mask
 // ---------------------------------------------------------------------------
 
-/// The extracted columns a predicate reads, indexed by position (positions
-/// nobody reads stay unextracted).
-struct ColumnSet {
-    cols: Vec<Option<Column>>,
+/// The rows a fused pipeline filters.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// A whole relation: its columns come from its cache
+    /// ([`Relation::column`]), so a base relation is extracted once per
+    /// snapshot.
+    Whole(&'a Relation),
+    /// One morsel of a parallel filter, extracted afresh.
+    Morsel(&'a [Tuple]),
+}
+
+impl<'a> Rows<'a> {
+    pub(crate) fn tuples(self) -> &'a [Tuple] {
+        match self {
+            Rows::Whole(rel) => rel.tuples(),
+            Rows::Morsel(rows) => rows,
+        }
+    }
+
+    fn column(self, pos: usize, pool: &StrPool) -> Cow<'a, Column> {
+        match self {
+            Rows::Whole(rel) => rel.column(pos, pool),
+            Rows::Morsel(rows) => Cow::Owned(Column::extract(rows, pos, pool)),
+        }
+    }
+}
+
+/// The columns a predicate reads, indexed by position (positions nobody
+/// reads stay unread).
+struct ColumnSet<'a> {
+    cols: Vec<Option<Cow<'a, Column>>>,
     len: usize,
 }
 
-impl ColumnSet {
-    fn extract(rows: &[Tuple], positions: &[usize], pool: &StrPool) -> ColumnSet {
+impl<'a> ColumnSet<'a> {
+    fn read(rows: Rows<'a>, positions: &[usize], pool: &StrPool) -> ColumnSet<'a> {
         let width = positions.iter().copied().max().map(|m| m + 1).unwrap_or(0);
         let mut cols = Vec::new();
         cols.resize_with(width, || None);
         for &p in positions {
             if cols[p].is_none() {
-                cols[p] = Some(Column::extract(rows, p, pool));
+                cols[p] = Some(rows.column(p, pool));
             }
         }
-        ColumnSet { cols, len: rows.len() }
+        ColumnSet { cols, len: rows.tuples().len() }
     }
 
     #[inline]
     fn col(&self, pos: usize) -> &Column {
-        self.cols[pos].as_ref().expect("predicate column extracted")
+        self.cols[pos].as_ref().expect("predicate column read")
     }
 }
 
@@ -80,7 +114,7 @@ impl ColumnSet {
 /// the bind arity resolve to that row's values (per-batch constants), the
 /// rest shift down into the extracted inner columns.
 struct Ctx<'a> {
-    cols: &'a ColumnSet,
+    cols: &'a ColumnSet<'a>,
     bound: Option<(&'a Tuple, usize)>,
     scalars: &'a ScalarValues,
     semantics: NullSemantics,
@@ -93,10 +127,10 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Run a fused pipeline's [`VecPlan`] over a slice of rows: evaluate every
-/// filter column-wise, intersect the masks, gather the survivors (projected
-/// when the pipeline projects). Output order is input order — identical to
-/// the row path.
+/// Run a fused pipeline's [`VecPlan`] over its rows: evaluate every filter
+/// column-wise, intersect the masks, gather the survivors (projected when
+/// the pipeline projects). Output order is input order — identical to the
+/// row path.
 ///
 /// `prof` optionally records per-filter survivor counts: the slice maps the
 /// i-th vectorized filter to its step index in the profiled pipeline, and
@@ -104,19 +138,20 @@ impl<'a> Ctx<'a> {
 /// — the same "rows surviving filters `0..=k`" the row path counts via
 /// short-circuit evaluation.
 pub(crate) fn filter_gather(
-    rows: &[Tuple],
+    input: Rows<'_>,
     plan: &VecPlan,
     scalars: &ScalarValues,
     semantics: NullSemantics,
     pool: &StrPool,
     prof: Option<(&ProfNode, &[usize])>,
 ) -> Vec<Tuple> {
+    let rows = input.tuples();
     if rows.is_empty() {
         // Nothing to filter — and the engine only guarantees scalar
         // subqueries are evaluated when the input is non-empty.
         return Vec::new();
     }
-    let cols = ColumnSet::extract(rows, &plan.cols, pool);
+    let cols = ColumnSet::read(input, &plan.cols, pool);
     let ctx = Ctx { cols: &cols, bound: None, scalars, semantics, pool };
     let mut sel: Option<TruthMask> = None;
     for (fi, filter) in plan.filters.iter().enumerate() {
@@ -145,15 +180,15 @@ pub(crate) fn filter_gather(
 }
 
 /// A nested-loop join predicate prepared for vectorized evaluation: the
-/// inner columns it reads extracted once, and every *outer-independent*
-/// subtree — atoms like the translation's `p_name LIKE …` or `… IS NULL`
-/// guards that only look at the inner side — evaluated once into a cached
-/// mask. Per outer row, only the outer-dependent atoms are re-evaluated and
+/// inner columns it reads, taken once from the inner relation, and every
+/// *outer-independent* subtree — atoms like the translation's
+/// `p_name LIKE …` or `… IS NULL` guards that only look at the inner side —
+/// evaluated once into a cached mask. Per outer row, only the outer-dependent atoms are re-evaluated and
 /// combined with the cached masks by word-wise Kleene operations. (The row
 /// path gets the same effect from short-circuiting; without the hoisting a
 /// loop-invariant `LIKE` would run once per *pair*.)
-pub(crate) struct BoundPred {
-    cols: ColumnSet,
+pub(crate) struct BoundPred<'r> {
+    cols: ColumnSet<'r>,
     l_arity: usize,
     node: BoundNode,
 }
@@ -169,25 +204,25 @@ enum BoundNode {
     Not(Box<BoundNode>),
 }
 
-impl BoundPred {
+impl<'r> BoundPred<'r> {
     /// Prepare `pred` (compiled against the concatenated (left, right)
     /// schema; positions at or above `l_arity` are inner columns) for a
-    /// vectorized loop over `r_rows`.
+    /// vectorized loop over the rows of `r`.
     pub(crate) fn prepare(
         pred: &CompiledPredicate,
-        r_rows: &[Tuple],
+        r: &'r Relation,
         l_arity: usize,
         scalars: &ScalarValues,
         semantics: NullSemantics,
         pool: &StrPool,
-    ) -> BoundPred {
+    ) -> BoundPred<'r> {
         let mut refs = Vec::new();
         pred.pred().col_refs(&mut refs);
         let mut inner: Vec<usize> =
             refs.into_iter().filter(|&i| i >= l_arity).map(|i| i - l_arity).collect();
         inner.sort_unstable();
         inner.dedup();
-        let cols = ColumnSet::extract(r_rows, &inner, pool);
+        let cols = ColumnSet::read(Rows::Whole(r), &inner, pool);
         // Invariant subtrees never index into the outer row, so an empty
         // tuple stands in while they are pre-evaluated.
         let no_outer = Tuple::empty();
@@ -681,8 +716,19 @@ impl Hasher for PassThroughHasher {
     }
 }
 
-/// A hash table from precomputed key hashes to build-side row indices.
-pub(crate) type KeyTable = HashMap<u64, Vec<u32>, BuildHasherDefault<PassThroughHasher>>;
+/// A hash table from precomputed key hashes to build-side row indices, as
+/// two flat arrays: `heads` maps a hash to the first row carrying it, and
+/// `next[i]` is the following row with row `i`'s hash ([`END`] after the
+/// last). Each chain ascends, so partners come out in build order — the
+/// nested loop's order, and the aggregate's first occurrence first. No
+/// container is allocated per key.
+pub(crate) struct KeyTable {
+    heads: HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>,
+    next: Vec<u32>,
+}
+
+/// The end of a [`KeyTable`] chain.
+const END: u32 = u32::MAX;
 
 #[inline]
 fn mix(h: u64, x: u64) -> u64 {
@@ -694,8 +740,9 @@ const NULL_TAG: u64 = 0x6e75;
 /// The representation behind a [`KeySet`]'s hashes and equality.
 enum KeyCols<'r> {
     /// Typed columns: hashes mix the typed payloads column-wise, equality
-    /// compares them without touching a `Value`.
-    Typed(Vec<Column>),
+    /// compares them without touching a `Value`. Borrowed from the
+    /// relation's column cache.
+    Typed(Vec<Cow<'r, Column>>),
     /// Row-valued keys: `Value` hash and `Value ==` over the rows
     /// themselves, read at the key positions. The loss-free representation
     /// every input has — what `vectorized = false` runs on, and what a key
@@ -723,27 +770,31 @@ pub(crate) struct KeySet<'r> {
     wild: Vec<bool>,
 }
 
-/// The typed key columns at `pos`, or `None` when any of them lands in the
-/// `Values` fallback — representation-specific hashing would be unsound
-/// there.
-fn typed_cols(rows: &[Tuple], pos: &[usize], pool: &StrPool) -> Option<Vec<Column>> {
-    let cols: Vec<Column> = pos.iter().map(|&p| Column::extract(rows, p, pool)).collect();
+/// The typed key columns of `rel` at `pos`, or `None` when any of them
+/// lands in the `Values` fallback — representation-specific hashing would
+/// be unsound there.
+fn typed_cols<'r>(
+    rel: &'r Relation,
+    pos: &[usize],
+    pool: &StrPool,
+) -> Option<Vec<Cow<'r, Column>>> {
+    let cols: Vec<Cow<'r, Column>> = pos.iter().map(|&p| rel.column(p, pool)).collect();
     (!cols.iter().any(|c| c.data().is_fallback())).then_some(cols)
 }
 
 impl<'r> KeySet<'r> {
-    /// The keys of `rows` at `pos`: typed when `vectorized` and every key
+    /// The keys of `rel` at `pos`: typed when `vectorized` and every key
     /// column can be typed, row-valued otherwise.
     pub(crate) fn build(
-        rows: &'r [Tuple],
+        rel: &'r Relation,
         pos: &'r [usize],
         allow_nulls: bool,
         vectorized: bool,
         pool: &StrPool,
     ) -> KeySet<'r> {
-        match vectorized.then(|| typed_cols(rows, pos, pool)).flatten() {
-            Some(cols) => KeySet::typed(cols, rows.len(), allow_nulls),
-            None => KeySet::row_valued(rows, pos, allow_nulls),
+        match vectorized.then(|| typed_cols(rel, pos, pool)).flatten() {
+            Some(cols) => KeySet::typed(cols, rel.len(), allow_nulls),
+            None => KeySet::row_valued(rel.tuples(), pos, allow_nulls),
         }
     }
 
@@ -756,35 +807,35 @@ impl<'r> KeySet<'r> {
     /// naive semantics a null must meet itself across the sides whatever
     /// its column's type, which only the row-valued keys guarantee.
     pub(crate) fn pair(
-        l_rows: &'r [Tuple],
+        l: &'r Relation,
         l_pos: &'r [usize],
-        r_rows: &'r [Tuple],
+        r: &'r Relation,
         r_pos: &'r [usize],
         allow_nulls: bool,
         vectorized: bool,
         pool: &StrPool,
     ) -> (KeySet<'r>, KeySet<'r>) {
         if vectorized {
-            let typed = typed_cols(l_rows, l_pos, pool)
-                .and_then(|l| Some((l, typed_cols(r_rows, r_pos, pool)?)));
-            if let Some((l, r)) = typed {
-                let same_repr = l.len() == r.len()
-                    && l.iter().zip(&r).all(|(a, b)| a.data().same_repr(b.data()));
+            let typed =
+                typed_cols(l, l_pos, pool).and_then(|lc| Some((lc, typed_cols(r, r_pos, pool)?)));
+            if let Some((lc, rc)) = typed {
+                let same_repr = lc.len() == rc.len()
+                    && lc.iter().zip(&rc).all(|(a, b)| a.data().same_repr(b.data()));
                 if same_repr || !allow_nulls {
                     return (
-                        KeySet::typed(l, l_rows.len(), allow_nulls),
-                        KeySet::typed(r, r_rows.len(), allow_nulls),
+                        KeySet::typed(lc, l.len(), allow_nulls),
+                        KeySet::typed(rc, r.len(), allow_nulls),
                     );
                 }
             }
         }
         (
-            KeySet::row_valued(l_rows, l_pos, allow_nulls),
-            KeySet::row_valued(r_rows, r_pos, allow_nulls),
+            KeySet::row_valued(l.tuples(), l_pos, allow_nulls),
+            KeySet::row_valued(r.tuples(), r_pos, allow_nulls),
         )
     }
 
-    fn typed(cols: Vec<Column>, n: usize, allow_nulls: bool) -> KeySet<'r> {
+    fn typed(cols: Vec<Cow<'r, Column>>, n: usize, allow_nulls: bool) -> KeySet<'r> {
         let mut hashes = vec![0x517c_c1b7_2722_0a95u64; n];
         let mut valid = vec![true; n];
         for c in &cols {
@@ -933,16 +984,19 @@ impl<'r> KeySet<'r> {
         self.valid.iter().filter(|v| **v).count()
     }
 
-    /// Build the hash table over this side's valid rows, pre-sized to the
-    /// known row count.
+    /// Build the chained hash table over this side's valid rows, pre-sized
+    /// to the known row count. Rows are linked in reverse, each in front of
+    /// its chain, so every chain ends up ascending.
     pub(crate) fn table(&self) -> KeyTable {
-        let mut table = KeyTable::with_capacity_and_hasher(self.hashes.len(), Default::default());
-        for (i, &h) in self.hashes.iter().enumerate() {
+        let n = self.hashes.len();
+        let mut heads = HashMap::with_capacity_and_hasher(n, Default::default());
+        let mut next = vec![END; n];
+        for i in (0..n).rev() {
             if self.valid[i] {
-                table.entry(h).or_default().push(i as u32);
+                next[i] = heads.insert(self.hashes[i], i as u32).unwrap_or(END);
             }
         }
-        table
+        KeyTable { heads, next }
     }
 
     /// The probe step: the rows of `build` (indexed by its `table`) whose
@@ -953,11 +1007,9 @@ impl<'r> KeySet<'r> {
         build: &'a KeySet<'_>,
         table: &'a KeyTable,
     ) -> impl Iterator<Item = usize> + 'a {
-        let bucket = if self.valid[i] { table.get(&self.hashes[i]) } else { None };
-        bucket
-            .into_iter()
-            .flatten()
-            .map(|&j| j as usize)
+        let head = if self.valid[i] { table.heads.get(&self.hashes[i]).copied() } else { None };
+        std::iter::successors(head, |&j| Some(table.next[j as usize]).filter(|&j| j != END))
+            .map(|j| j as usize)
             .filter(move |&j| self.keys_eq(i, build, j))
     }
 }

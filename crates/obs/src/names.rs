@@ -21,6 +21,9 @@ pub const ENGINE_SUBQUERY_EVALS: &str = "engine.subquery_evals";
 pub const DATA_NAME_RESOLUTIONS: &str = "data.name_resolutions";
 /// Schema inferences over literal relations (data substrate).
 pub const DATA_SCHEMA_INFERENCES: &str = "data.schema_inferences";
+/// Columns extracted from rows into typed form (data substrate). A base
+/// relation's columns are extracted once per snapshot and then cached.
+pub const DATA_COLUMN_EXTRACTIONS: &str = "data.column_extractions";
 
 /// Distinct strings currently held by the global interner (gauge).
 pub const INTERNER_STRINGS: &str = "interner.strings";

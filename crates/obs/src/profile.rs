@@ -36,6 +36,9 @@ pub struct NodeStats {
     pub row_fallbacks: AtomicU64,
     /// Hash-table build-side rows (joins/semijoins).
     pub build_rows: AtomicU64,
+    /// Time spent building a hash operator's matcher — both sides' key
+    /// columns and the table — apart from probing it.
+    pub build_ns: AtomicU64,
     /// Probe rows that found at least one build match.
     pub probe_hits: AtomicU64,
     /// Probe rows that found no build match.
@@ -94,6 +97,12 @@ impl NodeStats {
     #[inline]
     pub fn record_build_rows(&self, n: u64) {
         Self::add(&self.build_rows, n);
+    }
+
+    /// Record the time a hash operator's build took.
+    #[inline]
+    pub fn record_build_ns(&self, ns: u64) {
+        Self::add(&self.build_ns, ns);
     }
 
     /// Record probe outcomes.
@@ -189,6 +198,7 @@ impl ProfNode {
             vec_runs: load(&self.stats.vec_runs),
             row_fallbacks: load(&self.stats.row_fallbacks),
             build_rows: load(&self.stats.build_rows),
+            build_ns: load(&self.stats.build_ns),
             probe_hits: load(&self.stats.probe_hits),
             probe_misses: load(&self.stats.probe_misses),
             morsels: load(&self.stats.morsels),
@@ -241,6 +251,9 @@ pub struct QueryProfile {
     pub row_fallbacks: u64,
     /// Hash-table build rows.
     pub build_rows: u64,
+    /// Time building the hash matcher (key columns and table), in
+    /// nanoseconds; part of `wall_ns`.
+    pub build_ns: u64,
     /// Probe rows with at least one match.
     pub probe_hits: u64,
     /// Probe rows with no match.
@@ -273,6 +286,12 @@ impl QueryProfile {
     /// (left, right) pair has.
     pub fn narrowed_cols(&self) -> Option<String> {
         self.cols.filter(|(k, n)| k < n).map(|(k, n)| format!("cols={k}/{n}"))
+    }
+
+    /// `build=<time>` when this hash operator's build was timed: key columns
+    /// and table, apart from the probes.
+    pub fn build_time(&self) -> Option<String> {
+        (self.build_ns > 0).then(|| format!("build={}", fmt_ns(self.build_ns)))
     }
 
     /// Probe hit rate for hash operators (0 when nothing was probed).
@@ -323,6 +342,9 @@ impl QueryProfile {
                 self.probe_hit_rate()
             ));
         }
+        if self.build_ns > 0 {
+            out.push_str(&format!(" [build_time={}]", fmt_ns(self.build_ns)));
+        }
         if self.workers > 0 {
             out.push_str(&format!(" [morsels={}, workers={}]", self.morsels, self.workers));
         }
@@ -341,8 +363,8 @@ impl QueryProfile {
         let mut out = format!(
             "{{\"op\": \"{}\", \"rows_in\": {}, \"rows_out\": {}, \"values_out\": {}, \
              \"batches\": {}, \"invocations\": {}, \"wall_ns\": {}, \"self_ns\": {}, \
-             \"vec_runs\": {}, \"row_fallbacks\": {}, \"build_rows\": {}, \"probe_hits\": {}, \
-             \"probe_misses\": {}, \"morsels\": {}, \"workers\": {}",
+             \"vec_runs\": {}, \"row_fallbacks\": {}, \"build_rows\": {}, \"build_ns\": {}, \
+             \"probe_hits\": {}, \"probe_misses\": {}, \"morsels\": {}, \"workers\": {}",
             json::escape(&self.op),
             self.rows_in,
             self.rows_out,
@@ -354,6 +376,7 @@ impl QueryProfile {
             self.vec_runs,
             self.row_fallbacks,
             self.build_rows,
+            self.build_ns,
             self.probe_hits,
             self.probe_misses,
             self.morsels,
@@ -424,6 +447,7 @@ mod tests {
         prof.stats.record_invocation(10, 500);
         prof.stats.record_values_out(30);
         prof.stats.record_build_rows(4);
+        prof.stats.record_build_ns(150);
         prof.stats.record_probes(8, 2);
         let fused = prof.child(0).unwrap();
         fused.stats.record_invocation(20, 300);
@@ -439,6 +463,10 @@ mod tests {
         assert_eq!(snap.wall_ns, 500);
         assert_eq!(snap.self_wall_ns(), 200);
         assert_eq!(snap.build_rows, 4);
+        assert_eq!(snap.build_time().as_deref(), Some("build=150ns"));
+        assert!(snap.to_string().lines().next().unwrap().contains("[build_time=150ns]"));
+        assert!(snap.to_json().contains("\"build_ns\": 150"));
+        assert_eq!(snap.children[1].build_time(), None, "an untimed node has no build tag");
         assert!((snap.probe_hit_rate() - 0.8).abs() < 1e-12);
         assert_eq!(snap.node_count(), 4);
         let fused = &snap.children[0];

@@ -395,6 +395,89 @@ fn check_hash_against_nested_loop(
     }
 }
 
+/// Base relations keep the columns operators read from them, and inserting
+/// into a relation must drop them. `Q⁺` of a string filter under an
+/// anti-join reads `r.s` (the filter) and `t.c` (a null-aware hash key)
+/// from the base relations' caches. After each round of inserts — the
+/// session's database and relations are not shared, so they are mutated in
+/// place, caches and all — the re-prepared query must still agree with the
+/// reference evaluator, and its answer must have moved. Round one adds an
+/// answer, a wild probe row (`a` null) and a row that matches an answer
+/// away; round two adds a wild build row (`c` null), which matches every
+/// probe row. Both semantics × vectorized on/off × threads {1, 4}.
+#[test]
+fn inserts_reach_queries_that_read_cached_base_columns() {
+    use certus::core::{translate_plus, ConditionDialect};
+    use certus::{Certainty, Session};
+    let str_row = |a: Value, s: &str| vec![a, Value::str(s)];
+    let q = RaExpr::relation("r")
+        .select(eq_const("s", "x"))
+        .anti_join(RaExpr::relation("t"), eq("a", "c"))
+        .project(&["a"]);
+    let null = |i: u64| Value::Null(NullId(i));
+    let rounds = [
+        vec![
+            ("r", str_row(Value::Int(5), "x")),
+            ("r", str_row(null(1), "x")),
+            ("t", str_row(Value::Int(1), "w")),
+        ],
+        vec![("t", str_row(null(2), "v")), ("r", str_row(Value::Int(6), "x"))],
+    ];
+    for (semantics, dialect) in [
+        (NullSemantics::Sql, ConditionDialect::Sql),
+        (NullSemantics::Naive, ConditionDialect::Theoretical),
+    ] {
+        let plus = translate_plus(&q, dialect).unwrap();
+        for threads in [1usize, 4] {
+            for vectorized in [true, false] {
+                let mut db = Database::new();
+                let r_rows = [(1, "x"), (2, "y"), (3, "x"), (4, "x")];
+                db.insert_relation(
+                    "r",
+                    rel(&["a", "s"], r_rows.map(|(a, s)| str_row(Value::Int(a), s)).to_vec()),
+                );
+                let t_rows = [(2, "u"), (3, "w")];
+                db.insert_relation(
+                    "t",
+                    rel(&["c", "u"], t_rows.map(|(c, u)| str_row(Value::Int(c), u)).to_vec()),
+                );
+                let config = EngineConfig::with_threads(threads)
+                    .with_parallel_floor(0)
+                    .with_vectorized(vectorized);
+                let mut session = Session::builder(db).semantics(semantics).config(config).build();
+                let context = format!("{semantics:?}, {threads} threads, vectorized {vectorized}");
+                let answer = |session: &Session, round: usize| {
+                    let prepared = session.prepare(&q, Certainty::CertainPlus).unwrap();
+                    let got = session.execute_prepared(&prepared).unwrap();
+                    let got = got.relation().distinct().sorted();
+                    let want = eval(&plus, session.database(), semantics).unwrap();
+                    assert_eq!(
+                        got.tuples(),
+                        want.distinct().sorted().tuples(),
+                        "round {round}: {context}"
+                    );
+                    got
+                };
+                let mut previous = answer(&session, 0);
+                for (round, inserts) in rounds.iter().enumerate() {
+                    for (table, row) in inserts {
+                        let db = session.database_mut();
+                        db.relation_mut(table).unwrap().insert_values(row.clone()).unwrap();
+                    }
+                    let now = answer(&session, round + 1);
+                    assert_ne!(
+                        now,
+                        previous,
+                        "round {} left the answer alone: {context}",
+                        round + 1
+                    );
+                    previous = now;
+                }
+            }
+        }
+    }
+}
+
 /// Query shapes that exercise every rewrite pass: selections above joins and
 /// products (pushdown), nested/aliased projections (collapse), constant
 /// comparisons (fold), OR'd anti-join and join conditions (or-split) and

@@ -1,7 +1,8 @@
 //! Acceptance check for the compiled operator runtime: re-executing a
 //! `PreparedQuery` must perform **zero** schema inference and **zero**
-//! column-name resolution. The `certus-data` profiling counters instrument
-//! exactly those two operations; this file contains a single
+//! column-name resolution, and extract no base-relation column twice from
+//! one snapshot. The `certus-data` profiling counters instrument exactly
+//! those operations; this file contains a single
 //! test (integration-test files run as their own process) so no concurrent
 //! engine work can pollute the counter deltas.
 
@@ -56,4 +57,38 @@ fn prepared_re_execution_does_zero_per_execution_setup_work() {
     let planned = planned.delta_since(&before);
     assert!(planned.schema_inferences > 0, "planning should infer schemas: {planned:?}");
     assert!(compiled.name_resolutions > 0, "compilation should resolve names: {compiled:?}");
+
+    // Column extraction is execution work, but for a base relation it
+    // depends only on the snapshot: a relation keeps the columns it was
+    // asked for. Re-executing Q1+ extracts only its intermediates' columns.
+    let mut session = session;
+    let q1 = query_by_number(1, &params).expect("query exists");
+    let extractions = |session: &Session| {
+        let prepared = session.prepare(&q1, Certainty::CertainPlus).expect("prepares");
+        let before = ProfileSnapshot::now();
+        session.execute_prepared(&prepared).expect("runs");
+        ProfileSnapshot::now().delta_since(&before).column_extractions
+    };
+    let runs = [extractions(&session), extractions(&session), extractions(&session)];
+    assert_eq!(runs[1], runs[2], "steady-state executions extract alike: {runs:?}");
+    assert!(runs[1] < runs[0], "the first execution fills the base caches: {runs:?}");
+    // After one insert into `lineitem` only its columns are extracted again:
+    // the other relations keep their caches.
+    let db = session.database_mut();
+    let row = db.relation("lineitem").expect("lineitem").tuples()[0].clone();
+    db.relation_mut("lineitem").expect("lineitem").insert(row).expect("same arity");
+    let after_insert = extractions(&session);
+    // The `lineitem` columns Q1+ read are the cached ones: reading them
+    // again extracts nothing.
+    let db = session.database();
+    let lineitem = db.relation("lineitem").expect("lineitem");
+    let read = (0..lineitem.arity())
+        .filter(|&pos| {
+            let before = ProfileSnapshot::now();
+            lineitem.column(pos, db.str_pool());
+            ProfileSnapshot::now().delta_since(&before).column_extractions == 0
+        })
+        .count();
+    assert!(read > 0, "Q1+ reads lineitem's columns through its cache");
+    assert_eq!(after_insert, runs[1] + read as u64, "{runs:?} then {after_insert}");
 }
