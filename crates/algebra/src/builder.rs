@@ -10,11 +10,6 @@ pub fn col(name: impl Into<String>) -> Operand {
     Operand::Col(name.into())
 }
 
-/// A constant operand.
-pub fn lit_val(v: impl Into<Value>) -> Operand {
-    Operand::Const(v.into())
-}
-
 /// Scan a base relation.
 pub fn table(name: impl Into<String>) -> RaExpr {
     RaExpr::relation(name)
@@ -63,11 +58,6 @@ pub fn is_null(a: impl Into<String>) -> Condition {
     Condition::IsNull(col(a))
 }
 
-/// `column IS NOT NULL`.
-pub fn is_not_null(a: impl Into<String>) -> Condition {
-    Condition::IsNotNull(col(a))
-}
-
 /// `column LIKE pattern`.
 pub fn like(a: impl Into<String>, pattern: impl Into<String>) -> Condition {
     Condition::Like { expr: col(a), pattern: pattern.into(), negated: false }
@@ -91,7 +81,7 @@ mod tests {
         assert!(c.columns().contains("a"));
         assert!(matches!(c, Condition::Or(_, _)));
         let q = table("r").select(neq("a", "b"));
-        assert_eq!(q.base_relations(), vec!["r"]);
+        assert_eq!(q.children(), vec![&RaExpr::relation("r")]);
     }
 
     #[test]
@@ -108,7 +98,6 @@ mod tests {
         assert_eq!(gt("a", "b").to_string(), "a > b");
         assert_eq!(neq_const("a", 3i64).to_string(), "a <> 3");
         assert_eq!(like("p", "%x%").to_string(), "p LIKE '%x%'");
-        assert_eq!(is_not_null("q").to_string(), "q IS NOT NULL");
         assert_eq!(in_list("n", vec![Value::Int(1)]).to_string(), "n IN (1)");
     }
 }

@@ -139,13 +139,8 @@ impl Condition {
         conds.into_iter().fold(Condition::True, |acc, c| acc.and(c))
     }
 
-    /// Disjunction of an iterator of conditions.
-    pub fn or_all(conds: impl IntoIterator<Item = Condition>) -> Condition {
-        conds.into_iter().fold(Condition::False, |acc, c| acc.or(c))
-    }
-
     /// Equality comparison between two columns.
-    pub fn eq_cols(a: impl Into<String>, b: impl Into<String>) -> Condition {
+    pub(crate) fn eq_cols(a: impl Into<String>, b: impl Into<String>) -> Condition {
         Condition::Cmp {
             left: Operand::Col(a.into()),
             op: CmpOp::Eq,
@@ -347,23 +342,6 @@ impl Condition {
             Condition::Not(inner) => Condition::Not(Box::new(inner.map_columns(f))),
         }
     }
-
-    /// Whether the condition belongs to the *positive* fragment: a positive
-    /// Boolean combination of equalities, non-negated `LIKE`/`IN` and
-    /// `const(A)` predicates. For such conditions SQL evaluation has
-    /// correctness guarantees (Fact 2 of the paper).
-    pub fn is_positive(&self) -> bool {
-        match self {
-            Condition::True | Condition::False => true,
-            Condition::Cmp { op, .. } => *op == CmpOp::Eq,
-            Condition::IsNotNull(_) => true,
-            Condition::IsNull(_) => false,
-            Condition::Like { negated, .. } => !negated,
-            Condition::InList { negated, .. } => !negated,
-            Condition::And(a, b) | Condition::Or(a, b) => a.is_positive() && b.is_positive(),
-            Condition::Not(_) => false,
-        }
-    }
 }
 
 impl fmt::Display for Condition {
@@ -491,16 +469,6 @@ mod tests {
         assert!(cols.contains("a") && cols.contains("b") && cols.contains("q.x"));
         let renamed = c.map_columns(&mut |s| format!("t.{s}"));
         assert!(renamed.columns().contains("t.q.x"));
-    }
-
-    #[test]
-    fn positivity_check() {
-        assert!(a_eq_b().is_positive());
-        assert!(!b_neq_1().is_positive());
-        assert!(!a_eq_b().not().is_positive());
-        assert!(!Condition::IsNull(Operand::Col("x".into())).is_positive());
-        assert!(Condition::IsNotNull(Operand::Col("x".into())).is_positive());
-        assert!(a_eq_b().or(a_eq_b()).is_positive());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Textual rendering of algebra expressions (both a compact single-line form
-//! and an indented tree used by `EXPLAIN`-style output).
+//! Textual rendering of algebra expressions in a compact single-line form.
 
 use crate::expr::RaExpr;
 use std::fmt;
@@ -59,53 +58,8 @@ fn as_single_line(expr: &RaExpr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
-/// Render an expression as an indented operator tree.
-pub fn explain_tree(expr: &RaExpr) -> String {
-    let mut out = String::new();
-    render(expr, 0, &mut out);
-    out
-}
-
-fn render(expr: &RaExpr, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    let label = match expr {
-        RaExpr::Relation { name, alias } => match alias {
-            Some(a) => format!("Scan {name} AS {a}"),
-            None => format!("Scan {name}"),
-        },
-        RaExpr::Values { rows, .. } => format!("Values ({} rows)", rows.len()),
-        RaExpr::Select { condition, .. } => format!("Select [{condition}]"),
-        RaExpr::Project { columns, .. } => format!(
-            "Project [{}]",
-            columns.iter().map(|c| c.output_name().to_string()).collect::<Vec<_>>().join(", ")
-        ),
-        RaExpr::Product { .. } => "Product".to_string(),
-        RaExpr::Join { condition, .. } => format!("Join [{condition}]"),
-        RaExpr::Union { .. } => "Union".to_string(),
-        RaExpr::Intersect { .. } => "Intersect".to_string(),
-        RaExpr::Difference { .. } => "Difference".to_string(),
-        RaExpr::SemiJoin { condition, .. } => format!("SemiJoin [{condition}]"),
-        RaExpr::AntiJoin { condition, .. } => format!("AntiJoin [{condition}]"),
-        RaExpr::UnifySemiJoin { .. } => "UnifySemiJoin".to_string(),
-        RaExpr::UnifyAntiSemiJoin { .. } => "UnifyAntiSemiJoin".to_string(),
-        RaExpr::Division { .. } => "Division".to_string(),
-        RaExpr::Rename { columns, .. } => format!("Rename [{}]", columns.join(", ")),
-        RaExpr::Distinct { .. } => "Distinct".to_string(),
-        RaExpr::Aggregate { group_by, aggregates, .. } => {
-            format!("Aggregate [group by {}; {} aggregates]", group_by.join(", "), aggregates.len())
-        }
-    };
-    out.push_str(&indent);
-    out.push_str(&label);
-    out.push('\n');
-    for c in expr.children() {
-        render(c, depth + 1, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::eq;
     use crate::expr::RaExpr;
 
@@ -121,16 +75,5 @@ mod tests {
         assert_eq!(q.to_string(), "(r − s)");
         let a = RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"));
         assert!(a.to_string().contains("▷"));
-    }
-
-    #[test]
-    fn explain_tree_indents_children() {
-        let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "b")).distinct();
-        let tree = explain_tree(&q);
-        let lines: Vec<&str> = tree.lines().collect();
-        assert_eq!(lines[0], "Distinct");
-        assert!(lines[1].starts_with("  Join"));
-        assert!(lines[2].starts_with("    Scan r"));
-        assert!(lines[3].starts_with("    Scan s"));
     }
 }

@@ -361,40 +361,6 @@ impl RaExpr {
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()
     }
-
-    /// Names of all base relations referenced (with duplicates, pre-order).
-    pub fn base_relations(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_relations(&mut out);
-        out
-    }
-
-    fn collect_relations<'a>(&'a self, out: &mut Vec<&'a str>) {
-        if let RaExpr::Relation { name, .. } = self {
-            out.push(name);
-        }
-        for c in self.children() {
-            c.collect_relations(out);
-        }
-    }
-
-    /// Whether the expression belongs to the *positive* fragment of relational
-    /// algebra: no difference, no anti-joins, and only positive selection /
-    /// join conditions. Naive evaluation computes exactly the certain answers
-    /// with nulls on this fragment (Fact 1), and SQL evaluation has
-    /// correctness guarantees on it (Fact 2).
-    pub fn is_positive(&self) -> bool {
-        let cond_ok = match self {
-            RaExpr::Select { condition, .. }
-            | RaExpr::Join { condition, .. }
-            | RaExpr::SemiJoin { condition, .. } => condition.is_positive(),
-            RaExpr::Difference { .. }
-            | RaExpr::AntiJoin { .. }
-            | RaExpr::UnifyAntiSemiJoin { .. } => false,
-            _ => true,
-        };
-        cond_ok && self.children().iter().all(|c| c.is_positive())
-    }
 }
 
 #[cfg(test)]
@@ -406,7 +372,6 @@ mod tests {
     fn builder_methods_compose() {
         let q = RaExpr::relation("r").select(Condition::eq_cols("a", "b")).project(&["a"]);
         assert_eq!(q.size(), 3);
-        assert_eq!(q.base_relations(), vec!["r"]);
     }
 
     #[test]
@@ -421,17 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn positivity_of_expressions() {
-        let r = RaExpr::relation("r");
-        let s = RaExpr::relation("s");
-        assert!(r.clone().select(Condition::eq_cols("a", "b")).is_positive());
-        assert!(!r.clone().difference(s.clone()).is_positive());
-        assert!(!r.clone().anti_join(s.clone(), Condition::eq_cols("a", "b")).is_positive());
-        assert!(!r.clone().select(Condition::eq_cols("a", "b").not()).is_positive());
-        assert!(r.clone().product(s).project(&["a"]).is_positive());
-    }
-
-    #[test]
     fn projection_output_names() {
         assert_eq!(ProjCol::named("x").output_name(), "x");
         assert_eq!(ProjCol::aliased("x", "y").output_name(), "y");
@@ -440,7 +394,13 @@ mod tests {
     #[test]
     fn base_relations_are_collected_in_preorder() {
         let q = RaExpr::relation("a").product(RaExpr::relation("b").union(RaExpr::relation("c")));
-        assert_eq!(q.base_relations(), vec!["a", "b", "c"]);
+        let mut names = Vec::new();
+        q.visit_pre(&mut |n| {
+            if let RaExpr::Relation { name, .. } = n {
+                names.push(name.clone());
+            }
+        });
+        assert_eq!(names, vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -134,21 +134,6 @@ fn division_expansion(left: &RaExpr, right: &RaExpr, catalog: &dyn Catalog) -> R
     Ok(keys.difference(missing))
 }
 
-/// Whether an expression uses only core operators (after desugaring this
-/// always holds, except for the unification semijoins which are kept).
-pub fn is_core(expr: &RaExpr) -> bool {
-    let self_ok = !matches!(
-        expr,
-        RaExpr::Join { .. }
-            | RaExpr::SemiJoin { .. }
-            | RaExpr::AntiJoin { .. }
-            | RaExpr::Division { .. }
-            | RaExpr::Distinct { .. }
-            | RaExpr::Aggregate { .. }
-    );
-    self_ok && expr.children().iter().all(|c| is_core(c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,6 +142,22 @@ mod tests {
     use crate::semantics::NullSemantics;
     use certus_data::builder::rel;
     use certus_data::{Database, Value};
+
+    /// Whether an expression uses only core operators (after desugaring this
+    /// always holds, except for the unification semijoins which are kept).
+    fn is_core(expr: &RaExpr) -> bool {
+        !expr.any_node(&mut |n| {
+            matches!(
+                n,
+                RaExpr::Join { .. }
+                    | RaExpr::SemiJoin { .. }
+                    | RaExpr::AntiJoin { .. }
+                    | RaExpr::Division { .. }
+                    | RaExpr::Distinct { .. }
+                    | RaExpr::Aggregate { .. }
+            )
+        })
+    }
 
     fn db() -> Database {
         let mut db = Database::new();

@@ -212,7 +212,7 @@ fn infer<'e>(
 /// Check that every column referenced by a condition resolves in the schema.
 /// Scalar subqueries are *not* resolved here (they are uncorrelated and are
 /// validated when evaluated).
-pub fn check_condition(condition: &Condition, schema: &Schema) -> Result<()> {
+pub(crate) fn check_condition(condition: &Condition, schema: &Schema) -> Result<()> {
     for col in condition.columns() {
         schema.position_of(&col).map_err(AlgebraError::Data)?;
     }

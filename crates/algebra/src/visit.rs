@@ -1,15 +1,15 @@
 //! Generic traversal and rewriting helpers for [`RaExpr`] trees.
 //!
-//! Every rewrite pass in the planner is expressed through these three
-//! primitives, so the per-pass code only has to say what happens *at* a node,
-//! never how to walk the tree:
+//! Every rewrite pass in the planner is expressed through these primitives,
+//! so the per-pass code only has to say what happens *at* a node, never how
+//! to walk the tree:
 //!
 //! * [`RaExpr::map_children`] — rebuild a node with each child transformed by
 //!   a (fallible) function; the node's own payload (conditions, columns) is
 //!   cloned unchanged.
 //! * [`RaExpr::transform_up`] — bottom-up rewriting: children first, then the
 //!   rebuilt node is handed to the callback.
-//! * [`RaExpr::visit_pre`] — read-only pre-order traversal.
+//! * [`RaExpr::any_node`] — read-only pre-order search.
 
 use crate::expr::RaExpr;
 
@@ -61,7 +61,7 @@ impl RaExpr {
     }
 
     /// Pre-order read-only traversal.
-    pub fn visit_pre(&self, f: &mut impl FnMut(&RaExpr)) {
+    pub(crate) fn visit_pre(&self, f: &mut impl FnMut(&RaExpr)) {
         f(self);
         for c in self.children() {
             c.visit_pre(f);
@@ -122,7 +122,11 @@ mod tests {
                 })
             })
             .unwrap();
-        assert_eq!(out.base_relations(), vec!["s", "s"]);
+        let expected = RaExpr::relation("s")
+            .join(RaExpr::relation("s"), Condition::eq_cols("a", "b"))
+            .select(Condition::eq_cols("a", "a"))
+            .project(&["a"]);
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::timing::{fmt_ratio, time, time_mean};
 use certus::obs::{failpoints, FailAction};
+use certus::plan::cost::estimate;
 use certus::{Certainty, Session};
 use certus_algebra::builder::eq_const;
 use certus_algebra::expr::RaExpr;
@@ -11,7 +12,7 @@ use certus_algebra::NullSemantics;
 use certus_core::{translate_plus, CertainRewriter, ConditionDialect};
 use certus_data::builder::rel;
 use certus_data::{Database, Tuple, Value};
-use certus_engine::{estimate, Engine, EngineConfig};
+use certus_engine::{Engine, EngineConfig};
 use certus_server::client::Client;
 use certus_server::protocol::WireCertainty;
 use certus_server::{answer_body, Server, ServerConfig};

@@ -23,4 +23,4 @@
 //! package.
 
 pub mod experiments;
-pub mod timing;
+pub(crate) mod timing;

@@ -3,14 +3,14 @@
 use std::time::Instant;
 
 /// Time a closure, returning its result and the elapsed seconds.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub(crate) fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
 }
 
 /// Run a closure `reps` times and return the mean elapsed seconds of the runs.
-pub fn time_mean<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+pub(crate) fn time_mean<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     assert!(reps > 0);
     let mut total = 0.0;
     for _ in 0..reps {
@@ -21,7 +21,7 @@ pub fn time_mean<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Format a ratio compactly (scientific notation below 0.01).
-pub fn fmt_ratio(r: f64) -> String {
+pub(crate) fn fmt_ratio(r: f64) -> String {
     if r < 0.01 {
         format!("{r:.1e}")
     } else {

@@ -46,9 +46,11 @@
 //! assert_eq!(session.cache_stats().misses, 2); // one per certainty
 //! ```
 //!
-//! The lower-level pieces (`CertainRewriter`, `PassManager`,
-//! `PhysicalPlanner`, `Engine`) remain available for ablation experiments
-//! and fine-grained control.
+//! There is one road from a query to its answers, and `Session` walks it.
+//! The crates behind it stay reachable through the modules above; the
+//! root re-exports only what the tests, the examples and the benchmark
+//! name. [`Engine::execute`] runs a hand-built logical plan without the
+//! passes.
 
 pub mod error;
 pub mod session;
@@ -63,21 +65,10 @@ pub use certus_plan as plan;
 pub use certus_tpch as tpch;
 
 pub use certus_algebra::{Condition, NullSemantics, RaExpr};
-pub use certus_core::{CertainOracle, CertainRewriter, ConditionDialect};
+pub use certus_core::CertainRewriter;
 pub use certus_data::{Database, Relation, Tuple, Value};
 pub use certus_engine::{Engine, EngineConfig};
-pub use certus_obs::{AnalyzedPlan, MetricsSnapshot, QueryProfile};
-pub use certus_plan::{Parallelism, PassManager, PhysicalPlanner, StatisticsCatalog};
-pub use error::{CertusError, Result};
-pub use session::{AnswerSet, Certainty, PreparedQuery, Session, SessionBuilder, SharedPlanCache};
-
-/// The semantic version of the certus workspace.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn version_is_exposed() {
-        assert!(!super::VERSION.is_empty());
-    }
-}
+pub use certus_obs::{AnalyzedPlan, QueryProfile};
+pub use certus_plan::{Parallelism, StatisticsCatalog};
+pub use error::CertusError;
+pub use session::{AnswerSet, Certainty, PreparedQuery, Session, SharedPlanCache};

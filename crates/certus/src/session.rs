@@ -22,17 +22,17 @@
 //!   [`StatisticsCatalog`]; executing a stale [`PreparedQuery`] fails with
 //!   [`CertusError::StalePlan`] instead of returning answers from a plan
 //!   built for a different database;
-//! * every method returns [`certus::Result`](crate::Result), so callers
-//!   handle one error type for all five layers.
+//! * every method returns [`certus::error::Result`](crate::error::Result), so
+//!   callers handle one error type for all five layers.
 
 use crate::error::{CertusError, Result};
 use certus_algebra::{NullSemantics, RaExpr};
 use certus_core::metrics::AnswerBreakdown;
 use certus_core::ConditionDialect;
 use certus_data::{Database, Relation};
-use certus_engine::{AnalyzedPlan, CompiledPlan, Engine, EngineConfig, QueryProfile};
+use certus_engine::{CompiledPlan, Engine, EngineConfig};
 use certus_obs::metrics::{registry, Counter, Histogram};
-use certus_obs::{names, Timer};
+use certus_obs::{names, AnalyzedPlan, QueryProfile, Timer};
 use certus_plan::cache::{CacheStats, PlanCache, PlanKey};
 use certus_plan::physical::{ExplainPlan, PhysicalExpr, PhysicalPlanner};
 use certus_plan::{PassManager, StatisticsCatalog};
@@ -207,11 +207,6 @@ impl SharedPlanCache {
     /// A shared cache holding up to `capacity` prepared plans (clamped ≥ 1).
     pub fn new(capacity: usize) -> Self {
         SharedPlanCache { inner: Arc::new(Mutex::new(PlanCache::new(capacity))) }
-    }
-
-    /// A shared cache with the default capacity.
-    pub fn with_default_capacity() -> Self {
-        SharedPlanCache::new(PlanCache::<()>::DEFAULT_CAPACITY)
     }
 
     /// Snapshot of the cache's counters (hits, misses, evictions, epoch

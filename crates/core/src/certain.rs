@@ -1,12 +1,11 @@
-//! Exact (and sampled) certain-answer oracle.
+//! Exact certain-answer oracle.
 //!
 //! `cert(Q, D)` — certain answers with nulls — is the set of tuples `ā` over
 //! `adom(D)` such that `v(ā) ∈ Q(v(D))` for **every** valuation `v` of the
 //! nulls of `D`. Computing it is coNP-hard for first-order queries, so the
 //! oracle enumerates valuations explicitly and is only meant for ground truth
 //! on small instances (the same role the specialised detectors of Section 4
-//! play in the paper). A sampled variant refutes certainty probabilistically
-//! on larger instances.
+//! play in the paper).
 //!
 //! Valuations range over `Const(D)`, the constants mentioned in the query,
 //! plus one fresh constant per null (a standard reduction: if some valuation
@@ -21,8 +20,6 @@ use certus_algebra::expr::RaExpr;
 use certus_algebra::NullSemantics;
 use certus_data::valuation::enumerate_valuations;
 use certus_data::{Database, Relation, Tuple, Valuation, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// Configuration for the certain-answer oracle.
@@ -51,7 +48,7 @@ impl CertainOracle {
 
     /// The valuation domain: constants of the database, constants of the
     /// query, and one fresh constant per null.
-    pub fn valuation_domain(&self, expr: &RaExpr, db: &Database) -> Vec<Value> {
+    pub(crate) fn valuation_domain(&self, expr: &RaExpr, db: &Database) -> Vec<Value> {
         let adom = db.active_domain();
         let mut domain: BTreeSet<Value> = adom.constants.iter().cloned().collect();
         collect_query_constants(expr, &mut domain);
@@ -79,36 +76,6 @@ impl CertainOracle {
             }
         }
         Ok(true)
-    }
-
-    /// Attempt to refute certainty of `tuple` with `samples` random
-    /// valuations. Returns `true` if a refuting valuation was found (so the
-    /// tuple is definitely *not* certain); `false` means "no counterexample
-    /// found", not a proof of certainty.
-    pub fn refute_sampled(
-        &self,
-        expr: &RaExpr,
-        db: &Database,
-        tuple: &Tuple,
-        samples: usize,
-        seed: u64,
-    ) -> Result<bool> {
-        let nulls = db.active_domain().nulls;
-        if nulls.is_empty() {
-            return Ok(false);
-        }
-        let domain = self.valuation_domain(expr, db);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..samples {
-            let mut v = Valuation::new();
-            for &id in &nulls {
-                v.set(id, domain[rng.gen_range(0..domain.len())].clone());
-            }
-            if !self.holds_under(expr, db, tuple, &v)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
     }
 
     /// The subset of `candidates` that are certain answers.
@@ -139,20 +106,6 @@ impl CertainOracle {
         let answers = eval(expr, &ground_db, self.semantics).map_err(CoreError::Algebra)?;
         Ok(answers.contains(&ground_tuple))
     }
-}
-
-/// Convenience: is `tuple` a certain answer to `expr` on `db` (default oracle)?
-pub fn is_certain_answer(expr: &RaExpr, db: &Database, tuple: &Tuple) -> Result<bool> {
-    CertainOracle::default().is_certain(expr, db, tuple)
-}
-
-/// Convenience: the certain answers among `candidates` (default oracle).
-pub fn certain_answers_among(
-    expr: &RaExpr,
-    db: &Database,
-    candidates: &Relation,
-) -> Result<Relation> {
-    CertainOracle::default().certain_among(expr, db, candidates)
 }
 
 fn collect_query_constants(expr: &RaExpr, out: &mut BTreeSet<Value>) {
@@ -217,6 +170,10 @@ mod tests {
         Value::Null(NullId(i))
     }
 
+    fn is_certain(expr: &RaExpr, db: &Database, tuple: &Tuple) -> Result<bool> {
+        CertainOracle::default().is_certain(expr, db, tuple)
+    }
+
     #[test]
     fn intro_example_tuple_is_not_certain() {
         let mut db = Database::new();
@@ -224,7 +181,7 @@ mod tests {
         db.insert_relation("s", rel(&["b"], vec![vec![null(1)]]));
         let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"));
         let t = Tuple::new(vec![Value::Int(1)]);
-        assert!(!is_certain_answer(&q, &db, &t).unwrap());
+        assert!(!is_certain(&q, &db, &t).unwrap());
     }
 
     #[test]
@@ -235,7 +192,7 @@ mod tests {
         // 1 is in r and s contains ⊥ which may equal 1 ⇒ not certain for r − s.
         // But for the plain query r, every tuple of r is certain.
         let q = RaExpr::relation("r");
-        assert!(is_certain_answer(&q, &db, &Tuple::new(vec![Value::Int(1)])).unwrap());
+        assert!(is_certain(&q, &db, &Tuple::new(vec![Value::Int(1)])).unwrap());
     }
 
     #[test]
@@ -252,7 +209,7 @@ mod tests {
         );
         let q = RaExpr::relation("r");
         let candidates = db.relation("r").unwrap().clone();
-        let certain = certain_answers_among(&q, &db, &candidates).unwrap();
+        let certain = CertainOracle::default().certain_among(&q, &db, &candidates).unwrap();
         assert_eq!(certain.len(), 2);
     }
 
@@ -270,25 +227,12 @@ mod tests {
         let plus = translate_plus(&q, ConditionDialect::Sql).unwrap();
         let answers = eval(&plus, &db, NullSemantics::Sql).unwrap();
         for t in answers.iter() {
-            assert!(is_certain_answer(&q, &db, t).unwrap(), "false positive from Q+: {t}");
+            assert!(is_certain(&q, &db, t).unwrap(), "false positive from Q+: {t}");
         }
         // And SQL evaluation of the original query does produce a non-certain tuple.
         let sql = eval(&q, &db, NullSemantics::Sql).unwrap();
-        let not_certain: Vec<_> =
-            sql.iter().filter(|t| !is_certain_answer(&q, &db, t).unwrap()).collect();
+        let not_certain: Vec<_> = sql.iter().filter(|t| !is_certain(&q, &db, t).unwrap()).collect();
         assert!(!not_certain.is_empty());
-    }
-
-    #[test]
-    fn sampled_refutation_finds_counterexamples() {
-        let mut db = Database::new();
-        db.insert_relation("r", rel(&["a"], vec![vec![Value::Int(1)]]));
-        db.insert_relation("s", rel(&["b"], vec![vec![null(1)]]));
-        let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"));
-        let oracle = CertainOracle::default();
-        let refuted =
-            oracle.refute_sampled(&q, &db, &Tuple::new(vec![Value::Int(1)]), 64, 7).unwrap();
-        assert!(refuted);
     }
 
     #[test]

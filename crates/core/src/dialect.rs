@@ -1,7 +1,5 @@
 //! Condition-translation dialects.
 
-use certus_algebra::NullSemantics;
-
 /// Which variant of the condition translations `θ*` / `θ**` to produce.
 ///
 /// The paper first defines the translations for the abstract model with
@@ -19,6 +17,9 @@ use certus_algebra::NullSemantics;
 /// |---|---|
 /// | [`ConditionDialect::Theoretical`] | naive evaluation ([`NullSemantics::Naive`]) |
 /// | [`ConditionDialect::Sql`] | SQL 3VL ([`NullSemantics::Sql`]) |
+///
+/// [`NullSemantics::Naive`]: certus_algebra::NullSemantics::Naive
+/// [`NullSemantics::Sql`]: certus_algebra::NullSemantics::Sql
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ConditionDialect {
     /// The translations of Sections 5–6, for evaluation with marked nulls
@@ -31,17 +32,6 @@ pub enum ConditionDialect {
     Sql,
 }
 
-impl ConditionDialect {
-    /// The evaluation semantics under which `Q⁺` produced with this dialect
-    /// has correctness guarantees.
-    pub fn evaluation_semantics(self) -> NullSemantics {
-        match self {
-            ConditionDialect::Theoretical => NullSemantics::Naive,
-            ConditionDialect::Sql => NullSemantics::Sql,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,11 +39,5 @@ mod tests {
     #[test]
     fn default_is_sql() {
         assert_eq!(ConditionDialect::default(), ConditionDialect::Sql);
-    }
-
-    #[test]
-    fn pairing_with_semantics() {
-        assert_eq!(ConditionDialect::Sql.evaluation_semantics(), NullSemantics::Sql);
-        assert_eq!(ConditionDialect::Theoretical.evaluation_semantics(), NullSemantics::Naive);
     }
 }

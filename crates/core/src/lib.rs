@@ -7,24 +7,25 @@
 //! query translations that make SQL evaluation return **only certain
 //! answers** on databases with nulls.
 //!
-//! * [`theta::theta_star`] / [`theta::theta_star_star`] — the condition
-//!   translations `θ*` and `θ**` of Sections 5–6, in both the *theoretical*
-//!   dialect (paired with naive evaluation) and the *SQL-adjusted* dialect of
-//!   Section 7 (paired with SQL's three-valued evaluation).
+//! * [`theta`] — the condition translations `θ*` and `θ**` of Sections 5–6,
+//!   in both the *theoretical* dialect (paired with naive evaluation) and the
+//!   *SQL-adjusted* dialect of Section 7 (paired with SQL's three-valued
+//!   evaluation).
 //! * [`translate::translate_plus`] / [`translate::translate_star`] — the
 //!   improved, implementation-friendly translation `Q ↦ (Q⁺, Q★)` of Figure 3,
 //!   extended to the derived operators (joins, semijoins, anti-joins) in the
 //!   way sanctioned by Corollary 1.
-//! * [`naive_translation::translate_t`] / [`naive_translation::translate_f`] —
+//! * [`naive_translation::translate_t`] (with its dual `translate_f`) —
 //!   the original translation `Q ↦ (Qᵗ, Qᶠ)` of \[22\] (Figure 2), kept as the
 //!   baseline whose impracticality Section 5 demonstrates.
 //! * [`certain`] — an exact (exponential) certain-answer oracle used as ground
-//!   truth, plus a sampled refuter.
+//!   truth.
 //! * [`rewriter::CertainRewriter`] — the high-level API tying it together:
 //!   a translation followed by the rewrite passes of `certus-plan` (the
-//!   syntactic manipulations of Section 7 among them).
-//! * [`metrics`] — precision / recall / false-positive accounting used by the
-//!   experiments.
+//!   syntactic manipulations of Section 7 among them). Evaluating the result
+//!   is the engine's job (`certus::Session`).
+//! * [`metrics`] — false-positive accounting of an answer against its
+//!   certain part.
 
 pub mod certain;
 pub mod dialect;
@@ -35,12 +36,9 @@ pub mod rewriter;
 pub mod theta;
 pub mod translate;
 
-pub use certain::{certain_answers_among, is_certain_answer, CertainOracle};
 pub use dialect::ConditionDialect;
 pub use error::CoreError;
-pub use metrics::{AnswerBreakdown, PrecisionRecall};
 pub use rewriter::CertainRewriter;
-pub use theta::{theta_star, theta_star_star};
 pub use translate::{translate_plus, translate_star};
 
 /// Result alias for the core crate.

@@ -1,9 +1,8 @@
-//! Precision / recall / false-positive accounting for the experiments.
+//! False-positive accounting: how many returned tuples are certain answers.
 //!
-//! The paper evaluates its translations with three measures (Sections 4 and
-//! 7): the fraction of *false positives* among SQL answers, the *precision*
-//! of an evaluation procedure (fraction of returned answers that are
-//! certain), and its *recall* relative to the certain answers SQL returns.
+//! The paper's headline measure (Sections 4 and 7) is the fraction of
+//! *false positives* among SQL answers — returned tuples that are not
+//! certain.
 
 use certus_data::{Relation, Tuple};
 use std::collections::HashSet;
@@ -31,66 +30,6 @@ impl AnswerBreakdown {
             false_positives: answers.len() - certain_count,
         }
     }
-
-    /// Build a breakdown from a per-tuple certainty predicate.
-    pub fn from_predicate(answers: &Relation, mut is_certain: impl FnMut(&Tuple) -> bool) -> Self {
-        let certain = answers.iter().filter(|t| is_certain(t)).count();
-        AnswerBreakdown { total: answers.len(), certain, false_positives: answers.len() - certain }
-    }
-
-    /// Percentage of false positives among all returned answers (0 when the
-    /// answer is empty — an empty answer contains no wrong tuples).
-    pub fn false_positive_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.false_positives as f64 / self.total as f64
-        }
-    }
-
-    /// Precision: fraction of returned answers that are certain (1.0 on an
-    /// empty answer, matching the convention that returning nothing is
-    /// trivially precise).
-    pub fn precision(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.certain as f64 / self.total as f64
-        }
-    }
-}
-
-/// Precision and recall of one evaluation procedure against a reference set
-/// of relevant (certain) answers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrecisionRecall {
-    /// Fraction of returned tuples that are relevant.
-    pub precision: f64,
-    /// Fraction of relevant tuples that are returned.
-    pub recall: f64,
-    /// Number of returned tuples.
-    pub returned: usize,
-    /// Number of relevant tuples.
-    pub relevant: usize,
-}
-
-impl PrecisionRecall {
-    /// Compute precision and recall of `returned` against `relevant`.
-    pub fn compute(returned: &Relation, relevant: &Relation) -> Self {
-        let relevant_set: HashSet<&Tuple> = relevant.iter().collect();
-        let returned_set: HashSet<&Tuple> = returned.iter().collect();
-        let hits = returned_set.iter().filter(|t| relevant_set.contains(*t)).count();
-        let precision =
-            if returned_set.is_empty() { 1.0 } else { hits as f64 / returned_set.len() as f64 };
-        let recall =
-            if relevant_set.is_empty() { 1.0 } else { hits as f64 / relevant_set.len() as f64 };
-        PrecisionRecall {
-            precision,
-            recall,
-            returned: returned_set.len(),
-            relevant: relevant_set.len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,37 +50,12 @@ mod tests {
         assert_eq!(b.total, 4);
         assert_eq!(b.certain, 2);
         assert_eq!(b.false_positives, 2);
-        assert!((b.false_positive_rate() - 0.5).abs() < 1e-12);
-        assert!((b.precision() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_answer_has_perfect_precision() {
-        let answers = r(&[]);
-        let b = AnswerBreakdown::new(&answers, &r(&[]));
-        assert_eq!(b.false_positive_rate(), 0.0);
-        assert_eq!(b.precision(), 1.0);
-    }
-
-    #[test]
-    fn predicate_breakdown() {
-        let answers = r(&[1, 2, 3]);
-        let b = AnswerBreakdown::from_predicate(&answers, |t| t[0] != Value::Int(2));
-        assert_eq!(b.false_positives, 1);
-    }
-
-    #[test]
-    fn precision_recall_computation() {
-        let returned = r(&[1, 2, 3]);
-        let relevant = r(&[2, 3, 4]);
-        let pr = PrecisionRecall::compute(&returned, &relevant);
-        assert!((pr.precision - 2.0 / 3.0).abs() < 1e-12);
-        assert!((pr.recall - 2.0 / 3.0).abs() < 1e-12);
-        // Perfect recall when everything relevant is returned.
-        let pr2 = PrecisionRecall::compute(&r(&[2, 3, 4, 9]), &relevant);
-        assert_eq!(pr2.recall, 1.0);
-        // Empty reference set: recall is 1 by convention.
-        let pr3 = PrecisionRecall::compute(&r(&[1]), &r(&[]));
-        assert_eq!(pr3.recall, 1.0);
+        // An empty answer contains no wrong tuples.
+        let b = AnswerBreakdown::new(&r(&[]), &r(&[]));
+        assert_eq!(b, AnswerBreakdown { total: 0, certain: 0, false_positives: 0 });
     }
 }

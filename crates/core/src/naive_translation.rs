@@ -23,7 +23,7 @@ use certus_algebra::schema_infer::{output_schema, Catalog};
 /// Build the query computing the one-column active domain: the union of the
 /// projections of every column of every relation in the catalog, with the
 /// output column named `__adom`.
-pub fn adom_query(catalog: &dyn Catalog) -> Result<RaExpr> {
+pub(crate) fn adom_query(catalog: &dyn Catalog) -> Result<RaExpr> {
     let mut parts: Vec<RaExpr> = Vec::new();
     for table in catalog.tables() {
         let schema = catalog.table_schema(&table)?;
@@ -42,7 +42,7 @@ pub fn adom_query(catalog: &dyn Catalog) -> Result<RaExpr> {
 
 /// Build `adomᵏ` renamed to the given column names (so conditions over the
 /// original query's attributes still resolve).
-pub fn adom_power(catalog: &dyn Catalog, names: &[String]) -> Result<RaExpr> {
+pub(crate) fn adom_power(catalog: &dyn Catalog, names: &[String]) -> Result<RaExpr> {
     let adom = adom_query(catalog)?;
     let mut expr = adom.clone();
     for _ in 1..names.len() {
@@ -98,7 +98,7 @@ pub fn translate_t(
 }
 
 /// The `Qᶠ` translation of Figure 2 (right column).
-pub fn translate_f(
+pub(crate) fn translate_f(
     expr: &RaExpr,
     catalog: &dyn Catalog,
     dialect: ConditionDialect,

@@ -53,7 +53,7 @@ fn allow_null(base: Condition, ops: &[&Operand]) -> Condition {
 ///   filtered out, so the extra `const(·)` conjuncts of the paper's
 ///   SQL-adjusted `θ*` are semantically redundant; omitting them produces
 ///   exactly the rewritten queries shown in the paper's appendix.
-pub fn theta_star(condition: &Condition, dialect: ConditionDialect) -> Condition {
+pub(crate) fn theta_star(condition: &Condition, dialect: ConditionDialect) -> Condition {
     star_rec(&condition.to_nnf(), dialect)
 }
 
@@ -118,7 +118,7 @@ fn star_rec(c: &Condition, dialect: ConditionDialect) -> Condition {
 ///   so the disjuncts are required to keep `θ**` an overapproximation. This
 ///   is the paper's Section 7 adjustment and the source of the
 ///   `A = B OR B IS NULL` conditions in the rewritten queries.
-pub fn theta_star_star(condition: &Condition, dialect: ConditionDialect) -> Condition {
+pub(crate) fn theta_star_star(condition: &Condition, dialect: ConditionDialect) -> Condition {
     star_star_rec(&condition.to_nnf(), dialect)
 }
 
@@ -252,8 +252,10 @@ mod tests {
             Tuple::new(vec![Value::Int(1), Value::Int(2)]),
             Tuple::new(vec![Value::Int(1), Value::Null(NullId(1))]),
         ];
-        for dialect in [ConditionDialect::Sql, ConditionDialect::Theoretical] {
-            let sem = dialect.evaluation_semantics();
+        for (dialect, sem) in [
+            (ConditionDialect::Sql, NullSemantics::Sql),
+            (ConditionDialect::Theoretical, NullSemantics::Naive),
+        ] {
             let ev = Evaluator::new(&db, sem);
             let star = theta_star(&cond, dialect);
             let star_star = theta_star_star(&cond, dialect);

@@ -17,14 +17,6 @@ pub fn rel(columns: &[&str], rows: Vec<Vec<Value>>) -> Relation {
     out
 }
 
-/// Build a single-column relation of integers.
-pub fn int_rel(column: &str, values: &[i64]) -> Relation {
-    rel(
-        column.split(',').collect::<Vec<_>>().as_slice(),
-        values.iter().map(|&v| vec![Value::Int(v)]).collect(),
-    )
-}
-
 /// Shorthand for a row of values.
 #[macro_export]
 macro_rules! row {
@@ -43,13 +35,6 @@ mod tests {
         assert_eq!(r.arity(), 2);
         assert_eq!(r.len(), 1);
         assert_eq!(r.schema().names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn int_rel_builder() {
-        let r = int_rel("a", &[1, 2, 3]);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.arity(), 1);
     }
 
     #[test]

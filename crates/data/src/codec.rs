@@ -38,7 +38,7 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Result alias for decoding operations.
-pub type CodecResult<T> = Result<T, CodecError>;
+pub(crate) type CodecResult<T> = Result<T, CodecError>;
 
 fn bad(msg: impl Into<String>) -> CodecError {
     CodecError(msg.into())
@@ -63,12 +63,12 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Append an `i64`, little-endian.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append an `i32`, little-endian.
-pub fn put_i32(out: &mut Vec<u8>, v: i32) {
+pub(crate) fn put_i32(out: &mut Vec<u8>, v: i32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -253,7 +253,7 @@ pub fn get_value(r: &mut Reader<'_>) -> CodecResult<Value> {
 }
 
 /// Append a [`ValueType`] as one byte.
-pub fn put_value_type(out: &mut Vec<u8>, ty: ValueType) {
+pub(crate) fn put_value_type(out: &mut Vec<u8>, ty: ValueType) {
     put_u8(
         out,
         match ty {
@@ -269,7 +269,7 @@ pub fn put_value_type(out: &mut Vec<u8>, ty: ValueType) {
 }
 
 /// Read a [`ValueType`] encoded by [`put_value_type`].
-pub fn get_value_type(r: &mut Reader<'_>) -> CodecResult<ValueType> {
+pub(crate) fn get_value_type(r: &mut Reader<'_>) -> CodecResult<ValueType> {
     Ok(match r.u8()? {
         0 => ValueType::Int,
         1 => ValueType::Float,

@@ -70,7 +70,7 @@ impl NullMask {
     }
 
     /// Mark row `i` as the null `⊥ᵢ` with the given id.
-    pub fn set_null(&mut self, i: usize, id: NullId) {
+    pub(crate) fn set_null(&mut self, i: usize, id: NullId) {
         self.bits[i / 64] |= 1 << (i % 64);
         if self.ids.is_empty() {
             self.ids = vec![0; self.len];
@@ -102,11 +102,6 @@ impl NullMask {
     /// Whether any row is null.
     pub fn any_null(&self) -> bool {
         self.bits.iter().any(|&w| w != 0)
-    }
-
-    /// Number of null rows.
-    pub fn count_nulls(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -171,12 +166,6 @@ pub struct Column {
 }
 
 impl Column {
-    /// Build a column from a slice of values (see [`Column::extract`] for
-    /// the tuple-position variant).
-    pub fn from_values(values: &[Value], pool: &StrPool) -> Column {
-        Self::build(values.len(), |i| &values[i], pool)
-    }
-
     /// Extract the column at `pos` from a slice of rows (counted as
     /// `data.column_extractions`). A whole relation's columns are better
     /// read through [`Relation::column`], which extracts each once.
@@ -537,14 +526,20 @@ mod tests {
         StrPool::new()
     }
 
+    /// The column of a one-column relation holding `values`.
+    fn column(values: &[Value], pool: &StrPool) -> Column {
+        let rows: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+        Column::extract(&rows, 0, pool)
+    }
+
     #[test]
     fn typed_columns_roundtrip() {
         let p = pool();
         let vals = vec![Value::Int(3), Value::Null(NullId(7)), Value::Int(-5)];
-        let c = Column::from_values(&vals, &p);
+        let c = column(&vals, &p);
         assert!(matches!(c.data(), ColumnData::Int(_)));
         assert!(c.is_null(1));
-        assert_eq!(c.nulls().count_nulls(), 1);
+        assert_eq!((0..c.len()).filter(|&i| c.is_null(i)).count(), 1);
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(&c.value_at(i, &p), v);
         }
@@ -554,7 +549,7 @@ mod tests {
     fn string_columns_intern_ids() {
         let p = pool();
         let vals = vec![Value::str("FURNITURE"), Value::str("BUILDING"), Value::str("FURNITURE")];
-        let c = Column::from_values(&vals, &p);
+        let c = column(&vals, &p);
         match c.data() {
             ColumnData::Str(ids) => {
                 assert_eq!(ids[0], ids[2]);
@@ -569,14 +564,14 @@ mod tests {
     fn mixed_and_all_null_columns_fall_back_to_values() {
         let p = pool();
         let mixed = vec![Value::Int(1), Value::str("x")];
-        assert!(Column::from_values(&mixed, &p).data().is_fallback());
+        assert!(column(&mixed, &p).data().is_fallback());
         let all_null = vec![Value::Null(NullId(1)), Value::Null(NullId(2))];
-        let c = Column::from_values(&all_null, &p);
+        let c = column(&all_null, &p);
         assert!(c.data().is_fallback());
         assert_eq!(c.value_at(0, &p), Value::Null(NullId(1)));
         assert_eq!(c.value_at(1, &p), Value::Null(NullId(2)));
         // Empty columns are the fallback too, and roundtrip trivially.
-        let empty = Column::from_values(&[], &p);
+        let empty = column(&[], &p);
         assert!(empty.is_empty());
         assert!(!empty.nulls().any_null());
     }
@@ -588,7 +583,7 @@ mod tests {
             &["a", "b", "c"],
             vec![
                 vec![Value::Int(1), Value::str("x"), Value::Null(NullId(4))],
-                vec![Value::Null(NullId(9)), Value::str("y"), Value::decimal(1.25)],
+                vec![Value::Null(NullId(9)), Value::str("y"), Value::Decimal(125)],
             ],
         );
         let b = Batch::from_rows(r.schema().clone(), r.tuples(), &p);

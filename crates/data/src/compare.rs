@@ -117,7 +117,7 @@ pub fn sql_cmp(a: &Value, op: CmpOp, b: &Value) -> Truth {
 }
 
 /// SQL three-valued equality.
-pub fn sql_eq(a: &Value, b: &Value) -> Truth {
+pub(crate) fn sql_eq(a: &Value, b: &Value) -> Truth {
     sql_cmp(a, CmpOp::Eq, b)
 }
 
@@ -138,11 +138,6 @@ pub fn naive_cmp(a: &Value, op: CmpOp, b: &Value) -> bool {
         Some(ord) => op.apply(ord),
         None => false,
     }
-}
-
-/// Naive (two-valued) equality: syntactic equality of values.
-pub fn naive_eq(a: &Value, b: &Value) -> bool {
-    naive_cmp(a, CmpOp::Eq, b)
 }
 
 #[cfg(test)]
@@ -178,9 +173,9 @@ mod tests {
 
     #[test]
     fn naive_null_equality_is_syntactic() {
-        assert!(naive_eq(&n(1), &n(1)));
-        assert!(!naive_eq(&n(1), &n(2)));
-        assert!(!naive_eq(&n(1), &Value::Int(1)));
+        assert!(naive_cmp(&n(1), CmpOp::Eq, &n(1)));
+        assert!(!naive_cmp(&n(1), CmpOp::Eq, &n(2)));
+        assert!(!naive_cmp(&n(1), CmpOp::Eq, &Value::Int(1)));
         assert!(naive_cmp(&n(1), CmpOp::Neq, &n(2)));
         assert!(naive_cmp(&n(1), CmpOp::Neq, &Value::Int(1)));
         assert!(!naive_cmp(&n(1), CmpOp::Neq, &n(1)));

@@ -153,7 +153,7 @@ impl Database {
     /// mutating accessor. Unlike [`Database::insert_relation`] this keeps
     /// the definition's primary key — it is the restore path checkpoint
     /// recovery ([`crate::wal`]) rebuilds databases through.
-    pub fn install_table(&mut self, def: TableDef, relation: Relation) {
+    pub(crate) fn install_table(&mut self, def: TableDef, relation: Relation) {
         self.tables.insert(def.name.clone(), Arc::new(relation));
         self.defs.insert(def.name.clone(), def);
         self.epoch += 1;
@@ -164,7 +164,7 @@ impl Database {
     /// install bumps the epoch) and then restores the epoch recorded in the
     /// checkpoint so recovered state never *rewinds* the epoch clock that
     /// plan caches and prepared statements are keyed on.
-    pub fn set_schema_epoch(&mut self, epoch: u64) {
+    pub(crate) fn set_schema_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }
 
@@ -174,14 +174,6 @@ impl Database {
             .get(name)
             .map(|r| r.as_ref())
             .ok_or_else(|| DataError::UnknownTable(name.to_string()))
-    }
-
-    /// Look up a relation by name, returning the shared handle. Snapshots of
-    /// the same database lineage hand out the *same* `Arc` until a writer
-    /// copy-on-writes the relation, so `Arc::ptr_eq` across snapshots tells
-    /// whether a relation was actually rewritten.
-    pub fn relation_shared(&self, name: &str) -> Result<Arc<Relation>> {
-        self.tables.get(name).cloned().ok_or_else(|| DataError::UnknownTable(name.to_string()))
     }
 
     /// Mutable access to a relation by name. Conservatively bumps the schema
@@ -226,7 +218,7 @@ impl Database {
     }
 
     /// Whether any table contains a null (i.e. the database is incomplete).
-    pub fn has_nulls(&self) -> bool {
+    pub(crate) fn has_nulls(&self) -> bool {
         self.tables.values().any(|r| r.has_nulls())
     }
 
@@ -434,16 +426,10 @@ mod tests {
         let db = db_with_r();
         let mut copy = db.clone();
         // The clone shares the relation allocation…
-        assert!(Arc::ptr_eq(
-            &db.relation_shared("r").unwrap(),
-            &copy.relation_shared("r").unwrap()
-        ));
+        assert!(Arc::ptr_eq(&db.tables["r"], &copy.tables["r"]));
         // …until it is mutated, which copies just that relation.
         copy.relation_mut("r").unwrap().insert_values(vec![Value::Int(5), Value::Int(6)]).unwrap();
-        assert!(!Arc::ptr_eq(
-            &db.relation_shared("r").unwrap(),
-            &copy.relation_shared("r").unwrap()
-        ));
+        assert!(!Arc::ptr_eq(&db.tables["r"], &copy.tables["r"]));
         assert_eq!(db.relation("r").unwrap().len(), 2);
         assert_eq!(copy.relation("r").unwrap().len(), 3);
     }
@@ -478,7 +464,7 @@ mod tests {
         first.insert_relation("t", rel(&["s"], rows));
         // Cached under the first pool, which numbered "x" 0 and "y" 1.
         cached(&first, "t", 0);
-        let shared = first.relation_shared("t").unwrap();
+        let shared = first.tables.remove("t").unwrap();
         drop(first);
         let moved = Arc::try_unwrap(shared).expect("the only handle left");
         let mut second = Database::new();

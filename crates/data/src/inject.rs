@@ -35,7 +35,7 @@ impl NullInjector {
     /// Inject nulls into a single relation. `nullable` gives, per column,
     /// whether nulls may be injected there; it defaults to the schema's
     /// nullability flags when `None`.
-    pub fn inject_relation(
+    pub(crate) fn inject_relation(
         &self,
         relation: &Relation,
         nullable: Option<&[bool]>,

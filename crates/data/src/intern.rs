@@ -112,18 +112,6 @@ impl StrPool {
         out
     }
 
-    /// Intern an existing `Arc<str>`, reusing its allocation when the string
-    /// is new to the pool.
-    pub fn intern_arc(&self, s: &Arc<str>) -> StrId {
-        if let Some(&id) = self.inner.read().expect("pool lock").map.get(s.as_ref()) {
-            return id;
-        }
-        let mut inner = self.inner.write().expect("pool lock");
-        let id = inner.intern_arc(s);
-        interner_gauge().set(inner.strings.len() as u64);
-        id
-    }
-
     /// The id of an already interned string, if any. Strings absent from the
     /// pool can never equal an interned column element.
     pub fn lookup(&self, s: &str) -> Option<StrId> {
@@ -141,7 +129,10 @@ impl StrPool {
     /// per row). When every string is already interned — the steady state
     /// once the loaders have run — a shared read lock suffices, so parallel
     /// workers extracting string columns never serialize on the pool.
-    pub fn intern_all<'a>(&self, values: impl Iterator<Item = Option<&'a Arc<str>>>) -> Vec<StrId> {
+    pub(crate) fn intern_all<'a>(
+        &self,
+        values: impl Iterator<Item = Option<&'a Arc<str>>>,
+    ) -> Vec<StrId> {
         let vals: Vec<Option<&Arc<str>>> = values.collect();
         {
             let inner = self.inner.read().expect("pool lock");
@@ -206,11 +197,11 @@ mod tests {
     fn intern_arc_reuses_the_allocation() {
         let pool = StrPool::new();
         let s: Arc<str> = Arc::from("almond antique");
-        let id = pool.intern_arc(&s);
+        let id = pool.intern_all(std::iter::once(Some(&s)))[0];
         assert!(Arc::ptr_eq(&pool.resolve(id), &s));
         // A content-equal but distinct allocation maps to the same id…
         let t: Arc<str> = Arc::from("almond antique");
-        assert_eq!(pool.intern_arc(&t), id);
+        assert_eq!(pool.intern_all(std::iter::once(Some(&t))), vec![id]);
         // …and resolution keeps returning the first allocation.
         assert!(Arc::ptr_eq(&pool.resolve(id), &s));
     }

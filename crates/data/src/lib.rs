@@ -5,8 +5,8 @@
 //! model is implemented here.
 //!
 //! * [`Value`] — constants of several SQL types plus *marked nulls*
-//!   ([`NullId`]). Codd nulls are the special case where every null id occurs
-//!   at most once in a database.
+//!   ([`NullId`](null::NullId)). Codd nulls are the special case where every
+//!   null id occurs at most once in a database.
 //! * [`Truth`] — SQL's three-valued logic (3VL) with Kleene connectives.
 //! * Comparison semantics: [`compare::sql_cmp`] (3VL, `NULL` comparisons are
 //!   `Unknown`) and [`compare::naive_cmp`] (naive evaluation — nulls behave as
@@ -18,10 +18,11 @@
 //! * [`Schema`], [`Tuple`], [`Relation`], [`Database`] — incomplete relational
 //!   instances, active domains, key constraints.
 //! * [`mod@column`] — columnar batches: typed column vectors with null bitmaps
-//!   that preserve marked-null ids, plus three-valued [`TruthMask`]s for
-//!   vectorized predicate evaluation.
-//! * [`intern`] — the per-database string pool ([`StrPool`]): deduplicated
-//!   storage and dense ids for cheap hashing/equality on string columns.
+//!   that preserve marked-null ids, plus three-valued
+//!   [`TruthMask`](column::TruthMask)s for vectorized predicate evaluation.
+//! * [`intern`] — the per-database string pool ([`StrPool`](intern::StrPool)):
+//!   deduplicated storage and dense ids for cheap hashing/equality on string
+//!   columns.
 //! * [`inject`] — the null-injection procedure of Section 3 of the paper
 //!   (per-attribute coin flip at a configurable *null rate*).
 //! * [`mod@codec`] — the binary encoding of values, schemas, tuples and
@@ -52,11 +53,8 @@ pub mod valuation;
 pub mod value;
 pub mod wal;
 
-pub use column::{Batch, Column, ColumnData, NullMask, TruthMask};
-pub use database::{ActiveDomain, Database, TableDef};
+pub use database::{Database, TableDef};
 pub use error::DataError;
-pub use intern::{StrId, StrPool};
-pub use null::{NullGen, NullId};
 pub use relation::Relation;
 pub use schema::{Attribute, Schema};
 pub use truth::Truth;

@@ -26,13 +26,13 @@ impl fmt::Display for NullId {
 /// null-injection code so that injected nulls are Codd nulls: every injection
 /// site receives a fresh identifier.
 #[derive(Debug)]
-pub struct NullGen {
+pub(crate) struct NullGen {
     next: AtomicU64,
 }
 
 impl NullGen {
     /// Create a new generator starting at the given id.
-    pub fn starting_at(start: u64) -> Self {
+    pub(crate) fn starting_at(start: u64) -> Self {
         NullGen { next: AtomicU64::new(start) }
     }
 

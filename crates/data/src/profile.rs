@@ -80,7 +80,7 @@ impl ProfileSnapshot {
 
 /// Record one column-name resolution (called by [`crate::Schema::position_of`]).
 #[inline]
-pub fn record_name_resolution() {
+pub(crate) fn record_name_resolution() {
     name_resolutions().incr();
 }
 

@@ -232,7 +232,7 @@ impl Relation {
     }
 
     /// Whether any tuple contains a null.
-    pub fn has_nulls(&self) -> bool {
+    pub(crate) fn has_nulls(&self) -> bool {
         self.tuples.iter().any(Tuple::has_null)
     }
 

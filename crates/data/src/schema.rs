@@ -152,7 +152,7 @@ impl Schema {
     }
 
     /// Resolve a list of column names to positions.
-    pub fn positions_of(&self, names: &[String]) -> Result<Vec<usize>> {
+    pub(crate) fn positions_of(&self, names: &[String]) -> Result<Vec<usize>> {
         names.iter().map(|n| self.position_of(n)).collect()
     }
 

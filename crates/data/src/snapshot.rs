@@ -29,7 +29,6 @@ use std::sync::{Arc, Mutex};
 /// store itself is gone.
 #[derive(Debug)]
 struct PinStats {
-    taken: AtomicU64,
     live: AtomicU64,
     taken_metric: Arc<Counter>,
     live_metric: Arc<Gauge>,
@@ -75,7 +74,6 @@ impl SnapshotStore {
             current: Mutex::new(Arc::new(db)),
             writer: Mutex::new(()),
             pins: Arc::new(PinStats {
-                taken: AtomicU64::new(0),
                 live: AtomicU64::new(0),
                 taken_metric: reg.counter(names::SERVER_SNAPSHOT_PINS),
                 live_metric: reg.gauge(names::SERVER_SNAPSHOT_PINS_LIVE),
@@ -87,7 +85,6 @@ impl SnapshotStore {
     /// relations stay untouched) regardless of later writes.
     pub fn pin(&self) -> Snapshot {
         let db = self.current.lock().expect("snapshot store poisoned").clone();
-        self.pins.taken.fetch_add(1, Ordering::Relaxed);
         self.pins.taken_metric.incr();
         let live = self.pins.live.fetch_add(1, Ordering::Relaxed) + 1;
         self.pins.live_metric.set(live);
@@ -116,11 +113,6 @@ impl SnapshotStore {
         let out = f(&mut next);
         *self.current.lock().expect("snapshot store poisoned") = Arc::new(next);
         out
-    }
-
-    /// Total snapshots pinned since the store was created.
-    pub fn pins_taken(&self) -> u64 {
-        self.pins.taken.load(Ordering::Relaxed)
     }
 
     /// Snapshots currently pinned (not yet dropped).
@@ -197,8 +189,8 @@ mod tests {
         let b = store.pin();
         // The touched relation was copy-on-written; the untouched one is the
         // very same allocation in both snapshots.
-        assert!(!Arc::ptr_eq(&a.relation_shared("r").unwrap(), &b.relation_shared("r").unwrap()));
-        assert!(Arc::ptr_eq(&a.relation_shared("s").unwrap(), &b.relation_shared("s").unwrap()));
+        assert!(!std::ptr::eq(a.relation("r").unwrap(), b.relation("r").unwrap()));
+        assert!(std::ptr::eq(a.relation("s").unwrap(), b.relation("s").unwrap()));
     }
 
     #[test]
@@ -226,12 +218,10 @@ mod tests {
     #[test]
     fn pin_accounting_tracks_lifecycle() {
         let store = store_with_r();
-        assert_eq!(store.pins_taken(), 0);
         assert_eq!(store.live_pins(), 0);
         let p1 = store.pin();
         let p2 = store.pin();
         let p3 = p2.clone(); // clones share one pin
-        assert_eq!(store.pins_taken(), 2);
         assert_eq!(store.live_pins(), 2);
         drop(p2);
         assert_eq!(store.live_pins(), 2, "clone keeps the pin alive");
@@ -239,7 +229,6 @@ mod tests {
         assert_eq!(store.live_pins(), 1);
         drop(p1);
         assert_eq!(store.live_pins(), 0);
-        assert_eq!(store.pins_taken(), 2);
     }
 
     #[test]

@@ -48,21 +48,10 @@ impl Tuple {
         &self.0
     }
 
-    /// A copy of the underlying values (rows are shared, so they cannot be
-    /// moved out of).
-    pub fn into_values(self) -> Vec<Value> {
-        self.0.to_vec()
-    }
-
     /// The value at a position (panics if out of bounds — positions are
     /// validated against schemas before evaluation).
     pub fn get(&self, idx: usize) -> &Value {
         &self.0[idx]
-    }
-
-    /// Checked access to a value by position.
-    pub fn try_get(&self, idx: usize) -> Option<&Value> {
-        self.0.get(idx)
     }
 
     /// Concatenate two tuples (used by Cartesian product / join operators).
@@ -81,7 +70,7 @@ impl Tuple {
     }
 
     /// Whether the tuple contains any null value.
-    pub fn has_null(&self) -> bool {
+    pub(crate) fn has_null(&self) -> bool {
         self.0.iter().any(Value::is_null)
     }
 
@@ -182,7 +171,7 @@ mod tests {
     fn indexing_and_iteration() {
         let x = t(vec![Value::Int(10), Value::Int(20)]);
         assert_eq!(x[1], Value::Int(20));
-        assert_eq!(x.try_get(5), None);
+        assert_eq!(x.values().get(5), None);
         let collected: Tuple = x.values().iter().cloned().collect();
         assert_eq!(collected, x);
     }

@@ -42,11 +42,6 @@ impl ValueType {
                 | (Decimal, Float)
         )
     }
-
-    /// Whether this is a numeric type.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, ValueType::Int | ValueType::Float | ValueType::Decimal)
-    }
 }
 
 impl fmt::Display for ValueType {
@@ -81,12 +76,6 @@ mod tests {
         assert!(ValueType::Int.accepts(ValueType::Decimal));
         assert!(ValueType::Decimal.accepts(ValueType::Float));
         assert!(!ValueType::Int.accepts(ValueType::Str));
-    }
-
-    #[test]
-    fn is_numeric() {
-        assert!(ValueType::Decimal.is_numeric());
-        assert!(!ValueType::Date.is_numeric());
     }
 
     #[test]

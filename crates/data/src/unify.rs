@@ -6,23 +6,13 @@
 //! For Codd nulls (no repeated null ids) this is a position-wise check: two
 //! values unify unless both are constants and differ. With *marked* nulls a
 //! repeated null may be forced to take two different constants, so a
-//! consistency check is needed; [`Unifier`] implements it with a union-find
+//! consistency check is needed; a `Unifier` implements it with a union-find
 //! over null ids carrying an optional constant binding per class.
 
 use crate::null::NullId;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
-
-/// Position-wise unifiability of two values: true unless both are constants
-/// that differ. This is the exact notion for Codd nulls and a necessary
-/// condition for marked nulls.
-pub fn values_unify(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Null(_), _) | (_, Value::Null(_)) => true,
-        _ => crate::compare::sql_eq(a, b).is_true(),
-    }
-}
 
 /// Incremental unifier for marked nulls.
 ///
@@ -31,7 +21,7 @@ pub fn values_unify(a: &Value, b: &Value) -> bool {
 /// nulls, the unique constant the class is bound to (if any), and reports
 /// failure as soon as two distinct constants would be identified.
 #[derive(Debug, Default, Clone)]
-pub struct Unifier {
+pub(crate) struct Unifier {
     parent: HashMap<NullId, NullId>,
     binding: HashMap<NullId, Value>,
     failed: bool,
@@ -41,16 +31,6 @@ impl Unifier {
     /// Create an empty unifier.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether a contradiction has been detected.
-    pub fn failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Whether all constraints added so far are simultaneously satisfiable.
-    pub fn consistent(&self) -> bool {
-        !self.failed
     }
 
     fn find(&mut self, id: NullId) -> NullId {
@@ -114,7 +94,7 @@ impl Unifier {
 
     /// Add the constraint that `a` and `b` denote the same value. Returns the
     /// current consistency status.
-    pub fn require_equal(&mut self, a: &Value, b: &Value) -> bool {
+    pub(crate) fn require_equal(&mut self, a: &Value, b: &Value) -> bool {
         if self.failed {
             return false;
         }
@@ -129,12 +109,6 @@ impl Unifier {
             }
         }
         !self.failed
-    }
-
-    /// The constant a null is currently bound to, if any.
-    pub fn binding_of(&mut self, id: NullId) -> Option<Value> {
-        let root = self.ensure(id);
-        self.binding.get(&root).cloned()
     }
 }
 
@@ -154,12 +128,6 @@ pub fn tuples_unify(r: &Tuple, s: &Tuple) -> bool {
     true
 }
 
-/// Codd-null tuple unifiability: position-wise check only. Sound and complete
-/// when no null id repeats across the two tuples.
-pub fn tuples_unify_codd(r: &Tuple, s: &Tuple) -> bool {
-    r.len() == s.len() && r.values().iter().zip(s.values()).all(|(a, b)| values_unify(a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +139,10 @@ mod tests {
 
     fn t(vals: Vec<Value>) -> Tuple {
         Tuple::new(vals)
+    }
+
+    fn values_unify(a: &Value, b: &Value) -> bool {
+        tuples_unify(&t(vec![a.clone()]), &t(vec![b.clone()]))
     }
 
     #[test]
@@ -185,10 +157,8 @@ mod tests {
     fn codd_tuples_unify_positionwise() {
         let a = t(vec![Value::Int(1), n(1)]);
         let b = t(vec![n(2), Value::Int(3)]);
-        assert!(tuples_unify_codd(&a, &b));
         assert!(tuples_unify(&a, &b));
         let c = t(vec![Value::Int(2), n(3)]);
-        assert!(!tuples_unify_codd(&a, &c));
         assert!(!tuples_unify(&a, &c));
     }
 
@@ -197,7 +167,6 @@ mod tests {
         // r = (⊥1, ⊥1), s = (1, 2): position-wise OK but no single valuation works.
         let r = t(vec![n(1), n(1)]);
         let s = t(vec![Value::Int(1), Value::Int(2)]);
-        assert!(tuples_unify_codd(&r, &s));
         assert!(!tuples_unify(&r, &s));
         // With equal constants it unifies.
         let s2 = t(vec![Value::Int(5), Value::Int(5)]);
@@ -223,7 +192,6 @@ mod tests {
         let a = t(vec![Value::Int(1)]);
         let b = t(vec![Value::Int(1), Value::Int(2)]);
         assert!(!tuples_unify(&a, &b));
-        assert!(!tuples_unify_codd(&a, &b));
     }
 
     #[test]
@@ -238,11 +206,13 @@ mod tests {
 
     #[test]
     fn binding_lookup() {
+        // ⊥2 joins ⊥1's class and so its binding to 9; ⊥3 stays free.
         let mut u = Unifier::new();
         u.require_equal(&n(1), &Value::Int(9));
         u.require_equal(&n(2), &n(1));
-        assert_eq!(u.binding_of(NullId(2)), Some(Value::Int(9)));
-        assert_eq!(u.binding_of(NullId(3)), None);
+        assert!(u.clone().require_equal(&n(2), &Value::Int(9)));
+        assert!(!u.clone().require_equal(&n(2), &Value::Int(8)));
+        assert!(u.require_equal(&n(3), &Value::Int(8)));
     }
 
     #[test]
@@ -288,7 +258,6 @@ mod randomized_tests {
             let a = random_tuple(&mut rng, 4);
             let b = random_tuple(&mut rng, 4);
             assert_eq!(tuples_unify(&a, &b), tuples_unify(&b, &a), "{a} vs {b}");
-            assert_eq!(tuples_unify_codd(&a, &b), tuples_unify_codd(&b, &a), "{a} vs {b}");
         }
     }
 
@@ -298,13 +267,16 @@ mod randomized_tests {
         for _ in 0..200 {
             let a = random_tuple(&mut rng, 4);
             assert!(tuples_unify(&a, &a), "{a}");
-            assert!(tuples_unify_codd(&a, &a), "{a}");
         }
     }
 
     #[test]
     fn marked_unification_implies_codd() {
-        // The marked-null notion is strictly stronger (it adds consistency).
+        // The marked-null notion is strictly stronger than the position-wise
+        // Codd check (it adds consistency).
+        let positionwise = |r: &Tuple, s: &Tuple| {
+            r.values().iter().zip(s.values()).all(|(a, b)| a.is_null() || b.is_null() || a == b)
+        };
         let mut rng = StdRng::seed_from_u64(0xC0DD);
         let mut implications = 0usize;
         for _ in 0..500 {
@@ -312,7 +284,7 @@ mod randomized_tests {
             let b = random_tuple(&mut rng, 4);
             if tuples_unify(&a, &b) {
                 implications += 1;
-                assert!(tuples_unify_codd(&a, &b), "{a} vs {b}");
+                assert!(positionwise(&a, &b), "{a} vs {b}");
             }
         }
         assert!(implications > 0, "the sample never exercised the implication");

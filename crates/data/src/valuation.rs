@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A (partial) map from null ids to constant values. Nulls not in the map are
-/// left untouched by [`Valuation::apply_value`], which lets partial valuations
+/// left untouched by `Valuation::apply_value`, which lets partial valuations
 /// be composed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Valuation {
@@ -23,11 +23,6 @@ impl Valuation {
     /// The empty valuation.
     pub fn new() -> Self {
         Valuation { map: BTreeMap::new() }
-    }
-
-    /// Build a valuation from pairs.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (NullId, Value)>) -> Self {
-        Valuation { map: pairs.into_iter().collect() }
     }
 
     /// Assign a constant to a null (the value must be a constant).
@@ -53,7 +48,7 @@ impl Valuation {
 
     /// Apply the valuation to a value: nulls with an assignment are replaced,
     /// everything else is returned unchanged.
-    pub fn apply_value(&self, v: &Value) -> Value {
+    pub(crate) fn apply_value(&self, v: &Value) -> Value {
         match v {
             Value::Null(id) => self.map.get(id).cloned().unwrap_or_else(|| v.clone()),
             other => other.clone(),
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn covers_check() {
-        let v = Valuation::from_pairs([(NullId(1), Value::Int(1)), (NullId(2), Value::Int(2))]);
+        let v = Valuation { map: [(NullId(1), Value::Int(1)), (NullId(2), Value::Int(2))].into() };
         assert!(v.covers([NullId(1), NullId(2)]));
         assert!(!v.covers([NullId(3)]));
         assert_eq!(v.len(), 2);
@@ -171,7 +166,7 @@ mod tests {
 
     #[test]
     fn display_format() {
-        let v = Valuation::from_pairs([(NullId(3), Value::Int(9))]);
+        let v = Valuation { map: [(NullId(3), Value::Int(9))].into() };
         assert_eq!(v.to_string(), "{⊥3 ↦ 9}");
     }
 }

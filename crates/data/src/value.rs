@@ -1,7 +1,6 @@
 //! The value domain: constants of several types plus marked nulls.
 
 use crate::null::NullId;
-use crate::types::ValueType;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -48,11 +47,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Build a decimal value from a float (rounded to hundredths).
-    pub fn decimal(v: f64) -> Value {
-        Value::Decimal((v * 100.0).round() as i64)
-    }
-
     /// Is this value a null?
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null(_))
@@ -68,19 +62,6 @@ impl Value {
         match self {
             Value::Null(id) => Some(*id),
             _ => None,
-        }
-    }
-
-    /// The type of this value; nulls have type [`ValueType::Any`].
-    pub fn value_type(&self) -> ValueType {
-        match self {
-            Value::Null(_) => ValueType::Any,
-            Value::Int(_) => ValueType::Int,
-            Value::Float(_) => ValueType::Float,
-            Value::Decimal(_) => ValueType::Decimal,
-            Value::Str(_) => ValueType::Str,
-            Value::Bool(_) => ValueType::Bool,
-            Value::Date(_) => ValueType::Date,
         }
     }
 
@@ -284,7 +265,7 @@ pub fn days_from_date(year: i32, month: u32, day: u32) -> i32 {
 }
 
 /// Convert days since 1970-01-01 back to a (year, month, day) triple.
-pub fn date_from_days(days: i32) -> (i32, u32, u32) {
+pub(crate) fn date_from_days(days: i32) -> (i32, u32, u32) {
     let z = days as i64 + 719468;
     let era = if z >= 0 { z } else { z - 146096 } / 146097;
     let doe = z - era * 146097;
@@ -318,12 +299,6 @@ mod tests {
     fn float_nan_is_self_equal() {
         assert_eq!(Value::Float(f64::NAN), Value::Float(f64::NAN));
         assert_eq!(Value::Float(0.0), Value::Float(-0.0));
-    }
-
-    #[test]
-    fn decimal_constructor_rounds() {
-        assert_eq!(Value::decimal(12.345), Value::Decimal(1235));
-        assert_eq!(Value::decimal(-1.005), Value::Decimal(-100));
     }
 
     #[test]
@@ -377,11 +352,5 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn value_type_reporting() {
-        assert_eq!(Value::Int(1).value_type(), ValueType::Int);
-        assert_eq!(Value::fresh_null().value_type(), ValueType::Any);
     }
 }

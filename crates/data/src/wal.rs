@@ -31,7 +31,7 @@
 //! crash interrupted.
 //!
 //! Fault-prone boundaries check the named failpoints [`FP_APPEND`],
-//! [`FP_FSYNC`] and [`FP_CHECKPOINT`] (see [`certus_obs::failpoint`]), so
+//! [`FP_FSYNC`] and `wal.checkpoint` (see [`certus_obs::failpoint`]), so
 //! tests can force torn appends, fsync failures and crashed checkpoints
 //! deterministically.
 //!
@@ -63,7 +63,7 @@ pub const FP_APPEND: &str = "wal.append";
 /// Failpoint checked before the durability `fsync` of an append.
 pub const FP_FSYNC: &str = "wal.fsync";
 /// Failpoint checked while writing a checkpoint (before the atomic rename).
-pub const FP_CHECKPOINT: &str = "wal.checkpoint";
+pub(crate) const FP_CHECKPOINT: &str = "wal.checkpoint";
 
 /// Upper bound on one record's payload (matches the server's frame cap):
 /// a corrupt length prefix fails fast instead of allocating gigabytes.
@@ -86,8 +86,9 @@ pub enum WalError {
     Data(String),
     /// An armed failpoint forced this operation to fail.
     Injected(&'static str),
-    /// A previous torn append poisoned the log; the store must be reopened
-    /// (recovering from disk) before accepting further writes.
+    /// A failed append left bytes past the last durable record, and cutting
+    /// them off failed too. Every write retries the cut first; until one
+    /// succeeds, writes are refused rather than stacked after a torn tail.
     Poisoned,
     /// The directory holds checkpoint files but none of them validates.
     /// Serving a fallback (or partial) database over damaged data would
@@ -101,7 +102,9 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "wal i/o: {e}"),
             WalError::Data(m) => write!(f, "{m}"),
             WalError::Injected(p) => write!(f, "injected fault at {p}"),
-            WalError::Poisoned => write!(f, "wal poisoned by a torn append; reopen the store"),
+            WalError::Poisoned => {
+                write!(f, "wal poisoned: the torn tail of a failed append could not be truncated")
+            }
             WalError::Unrecoverable => write!(
                 f,
                 "no checkpoint in the data directory validates; refusing to serve a \
@@ -127,7 +130,7 @@ impl From<std::io::Error> for WalError {
 }
 
 /// Result alias for durability operations.
-pub type WalResult<T> = Result<T, WalError>;
+pub(crate) type WalResult<T> = Result<T, WalError>;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), table-driven — no external dependency.
@@ -148,7 +151,7 @@ fn crc_table() -> &'static [u32; 256] {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let table = crc_table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -488,7 +491,8 @@ struct Wal {
     file: File,
     /// Bytes of durable, checksum-valid records (the append offset).
     len: u64,
-    /// A torn append happened; no further writes until reopen.
+    /// A failed append may have left bytes past `len`; the next write must
+    /// truncate them before appending.
     poisoned: bool,
 }
 
@@ -510,11 +514,10 @@ impl Wal {
 
     /// Append one payload and make it durable. On any failure the log is
     /// restored to its previous length when possible; a torn write that
-    /// cannot be cleaned (modeling a crash) poisons the handle.
+    /// cannot be cleaned (modeling a crash) poisons the handle until the
+    /// next write truncates the tail.
     fn append(&mut self, payload: &[u8]) -> WalResult<()> {
-        if self.poisoned {
-            return Err(WalError::Poisoned);
-        }
+        self.heal()?;
         let reg = registry();
         let record = envelope(payload);
 
@@ -563,9 +566,7 @@ impl Wal {
     /// (`repl.apply`), so arming the primary's WAL failpoints in a test
     /// never cross-fires into an in-process replica.
     fn append_enveloped(&mut self, bytes: &[u8]) -> WalResult<()> {
-        if self.poisoned {
-            return Err(WalError::Poisoned);
-        }
+        self.heal()?;
         if let Err(e) = self.file.write_all(bytes) {
             self.rewind();
             return Err(WalError::Io(e));
@@ -583,13 +584,22 @@ impl Wal {
     }
 
     /// Truncate back to the last durable record boundary after a failed
-    /// append; if even that fails, poison the handle.
-    fn rewind(&mut self) {
+    /// append; if even that fails, poison the handle. Returns whether the
+    /// truncation worked.
+    fn rewind(&mut self) -> bool {
         let ok = self.file.set_len(self.len).is_ok()
             && self.file.seek(SeekFrom::Start(self.len)).is_ok();
-        if !ok {
-            self.poisoned = true;
+        self.poisoned = !ok;
+        ok
+    }
+
+    /// Before a write on a poisoned handle, cut the torn tail off as
+    /// [`Wal::open`] does, so no record is ever stacked after it.
+    fn heal(&mut self) -> WalResult<()> {
+        if self.poisoned && !self.rewind() {
+            return Err(WalError::Poisoned);
         }
+        Ok(())
     }
 }
 
@@ -668,36 +678,6 @@ impl DurableStore {
             checkpoint_every,
             installed: AtomicU64::new(0),
         })
-    }
-
-    /// Re-run recovery on this handle in place: reload the newest valid
-    /// checkpoint + WAL suffix from disk, publish the recovered state, and
-    /// replace the (possibly poisoned) WAL handle with a clean one. This is
-    /// the online healing path after a torn append — everything `recover`
-    /// guarantees across a process restart, without the restart. Acked
-    /// writes were fsync'd before their ack, so they all survive; the torn
-    /// tail (never acked) is truncated away.
-    pub fn reopen(&self) -> WalResult<()> {
-        let mut inner = self.inner.lock().expect("durable store poisoned");
-        let Some(recovery) = recover(&self.dir)? else {
-            // `open` seeded a checkpoint before accepting any write, so an
-            // empty recovery here means the directory is damaged, not fresh.
-            return Err(WalError::Unrecoverable);
-        };
-        let Recovery { db, seq, replayed, wal_len, .. } = recovery;
-        let wal = Wal::open(&wal_path(&self.dir, seq), wal_len)?;
-        self.store.update(|cur| {
-            // Epochs only ever move forward, even if the recovered image
-            // (acked writes only) matches what was already published.
-            let epoch = cur.schema_epoch().max(db.schema_epoch());
-            *cur = db;
-            cur.set_schema_epoch(epoch);
-        });
-        inner.wal = wal;
-        inner.seq = seq;
-        inner.since_checkpoint = replayed;
-        inner.last_rotation = None;
-        Ok(())
     }
 
     /// The snapshot store readers pin from (and the server executes over).
@@ -1113,18 +1093,27 @@ mod tests {
         let err = store.insert("r", &[row(2)]);
         failpoints().disarm(FP_APPEND);
         assert!(matches!(err, Err(WalError::Injected(_))));
-        // The handle is poisoned: further writes refuse instead of stacking
-        // records after a torn tail.
-        assert!(matches!(store.insert("r", &[row(3)]), Err(WalError::Poisoned)));
+        // The handle heals online: the next write cuts the torn tail off
+        // first, so its record lands at the last durable boundary instead of
+        // being stacked after the torn bytes.
+        let durable = store.wal_len();
+        let epoch_before = store.snapshots().pin().epoch();
+        store.insert("r", &[row(3)]).unwrap();
+        let record = WalRecord::Insert { table: "r".into(), rows: vec![row(3)] }.encode();
+        assert_eq!(store.wal_len(), durable + (ENVELOPE + record.len()) as u64);
+        assert_eq!(fs::metadata(wal_path(&dir, 0)).unwrap().len(), store.wal_len());
+        assert_eq!(rows_of(&store.snapshots().pin()), 3, "acked writes only, torn one absent");
+        assert!(store.snapshots().pin().epoch() > epoch_before, "epoch never rewinds");
         drop(store);
         let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
         let snap = store.snapshots().pin();
-        assert_eq!(rows_of(&snap), 2, "acked write present, torn write gone");
-        // And the store keeps working after recovery truncated the tail.
+        assert_eq!(rows_of(&snap), 3, "both acked writes present, torn write gone");
+        assert!(!snap.relation("r").unwrap().contains(&row(2)));
+        // And the store keeps working after recovery.
         store.insert("r", &[row(4)]).unwrap();
         drop(store);
         let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
-        assert_eq!(rows_of(&store.snapshots().pin()), 3);
+        assert_eq!(rows_of(&store.snapshots().pin()), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1359,30 +1348,6 @@ mod tests {
         assert_eq!(rows_of(&back.snapshots().pin()), 5);
         fs::remove_dir_all(&primary_dir).unwrap();
         fs::remove_dir_all(&replica_dir).unwrap();
-    }
-
-    #[test]
-    fn reopen_heals_a_poisoned_handle_without_losing_acked_writes() {
-        let _failpoints = arming();
-        let dir = temp_dir("heal");
-        let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
-        store.insert("r", &[row(1)]).unwrap();
-        failpoints().arm(FP_APPEND, FailAction::Torn(5), 0, 1);
-        assert!(store.insert("r", &[row(2)]).is_err());
-        failpoints().disarm(FP_APPEND);
-        assert!(matches!(store.insert("r", &[row(3)]), Err(WalError::Poisoned)));
-
-        // Online healing: same handle, same snapshot store, no restart.
-        let store_arc = Arc::clone(store.snapshots());
-        let epoch_before = store_arc.pin().epoch();
-        store.reopen().unwrap();
-        assert_eq!(rows_of(&store_arc.pin()), 2, "acked write kept, torn write gone");
-        assert!(store_arc.pin().epoch() >= epoch_before, "epoch never rewinds");
-        store.insert("r", &[row(4)]).unwrap();
-        drop(store);
-        let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
-        assert_eq!(rows_of(&store.snapshots().pin()), 3);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub(crate) fn skeleton(node: &CompiledExpr) -> ProfNode {
     match node {
         CompiledExpr::Scan { name, .. } => ProfNode::new(format!("scan({name})")),
         CompiledExpr::Values { .. } => ProfNode::new("values"),
-        CompiledExpr::Opaque { .. } => ProfNode::new("opaque"),
         CompiledExpr::Fused { source, steps, .. } => {
             let step_ops = steps
                 .iter()

@@ -7,7 +7,7 @@
 //! `Schema::position_of`. [`CompiledPlan::compile`] does all of that exactly
 //! once per plan:
 //!
-//! * every [`Condition`] becomes a [`CompiledPredicate`] whose operands are
+//! * every [`Condition`] becomes a `CompiledPredicate` whose operands are
 //!   positional accessors — per-row evaluation performs zero name lookups and
 //!   zero allocation (join residuals evaluate over the *pair* of input
 //!   tuples, so non-matching pairs are never concatenated);
@@ -38,7 +38,6 @@
 
 use certus_algebra::condition::{Condition, Operand};
 use certus_algebra::expr::{AggFunc, ProjCol, RaExpr};
-use certus_algebra::schema_infer::output_schema;
 use certus_algebra::{AlgebraError, NullSemantics, Result};
 use certus_data::compare::{naive_cmp, sql_cmp, CmpOp};
 use certus_data::like::{naive_like, sql_like};
@@ -55,7 +54,7 @@ use std::sync::{Arc, OnceLock};
 /// predicates evaluate over the pair directly, so tuples are concatenated
 /// only for pairs that actually join.
 #[derive(Clone, Copy)]
-pub struct RowView<'a> {
+pub(crate) struct RowView<'a> {
     a: &'a [Value],
     b: &'a [Value],
 }
@@ -87,7 +86,7 @@ impl<'a> RowView<'a> {
 /// decorrelated short-circuit skips never pays for (or surfaces errors from)
 /// its subqueries — matching the reference evaluator's lazy behaviour.
 #[derive(Debug, Default)]
-pub struct ScalarValues {
+pub(crate) struct ScalarValues {
     cells: Vec<std::sync::OnceLock<Option<Value>>>,
 }
 
@@ -143,7 +142,7 @@ impl CompiledOperand {
 /// A [`Condition`] compiled against a fixed schema: column references are
 /// positions, evaluation is infallible and allocation-free.
 #[derive(Debug, Clone)]
-pub struct CompiledPredicate {
+pub(crate) struct CompiledPredicate {
     pred: Pred,
     /// Indices into the plan's scalar-subquery table this predicate reads
     /// (the engine ensures they are evaluated before the per-row loop).
@@ -461,10 +460,6 @@ pub(crate) enum CompiledExpr {
     Scan { name: String, schema: Arc<Schema> },
     /// A literal relation, materialised at compile time.
     Values { rel: Relation },
-    /// A source expression the compiler has no native operator for —
-    /// executed through the reference evaluator (planner sources are always
-    /// relations or literals, so this is a defensive fallback).
-    Opaque { expr: RaExpr, schema: Arc<Schema> },
     /// A fused chain of per-row steps over one source, executed in a single
     /// pass. `partitions > 0` marks an exchange under a filter of the chain
     /// (morsel-parallel execution); `dedup` marks a projection or
@@ -567,7 +562,6 @@ impl CompiledExpr {
     pub(crate) fn schema(&self) -> &Arc<Schema> {
         match self {
             CompiledExpr::Scan { schema, .. }
-            | CompiledExpr::Opaque { schema, .. }
             | CompiledExpr::Fused { schema, .. }
             | CompiledExpr::HashJoin { schema, .. }
             | CompiledExpr::NlJoin { schema, .. }
@@ -879,9 +873,9 @@ fn compile_source(expr: &RaExpr, db: &Database) -> Result<CompiledExpr> {
                 Relation::new(schema.clone().shared(), rows.clone()).map_err(AlgebraError::Data)?;
             Ok(CompiledExpr::Values { rel })
         }
+        // The planner puts only relations and literals in a source.
         other => {
-            let schema = output_schema(other, db)?.shared();
-            Ok(CompiledExpr::Opaque { expr: other.clone(), schema })
+            Err(AlgebraError::Malformed(format!("no compiled operator for the source {other}")))
         }
     }
 }
@@ -1113,4 +1107,23 @@ pub(crate) fn apply_steps(
         }
     }
     Some(current.into_owned())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use certus_algebra::builder::eq;
+    use certus_data::builder::rel;
+
+    #[test]
+    fn a_source_that_is_not_a_relation_or_literal_is_malformed() {
+        let mut db = Database::new();
+        db.insert_relation("r", rel(&["a"], vec![vec![Value::Int(1)]]));
+        db.insert_relation("s", rel(&["b"], vec![vec![Value::Int(1)]]));
+        let join = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "b"));
+        let err = CompiledPlan::compile(&PhysicalExpr::Source(join), &db).unwrap_err();
+        assert!(matches!(err, AlgebraError::Malformed(_)), "{err}");
+        // The sources the planner does produce still compile.
+        assert!(CompiledPlan::compile(&PhysicalExpr::Source(RaExpr::relation("r")), &db).is_ok());
+    }
 }

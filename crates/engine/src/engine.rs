@@ -200,7 +200,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Default [`EngineConfig::parallel_floor`].
-    pub const DEFAULT_PARALLEL_FLOOR: usize = 1024;
+    pub(crate) const DEFAULT_PARALLEL_FLOOR: usize = 1024;
 
     /// Serial execution: one thread, no exchange operators.
     pub fn serial() -> Self {
@@ -525,7 +525,6 @@ impl<'a> Engine<'a> {
                 Ok(Relation::from_parts(schema.clone(), rel.tuples().to_vec()))
             }
             CompiledExpr::Values { rel } => Ok(rel.clone()),
-            CompiledExpr::Opaque { expr, .. } => Evaluator::new(self.db, self.semantics).eval(expr),
             CompiledExpr::Fused { source, steps, schema, dedup, partitions, vec_plan } => {
                 self.exec_fused(source, steps, schema, *dedup, *partitions, vec_plan, scalars, prof)
             }
@@ -1119,9 +1118,6 @@ impl<'a> Engine<'a> {
         match node {
             CompiledExpr::Scan { name, .. } => self.db.relation(name).map(|r| r.len()).unwrap_or(0),
             CompiledExpr::Values { rel } => rel.len(),
-            // Opaque subtrees run in the reference evaluator; what they
-            // reach is unknown, so keep the whole-database bound for them.
-            CompiledExpr::Opaque { .. } => self.db.total_tuples(),
             CompiledExpr::Fused { source, .. } => self.input_rows_hint(source),
             CompiledExpr::HashJoin { left, right, .. }
             | CompiledExpr::NlJoin { left, right, .. }

@@ -2,7 +2,7 @@
 //!
 //! Physical execution for *certus*. The reference evaluator in
 //! `certus-algebra` defines the semantics; this crate executes
-//! [`certus_plan::PhysicalExpr`] plans produced by the
+//! [`certus_plan::physical::PhysicalExpr`] plans produced by the
 //! `certus-plan` planner the way a real DBMS would, which is what makes the
 //! paper's *price of correctness* experiments meaningful:
 //!
@@ -18,12 +18,12 @@
 //!   null-check that the translation adds to query Q2) are evaluated once and
 //!   short-circuit the whole query when they trip;
 //! * plans carrying **exchange operators** (inserted by the planner when
-//!   configured with a [`Parallelism`]) execute multi-threaded:
+//!   configured with a [`certus_plan::Parallelism`]) execute multi-threaded:
 //!   morsel-parallel probes and filters, concurrent union arms,
 //!   governed by [`EngineConfig`] (`CERTUS_THREADS` overrides the default of
-//!   the machine's available parallelism);
-//! * the cost model and equi-key analysis live in `certus-plan` and are
-//!   re-exported here ([`cost`], [`equi`]) for compatibility.
+//!   the machine's available parallelism).
+//!
+//! The cost model and equi-key analysis live in `certus-plan`.
 //!
 //! The engine is deliberately low-level: it borrows a database and executes
 //! one plan. The `certus::Session` facade is the recommended front door — it
@@ -35,8 +35,8 @@
 //! # Native operator runtime
 //!
 //! [`Engine::compile`] turns a physical plan into a [`CompiledPlan`]: schema
-//! inference runs once per plan, every condition becomes a
-//! [`CompiledPredicate`] over positional accessors, join keys and
+//! inference runs once per plan, every condition becomes a compiled
+//! predicate over positional accessors, join keys and
 //! projection/rename/aggregate column lists are resolved to positions, and
 //! filter/project/rename/distinct chains fuse into single-pass pipelines;
 //! a column-liveness pass then narrows every join to the columns an
@@ -68,14 +68,6 @@ pub mod engine;
 pub(crate) mod liveness;
 pub(crate) mod vector;
 
-pub use certus_plan::{cost, equi};
-
 pub use analyze::annotate;
-pub use certus_obs::{AnalyzedPlan, QueryProfile};
-pub use certus_plan::physical::{
-    heuristic_plan, heuristic_plan_with, ExplainPlan, JoinAlgo, Parallelism, PhysicalExpr,
-    PhysicalPlanner, SemiAlgo,
-};
-pub use compile::{CompiledPlan, CompiledPredicate, RowView};
-pub use cost::{estimate, CostEstimate};
+pub use compile::CompiledPlan;
 pub use engine::{Engine, EngineConfig};

@@ -74,9 +74,7 @@ fn remap_positions(positions: &mut [usize], map: &[usize]) {
 fn narrow(node: &mut CompiledExpr, live: &[usize]) -> Vec<usize> {
     match node {
         // Leaves hand out rows that exist already (a scan is borrowed).
-        CompiledExpr::Scan { .. } | CompiledExpr::Values { .. } | CompiledExpr::Opaque { .. } => {
-            all(node.schema().arity())
-        }
+        CompiledExpr::Scan { .. } | CompiledExpr::Values { .. } => all(node.schema().arity()),
         CompiledExpr::Fused { source, steps, schema, dedup, vec_plan, .. } => {
             // What the chain reads of its source: walk the steps upwards. A
             // chain that deduplicates decides row identity on all columns.

@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A shared cancellation flag with an optional deadline. Clones observe the
 /// same flag; checking costs one relaxed atomic load (plus a clock read
@@ -35,11 +35,6 @@ impl CancelToken {
     /// A token that additionally reports cancelled once `deadline` passes.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
         CancelToken { flag: Arc::new(AtomicBool::new(false)), deadline: Some(deadline) }
-    }
-
-    /// Convenience: a deadline `budget` from now.
-    pub fn expiring_in(budget: Duration) -> CancelToken {
-        CancelToken::with_deadline(Instant::now() + budget)
     }
 
     /// Trip the flag; every clone observes it from now on.
@@ -67,6 +62,7 @@ impl Default for CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn fresh_tokens_are_live_until_cancelled() {

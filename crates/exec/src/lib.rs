@@ -74,8 +74,6 @@ struct Shared {
     executed: AtomicU64,
     /// Tasks taken from another worker's deque.
     stolen: AtomicU64,
-    /// Tasks executed by non-worker threads waiting in [`Pool::scope`].
-    helped: AtomicU64,
 }
 
 /// A bounded work-stealing worker pool. See the crate docs for the design.
@@ -118,7 +116,6 @@ impl Pool {
             peak_busy: AtomicUsize::new(0),
             executed: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
-            helped: AtomicU64::new(0),
         });
         let workers = (0..width)
             .map(|idx| {
@@ -152,11 +149,6 @@ impl Pool {
     /// Tasks stolen from another worker's deque.
     pub fn tasks_stolen(&self) -> u64 {
         self.shared.stolen.load(Ordering::Relaxed)
-    }
-
-    /// Tasks executed by threads helping while they wait in [`Pool::scope`].
-    pub fn tasks_helped(&self) -> u64 {
-        self.shared.helped.load(Ordering::Relaxed)
     }
 
     /// Run `f` with a [`Scope`] that can spawn tasks borrowing from the
@@ -223,15 +215,8 @@ impl Pool {
 
     /// Execute queued tasks until `state.pending` drops to zero.
     fn help_while_waiting(&self, state: &ScopeState) {
-        let on_worker = matches!(
-            WORKER.with(|w| w.get()),
-            Some((pool_id, _)) if pool_id == self.shared.pool_id
-        );
         while state.pending.load(Ordering::Acquire) != 0 {
             if let Some(job) = self.find_job() {
-                if !on_worker {
-                    self.shared.helped.fetch_add(1, Ordering::Relaxed);
-                }
                 run_job(&self.shared, job);
                 continue;
             }

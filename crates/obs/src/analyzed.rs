@@ -14,12 +14,12 @@ use std::fmt;
 /// Estimate-vs-actual ratio at which a node is flagged as diverged. A factor
 /// of 4 means the cost model was off by 4× in either direction — enough to
 /// change join-order decisions, small enough to catch on modest databases.
-pub const DIVERGENCE_FACTOR: f64 = 4.0;
+pub(crate) const DIVERGENCE_FACTOR: f64 = 4.0;
 
 /// Rows below which divergence is not flagged: on tiny intermediates a
 /// ratio says nothing (estimating 0.5 rows when 2 show up is factor 4 but
 /// planner-irrelevant).
-pub const DIVERGENCE_MIN_ROWS: f64 = 4.0;
+pub(crate) const DIVERGENCE_MIN_ROWS: f64 = 4.0;
 
 /// One plan node annotated with both the cost model's estimates and the
 /// measured actuals from an instrumented execution.
@@ -52,8 +52,8 @@ impl AnalyzedPlan {
         (est / act).max(act / est)
     }
 
-    /// Whether this node's estimate diverged enough to flag (see
-    /// [`DIVERGENCE_FACTOR`], [`DIVERGENCE_MIN_ROWS`]).
+    /// Whether this node's estimate diverged enough to flag: off by 4× or
+    /// more, on a node where the estimate or the actual reaches 4 rows.
     pub fn diverged(&self) -> bool {
         self.divergence() >= DIVERGENCE_FACTOR
             && self.rows_est.max(self.rows_act as f64) >= DIVERGENCE_MIN_ROWS

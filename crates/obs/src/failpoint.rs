@@ -108,11 +108,6 @@ impl FailpointRegistry {
         self.armed.store(false, Ordering::Release);
     }
 
-    /// Whether any failpoint is currently armed (the fast-path gate).
-    pub fn any_armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
     /// The call-site hook: what should this hit of `name` do? With nothing
     /// armed anywhere this is one relaxed atomic load.
     pub fn check(&self, name: &str) -> FailAction {
@@ -146,7 +141,7 @@ impl FailpointRegistry {
     /// action is `error`, `torn@BYTES`, or `slow@MS`. Unparseable entries
     /// are ignored (fault injection must never take down a production
     /// process over a typo). Returns how many entries were armed.
-    pub fn arm_from_spec(&self, spec: &str) -> usize {
+    fn arm_from_spec(&self, spec: &str) -> usize {
         let mut armed = 0;
         for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
             let Some((name, rest)) = entry.split_once('=') else { continue };
@@ -211,7 +206,7 @@ mod tests {
     fn disarmed_points_are_off_and_cheap() {
         let reg =
             FailpointRegistry { armed: AtomicBool::new(false), points: Mutex::new(HashMap::new()) };
-        assert!(!reg.any_armed());
+        assert!(!reg.armed.load(Ordering::Relaxed));
         assert_eq!(reg.check("fp.test.unarmed"), FailAction::Off);
         assert_eq!(reg.hits("fp.test.unarmed"), 0);
     }
@@ -241,9 +236,9 @@ mod tests {
         let reg =
             FailpointRegistry { armed: AtomicBool::new(false), points: Mutex::new(HashMap::new()) };
         reg.arm("fp.test.gate", FailAction::Error, 0, 1);
-        assert!(reg.any_armed());
+        assert!(reg.armed.load(Ordering::Relaxed));
         reg.disarm("fp.test.gate");
-        assert!(!reg.any_armed());
+        assert!(!reg.armed.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Gauge {
 /// Number of log₂-scaled buckets: bucket `i` counts samples whose value has
 /// `i` significant bits, i.e. values in `[2^(i-1), 2^i)` (bucket 0 is the
 /// zero bucket). 64 buckets cover the full `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A histogram over `u64` samples (typically nanoseconds) with log₂-scaled
 /// buckets, a running sum and a count. Recording is two relaxed RMWs plus
@@ -109,7 +109,8 @@ impl Histogram {
 /// A point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`HISTOGRAM_BUCKETS`]).
+    /// Per-bucket sample counts: bucket `i` holds the samples with `i`
+    /// significant bits.
     pub buckets: Vec<u64>,
     /// Total samples recorded.
     pub count: u64,

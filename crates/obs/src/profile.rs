@@ -170,11 +170,6 @@ impl ProfNode {
         self.children.get(i)
     }
 
-    /// Number of fused pipeline steps.
-    pub fn step_count(&self) -> usize {
-        self.step_ops.len()
-    }
-
     /// Add `n` survivors to fused step `i`'s output count.
     #[inline]
     pub fn add_step_rows(&self, i: usize, n: u64) {
@@ -295,7 +290,7 @@ impl QueryProfile {
     }
 
     /// Probe hit rate for hash operators (0 when nothing was probed).
-    pub fn probe_hit_rate(&self) -> f64 {
+    pub(crate) fn probe_hit_rate(&self) -> f64 {
         let total = self.probe_hits + self.probe_misses;
         if total == 0 {
             0.0
@@ -521,7 +516,7 @@ mod tests {
         let prof = ProfNode::new("leaf");
         assert!(prof.child(3).is_none());
         prof.add_step_rows(7, 1); // out-of-range step: dropped
-        assert_eq!(prof.step_count(), 0);
+        assert!(prof.step_ops.is_empty());
         assert_eq!(prof.finish().steps.len(), 0);
     }
 }

@@ -46,7 +46,7 @@ impl Timer {
 
 /// Render a nanosecond quantity human-readably (`412ns`, `3.1µs`, `12.4ms`,
 /// `1.07s`).
-pub fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
         format!("{ns}ns")
     } else if ns < 1_000_000 {

@@ -46,7 +46,7 @@ fn global_counters() -> &'static GlobalCounters {
 /// identically; distinct expressions may collide (the rendering elides
 /// literal-relation contents), which is why [`PlanKey`] keeps the expression
 /// itself for the equality check.
-pub fn expr_fingerprint(expr: &RaExpr) -> u64 {
+pub(crate) fn expr_fingerprint(expr: &RaExpr) -> u64 {
     let mut h = DefaultHasher::new();
     expr.to_string().hash(&mut h);
     h.finish()
@@ -57,7 +57,7 @@ pub fn expr_fingerprint(expr: &RaExpr) -> u64 {
 /// the database's schema epoch at planning time, and the worker-thread count
 /// the plan's exchange operators were sized for.
 ///
-/// `Hash` uses the expression's [`expr_fingerprint`]; equality compares the
+/// `Hash` uses the expression's `expr_fingerprint`; equality compares the
 /// full expression, so fingerprint collisions cost a probe, never a wrong
 /// plan.
 #[derive(Debug, Clone)]
@@ -128,19 +128,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum number of entries.
     pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Fraction of lookups served from the cache (0 when nothing was looked
-    /// up yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -313,7 +300,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 1, 1));
         assert_eq!(stats.entries, 1);
-        assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

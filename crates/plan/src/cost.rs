@@ -9,7 +9,7 @@
 //!   Section 7 for conditions that hide their equality; the translation's
 //!   own `A = B OR B IS NULL` shape is a null-aware key and is charged like
 //!   any hash join.
-//! * **statistics-backed** ([`estimate_with`]): base cardinalities, equality
+//! * **statistics-backed** (`estimate_with`): base cardinalities, equality
 //!   selectivities (`1 / distinct`) and null-check selectivities (the
 //!   measured null fraction) come from a [`StatisticsCatalog`], which is what
 //!   the physical planner's explain trees use.
@@ -45,7 +45,7 @@ pub fn selectivity(condition: &Condition) -> f64 {
 
 /// Estimate the selectivity of a condition, consulting column statistics
 /// where available and falling back to the fixed magic numbers otherwise.
-pub fn selectivity_with(condition: &Condition, stats: &StatisticsCatalog) -> f64 {
+pub(crate) fn selectivity_with(condition: &Condition, stats: &StatisticsCatalog) -> f64 {
     match condition {
         Condition::True => 1.0,
         Condition::False => 0.0,
@@ -158,7 +158,7 @@ const VECTORIZED_FILTER_FACTOR: f64 = 0.25;
 /// scalar-subquery operands run row-at-a-time *inside* the batch (still
 /// correct, but not discounted); everything else — comparisons, null
 /// checks, the Kleene connectives — is mask arithmetic.
-pub fn batch_eligible(condition: &Condition) -> bool {
+pub(crate) fn batch_eligible(condition: &Condition) -> bool {
     let operand_ok = |o: &Operand| !matches!(o, Operand::Scalar(_));
     match condition {
         Condition::True | Condition::False => true,
@@ -173,7 +173,7 @@ pub fn batch_eligible(condition: &Condition) -> bool {
 /// The per-row CPU factor of a filter over this condition: discounted when
 /// the condition is batch-eligible, full price otherwise. Shared by the
 /// logical estimator and the physical planner's per-node annotations.
-pub fn filter_cpu_factor(condition: &Condition) -> f64 {
+pub(crate) fn filter_cpu_factor(condition: &Condition) -> f64 {
     if batch_eligible(condition) {
         VECTORIZED_FILTER_FACTOR
     } else {
@@ -189,14 +189,14 @@ const EXCHANGE_PARTITION_SETUP: f64 = 8.0;
 /// into `partitions` partitions: one routing pass over the input plus the
 /// per-partition setup. Rows pass through unchanged. Shared with the
 /// physical planner's per-node annotations, like the row formulas above.
-pub fn exchange_cost(rows: f64, partitions: usize) -> f64 {
+pub(crate) fn exchange_cost(rows: f64, partitions: usize) -> f64 {
     rows + EXCHANGE_PARTITION_SETUP * partitions.max(1) as f64
 }
 
 /// Estimate rows and cost for an expression, with base cardinalities taken
 /// from the statistics catalog when analyzed (falling back to the catalog's
 /// live row counts) and selectivities from column statistics.
-pub fn estimate_with(
+pub(crate) fn estimate_with(
     expr: &RaExpr,
     db: &Database,
     stats: &StatisticsCatalog,

@@ -7,7 +7,7 @@
 //! resolves the condition of the pair. A name that is ambiguous there
 //! belongs to neither side. Asking each input schema separately would get
 //! aliased self-joins wrong: `l1.l_orderkey` resolves in the schema of
-//! `lineitem AS l2` too, through its base name. [`JoinSides`] is that rule;
+//! `lineitem AS l2` too, through its base name. `JoinSides` is that rule;
 //! the key extractor and the predicate-pushdown pass both go through it.
 //!
 //! **What is a key.** Conjunct by conjunct:
@@ -44,7 +44,7 @@ pub enum Side {
 /// The schemas of a join-like operator's two inputs: the rule for which side
 /// a column belongs to.
 #[derive(Debug, Clone, Copy)]
-pub struct JoinSides<'a> {
+pub(crate) struct JoinSides<'a> {
     left: &'a Schema,
     right: &'a Schema,
 }
@@ -64,13 +64,13 @@ impl<'a> JoinSides<'a> {
 
     /// The side `column` belongs to; `None` when the name is unknown or
     /// ambiguous in `left ++ right`.
-    pub fn side_of(&self, column: &str) -> Option<Side> {
+    pub(crate) fn side_of(&self, column: &str) -> Option<Side> {
         self.locate(column).map(|(side, _)| side)
     }
 
     /// The side *every* column of `condition` belongs to; `None` when it
     /// reads both sides, no column at all, or a column of neither side.
-    pub fn only_side(&self, condition: &Condition) -> Option<Side> {
+    pub(crate) fn only_side(&self, condition: &Condition) -> Option<Side> {
         let mut sides = condition.columns().into_iter().map(|c| self.side_of(&c));
         let first = sides.next()??;
         sides.all(|s| s == Some(first)).then_some(first)
@@ -97,7 +97,7 @@ impl NullOk {
 
 /// The result of splitting a join condition.
 #[derive(Debug, Clone)]
-pub struct EquiSplit {
+pub(crate) struct EquiSplit {
     /// Column names on the left side, positionally paired with `right_keys`.
     pub left_keys: Vec<String>,
     /// Column names on the right side.
@@ -111,20 +111,20 @@ pub struct EquiSplit {
 
 impl EquiSplit {
     /// Whether any hash keys — plain or null-aware — were found.
-    pub fn has_keys(&self) -> bool {
+    pub(crate) fn has_keys(&self) -> bool {
         !self.left_keys.is_empty()
     }
 
     /// Whether any *plain* equality key was found: one the hash table
     /// decides alone, whatever the nulls.
-    pub fn has_plain_keys(&self) -> bool {
+    pub(crate) fn has_plain_keys(&self) -> bool {
         self.null_ok.iter().any(|n| !n.any())
     }
 }
 
 /// Split a condition into hashable key pairs and a residual, relative to the
 /// given left/right schemas.
-pub fn split_equi(condition: &Condition, left: &Schema, right: &Schema) -> EquiSplit {
+pub(crate) fn split_equi(condition: &Condition, left: &Schema, right: &Schema) -> EquiSplit {
     let sides = JoinSides::new(left, right);
     let mut split = EquiSplit {
         left_keys: Vec::new(),
@@ -180,7 +180,7 @@ fn key_of(conjunct: &Condition, sides: &JoinSides<'_>) -> Option<(String, String
 
 /// Whether a condition references any column of the given schema (used to
 /// detect *uncorrelated* `EXISTS` / `NOT EXISTS` subqueries).
-pub fn references_schema(condition: &Condition, schema: &Schema) -> bool {
+pub(crate) fn references_schema(condition: &Condition, schema: &Schema) -> bool {
     condition.columns().iter().any(|c| schema.contains(c))
 }
 

@@ -22,13 +22,14 @@
 //!   magic numbers) and a statistics-backed one.
 //! * [`equi`] — which input of a join a column belongs to, and extraction
 //!   of hash-join keys (plain and null-aware) from conditions.
-//! * [`physical`] — the [`PhysicalExpr`] plan representation and the one
-//!   physical planner, [`PhysicalPlanner`]: algorithms and exchanges follow
-//!   from the expression and the thread count alone, statistics only feed
-//!   the estimates of its [`ExplainPlan`] trees.
-//! * [`cache`] — hashable plan keys ([`PlanKey`]) and the LRU [`PlanCache`]
-//!   (hit/miss counters, schema-epoch invalidation) behind
-//!   `certus::Session`'s prepared queries.
+//! * [`physical`] — the [`PhysicalExpr`](physical::PhysicalExpr) plan
+//!   representation and the one physical planner, [`PhysicalPlanner`]:
+//!   algorithms and exchanges follow from the expression and the thread
+//!   count alone, statistics only feed the estimates of its
+//!   [`ExplainPlan`](physical::ExplainPlan) trees.
+//! * [`cache`] — hashable plan keys ([`PlanKey`](cache::PlanKey)) and the
+//!   LRU [`PlanCache`](cache::PlanCache) (hit/miss counters, schema-epoch
+//!   invalidation) behind `certus::Session`'s prepared queries.
 
 pub mod cache;
 pub mod cost;
@@ -39,18 +40,11 @@ pub mod passes;
 pub mod physical;
 pub mod stats;
 
-pub use cache::{expr_fingerprint, CacheStats, PlanCache, PlanKey};
-pub use cost::{
-    estimate, estimate_with, exchange_cost, selectivity, selectivity_with, CostEstimate,
-};
-pub use equi::{references_schema, split_equi, EquiSplit, JoinSides, NullOk, Side};
+pub use equi::NullOk;
 pub use error::PlanError;
-pub use pass::{Pass, PassManager, PassTrace, PASSES};
-pub use physical::{
-    heuristic_plan, heuristic_plan_with, ExplainPlan, JoinAlgo, Parallelism, PhysicalExpr,
-    PhysicalPlanner, SemiAlgo,
-};
-pub use stats::{ColumnStats, StatisticsCatalog, TableStats};
+pub use pass::{PassManager, PassTrace, PASSES};
+pub use physical::{heuristic_plan, Parallelism, PhysicalPlanner};
+pub use stats::StatisticsCatalog;
 
 /// Result alias for the planning crate.
 pub type Result<T> = std::result::Result<T, PlanError>;

@@ -62,7 +62,7 @@ fn empty_like(input: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
 /// Fold a condition bottom-up. Only rewrites whose truth value is identical
 /// under SQL and naive semantics are applied; in particular, comparisons are
 /// folded only when **both** operands are non-null constants.
-pub fn fold_condition(condition: &Condition) -> Condition {
+pub(crate) fn fold_condition(condition: &Condition) -> Condition {
     match condition {
         Condition::Cmp { left, op, right } => {
             if let (Operand::Const(a), Operand::Const(b)) = (left, right) {

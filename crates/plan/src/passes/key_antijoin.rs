@@ -10,7 +10,7 @@ use certus_algebra::schema_infer::Catalog;
 
 /// Replace `R ⋉̸⇑ S` by `R − S` when `R` is a keyed base relation and `S` is
 /// structurally contained in `R`.
-pub fn simplify_key_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
+pub(crate) fn simplify_key_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::UnifyAntiSemiJoin { left, right } => {
             let left = simplify_key_antijoin(left, catalog)?;
@@ -32,7 +32,7 @@ pub fn simplify_key_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaE
 /// Conservative structural containment check: `sub ⊆ sup` holds when `sub` is
 /// built from `sup` by operations that only remove tuples (selections,
 /// semijoins, anti-joins, intersections, differences, distinct).
-pub fn contained_in(sub: &RaExpr, sup: &RaExpr) -> bool {
+pub(crate) fn contained_in(sub: &RaExpr, sup: &RaExpr) -> bool {
     if sub == sup {
         return true;
     }

@@ -16,7 +16,7 @@ use certus_data::Schema;
 /// Simplify `IS NULL` / `IS NOT NULL` atoms over columns that can never be
 /// null according to the schema: `col IS NULL → FALSE`, `col IS NOT NULL →
 /// TRUE`, followed by Boolean simplification.
-pub fn prune_null_checks(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
+pub(crate) fn prune_null_checks(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     Ok(match expr {
         RaExpr::Select { input, condition } => {
             let new_input = prune_null_checks(input, catalog)?;
@@ -57,7 +57,7 @@ pub fn prune_null_checks(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr>
 
 /// Rebuild a condition replacing null-checks on non-nullable columns with
 /// Boolean constants and re-simplifying connectives.
-pub fn simplify_nullability(condition: &Condition, schema: &Schema) -> Condition {
+pub(crate) fn simplify_nullability(condition: &Condition, schema: &Schema) -> Condition {
     match condition {
         Condition::IsNull(op) => {
             if let Some(col) = op.as_col() {

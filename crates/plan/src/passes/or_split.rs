@@ -65,7 +65,7 @@ fn splittable_disjuncts(
 /// OR-splitting of anti-joins: split into a chain only when the unsplit
 /// condition is unhashable and at most one branch stays keyless (hashable
 /// branches run first, shrinking the left side).
-pub fn split_or_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
+pub(crate) fn split_or_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::AntiJoin { left, right, condition } => {
             let left = split_or_antijoin(left, catalog)?;
@@ -89,7 +89,7 @@ pub fn split_or_antijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr>
 /// is unhashable and **every** branch hashes (each union branch rescans both
 /// inputs, so a single keyless branch already costs as much as not splitting
 /// at all).
-pub fn split_or_join(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
+pub(crate) fn split_or_join(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     match expr {
         RaExpr::Join { left, right, condition } => {
             let left = split_or_join(left, catalog)?;

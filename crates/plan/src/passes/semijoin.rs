@@ -23,7 +23,7 @@
 //! semijoins, division): the semijoin drops `R`'s columns from the schema.
 //!
 //! **Which columns are `R`'s.** A column belongs to the input
-//! [`JoinSides`] attributes it to, the rule the engine's compiler resolves
+//! `JoinSides` attributes it to, the rule the engine's compiler resolves
 //! the pair by. A join's condition and what is read above it name columns of
 //! `left ++ right`, and each goes down to the input it belongs to and to no
 //! other, so `l2.k` is never taken for the `l1.k` of a join further down. An
@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 /// Rewrite every join whose right columns nobody reads, under a consumer
 /// that ignores duplicate rows, to a semijoin.
-pub fn join_to_semijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
+pub(crate) fn join_to_semijoin(expr: &RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
     if !has_join(expr) {
         return Ok(expr.clone());
     }

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashSet};
 
 /// Statistics for a single column.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
+pub(crate) struct ColumnStats {
     /// Column name as declared in the table schema.
     pub name: String,
     /// Fraction of rows in which the column is null (marked or Codd).
@@ -26,7 +26,7 @@ pub struct ColumnStats {
 
 /// Statistics for a single table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableStats {
+pub(crate) struct TableStats {
     /// Number of rows.
     pub rows: usize,
     /// Per-column statistics, in schema order.
@@ -94,13 +94,8 @@ impl StatisticsCatalog {
         StatisticsCatalog { tables }
     }
 
-    /// Statistics for a table, if analyzed.
-    pub fn table(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(name)
-    }
-
     /// Row count for a table, if analyzed.
-    pub fn row_count(&self, name: &str) -> Option<usize> {
+    pub(crate) fn row_count(&self, name: &str) -> Option<usize> {
         self.tables.get(name).map(|t| t.rows)
     }
 
@@ -108,7 +103,7 @@ impl StatisticsCatalog {
     /// to its statistics. TPC-H style schemas prefix columns per table, so a
     /// base-name scan across tables is unambiguous in practice; the first
     /// match wins otherwise.
-    pub fn column(&self, name: &str) -> Option<&ColumnStats> {
+    pub(crate) fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.tables.values().find_map(|t| t.column(name))
     }
 
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn analyze_counts_rows_nulls_and_distincts() {
         let stats = StatisticsCatalog::analyze(&db());
-        let r = stats.table("r").unwrap();
+        let r = stats.tables.get("r").unwrap();
         assert_eq!(r.rows, 4);
         assert_eq!(r.column("a").unwrap().distinct, 3);
         assert_eq!(r.column("a").unwrap().null_fraction, 0.0);
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn empty_table_has_zero_fractions() {
         let stats = StatisticsCatalog::analyze(&db());
-        let e = stats.table("empty").unwrap();
+        let e = stats.tables.get("empty").unwrap();
         assert_eq!(e.rows, 0);
         assert_eq!(e.column("x").unwrap().null_fraction, 0.0);
         assert_eq!(e.column("x").unwrap().distinct, 0);
@@ -197,7 +192,7 @@ mod tests {
             ),
         );
         let stats = StatisticsCatalog::analyze(&db);
-        let c = stats.table("t").unwrap().column("v").unwrap();
+        let c = stats.tables.get("t").unwrap().column("v").unwrap();
         assert_eq!(c.distinct, 2);
         assert!((c.null_fraction - 2.0 / 6.0).abs() < 1e-12);
     }
@@ -211,7 +206,7 @@ mod tests {
         assert_eq!(stats.row_count("empty"), Some(0));
         // TableStats::analyze agrees with the catalog route.
         let direct = TableStats::analyze(db().relation("r").unwrap());
-        assert_eq!(Some(&direct), stats.table("r"));
+        assert_eq!(Some(&direct), stats.tables.get("r"));
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl From<WireError> for ClientError {
 }
 
 /// Result alias for client calls.
-pub type ClientResult<T> = Result<T, ClientError>;
+pub(crate) type ClientResult<T> = Result<T, ClientError>;
 
 /// Retry behavior for closed-loop calls.
 ///
@@ -310,7 +310,7 @@ impl Client {
     /// Execute a prepared statement under a deadline (milliseconds from the
     /// server reading the request; `0` means none). Past it the server
     /// answers `DeadlineExceeded` instead of results.
-    pub fn execute_with_deadline(
+    pub(crate) fn execute_with_deadline(
         &mut self,
         prepared: u64,
         deadline_ms: u64,

@@ -37,9 +37,6 @@ pub struct ServerConfig {
     /// last response, announcing the close with a clean `Ack` on the
     /// server channel (request id 0) first. `0` disables idle reaping.
     pub idle_timeout_ms: u64,
-    /// Write timeout applied to accepted sockets so one stalled peer can
-    /// never hold an execution slot mid-response. `0` means no timeout.
-    pub write_timeout_ms: u64,
     /// Durability: when set, the server opens a
     /// [`certus_data::wal::DurableStore`] in this directory — recovering
     /// any state a previous process left there — and every `Insert` is
@@ -70,7 +67,6 @@ impl Default for ServerConfig {
             cache_capacity: 128,
             poll_interval_ms: 20,
             idle_timeout_ms: 300_000,
-            write_timeout_ms: 10_000,
             data_dir: None,
             checkpoint_every: 1024,
             replication: None,

@@ -25,7 +25,7 @@ use std::io::{Read, Write};
 
 /// Upper bound on a frame payload (64 MiB): malformed or hostile length
 /// prefixes fail fast instead of attempting a giant allocation.
-pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Protocol-level errors: framing violations, unknown tags, truncated or
 /// trailing bytes, I/O failures.
@@ -61,7 +61,7 @@ impl From<codec::CodecError> for WireError {
 }
 
 /// Result alias for protocol operations.
-pub type WireResult<T> = Result<T, WireError>;
+pub(crate) type WireResult<T> = Result<T, WireError>;
 
 fn bad(msg: impl Into<String>) -> WireError {
     WireError::Malformed(msg.into())

@@ -60,6 +60,14 @@ pub const FP_REPL_SEND: &str = "repl.send";
 /// from its durable position.
 pub const FP_REPL_APPLY: &str = "repl.apply";
 
+/// Target payload size of one `Records` segment a primary ships (always at
+/// least one whole record).
+const MAX_SEGMENT_BYTES: usize = 1 << 20;
+
+/// Term a fresh primary starts at; promotions bump past the highest term
+/// observed on the stream.
+const INITIAL_TERM: u64 = 1;
+
 /// Replication mode a primary runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplMode {
@@ -92,12 +100,6 @@ pub struct ReplicationConfig {
     /// Replica: pause between subscription attempts after a stream fault or
     /// a clean close.
     pub reconnect_ms: u64,
-    /// Primary: target payload size of one `Records` segment (always at
-    /// least one whole record).
-    pub max_segment_bytes: usize,
-    /// Term a fresh primary starts at; promotions bump past the highest
-    /// term observed on the stream.
-    pub initial_term: u64,
 }
 
 impl ReplicationConfig {
@@ -107,8 +109,6 @@ impl ReplicationConfig {
             mode: ReplMode::Async,
             ack_timeout_ms: 5_000,
             reconnect_ms: 50,
-            max_segment_bytes: 1 << 20,
-            initial_term: 1,
         }
     }
 
@@ -176,11 +176,10 @@ pub(crate) struct ReplState {
 impl ReplState {
     pub(crate) fn new(config: Option<ReplicationConfig>) -> ReplState {
         let is_replica = config.as_ref().is_some_and(|c| c.primary.is_some());
-        let term = config.as_ref().map(|c| c.initial_term).unwrap_or(1);
         ReplState {
             replica_of: Mutex::new(config.as_ref().and_then(|c| c.primary.clone())),
             config,
-            term: AtomicU64::new(term),
+            term: AtomicU64::new(INITIAL_TERM),
             sealed: AtomicBool::new(false),
             apply_stopped: AtomicBool::new(!is_replica),
             synced: AtomicBool::new(false),
@@ -268,10 +267,6 @@ impl ReplState {
             }
             _ => None,
         }
-    }
-
-    fn max_segment_bytes(&self) -> usize {
-        self.config.as_ref().map(|c| c.max_segment_bytes).unwrap_or(1 << 20).max(1)
     }
 
     fn reconnect_delay(&self) -> Duration {
@@ -543,7 +538,6 @@ fn sender_loop(
         Some(d) => Arc::clone(d),
         None => return,
     };
-    let max_seg = repl.max_segment_bytes();
     let poll = Duration::from_millis(state.config.poll_interval_ms.clamp(1, 50));
     // Confirm the stream with our position and term before any data flows.
     let pos = durable.position();
@@ -564,7 +558,7 @@ fn sender_loop(
         if !alive.load(Ordering::Acquire) {
             return;
         }
-        match durable.read_chunk(at, max_seg) {
+        match durable.read_chunk(at, MAX_SEGMENT_BYTES) {
             Ok(WalChunk::Records(bytes)) => {
                 match apply_delay(failpoints().check(FP_REPL_SEND)) {
                     FailAction::Off => {}

@@ -78,6 +78,10 @@ pub const FP_PUBLISH: &str = "server.publish";
 /// subscriber to read the drained stream and close its end.
 const DRAIN_LINGER: Duration = Duration::from_secs(5);
 
+/// Write timeout applied to accepted sockets, so one stalled peer can never
+/// hold an execution slot mid-response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 impl From<WireCertainty> for Certainty {
     fn from(c: WireCertainty) -> Certainty {
         match c {
@@ -535,12 +539,9 @@ impl FrameBuffer {
 fn reader_loop(stream: TcpStream, state: &Arc<State>) {
     let poll = Duration::from_millis(state.config.poll_interval_ms.max(1));
     let _ = stream.set_read_timeout(Some(poll));
-    if state.config.write_timeout_ms > 0 {
-        // Applies to the shared socket, so the write half is covered too: a
-        // peer that stops draining cannot hold a slot mid-response.
-        let _ =
-            stream.set_write_timeout(Some(Duration::from_millis(state.config.write_timeout_ms)));
-    }
+    // Applies to the shared socket, so the write half is covered too: a peer
+    // that stops draining cannot hold a slot mid-response.
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => w,

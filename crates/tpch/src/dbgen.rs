@@ -35,7 +35,7 @@ impl DbGen {
     }
 
     /// Number of rows per table at this scale factor.
-    pub fn cardinalities(&self) -> Cardinalities {
+    pub(crate) fn cardinalities(&self) -> Cardinalities {
         Cardinalities {
             supplier: self.scaled(10_000),
             part: self.scaled(200_000),
@@ -184,7 +184,7 @@ impl DbGen {
 
 /// Row counts per table at a given scale factor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cardinalities {
+pub(crate) struct Cardinalities {
     /// Rows in `supplier`.
     pub supplier: u64,
     /// Rows in `part`.

@@ -32,5 +32,4 @@ pub mod workload;
 pub use dbgen::DbGen;
 pub use params::QueryParams;
 pub use queries::{q1, q2, q3, q4, query_by_number};
-pub use schema::tpch_catalog;
 pub use workload::Workload;

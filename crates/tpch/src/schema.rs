@@ -17,7 +17,7 @@ fn col(name: &str, ty: ValueType) -> Attribute {
 }
 
 /// Build an empty database with all eight TPC-H tables registered.
-pub fn tpch_catalog() -> Database {
+pub(crate) fn tpch_catalog() -> Database {
     let mut db = Database::new();
 
     db.create_table(
@@ -133,10 +133,6 @@ pub fn tpch_catalog() -> Database {
     db
 }
 
-/// Names of the eight TPC-H tables.
-pub const TABLE_NAMES: [&str; 8] =
-    ["customer", "lineitem", "nation", "orders", "part", "partsupp", "region", "supplier"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +140,9 @@ mod tests {
     #[test]
     fn catalog_registers_all_tables() {
         let db = tpch_catalog();
-        for t in TABLE_NAMES {
+        for t in
+            ["customer", "lineitem", "nation", "orders", "part", "partsupp", "region", "supplier"]
+        {
             assert!(db.has_table(t), "missing {t}");
         }
         assert_eq!(db.table_names().len(), 8);

@@ -1,7 +1,7 @@
 //! Text pools used by the generators (nations, regions, part-name words).
 
 /// The 25 TPC-H nations with their region index.
-pub const NATIONS: [(&str, usize); 25] = [
+pub(crate) const NATIONS: [(&str, usize); 25] = [
     ("ALGERIA", 0),
     ("ARGENTINA", 1),
     ("BRAZIL", 1),
@@ -30,12 +30,12 @@ pub const NATIONS: [(&str, usize); 25] = [
 ];
 
 /// The 5 TPC-H regions.
-pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
+pub(crate) const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 
 /// The TPC-H part-name word list ("P_NAME generated by concatenating five
 /// unique randomly selected strings from the list of 92"). Query Q4's
 /// `$color` parameter is drawn from this list.
-pub const PART_NAME_WORDS: [&str; 92] = [
+pub(crate) const PART_NAME_WORDS: [&str; 92] = [
     "almond",
     "antique",
     "aquamarine",
@@ -131,7 +131,7 @@ pub const PART_NAME_WORDS: [&str; 92] = [
 ];
 
 /// Order status values; Q1 filters on finalized (`'F'`) orders.
-pub const ORDER_STATUS: [&str; 3] = ["F", "O", "P"];
+pub(crate) const ORDER_STATUS: [&str; 3] = ["F", "O", "P"];
 
 #[cfg(test)]
 mod tests {

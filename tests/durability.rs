@@ -1,9 +1,11 @@
 //! End-to-end tests for the robustness layer: durable inserts surviving
-//! server restarts (WAL recovery), per-request deadlines, idle-connection
-//! reaping (timed from the last response), and the client's retry behavior
-//! against a scripted peer.
+//! server restarts (WAL recovery) and torn appends, per-request deadlines,
+//! idle-connection reaping (timed from the last response), and the client's
+//! retry behavior against a scripted peer.
 
 use certus::data::builder::rel;
+use certus::data::wal::FP_APPEND;
+use certus::obs::{failpoints, FailAction};
 use certus::{Database, RaExpr, Tuple, Value};
 use certus_server::client::{Client, RetryPolicy};
 use certus_server::protocol::{
@@ -13,8 +15,19 @@ use certus_server::{ErrorCode, ReplMode, ReplicationConfig, Server, ServerConfig
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The failpoint registry is process-wide: the test that arms the WAL's
+/// append failpoint holds this exclusively, and every other test that writes
+/// to a durable server holds it shared, so the fault never fires in another
+/// test's store.
+static FAILPOINTS: RwLock<()> = RwLock::new(());
+
+fn unarmed() -> RwLockReadGuard<'static, ()> {
+    FAILPOINTS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -57,6 +70,7 @@ fn log_values(client: &mut Client) -> Vec<i64> {
 
 #[test]
 fn acked_inserts_survive_a_server_restart() {
+    let _failpoints = unarmed();
     let dir = temp_dir("restart");
 
     let mut acked = vec![0i64];
@@ -90,6 +104,7 @@ fn acked_inserts_survive_a_server_restart() {
 
 #[test]
 fn recovery_folds_through_repeated_restarts() {
+    let _failpoints = unarmed();
     let dir = temp_dir("generations");
     let mut acked = vec![0i64];
     let mut next = 1i64;
@@ -109,6 +124,38 @@ fn recovery_folds_through_repeated_restarts() {
     let server = Server::start(seed_db(), durable_config(&dir)).expect("final server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     assert_eq!(log_values(&mut client), acked);
+    client.close().expect("close");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_append_heals_on_the_next_insert() {
+    let _failpoints = FAILPOINTS.write().unwrap_or_else(PoisonError::into_inner);
+    let dir = temp_dir("torn");
+    let row = |v: i64| vec![Tuple::new(vec![Value::Int(v)])];
+    let server = Server::start(seed_db(), durable_config(&dir)).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.insert("log", row(1)).expect("insert before the fault");
+
+    // A crash mid-append that the process survives: six bytes of the record
+    // reach the log, and the insert is refused.
+    failpoints().arm(FP_APPEND, FailAction::Torn(6), 0, 1);
+    let torn = client.insert("log", row(2));
+    failpoints().disarm(FP_APPEND);
+    assert!(torn.is_err(), "a torn append is never acked");
+
+    // The running node heals: the next insert cuts the torn tail off and is
+    // acked, with no restart in between.
+    client.insert("log", row(3)).expect("insert after the fault");
+    assert_eq!(log_values(&mut client), vec![0, 1, 3]);
+    client.close().expect("close");
+    server.shutdown();
+
+    // Recovery reads every acked row back, and never the torn one.
+    let server = Server::start(seed_db(), durable_config(&dir)).expect("restart");
+    let mut client = Client::connect(server.local_addr()).expect("reconnect");
+    assert_eq!(log_values(&mut client), vec![0, 1, 3]);
     client.close().expect("close");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -176,6 +223,7 @@ fn the_idle_window_runs_from_the_last_response() {
     // A sync-replicated primary that no replica joins holds each insert's
     // answer for the quorum timeout: one request that runs five idle
     // windows. A connection answered a moment ago is not idle.
+    let _failpoints = unarmed();
     let dir = temp_dir("idle-long");
     let repl = ReplicationConfig {
         ack_timeout_ms: 300,
@@ -324,6 +372,7 @@ fn timeouts_retry_idempotent_requests_but_never_inserts() {
 
 #[test]
 fn invalid_rows_are_rejected_without_touching_durable_state() {
+    let _failpoints = unarmed();
     let dir = temp_dir("reject");
     let server = Server::start(seed_db(), durable_config(&dir)).expect("server starts");
     let mut client = Client::connect(server.local_addr()).expect("connect");
