@@ -1093,27 +1093,46 @@ mod tests {
         let err = store.insert("r", &[row(2)]);
         failpoints().disarm(FP_APPEND);
         assert!(matches!(err, Err(WalError::Injected(_))));
-        // The handle heals online: the next write cuts the torn tail off
-        // first, so its record lands at the last durable boundary instead of
-        // being stacked after the torn bytes.
+        drop(store);
+        let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
+        let snap = store.snapshots().pin();
+        assert_eq!(rows_of(&snap), 2, "acked write present, torn write gone");
+        assert!(!snap.relation("r").unwrap().contains(&row(2)));
+        // And the store keeps working after recovery truncated the tail.
+        store.insert("r", &[row(4)]).unwrap();
+        drop(store);
+        let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
+        assert_eq!(rows_of(&store.snapshots().pin()), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_heals_a_poisoned_handle_without_losing_acked_writes() {
+        let _failpoints = arming();
+        let dir = temp_dir("heal");
+        let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
+        store.insert("r", &[row(1)]).unwrap();
+        failpoints().arm(FP_APPEND, FailAction::Torn(5), 0, 1);
+        assert!(store.insert("r", &[row(2)]).is_err());
+        failpoints().disarm(FP_APPEND);
+
+        // Online healing: same handle, same snapshot store, no restart. The
+        // next write cuts the torn tail off first, so its record lands at the
+        // last durable boundary instead of being stacked after the torn bytes.
+        let store_arc = Arc::clone(store.snapshots());
         let durable = store.wal_len();
-        let epoch_before = store.snapshots().pin().epoch();
+        let epoch_before = store_arc.pin().epoch();
         store.insert("r", &[row(3)]).unwrap();
         let record = WalRecord::Insert { table: "r".into(), rows: vec![row(3)] }.encode();
         assert_eq!(store.wal_len(), durable + (ENVELOPE + record.len()) as u64);
         assert_eq!(fs::metadata(wal_path(&dir, 0)).unwrap().len(), store.wal_len());
-        assert_eq!(rows_of(&store.snapshots().pin()), 3, "acked writes only, torn one absent");
-        assert!(store.snapshots().pin().epoch() > epoch_before, "epoch never rewinds");
+        assert_eq!(rows_of(&store_arc.pin()), 3, "acked writes kept, torn write gone");
+        assert!(store_arc.pin().epoch() > epoch_before, "epoch never rewinds");
         drop(store);
         let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
         let snap = store.snapshots().pin();
         assert_eq!(rows_of(&snap), 3, "both acked writes present, torn write gone");
         assert!(!snap.relation("r").unwrap().contains(&row(2)));
-        // And the store keeps working after recovery.
-        store.insert("r", &[row(4)]).unwrap();
-        drop(store);
-        let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
-        assert_eq!(rows_of(&store.snapshots().pin()), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
 
