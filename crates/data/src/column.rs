@@ -1,8 +1,8 @@
 //! Columnar batches: typed column vectors with per-column null bitmaps.
 //!
 //! The row representation ([`Tuple`], an `Arc<[Value]>` shared by pointer)
-//! is what the operator semantics are defined over and what operators hand
-//! to each other; *evaluating* a predicate or hashing a key one `Value` at a
+//! is what the operator semantics are defined over and what answers are made
+//! of; *evaluating* a predicate or hashing a key one `Value` at a
 //! time, behind an enum dispatch per value, is the dominant cost once plans
 //! are compiled. This module provides the batch-at-a-time alternative:
 //!
@@ -27,7 +27,8 @@
 //!
 //! A [`Relation`] keeps the columns it was asked for
 //! ([`Relation::column`]): a base relation is extracted once per snapshot,
-//! not once per operator per execution.
+//! not once per operator per execution. A subset of its rows is read by
+//! [`Column::gather`] over the cached column, not extracted again.
 //!
 //! [`Values`]: ColumnData::Values
 
@@ -254,6 +255,33 @@ impl Column {
                 ColumnData::Values((0..len).map(|i| get(i).clone()).collect())
             }
         };
+        Column { data, nulls }
+    }
+
+    /// The rows `ids` of this column, in that order, in this column's
+    /// representation (a subset of a typed column stays typed even when every
+    /// row it keeps is null). Not an extraction: no `Value` is read.
+    pub fn gather(&self, ids: &[u32]) -> Column {
+        fn pick<T: Clone>(v: &[T], ids: &[u32]) -> Vec<T> {
+            ids.iter().map(|&i| v[i as usize].clone()).collect()
+        }
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(pick(v, ids)),
+            ColumnData::Float(v) => ColumnData::Float(pick(v, ids)),
+            ColumnData::Decimal(v) => ColumnData::Decimal(pick(v, ids)),
+            ColumnData::Date(v) => ColumnData::Date(pick(v, ids)),
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, ids)),
+            ColumnData::Str(v) => ColumnData::Str(pick(v, ids)),
+            ColumnData::Values(v) => ColumnData::Values(pick(v, ids)),
+        };
+        let mut nulls = NullMask::new(ids.len());
+        if self.nulls.any_null() {
+            for (k, &i) in ids.iter().enumerate() {
+                if let Some(id) = self.nulls.null_id(i as usize) {
+                    nulls.set_null(k, id);
+                }
+            }
+        }
         Column { data, nulls }
     }
 
@@ -499,11 +527,6 @@ impl TruthMask {
         self.t.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether any row is [`Truth::True`].
-    pub fn any_true(&self) -> bool {
-        self.t.iter().any(|&w| w != 0)
-    }
-
     /// Visit every row index whose value is [`Truth::True`], in order.
     pub fn for_each_true(&self, mut f: impl FnMut(usize)) {
         for (wi, &word) in self.t.iter().enumerate() {
@@ -574,6 +597,27 @@ mod tests {
         let empty = column(&[], &p);
         assert!(empty.is_empty());
         assert!(!empty.nulls().any_null());
+    }
+
+    #[test]
+    fn gather_picks_rows_in_order_and_keeps_the_representation() {
+        let p = pool();
+        let vals =
+            vec![Value::Int(3), Value::Null(NullId(7)), Value::Int(-5), Value::Null(NullId(2))];
+        let c = column(&vals, &p);
+        let g = c.gather(&[3, 0, 3, 1]);
+        assert!(matches!(g.data(), ColumnData::Int(_)));
+        for (k, i) in [3, 0, 3, 1].into_iter().enumerate() {
+            assert_eq!(g.value_at(k, &p), vals[i]);
+        }
+        // Only nulls kept: still an int column, the marked ids intact.
+        let nulls = c.gather(&[1, 3]);
+        assert!(matches!(nulls.data(), ColumnData::Int(_)));
+        assert_eq!(nulls.nulls().null_id(1), Some(NullId(2)));
+        // The fallback gathers values; nothing kept is an empty column.
+        let mixed = column(&[Value::Int(1), Value::str("x")], &p);
+        assert_eq!(mixed.gather(&[1]).value_at(0, &p), Value::str("x"));
+        assert!(c.gather(&[]).is_empty());
     }
 
     #[test]

@@ -38,12 +38,8 @@ pub(crate) fn skeleton(node: &CompiledExpr) -> ProfNode {
                 .collect();
             ProfNode::with("fused", step_ops, vec![skeleton(source)])
         }
-        CompiledExpr::HashJoin { left, right, schema, emit, .. } => {
-            binary("hash_join", left, right).emitting(schema.arity(), emit.full_width)
-        }
-        CompiledExpr::NlJoin { left, right, schema, emit, .. } => {
-            binary("nl_join", left, right).emitting(schema.arity(), emit.full_width)
-        }
+        CompiledExpr::HashJoin { left, right, .. } => binary("hash_join", left, right),
+        CompiledExpr::NlJoin { left, right, .. } => binary("nl_join", left, right),
         CompiledExpr::HashSemi { left, right, .. } => binary("hash_semi", left, right),
         CompiledExpr::NlSemi { left, right, .. } => binary("nl_semi", left, right),
         CompiledExpr::DecorrelatedSemi { left, right, .. } => {
@@ -82,7 +78,7 @@ pub fn annotate(
 }
 
 fn tags_of(p: &QueryProfile) -> Vec<String> {
-    let mut tags: Vec<String> = p.narrowed_cols().into_iter().chain(p.build_time()).collect();
+    let mut tags: Vec<String> = p.build_time().into_iter().collect();
     if p.vec_runs > 0 {
         tags.push("vec".to_string());
     }

@@ -10,19 +10,20 @@
 //! * every [`Condition`] becomes a `CompiledPredicate` whose operands are
 //!   positional accessors — per-row evaluation performs zero name lookups and
 //!   zero allocation (join residuals evaluate over the *pair* of input
-//!   tuples, so non-matching pairs are never concatenated);
+//!   rows, so no row is ever built for a predicate);
 //! * projection, rename, aggregate and join-key column lists are resolved to
 //!   positions against the plan's inferred schemas (inferred bottom-up, once);
 //! * `Filter`/`Project`/`Rename`/`Distinct` chains are **fused** into a
-//!   single step pipeline executed in one pass over the input — a filter
-//!   directly above a scan shares the surviving rows with the base relation;
+//!   single pipeline: every filter re-anchored onto the source's columns,
+//!   the projections composed into one, so the chain selects row ids and
+//!   builds rows once, at its edge, and only when it projects or
+//!   deduplicates;
+//! * every join records its layout — where each output column lives, as a
+//!   (source, column) pair of the row-id sets it joins (`rows.rs`);
 //! * an [`PhysicalExpr::Exchange`] is absorbed by the operator above it as a
 //!   partition count on the compiled node — a filter peels its input, a
 //!   hash operator its build side, a nested loop its outer side, a union
 //!   its arms — and is the identity anywhere else;
-//! * a last pass over the compiled tree (`liveness.rs`) narrows every join
-//!   to the columns an ancestor reads and remaps keys, residuals and fused
-//!   steps onto the narrower rows — once, here;
 //! * uncorrelated scalar subqueries are collected into a per-plan table and
 //!   evaluated lazily, at most once per execution, the first time an
 //!   operator referencing them processes a non-empty input (they are opaque
@@ -36,49 +37,18 @@
 //! planning work. Compiled plans are only valid for the database state they
 //! were compiled against; the session's schema-epoch guard enforces that.
 
+use crate::rows::{RowView, Slot};
 use certus_algebra::condition::{Condition, Operand};
 use certus_algebra::expr::{AggFunc, ProjCol, RaExpr};
 use certus_algebra::{AlgebraError, NullSemantics, Result};
 use certus_data::compare::{naive_cmp, sql_cmp, CmpOp};
 use certus_data::like::{naive_like, sql_like};
-use certus_data::{Attribute, Database, Relation, Schema, Truth, Tuple, Value, ValueType};
+use certus_data::{Attribute, Database, Relation, Schema, Truth, Value, ValueType};
 use certus_obs::metrics::{registry, Counter};
 use certus_obs::names;
-use certus_obs::ProfNode;
 use certus_plan::physical::{JoinAlgo, PhysicalExpr, SemiAlgo};
 use certus_plan::NullOk;
-use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
-
-/// A row view over one tuple or a (left, right) pair of tuples. Join
-/// predicates evaluate over the pair directly, so tuples are concatenated
-/// only for pairs that actually join.
-#[derive(Clone, Copy)]
-pub(crate) struct RowView<'a> {
-    a: &'a [Value],
-    b: &'a [Value],
-}
-
-impl<'a> RowView<'a> {
-    /// View of a single tuple.
-    pub fn one(t: &'a Tuple) -> Self {
-        RowView { a: t.values(), b: &[] }
-    }
-
-    /// View of the concatenation of two tuples (without concatenating).
-    pub fn pair(l: &'a Tuple, r: &'a Tuple) -> Self {
-        RowView { a: l.values(), b: r.values() }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> &'a Value {
-        if i < self.a.len() {
-            &self.a[i]
-        } else {
-            &self.b[i - self.a.len()]
-        }
-    }
-}
 
 /// The values of a plan's uncorrelated scalar subqueries for one execution,
 /// filled lazily: the engine evaluates a subquery the first time an operator
@@ -185,9 +155,8 @@ impl CompiledPredicate {
 
     /// Replace every column reference `i` by `map[i]`, in place: re-anchors
     /// fused-pipeline filters onto the pipeline's *source* columns (looking
-    /// through intermediate projections), and everything positional onto
-    /// the narrower rows the liveness pass leaves.
-    pub(crate) fn remap(&mut self, map: &[usize]) {
+    /// through intermediate projections).
+    fn remap(&mut self, map: &[usize]) {
         self.pred.remap(map);
     }
 }
@@ -319,60 +288,15 @@ impl Pred {
     }
 }
 
-/// A per-row step of a fused operator pipeline.
+/// A step of a fused operator pipeline, in pipeline order.
 #[derive(Debug)]
 pub(crate) enum Step {
-    /// Drop rows whose predicate is not true.
+    /// Drop rows whose predicate is not true. The predicate reads the
+    /// pipeline's *source* columns: projections below it are looked through.
     Filter(CompiledPredicate),
-    /// Map the row onto the given positions.
+    /// Map the row onto the given positions of the step before's output
+    /// (composed with the other projections into the pipeline's `project`).
     Project(Vec<usize>),
-}
-
-/// The batch-at-a-time form of a fused step chain: every filter re-anchored
-/// onto the pipeline's *source* columns (intermediate projections composed
-/// away — they only reorder and drop columns), so the engine can evaluate
-/// all predicates column-wise over the source rows and gather the survivors
-/// once at the pipeline edge.
-#[derive(Debug)]
-pub(crate) struct VecPlan {
-    /// The filter predicates, in pipeline order, over source positions.
-    pub(crate) filters: Vec<CompiledPredicate>,
-    /// The source columns any filter reads (sorted, deduplicated) — the only
-    /// columns worth extracting into typed vectors.
-    pub(crate) cols: Vec<usize>,
-    /// Output row = source row projected onto these positions (`None` when
-    /// the pipeline emits the source row unchanged).
-    pub(crate) gather: Option<Vec<usize>>,
-}
-
-/// Compute the [`VecPlan`] of a step chain, or `None` when the chain has no
-/// filter (a pure projection/dedup chain gains nothing from batching — the
-/// row path already moves rows without cloning).
-pub(crate) fn vec_plan_of(steps: &[Step], source_arity: usize) -> Option<VecPlan> {
-    let mut mapping: Vec<usize> = (0..source_arity).collect();
-    let mut filters = Vec::new();
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                let mut filter = pred.clone();
-                filter.remap(&mapping);
-                filters.push(filter);
-            }
-            Step::Project(pos) => mapping = pos.iter().map(|&p| mapping[p]).collect(),
-        }
-    }
-    if filters.is_empty() {
-        return None;
-    }
-    let mut cols = Vec::new();
-    for f in &filters {
-        f.pred().col_refs(&mut cols);
-    }
-    cols.sort_unstable();
-    cols.dedup();
-    let identity =
-        mapping.len() == source_arity && mapping.iter().enumerate().all(|(i, &p)| i == p);
-    Some(VecPlan { filters, cols, gather: if identity { None } else { Some(mapping) } })
 }
 
 /// The compiled keys of a hash operator: key columns resolved to positions
@@ -395,18 +319,6 @@ impl HashKeys {
     pub(crate) fn widest_predicate(&self) -> &CompiledPredicate {
         self.null_aware.as_ref().map_or(&self.residual, |n| &n.full)
     }
-
-    /// Everything positional in the keys, for the liveness pass to remap:
-    /// the key positions of each side, and every predicate over the (left,
-    /// right) pair the operator may evaluate — the residual, and the full
-    /// condition of null-aware keys.
-    pub(crate) fn positional_parts(
-        &mut self,
-    ) -> (&mut [usize], &mut [usize], Vec<&mut CompiledPredicate>) {
-        let mut preds = vec![&mut self.residual];
-        preds.extend(self.null_aware.as_mut().map(|n| &mut n.full));
-        (&mut self.left, &mut self.right, preds)
-    }
 }
 
 /// What a hash operator with null-aware keys needs beyond [`HashKeys`]:
@@ -419,39 +331,6 @@ pub(crate) struct NullAware {
     pub(crate) full: CompiledPredicate,
 }
 
-/// What a join emits of each joining (left, right) pair. Joins are the
-/// operators that build new rows, so they are where column liveness
-/// ([`crate::liveness`]) pays: a join emits the columns an ancestor reads
-/// and nothing else.
-#[derive(Debug)]
-pub(crate) struct Emit {
-    /// Positions in the pair — as the (possibly narrowed) inputs deliver it —
-    /// to emit, in output order; `None` emits the whole pair (a plain
-    /// concatenation).
-    pub(crate) cols: Option<Vec<usize>>,
-    /// The join's output width before liveness: the `n` of `cols=k/n`.
-    pub(crate) full_width: usize,
-}
-
-impl Emit {
-    /// Emit the whole pair of the given width.
-    fn whole(full_width: usize) -> Emit {
-        Emit { cols: None, full_width }
-    }
-
-    /// The output row of a joining pair: one allocation, live columns only.
-    #[inline]
-    pub(crate) fn row(&self, l: &Tuple, r: &Tuple) -> Tuple {
-        match &self.cols {
-            None => l.concat(r),
-            Some(cols) => {
-                let pair = RowView::pair(l, r);
-                cols.iter().map(|&p| pair.get(p).clone()).collect()
-            }
-        }
-    }
-}
-
 /// A compiled operator tree: schemas inferred, names resolved, conditions
 /// compiled — ready for repeated execution with zero per-execution setup.
 #[derive(Debug)]
@@ -460,31 +339,30 @@ pub(crate) enum CompiledExpr {
     Scan { name: String, schema: Arc<Schema> },
     /// A literal relation, materialised at compile time.
     Values { rel: Relation },
-    /// A fused chain of per-row steps over one source, executed in a single
-    /// pass. `partitions > 0` marks an exchange under a filter of the chain
-    /// (morsel-parallel execution); `dedup` marks a projection or
-    /// distinct in the chain (set semantics: deduplicate the output).
-    /// `vec_plan` is the batch-at-a-time form of the chain (present whenever
-    /// the chain filters); the engine picks the vectorized or the row path
-    /// per execution, so one compiled plan serves both.
+    /// A fused chain of steps over one source, executed in a single pass:
+    /// the filters select row ids, then the rows are built of the
+    /// `project`ed source columns (`None`: the source's row-id set is passed
+    /// on, unless `dedup`). `partitions > 0` marks an exchange under a filter
+    /// of the chain (morsel-parallel execution); `dedup` marks a projection
+    /// or distinct in the chain (set semantics: deduplicate the output).
     Fused {
         source: Box<CompiledExpr>,
         steps: Vec<Step>,
+        project: Option<Vec<usize>>,
         schema: Arc<Schema>,
         dedup: bool,
         partitions: usize,
-        vec_plan: Option<VecPlan>,
     },
     /// Hash join: build on the right, probe with the left, residual applied
-    /// to the (left, right) pair, `emit` of each joining pair emitted.
-    /// `partitions > 0` marks an exchange on the build side: the probe runs
-    /// in morsels of the left side.
+    /// to the (left, right) pair; the output pairs the inputs' row ids, laid
+    /// out as `slots` say. `partitions > 0` marks an exchange on the build
+    /// side: the probe runs in morsels of the left side.
     HashJoin {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
         keys: HashKeys,
         schema: Arc<Schema>,
-        emit: Emit,
+        slots: Vec<Slot>,
         partitions: usize,
     },
     /// Nested-loop join. `partitions > 0` marks an exchange on the outer
@@ -494,27 +372,23 @@ pub(crate) enum CompiledExpr {
         right: Box<CompiledExpr>,
         pred: CompiledPredicate,
         schema: Arc<Schema>,
-        emit: Emit,
+        slots: Vec<Slot>,
         partitions: usize,
     },
-    /// Hash (anti-)semijoin. `schema` is the preserved side's, carried here
-    /// so the result can be built from a borrowed base relation whatever
-    /// alias the scan runs under.
+    /// Hash (anti-)semijoin: the left input's row ids that (do not) match.
     HashSemi {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
         keys: HashKeys,
         keep_matching: bool,
-        schema: Arc<Schema>,
         partitions: usize,
     },
-    /// Nested-loop (anti-)semijoin; `schema` as for [`CompiledExpr::HashSemi`].
+    /// Nested-loop (anti-)semijoin.
     NlSemi {
         left: Box<CompiledExpr>,
         right: Box<CompiledExpr>,
         pred: CompiledPredicate,
         keep_matching: bool,
-        schema: Arc<Schema>,
         partitions: usize,
     },
     /// Decorrelated (anti-)semijoin: the predicate only reads the right
@@ -565,20 +439,44 @@ impl CompiledExpr {
             | CompiledExpr::Fused { schema, .. }
             | CompiledExpr::HashJoin { schema, .. }
             | CompiledExpr::NlJoin { schema, .. }
-            | CompiledExpr::HashSemi { schema, .. }
-            | CompiledExpr::NlSemi { schema, .. }
             | CompiledExpr::Union { schema, .. }
             | CompiledExpr::Division { schema, .. }
             | CompiledExpr::Rename { schema, .. }
             | CompiledExpr::Aggregate { schema, .. } => schema,
             CompiledExpr::Values { rel } => rel.schema(),
             CompiledExpr::DecorrelatedSemi { left_schema, .. } => left_schema,
-            CompiledExpr::Intersect { left, .. }
+            CompiledExpr::HashSemi { left, .. }
+            | CompiledExpr::NlSemi { left, .. }
+            | CompiledExpr::Intersect { left, .. }
             | CompiledExpr::Difference { left, .. }
             | CompiledExpr::UnifySemi { left, .. } => left.schema(),
             CompiledExpr::Distinct { input, .. } => input.schema(),
         }
     }
+}
+
+/// Where the output columns of `node`'s row-id set live, one (source,
+/// column) pair per position, and how many sources the set has: a join's
+/// are its left input's, then its right input's; an operator that passes
+/// its input's set on keeps its layout; anything else is one relation.
+fn layout(node: &CompiledExpr) -> (Vec<Slot>, usize) {
+    match node {
+        CompiledExpr::HashJoin { left, right, .. } | CompiledExpr::NlJoin { left, right, .. } => {
+            join_layout(left, right)
+        }
+        CompiledExpr::HashSemi { left, .. }
+        | CompiledExpr::NlSemi { left, .. }
+        | CompiledExpr::DecorrelatedSemi { left, .. }
+        | CompiledExpr::Rename { input: left, .. }
+        | CompiledExpr::Fused { source: left, project: None, dedup: false, .. } => layout(left),
+        other => ((0..other.schema().arity()).map(|c| (0, c)).collect(), 1),
+    }
+}
+
+fn join_layout(l: &CompiledExpr, r: &CompiledExpr) -> (Vec<Slot>, usize) {
+    let ((mut slots, l_sources), (right, r_sources)) = (layout(l), layout(r));
+    slots.extend(right.into_iter().map(|(s, c)| (l_sources + s, c)));
+    (slots, l_sources + r_sources)
 }
 
 /// A fully compiled physical plan: the operator tree plus the table of
@@ -594,20 +492,7 @@ impl CompiledPlan {
     /// Compile a physical plan against a database catalog. Schema inference
     /// and every column-name resolution happen here, once; executing the
     /// result performs neither.
-    ///
-    /// The compiled tree then goes through the column-liveness pass
-    /// (`liveness.rs`), always: joins emit only the columns an ancestor
-    /// reads.
     pub fn compile(plan: &PhysicalExpr, db: &Database) -> Result<CompiledPlan> {
-        let mut compiled = CompiledPlan::compile_all_columns(plan, db)?;
-        crate::liveness::narrow_plan(&mut compiled.root);
-        Ok(compiled)
-    }
-
-    /// [`CompiledPlan::compile`] before the liveness pass: every operator
-    /// emits every column. Not an execution mode — the reference the
-    /// liveness tests compare the narrowed tree against.
-    pub(crate) fn compile_all_columns(plan: &PhysicalExpr, db: &Database) -> Result<CompiledPlan> {
         static COMPILES: OnceLock<Arc<Counter>> = OnceLock::new();
         COMPILES.get_or_init(|| registry().counter(names::ENGINE_COMPILES)).incr();
         let mut scalars = Vec::new();
@@ -645,8 +530,8 @@ fn compile_expr(
             let child = compile_expr(input, db, scalars)?;
             let schema = child.schema().rename(columns).map_err(AlgebraError::Data)?.shared();
             Ok(match child {
-                CompiledExpr::Fused { source, steps, dedup, partitions, vec_plan, .. } => {
-                    CompiledExpr::Fused { source, steps, schema, dedup, partitions, vec_plan }
+                CompiledExpr::Fused { source, steps, project, dedup, partitions, .. } => {
+                    CompiledExpr::Fused { source, steps, project, schema, dedup, partitions }
                 }
                 other => CompiledExpr::Rename { input: Box::new(other), schema },
             })
@@ -654,8 +539,8 @@ fn compile_expr(
         PhysicalExpr::Distinct { input } => {
             let child = compile_expr(input, db, scalars)?;
             Ok(match child {
-                CompiledExpr::Fused { source, steps, schema, partitions, vec_plan, .. } => {
-                    CompiledExpr::Fused { source, steps, schema, dedup: true, partitions, vec_plan }
+                CompiledExpr::Fused { source, steps, project, schema, partitions, .. } => {
+                    CompiledExpr::Fused { source, steps, project, schema, dedup: true, partitions }
                 }
                 other => CompiledExpr::Distinct { input: Box::new(other) },
             })
@@ -673,10 +558,10 @@ fn compile_expr(
                     null_aware: compile_null_aware(null_ok, condition, &schema, scalars)?,
                 };
                 Ok(CompiledExpr::HashJoin {
+                    slots: join_layout(&l, &r).0,
                     left: Box::new(l),
                     right: Box::new(r),
                     keys,
-                    emit: Emit::whole(schema.arity()),
                     schema,
                     partitions,
                 })
@@ -688,10 +573,10 @@ fn compile_expr(
                 let schema = l.schema().concat(r.schema()).shared();
                 let pred = compile_condition(condition, &schema, scalars)?;
                 Ok(CompiledExpr::NlJoin {
+                    slots: join_layout(&l, &r).0,
                     left: Box::new(l),
                     right: Box::new(r),
                     pred,
-                    emit: Emit::whole(schema.arity()),
                     schema,
                     partitions,
                 })
@@ -724,7 +609,6 @@ fn compile_expr(
                         null_aware: compile_null_aware(null_ok, condition, &combined, scalars)?,
                     };
                     Ok(CompiledExpr::HashSemi {
-                        schema: l.schema().clone(),
                         left: Box::new(l),
                         right: Box::new(r),
                         keys,
@@ -739,7 +623,6 @@ fn compile_expr(
                     let combined = l.schema().concat(r.schema()).shared();
                     let pred = compile_condition(condition, &combined, scalars)?;
                     Ok(CompiledExpr::NlSemi {
-                        schema: l.schema().clone(),
                         left: Box::new(l),
                         right: Box::new(r),
                         pred,
@@ -880,42 +763,47 @@ fn compile_source(expr: &RaExpr, db: &Database) -> Result<CompiledExpr> {
     }
 }
 
-/// Append a per-row step to a child, fusing into an existing pipeline when
-/// possible. `new_schema` replaces the pipeline's output schema (projections);
-/// a projection also turns on output deduplication (set semantics).
+/// Append a step over the current output to a child, fusing into an
+/// existing pipeline when possible: a filter is re-anchored onto the
+/// source's columns, a projection composed into the pipeline's `project`.
+/// `new_schema` replaces the pipeline's output schema (projections); a
+/// projection also turns on output deduplication (set semantics).
 fn push_step(
     child: CompiledExpr,
     step: Step,
     new_schema: Option<Arc<Schema>>,
     partitions: usize,
 ) -> CompiledExpr {
-    let projecting = matches!(step, Step::Project(_));
-    match child {
-        CompiledExpr::Fused { source, mut steps, schema, dedup, partitions: existing, .. } => {
-            steps.push(step);
-            let vec_plan = vec_plan_of(&steps, source.schema().arity());
-            CompiledExpr::Fused {
-                source,
-                steps,
-                schema: new_schema.unwrap_or(schema),
-                dedup: dedup || projecting,
-                partitions: existing.max(partitions),
-                vec_plan,
-            }
+    let (source, mut steps, mut project, schema, dedup, existing) = match child {
+        CompiledExpr::Fused { source, steps, project, schema, dedup, partitions } => {
+            (source, steps, project, schema, dedup, partitions)
         }
         other => {
-            let schema = new_schema.unwrap_or_else(|| other.schema().clone());
-            let steps = vec![step];
-            let vec_plan = vec_plan_of(&steps, other.schema().arity());
-            CompiledExpr::Fused {
-                source: Box::new(other),
-                steps,
-                schema,
-                dedup: projecting,
-                partitions,
-                vec_plan,
-            }
+            let schema = other.schema().clone();
+            (Box::new(other), Vec::new(), None, schema, false, 0)
         }
+    };
+    let projecting = matches!(step, Step::Project(_));
+    steps.push(match step {
+        Step::Filter(mut pred) => {
+            if let Some(map) = &project {
+                pred.remap(map);
+            }
+            Step::Filter(pred)
+        }
+        Step::Project(positions) => {
+            project =
+                Some(positions.iter().map(|&p| project.as_ref().map_or(p, |m| m[p])).collect());
+            Step::Project(positions)
+        }
+    });
+    CompiledExpr::Fused {
+        source,
+        steps,
+        project,
+        schema: new_schema.unwrap_or(schema),
+        dedup: dedup || projecting,
+        partitions: existing.max(partitions),
     }
 }
 
@@ -1077,36 +965,6 @@ fn compile_operand(
             CompiledOperand::Scalar(idx)
         }
     })
-}
-
-/// Apply a fused step chain to one row — the row-at-a-time evaluator of a
-/// pipeline. A borrowed input is cloned only if it survives un-projected; an
-/// owned one moves through. With a `counter`, every filter step the row
-/// survives bumps that step's survivor count there — yielding, per filter,
-/// "rows passing filters `0..=k`", the same quantity the vectorized path
-/// reads off its running selection mask.
-pub(crate) fn apply_steps(
-    t: Cow<'_, Tuple>,
-    steps: &[Step],
-    scalars: &ScalarValues,
-    semantics: NullSemantics,
-    counter: Option<&ProfNode>,
-) -> Option<Tuple> {
-    let mut current = t;
-    for (k, step) in steps.iter().enumerate() {
-        match step {
-            Step::Filter(pred) => {
-                if !pred.eval(RowView::one(&current), scalars, semantics).is_true() {
-                    return None;
-                }
-                if let Some(p) = counter {
-                    p.add_step_rows(k, 1);
-                }
-            }
-            Step::Project(pos) => current = Cow::Owned(current.project(pos)),
-        }
-    }
-    Some(current.into_owned())
 }
 
 #[cfg(test)]

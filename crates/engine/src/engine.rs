@@ -20,17 +20,17 @@
 //! * [`JoinAlgo::NestedLoop`](certus_plan::physical::JoinAlgo::NestedLoop) /
 //!   [`SemiAlgo::NestedLoop`](certus_plan::physical::SemiAlgo::NestedLoop)
 //!   compare every pair (the fate of conditions with no key at all, such as
-//!   `A = B OR C IS NULL`) — predicates evaluate over the pair of input
-//!   tuples, so non-matching pairs are never concatenated;
+//!   `A = B OR C IS NULL`) — predicates read the pair of input rows in
+//!   place, so no row is built for a pair;
 //! * [`SemiAlgo::Decorrelated`](certus_plan::physical::SemiAlgo::Decorrelated)
 //!   evaluates the inner side once and short-circuits the whole branch — for
 //!   a `NOT EXISTS` that found a witness the outer side is never touched,
 //!   which is what makes the translated query Q⁺2 orders of magnitude faster
 //!   than Q2, as in the paper;
-//! * set operations, unification semijoins, division, renaming and
-//!   aggregation all run natively on owned relations (no schema clones, no
-//!   scratch-set tuple clones); aggregation groups through the hash
-//!   operators' key sets, nulls as ordinary key values.
+//! * set operations, unification semijoins, division and aggregation run
+//!   natively on the relations their inputs are built into (no schema
+//!   clones, no scratch-set tuple clones); aggregation groups through the
+//!   hash operators' key sets, nulls as ordinary key values.
 //!
 //! [`Engine::execute`] is the convenience entry point for logical plans: it
 //! plans them as given — no rewrite passes, no statistics; see
@@ -43,8 +43,8 @@
 //! (anti-)semijoin are each **one per-outer-row decision run by one
 //! driver**. The operator prepares its matcher — the two sides' key sets
 //! and the build table, or the nested-loop predicate — and passes a closure
-//! over the outer row index to `probe_emit` ("append the rows outer row `i`
-//! joins to") or `probe_keep` ("does outer row `i` have a partner"). The
+//! over the outer row index to `probe_emit` ("append the pairs outer row `i`
+//! joins in") or `probe_keep` ("does outer row `i` have a partner"). The
 //! driver beneath both, `for_each_outer`, owns the rest: the
 //! serial-vs-morsel-parallel split, the periodic cancellation check, probe
 //! hit/miss profiling, and the output order.
@@ -54,7 +54,7 @@
 //!   column that cannot be typed (mixed variants, all null), a cross-side
 //!   type mismatch under naive semantics, and everything under
 //!   `vectorized = false` — *row-valued*: `Value` hash and `Value ==` over
-//!   the rows themselves. Both fill the same table of build-row indices and
+//!   the values, read in place. Both fill the same table of build-row indices and
 //!   answer the same "build rows whose key equals probe row `i`'s" query, so
 //!   the operators never see which one ran; the profile does
 //!   (`vec_runs` vs `row_fallbacks`).
@@ -74,7 +74,7 @@
 //!   Join, semijoin and anti-semijoin all get this through the one matcher.
 //! * **What [`EngineConfig::vectorized`] selects** is the *evaluator*, never
 //!   the algorithm: typed-column vs row-valued keys, truth masks over the
-//!   extracted inner columns vs per-pair scalar evaluation in nested loops,
+//!   gathered inner columns vs per-pair scalar evaluation in nested loops,
 //!   column-wise vs row-at-a-time filters in fused pipelines. Each pairing
 //!   computes the same result in the same order, which is what lets the
 //!   differential tests and the benchmark's cross-check use the row side as
@@ -90,38 +90,30 @@
 //!
 //! # What an operator emits
 //!
-//! Rows are `Arc<[Value]>`, immutable and shared: an operator that passes a
-//! row on unchanged bumps a reference count, and only an operator that
-//! builds a *new* row allocates — once, sized exactly. Two compile-time
-//! decisions keep what is built to what is read:
+//! Operators hand each other **row-id sets** (`rows.rs`), not rows: the
+//! relations the rows come from — base relations borrowed in place,
+//! whatever their alias, or intermediates a consumer built — per source the
+//! ids of the rows, and a compile-time layout from each output position to
+//! a (source, column) pair. So a join costs one id per source per output
+//! row, whatever its width:
 //!
-//! * **Joins emit the live columns.** After compilation the liveness pass
-//!   (`liveness.rs`) hands every operator the set of its output
-//!   positions an ancestor reads. A hash or nested-loop join emits exactly
-//!   those (`Emit`; the whole pair only when every column is live) and
-//!   asks its inputs for them plus what its own condition reads; an
-//!   (anti-)semijoin asks its right input for the condition's columns only;
-//!   a decorrelated semijoin asks its inner side for the predicate's
-//!   columns; filter-only pipelines and renames pass the request through;
-//!   an aggregate asks for its group and aggregate columns. Beneath a
-//!   deduplication, a set operation, a unification semijoin, a division or
-//!   the plan root every column is live — dropping one there could merge
-//!   rows. No projection is inserted anywhere, so results are
-//!   byte-identical with or without the pass; the profile's `values_out`
-//!   (rows × emitted width) and `EXPLAIN ANALYZE`'s `[cols=k/n]` on join
-//!   lines show what it saved.
-//! * **Base relations are borrowed.** A scan under a fused pipeline, on
-//!   either side of a join or of a semijoin and on the inner side of a
-//!   decorrelated semijoin is read in place, whatever its alias (predicates
-//!   and keys are positional, output schemas precompiled — a semijoin
-//!   builds its result under the schema compiled onto its node, not the
-//!   preserved relation's). A borrowed
-//!   scan is never narrowed and materialises nothing (`values_out` 0). Only
-//!   a scan consumed by an operator that needs an owned relation — a union
-//!   arm, a set operation, the plan root — copies, and then row pointers.
-//!   The typed columns filters and hash keys read come from the relation's
-//!   own cache ([`Relation::column`]), so a borrowed base relation is
-//!   extracted once per snapshot, not once per operator per execution.
+//! * a scan is its relation, every row; a filter-only pipeline keeps the
+//!   ids its masks select; a hash or nested-loop join appends each joining
+//!   pair's ids, in probe order; a hash, nested-loop or decorrelated
+//!   (anti-)semijoin keeps its left side's ids; a rename passes the set on;
+//! * filters, hash keys and nested-loop inner columns read typed columns
+//!   gathered by id from the sources' own caches ([`Relation::column`]), so
+//!   a base relation is extracted once per snapshot, not once per operator
+//!   per execution; residuals, null-aware full conditions, the
+//!   decorrelated predicate and row-valued keys read single values through
+//!   the layout;
+//! * tuples are built only where a consumer needs whole rows — the plan
+//!   root, a projecting or deduplicating pipeline, δ, union arms, ∩, −,
+//!   ⋉⇑, ÷ and γ — and of the columns it reads (a projection's, γ's group
+//!   and aggregate columns). Rows are `Arc<[Value]>`: one relation's rows
+//!   read whole are passed on by pointer, as the answer of a filter over a
+//!   scan is. The profile's `values_out` counts the values built, so it is
+//!   zero wherever rows were only selected, paired or passed on.
 //!
 //! # Parallel execution
 //!
@@ -137,8 +129,9 @@
 //!   split into contiguous morsels;
 //! * exchanges under a union mark its branches (the translation's split-union
 //!   `Q⁺` arms) for **concurrent evaluation**;
-//! * an exchange under a filter splits the input into contiguous morsels
-//!   run through the fused step pipeline in parallel.
+//! * an exchange under a filter splits the input into contiguous morsels —
+//!   sub-ranges of its row ids, whose columns are gathered from the cached
+//!   ones — filtered in parallel.
 //!
 //! Nothing is hash-partitioned: every fan-out is over contiguous index
 //! ranges (or whole union arms) concatenated in order. Deduplication,
@@ -157,11 +150,9 @@
 //! many exchanges are in flight.
 
 use crate::analyze::skeleton;
-use crate::compile::{
-    apply_steps, CompiledExpr, CompiledPlan, CompiledPredicate, Emit, HashKeys, RowView,
-    ScalarValues, Step, VecPlan,
-};
-use crate::vector::{self, BoundPred, KeySet, KeyTable, Rows};
+use crate::compile::{CompiledExpr, CompiledPlan, CompiledPredicate, HashKeys, ScalarValues, Step};
+use crate::rows::{RowView, Rows, Slot};
+use crate::vector::{self, BoundPred, KeySet, KeyTable};
 use certus_algebra::eval::Evaluator;
 use certus_algebra::expr::{AggFunc, RaExpr};
 use certus_algebra::{AlgebraError, NullSemantics, Result};
@@ -383,9 +374,7 @@ impl<'a> Engine<'a> {
     /// uncorrelated scalar subqueries are evaluated lazily, at most once per
     /// execution.
     pub fn execute_compiled(&self, plan: &CompiledPlan) -> Result<Relation> {
-        let scalars =
-            ScalarCtx { exprs: &plan.scalars, values: ScalarValues::new(plan.scalars.len()) };
-        self.exec(&plan.root, &scalars, None)
+        self.run(plan, None)
     }
 
     /// Execute an already compiled plan under instrumentation: alongside the
@@ -404,10 +393,22 @@ impl<'a> Engine<'a> {
         plan: &CompiledPlan,
     ) -> Result<(Relation, QueryProfile)> {
         let prof = skeleton(&plan.root);
+        let rel = self.run(plan, Some(&prof))?;
+        Ok((rel, prof.finish()))
+    }
+
+    /// Execute the plan's root and build the answer's rows, all of them in
+    /// the root's profile node (time, rows, values built).
+    fn run(&self, plan: &CompiledPlan, prof: Option<&ProfNode>) -> Result<Relation> {
         let scalars =
             ScalarCtx { exprs: &plan.scalars, values: ScalarValues::new(plan.scalars.len()) };
-        let rel = self.exec(&plan.root, &scalars, Some(&prof))?;
-        Ok((rel, prof.finish()))
+        let timer = prof.map(|_| Timer::start());
+        let rows = self.exec_node(&plan.root, &scalars, prof)?;
+        let answer = Relation::from_parts(plan.schema().clone(), tuples(rows, None, prof));
+        if let (Some(p), Some(timer)) = (prof, timer) {
+            p.stats.record_invocation(answer.len() as u64, timer.elapsed_ns());
+        }
+        Ok(answer)
     }
 
     /// Ensure the scalar subqueries a predicate reads have been evaluated.
@@ -441,181 +442,179 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// [`Engine::ensure_scalars`] for every filter predicate of a fused step
-    /// chain.
-    fn ensure_step_scalars(&self, steps: &[Step], scalars: &ScalarCtx<'_>) -> Result<()> {
-        for step in steps {
-            if let Step::Filter(pred) = step {
-                self.ensure_scalars(scalars, pred.scalar_refs())?;
-            }
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Native compiled execution
     // ------------------------------------------------------------------
-
-    /// Execute a join-like operator's child, *borrowing* the base relation
-    /// when the child is a scan — the join operators only read tuples
-    /// through positions (output schemas are precompiled), so copying even
-    /// the base table's row pointers per execution would be pure overhead.
-    /// The borrowed relation carries the *stored* schema, not the alias the
-    /// scan runs under: nothing reads it — a semijoin builds its result under
-    /// the schema compiled onto its own node.
-    fn exec_rel<'e>(
-        &'e self,
-        node: &CompiledExpr,
-        scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
-    ) -> Result<Cow<'e, Relation>> {
-        if let CompiledExpr::Scan { name, .. } = node {
-            let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
-            if let Some(p) = prof {
-                // Borrowing the base table is free; the scan still counts
-                // as one invocation producing the table's rows (and no
-                // values: nothing was materialised).
-                p.stats.record_invocation(rel.len() as u64, 0);
-            }
-            return Ok(Cow::Borrowed(rel));
-        }
-        self.exec(node, scalars, prof).map(Cow::Owned)
-    }
 
     /// Execute one node, recording its invocation (output rows + inclusive
     /// wall time) into `prof` when instrumented. All recursion goes through
     /// here, so every profile node gets its actuals exactly once per
     /// execution.
-    fn exec(
-        &self,
-        node: &CompiledExpr,
+    fn exec<'p>(
+        &'p self,
+        node: &'p CompiledExpr,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
+    ) -> Result<Rows<'p>> {
         match prof {
             None => self.exec_node(node, scalars, None),
             Some(p) => {
                 let timer = Timer::start();
-                let rel = self.exec_node(node, scalars, prof)?;
-                p.stats.record_invocation(rel.len() as u64, timer.elapsed_ns());
-                p.stats.record_values_out((rel.len() * rel.arity()) as u64);
-                Ok(rel)
+                let rows = self.exec_node(node, scalars, prof)?;
+                p.stats.record_invocation(rows.len() as u64, timer.elapsed_ns());
+                Ok(rows)
             }
         }
     }
 
-    fn exec_node(
-        &self,
-        node: &CompiledExpr,
+    fn exec_node<'p>(
+        &'p self,
+        node: &'p CompiledExpr,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
+    ) -> Result<Rows<'p>> {
         // Operator entry is a morsel boundary: a cancelled query stops here
         // instead of descending into more work.
         self.check_cancelled()?;
         // The profile node for the i-th child (indices follow the skeleton:
         // binary operators are [left, right], unions are arms in order).
         let pc = |i: usize| prof.and_then(|p| p.child(i));
+        let owned = |rel: Relation| Rows::whole(Cow::Owned(rel));
         match node {
-            // Reached only where the consumer needs an owned relation (a
-            // union arm, a set operation, the plan root, …): the copy is of
-            // row pointers, the rows stay the base relation's.
-            CompiledExpr::Scan { name, schema } => {
-                let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
-                Ok(Relation::from_parts(schema.clone(), rel.tuples().to_vec()))
+            CompiledExpr::Scan { name, .. } => {
+                Ok(Rows::whole(Cow::Borrowed(self.db.relation(name).map_err(AlgebraError::Data)?)))
             }
-            CompiledExpr::Values { rel } => Ok(rel.clone()),
-            CompiledExpr::Fused { source, steps, schema, dedup, partitions, vec_plan } => {
-                self.exec_fused(source, steps, schema, *dedup, *partitions, vec_plan, scalars, prof)
+            CompiledExpr::Values { rel } => Ok(Rows::whole(Cow::Borrowed(rel))),
+            CompiledExpr::Fused { source, steps, project, schema, dedup, partitions } => {
+                let input = self.exec(source, scalars, pc(0))?;
+                let rows = self.exec_filters(input, steps, *partitions, scalars, prof)?;
+                if project.is_none() && !dedup {
+                    return Ok(rows);
+                }
+                let mut out =
+                    Relation::from_parts(schema.clone(), tuples(rows, project.as_deref(), prof));
+                if *dedup {
+                    out.dedup();
+                }
+                Ok(owned(out))
             }
-            CompiledExpr::HashJoin { left, right, keys, schema, emit, partitions } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
-                self.hash_join(&l, &r, keys, schema, emit, *partitions, scalars, prof)
+            CompiledExpr::HashJoin { left, right, keys, slots, partitions, .. } => {
+                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
+                self.hash_join(l, r, keys, slots, *partitions, scalars, prof)
             }
-            CompiledExpr::NlJoin { left, right, pred, schema, emit, partitions } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
-                self.nl_join(&l, &r, pred, schema, emit, *partitions, scalars, prof)
+            CompiledExpr::NlJoin { left, right, pred, slots, partitions, .. } => {
+                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
+                self.nl_join(l, r, pred, slots, *partitions, scalars, prof)
             }
-            CompiledExpr::HashSemi { left, right, keys, keep_matching, schema, partitions } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
+            CompiledExpr::HashSemi { left, right, keys, keep_matching, partitions } => {
+                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
                 let keep =
                     self.hash_semi(&l, &r, keys, *keep_matching, *partitions, scalars, prof)?;
-                Ok(semi_result(l, keep, schema))
+                Ok(l.select(keep))
             }
-            CompiledExpr::NlSemi { left, right, pred, keep_matching, schema, partitions } => {
-                let l = self.exec_rel(left, scalars, pc(0))?;
-                let r = self.exec_rel(right, scalars, pc(1))?;
+            CompiledExpr::NlSemi { left, right, pred, keep_matching, partitions } => {
+                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
                 let keep =
                     self.nl_semi(&l, &r, pred, *keep_matching, *partitions, scalars, prof)?;
-                Ok(semi_result(l, keep, schema))
+                Ok(l.select(keep))
             }
-            CompiledExpr::DecorrelatedSemi { left, right, pred, keep_matching, left_schema } => {
+            CompiledExpr::DecorrelatedSemi { left, right, pred, keep_matching, .. } => {
                 // The predicate never looks at the outer side, so the inner
-                // side decides the fate of *all* outer tuples at once. A base
-                // relation is borrowed: the witness search touches the rows
-                // it inspects and nothing else.
-                let r = self.exec_rel(right, scalars, pc(1))?;
+                // side decides the fate of *all* outer rows at once: the
+                // witness search reads the values it inspects and nothing
+                // else.
+                let r = self.exec(right, scalars, pc(1))?;
                 if let Some(p) = prof {
                     p.stats.record_rows_in(r.len() as u64);
                 }
                 if !r.is_empty() {
                     self.ensure_scalars(scalars, pred.scalar_refs())?;
                 }
-                let exists = r.iter().any(|rt| {
-                    pred.eval(RowView::one(rt), &scalars.values, self.semantics).is_true()
+                let exists = (0..r.len()).any(|j| {
+                    pred.eval(RowView::one(&r, j), &scalars.values, self.semantics).is_true()
                 });
                 if exists == *keep_matching {
                     self.exec(left, scalars, pc(0))
                 } else {
                     // Short-circuit: for a NOT EXISTS that found a witness
                     // the answer is empty and the outer side never runs.
-                    Ok(Relation::empty(left_schema.clone()))
+                    Ok(Rows::empty())
                 }
             }
             CompiledExpr::Union { arms, schema, parallel } => {
-                self.exec_union(arms, schema, *parallel, scalars, prof)
+                Ok(owned(self.exec_union(arms, schema, *parallel, scalars, prof)?))
             }
             CompiledExpr::Intersect { left, right } => {
                 let (l, r) = self.exec_both(left, right, scalars, prof)?;
-                Ok(set_filter(l, &r, true))
+                Ok(owned(set_filter(l, &r, true)))
             }
             CompiledExpr::Difference { left, right } => {
                 let (l, r) = self.exec_both(left, right, scalars, prof)?;
-                Ok(set_filter(l, &r, false))
+                Ok(owned(set_filter(l, &r, false)))
             }
             CompiledExpr::UnifySemi { left, right, keep_matching } => {
                 let (l, r) = self.exec_both(left, right, scalars, prof)?;
-                self.unify_semi(l, &r, *keep_matching)
+                let keep = self.unify_semi(&l, &r, *keep_matching)?;
+                Ok(owned(l).select(keep))
             }
             CompiledExpr::Division { left, right, key_positions, shared_positions, schema } => {
                 let (l, r) = self.exec_both(left, right, scalars, prof)?;
-                self.division(&l, &r, key_positions, shared_positions, schema)
+                Ok(owned(self.division(&l, &r, key_positions, shared_positions, schema)?))
             }
-            CompiledExpr::Rename { input, schema } => {
-                let rel = self.exec(input, scalars, pc(0))?;
+            CompiledExpr::Rename { input, .. } => {
+                let rows = self.exec(input, scalars, pc(0))?;
                 if let Some(p) = prof {
-                    p.stats.record_rows_in(rel.len() as u64);
+                    p.stats.record_rows_in(rows.len() as u64);
                 }
-                Ok(Relation::from_parts(schema.clone(), rel.into_tuples()))
+                Ok(rows)
             }
             CompiledExpr::Distinct { input } => {
-                let rel = self.exec(input, scalars, pc(0))?;
-                if let Some(p) = prof {
-                    p.stats.record_rows_in(rel.len() as u64);
-                }
-                Ok(rel.into_distinct())
+                let rel = self.exec_whole(input, scalars, pc(0), prof)?;
+                Ok(owned(rel.into_distinct()))
             }
             CompiledExpr::Aggregate { input, group_pos, aggs, schema } => {
-                let rel = self.exec(input, scalars, pc(0))?;
+                let rows = self.exec(input, scalars, pc(0))?;
                 if let Some(p) = prof {
-                    p.stats.record_rows_in(rel.len() as u64);
+                    p.stats.record_rows_in(rows.len() as u64);
                 }
-                self.exec_aggregate(&rel, group_pos, aggs, schema)
+                // A join's rows are built of the columns γ reads; one
+                // relation's rows are taken whole.
+                let reads = (!rows.is_one_relation()).then(|| {
+                    let mut reads: Vec<usize> =
+                        group_pos.iter().copied().chain(aggs.iter().filter_map(|a| a.1)).collect();
+                    reads.sort_unstable();
+                    reads.dedup();
+                    reads
+                });
+                let at =
+                    |p: usize| reads.as_ref().map_or(p, |r| r.binary_search(&p).expect("read"));
+                let group: Vec<usize> = group_pos.iter().map(|&p| at(p)).collect();
+                let aggs: Vec<_> = aggs.iter().map(|&(func, pos)| (func, pos.map(at))).collect();
+                let built_schema = match &reads {
+                    Some(reads) => input.schema().project(reads).shared(),
+                    None => input.schema().clone(),
+                };
+                let rel = Relation::from_parts(built_schema, tuples(rows, reads.as_deref(), prof));
+                Ok(owned(self.exec_aggregate(&rel, &group, &aggs, schema)?))
             }
         }
+    }
+
+    /// Execute `node` and build its rows, every column: the input of an
+    /// operator that needs whole rows. The values built count on `prof`,
+    /// the consumer's node, as the rows do in its `rows_in`.
+    fn exec_whole(
+        &self,
+        node: &CompiledExpr,
+        scalars: &ScalarCtx<'_>,
+        child: Option<&ProfNode>,
+        prof: Option<&ProfNode>,
+    ) -> Result<Relation> {
+        let rows = self.exec(node, scalars, child)?;
+        if let Some(p) = prof {
+            p.stats.record_rows_in(rows.len() as u64);
+        }
+        Ok(Relation::from_parts(node.schema().clone(), tuples(rows, None, prof)))
     }
 
     /// Execute both inputs of an operator that consumes them whole (the set
@@ -627,21 +626,18 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Result<(Relation, Relation)> {
-        let l = self.exec(left, scalars, prof.and_then(|p| p.child(0)))?;
-        let r = self.exec(right, scalars, prof.and_then(|p| p.child(1)))?;
-        if let Some(p) = prof {
-            p.stats.record_rows_in((l.len() + r.len()) as u64);
-        }
+        let l = self.exec_whole(left, scalars, prof.and_then(|p| p.child(0)), prof)?;
+        let r = self.exec_whole(right, scalars, prof.and_then(|p| p.child(1)), prof)?;
         Ok((l, r))
     }
 
-    /// Unification (anti-)semijoin: compares every pair, so it runs on the
+    /// Unification (anti-)semijoin: the positions of `l` that (do not)
+    /// unify with a row of `r`. It compares every pair, so it runs on the
     /// probe driver and stays cancellable.
-    fn unify_semi(&self, l: Relation, r: &Relation, keep_matching: bool) -> Result<Relation> {
-        let keep = self.probe_keep(l.len(), 1, keep_matching, None, |i| {
+    fn unify_semi(&self, l: &Relation, r: &Relation, keep_matching: bool) -> Result<Vec<u32>> {
+        self.probe_keep(l.len(), 1, keep_matching, None, |i| {
             r.iter().any(|rt| certus_data::unify::tuples_unify(&l.tuples()[i], rt))
-        })?;
-        Ok(retain_by_flags(l, keep))
+        })
     }
 
     /// Relational division: the dividend keys whose combination with every
@@ -697,7 +693,8 @@ impl<'a> Engine<'a> {
         schema: &Arc<Schema>,
     ) -> Result<Relation> {
         let rows = rel.tuples();
-        let keys = KeySet::build(rel, group_pos, true, self.config.vectorized, self.db.str_pool());
+        let set = Rows::whole(Cow::Borrowed(rel));
+        let keys = KeySet::build(&set, group_pos, true, self.config.vectorized, self.db.str_pool());
         let table = keys.table();
         let mut tuples = self.for_each_outer(rows.len(), 1, |i, out| {
             let mut group = keys.matches(i, &keys, &table).peekable();
@@ -713,120 +710,76 @@ impl<'a> Engine<'a> {
         Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
-    /// Execute a fused step pipeline: a scan source streams borrowed base
-    /// tuples (rows dropped by a filter are never cloned), any other source
-    /// is executed and its tuples moved through the steps.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_fused(
+    /// The filters of a fused pipeline over its input: the rows every filter
+    /// holds on, in order — found column-wise when vectorized, row by row
+    /// through [`RowView`] otherwise, in morsels (contiguous sub-ranges of
+    /// the input) only when the plan carried an exchange under a filter.
+    fn exec_filters<'p>(
         &self,
-        source: &CompiledExpr,
+        input: Rows<'p>,
         steps: &[Step],
-        schema: &Arc<Schema>,
-        dedup: bool,
         partitions: usize,
-        vec_plan: &Option<VecPlan>,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
-        let input: Cow<'_, Relation> = match source {
-            CompiledExpr::Scan { name, .. } => {
-                let rel = self.db.relation(name).map_err(AlgebraError::Data)?;
-                // The pipeline streams the base table without executing the
-                // scan node; credit it its rows anyway.
-                if let Some(c) = prof.and_then(|p| p.child(0)) {
-                    c.stats.record_invocation(rel.len() as u64, 0);
-                }
-                Cow::Borrowed(rel)
-            }
-            other => Cow::Owned(self.exec(other, scalars, prof.and_then(|p| p.child(0)))?),
-        };
+    ) -> Result<Rows<'p>> {
         if let Some(p) = prof {
             p.stats.record_rows_in(input.len() as u64);
         }
+        let filters: Vec<(usize, &CompiledPredicate)> = (steps.iter().enumerate())
+            .filter_map(|(k, step)| match step {
+                Step::Filter(pred) => Some((k, pred)),
+                Step::Project(_) => None,
+            })
+            .collect();
+        if filters.is_empty() {
+            return Ok(input);
+        }
         if !input.is_empty() {
-            self.ensure_step_scalars(steps, scalars)?;
-        }
-        let vec_plan = vec_plan.as_ref().filter(|_| self.config.vectorized);
-        let tuples = self.run_steps(input, steps, vec_plan, partitions, scalars, prof)?;
-        let mut out = Relation::from_parts(schema.clone(), tuples);
-        if dedup {
-            out.dedup();
-        }
-        Ok(out)
-    }
-
-    /// The one morsel driver of fused pipelines. A morsel runs through the
-    /// batch-at-a-time evaluator when `vec_plan` is given (read the filter
-    /// columns, evaluate the predicates into truth masks, gather survivors)
-    /// and row-at-a-time through [`apply_steps`] otherwise. Only pipelines
-    /// whose plan carried an exchange under a filter fan out, over contiguous
-    /// morsels concatenated in order — output order is input order either
-    /// way. Serially the morsel is the whole input, whose columns come from
-    /// its cache.
-    fn run_steps(
-        &self,
-        input: Cow<'_, Relation>,
-        steps: &[Step],
-        vec_plan: Option<&VecPlan>,
-        partitions: usize,
-        scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
-    ) -> Result<Vec<Tuple>> {
-        // Per-step survivor counts: vec plans drop projections, so their
-        // i-th filter maps back to a step index.
-        let filter_steps: Vec<usize> = match (prof, vec_plan) {
-            (Some(_), Some(_)) => {
-                (0..steps.len()).filter(|&i| matches!(steps[i], Step::Filter(_))).collect()
+            for (_, pred) in &filters {
+                self.ensure_scalars(scalars, pred.scalar_refs())?;
             }
-            _ => Vec::new(),
+        }
+        let (vectorized, semantics, values) =
+            (self.config.vectorized, self.semantics, &scalars.values);
+        let run_morsel = |range: &Range<usize>| -> Result<Vec<u32>> {
+            if vectorized {
+                let pool = self.db.str_pool();
+                return Ok(vector::select(
+                    &input,
+                    range.clone(),
+                    &filters,
+                    values,
+                    semantics,
+                    pool,
+                    prof,
+                ));
+            }
+            let holds = |i: usize, &(k, pred): &(usize, &CompiledPredicate)| {
+                let holds = pred.eval(RowView::one(&input, i), values, semantics).is_true();
+                if let (true, Some(p)) = (holds, prof) {
+                    p.add_step_rows(k, 1);
+                }
+                holds
+            };
+            Ok(range
+                .clone()
+                .filter(|&i| filters.iter().all(|f| holds(i, f)))
+                .map(|i| i as u32)
+                .collect())
         };
-        let run_morsel = |rows: Rows<'_>| -> Vec<Tuple> {
-            match vec_plan {
-                Some(plan) => vector::filter_gather(
-                    rows,
-                    plan,
-                    &scalars.values,
-                    self.semantics,
-                    self.db.str_pool(),
-                    prof.map(|p| (p, filter_steps.as_slice())),
-                ),
-                None => rows
-                    .tuples()
-                    .iter()
-                    .filter_map(|t| {
-                        apply_steps(Cow::Borrowed(t), steps, &scalars.values, self.semantics, prof)
-                    })
-                    .collect(),
-            }
-        };
-        if let (Some(p), Some(_)) = (prof, vec_plan) {
-            p.stats.record_vec_run();
-        }
-        let n = self.workers(partitions, input.len());
-        if n > 1 {
-            let morsels: Vec<&[Tuple]> = chunks_of(input.tuples(), n);
-            if let Some(p) = prof {
-                p.stats.record_batches(morsels.len() as u64);
-                // Small inputs chunk into fewer morsels than `n`; never
-                // report more workers than there are tasks to run.
-                let cap = self.pool().width().min(n).min(morsels.len());
-                p.stats.record_parallel(morsels.len() as u64, cap as u64);
-            }
-            return self.parallel_flat(&morsels, |rows| Ok(run_morsel(Rows::Morsel(rows))));
-        }
+        let morsels = index_ranges(input.len(), self.workers(partitions, input.len()));
         if let Some(p) = prof {
-            p.stats.record_batches(1);
+            p.stats.record_batches(morsels.len() as u64);
+            if vectorized {
+                p.stats.record_vec_run();
+            }
+            if morsels.len() > 1 {
+                let workers = self.pool().width().min(morsels.len());
+                p.stats.record_parallel(morsels.len() as u64, workers as u64);
+            }
         }
-        Ok(match input {
-            Cow::Owned(rel) if vec_plan.is_none() => rel
-                .into_tuples()
-                .into_iter()
-                .filter_map(|t| {
-                    apply_steps(Cow::Owned(t), steps, &scalars.values, self.semantics, prof)
-                })
-                .collect(),
-            rel => run_morsel(Rows::Whole(&rel)),
-        })
+        let keep = self.parallel_flat(&morsels, run_morsel)?;
+        Ok(input.select(keep))
     }
 
     // ------------------------------------------------------------------
@@ -841,8 +794,8 @@ impl<'a> Engine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn join_workers(
         &self,
-        l: &Relation,
-        r: &Relation,
+        l: &Rows<'_>,
+        r: &Rows<'_>,
         pred: &CompiledPredicate,
         work: usize,
         partitions: usize,
@@ -873,8 +826,8 @@ impl<'a> Engine<'a> {
     /// the matcher took to build, apart from the probes.
     fn hash_matcher<'r>(
         &self,
-        l: &'r Relation,
-        r: &'r Relation,
+        l: &'r Rows<'r>,
+        r: &'r Rows<'r>,
         keys: &'r HashKeys,
         scalars: &'r ScalarCtx<'_>,
         prof: Option<&ProfNode>,
@@ -908,8 +861,8 @@ impl<'a> Engine<'a> {
             wild_build: build.wild_rows(),
             probe,
             build,
-            l: l.tuples(),
-            r: r.tuples(),
+            l,
+            r,
             keys,
             values: &scalars.values,
             semantics: self.semantics,
@@ -917,41 +870,41 @@ impl<'a> Engine<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn hash_join(
+    fn hash_join<'p>(
         &self,
-        l: &Relation,
-        r: &Relation,
+        l: Rows<'p>,
+        r: Rows<'p>,
         keys: &HashKeys,
-        schema: &Arc<Schema>,
-        emit: &Emit,
+        slots: &'p [Slot],
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
+    ) -> Result<Rows<'p>> {
         let work = l.len() + r.len();
         let n =
-            self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
-        let matcher = self.hash_matcher(l, r, keys, scalars, prof);
-        let tuples = self.probe_emit(l.len(), n, prof, |i, out| {
+            self.join_workers(&l, &r, keys.widest_predicate(), work, partitions, scalars, prof)?;
+        let matcher = self.hash_matcher(&l, &r, keys, scalars, prof);
+        let pairs = self.probe_emit(l.len(), n, prof, |i, out| {
             matcher.partners(i, |j| {
-                out.push(emit.row(&l.tuples()[i], &r.tuples()[j]));
+                out.push((i as u32, j as u32));
                 true
             })
         })?;
-        Ok(Relation::from_parts(schema.clone(), tuples))
+        drop(matcher);
+        Ok(Rows::join(l, r, &pairs, slots))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn hash_semi(
         &self,
-        l: &Relation,
-        r: &Relation,
+        l: &Rows<'_>,
+        r: &Rows<'_>,
         keys: &HashKeys,
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Vec<bool>> {
+    ) -> Result<Vec<u32>> {
         let work = l.len() + r.len();
         let n =
             self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
@@ -967,8 +920,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The vectorized evaluator of a nested loop's predicate, when this
-    /// execution uses one: the inner columns the predicate reads, taken
-    /// once from the inner relation's cache, its outer-independent subtrees
+    /// execution uses one: the inner columns the predicate reads, gathered
+    /// once from the inner sources' caches, its outer-independent subtrees
     /// hoisted into cached masks, so each outer row evaluates against *all*
     /// inner rows at once. `None`
     /// selects per-pair scalar evaluation: `vectorized = false`, or an empty
@@ -978,8 +931,8 @@ impl<'a> Engine<'a> {
     fn bind_inner<'r>(
         &self,
         pred: &CompiledPredicate,
-        l: &Relation,
-        r: &'r Relation,
+        l: &Rows<'_>,
+        r: &'r Rows<'r>,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
     ) -> Option<BoundPred<'r>> {
@@ -992,76 +945,95 @@ impl<'a> Engine<'a> {
         Some(BoundPred::prepare(
             pred,
             r,
-            l.schema().arity(),
+            l.width(),
             &scalars.values,
             self.semantics,
             self.db.str_pool(),
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn nl_join(
+    /// Call `hit(j)` for every inner row `j` outer row `i` satisfies a
+    /// nested loop's predicate with, in inner order, until `hit` returns
+    /// `false`: evaluated per pair, or with `bound` for all inner rows at
+    /// once (the mask is whole then, so every true row is visited).
+    fn nl_partners(
         &self,
-        l: &Relation,
-        r: &Relation,
+        (l, i): (&Rows<'_>, usize),
+        r: &Rows<'_>,
         pred: &CompiledPredicate,
-        schema: &Arc<Schema>,
-        emit: &Emit,
-        partitions: usize,
-        scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
-    ) -> Result<Relation> {
-        let pairs = l.len().saturating_mul(r.len());
-        let n = self.join_workers(l, r, pred, pairs, partitions, scalars, prof)?;
-        let bound = self.bind_inner(pred, l, r, scalars, prof);
-        let (values, semantics, pool) = (&scalars.values, self.semantics, self.db.str_pool());
-        let tuples = self.probe_emit(l.len(), n, None, |i, out| {
-            let lt = &l.tuples()[i];
-            match &bound {
-                Some(bound) => bound
-                    .eval(lt, values, semantics, pool)
-                    .for_each_true(|j| out.push(emit.row(lt, &r.tuples()[j]))),
-                None => {
-                    for rt in r.iter() {
-                        if pred.eval(RowView::pair(lt, rt), values, semantics).is_true() {
-                            out.push(emit.row(lt, rt));
-                        }
+        bound: Option<&BoundPred<'_>>,
+        values: &ScalarValues,
+        mut hit: impl FnMut(usize) -> bool,
+    ) {
+        match bound {
+            Some(bound) => bound
+                .eval(RowView::one(l, i), values, self.semantics, self.db.str_pool())
+                .for_each_true(|j| {
+                    hit(j);
+                }),
+            None => {
+                for j in 0..r.len() {
+                    let holds = pred.eval(RowView::pair(l, i, r, j), values, self.semantics);
+                    if holds.is_true() && !hit(j) {
+                        return;
                     }
                 }
             }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn nl_join<'p>(
+        &self,
+        l: Rows<'p>,
+        r: Rows<'p>,
+        pred: &CompiledPredicate,
+        slots: &'p [Slot],
+        partitions: usize,
+        scalars: &ScalarCtx<'_>,
+        prof: Option<&ProfNode>,
+    ) -> Result<Rows<'p>> {
+        let pairs = l.len().saturating_mul(r.len());
+        let n = self.join_workers(&l, &r, pred, pairs, partitions, scalars, prof)?;
+        let bound = self.bind_inner(pred, &l, &r, scalars, prof);
+        let pairs = self.probe_emit(l.len(), n, None, |i, out| {
+            let hit = |j: usize| {
+                out.push((i as u32, j as u32));
+                true
+            };
+            self.nl_partners((&l, i), &r, pred, bound.as_ref(), &scalars.values, hit)
         })?;
-        Ok(Relation::from_parts(schema.clone(), tuples))
+        drop(bound);
+        Ok(Rows::join(l, r, &pairs, slots))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn nl_semi(
         &self,
-        l: &Relation,
-        r: &Relation,
+        l: &Rows<'_>,
+        r: &Rows<'_>,
         pred: &CompiledPredicate,
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
         prof: Option<&ProfNode>,
-    ) -> Result<Vec<bool>> {
+    ) -> Result<Vec<u32>> {
         let pairs = l.len().saturating_mul(r.len());
         let n = self.join_workers(l, r, pred, pairs, partitions, scalars, prof)?;
         let bound = self.bind_inner(pred, l, r, scalars, prof);
-        let (values, semantics, pool) = (&scalars.values, self.semantics, self.db.str_pool());
         self.probe_keep(l.len(), n, keep_matching, None, |i| {
-            let lt = &l.tuples()[i];
-            match &bound {
-                Some(bound) => bound.eval(lt, values, semantics, pool).any_true(),
-                None => {
-                    r.iter().any(|rt| pred.eval(RowView::pair(lt, rt), values, semantics).is_true())
-                }
-            }
+            let mut matched = false;
+            self.nl_partners((l, i), r, pred, bound.as_ref(), &scalars.values, |_| {
+                matched = true;
+                false
+            });
+            matched
         })
     }
 
     /// Execute a union: evaluate the arms (concurrently when the plan marked
-    /// them and the thread budget allows it), concatenate in arm order and
-    /// deduplicate once.
+    /// them and the thread budget allows it), build their rows, concatenate
+    /// in arm order and deduplicate once.
     fn exec_union(
         &self,
         arms: &[CompiledExpr],
@@ -1080,7 +1052,8 @@ impl<'a> Engine<'a> {
             && arms.iter().map(|a| self.input_rows_hint(a)).sum::<usize>()
                 >= self.config.parallel_floor;
         let run = |i: usize, arm: &CompiledExpr| {
-            self.exec(arm, scalars, prof.and_then(|p| p.child(i))).map(Relation::into_tuples)
+            let rows = self.exec(arm, scalars, prof.and_then(|p| p.child(i)))?;
+            Ok(tuples(rows, None, prof))
         };
         let tuples = if fan_out {
             // One pool task per arm, concatenated in arm order.
@@ -1182,18 +1155,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Join driver: `emit(i, out)` appends the output rows of outer row `i`.
-    /// `probes` (hash operators) counts an outer row as a probe hit iff it
-    /// emitted anything.
+    /// Join driver: `emit(i, out)` appends the joining pairs of outer row `i`
+    /// (outer position, inner position). `probes` (hash operators) counts an
+    /// outer row as a probe hit iff it emitted anything.
     fn probe_emit<F>(
         &self,
         len: usize,
         workers: usize,
         probes: Option<&ProfNode>,
         emit: F,
-    ) -> Result<Vec<Tuple>>
+    ) -> Result<Vec<(u32, u32)>>
     where
-        F: Fn(usize, &mut Vec<Tuple>) + Sync,
+        F: Fn(usize, &mut Vec<(u32, u32)>) + Sync,
     {
         self.for_each_outer(len, workers, |i, out| {
             let before = out.len();
@@ -1206,9 +1179,9 @@ impl<'a> Engine<'a> {
     }
 
     /// (Anti-)semijoin driver: `matched(i)` decides whether outer row `i`
-    /// has a partner; its keep flag is whether that equals `keep_matching`
-    /// (survivors are then retained by move, in input order). `probes`
-    /// (hash operators) counts matches as probe hits.
+    /// has a partner, and the row is kept iff that equals `keep_matching`.
+    /// Returns the kept positions, in input order. `probes` (hash operators)
+    /// counts matches as probe hits.
     fn probe_keep<F>(
         &self,
         len: usize,
@@ -1216,7 +1189,7 @@ impl<'a> Engine<'a> {
         keep_matching: bool,
         probes: Option<&ProfNode>,
         matched: F,
-    ) -> Result<Vec<bool>>
+    ) -> Result<Vec<u32>>
     where
         F: Fn(usize) -> bool + Sync,
     {
@@ -1225,7 +1198,9 @@ impl<'a> Engine<'a> {
             if let Some(p) = probes {
                 p.stats.record_probes(matched as u64, (!matched) as u64);
             }
-            keep.push(matched == keep_matching);
+            if matched == keep_matching {
+                keep.push(i as u32);
+            }
         })
     }
 
@@ -1293,8 +1268,8 @@ struct HashMatcher<'r> {
     table: KeyTable,
     /// The wild build rows, ascending.
     wild_build: Vec<u32>,
-    l: &'r [Tuple],
-    r: &'r [Tuple],
+    l: &'r Rows<'r>,
+    r: &'r Rows<'r>,
     keys: &'r HashKeys,
     values: &'r ScalarValues,
     semantics: NullSemantics,
@@ -1306,9 +1281,8 @@ impl HashMatcher<'_> {
     /// are merged — until `hit` returns `false`. That is the order a nested
     /// loop over the same condition finds them in.
     fn partners(&self, i: usize, mut hit: impl FnMut(usize) -> bool) {
-        let lt = &self.l[i];
         let holds = |pred: &CompiledPredicate, j: usize| {
-            pred.eval(RowView::pair(lt, &self.r[j]), self.values, self.semantics).is_true()
+            pred.eval(RowView::pair(self.l, i, self.r, j), self.values, self.semantics).is_true()
         };
         // Only consulted when some row is wild, i.e. with null-aware keys.
         let full = |j: usize| {
@@ -1361,51 +1335,29 @@ fn aggregate_row<'k>(
     key.cloned().chain(aggregates).collect()
 }
 
-/// Keep exactly the flagged tuples of a (anti-)semijoin's preserved side:
-/// an owned input retains by move, a borrowed base relation clones only the
-/// survivors, under the node's `schema` (the scan's alias, if it has one).
-fn semi_result(l: Cow<'_, Relation>, keep: Vec<bool>, schema: &Arc<Schema>) -> Relation {
-    match l {
-        Cow::Owned(rel) => retain_by_flags(rel, keep),
-        Cow::Borrowed(rel) => {
-            let tuples =
-                rel.iter().zip(&keep).filter(|(_, k)| **k).map(|(t, _)| t.clone()).collect();
-            Relation::from_parts(schema.clone(), tuples)
-        }
+/// The tuples of `rows` — the columns `cols`, every one for `None` — with
+/// the values built for them counted on `prof`.
+fn tuples(rows: Rows<'_>, cols: Option<&[usize]>, prof: Option<&ProfNode>) -> Vec<Tuple> {
+    let (tuples, built) = rows.into_tuples(cols);
+    if let Some(p) = prof {
+        p.stats.record_values_out(built as u64);
     }
-}
-
-/// Keep exactly the flagged tuples of an owned relation (moves, no clones).
-fn retain_by_flags(rel: Relation, keep: Vec<bool>) -> Relation {
-    let schema = rel.schema().clone();
-    let mut tuples = rel.into_tuples();
-    let mut flags = keep.into_iter();
-    tuples.retain(|_| flags.next().expect("one flag per tuple"));
-    Relation::from_parts(schema, tuples)
+    tuples
 }
 
 /// Intersection (`want_member == true`) or difference (`false`) against the
 /// right side, positionally, keeping the left schema — matching the schema
 /// alignment the reference evaluator applies to set operations.
 fn set_filter(l: Relation, r: &Relation, want_member: bool) -> Relation {
-    let mut right: HashSet<&Tuple> = HashSet::with_capacity(r.len());
-    right.extend(r.iter());
-    let keep: Vec<bool> = l.iter().map(|t| right.contains(t) == want_member).collect();
-    drop(right);
-    let mut out = retain_by_flags(l, keep);
-    out.dedup();
-    out
-}
-
-/// Split a slice into at most `n` contiguous chunks (fewer when the slice is
-/// shorter), preserving order.
-fn chunks_of<T>(items: &[T], n: usize) -> Vec<&[T]> {
-    let size = items.len().div_ceil(n.max(1)).max(1);
-    items.chunks(size).collect()
+    let right: HashSet<&Tuple> = r.iter().collect();
+    let schema = l.schema().clone();
+    let mut tuples = l.into_tuples();
+    tuples.retain(|t| right.contains(t) == want_member);
+    Relation::from_parts(schema, tuples).into_distinct()
 }
 
 /// Split `0..len` into at most `workers` contiguous index ranges, in order
-/// (the morsels of the vectorized probe loops).
+/// (the morsels of the filters and of the probe loops).
 fn index_ranges(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
     let size = len.div_ceil(workers.max(1)).max(1);
     (0..len).step_by(size).map(|start| start..(start + size).min(len)).collect()
@@ -1448,11 +1400,11 @@ mod tests {
         let engine = sql_engine(&db).with_cancel_token(token.clone());
         let schema = l.schema().project(&[0]).shared();
         let divide = || engine.division(&l, &r, &[0], &[1], &schema);
-        assert!(engine.unify_semi(l.clone(), &l, true).is_ok());
+        assert!(engine.unify_semi(&l, &l, true).is_ok());
         assert!(divide().is_ok());
         token.cancel();
         for keep_matching in [true, false] {
-            let out = engine.unify_semi(l.clone(), &l, keep_matching);
+            let out = engine.unify_semi(&l, &l, keep_matching);
             assert!(matches!(out, Err(AlgebraError::Cancelled)), "{out:?}");
         }
         assert!(matches!(divide(), Err(AlgebraError::Cancelled)));

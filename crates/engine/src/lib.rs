@@ -38,9 +38,10 @@
 //! inference runs once per plan, every condition becomes a compiled
 //! predicate over positional accessors, join keys and
 //! projection/rename/aggregate column lists are resolved to positions, and
-//! filter/project/rename/distinct chains fuse into single-pass pipelines;
-//! a column-liveness pass then narrows every join to the columns an
-//! ancestor reads (see [`engine`], "What an operator emits").
+//! filter/project/rename/distinct chains fuse into single-pass pipelines.
+//! Operators hand each other row-id sets, not rows, and build tuples only
+//! where a consumer needs whole rows (see [`engine`], "What an operator
+//! emits").
 //! [`Engine::execute_compiled`] then runs the plan with zero name lookups,
 //! zero schema inference and zero logical-expression reconstruction per
 //! execution — `certus::Session` caches compiled plans inside its
@@ -65,7 +66,7 @@
 pub mod analyze;
 pub mod compile;
 pub mod engine;
-pub(crate) mod liveness;
+pub(crate) mod rows;
 pub(crate) mod vector;
 
 pub use analyze::annotate;

@@ -3,14 +3,13 @@
 //! Two hot paths of the compiled runtime move column-wise here instead of
 //! row-wise:
 //!
-//! * **Fused pipelines** ([`filter_gather`]): the engine reads only the
+//! * **Fused pipelines** ([`select`]): the engine reads only the
 //!   columns a pipeline's filters read, as typed vectors
 //!   ([`certus_data::column::Column`]), evaluates every
 //!   [`CompiledPredicate`] into a three-valued [`TruthMask`] (Kleene
-//!   connectives are word-wise bit operations), intersects the masks into a
-//!   selection, and gathers the surviving rows once at the pipeline edge —
-//!   no per-row `Vec<Value>` materialisation, no per-row enum dispatch for
-//!   type-uniform columns.
+//!   connectives are word-wise bit operations) and intersects the masks
+//!   into a selection: the surviving row ids — no row is touched, no
+//!   per-row enum dispatch for type-uniform columns.
 //! * **Hash join/semijoin keys** ([`KeySet`]): key columns are read once
 //!   per side, per-row `u64` hashes are computed column-wise, and the
 //!   chained [`KeyTable`] maps precomputed hashes to row indices
@@ -21,10 +20,10 @@
 //!   can set aside the rows with a `NULL` in a null-aware key column
 //!   ([`KeySet::set_wild`]) for the operator to match by its full condition.
 //!
-//! Columns come from [`Relation::column`]: a base relation's are extracted
-//! once per snapshot and shared by every operator and execution that reads
-//! them; an intermediate's live as long as the intermediate. Only a
-//! parallel filter's morsel ([`Rows::Morsel`]) extracts outside a cache.
+//! Columns come from the row-id sets ([`Rows::column_in`]): a gather over
+//! the sources' cached columns ([`certus_data::Relation::column`]), so a
+//! base relation's are extracted once per snapshot and shared by every
+//! operator, morsel and execution that reads them.
 //!
 //! Everything here is semantics-preserving by construction: typed fast
 //! paths replicate [`certus_data::compare`] exactly (numeric comparisons go
@@ -37,7 +36,8 @@
 //!
 //! [`NullMask`]: certus_data::column::NullMask
 
-use crate::compile::{CompiledOperand, CompiledPredicate, Pred, ScalarValues, VecPlan};
+use crate::compile::{CompiledOperand, CompiledPredicate, Pred, ScalarValues};
+use crate::rows::{RowView, Rows};
 use certus_algebra::NullSemantics;
 use certus_data::column::{Column, ColumnData, TruthMask};
 use certus_data::compare::{naive_cmp, sql_cmp, CmpOp};
@@ -45,62 +45,41 @@ use certus_data::intern::{StrId, StrPool};
 use certus_data::like::like_match;
 use certus_data::truth::Truth;
 use certus_data::value::normalized_float_bits;
-use certus_data::{Relation, Tuple, Value};
+use certus_data::Value;
 use certus_obs::ProfNode;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Fused pipelines: columnar predicate evaluation over a selection mask
 // ---------------------------------------------------------------------------
 
-/// The rows a fused pipeline filters.
-#[derive(Clone, Copy)]
-pub(crate) enum Rows<'a> {
-    /// A whole relation: its columns come from its cache
-    /// ([`Relation::column`]), so a base relation is extracted once per
-    /// snapshot.
-    Whole(&'a Relation),
-    /// One morsel of a parallel filter, extracted afresh.
-    Morsel(&'a [Tuple]),
-}
-
-impl<'a> Rows<'a> {
-    pub(crate) fn tuples(self) -> &'a [Tuple] {
-        match self {
-            Rows::Whole(rel) => rel.tuples(),
-            Rows::Morsel(rows) => rows,
-        }
-    }
-
-    fn column(self, pos: usize, pool: &StrPool) -> Cow<'a, Column> {
-        match self {
-            Rows::Whole(rel) => rel.column(pos, pool),
-            Rows::Morsel(rows) => Cow::Owned(Column::extract(rows, pos, pool)),
-        }
-    }
-}
-
-/// The columns a predicate reads, indexed by position (positions nobody
-/// reads stay unread).
+/// The columns a predicate reads over some rows, indexed by position
+/// (positions nobody reads stay unread).
 struct ColumnSet<'a> {
     cols: Vec<Option<Cow<'a, Column>>>,
     len: usize,
 }
 
 impl<'a> ColumnSet<'a> {
-    fn read(rows: Rows<'a>, positions: &[usize], pool: &StrPool) -> ColumnSet<'a> {
+    fn read(
+        rows: &'a Rows<'a>,
+        range: Range<usize>,
+        positions: &[usize],
+        pool: &StrPool,
+    ) -> ColumnSet<'a> {
         let width = positions.iter().copied().max().map(|m| m + 1).unwrap_or(0);
         let mut cols = Vec::new();
         cols.resize_with(width, || None);
         for &p in positions {
             if cols[p].is_none() {
-                cols[p] = Some(rows.column(p, pool));
+                cols[p] = Some(rows.column_in(p, range.clone(), pool));
             }
         }
-        ColumnSet { cols, len: rows.tuples().len() }
+        ColumnSet { cols, len: range.len() }
     }
 
     #[inline]
@@ -109,13 +88,14 @@ impl<'a> ColumnSet<'a> {
     }
 }
 
-/// Evaluation context shared by the mask evaluator. `bound` carries one
-/// outer (left) row during vectorized nested loops: column references below
-/// the bind arity resolve to that row's values (per-batch constants), the
-/// rest shift down into the extracted inner columns.
+/// Evaluation context shared by the mask evaluator. During vectorized
+/// nested loops `outer` is one outer (left) row: column references below
+/// `l_arity` resolve to that row's values (per-batch constants), the rest
+/// shift down into the inner columns. Elsewhere `l_arity` is 0.
 struct Ctx<'a> {
     cols: &'a ColumnSet<'a>,
-    bound: Option<(&'a Tuple, usize)>,
+    outer: Option<RowView<'a>>,
+    l_arity: usize,
     scalars: &'a ScalarValues,
     semantics: NullSemantics,
     pool: &'a StrPool,
@@ -127,34 +107,37 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Run a fused pipeline's [`VecPlan`] over its rows: evaluate every filter
-/// column-wise, intersect the masks, gather the survivors (projected when
-/// the pipeline projects). Output order is input order — identical to the
-/// row path.
+/// Run a fused pipeline's filters — `(step index, predicate over the
+/// source's columns)`, in pipeline order — column-wise over the rows
+/// `range` of `rows`: intersect the masks and return the positions of the
+/// survivors, in input order, identical to the row path's.
 ///
-/// `prof` optionally records per-filter survivor counts: the slice maps the
-/// i-th vectorized filter to its step index in the profiled pipeline, and
-/// after each mask merge the running selection's cardinality is added there
-/// — the same "rows surviving filters `0..=k`" the row path counts via
-/// short-circuit evaluation.
-pub(crate) fn filter_gather(
-    input: Rows<'_>,
-    plan: &VecPlan,
+/// With `prof`, after each mask merge the running selection's cardinality
+/// is added to that filter's step — the same "rows surviving filters
+/// `0..=k`" the row path counts via short-circuit evaluation.
+pub(crate) fn select(
+    rows: &Rows<'_>,
+    range: Range<usize>,
+    filters: &[(usize, &CompiledPredicate)],
     scalars: &ScalarValues,
     semantics: NullSemantics,
     pool: &StrPool,
-    prof: Option<(&ProfNode, &[usize])>,
-) -> Vec<Tuple> {
-    let rows = input.tuples();
-    if rows.is_empty() {
+    prof: Option<&ProfNode>,
+) -> Vec<u32> {
+    if range.is_empty() {
         // Nothing to filter — and the engine only guarantees scalar
         // subqueries are evaluated when the input is non-empty.
         return Vec::new();
     }
-    let cols = ColumnSet::read(input, &plan.cols, pool);
-    let ctx = Ctx { cols: &cols, bound: None, scalars, semantics, pool };
+    let mut positions = Vec::new();
+    for (_, filter) in filters {
+        filter.pred().col_refs(&mut positions);
+    }
+    let start = range.start;
+    let cols = ColumnSet::read(rows, range, &positions, pool);
+    let ctx = Ctx { cols: &cols, outer: None, l_arity: 0, scalars, semantics, pool };
     let mut sel: Option<TruthMask> = None;
-    for (fi, filter) in plan.filters.iter().enumerate() {
+    for &(step, filter) in filters {
         let mask = eval_pred(filter.pred(), &ctx);
         match &mut sel {
             // A row survives the chain iff every filter is True — exactly
@@ -162,20 +145,13 @@ pub(crate) fn filter_gather(
             Some(s) => s.and_with(&mask),
             None => sel = Some(mask),
         }
-        if let (Some((p, map)), Some(s)) = (prof, sel.as_ref()) {
-            if let Some(&step) = map.get(fi) {
-                p.add_step_rows(step, s.count_true() as u64);
-            }
+        if let (Some(p), Some(s)) = (prof, sel.as_ref()) {
+            p.add_step_rows(step, s.count_true() as u64);
         }
     }
-    let sel = sel.expect("vec plans carry at least one filter");
+    let sel = sel.expect("a pipeline that selects has a filter");
     let mut out = Vec::with_capacity(sel.count_true());
-    sel.for_each_true(|i| {
-        out.push(match &plan.gather {
-            Some(pos) => rows[i].project(pos),
-            None => rows[i].clone(),
-        })
-    });
+    sel.for_each_true(|i| out.push((start + i) as u32));
     out
 }
 
@@ -210,7 +186,7 @@ impl<'r> BoundPred<'r> {
     /// vectorized loop over the rows of `r`.
     pub(crate) fn prepare(
         pred: &CompiledPredicate,
-        r: &'r Relation,
+        r: &'r Rows<'r>,
         l_arity: usize,
         scalars: &ScalarValues,
         semantics: NullSemantics,
@@ -218,16 +194,11 @@ impl<'r> BoundPred<'r> {
     ) -> BoundPred<'r> {
         let mut refs = Vec::new();
         pred.pred().col_refs(&mut refs);
-        let mut inner: Vec<usize> =
+        let inner: Vec<usize> =
             refs.into_iter().filter(|&i| i >= l_arity).map(|i| i - l_arity).collect();
-        inner.sort_unstable();
-        inner.dedup();
-        let cols = ColumnSet::read(Rows::Whole(r), &inner, pool);
-        // Invariant subtrees never index into the outer row, so an empty
-        // tuple stands in while they are pre-evaluated.
-        let no_outer = Tuple::empty();
-        let invariant_ctx =
-            Ctx { cols: &cols, bound: Some((&no_outer, l_arity)), scalars, semantics, pool };
+        let cols = ColumnSet::read(r, 0..r.len(), &inner, pool);
+        // Invariant subtrees never read the outer row.
+        let invariant_ctx = Ctx { cols: &cols, outer: None, l_arity, scalars, semantics, pool };
         let node = bind(pred.pred(), l_arity, &invariant_ctx);
         BoundPred { cols, l_arity, node }
     }
@@ -236,13 +207,19 @@ impl<'r> BoundPred<'r> {
     /// row.
     pub(crate) fn eval(
         &self,
-        left: &Tuple,
+        left: RowView<'_>,
         scalars: &ScalarValues,
         semantics: NullSemantics,
         pool: &StrPool,
     ) -> TruthMask {
-        let ctx =
-            Ctx { cols: &self.cols, bound: Some((left, self.l_arity)), scalars, semantics, pool };
+        let ctx = Ctx {
+            cols: &self.cols,
+            outer: Some(left),
+            l_arity: self.l_arity,
+            scalars,
+            semantics,
+            pool,
+        };
         eval_node(&self.node, &ctx)
     }
 }
@@ -305,11 +282,10 @@ enum Ev<'a> {
 
 fn operand<'a>(op: &'a CompiledOperand, ctx: &Ctx<'a>) -> Ev<'a> {
     match op {
-        CompiledOperand::Col(i) => match ctx.bound {
-            Some((left, arity)) if *i < arity => Ev::Lit(Some(&left[*i])),
-            Some((_, arity)) => Ev::Col(ctx.cols.col(*i - arity)),
-            None => Ev::Col(ctx.cols.col(*i)),
-        },
+        CompiledOperand::Col(i) if *i < ctx.l_arity => {
+            Ev::Lit(Some(ctx.outer.expect("outer columns are read with an outer row").get(*i)))
+        }
+        CompiledOperand::Col(i) => Ev::Col(ctx.cols.col(*i - ctx.l_arity)),
         CompiledOperand::Const(v) => Ev::Lit(Some(v)),
         CompiledOperand::Scalar(i) => Ev::Lit(ctx.scalars.get(*i)),
     }
@@ -740,15 +716,15 @@ const NULL_TAG: u64 = 0x6e75;
 /// The representation behind a [`KeySet`]'s hashes and equality.
 enum KeyCols<'r> {
     /// Typed columns: hashes mix the typed payloads column-wise, equality
-    /// compares them without touching a `Value`. Borrowed from the
-    /// relation's column cache.
+    /// compares them without touching a `Value`. Borrowed from a base
+    /// relation's column cache, or gathered from it.
     Typed(Vec<Cow<'r, Column>>),
-    /// Row-valued keys: `Value` hash and `Value ==` over the rows
-    /// themselves, read at the key positions. The loss-free representation
-    /// every input has — what `vectorized = false` runs on, and what a key
-    /// column in the `Values` fallback (mixed variants, all null, empty)
-    /// falls back to.
-    Rows(&'r [Tuple], &'r [usize]),
+    /// Row-valued keys: `Value` hash and `Value ==` over the values at the
+    /// key positions, read in place through the set's position map. The
+    /// loss-free representation every input has — what `vectorized = false`
+    /// runs on, and what a key column in the `Values` fallback (mixed
+    /// variants, all null, empty) falls back to.
+    Rows(&'r Rows<'r>, &'r [usize]),
 }
 
 /// The keys of one side of a hash operator: per-row hashes plus a validity
@@ -770,31 +746,35 @@ pub(crate) struct KeySet<'r> {
     wild: Vec<bool>,
 }
 
-/// The typed key columns of `rel` at `pos`, or `None` when any of them
+/// The typed key columns of `rows` at `pos`, or `None` when any of them
 /// lands in the `Values` fallback — representation-specific hashing would
-/// be unsound there.
+/// be unsound there — or there are no rows to type them by.
 fn typed_cols<'r>(
-    rel: &'r Relation,
+    rows: &'r Rows<'r>,
     pos: &[usize],
     pool: &StrPool,
 ) -> Option<Vec<Cow<'r, Column>>> {
-    let cols: Vec<Cow<'r, Column>> = pos.iter().map(|&p| rel.column(p, pool)).collect();
+    if rows.is_empty() {
+        return None;
+    }
+    let cols: Vec<Cow<'r, Column>> =
+        pos.iter().map(|&p| rows.column_in(p, 0..rows.len(), pool)).collect();
     (!cols.iter().any(|c| c.data().is_fallback())).then_some(cols)
 }
 
 impl<'r> KeySet<'r> {
-    /// The keys of `rel` at `pos`: typed when `vectorized` and every key
+    /// The keys of `rows` at `pos`: typed when `vectorized` and every key
     /// column can be typed, row-valued otherwise.
     pub(crate) fn build(
-        rel: &'r Relation,
+        rows: &'r Rows<'r>,
         pos: &'r [usize],
         allow_nulls: bool,
         vectorized: bool,
         pool: &StrPool,
     ) -> KeySet<'r> {
-        match vectorized.then(|| typed_cols(rel, pos, pool)).flatten() {
-            Some(cols) => KeySet::typed(cols, rel.len(), allow_nulls),
-            None => KeySet::row_valued(rel.tuples(), pos, allow_nulls),
+        match vectorized.then(|| typed_cols(rows, pos, pool)).flatten() {
+            Some(cols) => KeySet::typed(cols, rows.len(), allow_nulls),
+            None => KeySet::row_valued(rows, pos, allow_nulls),
         }
     }
 
@@ -807,9 +787,9 @@ impl<'r> KeySet<'r> {
     /// naive semantics a null must meet itself across the sides whatever
     /// its column's type, which only the row-valued keys guarantee.
     pub(crate) fn pair(
-        l: &'r Relation,
+        l: &'r Rows<'r>,
         l_pos: &'r [usize],
-        r: &'r Relation,
+        r: &'r Rows<'r>,
         r_pos: &'r [usize],
         allow_nulls: bool,
         vectorized: bool,
@@ -829,10 +809,7 @@ impl<'r> KeySet<'r> {
                 }
             }
         }
-        (
-            KeySet::row_valued(l.tuples(), l_pos, allow_nulls),
-            KeySet::row_valued(r.tuples(), r_pos, allow_nulls),
-        )
+        (KeySet::row_valued(l, l_pos, allow_nulls), KeySet::row_valued(r, r_pos, allow_nulls))
     }
 
     fn typed(cols: Vec<Cow<'r, Column>>, n: usize, allow_nulls: bool) -> KeySet<'r> {
@@ -884,17 +861,18 @@ impl<'r> KeySet<'r> {
         KeySet { cols: KeyCols::Typed(cols), hashes, valid, wild: Vec::new() }
     }
 
-    fn row_valued(rows: &'r [Tuple], pos: &'r [usize], allow_nulls: bool) -> KeySet<'r> {
+    fn row_valued(rows: &'r Rows<'r>, pos: &'r [usize], allow_nulls: bool) -> KeySet<'r> {
         let mut valid = vec![true; rows.len()];
-        let hashes = rows
-            .iter()
-            .zip(&mut valid)
-            .map(|(t, valid)| {
+        let hashes = valid
+            .iter_mut()
+            .enumerate()
+            .map(|(i, valid)| {
                 // A fixed-key hasher: plans execute identically run to run.
                 let mut h = std::collections::hash_map::DefaultHasher::new();
                 for &p in pos {
-                    *valid &= allow_nulls || !t[p].is_null();
-                    t[p].hash(&mut h);
+                    let v = rows.value(i, p);
+                    *valid &= allow_nulls || !v.is_null();
+                    v.hash(&mut h);
                 }
                 h.finish()
             })
@@ -919,7 +897,7 @@ impl<'r> KeySet<'r> {
             for (i, wild) in wild.iter_mut().enumerate() {
                 *wild |= match &self.cols {
                     KeyCols::Typed(cols) => cols[k].is_null(i),
-                    KeyCols::Rows(rows, pos) => rows[i][pos[k]].is_null(),
+                    KeyCols::Rows(rows, pos) => rows.value(i, pos[k]).is_null(),
                 };
             }
         }
@@ -949,7 +927,7 @@ impl<'r> KeySet<'r> {
         let (a, b) = match (&self.cols, &other.cols) {
             (KeyCols::Typed(a), KeyCols::Typed(b)) => (a, b),
             (KeyCols::Rows(l, l_pos), KeyCols::Rows(r, r_pos)) => {
-                return l_pos.iter().zip(*r_pos).all(|(&lp, &rp)| l[i][lp] == r[j][rp]);
+                return l_pos.iter().zip(*r_pos).all(|(&lp, &rp)| l.value(i, lp) == r.value(j, rp));
             }
             _ => unreachable!("both sides of a pair share one representation"),
         };

@@ -36,8 +36,8 @@ pub struct AnalyzedPlan {
     /// Measured wall time (inclusive of children), nanoseconds. Zero for
     /// nodes that execute as part of a fused pipeline rather than standalone.
     pub wall_ns: u64,
-    /// Tags: the path taken (`"vec"`, `"row-fallback"`), a join's narrowed
-    /// output (`"cols=k/n"`), a hash operator's build time (`"build=…"`).
+    /// Tags: the path taken (`"vec"`, `"row-fallback"`), a hash operator's
+    /// build time (`"build=…"`).
     pub tags: Vec<String>,
     /// Children, mirroring the plan tree.
     pub children: Vec<AnalyzedPlan>,

@@ -21,8 +21,8 @@ pub struct NodeStats {
     pub rows_in: AtomicU64,
     /// Tuples produced by the operator.
     pub rows_out: AtomicU64,
-    /// Values materialised by the operator: rows emitted × emitted width.
-    /// Zero for a borrowed base relation — nothing was copied.
+    /// Values the operator built into new rows: rows built × their width.
+    /// Zero where rows were only selected, paired or passed on by pointer.
     pub values_out: AtomicU64,
     /// Batches/morsels processed on chunked paths.
     pub batches: AtomicU64,
@@ -63,7 +63,7 @@ impl NodeStats {
         Self::add(&self.wall_ns, wall_ns);
     }
 
-    /// Record the values an invocation materialised (rows × width).
+    /// Record the values an invocation built (rows × width).
     #[inline]
     pub fn record_values_out(&self, n: u64) {
         Self::add(&self.values_out, n);
@@ -130,7 +130,6 @@ pub struct ProfNode {
     pub stats: NodeStats,
     step_ops: Vec<String>,
     step_rows: Vec<AtomicU64>,
-    cols: Option<(usize, usize)>,
     children: Vec<ProfNode>,
 }
 
@@ -144,14 +143,7 @@ impl ProfNode {
     pub fn with(op: impl Into<String>, step_ops: Vec<String>, children: Vec<ProfNode>) -> ProfNode {
         let step_rows = step_ops.iter().map(|_| AtomicU64::new(0)).collect();
         let stats = NodeStats::default();
-        ProfNode { op: op.into(), stats, step_ops, step_rows, cols: None, children }
-    }
-
-    /// Mark the node as a join emitting `cols` of the `of` columns of its
-    /// (left, right) pair — fixed when the plan was compiled.
-    pub fn emitting(mut self, cols: usize, of: usize) -> ProfNode {
-        self.cols = Some((cols, of));
-        self
+        ProfNode { op: op.into(), stats, step_ops, step_rows, children }
     }
 
     /// The operator label.
@@ -186,7 +178,6 @@ impl ProfNode {
             rows_in: load(&self.stats.rows_in),
             rows_out: load(&self.stats.rows_out),
             values_out: load(&self.stats.values_out),
-            cols: self.cols,
             batches: load(&self.stats.batches),
             invocations: load(&self.stats.invocations),
             wall_ns: load(&self.stats.wall_ns),
@@ -228,12 +219,9 @@ pub struct QueryProfile {
     pub rows_in: u64,
     /// Tuples produced.
     pub rows_out: u64,
-    /// Values materialised: rows emitted × emitted width (zero for a
-    /// borrowed base relation).
+    /// Values built into new rows: rows built × their width (zero where
+    /// rows were only selected, paired or passed on by pointer).
     pub values_out: u64,
-    /// For joins: `(k, n)` — the join emits `k` of the `n` columns of its
-    /// (left, right) pair, the ones an ancestor reads.
-    pub cols: Option<(usize, usize)>,
     /// Batches/morsels processed.
     pub batches: u64,
     /// Times the operator ran.
@@ -277,12 +265,6 @@ impl QueryProfile {
         1 + self.children.iter().map(QueryProfile::node_count).sum::<usize>()
     }
 
-    /// `cols=k/n` when this is a join that emits fewer columns than its
-    /// (left, right) pair has.
-    pub fn narrowed_cols(&self) -> Option<String> {
-        self.cols.filter(|(k, n)| k < n).map(|(k, n)| format!("cols={k}/{n}"))
-    }
-
     /// `build=<time>` when this hash operator's build was timed: key columns
     /// and table, apart from the probes.
     pub fn build_time(&self) -> Option<String> {
@@ -321,9 +303,6 @@ impl QueryProfile {
             fmt_ns(self.wall_ns),
             fmt_ns(self.self_wall_ns())
         ));
-        if let Some(cols) = self.narrowed_cols() {
-            out.push_str(&format!(" [{cols}]"));
-        }
         if self.vec_runs > 0 {
             out.push_str(" [vec]");
         }
@@ -377,9 +356,6 @@ impl QueryProfile {
             self.morsels,
             self.workers
         );
-        if let Some((k, n)) = self.cols {
-            out.push_str(&format!(", \"cols_out\": {k}, \"cols_of\": {n}"));
-        }
         if !self.steps.is_empty() {
             out.push_str(", \"steps\": [");
             for (i, s) in self.steps.iter().enumerate() {
@@ -488,14 +464,12 @@ mod tests {
 
     #[test]
     fn render_and_json_are_well_formed() {
-        let prof = sample().emitting(2, 5);
+        let prof = sample();
         prof.stats.record_invocation(3, 1_000);
         prof.child(0).unwrap().stats.record_vec_run();
         let snap = prof.finish();
         let text = snap.to_string();
         assert!(text.contains("hash_join"));
-        assert!(text.lines().next().unwrap().contains("[cols=2/5]"));
-        assert_eq!(sample().emitting(5, 5).finish().narrowed_cols(), None);
         assert!(text.contains("[vec]"));
         assert!(text.contains("· filter"));
         let json = snap.to_json();

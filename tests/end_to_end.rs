@@ -6,7 +6,8 @@ use certus::plan::physical::{heuristic_plan_with, ExplainPlan, JoinAlgo, Physica
 use certus::tpch::fp_detect::count_false_positives;
 use certus::tpch::{query_by_number, Workload};
 use certus::{
-    CertainRewriter, Certainty, Database, Engine, EngineConfig, NullSemantics, Parallelism, Session,
+    CertainRewriter, Certainty, Database, Engine, EngineConfig, NullSemantics, Parallelism,
+    Relation, Session,
 };
 use std::fmt::Write;
 
@@ -131,6 +132,53 @@ fn certain_answer_plans_have_no_nested_loops_and_q2_q3_plans_stay_put() {
         }
     }
     assert_eq!(q2_q3_plans, include_str!("fixtures/q2p_q3p_plans_at_d2876e0.txt"));
+}
+
+/// FNV-1a (64 bits) over the rendered rows, one per line, in answer order.
+fn ordered_digest(rel: &Relation) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for t in rel.iter() {
+        for b in format!("{t}\n").bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// On the benchmark's instance (scale 0.002, null rate 0.03, seed 42) the
+/// answers of Q1–Q4 and Q⁺1–Q⁺4 are, row for row and in order, the ones
+/// commit 29a4565 returned — when operators still handed each other built
+/// rows — at threads {1, 4} (every exchange fanning out) × vectorized on/off.
+/// The fixture is that commit's row count and ordered digest per class.
+#[test]
+fn tpch_answers_keep_their_rows_and_order_in_every_configuration() {
+    let workload = Workload::new(0.002, 0.03, 42);
+    let db = workload.incomplete_instance();
+    let params = workload.params(&db, 0);
+    for threads in [1usize, 4] {
+        for vectorized in [true, false] {
+            let config = EngineConfig::with_threads(threads)
+                .with_parallel_floor(0)
+                .with_vectorized(vectorized);
+            let session = Session::builder(db.clone()).config(config).build();
+            let mut answers = String::new();
+            for q in 1..=4usize {
+                let expr = query_by_number(q, &params).expect("query exists");
+                for (certainty, suffix) in [(Certainty::Plain, ""), (Certainty::CertainPlus, "p")] {
+                    let prepared = session.prepare(&expr, certainty).expect("prepares");
+                    let answer = session.execute_prepared(&prepared).expect("runs");
+                    let rel = answer.relation();
+                    writeln!(answers, "q{q}{suffix} {} {:016x}", rel.len(), ordered_digest(rel))
+                        .unwrap();
+                }
+            }
+            assert_eq!(
+                answers,
+                include_str!("fixtures/answers_at_29a4565.txt"),
+                "{threads} threads, vectorized {vectorized}"
+            );
+        }
+    }
 }
 
 /// The filters of an explain tree, each with whether a join runs beneath it;

@@ -106,8 +106,10 @@ fn explain_analyze_annotates_every_node() {
 /// joins used to emit 12,117, 20,021 and 2,042 rows — every `lineitem` row
 /// with a `NULL` key paired with the whole other side — for an anti-join that
 /// reads one column and asks only whether a partner exists. `⋉ part` and
-/// `⋉ nation` are semijoins now and stop at the first partner; the join that
-/// is left emits the two columns an ancestor reads.
+/// `⋉ nation` are semijoins now and stop at the first partner. No join-like
+/// operator builds a row: the join pairs the row ids of `lineitem` and
+/// `supplier`, the semijoins keep ids, so each builds 0 values; the root
+/// projection builds the answer, rows × width.
 #[test]
 fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
     let w = Workload::new(0.002, 0.03, 42);
@@ -115,32 +117,29 @@ fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
     let q4 = certus::tpch::q4(&w.params(&db, 0));
     let session = Session::builder(db).config(EngineConfig::serial()).build();
     let prepared = session.prepare(&q4, Certainty::CertainPlus).unwrap();
-    let (_, profiles) = session.execute_prepared_profiled(&prepared).unwrap();
+    let (answers, profiles) = session.execute_prepared_profiled(&prepared).unwrap();
     // Project ← anti-join ← [orders, ⋉ nation ← ⋈ supplier ← ⋉ part ← lineitem].
-    let mut node = &profiles[0].children[0].children[1];
+    let root = &profiles[0];
+    let mut node = &root.children[0].children[1];
     let mut chain = Vec::new();
     while node.op != "scan(lineitem)" {
-        chain.push((node.op.as_str(), node.rows_out, node.cols, node.values_out));
+        chain.push((node.op.as_str(), node.rows_out, node.values_out));
         node = &node.children[0];
     }
-    // Operator, rows, emitted columns of a join's pair, values (rows × width):
-    // the join builds 2,196 rows of 2 values (the parent's three built
-    // 66,318 values); a semijoin builds none — its rows are its left
-    // input's, passed on by pointer, and count at that input's width.
+    // Operator, rows, values built (commit 29a4565 built 66,318 values in
+    // these three, and counted 1,360 × 9 more for rows it passed on).
     assert_eq!(
         chain,
-        vec![
-            ("hash_semi", 213, None, 213 * 2),
-            ("hash_join", 2_196, Some((2, 13)), 2_196 * 2),
-            ("hash_semi", 1_360, None, 1_360 * 9)
-        ]
+        vec![("hash_semi", 213, 0), ("hash_join", 2_196, 0), ("hash_semi", 1_360, 0)]
     );
-    // EXPLAIN ANALYZE shows the narrowing on the join line, and only there.
+    let width = answers.relation().arity() as u64;
+    assert_eq!((root.op.as_str(), root.rows_out, root.values_out), ("fused", 2_835, 2_835 * width));
+    for node in root.flatten().into_iter().skip(1) {
+        assert_eq!(node.values_out, 0, "{} built values below the root", node.op);
+    }
+    // Nothing is narrowed, so EXPLAIN ANALYZE tags no join with `cols=`.
     let analyzed = session.explain_analyze(&q4, Certainty::CertainPlus).unwrap();
-    let rendered = analyzed.to_string();
-    let narrowed: Vec<&str> = rendered.lines().filter(|l| l.contains("cols=")).collect();
-    assert_eq!(narrowed.len(), 1, "{analyzed}");
-    assert!(narrowed[0].contains("HashJoin") && narrowed[0].contains("[cols=2/13]"), "{analyzed}");
+    assert!(!analyzed.to_string().contains("cols="), "{analyzed}");
 }
 
 /// The standing form of that finding: on the benchmark's instance no
