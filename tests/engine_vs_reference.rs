@@ -479,27 +479,7 @@ fn id_chains_match_the_reference_at_every_materialisation_boundary() {
         for written in &shapes {
             let piped = passes.run(written, &db).unwrap();
             for q in [written, &piped] {
-                for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
-                    let reference = eval(q, &db, semantics).unwrap().distinct().sorted();
-                    let mut first = None;
-                    for (threads, vectorized) in [(1, true), (1, false), (4, true), (4, false)] {
-                        let config = EngineConfig::with_threads(threads)
-                            .with_parallel_floor(0)
-                            .with_vectorized(vectorized);
-                        let engine = Engine::configured(&db, semantics, config);
-                        let plan = engine.plan(q).unwrap();
-                        join_algos(&plan, &mut algos);
-                        let out = engine.execute_physical(&plan).unwrap();
-                        let context = format!(
-                            "case {case}, query {q}, {semantics:?}, {threads} threads, \
-                             vectorized {vectorized}"
-                        );
-                        let got = out.clone().distinct().sorted();
-                        assert_eq!(got.tuples(), reference.tuples(), "{context}");
-                        let serial = first.get_or_insert_with(|| out.clone());
-                        assert_eq!(&out, serial, "order differs from serial: {context}");
-                    }
-                }
+                algos.extend(same_relation_in_every_configuration(&db, q, case));
             }
         }
     }
@@ -507,6 +487,148 @@ fn id_chains_match_the_reference_at_every_materialisation_boundary() {
         ["join NestedLoop", "semi NestedLoop", "semi Decorrelated", "join Hash", "semi Hash"]
     {
         assert!(algos.iter().any(|a| a.starts_with(algo)), "no {algo} node was exercised");
+    }
+}
+
+/// `q` over `db` agrees with the reference evaluator under both semantics
+/// and returns the same relation, order included, at threads {1, 4} ×
+/// vectorized on/off with every exchange fanning out. Returns the join-like
+/// nodes of the plans run ([`join_algos`]).
+fn same_relation_in_every_configuration(db: &Database, q: &RaExpr, case: usize) -> Vec<String> {
+    let mut algos = Vec::new();
+    for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+        let reference = eval(q, db, semantics).unwrap().distinct().sorted();
+        let mut first = None;
+        for (threads, vectorized) in [(1, true), (1, false), (4, true), (4, false)] {
+            let config = EngineConfig::with_threads(threads)
+                .with_parallel_floor(0)
+                .with_vectorized(vectorized);
+            let engine = Engine::configured(db, semantics, config);
+            let plan = engine.plan(q).unwrap();
+            join_algos(&plan, &mut algos);
+            let out = engine.execute_physical(&plan).unwrap();
+            let context = format!(
+                "case {case}, query {q}, {semantics:?}, {threads} threads, vectorized {vectorized}"
+            );
+            let got = out.clone().distinct().sorted();
+            assert_eq!(got.tuples(), reference.tuples(), "{context}");
+            let serial = first.get_or_insert_with(|| out.clone());
+            assert_eq!(&out, serial, "order differs from serial: {context}");
+        }
+    }
+    algos
+}
+
+/// Joins whose row ids feed every kind of consumer: a projection (under
+/// another join, over a nested-loop join, over an aliased self-join), a
+/// semijoin or anti-join whose residual reads a column nothing else needs,
+/// δ, a union arm, −, the plan root, a filter, a deduplicating pipeline, γ
+/// reading none or some of the join's columns, a rename, and the inner side
+/// of an uncorrelated anti-join. Each agrees with the reference evaluator and
+/// returns the same relation in every configuration.
+#[test]
+fn id_joins_under_every_consumer_return_the_reference_relation() {
+    use certus::algebra::{AggExpr, AggFunc};
+    let (r, s) = (|| RaExpr::relation("r"), || RaExpr::relation("s"));
+    let count = |alias: &str| vec![AggExpr::count_star(alias)];
+    let shapes = vec![
+        r().join(s(), eq("a", "c"))
+            .project(&["b", "d"])
+            .join(RaExpr::relation_as("s", "t"), eq("b", "t.c")),
+        r().join(s(), eq("a", "c").or(is_null("d"))).project(&["d"]),
+        RaExpr::relation_as("r", "l1")
+            .join(RaExpr::relation_as("r", "l2"), eq("l1.a", "l2.b"))
+            .project(&["l2.a", "l1.b"]),
+        r().join(s(), eq("a", "c"))
+            .semi_join(RaExpr::relation_as("s", "t"), eq("d", "t.c").and(neq("b", "t.d")))
+            .project(&["a"]),
+        r().join(s(), eq("a", "c"))
+            .anti_join(RaExpr::relation_as("s", "t"), neq("b", "t.d"))
+            .project(&["c"]),
+        r().join(s(), eq("a", "c"))
+            .anti_join(
+                RaExpr::relation_as("s", "t"),
+                eq("d", "t.c").or(is_null("d")).and(neq("b", "t.d").or(is_null("t.d"))),
+            )
+            .project(&["a"]),
+        r().join(s(), eq("a", "c").or(is_null("a")).and(neq("b", "d"))).project(&["c"]),
+        r().join(s(), eq("a", "c")).distinct(),
+        r().join(s(), eq("a", "c")).union(r().join(s(), eq("b", "d"))),
+        r().join(s(), eq("a", "c")).difference(r().join(s(), neq("b", "d"))),
+        r().join(s(), eq("a", "c")),
+        r().join(s(), eq("a", "c")).select(neq("b", "d")),
+        r().join(s(), eq("a", "c"))
+            .select(neq("b", "d").or(is_null("d")))
+            .distinct()
+            .aggregate(&["a"], count("n")),
+        r().join(s(), eq("a", "c")).aggregate(&[], count("n")),
+        r().join(s(), neq("a", "c")).aggregate(&[], count("n")),
+        r().join(s(), eq("a", "c"))
+            .aggregate(&["d"], vec![AggExpr::new(AggFunc::Count, "b", "nb")]),
+        r().join(s(), eq("a", "c"))
+            .select(neq("b", "d"))
+            .semi_join(RaExpr::relation_as("r", "t"), eq("a", "t.a"))
+            .project(&["a"]),
+        r().join(s(), eq("a", "c"))
+            .rename(&["w", "x", "y", "z"])
+            .select(eq_const("w", 1i64).or(is_null("z")))
+            .anti_join(RaExpr::relation_as("s", "t"), eq("x", "t.d"))
+            .aggregate(&["w"], count("n")),
+        r().join(s(), eq("a", "c"))
+            .anti_join(
+                RaExpr::relation_as("r", "t").join(RaExpr::relation_as("s", "u"), eq("t.a", "u.c")),
+                is_null("u.d"),
+            )
+            .project(&["b"]),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x11FE);
+    let mut algos = Vec::new();
+    for case in 0..40 {
+        let db = random_db(&mut rng);
+        for q in &shapes {
+            algos.extend(same_relation_in_every_configuration(&db, q, case));
+        }
+    }
+    for algo in ["join NestedLoop", "join Hash", "semi NestedLoop", "semi Hash"] {
+        assert!(algos.iter().any(|a| a.starts_with(algo)), "no {algo} node was exercised");
+    }
+}
+
+/// Null-aware hash joins over keys with nulls clustered on them, whose ids
+/// feed a projection reading none of the keys, an anti-join whose key and
+/// residual read both sides, and γ over a semijoin. Every join is planned as
+/// a hash join; each plan agrees with the reference evaluator and returns the
+/// same relation in every configuration.
+#[test]
+fn null_aware_id_joins_agree_on_null_clustered_keys() {
+    use certus::algebra::AggExpr;
+    let (r, s) = (|| RaExpr::relation("r"), || RaExpr::relation("s"));
+    let null_aware = |l: &str, r: &str| eq(l, r).or(is_null(l)).or(is_null(r));
+    let shapes = [
+        r().join(s(), null_aware("a", "c").and(neq("x", "y").or(is_null("y")))).project(&["d"]),
+        r().join(s(), null_aware("a", "c").and(null_aware("d", "b"))).project(&["x", "y"]),
+        r().join(s(), eq("a", "c").or(is_null("a")))
+            .anti_join(
+                RaExpr::relation_as("s", "t"),
+                null_aware("b", "t.c").and(neq("y", "t.y").or(is_null("t.y"))),
+            )
+            .project(&["x"]),
+        r().join(s(), null_aware("a", "c"))
+            .semi_join(RaExpr::relation_as("r", "t"), eq("d", "t.b").or(is_null("t.b")))
+            .aggregate(&["y"], vec![AggExpr::count_star("n")]),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x4A11);
+    for case in 0..14 {
+        let db = null_keyed_db(&mut rng, case);
+        for q in &shapes {
+            let algos = same_relation_in_every_configuration(&db, q, case);
+            let joins: Vec<_> = algos.iter().filter(|a| a.starts_with("join ")).collect();
+            assert!(!joins.is_empty(), "case {case}, query {q}");
+            assert!(
+                joins.iter().all(|a| a.starts_with("join Hash")),
+                "case {case}, query {q}: {algos:?}"
+            );
+        }
     }
 }
 
