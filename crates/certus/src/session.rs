@@ -17,11 +17,11 @@
 //!   the certain-answer rewriting `Q⁺`, the possible-answer rewriting `Q★`,
 //!   or all of them ([`Certainty::Both`]), in which case the [`AnswerSet`]
 //!   carries the certain/possible breakdown of the SQL answer;
-//! * mutating the database (via [`Session::database_mut`]) bumps its schema
-//!   epoch, which invalidates cached plans and the session's lazily computed
-//!   [`StatisticsCatalog`]; executing a stale [`PreparedQuery`] fails with
-//!   [`CertusError::StalePlan`] instead of returning answers from a plan
-//!   built for a different database;
+//! * plans read the catalog, never the rows, so they key on the schema
+//!   epoch, which writes leave alone: a [`PreparedQuery`] sees later inserts.
+//!   After a schema change (via [`Session::database_mut`]) executing it
+//!   fails with [`CertusError::StalePlan`]; the [`StatisticsCatalog`]
+//!   follows the data version instead;
 //! * every method returns [`certus::error::Result`](crate::error::Result), so
 //!   callers handle one error type for all five layers.
 
@@ -138,9 +138,10 @@ impl SessionBuilder {
     /// one. All sharers hit the same LRU, so N sessions preparing the same
     /// query compile it once. Cache keys carry the expression fingerprint,
     /// certainty, semantics, schema epoch and thread count, so sessions with
-    /// different configurations can safely share one cache —
-    /// as long as they run over the same database *lineage* (epochs of
-    /// unrelated databases are not comparable).
+    /// different configurations, or over snapshots before and after a
+    /// write, can safely share one cache — as long as they run over the
+    /// same database *lineage* (epochs of unrelated databases are not
+    /// comparable).
     pub fn plan_cache(mut self, cache: SharedPlanCache) -> Self {
         self.cache = Some(cache);
         self
@@ -386,11 +387,11 @@ impl Session {
         &self.db
     }
 
-    /// Mutable access to the database. Any mutation done through this bumps
-    /// the database's schema epoch, invalidating cached plans, statistics,
-    /// and every existing [`PreparedQuery`]. If the database handle is shared
-    /// (built via [`Session::builder_over`]), this copies it first
-    /// (copy-on-write), so the other holders never observe the mutation.
+    /// Mutable access to the database. Only a schema change (a new table,
+    /// another schema for one) invalidates cached plans and every existing
+    /// [`PreparedQuery`]. If the database handle is shared (built via
+    /// [`Session::builder_over`]), this copies it first (copy-on-write), so
+    /// the other holders never observe the mutation.
     pub fn database_mut(&mut self) -> &mut Database {
         Arc::make_mut(&mut self.db)
     }
@@ -443,15 +444,15 @@ impl Session {
     }
 
     /// The statistics catalog for the database's current state, computed on
-    /// first use and recomputed when the schema epoch moves.
+    /// first use and recomputed when the data version moves.
     pub fn statistics(&self) -> Arc<StatisticsCatalog> {
-        let epoch = self.db.schema_epoch();
+        let version = self.db.version();
         let mut guard = self.stats.lock().expect("statistics lock poisoned");
         match guard.as_ref() {
-            Some((cached_epoch, stats)) if *cached_epoch == epoch => stats.clone(),
+            Some((cached, stats)) if *cached == version => stats.clone(),
             _ => {
                 let stats = Arc::new(StatisticsCatalog::analyze(&self.db));
-                *guard = Some((epoch, stats.clone()));
+                *guard = Some((version, stats.clone()));
                 stats
             }
         }
@@ -495,9 +496,9 @@ impl Session {
     }
 
     /// Execute a prepared query. Performs **zero** rewrite or planning work:
-    /// the engine runs the stored physical plans directly. Fails with
-    /// [`CertusError::StalePlan`] if the database's schema epoch moved since
-    /// the query was prepared.
+    /// the engine runs the stored physical plans directly, over the rows
+    /// the database holds now. Fails with [`CertusError::StalePlan`] if the
+    /// database's schema epoch moved since the query was prepared.
     ///
     /// Every execution bumps the `session.executions` counter and records
     /// its wall time into the `session.execute_ns` histogram of the

@@ -4,6 +4,7 @@ use crate::error::DataError;
 use crate::null::NullId;
 use crate::relation::Relation;
 use crate::schema::Schema;
+use crate::tuple::Tuple;
 use crate::valuation::Valuation;
 use crate::value::Value;
 use crate::Result;
@@ -77,10 +78,10 @@ impl ActiveDomain {
 /// only copies the name→relation map. Mutation through
 /// [`Database::relation_mut`] is **copy-on-write**: a relation still shared
 /// with another database clone is copied once, at mutation time, and only
-/// that relation. This is what the snapshot/epoch storage
+/// that relation. This is what the snapshot storage
 /// ([`crate::snapshot::SnapshotStore`]) builds on: readers pin an immutable
 /// snapshot while a writer clones the database, rewrites just the touched
-/// relations, and publishes the result under a bumped schema epoch. A
+/// relations, and publishes the result under a bumped data version. A
 /// relation's cached columns ([`Relation::column`]) travel with its `Arc`:
 /// every snapshot sharing the relation shares them, and the writer's copy
 /// starts without any.
@@ -88,7 +89,8 @@ impl ActiveDomain {
 pub struct Database {
     tables: BTreeMap<String, Arc<Relation>>,
     defs: BTreeMap<String, TableDef>,
-    epoch: u64,
+    schema_epoch: u64,
+    version: u64,
     /// The per-database string pool: loaders intern through it so repeated
     /// strings share one allocation, and the columnar layer resolves string
     /// column ids against it. Interior-mutable, so interning works through
@@ -104,13 +106,21 @@ impl Database {
         Database::default()
     }
 
-    /// The database's *schema epoch*: a monotonic counter bumped by every
-    /// mutating accessor ([`Database::create_table`],
-    /// [`Database::insert_relation`], [`Database::relation_mut`]). Plan
-    /// caches and statistics catalogs key on it so anything derived from a
-    /// past state of the database invalidates when the database changes.
+    /// The database's *schema epoch*: a monotonic counter that moves only
+    /// when a table definition does — a table is created, or
+    /// [`Database::insert_relation`] replaces one with a different schema.
+    /// Plans read the query and the catalog (schemas, nullability, keys),
+    /// never the rows, so plan caches and prepared queries key on it and
+    /// survive every write.
     pub fn schema_epoch(&self) -> u64 {
-        self.epoch
+        self.schema_epoch
+    }
+
+    /// The database's *data version*: a monotonic counter bumped by every
+    /// mutating accessor, [`Database::relation_mut`] included. Snapshots,
+    /// checkpoints and statistics catalogs key on it.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// The database's string pool (see [`crate::intern::StrPool`]).
@@ -129,43 +139,54 @@ impl Database {
         if self.tables.contains_key(&def.name) {
             return Err(DataError::DuplicateTable(def.name.clone()));
         }
-        self.tables.insert(def.name.clone(), Arc::new(Relation::empty(def.schema.clone())));
-        self.defs.insert(def.name.clone(), def);
-        self.epoch += 1;
+        let empty = Relation::empty(def.schema.clone());
+        self.install_table(def, empty);
         Ok(())
     }
 
-    /// Add (or replace) a relation under a name, deriving a key-less
-    /// definition from its schema if none was registered.
+    /// Add (or replace) a relation under a name. A registered definition
+    /// (and its key) is kept when the relation's schema equals it; otherwise
+    /// a key-less one derived from that schema replaces it.
     pub fn insert_relation(&mut self, name: impl Into<String>, relation: Relation) {
         let name = name.into();
-        self.defs.entry(name.clone()).or_insert_with(|| TableDef {
-            name: name.clone(),
-            schema: relation.schema().clone(),
-            primary_key: Vec::new(),
-        });
-        self.tables.insert(name, Arc::new(relation));
-        self.epoch += 1;
+        let def = match self.defs.get(&name) {
+            Some(def) if def.schema == *relation.schema() => def.clone(),
+            _ => TableDef { name, schema: relation.schema().clone(), primary_key: Vec::new() },
+        };
+        self.install_table(def, relation);
     }
 
     /// Install a table definition together with its instance, replacing any
-    /// existing entry under that name. Bumps the schema epoch like every
-    /// mutating accessor. Unlike [`Database::insert_relation`] this keeps
-    /// the definition's primary key — it is the restore path checkpoint
-    /// recovery ([`crate::wal`]) rebuilds databases through.
+    /// existing entry under that name; the schema epoch moves only if the
+    /// definition differs. Checkpoint recovery ([`crate::wal`]) rebuilds
+    /// databases through it.
     pub(crate) fn install_table(&mut self, def: TableDef, relation: Relation) {
         self.tables.insert(def.name.clone(), Arc::new(relation));
-        self.defs.insert(def.name.clone(), def);
-        self.epoch += 1;
+        if self.defs.get(&def.name) != Some(&def) {
+            self.defs.insert(def.name.clone(), def);
+            self.schema_epoch += 1;
+        }
+        self.version += 1;
     }
 
-    /// Overwrite the schema epoch. Only for the durability layer
-    /// ([`crate::wal`]): recovery rebuilds a database table by table (each
-    /// install bumps the epoch) and then restores the epoch recorded in the
-    /// checkpoint so recovered state never *rewinds* the epoch clock that
-    /// plan caches and prepared statements are keyed on.
-    pub(crate) fn set_schema_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    /// Restore the data version a checkpoint recorded ([`crate::wal`]), so
+    /// recovery never rewinds the version clients were acknowledged with.
+    pub(crate) fn set_version(&mut self, version: u64) {
+        self.version = version;
+    }
+
+    /// Replace the whole database by `next`, as a replica bootstrap does.
+    /// The data version never rewinds. The schema epoch stays put when
+    /// `next` defines the same tables, and otherwise moves past both sides,
+    /// so a plan compiled against either schema never matches the result.
+    pub(crate) fn replace(&mut self, next: Database) {
+        let version = self.version.max(next.version);
+        let schema_epoch = if self.defs == next.defs {
+            self.schema_epoch
+        } else {
+            self.schema_epoch.max(next.schema_epoch) + 1
+        };
+        *self = Database { schema_epoch, version, ..next };
     }
 
     /// Look up a relation by name.
@@ -176,19 +197,42 @@ impl Database {
             .ok_or_else(|| DataError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable access to a relation by name. Conservatively bumps the schema
-    /// epoch — the caller receives the power to change the relation, so
-    /// anything cached against the previous epoch must be considered stale.
-    /// Copy-on-write: if the relation is still shared with another database
-    /// clone (e.g. a pinned snapshot), it is deep-copied first, so the
-    /// sharers never observe the mutation.
+    /// Mutable access to a relation's rows by name. Bumps the data version
+    /// (the caller receives the power to change the rows), never the schema
+    /// epoch: the caller must not change the relation's schema —
+    /// [`Database::insert_relation`] is the way to do that. Copy-on-write:
+    /// if the relation is still shared with another database clone (e.g. a
+    /// pinned snapshot), it is copied first, so the sharers never observe
+    /// the mutation.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         match self.tables.get_mut(name) {
             Some(rel) => {
-                self.epoch += 1;
+                self.version += 1;
                 Ok(Arc::make_mut(rel))
             }
             None => Err(DataError::UnknownTable(name.to_string())),
+        }
+    }
+
+    /// Append `rows` to `table`, all or nothing: the table lookup and every
+    /// row's arity are checked before anything is written, so a bad batch
+    /// leaves the rows and the version untouched.
+    pub fn append(&mut self, table: &str, rows: &[Tuple]) -> Result<()> {
+        self.check_rows(table, rows)?;
+        let rel = self.relation_mut(table)?;
+        for row in rows {
+            rel.insert(row.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Check that `rows` fit `table` — it exists and every row has its
+    /// arity — without writing anything or copying the relation.
+    pub(crate) fn check_rows(&self, table: &str, rows: &[Tuple]) -> Result<()> {
+        let expected = self.relation(table)?.arity();
+        match rows.iter().find(|row| row.len() != expected) {
+            Some(row) => Err(DataError::ArityMismatch { expected, found: row.len() }),
+            None => Ok(()),
         }
     }
 
@@ -388,22 +432,61 @@ mod tests {
     #[test]
     fn schema_epoch_tracks_mutations() {
         let mut db = Database::new();
-        assert_eq!(db.schema_epoch(), 0);
+        assert_eq!((db.schema_epoch(), db.version()), (0, 0));
         db.create_table(TableDef::new("t", Schema::of_names(&["x"]))).unwrap();
-        assert_eq!(db.schema_epoch(), 1);
+        assert_eq!((db.schema_epoch(), db.version()), (1, 1));
         db.insert_relation("r", rel(&["a"], vec![vec![Value::Int(1)]]));
-        assert_eq!(db.schema_epoch(), 2);
-        // Failed mutations leave the epoch alone…
+        assert_eq!((db.schema_epoch(), db.version()), (2, 2));
+        // Failed mutations leave both counters alone…
         assert!(db.create_table(TableDef::new("t", Schema::of_names(&["x"]))).is_err());
         assert!(db.relation_mut("missing").is_err());
-        assert_eq!(db.schema_epoch(), 2);
-        // …while handing out mutable access bumps it conservatively.
+        assert!(db.append("r", &[Tuple::new(vec![Value::Int(2), Value::Int(3)])]).is_err());
+        assert_eq!((db.schema_epoch(), db.version()), (2, 2));
+        // …writes to the rows move the data version only…
         db.relation_mut("r").unwrap().insert_values(vec![Value::Int(2)]).unwrap();
-        assert_eq!(db.schema_epoch(), 3);
-        // Read-only accessors never bump.
+        db.append("r", &[Tuple::new(vec![Value::Int(3)])]).unwrap();
+        db.insert_relation("r", rel(&["a"], vec![vec![Value::Int(4)]]));
+        assert_eq!((db.schema_epoch(), db.version()), (2, 5));
+        // …and read-only accessors move neither.
         let _ = db.relation("r").unwrap();
         let _ = db.active_domain();
-        assert_eq!(db.schema_epoch(), 3);
+        assert_eq!((db.schema_epoch(), db.version()), (2, 5));
+    }
+
+    #[test]
+    fn replacing_a_relation_with_another_schema_replaces_its_definition() {
+        let mut db = Database::new();
+        db.create_table(TableDef::new("r", Schema::of_names(&["a"])).with_key(&["a"])).unwrap();
+        // The same schema keeps the definition, key included.
+        db.insert_relation("r", rel(&["a"], vec![vec![Value::Int(1)]]));
+        assert_eq!(db.table_def("r").unwrap().primary_key, vec!["a"]);
+        assert_eq!(db.schema_epoch(), 1);
+        // Another schema replaces it, key-less, and moves the schema epoch.
+        db.insert_relation("r", rel(&["a", "b"], vec![vec![Value::Int(1), Value::Int(2)]]));
+        let def = db.table_def("r").unwrap();
+        assert_eq!(def.schema, *db.relation("r").unwrap().schema());
+        assert!(!def.has_key());
+        assert_eq!(db.schema_epoch(), 2);
+    }
+
+    #[test]
+    fn replacing_the_database_keeps_the_version_and_moves_the_epoch_on_a_new_schema() {
+        let mut db = db_with_r();
+        db.relation_mut("r").unwrap().insert_values([Value::Int(5), Value::Int(6)]).unwrap();
+        let (epoch, version) = (db.schema_epoch(), db.version());
+        // Same tables: the schema epoch stays put and the version never rewinds.
+        db.replace(db_with_r());
+        assert_eq!((db.schema_epoch(), db.version()), (epoch, version));
+        // Another schema: the epoch moves past both sides.
+        let mut other = Database::new();
+        for name in ["p", "q", "s"] {
+            other.insert_relation(name, rel(&["x"], vec![]));
+        }
+        let (theirs, their_version) = (other.schema_epoch(), other.version());
+        assert!(theirs > epoch && their_version > version);
+        db.replace(other);
+        assert_eq!((db.schema_epoch(), db.version()), (theirs + 1, their_version));
+        assert_eq!(db.table_names(), vec!["p", "q", "s"]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Snapshot/epoch storage: many concurrent readers over one mutable database.
+//! Snapshot storage: many concurrent readers over one mutable database.
 //!
 //! A [`SnapshotStore`] holds the current [`Database`] behind an `Arc`.
 //! Readers [`pin`](SnapshotStore::pin) the current state and keep executing
@@ -7,15 +7,14 @@
 //! Writers go through [`update`](SnapshotStore::update): one writer at a
 //! time clones the database (cheap — relations are `Arc`-shared, see
 //! [`Database`]), mutates the clone (copy-on-write per touched relation —
-//! of row pointers, the rows themselves stay shared — schema epoch bumped by
-//! the mutating accessors), and atomically publishes the result as the new
-//! current snapshot.
+//! of row pointers, the rows themselves stay shared — data version bumped
+//! by the mutating accessors), and atomically publishes the result as the
+//! new current snapshot.
 //!
-//! Because the epoch travels with the snapshot, everything keyed on the
-//! schema epoch — the plan cache, statistics catalogs, prepared queries —
-//! works unchanged: a prepared plan built against a pinned snapshot stays
-//! valid for that snapshot, and executing it against a *newer* snapshot
-//! surfaces the usual `StalePlan` epoch mismatch.
+//! A snapshot's [`epoch`](Snapshot::epoch) is its data version. Plans key
+//! on the schema epoch instead, which a write to the rows leaves alone: a
+//! query prepared against one snapshot executes unchanged against every
+//! later snapshot with the same tables, and sees their rows.
 
 use crate::database::Database;
 use certus_obs::metrics::{registry, Counter, Gauge};
@@ -46,7 +45,7 @@ pub struct SnapshotStore {
     pins: Arc<PinStats>,
 }
 
-/// A pinned, immutable view of the database at one schema epoch.
+/// A pinned, immutable view of the database at one data version.
 ///
 /// Dereferences to [`Database`]; clone-cheap (bumps the `Arc`). The live-pin
 /// gauge drops when the last clone of a pin is dropped.
@@ -91,9 +90,9 @@ impl SnapshotStore {
         Snapshot { db, guard: Arc::new(PinGuard(self.pins.clone())) }
     }
 
-    /// Schema epoch of the current snapshot.
+    /// Data version ([`Database::version`]) of the current snapshot.
     pub fn epoch(&self) -> u64 {
-        self.current.lock().expect("snapshot store poisoned").schema_epoch()
+        self.current.lock().expect("snapshot store poisoned").version()
     }
 
     /// Apply a mutation and publish the result as the new current snapshot.
@@ -128,9 +127,9 @@ impl Snapshot {
         self.db.clone()
     }
 
-    /// Schema epoch this snapshot was taken at.
+    /// Data version ([`Database::version`]) this snapshot was taken at.
     pub fn epoch(&self) -> u64 {
-        self.db.schema_epoch()
+        self.db.version()
     }
 
     /// Number of live pins sharing this snapshot's accounting (diagnostic).
@@ -167,13 +166,15 @@ mod tests {
         store.update(|db| {
             db.relation_mut("r").unwrap().insert_values(vec![Value::Int(2)]).unwrap();
         });
-        // The pinned snapshot still sees the old contents and epoch…
+        // The pinned snapshot still sees the old contents and version…
         assert_eq!(before.relation("r").unwrap().len(), 1);
         assert_eq!(before.epoch(), epoch_before);
-        // …while a fresh pin sees the update under a bumped epoch.
+        // …while a fresh pin sees the update under a bumped version, and
+        // the same schema epoch.
         let after = store.pin();
         assert_eq!(after.relation("r").unwrap().len(), 2);
         assert!(after.epoch() > epoch_before);
+        assert_eq!(after.schema_epoch(), before.schema_epoch());
     }
 
     #[test]

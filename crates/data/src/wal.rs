@@ -27,7 +27,7 @@
 //! The recovery invariant, which the fault-injection tests below and the
 //! `experiments chaos` harness check end to end: after a crash at any
 //! moment, recovery yields a database containing **every acknowledged
-//! write and no torn one**, at a schema epoch no older than the one the
+//! write and no torn one**, at a data version no older than the one the
 //! crash interrupted.
 //!
 //! Fault-prone boundaries check the named failpoints [`FP_APPEND`],
@@ -265,13 +265,7 @@ impl WalRecord {
     /// Apply this record to a database (the replay half of recovery).
     fn apply(&self, db: &mut Database) -> crate::Result<()> {
         match self {
-            WalRecord::Insert { table, rows } => {
-                let rel = db.relation_mut(table)?;
-                for row in rows {
-                    rel.insert(row.clone())?;
-                }
-                Ok(())
-            }
+            WalRecord::Insert { table, rows } => db.append(table, rows),
         }
     }
 }
@@ -279,13 +273,14 @@ impl WalRecord {
 // ---------------------------------------------------------------------------
 // Checkpoint encoding.
 
-/// Encode the full database: magic, version, schema epoch, then every
-/// table's definition (name, schema, primary key) and instance.
+/// Encode the full database: magic, format version, data version, then
+/// every table's definition (name, schema, primary key) and instance. The
+/// schema epoch is not stored: no plan outlives its process.
 fn encode_database(db: &Database) -> Vec<u8> {
     let mut out = Vec::new();
     codec::put_u32(&mut out, CHECKPOINT_MAGIC);
     codec::put_u8(&mut out, CHECKPOINT_VERSION);
-    codec::put_u64(&mut out, db.schema_epoch());
+    codec::put_u64(&mut out, db.version());
     let defs: Vec<&TableDef> = db.table_defs().collect();
     codec::put_u32(&mut out, defs.len() as u32);
     for def in defs {
@@ -301,7 +296,7 @@ fn encode_database(db: &Database) -> Vec<u8> {
     out
 }
 
-/// Decode a checkpoint payload back into a database (epoch included).
+/// Decode a checkpoint payload back into a database (data version included).
 fn decode_database(payload: &[u8]) -> codec::CodecResult<Database> {
     let mut r = Reader::new(payload);
     if r.u32()? != CHECKPOINT_MAGIC {
@@ -311,7 +306,7 @@ fn decode_database(payload: &[u8]) -> codec::CodecResult<Database> {
     if version != CHECKPOINT_VERSION {
         return Err(codec::CodecError(format!("unknown checkpoint version {version}")));
     }
-    let epoch = r.u64()?;
+    let data_version = r.u64()?;
     let tables = r.len()?;
     let mut db = Database::new();
     for _ in 0..tables {
@@ -327,7 +322,7 @@ fn decode_database(payload: &[u8]) -> codec::CodecResult<Database> {
         db.install_table(def, rel);
     }
     r.finish()?;
-    db.set_schema_epoch(epoch);
+    db.set_version(data_version);
     Ok(db)
 }
 
@@ -691,30 +686,25 @@ impl DurableStore {
     }
 
     /// Durably append `rows` to `table` and publish the new snapshot.
-    /// Returns the schema epoch after the write. The sequence is strict:
+    /// Returns the data version after the write. The sequence is strict:
     /// validate (a bad row never reaches the log), WAL append + fsync (the
     /// write is now crash-proof), publish, acknowledge — so a returned
-    /// `Ok` epoch *is* the durability guarantee.
+    /// `Ok` version *is* the durability guarantee.
     pub fn insert(&self, table: &str, rows: &[Tuple]) -> WalResult<u64> {
         let timer = Timer::start();
         let mut inner = self.inner.lock().expect("durable store poisoned");
 
-        // Validate against the current snapshot; writers are serialized by
-        // the lock above, so nothing can invalidate this between the check
-        // and the publish below.
-        let snapshot = self.store.pin();
-        let mut scratch =
-            snapshot.relation(table).map_err(|e| WalError::Data(e.to_string()))?.clone();
-        for row in rows {
-            scratch.insert(row.clone()).map_err(|e| WalError::Data(e.to_string()))?;
-        }
+        // Validate the incoming rows against the current snapshot; writers
+        // are serialized by the lock above, so nothing can invalidate this
+        // between the check and the publish below.
+        self.store.pin().check_rows(table, rows).map_err(|e| WalError::Data(e.to_string()))?;
 
         let record = WalRecord::Insert { table: table.to_string(), rows: rows.to_vec() };
         inner.wal.append(&record.encode())?;
 
-        let epoch = self.store.update(|db| {
-            *db.relation_mut(table).expect("validated above") = scratch;
-            db.schema_epoch()
+        let version = self.store.update(|db| {
+            record.apply(db).expect("validated above");
+            db.version()
         });
 
         inner.since_checkpoint += 1;
@@ -725,7 +715,7 @@ impl DurableStore {
             let _ = self.fold_into_checkpoint(&mut inner);
         }
         registry().histogram(names::WAL_APPEND_NS).record(timer.elapsed_ns());
-        Ok(epoch)
+        Ok(version)
     }
 
     /// Force a checkpoint now (folds the WAL into a fresh full snapshot).
@@ -812,7 +802,8 @@ impl DurableStore {
     /// Replica ingest: install a checkpoint received over the wire as
     /// generation `seq`, replacing all local state (disk and published
     /// snapshot). The bytes are validated (envelope checksum + full decode)
-    /// before anything on disk or in memory changes.
+    /// before anything on disk or in memory changes. Statements prepared
+    /// over the same tables stay executable (`Database::replace`).
     pub fn install_checkpoint(&self, seq: u64, bytes: &[u8]) -> WalResult<()> {
         let payload = match scan_record(bytes, 0) {
             Scan::Ok { payload, next } if next == bytes.len() => payload,
@@ -839,11 +830,7 @@ impl DurableStore {
                 let _ = fs::remove_file(entry.path());
             }
         }
-        self.store.update(|cur| {
-            let epoch = cur.schema_epoch().max(db.schema_epoch());
-            *cur = db;
-            cur.set_schema_epoch(epoch);
-        });
+        self.store.update(|cur| cur.replace(db));
         inner.wal = wal;
         inner.seq = seq;
         inner.since_checkpoint = 0;
@@ -1041,7 +1028,7 @@ mod tests {
         let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
         let snap = store.snapshots().pin();
         assert_eq!(rows_of(&snap), 6, "all five acked inserts recovered");
-        assert!(snap.epoch() > 0, "recovered epoch never rewinds to zero");
+        assert!(snap.epoch() > 0, "recovered version never rewinds to zero");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1072,13 +1059,18 @@ mod tests {
         let dir = temp_dir("reject");
         let store = DurableStore::open(&dir, seed_db(), 0).unwrap();
         let before = store.wal_len();
-        // Wrong arity: validation fails before the WAL sees anything.
+        let version = store.snapshots().epoch();
+        // Wrong arity: validation fails before the WAL sees anything…
         let err = store.insert("r", &[Tuple::new(vec![Value::Int(1)])]);
         assert!(matches!(err, Err(WalError::Data(_))));
         let err = store.insert("missing", &[row(1)]);
         assert!(matches!(err, Err(WalError::Data(_))));
+        // …also when only the batch's second row is wrong: nothing of it lands.
+        let err = store.insert("r", &[row(2), Tuple::new(vec![Value::Int(3)])]);
+        assert!(matches!(err, Err(WalError::Data(_))));
         assert_eq!(store.wal_len(), before);
         assert_eq!(rows_of(&store.snapshots().pin()), 1);
+        assert_eq!(store.snapshots().epoch(), version);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1121,13 +1113,13 @@ mod tests {
         // last durable boundary instead of being stacked after the torn bytes.
         let store_arc = Arc::clone(store.snapshots());
         let durable = store.wal_len();
-        let epoch_before = store_arc.pin().epoch();
+        let version_before = store_arc.pin().epoch();
         store.insert("r", &[row(3)]).unwrap();
         let record = WalRecord::Insert { table: "r".into(), rows: vec![row(3)] }.encode();
         assert_eq!(store.wal_len(), durable + (ENVELOPE + record.len()) as u64);
         assert_eq!(fs::metadata(wal_path(&dir, 0)).unwrap().len(), store.wal_len());
         assert_eq!(rows_of(&store_arc.pin()), 3, "acked writes kept, torn write gone");
-        assert!(store_arc.pin().epoch() > epoch_before, "epoch never rewinds");
+        assert!(store_arc.pin().epoch() > version_before, "version never rewinds");
         drop(store);
         let store = DurableStore::open(&dir, Database::new(), 0).unwrap();
         let snap = store.snapshots().pin();
@@ -1370,6 +1362,43 @@ mod tests {
     }
 
     #[test]
+    fn installing_a_checkpoint_moves_the_schema_epoch_only_for_other_tables() {
+        let _failpoints = unarmed();
+        let dirs = [temp_dir("epoch-primary"), temp_dir("epoch-same"), temp_dir("epoch-other")];
+        let primary = DurableStore::open(&dirs[0], seed_db(), 0).unwrap();
+        primary.insert("r", &[row(1)]).unwrap();
+        primary.checkpoint().unwrap();
+        let (seq, ckpt) = primary.checkpoint_data().unwrap();
+        let Scan::Ok { payload, .. } = scan_record(&ckpt, 0) else { panic!("a valid checkpoint") };
+        let theirs = decode_database(payload).unwrap().schema_epoch();
+
+        // A replica over the same tables keeps its schema epoch…
+        let same = DurableStore::open(&dirs[1], seed_db(), 0).unwrap();
+        let epoch = same.snapshots().pin().schema_epoch();
+        same.install_checkpoint(seq, &ckpt).unwrap();
+        assert_eq!(same.snapshots().pin().schema_epoch(), epoch);
+        assert_eq!(rows_of(&same.snapshots().pin()), 2);
+
+        // …while one whose `r` has another schema moves past both sides.
+        let mut db = Database::new();
+        db.insert_relation("r", rel(&["a"], vec![]));
+        db.insert_relation("r", rel(&["a", "b", "c"], vec![]));
+        let other = DurableStore::open(&dirs[2], db, 0).unwrap();
+        let ours = other.snapshots().pin().schema_epoch();
+        other.install_checkpoint(seq, &ckpt).unwrap();
+        let after = other.snapshots().pin();
+        assert!(after.schema_epoch() > ours.max(theirs), "ours {ours}, theirs {theirs}");
+        assert_eq!(
+            after.table_def("r").unwrap(),
+            primary.snapshots().pin().table_def("r").unwrap()
+        );
+        assert_eq!(rows_of(&after), 2);
+        for dir in dirs {
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn double_damaged_directory_refuses_to_open_with_a_clean_error() {
         let _failpoints = unarmed();
         let dir = temp_dir("double-damage");
@@ -1427,7 +1456,7 @@ mod tests {
             .unwrap();
         let payload = encode_database(&db);
         let back = decode_database(&payload).unwrap();
-        assert_eq!(back.schema_epoch(), db.schema_epoch());
+        assert_eq!(back.version(), db.version());
         assert_eq!(back.table_def("keyed").unwrap().primary_key, vec!["k"]);
         assert_eq!(back.relation("keyed").unwrap(), db.relation("keyed").unwrap());
     }

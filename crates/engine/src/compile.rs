@@ -34,8 +34,8 @@
 //! A [`CompiledPlan`] owns everything it needs (no borrows of the database),
 //! so `certus::Session` caches compiled plans inside `PreparedQuery` — a
 //! prepared re-execution performs zero compilation work on top of zero
-//! planning work. Compiled plans are only valid for the database state they
-//! were compiled against; the session's schema-epoch guard enforces that.
+//! planning work. A plan holds table names and schemas, never rows, so it
+//! outlives writes; the session's schema-epoch guard retires it.
 
 use crate::rows::{RowView, Slot};
 use certus_algebra::condition::{Condition, Operand};

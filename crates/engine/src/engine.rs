@@ -357,8 +357,8 @@ impl<'a> Engine<'a> {
     /// Compile a physical plan into the native operator runtime. All schema
     /// inference and column-name resolution happens here; the returned
     /// [`CompiledPlan`] owns everything it needs and can be executed any
-    /// number of times (it stays valid as long as the database's schema
-    /// epoch does).
+    /// number of times, over any state of the rows (it stays valid as long
+    /// as the database's schema epoch does).
     pub fn compile(&self, plan: &PhysicalExpr) -> Result<CompiledPlan> {
         CompiledPlan::compile(plan, self.db)
     }

@@ -51,8 +51,6 @@ pub const SERVER_SNAPSHOT_PINS: &str = "server.snapshot_pins";
 pub const SERVER_SNAPSHOT_PINS_LIVE: &str = "server.snapshot_pins_live";
 /// Client connections currently open (gauge).
 pub const SERVER_CONNECTIONS: &str = "server.connections";
-/// Prepared executions that hit `StalePlan` and were re-prepared server-side.
-pub const SERVER_STALE_REPLANS: &str = "server.stale_replans";
 /// Latency histogram (nanoseconds) of admitted server requests, from
 /// taking an execution slot to the response written (slot wait excluded).
 pub const SERVER_REQUEST_NS: &str = "server.request_ns";

@@ -119,8 +119,7 @@ impl Default for RetryPolicy {
 pub struct WireAnswers {
     /// The decoded answer payload.
     pub body: AnswerBody,
-    /// Whether the server transparently re-prepared a stale plan to produce
-    /// this answer.
+    /// Always `false` (see [`Response::Answers`]).
     pub reprepared: bool,
 }
 
@@ -280,7 +279,7 @@ impl Client {
         }
     }
 
-    /// Ping; returns the server's current schema epoch.
+    /// Ping; returns the server's current data version.
     pub fn ping(&mut self) -> ClientResult<u64> {
         match self.rpc(&Request::Ping)? {
             Response::Pong { epoch } => Ok(epoch),
@@ -288,8 +287,9 @@ impl Client {
         }
     }
 
-    /// Prepare a query server-side; returns the statement id and the epoch
-    /// it was planned at.
+    /// Prepare a query server-side; returns the statement id and the schema
+    /// epoch it was planned at. The statement stays executable across
+    /// writes and sees their rows.
     pub fn prepare(
         &mut self,
         certainty: WireCertainty,
@@ -341,9 +341,9 @@ impl Client {
         }
     }
 
-    /// Append rows to a table; returns the schema epoch after the write. On
-    /// a durable server the returned epoch means the rows are fsync'd to the
-    /// WAL and will survive a crash.
+    /// Append rows to a table; returns the data version after the write. On
+    /// a durable server the returned version means the rows are fsync'd to
+    /// the WAL and will survive a crash.
     pub fn insert(&mut self, table: &str, rows: Vec<Tuple>) -> ClientResult<u64> {
         let req = Request::Insert { table: table.to_string(), rows };
         match self.rpc(&req)? {

@@ -197,7 +197,7 @@ pub enum Request {
         /// [`Request::Execute::deadline_ms`]).
         deadline_ms: u64,
     },
-    /// Append rows to a table; bumps the schema epoch.
+    /// Append rows to a table; bumps the data version.
     Insert {
         /// Target table.
         table: String,
@@ -263,7 +263,7 @@ impl Request {
 /// [`AnswerBody::encode`] is the *canonical* byte form: it covers exactly
 /// the certainty and the answer relations/breakdown, so differential
 /// harnesses can compare server answers byte-for-byte against local
-/// [`certus::Session`] execution regardless of epochs or replan flags.
+/// [`certus::Session`] execution regardless of versions or the replan flag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnswerBody {
     /// The certainty the query ran under.
@@ -426,7 +426,7 @@ pub struct ServerStats {
     pub requests: u64,
     /// Requests shed by admission control.
     pub rejected: u64,
-    /// Stale prepared executions transparently re-prepared.
+    /// Always 0: writes never invalidate a prepared statement.
     pub stale_replans: u64,
     /// Currently open connections.
     pub connections: u64,
@@ -440,16 +440,16 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Entries currently in the shared plan cache.
     pub cache_entries: u64,
-    /// Schema epoch of the current snapshot.
+    /// Data version of the current snapshot.
     pub epoch: u64,
 }
 
 /// A server→client response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Liveness answer carrying the current schema epoch.
+    /// Liveness answer carrying the current data version.
     Pong {
-        /// Schema epoch of the current snapshot.
+        /// Data version of the current snapshot.
         epoch: u64,
     },
     /// A statement was prepared under this connection-scoped id.
@@ -463,14 +463,14 @@ pub enum Response {
     Answers {
         /// The canonical answer payload.
         body: AnswerBody,
-        /// Whether a stale prepared plan was transparently re-prepared
-        /// against the current snapshot before executing. Not part of the
-        /// canonical [`AnswerBody::encode`] bytes.
+        /// Always `false`: prepared statements survive writes, so none is
+        /// re-prepared. Kept on the wire until the benchmark stops reading
+        /// it; not part of the canonical [`AnswerBody::encode`] bytes.
         reprepared: bool,
     },
     /// A write (or close/shutdown) was applied.
     Ack {
-        /// Schema epoch after the operation.
+        /// Data version after the operation.
         epoch: u64,
     },
     /// The request failed; the connection stays usable (except for

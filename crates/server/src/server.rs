@@ -120,15 +120,6 @@ pub fn answer_body(answers: &certus::AnswerSet) -> AnswerBody {
     }
 }
 
-/// A prepared statement held server-side for one connection: the original
-/// query (for transparent re-preparation after an epoch bump) plus the
-/// compiled [`PreparedQuery`].
-struct PreparedEntry {
-    query: RaExpr,
-    certainty: Certainty,
-    prepared: PreparedQuery,
-}
-
 /// A connection's write half, shared between its reader thread and (for
 /// subscriber connections) the replication sender thread.
 pub(crate) struct Conn {
@@ -241,7 +232,6 @@ pub(crate) struct State {
     readers: Mutex<Vec<JoinHandle<()>>>,
     requests: Arc<Counter>,
     rejected: Arc<Counter>,
-    stale_replans: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
     idle_closed: Arc<Counter>,
     connections_gauge: Arc<Gauge>,
@@ -293,7 +283,9 @@ impl State {
         ServerStats {
             requests: self.requests.value(),
             rejected: self.rejected.value(),
-            stale_replans: self.stale_replans.value(),
+            // A write moves the data version, not the schema epoch the
+            // statements are keyed on, so no statement is ever re-prepared.
+            stale_replans: 0,
             connections: self.open_connections.load(Ordering::Relaxed) as u64,
             live_pins: self.store.live_pins(),
             queue_depth: self.gate.waiting() as u64,
@@ -365,7 +357,6 @@ impl Server {
             readers: Mutex::new(Vec::new()),
             requests: reg.counter(names::SERVER_REQUESTS),
             rejected: reg.counter(names::SERVER_REJECTED),
-            stale_replans: reg.counter(names::SERVER_STALE_REPLANS),
             deadline_exceeded: reg.counter(names::SERVER_DEADLINE_EXCEEDED),
             idle_closed: reg.counter(names::SERVER_IDLE_CLOSED),
             connections_gauge: reg.gauge(names::SERVER_CONNECTIONS),
@@ -390,7 +381,7 @@ impl Server {
         self.addr
     }
 
-    /// Schema epoch of the current snapshot.
+    /// Data version of the current snapshot.
     pub fn epoch(&self) -> u64 {
         self.state.store.epoch()
     }
@@ -552,8 +543,9 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
     let mut stream = stream;
     let mut frames = FrameBuffer::new();
     // Prepared statements, keyed by connection-scoped id. None is ever
-    // dropped, so ids run densely from 1.
-    let mut statements: HashMap<u64, PreparedEntry> = HashMap::new();
+    // dropped, so ids run densely from 1. A statement stays executable
+    // across writes: it is keyed on the schema epoch, which no request moves.
+    let mut statements: HashMap<u64, PreparedQuery> = HashMap::new();
     let idle_limit = (state.config.idle_timeout_ms > 0)
         .then(|| Duration::from_millis(state.config.idle_timeout_ms));
     let mut last_activity = Instant::now();
@@ -688,7 +680,7 @@ fn reader_loop(stream: TcpStream, state: &Arc<State>) {
             }),
             Request::Execute { prepared, deadline_ms } => {
                 serve(state, &conn, request_id, deadline_ms, |cancel| {
-                    execute(state, &mut statements, prepared, cancel)
+                    execute(state, &statements, prepared, cancel)
                 })
             }
             Request::Query { certainty, query, deadline_ms } => {
@@ -819,7 +811,7 @@ fn deadline_error(state: &State) -> Response {
 
 fn prepare(
     state: &State,
-    statements: &mut HashMap<u64, PreparedEntry>,
+    statements: &mut HashMap<u64, PreparedQuery>,
     query: &RaExpr,
     certainty: Certainty,
 ) -> Response {
@@ -829,7 +821,7 @@ fn prepare(
         Ok(prepared) => {
             let epoch = prepared.schema_epoch();
             let id = statements.len() as u64 + 1;
-            statements.insert(id, PreparedEntry { query: query.clone(), certainty, prepared });
+            statements.insert(id, prepared);
             Response::Prepared { prepared: id, epoch }
         }
         Err(e) => query_error(state, &e),
@@ -838,38 +830,19 @@ fn prepare(
 
 fn execute(
     state: &State,
-    statements: &mut HashMap<u64, PreparedEntry>,
+    statements: &HashMap<u64, PreparedQuery>,
     prepared: u64,
     cancel: Option<CancelToken>,
 ) -> Response {
-    let snapshot = state.store.pin();
-    let session = state.session_over(&snapshot, cancel);
-    let Some(entry) = statements.get_mut(&prepared) else {
+    let Some(prepared) = statements.get(&prepared) else {
         return Response::error(
             ErrorCode::UnknownPrepared,
             format!("no prepared statement {prepared} on this connection"),
         );
     };
-    match session.execute_prepared(&entry.prepared) {
+    let snapshot = state.store.pin();
+    match state.session_over(&snapshot, cancel).execute_prepared(prepared) {
         Ok(answers) => Response::Answers { body: answer_body(&answers), reprepared: false },
-        Err(CertusError::StalePlan { .. }) => {
-            // The schema epoch moved past the plan: transparently
-            // re-prepare against the pinned snapshot and retry. The
-            // refreshed plan is stored for subsequent executes.
-            state.stale_replans.incr();
-            match session.prepare(&entry.query, entry.certainty) {
-                Ok(fresh) => {
-                    entry.prepared = fresh;
-                    match session.execute_prepared(&entry.prepared) {
-                        Ok(answers) => {
-                            Response::Answers { body: answer_body(&answers), reprepared: true }
-                        }
-                        Err(e) => query_error(state, &e),
-                    }
-                }
-                Err(e) => query_error(state, &e),
-            }
-        }
         Err(e) => query_error(state, &e),
     }
 }
@@ -895,7 +868,7 @@ fn insert(state: &State, table: &str, rows: &[Tuple]) -> Response {
         return replication::not_primary(primary);
     }
     match &state.durable {
-        // Durable path: the row is validated against the pinned
+        // Durable path: the rows are validated against the pinned
         // snapshot, WAL-appended and fsync'd, and only then published
         // and acknowledged. The Ack *is* the durability guarantee —
         // and under sync replication it additionally waits for the
@@ -938,23 +911,13 @@ fn insert(state: &State, table: &str, rows: &[Tuple]) -> Response {
             Err(WalError::Data(message)) => Response::error(ErrorCode::QueryError, message),
             Err(e) => Response::error(ErrorCode::Internal, format!("durable write failed: {e}")),
         },
-        None => {
-            let outcome = state.store.update(|db| -> Result<u64, String> {
-                // Validate against a scratch copy first so a bad row
-                // leaves the published database (and its epoch)
-                // untouched.
-                let mut scratch = db.relation(table).map_err(|e| e.to_string())?.clone();
-                for row in rows {
-                    scratch.insert(row.clone()).map_err(|e| e.to_string())?;
-                }
-                *db.relation_mut(table).map_err(|e| e.to_string())? = scratch;
-                Ok(db.schema_epoch())
-            });
-            match outcome {
-                Ok(epoch) => Response::Ack { epoch },
-                Err(message) => Response::error(ErrorCode::QueryError, message),
-            }
-        }
+        // In-memory path: `append` checks the incoming rows before writing
+        // any, so a bad batch leaves the published rows (and the data
+        // version) untouched.
+        None => match state.store.update(|db| db.append(table, rows).map(|()| db.version())) {
+            Ok(epoch) => Response::Ack { epoch },
+            Err(e) => Response::error(ErrorCode::QueryError, e.to_string()),
+        },
     }
 }
 

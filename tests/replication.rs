@@ -1,8 +1,9 @@
 //! End-to-end tests for WAL-shipping replication: read replicas and the
 //! `NotPrimary` redirect, checkpoint bootstrap and rotation-following,
 //! sync-quorum acks, operator promotion, graceful primary restarts without
-//! re-bootstrap, the replica-aware [`ClusterClient`], and fault injection
-//! on the stream and in the server above the storage layer.
+//! re-bootstrap, prepared statements on a replica that outlive applied
+//! inserts and re-bootstraps, the replica-aware [`ClusterClient`], and
+//! fault injection on the stream and in the server above the storage layer.
 
 use certus::data::builder::rel;
 use certus::obs::failpoint::{failpoints, FailAction};
@@ -13,7 +14,7 @@ use certus_server::replication::{FP_REPL_APPLY, FP_REPL_SEND};
 use certus_server::server::{FP_ADMIT, FP_PUBLISH, FP_RESPOND};
 use certus_server::{
     ClientError, ClusterClient, ErrorCode, ReplMode, ReplicationConfig, Server, ServerConfig,
-    WireCertainty,
+    WireAnswers, WireCertainty,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +69,10 @@ fn row(v: i64) -> Vec<Tuple> {
 }
 
 fn log_values(client: &mut Client) -> Vec<i64> {
-    let answers = client.query(WireCertainty::Plain, &RaExpr::relation("log")).expect("query log");
+    values(client.query(WireCertainty::Plain, &RaExpr::relation("log")).expect("query log"))
+}
+
+fn values(answers: WireAnswers) -> Vec<i64> {
     answers
         .body
         .plain
@@ -204,6 +208,56 @@ fn a_late_replica_bootstraps_from_checkpoint_and_follows_rotations() {
         installed,
         "a quiescent rotation is a local fold, not a checkpoint transfer"
     );
+
+    drop(pc);
+    drop(rc);
+    replica.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+#[test]
+fn a_statement_prepared_on_a_replica_outlives_applied_inserts_and_a_re_bootstrap() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let (pdir, rdir) = (temp_dir("prepared-p"), temp_dir("prepared-r"));
+    let mut config = primary_config(&pdir, ReplMode::Async);
+    config.checkpoint_every = 4;
+    let primary = Server::start(seed_db(), config).unwrap();
+    let paddr = primary.local_addr().to_string();
+    let replica = Server::start(seed_db(), replica_config(&rdir, &paddr)).unwrap();
+
+    let mut pc = Client::connect(&paddr).expect("connect primary");
+    let mut rc = Client::connect(replica.local_addr()).expect("connect replica");
+    let (stmt, _) = rc.prepare(WireCertainty::Plain, &RaExpr::relation("log")).expect("prepare");
+    let planned = rc.stats().expect("replica stats").cache_misses;
+    let mut executed = || values(rc.execute(stmt).expect("the prepared statement executes"));
+
+    // An insert applied from the primary reaches the statement as prepared.
+    let mut expected = vec![0, 1];
+    pc.insert("log", row(1)).expect("insert");
+    wait_for("the replica to apply the insert", Duration::from_secs(5), || {
+        (executed() == expected).then_some(())
+    });
+
+    // The insert that crosses `checkpoint_every` folds the primary's log
+    // under the streaming replica, which re-bootstraps from a checkpoint
+    // over the same tables: its schema epoch, and the statement, survive.
+    let durable = replica.durable().expect("replica is durable");
+    let installed = durable.checkpoints_installed();
+    for i in 2..=5 {
+        pc.insert("log", row(i)).expect("insert");
+        expected.push(i);
+    }
+    wait_for("the re-bootstrap", Duration::from_secs(5), || {
+        (durable.checkpoints_installed() > installed).then_some(())
+    });
+    wait_for("the replica to catch up", Duration::from_secs(5), || {
+        (executed() == expected).then_some(())
+    });
+    let answers = rc.execute(stmt).expect("the statement survives the re-bootstrap");
+    assert!(!answers.reprepared);
+    assert_eq!(rc.stats().expect("replica stats").cache_misses, planned, "nothing re-planned");
 
     drop(pc);
     drop(rc);

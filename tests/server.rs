@@ -1,8 +1,8 @@
 //! End-to-end tests for the certus-server subsystem: snapshot isolation
 //! under concurrent writers, byte-identical server vs. local execution,
-//! transparent re-preparation across epoch bumps, in-order execution per
-//! connection, admission control, and graceful shutdown under a
-//! multi-client burst.
+//! prepared statements that see later inserts without re-planning,
+//! all-or-nothing inserts, in-order execution per connection, admission
+//! control, and graceful shutdown under a multi-client burst.
 
 use certus::algebra::builder::eq;
 use certus::data::builder::rel;
@@ -207,32 +207,48 @@ fn server_answers_are_byte_identical_to_local_session_execution() {
 }
 
 #[test]
-fn stale_prepared_statements_are_transparently_re_prepared() {
+fn prepared_statements_see_inserts_without_re_preparing() {
     let server = Server::start(incomplete_db(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     let scan_r = RaExpr::relation("r");
-    let (stmt, prepared_epoch) = client.prepare(WireCertainty::Plain, &scan_r).unwrap();
-    assert_eq!(prepared_epoch, server.epoch());
+    let (stmt, _) = client.prepare(WireCertainty::Plain, &scan_r).unwrap();
     let first = client.execute(stmt).unwrap();
-    assert!(!first.reprepared, "fresh plan executes as-is");
     let before = first.body.plain.as_ref().unwrap().len();
     assert_eq!(before, 3);
+    let planned = client.stats().unwrap();
 
-    // A write bumps the schema epoch; the server-side plan is now stale.
-    let new_epoch = client.insert("r", vec![Tuple::new(vec![Value::Int(42)])]).unwrap();
-    assert!(new_epoch > prepared_epoch);
-
+    // A write moves the data version, not the schema epoch the plan is
+    // keyed on: the statement runs as prepared and sees the new row.
+    let version = client.ping().unwrap();
+    assert!(client.insert("r", row(42)).unwrap() > version);
     let second = client.execute(stmt).unwrap();
-    assert!(second.reprepared, "stale plan was re-prepared server-side");
-    let after = second.body.plain.as_ref().unwrap().len();
-    assert_eq!(after, before + 1, "re-prepared plan sees the inserted row");
-
-    let third = client.execute(stmt).unwrap();
-    assert!(!third.reprepared, "refreshed plan is kept for later executes");
+    assert!(!second.reprepared);
+    let rows = second.body.plain.as_ref().unwrap();
+    assert_eq!(rows.len(), before + 1, "the prepared plan sees the inserted row");
+    assert!(rows.contains(&row(42)[0]));
 
     let stats = client.stats().unwrap();
-    assert!(stats.stale_replans >= 1);
+    assert_eq!(stats.stale_replans, 0);
+    assert_eq!(stats.cache_misses, planned.cache_misses, "nothing was planned again");
+    client.close().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_rejected_batch_leaves_the_in_memory_rows_and_version_untouched() {
+    let server = Server::start(incomplete_db(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let version = client.ping().unwrap();
+    // Only the batch's second row has the wrong arity: none of it lands.
+    let batch = vec![Tuple::new(vec![Value::Int(7)]), Tuple::new(vec![Value::Int(8); 2])];
+    match client.insert("r", batch) {
+        Err(certus_server::ClientError::Server { code: ErrorCode::QueryError, .. }) => {}
+        other => panic!("expected the arity error, got {other:?}"),
+    }
+    assert_eq!(client.ping().unwrap(), version);
+    let rows = client.query(WireCertainty::Plain, &RaExpr::relation("r")).unwrap();
+    assert_eq!(rows.body.plain.expect("plain answers").len(), 3);
     client.close().unwrap();
     server.shutdown();
 }
@@ -335,7 +351,7 @@ fn a_connections_requests_run_in_the_order_sent() {
         let (id, answers) = client.recv_answers().unwrap();
         assert_eq!(id, execute);
         expected += 4;
-        assert!(answers.reprepared, "the execute ran after the insert moved the epoch");
+        assert!(!answers.reprepared, "the insert left the statement's plan valid");
         assert_eq!(answers.body.plain.expect("plain").len(), expected, "pair {pair}");
     }
     client.close().unwrap();

@@ -1,5 +1,6 @@
 //! Integration tests for the `Session`/`PreparedQuery` facade: plan-cache
-//! hit/miss accounting, schema-epoch invalidation, stale-plan detection, and
+//! hit/miss accounting, prepared plans that outlive writes to the rows,
+//! schema-epoch invalidation, stale-plan detection, and
 //! the differential property that session answers are identical to the
 //! direct `CertainRewriter` + `Engine` path under both null semantics on
 //! randomized null databases.
@@ -11,7 +12,7 @@ use certus::data::null::NullId;
 use certus::tpch::{q1, q2, q3, q4, DbGen, QueryParams};
 use certus::{
     CertainRewriter, Certainty, CertusError, Database, Engine, EngineConfig, NullSemantics, RaExpr,
-    Session, Value,
+    Session, Tuple, Value,
 };
 
 fn small_db() -> Database {
@@ -83,6 +84,47 @@ fn schema_epoch_bump_invalidates_cached_plans() {
     assert_eq!((stats.hits, stats.misses), (0, 2));
     assert_eq!(stats.invalidations, 1, "the stale entry was pruned");
     assert_eq!(stats.entries, 1);
+}
+
+#[test]
+fn a_prepared_query_sees_inserts_without_re_preparing() {
+    let mut session = Session::new(small_db());
+    let prepared = session.prepare(&diff_query(), Certainty::Plain).unwrap();
+    // SQL's anti-join keeps 1 and 3: `a = ⊥` is unknown, so ⊥ matches nothing.
+    assert_eq!(session.execute_prepared(&prepared).unwrap().len(), 2);
+    let planned = session.cache_stats();
+    let version = session.database().version();
+
+    // An insert moves the data version and leaves the schema epoch alone…
+    session.database_mut().relation_mut("r").unwrap().insert_values([Value::Int(4)]).unwrap();
+    assert!(session.database().version() > version);
+    assert_eq!(session.schema_epoch(), prepared.schema_epoch());
+
+    // …so the prepared plan runs as is and its answer includes the row…
+    let answers = session.execute_prepared(&prepared).unwrap();
+    assert_eq!(answers.len(), 3);
+    assert!(answers.relation().contains(&Tuple::new(vec![Value::Int(4)])));
+
+    // …and preparing the query again is a hit: nothing was planned twice.
+    session.prepare(&diff_query(), Certainty::Plain).unwrap();
+    let stats = session.cache_stats();
+    assert_eq!((stats.misses, stats.insertions), (planned.misses, planned.insertions));
+    assert_eq!((stats.hits, stats.invalidations), (planned.hits + 1, planned.invalidations));
+}
+
+#[test]
+fn replacing_a_relation_with_another_schema_plans_against_the_new_one() {
+    let mut session = Session::new(small_db());
+    let scan = session.prepare(&RaExpr::relation("r"), Certainty::Plain).unwrap();
+    let replacement = rel(&["a", "b"], vec![vec![Value::Int(1), Value::Int(5)]]);
+    session.database_mut().insert_relation("r", replacement);
+
+    // The catalog describes the relation as it is now: `b` resolves…
+    let answers =
+        session.execute(&RaExpr::relation("r").project(&["b"]), Certainty::Plain).unwrap();
+    assert_eq!(answers.relation().tuples().to_vec(), vec![Tuple::new(vec![Value::Int(5)])]);
+    // …and the plan compiled against `r(a)` is refused.
+    assert!(matches!(session.execute_prepared(&scan), Err(CertusError::StalePlan { .. })));
 }
 
 #[test]
