@@ -3,21 +3,21 @@
 //! used by the `experiments` binary.
 
 use crate::timing::{fmt_ratio, time, time_mean};
+use certus::algebra::builder::eq_const;
+use certus::algebra::expr::RaExpr;
+use certus::algebra::NullSemantics;
+use certus::core::{translate_plus, CertainRewriter, ConditionDialect};
+use certus::data::builder::rel;
+use certus::data::{Database, Tuple, Value};
+use certus::engine::{Engine, EngineConfig};
 use certus::obs::{failpoints, FailAction};
 use certus::plan::cost::estimate;
+use certus::tpch::fp_detect::count_false_positives;
+use certus::tpch::{query_by_number, Workload};
 use certus::{Certainty, Session};
-use certus_algebra::builder::eq_const;
-use certus_algebra::expr::RaExpr;
-use certus_algebra::NullSemantics;
-use certus_core::{translate_plus, CertainRewriter, ConditionDialect};
-use certus_data::builder::rel;
-use certus_data::{Database, Tuple, Value};
-use certus_engine::{Engine, EngineConfig};
 use certus_server::client::Client;
 use certus_server::protocol::WireCertainty;
 use certus_server::{answer_body, Server, ServerConfig};
-use certus_tpch::fp_detect::count_false_positives;
-use certus_tpch::{query_by_number, Workload};
 
 /// The serial SQL-semantics engine the single-threaded experiments run on.
 fn serial_engine(db: &Database) -> Engine<'_> {
@@ -254,7 +254,7 @@ pub fn section5(sizes: &[usize]) -> Vec<Sec5Row> {
                 .difference(RaExpr::relation("s").select(eq_const("b", 3i64))),
         );
         let plus = translate_plus(&q, ConditionDialect::Sql).expect("translates");
-        let fig2 = certus_core::naive_translation::translate_t(&q, &db, ConditionDialect::Sql)
+        let fig2 = certus::core::naive_translation::translate_t(&q, &db, ConditionDialect::Sql)
             .expect("translates");
         let engine = serial_engine(&db);
         // One profiled run per arm: its wall time and the tuples its
@@ -329,10 +329,10 @@ pub fn precision_recall(scale_factor: f64, null_rate: f64, seed: u64) -> Vec<Pre
         let flagged: Vec<bool> = sql
             .iter()
             .map(|t| match q {
-                1 => certus_tpch::fp_detect::detect_q1(&db, t),
-                2 => certus_tpch::fp_detect::detect_q2(&db),
-                3 => certus_tpch::fp_detect::detect_q3(&db, t),
-                _ => certus_tpch::fp_detect::detect_q4(&db, &params, t),
+                1 => certus::tpch::fp_detect::detect_q1(&db, t),
+                2 => certus::tpch::fp_detect::detect_q2(&db),
+                3 => certus::tpch::fp_detect::detect_q3(&db, t),
+                _ => certus::tpch::fp_detect::detect_q4(&db, &params, t),
             })
             .collect();
         let mut kept = 0usize;
@@ -406,7 +406,7 @@ pub fn or_split_ablation(bench_scale: f64, tiny_scale: f64, null_rate: f64) -> A
     let w = Workload::new(bench_scale, null_rate, 901);
     let db = w.incomplete_instance();
     let params = w.params(&db, 0);
-    let q4 = certus_tpch::q4(&params);
+    let q4 = certus::tpch::q4(&params);
     let unsplit = CertainRewriter::unoptimized().rewrite_plus(&q4, &db).expect("translates");
     let split = CertainRewriter::new().rewrite_plus(&q4, &db).expect("translates");
     let original_cost = estimate(&q4, &db).expect("estimates").cost;
@@ -417,7 +417,7 @@ pub fn or_split_ablation(bench_scale: f64, tiny_scale: f64, null_rate: f64) -> A
     let wt = Workload::new(tiny_scale, null_rate, 902);
     let tiny = wt.incomplete_instance();
     let tiny_params = wt.params(&tiny, 0);
-    let q4_tiny = certus_tpch::q4(&tiny_params);
+    let q4_tiny = certus::tpch::q4(&tiny_params);
     let unsplit_tiny =
         CertainRewriter::unoptimized().rewrite_plus(&q4_tiny, &tiny).expect("translates");
     let split_tiny = CertainRewriter::new().rewrite_plus(&q4_tiny, &tiny).expect("translates");
@@ -564,7 +564,7 @@ pub fn chaos_experiment(
     rounds: usize,
     writes_per_round: usize,
 ) -> ChaosReport {
-    use certus_data::wal::{FP_APPEND, FP_FSYNC};
+    use certus::data::wal::{FP_APPEND, FP_FSYNC};
     use certus_server::client::RetryPolicy;
 
     let oracle = ChaosOracle::new(scale_factor, null_rate, seed);

@@ -4,7 +4,7 @@
 //! reproduction of Guagliardo & Libkin, *Making SQL Queries Correct on
 //! Incomplete Databases: A Feasibility Study* (PODS 2016).
 //!
-//! This facade crate re-exports the workspace:
+//! The library is one crate; its modules are the layers:
 //!
 //! * [`data`] — values, nulls, 3VL, tuples, relations, incomplete databases;
 //! * [`algebra`] — the relational-algebra IR and reference evaluator;
@@ -18,12 +18,13 @@
 //!   per-execution [`QueryProfile`]s and the `EXPLAIN ANALYZE`
 //!   ([`Session::explain_analyze`]) estimate-vs-actual trees;
 //! * [`tpch`] — the TPC-H substrate, the paper's queries Q1–Q4 and the
-//!   false-positive detectors.
+//!   false-positive detectors;
+//! * [`exec`] — the process-wide worker pool and cancellation tokens.
 //!
 //! The recommended entry point is the [`Session`] facade: it owns the
 //! database, wires translation → rewrite-pass pipeline → physical planning →
 //! execution behind one object, caches prepared plans, and returns one error
-//! type ([`CertusError`]) for all layers:
+//! type ([`Error`]) for all layers:
 //!
 //! ```
 //! use certus::{Certainty, RaExpr, Session};
@@ -47,28 +48,27 @@
 //! ```
 //!
 //! There is one road from a query to its answers, and `Session` walks it.
-//! The crates behind it stay reachable through the modules above; the
+//! Every layer stays reachable through the modules above; the
 //! root re-exports only what the tests, the examples and the benchmark
 //! name. [`Engine::execute`] runs a hand-built logical plan without the
 //! passes.
 
+pub mod algebra;
+pub mod core;
+pub mod data;
+pub mod engine;
 pub mod error;
+pub mod exec;
+pub mod obs;
+pub mod plan;
 pub mod session;
+pub mod tpch;
 
-pub use certus_algebra as algebra;
-pub use certus_core as core;
-pub use certus_data as data;
-pub use certus_engine as engine;
-pub use certus_exec as exec;
-pub use certus_obs as obs;
-pub use certus_plan as plan;
-pub use certus_tpch as tpch;
-
-pub use certus_algebra::{Condition, NullSemantics, RaExpr};
-pub use certus_core::CertainRewriter;
-pub use certus_data::{Database, Relation, Tuple, Value};
-pub use certus_engine::{Engine, EngineConfig};
-pub use certus_obs::{AnalyzedPlan, QueryProfile};
-pub use certus_plan::{Parallelism, StatisticsCatalog};
-pub use error::CertusError;
+pub use algebra::{Condition, NullSemantics, RaExpr};
+pub use core::CertainRewriter;
+pub use data::{Database, Relation, Tuple, Value};
+pub use engine::{Engine, EngineConfig};
+pub use error::{Error, Result};
+pub use obs::{AnalyzedPlan, QueryProfile};
+pub use plan::{Parallelism, StatisticsCatalog};
 pub use session::{AnswerSet, Certainty, PreparedQuery, Session, SharedPlanCache};

@@ -8,7 +8,7 @@
 //!
 //! * [`Session::prepare`] walks that road **once** and returns a
 //!   [`PreparedQuery`] that can be executed many times; prepared plans live
-//!   in an LRU [plan cache](certus_plan::cache) keyed on `(expression
+//!   in an LRU [plan cache](crate::plan::cache) keyed on `(expression
 //!   fingerprint, certainty, schema epoch, thread count)` with hit/miss
 //!   counters ([`Session::cache_stats`]); [`Session::explain`] and
 //!   [`Session::explain_analyze`] walk the same road, so they show the plan
@@ -20,22 +20,22 @@
 //! * plans read the catalog, never the rows, so they key on the schema
 //!   epoch, which writes leave alone: a [`PreparedQuery`] sees later inserts.
 //!   After a schema change (via [`Session::database_mut`]) executing it
-//!   fails with [`CertusError::StalePlan`]; the [`StatisticsCatalog`]
+//!   fails with [`Error::StalePlan`]; the [`StatisticsCatalog`]
 //!   follows the data version instead;
 //! * every method returns [`certus::error::Result`](crate::error::Result), so
 //!   callers handle one error type for all five layers.
 
-use crate::error::{CertusError, Result};
-use certus_algebra::{NullSemantics, RaExpr};
-use certus_core::metrics::AnswerBreakdown;
-use certus_core::ConditionDialect;
-use certus_data::{Database, Relation};
-use certus_engine::{CompiledPlan, Engine, EngineConfig};
-use certus_obs::metrics::{registry, Counter, Histogram};
-use certus_obs::{names, AnalyzedPlan, QueryProfile, Timer};
-use certus_plan::cache::{CacheStats, PlanCache, PlanKey};
-use certus_plan::physical::{ExplainPlan, PhysicalExpr, PhysicalPlanner};
-use certus_plan::{PassManager, StatisticsCatalog};
+use crate::algebra::{NullSemantics, RaExpr};
+use crate::core::metrics::AnswerBreakdown;
+use crate::core::ConditionDialect;
+use crate::data::{Database, Relation};
+use crate::engine::{CompiledPlan, Engine, EngineConfig};
+use crate::error::{Error, Result};
+use crate::obs::metrics::{registry, Counter, Histogram};
+use crate::obs::{names, AnalyzedPlan, QueryProfile, Timer};
+use crate::plan::cache::{CacheStats, PlanCache, PlanKey};
+use crate::plan::physical::{ExplainPlan, PhysicalExpr, PhysicalPlanner};
+use crate::plan::{PassManager, StatisticsCatalog};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -98,8 +98,8 @@ pub struct SessionBuilder {
     config: EngineConfig,
     cache_capacity: usize,
     cache: Option<SharedPlanCache>,
-    pool: Option<Arc<certus_exec::Pool>>,
-    cancel: Option<certus_exec::CancelToken>,
+    pool: Option<Arc<crate::exec::Pool>>,
+    cancel: Option<crate::exec::CancelToken>,
 }
 
 impl SessionBuilder {
@@ -148,25 +148,24 @@ impl SessionBuilder {
     }
 
     /// Worker pool executions schedule their parallel tasks on. Sessions
-    /// share the process-wide [`certus::exec::global`](certus_exec::global)
+    /// share the process-wide `exec::global`
     /// pool by default — set this only to isolate a session onto a private
     /// pool (e.g. to cap its CPU share, or in tests that assert pool
     /// behavior). The pool's width bounds *scheduling*, not plan shapes;
     /// [`SessionBuilder::threads`] remains the planning-side fan-out.
-    pub fn worker_pool(mut self, pool: Arc<certus_exec::Pool>) -> Self {
+    pub fn worker_pool(mut self, pool: Arc<crate::exec::Pool>) -> Self {
         self.pool = Some(pool);
         self
     }
 
     /// Cooperative cancellation for every execution this session runs. The
     /// engine checks the token at morsel boundaries (operator entries and
-    /// parallel partition starts) and surfaces
-    /// [`CertusError`] wrapping
-    /// `AlgebraError::Cancelled` once it trips. The server builds one
+    /// parallel partition starts) and fails with [`Error::Cancelled`] once it
+    /// trips. The server builds one
     /// session per request and derives the token from the request's
     /// deadline; embedders can share a token across sessions to cancel a
     /// whole batch.
-    pub fn cancel_token(mut self, token: certus_exec::CancelToken) -> Self {
+    pub fn cancel_token(mut self, token: crate::exec::CancelToken) -> Self {
         self.cancel = Some(token);
         self
     }
@@ -259,7 +258,7 @@ impl PreparedQuery {
     }
 
     /// The schema epoch the plans were built against. Executing against a
-    /// database at a different epoch fails with [`CertusError::StalePlan`].
+    /// database at a different epoch fails with [`Error::StalePlan`].
     pub fn schema_epoch(&self) -> u64 {
         self.epoch
     }
@@ -347,14 +346,14 @@ pub struct Session {
     dialect: ConditionDialect,
     cache: SharedPlanCache,
     stats: Mutex<Option<(u64, Arc<StatisticsCatalog>)>>,
-    pool: Option<Arc<certus_exec::Pool>>,
-    cancel: Option<certus_exec::CancelToken>,
+    pool: Option<Arc<crate::exec::Pool>>,
+    cancel: Option<crate::exec::CancelToken>,
 }
 
 impl Session {
     /// A session with the default configuration: SQL semantics, the
     /// environment-driven engine configuration ([`EngineConfig::from_env`])
-    /// and a plan cache of [`PlanCache::<()>::DEFAULT_CAPACITY`] entries.
+    /// and a plan cache of `PlanCache::<()>::DEFAULT_CAPACITY` entries.
     pub fn new(db: Database) -> Self {
         Session::builder(db).build()
     }
@@ -366,7 +365,7 @@ impl Session {
 
     /// Start building a session over a *shared* database handle — typically
     /// a pinned snapshot from
-    /// [`certus::data::snapshot::SnapshotStore`](certus_data::snapshot::SnapshotStore).
+    /// [`certus::data::snapshot::SnapshotStore`](crate::data::snapshot::SnapshotStore).
     /// The session holds the `Arc` without copying any data; as long as it
     /// never calls [`Session::database_mut`], it shares every relation with
     /// the other holders.
@@ -421,9 +420,9 @@ impl Session {
     /// epoch invalidations, current entries).
     ///
     /// The same counters are mirrored process-wide into the
-    /// [`certus::obs`](certus_obs) metrics registry under the
+    /// [`certus::obs`](crate::obs) metrics registry under the
     /// `plan_cache.*` names, so they also appear in
-    /// [`registry().snapshot()`](certus_obs::metrics::registry) next to the
+    /// [`registry().snapshot()`](crate::obs::metrics::registry) next to the
     /// engine and interner metrics:
     ///
     /// ```
@@ -497,12 +496,12 @@ impl Session {
 
     /// Execute a prepared query. Performs **zero** rewrite or planning work:
     /// the engine runs the stored physical plans directly, over the rows
-    /// the database holds now. Fails with [`CertusError::StalePlan`] if the
+    /// the database holds now. Fails with [`Error::StalePlan`] if the
     /// database's schema epoch moved since the query was prepared.
     ///
     /// Every execution bumps the `session.executions` counter and records
     /// its wall time into the `session.execute_ns` histogram of the
-    /// process-wide [`certus::obs`](certus_obs) metrics registry.
+    /// process-wide [`certus::obs`](crate::obs) metrics registry.
     pub fn execute_prepared(&self, prepared: &PreparedQuery) -> Result<AnswerSet> {
         Ok(self.run_prepared(prepared, false)?.0)
     }
@@ -533,7 +532,7 @@ impl Session {
         static EXECUTE_NS: OnceLock<Arc<Histogram>> = OnceLock::new();
         let current = self.db.schema_epoch();
         if prepared.epoch != current {
-            return Err(CertusError::StalePlan {
+            return Err(Error::StalePlan {
                 prepared_epoch: prepared.epoch,
                 current_epoch: current,
             });
@@ -630,7 +629,7 @@ impl Session {
         let (phys, explain) = self.physical(&expr, &self.statistics())?;
         let compiled = CompiledPlan::compile(&phys, &self.db)?;
         let (_, profile) = self.engine().execute_compiled_profiled(&compiled)?;
-        Ok(certus_engine::annotate(&phys, &explain, &profile))
+        Ok(crate::engine::analyze::annotate(&phys, &explain, &profile))
     }
 
     /// Every part of a prepared query, planned and compiled: physical
@@ -652,10 +651,10 @@ impl Session {
     fn logical(&self, query: &RaExpr, role: AnswerRole) -> Result<RaExpr> {
         let translated = match role {
             AnswerRole::Plain => Cow::Borrowed(query),
-            AnswerRole::Certain => Cow::Owned(certus_core::translate_plus(query, self.dialect)?),
-            AnswerRole::Possible => Cow::Owned(certus_core::translate_star(query, self.dialect)?),
+            AnswerRole::Certain => Cow::Owned(crate::core::translate_plus(query, self.dialect)?),
+            AnswerRole::Possible => Cow::Owned(crate::core::translate_star(query, self.dialect)?),
         };
-        Ok(PassManager::standard().run(&translated, &*self.db)?)
+        PassManager::standard().run(&translated, &*self.db)
     }
 
     /// The physical plan of a logical one, with its explain tree. `stats`
@@ -667,17 +666,17 @@ impl Session {
     ) -> Result<(PhysicalExpr, ExplainPlan)> {
         let planner =
             PhysicalPlanner::with_parallelism(&*self.db, stats, self.config.parallelism());
-        Ok(planner.plan_explained(expr)?)
+        planner.plan_explained(expr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certus_algebra::builder::eq;
-    use certus_data::builder::rel;
-    use certus_data::null::NullId;
-    use certus_data::Value;
+    use crate::algebra::builder::eq;
+    use crate::data::builder::rel;
+    use crate::data::null::NullId;
+    use crate::data::Value;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -784,8 +783,8 @@ mod tests {
             assert_eq!(phys.has_exchange(), threads > 1);
             explained
         }
-        let w = certus_tpch::Workload::new(0.0002, 0.03, 42);
-        let q4 = certus_tpch::q4(&w.params(&w.incomplete_instance(), 0));
+        let w = crate::tpch::Workload::new(0.0002, 0.03, 42);
+        let q4 = crate::tpch::q4(&w.params(&w.incomplete_instance(), 0));
         for threads in [1, 4] {
             let session = Session::builder(db()).threads(threads).build();
             for certainty in [Certainty::Plain, Certainty::CertainPlus, Certainty::PossibleStar] {
@@ -887,7 +886,7 @@ mod tests {
 
     #[test]
     fn executions_land_in_the_metrics_registry() {
-        use certus_obs::metrics::registry;
+        use crate::obs::metrics::registry;
         let before = registry().snapshot();
         let session = Session::new(db());
         session.execute(&query(), Certainty::CertainPlus).unwrap();

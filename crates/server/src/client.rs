@@ -34,10 +34,10 @@ use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, AnswerBody, ErrorCode, ReplRole,
     ReplStatusBody, Request, Response, ServerStats, WireCertainty, WireError,
 };
-use certus_algebra::RaExpr;
-use certus_data::Tuple;
-use certus_obs::metrics::registry;
-use certus_obs::names;
+use certus::algebra::RaExpr;
+use certus::data::Tuple;
+use certus::obs::metrics::registry;
+use certus::obs::names;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::io::ErrorKind;

@@ -1,7 +1,7 @@
 //! Server tuning knobs.
 
 use crate::replication::ReplicationConfig;
-use certus_algebra::NullSemantics;
+use certus::algebra::NullSemantics;
 use std::path::PathBuf;
 
 /// Configuration for a [`crate::Server`].
@@ -38,7 +38,7 @@ pub struct ServerConfig {
     /// server channel (request id 0) first. `0` disables idle reaping.
     pub idle_timeout_ms: u64,
     /// Durability: when set, the server opens a
-    /// [`certus_data::wal::DurableStore`] in this directory — recovering
+    /// [`certus::data::wal::DurableStore`] in this directory — recovering
     /// any state a previous process left there — and every `Insert` is
     /// WAL-logged and fsync'd *before* it is acknowledged. `None` serves
     /// from memory only (the pre-durability behavior).

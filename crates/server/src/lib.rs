@@ -13,7 +13,7 @@
 //!   threads that execute their connection's requests in order, behind an
 //!   admission gate bounding how many run and how many wait. Reads execute
 //!   against pinned
-//!   [`SnapshotStore`](certus_data::snapshot::SnapshotStore) snapshots, so
+//!   [`SnapshotStore`](certus::data::snapshot::SnapshotStore) snapshots, so
 //!   writers never block readers; plans are shared process-wide through one
 //!   [`certus::SharedPlanCache`] keyed by (fingerprint, certainty/semantics,
 //!   schema epoch, threads).
@@ -46,7 +46,7 @@ pub mod protocol;
 pub mod replication;
 pub mod server;
 
-pub use certus_algebra::RaExpr;
+pub use certus::algebra::RaExpr;
 pub use client::{Client, ClientError, ClusterClient, RetryPolicy, WireAnswers};
 pub use config::ServerConfig;
 pub use protocol::{ErrorCode, ReplRole, Request, Response, ServerStats, WireCertainty};

@@ -8,19 +8,19 @@
 //! bytes. See `PROTOCOL.md` at the repository root for the full grammar.
 //!
 //! The primitive and data-level encoders (values, tuples, schemas,
-//! relations) live in [`certus_data::codec`] and are shared with the
-//! write-ahead log ([`certus_data::wal`]) — the bytes a WAL record holds
+//! relations) live in [`certus::data::codec`] and are shared with the
+//! write-ahead log ([`certus::data::wal`]) — the bytes a WAL record holds
 //! for a row are exactly the bytes an `Insert` request carried. This module
 //! adds the algebra-level encoders (conditions, expressions) and the
 //! request/response envelopes.
 
-use certus_algebra::{AggExpr, AggFunc, Condition, Operand, ProjCol, RaExpr};
-use certus_data::codec::{
+use certus::algebra::{AggExpr, AggFunc, Condition, Operand, ProjCol, RaExpr};
+use certus::data::codec::{
     self, get_relation, get_schema, get_tuple, get_value, put_bool, put_opt, put_relation,
     put_schema, put_str, put_tuple, put_u32, put_u64, put_u8, put_value, Reader,
 };
-use certus_data::compare::CmpOp;
-use certus_data::{Relation, Tuple};
+use certus::data::compare::CmpOp;
+use certus::data::{Relation, Tuple};
 use std::io::{Read, Write};
 
 /// Upper bound on a frame payload (64 MiB): malformed or hostile length
@@ -539,7 +539,7 @@ impl Response {
 
 // ---------------------------------------------------------------------------
 // Algebra-level encoders/decoders. Primitives and data-level forms (values,
-// tuples, schemas, relations) come from `certus_data::codec`; codec errors
+// tuples, schemas, relations) come from `certus::data::codec`; codec errors
 // convert into `WireError::Malformed` at the `?` sites below.
 
 /// Wire-level optional: like [`codec::get_opt`] but over closures that may
@@ -1145,9 +1145,9 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certus_algebra::builder::eq;
-    use certus_data::null::NullId;
-    use certus_data::{Attribute, Schema, Value, ValueType};
+    use certus::algebra::builder::eq;
+    use certus::data::null::NullId;
+    use certus::data::{Attribute, Schema, Value, ValueType};
 
     fn sample_exprs() -> Vec<RaExpr> {
         let base = RaExpr::relation("r");

@@ -38,10 +38,10 @@ use crate::protocol::{
     ReplStatusBody, ReplicaLag, Request, Response, SegmentKind,
 };
 use crate::server::{Conn, FrameBuffer, State};
-use certus_data::wal::{ReplPosition, WalChunk};
-use certus_obs::failpoint::{apply_delay, failpoints, FailAction};
-use certus_obs::metrics::registry;
-use certus_obs::names;
+use certus::data::wal::{ReplPosition, WalChunk};
+use certus::obs::failpoint::{apply_delay, failpoints, FailAction};
+use certus::obs::metrics::registry;
+use certus::obs::names;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};

@@ -44,14 +44,14 @@ use crate::protocol::{
     Response, ServerStats, WireCertainty, MAX_FRAME_LEN,
 };
 use crate::replication::{self, ReplState, Subscription};
-use certus::{Certainty, CertusError, Database, PreparedQuery, Session, SharedPlanCache, Tuple};
-use certus_algebra::RaExpr;
-use certus_data::snapshot::{Snapshot, SnapshotStore};
-use certus_data::wal::{DurableStore, ReplPosition, WalError};
-use certus_exec::CancelToken;
-use certus_obs::failpoint::{apply_delay, failpoints, FailAction};
-use certus_obs::metrics::{registry, Counter, Gauge, Histogram};
-use certus_obs::{names, Timer};
+use certus::algebra::RaExpr;
+use certus::data::snapshot::{Snapshot, SnapshotStore};
+use certus::data::wal::{DurableStore, ReplPosition, WalError};
+use certus::exec::CancelToken;
+use certus::obs::failpoint::{apply_delay, failpoints, FailAction};
+use certus::obs::metrics::{registry, Counter, Gauge, Histogram};
+use certus::obs::{names, Timer};
+use certus::{Certainty, Database, Error, PreparedQuery, Session, SharedPlanCache, Tuple};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -225,7 +225,7 @@ pub(crate) struct State {
     /// a standalone node is a primary with no subscribers).
     pub(crate) repl: ReplState,
     cache: SharedPlanCache,
-    pool: Arc<certus_exec::Pool>,
+    pool: Arc<certus::exec::Pool>,
     gate: Gate,
     shutdown: AtomicBool,
     open_connections: AtomicUsize,
@@ -344,7 +344,7 @@ impl Server {
             durable,
             repl,
             cache: SharedPlanCache::new(config.cache_capacity),
-            pool: Arc::new(certus_exec::Pool::new(config.engine_threads)),
+            pool: Arc::new(certus::exec::Pool::new(config.engine_threads)),
             gate: Gate {
                 state: Mutex::default(),
                 freed: Condvar::new(),
@@ -797,7 +797,7 @@ fn serve(
     state.request_ns.record(timer.elapsed_ns());
 }
 
-fn query_error(state: &State, e: &CertusError) -> Response {
+fn query_error(state: &State, e: &Error) -> Response {
     if e.is_cancelled() {
         return deadline_error(state);
     }

@@ -146,7 +146,7 @@ fn naive_evaluation_is_exact_on_positive_queries() {
 fn incomparability_examples_from_section_6() {
     // D1: Q+ misses a certain answer SQL returns; D2: Q+ (theoretical) finds
     // one SQL misses. Both directions are exercised in unit tests of
-    // certus-core; here we just confirm the two evaluations are incomparable
+    // certus::core; here we just confirm the two evaluations are incomparable
     // on D1 ∪ D2 style data.
     let mut db = Database::new();
     db.insert_relation(

@@ -1,6 +1,6 @@
 //! Acceptance check for the compiled operator runtime: re-executing a
 //! `PreparedQuery` must perform **zero** schema inference and **zero**
-//! column-name resolution, and extract no column twice from one snapshot. The `certus-data` profiling counters instrument exactly
+//! column-name resolution, and extract no column twice from one snapshot. The `certus::data` profiling counters instrument exactly
 //! those operations; this file contains a single
 //! test (integration-test files run as their own process) so no concurrent
 //! engine work can pollute the counter deltas.

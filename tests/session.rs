@@ -1,6 +1,6 @@
 //! Integration tests for the `Session`/`PreparedQuery` facade: plan-cache
 //! hit/miss accounting, prepared plans that outlive writes to the rows,
-//! schema-epoch invalidation, stale-plan detection, and
+//! schema-epoch invalidation, stale-plan detection, cancellation, and
 //! the differential property that session answers are identical to the
 //! direct `CertainRewriter` + `Engine` path under both null semantics on
 //! randomized null databases.
@@ -11,7 +11,7 @@ use certus::data::inject::NullInjector;
 use certus::data::null::NullId;
 use certus::tpch::{q1, q2, q3, q4, DbGen, QueryParams};
 use certus::{
-    CertainRewriter, Certainty, CertusError, Database, Engine, EngineConfig, NullSemantics, RaExpr,
+    CertainRewriter, Certainty, Database, Engine, EngineConfig, Error, NullSemantics, RaExpr,
     Session, Tuple, Value,
 };
 
@@ -71,7 +71,8 @@ fn schema_epoch_bump_invalidates_cached_plans() {
 
     // …so the old prepared query is refused rather than silently executed…
     match session.execute_prepared(&prepared) {
-        Err(CertusError::StalePlan { prepared_epoch, current_epoch }) => {
+        Err(e @ Error::StalePlan { prepared_epoch, current_epoch }) => {
+            assert!(!e.is_cancelled());
             assert_eq!(prepared_epoch, epoch0);
             assert_eq!(current_epoch, session.schema_epoch());
         }
@@ -84,6 +85,18 @@ fn schema_epoch_bump_invalidates_cached_plans() {
     assert_eq!((stats.hits, stats.misses), (0, 2));
     assert_eq!(stats.invalidations, 1, "the stale entry was pruned");
     assert_eq!(stats.entries, 1);
+}
+
+#[test]
+fn a_tripped_cancel_token_fails_the_execution_as_cancelled() {
+    let token = certus::exec::CancelToken::new();
+    let session = Session::builder(small_db()).cancel_token(token.clone()).build();
+    let prepared = session.prepare(&diff_query(), Certainty::CertainPlus).unwrap();
+    assert!(session.execute_prepared(&prepared).is_ok());
+    token.cancel();
+    let e = session.execute_prepared(&prepared).unwrap_err();
+    assert_eq!(e, Error::Cancelled);
+    assert!(e.is_cancelled());
 }
 
 #[test]
@@ -124,7 +137,7 @@ fn replacing_a_relation_with_another_schema_plans_against_the_new_one() {
         session.execute(&RaExpr::relation("r").project(&["b"]), Certainty::Plain).unwrap();
     assert_eq!(answers.relation().tuples().to_vec(), vec![Tuple::new(vec![Value::Int(5)])]);
     // …and the plan compiled against `r(a)` is refused.
-    assert!(matches!(session.execute_prepared(&scan), Err(CertusError::StalePlan { .. })));
+    assert!(matches!(session.execute_prepared(&scan), Err(Error::StalePlan { .. })));
 }
 
 #[test]
