@@ -11,14 +11,24 @@
 //! `IS [NOT] NULL` predicates (`const(A)` / `null(A)` in the paper), `LIKE`,
 //! `IN`-lists and black-box scalar subqueries.
 
-pub mod builder;
-pub mod condition;
-pub(crate) mod display;
-pub mod eval;
-pub mod expr;
-pub mod schema_infer;
-pub mod semantics;
-pub(crate) mod visit;
+pub mod builder {
+    pub use crate::builder::*;
+}
+pub mod condition {
+    pub use crate::condition::*;
+}
+pub mod eval {
+    pub use crate::eval::*;
+}
+pub mod expr {
+    pub use crate::expr::*;
+}
+pub mod schema_infer {
+    pub use crate::schema_infer::*;
+}
+pub mod semantics {
+    pub use crate::semantics::*;
+}
 
 pub use condition::{Condition, Operand};
 pub use eval::eval;

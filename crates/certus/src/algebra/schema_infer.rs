@@ -76,7 +76,7 @@ fn infer<'e>(
     catalog: &dyn Catalog,
     input: &mut dyn FnMut(&'e RaExpr) -> Result<Arc<Schema>>,
 ) -> Result<Arc<Schema>> {
-    crate::data::profile::record_schema_inference();
+    crate::obs::profile::record_schema_inference();
     match expr {
         RaExpr::Relation { name, alias } => {
             let schema = catalog.table_schema(name)?;

@@ -1,9 +1,32 @@
-//! Small helpers for building algebra expressions and conditions fluently.
+//! Convenience constructors for relations, rows, algebra expressions and
+//! conditions, used pervasively in tests, examples and the paper's worked
+//! examples. The data layer re-exports [`rel`] as `data::builder::rel`; the
+//! algebra layer re-exports the whole module as `algebra::builder`.
 
 use crate::algebra::condition::{Condition, Operand};
 use crate::algebra::expr::RaExpr;
 use crate::data::compare::CmpOp;
+use crate::data::relation::Relation;
 use crate::data::{Schema, Tuple, Value};
+
+/// Build a relation from column names and rows of values. Columns are typed
+/// `Any` and nullable; arity mismatches panic (this is a test helper).
+pub fn rel(columns: &[&str], rows: Vec<Vec<Value>>) -> Relation {
+    let schema = Schema::of_names(columns).shared();
+    let mut out = Relation::empty(schema);
+    for row in rows {
+        out.insert(Tuple::new(row)).expect("row arity must match columns");
+    }
+    out
+}
+
+/// Shorthand for a row of values.
+#[macro_export]
+macro_rules! row {
+    ($($v:expr),* $(,)?) => {
+        vec![$($crate::data::value::Value::from($v)),*]
+    };
+}
 
 /// A column operand.
 pub fn col(name: impl Into<String>) -> Operand {
@@ -99,5 +122,25 @@ mod tests {
         assert_eq!(neq_const("a", 3i64).to_string(), "a <> 3");
         assert_eq!(like("p", "%x%").to_string(), "p LIKE '%x%'");
         assert_eq!(in_list("n", vec![Value::Int(1)]).to_string(), "n IN (1)");
+    }
+
+    #[test]
+    fn rel_builder() {
+        let r = rel(&["a", "b"], vec![vec![Value::Int(1), Value::str("x")]]);
+        assert_eq!(r.arity(), 2);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.schema().names(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn row_macro() {
+        let r: Vec<Value> = row![1i64, "x", true];
+        assert_eq!(r, vec![Value::Int(1), Value::str("x"), Value::Bool(true)]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rel_builder_panics_on_bad_arity() {
+        rel(&["a", "b"], vec![vec![Value::Int(1)]]);
     }
 }

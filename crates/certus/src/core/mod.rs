@@ -25,13 +25,23 @@
 //! * [`metrics`] — false-positive accounting of an answer against its
 //!   certain part.
 
-pub mod certain;
-pub mod dialect;
+pub mod certain {
+    pub use crate::certain::*;
+}
+pub mod dialect {
+    pub use crate::dialect::*;
+}
 pub mod metrics;
-pub mod naive_translation;
-pub mod rewriter;
-pub(crate) mod theta;
-pub mod translate;
+pub mod naive_translation {
+    pub use crate::naive_translation::*;
+}
+pub mod rewriter {
+    pub use crate::rewriter::*;
+}
+pub(crate) use crate::theta;
+pub mod translate {
+    pub use crate::translate::*;
+}
 
 pub use dialect::ConditionDialect;
 pub use rewriter::CertainRewriter;

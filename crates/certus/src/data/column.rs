@@ -169,7 +169,7 @@ impl Column {
     /// `data.column_extractions`). A whole relation's columns are better
     /// read through [`Relation::column`], which extracts each once.
     pub(crate) fn extract(rows: &[Tuple], pos: usize, pool: &StrPool) -> Column {
-        crate::data::profile::record_column_extraction();
+        crate::obs::profile::record_column_extraction();
         Self::build(rows.len(), |i| &rows[i][pos], pool)
     }
 

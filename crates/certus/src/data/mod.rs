@@ -29,26 +29,57 @@
 //! * [`wal`] — durable snapshot storage: a checksummed write-ahead log with
 //!   full-snapshot checkpoints and crash recovery ([`wal::DurableStore`]).
 
-pub mod builder;
-pub mod codec;
-pub mod column;
-pub mod compare;
-pub mod database;
-pub mod inject;
-pub mod intern;
-pub(crate) mod like;
-pub mod null;
-pub mod profile;
-pub mod relation;
-pub mod schema;
-pub mod snapshot;
-pub(crate) mod truth;
-pub mod tuple;
-pub mod types;
-pub(crate) mod unify;
-pub mod valuation;
-pub mod value;
-pub mod wal;
+pub mod builder {
+    pub use crate::builder::rel;
+}
+pub mod codec {
+    pub use crate::codec::*;
+}
+pub mod column {
+    pub use crate::column::*;
+}
+pub mod compare {
+    pub use crate::compare::*;
+}
+pub mod database {
+    pub use crate::database::*;
+}
+pub mod inject {
+    pub use crate::inject::*;
+}
+pub mod intern {
+    pub use crate::intern::*;
+}
+pub(crate) use crate::like;
+pub mod null {
+    pub use crate::null::*;
+}
+pub mod relation {
+    pub use crate::relation::*;
+}
+pub mod schema {
+    pub use crate::schema::*;
+}
+pub mod snapshot {
+    pub use crate::snapshot::*;
+}
+pub(crate) use crate::truth;
+pub mod tuple {
+    pub use crate::tuple::*;
+}
+pub mod types {
+    pub use crate::types::*;
+}
+pub(crate) use crate::unify;
+pub mod valuation {
+    pub use crate::valuation::*;
+}
+pub mod value {
+    pub use crate::value::*;
+}
+pub mod wal {
+    pub use crate::wal::*;
+}
 
 pub use database::Database;
 pub use relation::Relation;

@@ -21,7 +21,7 @@ pub fn resolve<'a>(
     attrs: impl Iterator<Item = &'a Attribute> + Clone,
     name: &str,
 ) -> Option<usize> {
-    crate::data::profile::record_name_resolution();
+    crate::obs::profile::record_name_resolution();
     let mut exact = attrs.clone().enumerate().filter(|(_, a)| a.name == name);
     if let Some((first, _)) = exact.next() {
         return exact.next().is_none().then_some(first);

@@ -183,7 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn any_folds_a_disjunction() {
+    fn all_and_any_fold() {
+        let all = |v: &[Truth]| v.iter().fold(True, |acc, &t| acc.and(t));
+        assert_eq!(all(&[True, True, True]), True);
+        assert_eq!(all(&[True, Unknown]), Unknown);
+        assert_eq!(all(&[Unknown, False]), False);
+        assert_eq!(all(&[]), True);
         assert_eq!(Truth::any([False, Unknown]), Unknown);
         assert_eq!(Truth::any([False, True]), True);
         assert_eq!(Truth::any(std::iter::empty()), False);

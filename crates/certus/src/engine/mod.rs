@@ -214,10 +214,12 @@
 //! share that one pool, so the machine is never oversubscribed no matter how
 //! many exchanges are in flight.
 
-pub(crate) mod analyze;
-pub mod compile;
-pub(crate) mod rows;
-pub(crate) mod vector;
+pub(crate) use crate::analyze;
+pub mod compile {
+    pub use crate::compile::*;
+}
+pub(crate) use crate::rows;
+pub(crate) use crate::vector;
 
 pub use compile::CompiledPlan;
 

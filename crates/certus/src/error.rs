@@ -156,11 +156,24 @@ pub type Result<T> = std::result::Result<T, Error>;
 mod tests {
     use super::*;
 
-    /// Every kind's text, as it reaches the wire in a `QueryError` message.
+    fn s(v: &str) -> String {
+        v.to_string()
+    }
+
+    /// Asserts each error's text, as it reaches the wire in a `QueryError`
+    /// message, and that no kind wraps another error.
+    fn assert_texts(rows: Vec<(Error, &str)>) {
+        for (error, text) in rows {
+            assert_eq!(error.to_string(), text, "{error:?}");
+            let as_std: &dyn std::error::Error = &error;
+            assert!(as_std.source().is_none(), "{error:?}");
+            assert_eq!(error.is_cancelled(), error == Error::Cancelled);
+        }
+    }
+
     #[test]
     fn display_text_of_every_kind() {
-        let s = |v: &str| v.to_string();
-        let rows: Vec<(Error, &str)> = vec![
+        assert_texts(vec![
             (
                 Error::UnknownAttribute { name: s("x"), available: vec![s("a"), s("b")] },
                 "unknown attribute `x` (available: a, b)",
@@ -203,12 +216,80 @@ mod tests {
                 "prepared query is stale: planned at schema epoch 3, database is now at 5 \
                  (re-prepare it)",
             ),
-        ];
-        for (error, text) in rows {
-            assert_eq!(error.to_string(), text, "{error:?}");
-            let as_std: &dyn std::error::Error = &error;
-            assert!(as_std.source().is_none(), "{error:?}");
-            assert_eq!(error.is_cancelled(), error == Error::Cancelled);
-        }
+        ]);
+    }
+
+    // The cases the layers' own error types were tested with, each now a
+    // kind of `Error`: a data error reads the same wherever it surfaces.
+
+    #[test]
+    fn display_unknown_attribute() {
+        assert_texts(vec![(
+            Error::UnknownAttribute { name: s("x"), available: vec![s("a"), s("b")] },
+            "unknown attribute `x` (available: a, b)",
+        )]);
+    }
+
+    #[test]
+    fn display_arity() {
+        assert_texts(vec![(
+            Error::ArityMismatch { expected: 3, found: 2 },
+            "arity mismatch: expected 3 columns, found 2",
+        )]);
+    }
+
+    #[test]
+    fn error_is_std_error() {
+        fn takes_err(_: &dyn std::error::Error) {}
+        takes_err(&Error::UnknownTable(s("t")));
+    }
+
+    #[test]
+    fn wraps_data_error() {
+        assert_texts(vec![(Error::UnknownTable(s("t")), "unknown table `t`")]);
+    }
+
+    #[test]
+    fn display_malformed() {
+        assert_texts(vec![(Error::Malformed(s("x")), "malformed expression: x")]);
+    }
+
+    #[test]
+    fn displays_wrap_sources() {
+        assert_texts(vec![
+            (Error::UnknownTable(s("t")), "unknown table `t`"),
+            (
+                Error::TooManyValuations { needed: 1000, limit: 10 },
+                "certain-answer oracle would need 1000 valuations (limit 10)",
+            ),
+        ]);
+    }
+
+    #[test]
+    fn wraps_and_displays_sources() {
+        assert_texts(vec![
+            (Error::UnknownTable(s("t")), "unknown table `t`"),
+            (Error::Malformed(s("x")), "malformed expression: x"),
+            (Error::InvalidPlan(s("p")), "invalid plan: p"),
+        ]);
+    }
+
+    #[test]
+    fn every_layer_error_converts() {
+        assert_texts(vec![
+            (Error::UnknownTable(s("t")), "unknown table `t`"),
+            (Error::Malformed(s("x")), "malformed expression: x"),
+            (Error::OutsideFragment(s("agg")), "query outside supported fragment: agg"),
+            (Error::InvalidPlan(s("p")), "invalid plan: p"),
+        ]);
+    }
+
+    #[test]
+    fn stale_plan_reports_both_epochs() {
+        assert_texts(vec![(
+            Error::StalePlan { prepared_epoch: 3, current_epoch: 5 },
+            "prepared query is stale: planned at schema epoch 3, database is now at 5 \
+             (re-prepare it)",
+        )]);
     }
 }

@@ -29,7 +29,9 @@
 //! Private pools via [`Pool::new`] are for tests and embedders that want an
 //! isolated width.
 
-pub mod cancel;
+pub mod cancel {
+    pub use crate::cancel::*;
+}
 
 pub use cancel::CancelToken;
 
@@ -376,123 +378,4 @@ pub fn threads_from_env() -> usize {
 pub(crate) fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(|| Pool::new(threads_from_env()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn scope_runs_all_tasks_and_borrows_environment() {
-        let pool = Pool::new(4);
-        let hits = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn results_can_be_written_into_disjoint_slots() {
-        let pool = Pool::new(3);
-        let mut slots = [0usize; 17];
-        pool.scope(|s| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                s.spawn(move || *slot = i * i);
-            }
-        });
-        for (i, slot) in slots.iter().enumerate() {
-            assert_eq!(*slot, i * i);
-        }
-    }
-
-    #[test]
-    fn nested_scopes_on_worker_threads_do_not_deadlock() {
-        let pool = Pool::new(2);
-        let total = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    // A task that itself fans out: exchanges nested under
-                    // union arms produce exactly this shape.
-                    pool.scope(|inner| {
-                        for _ in 0..8 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn concurrent_scopes_share_one_pool() {
-        let pool = Pool::new(4);
-        let total = AtomicUsize::new(0);
-        std::thread::scope(|threads| {
-            for _ in 0..6 {
-                threads.spawn(|| {
-                    pool.scope(|s| {
-                        for _ in 0..32 {
-                            s.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 6 * 32);
-        assert!(pool.peak_busy_workers() <= pool.width());
-    }
-
-    #[test]
-    fn worker_concurrency_is_bounded_by_width() {
-        let pool = Pool::new(3);
-        pool.scope(|s| {
-            for _ in 0..200 {
-                s.spawn(|| {
-                    std::thread::sleep(Duration::from_micros(50));
-                });
-            }
-        });
-        assert!(pool.tasks_executed() >= 200);
-        assert!(pool.peak_busy_workers() <= 3);
-    }
-
-    #[test]
-    fn panics_propagate_after_all_tasks_drain() {
-        let pool = Pool::new(2);
-        let ran = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let ran = &ran;
-                for i in 0..16 {
-                    s.spawn(move || {
-                        if i == 5 {
-                            panic!("boom");
-                        }
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(caught.is_err());
-        // Every non-panicking task still ran: the scope drains before
-        // resuming the panic, so borrowed data stayed valid throughout.
-        assert_eq!(ran.load(Ordering::Relaxed), 15);
-    }
-
-    #[test]
-    fn global_pool_width_is_positive() {
-        assert!(global().width() >= 1);
-    }
 }

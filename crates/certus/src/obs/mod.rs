@@ -33,13 +33,27 @@
 //! assert_eq!(delta.counter("doc.example.events"), 1);
 //! ```
 
-pub mod analyzed;
-pub mod failpoint;
-pub mod json;
-pub mod metrics;
-pub mod names;
-pub mod profile;
-pub mod time;
+pub mod analyzed {
+    pub use crate::analyzed::*;
+}
+pub mod failpoint {
+    pub use crate::failpoint::*;
+}
+pub mod json {
+    pub use crate::json::*;
+}
+pub mod metrics {
+    pub use crate::metrics::*;
+}
+pub mod names {
+    pub use crate::names::*;
+}
+pub mod profile {
+    pub use crate::profile::*;
+}
+pub mod time {
+    pub use crate::time::*;
+}
 
 pub use analyzed::AnalyzedPlan;
 pub use failpoint::{failpoints, FailAction};

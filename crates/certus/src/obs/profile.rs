@@ -7,11 +7,29 @@
 //! `ProfNode::finish` afterwards to freeze the actuals into a plain
 //! [`QueryProfile`] value for rendering, testing and estimate-vs-actual
 //! annotation.
+//!
+//! It also keeps three process-wide counters for the hot-path work the
+//! compiled operator runtime is supposed to eliminate, read as a
+//! [`ProfileSnapshot`]. Column-name *resolution* (string lookups in
+//! `crate::data::Schema::position_of`) and *schema inference* (re-deriving
+//! operator output schemas) belong to planning and compilation, never to
+//! executing a compiled plan. *Column extraction*
+//! (`crate::data::column::Column::extract`) belongs to execution but depends
+//! only on the snapshot for base relations, which keep their extracted
+//! columns ([`crate::data::Relation::column`]); re-executing a plan over an
+//! unchanged snapshot extracts only the columns of its intermediates. The
+//! counters live in the [`crate::obs::metrics::MetricsRegistry`] under the
+//! `data.*` names, so registry readers see the same values. They are global
+//! and monotone — meaningful as *deltas* taken while no other engine work
+//! runs in the process.
 
 use crate::obs::json;
+use crate::obs::metrics::{registry, Counter};
+use crate::obs::names;
 use crate::obs::time::fmt_ns;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Live per-operator actuals, all relaxed atomics so concurrent morsel
 /// workers can record without synchronisation.
@@ -383,9 +401,83 @@ impl fmt::Display for QueryProfile {
     }
 }
 
+fn name_resolutions() -> &'static Counter {
+    static H: OnceLock<Arc<Counter>> = OnceLock::new();
+    H.get_or_init(|| registry().counter(names::DATA_NAME_RESOLUTIONS))
+}
+
+fn schema_inferences() -> &'static Counter {
+    static H: OnceLock<Arc<Counter>> = OnceLock::new();
+    H.get_or_init(|| registry().counter(names::DATA_SCHEMA_INFERENCES))
+}
+
+fn column_extractions() -> &'static Counter {
+    static H: OnceLock<Arc<Counter>> = OnceLock::new();
+    H.get_or_init(|| registry().counter(names::DATA_COLUMN_EXTRACTIONS))
+}
+
+/// A snapshot of all profiling counters, for delta assertions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProfileSnapshot {
+    /// Column-name → position resolutions performed so far.
+    pub name_resolutions: u64,
+    /// Operator output-schema inferences performed so far.
+    pub schema_inferences: u64,
+    /// Columns extracted from rows so far.
+    pub column_extractions: u64,
+}
+
+impl ProfileSnapshot {
+    /// Take a snapshot of the current counter values.
+    pub fn now() -> ProfileSnapshot {
+        ProfileSnapshot {
+            name_resolutions: name_resolutions().value(),
+            schema_inferences: schema_inferences().value(),
+            column_extractions: column_extractions().value(),
+        }
+    }
+
+    /// The counter increments since an earlier snapshot.
+    pub fn delta_since(&self, earlier: &ProfileSnapshot) -> ProfileSnapshot {
+        ProfileSnapshot {
+            name_resolutions: self.name_resolutions - earlier.name_resolutions,
+            schema_inferences: self.schema_inferences - earlier.schema_inferences,
+            column_extractions: self.column_extractions - earlier.column_extractions,
+        }
+    }
+
+    /// Whether no planning or compilation work (name resolution, schema
+    /// inference) happened between `earlier` and this snapshot. Column
+    /// extraction is execution work and does not count.
+    pub fn is_zero(&self) -> bool {
+        self.name_resolutions == 0 && self.schema_inferences == 0
+    }
+}
+
+/// Record one column-name resolution (called by [`crate::data::Schema::position_of`]).
+#[inline]
+pub(crate) fn record_name_resolution() {
+    name_resolutions().incr();
+}
+
+/// Record one operator output-schema inference (called by the algebra module's
+/// `output_schema`).
+#[inline]
+pub(crate) fn record_schema_inference() {
+    schema_inferences().incr();
+}
+
+/// Record one column extraction (called by
+/// [`crate::data::column::Column::extract`]).
+#[inline]
+pub(crate) fn record_column_extraction() {
+    column_extractions().incr();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::metrics::MetricsSnapshot;
 
     fn sample() -> ProfNode {
         ProfNode::with(
@@ -482,5 +574,39 @@ mod tests {
         prof.add_step_rows(7, 1); // out-of-range step: dropped
         assert!(prof.step_ops.is_empty());
         assert_eq!(prof.finish().steps.len(), 0);
+    }
+
+    #[test]
+    fn deltas_track_recorded_events() {
+        let before = ProfileSnapshot::now();
+        record_name_resolution();
+        record_schema_inference();
+        record_column_extraction();
+        let delta = ProfileSnapshot::now().delta_since(&before);
+        // Other tests in this process may also record events concurrently,
+        // so only lower bounds are stable here.
+        assert!(delta.name_resolutions >= 1);
+        assert!(delta.schema_inferences >= 1);
+        assert!(delta.column_extractions >= 1);
+        assert!(!delta.is_zero());
+    }
+
+    #[test]
+    fn shim_and_registry_read_the_same_counters() {
+        let before = MetricsSnapshot::now();
+        record_name_resolution();
+        let delta = MetricsSnapshot::now().delta_since(&before);
+        assert!(delta.counter(names::DATA_NAME_RESOLUTIONS) >= 1);
+        // One counter behind both readers. Other tests record concurrently,
+        // so the shim's read falls between two registry reads.
+        assert!(std::ptr::eq(
+            name_resolutions(),
+            &*registry().counter(names::DATA_NAME_RESOLUTIONS)
+        ));
+        let registry_read = || MetricsSnapshot::now().counter(names::DATA_NAME_RESOLUTIONS);
+        let low = registry_read();
+        let shim = ProfileSnapshot::now().name_resolutions;
+        let high = registry_read();
+        assert!(low <= shim && shim <= high, "{low} <= {shim} <= {high}");
     }
 }

@@ -319,12 +319,15 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_clamped_to_one() {
+    fn capacity_is_clamped_and_clear_keeps_counters() {
         let mut cache: PlanCache<u32> = PlanCache::new(0);
         assert_eq!(cache.stats().capacity, 1);
         let key = PlanKey::new(q("a"), 0, 0, 1);
         cache.insert(key.clone(), 1);
         assert_eq!(cache.get(&key), Some(1));
+        // A newer schema epoch clears every entry; the counters stay.
+        cache.retain_epoch(1);
+        assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(key.epoch(), 0);
         assert_eq!(key.fingerprint(), expr_fingerprint(&q("a")));

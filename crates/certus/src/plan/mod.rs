@@ -29,68 +29,29 @@
 //!   LRU `PlanCache` (hit/miss counters, schema-epoch
 //!   invalidation) behind `certus::Session`'s prepared queries.
 
-pub mod cache;
-pub mod cost;
-pub mod equi;
-pub mod pass;
-pub mod passes;
-pub mod physical;
-pub mod stats;
+pub mod cache {
+    pub use crate::cache::*;
+}
+pub mod cost {
+    pub use crate::cost::*;
+}
+pub mod equi {
+    pub use crate::equi::*;
+}
+pub mod pass {
+    pub use crate::pass::*;
+}
+pub mod passes {
+    pub use crate::passes::*;
+}
+pub mod physical {
+    pub use crate::physical::*;
+}
+pub mod stats {
+    pub use crate::stats::*;
+}
 
 pub use equi::NullOk;
 pub use pass::{PassManager, PassTrace, PASSES};
 pub use physical::{heuristic_plan, Parallelism, PhysicalPlanner};
 pub use stats::StatisticsCatalog;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::algebra::builder::{eq, is_null};
-    use crate::algebra::expr::RaExpr;
-    use crate::data::builder::rel;
-    use crate::data::{Database, Value};
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.insert_relation(
-            "r",
-            rel(&["a", "b"], (0..30).map(|i| vec![Value::Int(i), Value::Int(i)]).collect()),
-        );
-        db.insert_relation(
-            "s",
-            rel(&["c", "d"], (0..30).map(|i| vec![Value::Int(i), Value::Int(i)]).collect()),
-        );
-        db
-    }
-
-    #[test]
-    fn planner_splits_or_antijoins_end_to_end() {
-        let db = db();
-        let q =
-            RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "c").or(is_null("c")));
-        let optimized = PassManager::standard().run(&q, &db).unwrap();
-        // The OR split into a chain of two anti-joins.
-        let mut chain = 0;
-        let mut cur = &optimized;
-        while let RaExpr::AntiJoin { left, .. } = cur {
-            chain += 1;
-            cur = left;
-        }
-        assert_eq!(chain, 2);
-    }
-
-    #[test]
-    fn planner_produces_executable_physical_plans() {
-        let db = db();
-        let q = RaExpr::relation("r")
-            .join(RaExpr::relation("s"), eq("a", "c"))
-            .select(eq("b", "d"))
-            .project(&["a"]);
-        let optimized = PassManager::standard().run(&q, &db).unwrap();
-        let stats = StatisticsCatalog::analyze(&db);
-        let (plan, explain) = PhysicalPlanner::new(&db, &stats).plan_explained(&optimized).unwrap();
-        assert!(plan.size() >= 3);
-        // Only `a` is read above the join and the projection deduplicates.
-        assert!(explain.to_string().contains("HashSemiJoin"), "{explain}");
-    }
-}

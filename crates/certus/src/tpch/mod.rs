@@ -18,14 +18,26 @@
 //!   (Algorithms 1 and 2 plus the simple checks for Q2 and Q3).
 //! * [`workload`] — glue to produce incomplete instances at a given null rate.
 
-pub mod datafiller;
-pub mod dbgen;
-pub mod fp_detect;
-pub mod params;
-pub mod queries;
+pub mod datafiller {
+    pub use crate::datafiller::*;
+}
+pub mod dbgen {
+    pub use crate::dbgen::*;
+}
+pub mod fp_detect {
+    pub use crate::fp_detect::*;
+}
+pub mod params {
+    pub use crate::params::*;
+}
+pub mod queries {
+    pub use crate::queries::*;
+}
 pub(crate) mod schema;
-pub(crate) mod text;
-pub mod workload;
+pub(crate) use crate::text;
+pub mod workload {
+    pub use crate::workload::*;
+}
 
 pub use dbgen::DbGen;
 pub use params::QueryParams;

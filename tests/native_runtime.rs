@@ -5,8 +5,8 @@
 //! test (integration-test files run as their own process) so no concurrent
 //! engine work can pollute the counter deltas.
 
-use certus::data::profile::ProfileSnapshot;
 use certus::engine::CompiledPlan;
+use certus::obs::profile::ProfileSnapshot;
 use certus::tpch::{query_by_number, Workload};
 use certus::{Certainty, EngineConfig, NullSemantics, Session};
 
