@@ -134,6 +134,30 @@ fn certain_answer_plans_have_no_nested_loops_and_q2_q3_plans_stay_put() {
     assert_eq!(q2_q3_plans, include_str!("fixtures/q2p_q3p_plans_at_d2876e0.txt"));
 }
 
+/// `Session::explain` of Q1–Q4, as written and under both translations, at
+/// one and four threads: plans *and* estimates, byte for byte what commit
+/// 6cc32f2 (the last with a second, logical cost model beside the
+/// planner's) printed. A change to the cost formulas updates the fixture on
+/// purpose; a refactor of where they are computed must leave it alone.
+#[test]
+fn explain_text_of_every_query_and_translation_stays_put() {
+    let workload = Workload::new(0.001, 0.02, 99);
+    let db = workload.incomplete_instance();
+    let params = workload.params(&db, 0);
+    let mut text = String::new();
+    for threads in [1usize, 4] {
+        let session = Session::builder(db.clone()).threads(threads).build();
+        for q in 1..=4usize {
+            let expr = query_by_number(q, &params).expect("query exists");
+            for certainty in [Certainty::Plain, Certainty::CertainPlus, Certainty::PossibleStar] {
+                let explain = session.explain(&expr, certainty).expect("explains");
+                writeln!(text, "=== {threads} threads Q{q} {certainty:?}\n{explain}").unwrap();
+            }
+        }
+    }
+    assert_eq!(text, include_str!("fixtures/explain_at_6cc32f2.txt"));
+}
+
 /// FNV-1a (64 bits) over the rendered rows, one per line, in answer order.
 fn ordered_digest(rel: &Relation) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
