@@ -1,6 +1,6 @@
 //! EXPLAIN ANALYZE support: build the `ProfNode` tree an instrumented
 //! execution records into, and zip a finished [`QueryProfile`] back onto the
-//! planner's (physical plan, [`ExplainPlan`]) pair to produce an
+//! (physical plan, [`ExplainPlan`]) pair to produce an
 //! [`AnalyzedPlan`] — estimates and actuals side by side for every node.
 //!
 //! The two halves mirror the compiler's structural transformations in
@@ -66,10 +66,9 @@ pub(crate) fn skeleton(node: &CompiledExpr) -> ProfNode {
 }
 
 /// Zip a finished profile onto the physical plan and its explain tree:
-/// every explain node annotated with measured actuals. `phys` and `explain`
-/// must be the pair returned by the planner's `plan_explained`, and
-/// `profile` the result of executing that plan's compilation under
-/// instrumentation.
+/// every explain node annotated with measured actuals. `explain` must be
+/// [`cost::explain`](crate::plan::cost::explain) of `phys`, and `profile`
+/// the result of executing that plan's compilation under instrumentation.
 pub(crate) fn annotate(
     phys: &PhysicalExpr,
     explain: &ExplainPlan,

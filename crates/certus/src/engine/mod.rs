@@ -1973,7 +1973,8 @@ mod tests {
         let stats = StatisticsCatalog::analyze(&db);
         let planner = PhysicalPlanner::new(&db, &stats);
         let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
-        let (phys, explain) = planner.plan_explained(&plus).unwrap();
+        let phys = planner.plan(&plus).unwrap();
+        let explain = planner.explain(&plus).unwrap();
         let compiled = engine.compile(&phys).unwrap();
         let plain = engine.execute_compiled(&compiled).unwrap();
         let (out, profile) = engine.execute_compiled_profiled(&compiled).unwrap();

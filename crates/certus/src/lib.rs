@@ -249,7 +249,9 @@ mod tests {
             .project(&["a"]);
         let optimized = PassManager::standard().run(&q, &db).unwrap();
         let stats = StatisticsCatalog::analyze(&db);
-        let (plan, explain) = PhysicalPlanner::new(&db, &stats).plan_explained(&optimized).unwrap();
+        let planner = PhysicalPlanner::new(&db, &stats);
+        let (plan, explain) =
+            (planner.plan(&optimized).unwrap(), planner.explain(&optimized).unwrap());
         assert!(plan.size() >= 3);
         // Only `a` is read above the join and the projection deduplicates.
         assert!(explain.to_string().contains("HashSemiJoin"), "{explain}");

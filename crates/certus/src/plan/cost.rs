@@ -1,18 +1,20 @@
-//! Cardinality and cost estimation (`EXPLAIN`-style).
+//! Cardinality and cost estimation (`EXPLAIN`).
 //!
-//! Two estimation regimes share one implementation:
+//! One function, [`explain`], walks a physical plan bottom-up and puts
+//! estimated output rows and cumulative cost on every node. Base
+//! cardinalities, equality selectivities (`1 / distinct`) and null-check
+//! selectivities (the measured null fraction) come from a
+//! [`StatisticsCatalog`]; predicates it knows nothing about fall back to
+//! fixed magic numbers, and a relation it has not analyzed scans no rows.
+//! The plan is chosen before, and without, any of this: estimates describe
+//! a plan and never pick one.
 //!
-//! * **statistics-free** ([`estimate`]): base cardinalities come from the
-//!   database, predicate selectivities from fixed magic numbers. A join
-//!   whose condition yields no hash key (see [`crate::plan::equi`]) is charged
-//!   nested-loop cost — the "astronomical" plan costs the paper reports in
-//!   Section 7 for conditions that hide their equality; the translation's
-//!   own `A = B OR B IS NULL` shape is a null-aware key and is charged like
-//!   any hash join.
-//! * **statistics-backed** (`estimate_with`): base cardinalities, equality
-//!   selectivities (`1 / distinct`) and null-check selectivities (the
-//!   measured null fraction) come from a [`StatisticsCatalog`], which is what
-//!   the physical planner's explain trees use.
+//! An operator's charge follows its algorithm: a hash join or
+//! (anti-)semijoin reads each input once, a nested loop compares every pair
+//! — the "astronomical" plan costs the paper reports in Section 7 for
+//! conditions that hide their equality. The translation's own
+//! `A = B OR B IS NULL` shape is a null-aware key (see [`crate::plan::equi`])
+//! and is charged like any hash join.
 //!
 //! Costs are *per-row operation counts*, independent of how the engine
 //! executes a plan. In particular the engine's compiled runtime fuses
@@ -22,26 +24,8 @@
 
 use crate::algebra::condition::{Condition, Operand};
 use crate::algebra::expr::RaExpr;
-use crate::algebra::schema_infer::output_schema;
-use crate::data::Database;
-use crate::plan::equi::{references_schema, split_equi};
+use crate::plan::physical::{ExplainPlan, JoinAlgo, PhysicalExpr, SemiAlgo};
 use crate::plan::stats::StatisticsCatalog;
-use crate::Result;
-
-/// Estimated output rows and cumulative cost (in abstract "row operations").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostEstimate {
-    /// Estimated number of output rows.
-    pub rows: f64,
-    /// Estimated cumulative cost.
-    pub cost: f64,
-}
-
-/// Estimate the selectivity of a condition (fraction of tuples kept) without
-/// statistics, from fixed per-predicate magic numbers.
-pub fn selectivity(condition: &Condition) -> f64 {
-    selectivity_with(condition, &StatisticsCatalog::empty())
-}
 
 /// Estimate the selectivity of a condition, consulting column statistics
 /// where available and falling back to the fixed magic numbers otherwise.
@@ -107,15 +91,7 @@ fn eq_selectivity(left: &Operand, right: &Operand, stats: &StatisticsCatalog) ->
     }
 }
 
-/// Estimate rows and cost for an expression over the given database, without
-/// column statistics (base cardinalities only).
-pub fn estimate(expr: &RaExpr, db: &Database) -> Result<CostEstimate> {
-    estimate_with(expr, db, &StatisticsCatalog::empty())
-}
-
-// Per-operator row-count formulas, shared between the logical estimator
-// below and the physical planner's per-node annotations so the two can
-// never drift apart.
+// Per-operator row-count formulas.
 
 /// Output rows of a theta-join (a product is a join with condition `TRUE`,
 /// which keeps the full cross-product cardinality).
@@ -149,7 +125,7 @@ pub(crate) fn aggregate_rows(input_rows: f64, grouped: bool) -> f64 {
 /// Per-row CPU discount of a batch-eligible filter (the engine evaluates it
 /// column-wise over typed vectors instead of dispatching per row). The
 /// constant is a calibration of the observed fused-pipeline speedup, not a
-/// law; what matters to the planner is that vectorizable filters charge
+/// law; what matters to an estimate is that vectorizable filters charge
 /// less than row-at-a-time ones.
 const VECTORIZED_FILTER_FACTOR: f64 = 0.25;
 
@@ -171,8 +147,7 @@ pub(crate) fn batch_eligible(condition: &Condition) -> bool {
 }
 
 /// The per-row CPU factor of a filter over this condition: discounted when
-/// the condition is batch-eligible, full price otherwise. Shared by the
-/// logical estimator and the physical planner's per-node annotations.
+/// the condition is batch-eligible, full price otherwise.
 pub(crate) fn filter_cpu_factor(condition: &Condition) -> f64 {
     if batch_eligible(condition) {
         VECTORIZED_FILTER_FACTOR
@@ -187,131 +162,62 @@ const EXCHANGE_PARTITION_SETUP: f64 = 8.0;
 
 /// Cost of an exchange (repartition) operator over `rows` input rows split
 /// into `partitions` partitions: one routing pass over the input plus the
-/// per-partition setup. Rows pass through unchanged. Shared with the
-/// physical planner's per-node annotations, like the row formulas above.
+/// per-partition setup. Rows pass through unchanged.
 pub(crate) fn exchange_cost(rows: f64, partitions: usize) -> f64 {
     rows + EXCHANGE_PARTITION_SETUP * partitions.max(1) as f64
 }
 
-/// Estimate rows and cost for an expression, with base cardinalities taken
-/// from the statistics catalog when analyzed (falling back to the catalog's
-/// live row counts) and selectivities from column statistics.
-pub(crate) fn estimate_with(
-    expr: &RaExpr,
-    db: &Database,
-    stats: &StatisticsCatalog,
-) -> Result<CostEstimate> {
-    Ok(match expr {
-        RaExpr::Relation { name, .. } => {
-            let rows = stats
-                .row_count(name)
-                .unwrap_or_else(|| db.relation(name).map(|r| r.len()).unwrap_or(0))
-                as f64;
-            CostEstimate { rows, cost: rows }
+/// The `EXPLAIN` tree of a physical plan: every node's label, estimated
+/// output rows and cumulative cost (its own charge plus its children's),
+/// computed bottom-up from `stats`. An exchange passes its rows through and
+/// charges one routing pass; a batch-eligible filter is tagged `[vec]`.
+pub fn explain(plan: &PhysicalExpr, stats: &StatisticsCatalog) -> ExplainPlan {
+    let children: Vec<ExplainPlan> =
+        plan.children().into_iter().map(|c| explain(c, stats)).collect();
+    let input = |i: usize| children.get(i).map_or((0.0, 0.0), |c| (c.rows, c.cost));
+    let ((lr, lc), (rr, rc)) = (input(0), input(1));
+    let mut op = plan.label();
+    let (rows, charge) = match plan {
+        PhysicalExpr::Source(source) => {
+            let n = match source {
+                RaExpr::Relation { name, .. } => stats.row_count(name).unwrap_or(0),
+                RaExpr::Values { rows, .. } => rows.len(),
+                _ => 0,
+            } as f64;
+            (n, n)
         }
-        RaExpr::Values { rows, .. } => {
-            CostEstimate { rows: rows.len() as f64, cost: rows.len() as f64 }
-        }
-        RaExpr::Select { input, condition } => {
-            let c = estimate_with(input, db, stats)?;
-            CostEstimate {
-                rows: c.rows * selectivity_with(condition, stats),
-                cost: c.cost + c.rows * filter_cpu_factor(condition),
+        PhysicalExpr::Filter { condition, .. } => {
+            if batch_eligible(condition) {
+                op.push_str(" [vec]");
             }
+            (lr * selectivity_with(condition, stats), lr * filter_cpu_factor(condition))
         }
-        RaExpr::Project { input, .. }
-        | RaExpr::Rename { input, .. }
-        | RaExpr::Distinct { input } => {
-            let c = estimate_with(input, db, stats)?;
-            CostEstimate { rows: c.rows, cost: c.cost + c.rows }
-        }
-        RaExpr::Product { left, right } => {
-            let l = estimate_with(left, db, stats)?;
-            let r = estimate_with(right, db, stats)?;
-            CostEstimate { rows: l.rows * r.rows, cost: l.cost + r.cost + l.rows * r.rows }
-        }
-        RaExpr::Join { left, right, condition } => {
-            let l = estimate_with(left, db, stats)?;
-            let r = estimate_with(right, db, stats)?;
-            let hashable = join_is_hashable(left, right, condition, db);
-            let out_rows = join_rows(l.rows, r.rows, condition, stats);
-            let op_cost = if hashable { l.rows + r.rows } else { l.rows * r.rows };
-            CostEstimate { rows: out_rows, cost: l.cost + r.cost + op_cost }
-        }
-        RaExpr::SemiJoin { left, right, condition }
-        | RaExpr::AntiJoin { left, right, condition } => {
-            let l = estimate_with(left, db, stats)?;
-            let r = estimate_with(right, db, stats)?;
-            let left_schema = output_schema(left, db)?;
-            let decorrelated = !references_schema(condition, &left_schema);
-            let hashable = join_is_hashable(left, right, condition, db);
-            let op_cost = if decorrelated {
-                r.rows
-            } else if hashable {
-                l.rows + r.rows
-            } else {
-                l.rows * r.rows
+        PhysicalExpr::Project { .. }
+        | PhysicalExpr::Rename { .. }
+        | PhysicalExpr::Distinct { .. } => (lr, lr),
+        PhysicalExpr::Join { condition, algo, .. } => {
+            let charge = match algo {
+                JoinAlgo::Hash { .. } => lr + rr,
+                JoinAlgo::NestedLoop => lr * rr,
             };
-            CostEstimate { rows: semi_rows(l.rows), cost: l.cost + r.cost + op_cost }
+            (join_rows(lr, rr, condition, stats), charge)
         }
-        RaExpr::Union { left, right }
-        | RaExpr::Intersect { left, right }
-        | RaExpr::Difference { left, right } => {
-            let l = estimate_with(left, db, stats)?;
-            let r = estimate_with(right, db, stats)?;
-            CostEstimate {
-                rows: setop_rows(l.rows, r.rows),
-                cost: l.cost + r.cost + l.rows + r.rows,
-            }
+        PhysicalExpr::Semi { algo, .. } => {
+            let charge = match algo {
+                SemiAlgo::Decorrelated => rr,
+                SemiAlgo::Hash { .. } => lr + rr,
+                SemiAlgo::NestedLoop => lr * rr,
+            };
+            (semi_rows(lr), charge)
         }
-        RaExpr::UnifySemiJoin { left, right }
-        | RaExpr::UnifyAntiSemiJoin { left, right }
-        | RaExpr::Division { left, right } => {
-            let l = estimate_with(left, db, stats)?;
-            let r = estimate_with(right, db, stats)?;
-            CostEstimate { rows: l.rows, cost: l.cost + r.cost + l.rows * r.rows }
-        }
-        RaExpr::Aggregate { input, group_by, .. } => {
-            let c = estimate_with(input, db, stats)?;
-            let rows = aggregate_rows(c.rows, !group_by.is_empty());
-            CostEstimate { rows, cost: c.cost + c.rows }
-        }
-    })
-}
-
-fn join_is_hashable(left: &RaExpr, right: &RaExpr, condition: &Condition, db: &Database) -> bool {
-    match (output_schema(left, db), output_schema(right, db)) {
-        (Ok(l), Ok(r)) => split_equi(condition, &l, &r).has_keys(),
-        _ => false,
-    }
-}
-
-/// Render an `EXPLAIN`-style tree with per-node row and cost estimates.
-pub fn explain(expr: &RaExpr, db: &Database) -> Result<String> {
-    let mut out = String::new();
-    render(expr, db, 0, &mut out)?;
-    Ok(out)
-}
-
-fn render(expr: &RaExpr, db: &Database, depth: usize, out: &mut String) -> Result<()> {
-    let est = estimate(expr, db)?;
-    let label = match expr {
-        RaExpr::Relation { name, .. } => format!("Scan {name}"),
-        RaExpr::Join { condition, .. } => format!("Join [{condition}]"),
-        RaExpr::AntiJoin { condition, .. } => format!("AntiJoin [{condition}]"),
-        RaExpr::SemiJoin { condition, .. } => format!("SemiJoin [{condition}]"),
-        RaExpr::Select { condition, .. } => format!("Select [{condition}]"),
-        other => {
-            let s = other.to_string();
-            s.chars().take(40).collect::<String>()
-        }
+        PhysicalExpr::Union { .. }
+        | PhysicalExpr::Intersect { .. }
+        | PhysicalExpr::Difference { .. } => (setop_rows(lr, rr), lr + rr),
+        PhysicalExpr::UnifySemi { .. } | PhysicalExpr::Division { .. } => (lr, lr * rr),
+        PhysicalExpr::Aggregate { group_by, .. } => (aggregate_rows(lr, !group_by.is_empty()), lr),
+        PhysicalExpr::Exchange { partitions, .. } => (lr, exchange_cost(lr, *partitions)),
     };
-    out.push_str(&"  ".repeat(depth));
-    out.push_str(&format!("{label}  (rows≈{:.0}, cost≈{:.0})\n", est.rows, est.cost));
-    for c in expr.children() {
-        render(c, db, depth + 1, out)?;
-    }
-    Ok(())
+    ExplainPlan { op, rows, cost: lc + rc + charge, children }
 }
 
 #[cfg(test)]
@@ -320,7 +226,8 @@ mod tests {
     use crate::algebra::builder::{eq, is_null};
     use crate::data::builder::rel;
     use crate::data::null::NullId;
-    use crate::data::Value;
+    use crate::data::{Database, Value};
+    use crate::plan::physical::{heuristic_plan_with, Parallelism};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -329,11 +236,17 @@ mod tests {
         db
     }
 
+    /// The root of the serial plan's explain tree under `stats`.
+    fn estimate(expr: &RaExpr, db: &Database, stats: &StatisticsCatalog) -> ExplainPlan {
+        explain(&heuristic_plan_with(expr, db, &Parallelism::serial()).unwrap(), stats)
+    }
+
     #[test]
     fn a_keyless_disjunction_inflates_join_cost_and_a_null_aware_key_does_not() {
         let db = db();
+        let stats = StatisticsCatalog::analyze(&db);
         let join = |c: Condition| {
-            estimate(&RaExpr::relation("r").join(RaExpr::relation("s"), c), &db).unwrap()
+            estimate(&RaExpr::relation("r").join(RaExpr::relation("s"), c), &db, &stats)
         };
         let plain = join(eq("a", "b"));
         // `x = y OR y IS NULL` is a null-aware hash key: priced at l + r.
@@ -354,10 +267,11 @@ mod tests {
     #[test]
     fn decorrelated_antijoin_is_cheap() {
         let db = db();
+        let stats = StatisticsCatalog::analyze(&db);
         let correlated = RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"));
         let decorrelated = RaExpr::relation("r").anti_join(RaExpr::relation("s"), is_null("b"));
-        let c = estimate(&correlated, &db).unwrap();
-        let d = estimate(&decorrelated, &db).unwrap();
+        let c = estimate(&correlated, &db, &stats);
+        let d = estimate(&decorrelated, &db, &stats);
         assert!(d.cost < c.cost);
     }
 
@@ -372,7 +286,7 @@ mod tests {
             eq("a", "b").not(),
         ];
         for c in conds {
-            let s = selectivity(&c);
+            let s = selectivity_with(&c, &StatisticsCatalog::empty());
             assert!((0.0..=1.0).contains(&s), "{c} -> {s}");
         }
     }
@@ -380,8 +294,9 @@ mod tests {
     #[test]
     fn explain_renders_costs() {
         let db = db();
+        let stats = StatisticsCatalog::analyze(&db);
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "b")).project(&["a"]);
-        let text = explain(&q, &db).unwrap();
+        let text = estimate(&q, &db, &stats).to_string();
         assert!(text.contains("Scan r"));
         assert!(text.contains("cost≈"));
         assert_eq!(text.lines().count(), 4);
@@ -403,8 +318,9 @@ mod tests {
         assert!((selectivity_with(&eq("a", "a"), &stats) - 0.5).abs() < 1e-12);
         // IS NULL selectivity equals the measured null fraction.
         assert!((selectivity_with(&is_null("b"), &stats) - 0.5).abs() < 1e-12);
-        // The statistics-free estimate keeps the old magic numbers.
-        assert!((selectivity(&eq("a", "a")) - 0.1).abs() < 1e-12);
+        // Without statistics the old magic numbers hold.
+        let empty = StatisticsCatalog::empty();
+        assert!((selectivity_with(&eq("a", "a"), &empty) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -459,11 +375,12 @@ mod tests {
             negated: false,
         };
         assert!(!batch_eligible(&inlist));
-        // The discount follows eligibility and feeds the Select estimate.
+        // The discount follows eligibility and feeds the Filter estimate.
         assert!(filter_cpu_factor(&eq("a", "b")) < filter_cpu_factor(&like));
         let db = db();
-        let cheap = estimate(&RaExpr::relation("r").select(eq("a", "a")), &db).unwrap();
-        let dear = estimate(&RaExpr::relation("r").select(like), &db).unwrap();
+        let stats = StatisticsCatalog::analyze(&db);
+        let cheap = estimate(&RaExpr::relation("r").select(eq("a", "a")), &db, &stats);
+        let dear = estimate(&RaExpr::relation("r").select(like), &db, &stats);
         assert!(cheap.cost < dear.cost);
     }
 
@@ -484,30 +401,30 @@ mod tests {
         let r = RaExpr::relation("r");
         let s = RaExpr::relation("s");
         // Selection: input rows times measured selectivity (1/distinct).
-        let sel = estimate_with(&r.clone().select(eq("a", "a")), &db, &stats).unwrap();
+        let sel = estimate(&r.clone().select(eq("a", "a")), &db, &stats);
         assert!((sel.rows - 1.0).abs() < 1e-9);
         // Semijoin halves the outer side.
-        let semi =
-            estimate_with(&r.clone().semi_join(s.clone(), eq("a", "b")), &db, &stats).unwrap();
+        let semi = estimate(&r.clone().semi_join(s.clone(), eq("a", "b")), &db, &stats);
         assert_eq!(semi.rows, 500.0);
         // Union keeps the larger side.
-        let uni = estimate_with(&r.clone().union(s.clone()), &db, &stats).unwrap();
+        let uni = estimate(&r.clone().union(s.clone()), &db, &stats);
         assert_eq!(uni.rows, 1000.0);
         // Ungrouped aggregation collapses to one row; grouped keeps 1/10th.
-        let agg = estimate_with(&r.clone().aggregate(&[], vec![]), &db, &stats).unwrap();
+        let agg = estimate(&r.clone().aggregate(&[], vec![]), &db, &stats);
         assert_eq!(agg.rows, 1.0);
-        let grouped = estimate_with(&r.aggregate(&["a"], vec![]), &db, &stats).unwrap();
+        let grouped = estimate(&r.aggregate(&["a"], vec![]), &db, &stats);
         assert_eq!(grouped.rows, 100.0);
     }
 
     #[test]
     fn estimate_with_uses_catalog_row_counts() {
         let db = db();
-        let stats = StatisticsCatalog::analyze(&db);
         let q = RaExpr::relation("r");
-        let with = estimate_with(&q, &db, &stats).unwrap();
-        let without = estimate(&q, &db).unwrap();
-        assert_eq!(with.rows, without.rows);
+        // An analyzed catalog knows the live row count…
+        let with = estimate(&q, &db, &StatisticsCatalog::analyze(&db));
+        assert_eq!(with.rows, db.relation("r").unwrap().len() as f64);
         assert_eq!(with.rows, 1000.0);
+        // …and a scan the catalog never analyzed estimates no rows.
+        assert_eq!(estimate(&q, &db, &StatisticsCatalog::empty()).rows, 0.0);
     }
 }

@@ -16,15 +16,17 @@
 //! * [`stats`] — a [`StatisticsCatalog`] of per-relation cardinalities and
 //!   per-column null fractions / distinct counts computed from
 //!   `certus::data` relations.
-//! * [`cost`] — the cost model, in a statistics-free flavour (the seed's
-//!   magic numbers) and a statistics-backed one.
+//! * [`cost`] — the cost model: [`cost::explain`] puts row and cost
+//!   estimates, from a [`StatisticsCatalog`], on every node of a physical
+//!   plan.
 //! * [`equi`] — which input of a join a column belongs to, and extraction
 //!   of hash-join keys (plain and null-aware) from conditions.
 //! * [`physical`] — the [`PhysicalExpr`](physical::PhysicalExpr) plan
-//!   representation and the one physical planner, [`PhysicalPlanner`]:
-//!   algorithms and exchanges follow from the expression and the thread
-//!   count alone, statistics only feed the estimates of its
-//!   [`ExplainPlan`](physical::ExplainPlan) trees.
+//!   representation and the one physical planner
+//!   ([`physical::heuristic_plan_with`]): algorithms and exchanges follow
+//!   from the expression and the thread count alone, and it takes no
+//!   statistics. [`PhysicalPlanner`] pairs it with a catalog for the
+//!   [`ExplainPlan`](physical::ExplainPlan) trees `cost::explain` estimates.
 //! * [`cache`] — hashable plan keys ([`PlanKey`](cache::PlanKey)) and the
 //!   LRU `PlanCache` (hit/miss counters, schema-epoch
 //!   invalidation) behind `certus::Session`'s prepared queries.
@@ -53,5 +55,5 @@ pub mod stats {
 
 pub use equi::NullOk;
 pub use pass::{PassManager, PassTrace, PASSES};
-pub use physical::{heuristic_plan, Parallelism, PhysicalPlanner};
+pub use physical::{Parallelism, PhysicalPlanner};
 pub use stats::StatisticsCatalog;

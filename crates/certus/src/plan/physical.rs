@@ -1,17 +1,18 @@
 //! Physical planning: turning a logical [`RaExpr`] into a [`PhysicalExpr`]
 //! tree with an explicit algorithm choice per join-like node.
 //!
-//! There is one planner, [`PhysicalPlanner`], and its choices follow from
-//! the expression and the thread count alone: hash join whenever a key —
-//! plain or null-aware, see [`crate::plan::equi`] — can be extracted, decorrelated
-//! short-circuit whenever a semijoin condition ignores the outer side,
-//! nested loops otherwise; an exchange at every site the engine can run in
-//! parallel when there is more than one thread (the engine decides at run
-//! time, on the rows that actually arrive, whether to use it). The
-//! [`StatisticsCatalog`] feeds only the row/cost estimates of the
-//! [`ExplainPlan`] tree, so planning with or without statistics yields the
-//! same [`PhysicalExpr`]; [`heuristic_plan_with`] is the planner over
-//! [`StatisticsCatalog::empty`], for callers that want no estimates.
+//! There is one planner, [`heuristic_plan_with`], and its choices follow
+//! from the expression, the catalog's schemas and the thread count alone:
+//! hash join whenever a key — plain or null-aware, see [`crate::plan::equi`]
+//! — can be extracted, decorrelated short-circuit whenever a semijoin
+//! condition ignores the outer side, nested loops otherwise; an exchange at
+//! every site the engine can run in parallel when there is more than one
+//! thread (the engine decides at run time, on the rows that actually
+//! arrive, whether to use it). It takes no statistics, so they cannot
+//! change a plan. The row and cost estimates of an [`ExplainPlan`] are put
+//! on a finished plan by [`crate::plan::cost::explain`];
+//! [`PhysicalPlanner`] bundles the planner with a [`StatisticsCatalog`] for
+//! that.
 
 use crate::algebra::condition::Condition;
 use crate::algebra::expr::{AggExpr, ProjCol, RaExpr};
@@ -19,7 +20,7 @@ use crate::algebra::schema_infer::{output_schema, Catalog};
 use crate::data::Schema;
 use crate::plan::equi::{references_schema, split_equi, EquiSplit, NullOk};
 use crate::plan::stats::StatisticsCatalog;
-use crate::{Error, Result};
+use crate::Result;
 use std::fmt;
 
 /// Parallelism configuration for the planner: how many worker threads the
@@ -388,7 +389,7 @@ fn key_pairs(left: &[String], right: &[String], null_ok: &[NullOk]) -> String {
 }
 
 /// An `EXPLAIN`-style tree: one node per physical operator with row and cost
-/// estimates.
+/// estimates, as [`crate::plan::cost::explain`] computes them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainPlan {
     /// Operator label (includes the chosen algorithm).
@@ -414,29 +415,6 @@ impl ExplainPlan {
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(ExplainPlan::size).sum::<usize>()
     }
-
-    /// Render the estimate tree as JSON (the static half of what
-    /// `Session::explain_analyze` produces; the session zips in actuals).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"op\": \"{}\", \"rows_est\": {}, \"cost_est\": {}",
-            crate::obs::json::escape(&self.op),
-            crate::obs::json::number(self.rows),
-            crate::obs::json::number(self.cost)
-        );
-        if !self.children.is_empty() {
-            out.push_str(", \"children\": [");
-            for (i, c) in self.children.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&c.to_json());
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for ExplainPlan {
@@ -447,23 +425,9 @@ impl fmt::Display for ExplainPlan {
     }
 }
 
-/// [`heuristic_plan_with`] for a serial engine.
-pub fn heuristic_plan(expr: &RaExpr, catalog: &dyn Catalog) -> Result<PhysicalExpr> {
-    heuristic_plan_with(expr, catalog, &Parallelism::serial())
-}
-
-/// The plan of [`PhysicalPlanner`] without a statistics catalog at hand —
-/// the same tree, since statistics only feed estimates.
-pub fn heuristic_plan_with(
-    expr: &RaExpr,
-    catalog: &dyn Catalog,
-    parallelism: &Parallelism,
-) -> Result<PhysicalExpr> {
-    plan_rec(expr, catalog, &StatisticsCatalog::empty(), parallelism).map(|p| p.phys)
-}
-
-/// The physical planner. Statistics feed the estimates of the explain tree
-/// and nothing else.
+/// The physical planner together with the statistics its explain trees
+/// are estimated from. Statistics feed [`PhysicalPlanner::explain`] and
+/// nothing else.
 pub struct PhysicalPlanner<'a> {
     catalog: &'a dyn Catalog,
     stats: &'a StatisticsCatalog,
@@ -488,234 +452,83 @@ impl<'a> PhysicalPlanner<'a> {
 
     /// Produce the physical plan for an expression.
     pub fn plan(&self, expr: &RaExpr) -> Result<PhysicalExpr> {
-        self.plan_explained(expr).map(|(phys, _)| phys)
+        heuristic_plan_with(expr, self.catalog, &self.parallelism)
     }
 
-    /// Produce the physical plan together with its explain tree.
-    pub(crate) fn plan_explained(&self, expr: &RaExpr) -> Result<(PhysicalExpr, ExplainPlan)> {
-        plan_rec(expr, self.catalog, self.stats, &self.parallelism).map(|p| (p.phys, p.explain))
-    }
-
-    /// Produce only the explain tree.
+    /// Produce the explain tree of the plan, estimated from the statistics.
     pub fn explain(&self, expr: &RaExpr) -> Result<ExplainPlan> {
-        self.plan_explained(expr).map(|(_, explain)| explain)
+        Ok(crate::plan::cost::explain(&self.plan(expr)?, self.stats))
     }
 }
 
-struct Planned {
-    phys: PhysicalExpr,
-    explain: ExplainPlan,
+/// An exchange over a planned subtree when there is more than one thread;
+/// the subtree itself otherwise.
+fn exchange(child: Box<PhysicalExpr>, par: &Parallelism) -> Box<PhysicalExpr> {
+    if par.enabled() {
+        Box::new(PhysicalExpr::Exchange { input: child, partitions: par.threads })
+    } else {
+        child
+    }
 }
 
-fn explained(phys: PhysicalExpr, rows: f64, cost: f64, children: Vec<ExplainPlan>) -> Planned {
-    let explain = ExplainPlan { op: phys.label(), rows, cost, children };
-    Planned { phys, explain }
-}
-
-/// Wrap a planned subtree in an exchange operator. Rows pass through
-/// unchanged; the repartitioning cost comes from the shared cost model.
-fn exchange(child: Planned, partitions: usize) -> Planned {
-    let rows = child.explain.rows;
-    let cost = child.explain.cost + crate::plan::cost::exchange_cost(rows, partitions);
-    explained(
-        PhysicalExpr::Exchange { input: Box::new(child.phys), partitions },
-        rows,
-        cost,
-        vec![child.explain],
-    )
-}
-
-fn plan_rec(
+/// The physical plan of an expression for an engine with `par`'s threads.
+pub fn heuristic_plan_with(
     expr: &RaExpr,
     catalog: &dyn Catalog,
-    stats: &StatisticsCatalog,
     par: &Parallelism,
-) -> Result<Planned> {
+) -> Result<PhysicalExpr> {
+    let plan = |e: &RaExpr| heuristic_plan_with(e, catalog, par).map(Box::new);
     Ok(match expr {
-        RaExpr::Relation { name, .. } => {
-            let rows = stats.row_count(name).unwrap_or(0) as f64;
-            explained(PhysicalExpr::Source(expr.clone()), rows, rows, vec![])
-        }
-        RaExpr::Values { rows, .. } => {
-            let n = rows.len() as f64;
-            explained(PhysicalExpr::Source(expr.clone()), n, n, vec![])
-        }
-        RaExpr::Select { input, condition } => {
-            let mut c = plan_rec(input, catalog, stats, par)?;
-            let rows = c.explain.rows * crate::plan::cost::selectivity_with(condition, stats);
-            // Batch-eligible filters run column-wise in the engine's
-            // vectorized pipelines and charge a discounted per-row factor.
-            let cpu = crate::plan::cost::filter_cpu_factor(condition);
-            let mut cost = c.explain.cost + c.explain.rows * cpu;
-            // A filter is data-parallel: the exchange marks the fused
-            // pipeline for contiguous morsels, one per worker.
-            if par.enabled() {
-                c = exchange(c, par.threads);
-                cost = c.explain.cost + c.explain.rows * cpu;
-            }
-            let mut planned = explained(
-                PhysicalExpr::Filter { input: Box::new(c.phys), condition: condition.clone() },
-                rows,
-                cost,
-                vec![c.explain],
-            );
-            if crate::plan::cost::batch_eligible(condition) {
-                planned.explain.op.push_str(" [vec]");
-            }
-            planned
-        }
+        RaExpr::Relation { .. } | RaExpr::Values { .. } => PhysicalExpr::Source(expr.clone()),
+        // A filter is data-parallel: the exchange marks the fused pipeline
+        // for contiguous morsels, one per worker.
+        RaExpr::Select { input, condition } => PhysicalExpr::Filter {
+            input: exchange(plan(input)?, par),
+            condition: condition.clone(),
+        },
         RaExpr::Project { input, columns } => {
-            let c = plan_rec(input, catalog, stats, par)?;
-            let (rows, cost) = (c.explain.rows, c.explain.cost + c.explain.rows);
-            explained(
-                PhysicalExpr::Project { input: Box::new(c.phys), columns: columns.clone() },
-                rows,
-                cost,
-                vec![c.explain],
-            )
+            PhysicalExpr::Project { input: plan(input)?, columns: columns.clone() }
         }
-        RaExpr::Product { left, right } => {
-            plan_join(left, right, &Condition::True, catalog, stats, par)?
-        }
-        RaExpr::Join { left, right, condition } => {
-            plan_join(left, right, condition, catalog, stats, par)?
-        }
+        RaExpr::Product { left, right } => plan_join(left, right, &Condition::True, catalog, par)?,
+        RaExpr::Join { left, right, condition } => plan_join(left, right, condition, catalog, par)?,
         RaExpr::SemiJoin { left, right, condition } => {
-            plan_semi(left, right, condition, false, catalog, stats, par)?
+            plan_semi(left, right, condition, false, catalog, par)?
         }
         RaExpr::AntiJoin { left, right, condition } => {
-            plan_semi(left, right, condition, true, catalog, stats, par)?
+            plan_semi(left, right, condition, true, catalog, par)?
         }
-        RaExpr::Union { left, right } => plan_setop(expr, left, right, catalog, stats, par)?,
-        RaExpr::Intersect { left, right } => plan_setop(expr, left, right, catalog, stats, par)?,
-        RaExpr::Difference { left, right } => plan_setop(expr, left, right, catalog, stats, par)?,
+        // Union branches are independent and run concurrently (the
+        // translation's split unions — the Q⁺ arms — are the target).
+        // Intersection and difference run on the calling thread.
+        RaExpr::Union { left, right } => PhysicalExpr::Union {
+            left: exchange(plan(left)?, par),
+            right: exchange(plan(right)?, par),
+        },
+        RaExpr::Intersect { left, right } => {
+            PhysicalExpr::Intersect { left: plan(left)?, right: plan(right)? }
+        }
+        RaExpr::Difference { left, right } => {
+            PhysicalExpr::Difference { left: plan(left)?, right: plan(right)? }
+        }
         RaExpr::UnifySemiJoin { left, right } => {
-            let l = plan_rec(left, catalog, stats, par)?;
-            let r = plan_rec(right, catalog, stats, par)?;
-            let rows = l.explain.rows;
-            let cost = l.explain.cost + r.explain.cost + l.explain.rows * r.explain.rows;
-            explained(
-                PhysicalExpr::UnifySemi {
-                    left: Box::new(l.phys),
-                    right: Box::new(r.phys),
-                    anti: false,
-                },
-                rows,
-                cost,
-                vec![l.explain, r.explain],
-            )
+            PhysicalExpr::UnifySemi { left: plan(left)?, right: plan(right)?, anti: false }
         }
         RaExpr::UnifyAntiSemiJoin { left, right } => {
-            let l = plan_rec(left, catalog, stats, par)?;
-            let r = plan_rec(right, catalog, stats, par)?;
-            let rows = l.explain.rows;
-            let cost = l.explain.cost + r.explain.cost + l.explain.rows * r.explain.rows;
-            explained(
-                PhysicalExpr::UnifySemi {
-                    left: Box::new(l.phys),
-                    right: Box::new(r.phys),
-                    anti: true,
-                },
-                rows,
-                cost,
-                vec![l.explain, r.explain],
-            )
+            PhysicalExpr::UnifySemi { left: plan(left)?, right: plan(right)?, anti: true }
         }
         RaExpr::Division { left, right } => {
-            let l = plan_rec(left, catalog, stats, par)?;
-            let r = plan_rec(right, catalog, stats, par)?;
-            let rows = l.explain.rows;
-            let cost = l.explain.cost + r.explain.cost + l.explain.rows * r.explain.rows;
-            explained(
-                PhysicalExpr::Division { left: Box::new(l.phys), right: Box::new(r.phys) },
-                rows,
-                cost,
-                vec![l.explain, r.explain],
-            )
+            PhysicalExpr::Division { left: plan(left)?, right: plan(right)? }
         }
         RaExpr::Rename { input, columns } => {
-            let c = plan_rec(input, catalog, stats, par)?;
-            let (rows, cost) = (c.explain.rows, c.explain.cost + c.explain.rows);
-            explained(
-                PhysicalExpr::Rename { input: Box::new(c.phys), columns: columns.clone() },
-                rows,
-                cost,
-                vec![c.explain],
-            )
+            PhysicalExpr::Rename { input: plan(input)?, columns: columns.clone() }
         }
-        RaExpr::Distinct { input } => {
-            let c = plan_rec(input, catalog, stats, par)?;
-            let (rows, cost) = (c.explain.rows, c.explain.cost + c.explain.rows);
-            explained(
-                PhysicalExpr::Distinct { input: Box::new(c.phys) },
-                rows,
-                cost,
-                vec![c.explain],
-            )
-        }
-        RaExpr::Aggregate { input, group_by, aggregates } => {
-            let c = plan_rec(input, catalog, stats, par)?;
-            let rows = crate::plan::cost::aggregate_rows(c.explain.rows, !group_by.is_empty());
-            let cost = c.explain.cost + c.explain.rows;
-            explained(
-                PhysicalExpr::Aggregate {
-                    input: Box::new(c.phys),
-                    group_by: group_by.clone(),
-                    aggregates: aggregates.clone(),
-                },
-                rows,
-                cost,
-                vec![c.explain],
-            )
-        }
+        RaExpr::Distinct { input } => PhysicalExpr::Distinct { input: plan(input)? },
+        RaExpr::Aggregate { input, group_by, aggregates } => PhysicalExpr::Aggregate {
+            input: plan(input)?,
+            group_by: group_by.clone(),
+            aggregates: aggregates.clone(),
+        },
     })
-}
-
-fn plan_setop(
-    expr: &RaExpr,
-    left: &RaExpr,
-    right: &RaExpr,
-    catalog: &dyn Catalog,
-    stats: &StatisticsCatalog,
-    par: &Parallelism,
-) -> Result<Planned> {
-    let mut l = plan_rec(left, catalog, stats, par)?;
-    let mut r = plan_rec(right, catalog, stats, par)?;
-    let rows = crate::plan::cost::setop_rows(l.explain.rows, r.explain.rows);
-    // Union branches are independent and run concurrently (the
-    // translation's split unions — the Q⁺ arms — are the target).
-    // Intersection and difference run on the calling thread.
-    if par.enabled() && matches!(expr, RaExpr::Union { .. }) {
-        l = exchange(l, par.threads);
-        r = exchange(r, par.threads);
-    }
-    // The same merge charge with or without exchanges (they pass rows
-    // through), so serial and parallel plans stay cost-comparable.
-    let cost = l.explain.cost + r.explain.cost + l.explain.rows + r.explain.rows;
-    let phys = match expr {
-        RaExpr::Union { .. } => {
-            PhysicalExpr::Union { left: Box::new(l.phys), right: Box::new(r.phys) }
-        }
-        RaExpr::Intersect { .. } => {
-            PhysicalExpr::Intersect { left: Box::new(l.phys), right: Box::new(r.phys) }
-        }
-        RaExpr::Difference { .. } => {
-            PhysicalExpr::Difference { left: Box::new(l.phys), right: Box::new(r.phys) }
-        }
-        other => {
-            return Err(Error::InvalidPlan(format!("plan_setop over non-set operator {other}")))
-        }
-    };
-    explained_ok(phys, rows, cost, vec![l.explain, r.explain])
-}
-
-fn explained_ok(
-    phys: PhysicalExpr,
-    rows: f64,
-    cost: f64,
-    children: Vec<ExplainPlan>,
-) -> Result<Planned> {
-    Ok(explained(phys, rows, cost, children))
 }
 
 fn plan_join(
@@ -723,48 +536,25 @@ fn plan_join(
     right: &RaExpr,
     condition: &Condition,
     catalog: &dyn Catalog,
-    stats: &StatisticsCatalog,
     par: &Parallelism,
-) -> Result<Planned> {
-    let l = plan_rec(left, catalog, stats, par)?;
-    let mut r = plan_rec(right, catalog, stats, par)?;
-    let l_schema = output_schema(left, catalog)?;
-    let r_schema = output_schema(right, catalog)?;
-    let split = split_equi(condition, &l_schema, &r_schema);
-    let (lr, rr) = (l.explain.rows, r.explain.rows);
-    // Hash whenever keys exist, with or without statistics: a hash operator
-    // over a tiny input is itself tiny, and row estimates far below the rows
-    // that actually arrive are common enough that trusting them to pick a
-    // nested loop costs more than it can save.
+) -> Result<PhysicalExpr> {
+    let mut l = Box::new(heuristic_plan_with(left, catalog, par)?);
+    let mut r = Box::new(heuristic_plan_with(right, catalog, par)?);
+    let split =
+        split_equi(condition, &output_schema(left, catalog)?, &output_schema(right, catalog)?);
+    // Hash whenever keys exist: a hash operator over a tiny input is itself
+    // tiny, and row estimates far below the rows that actually arrive are
+    // common enough that trusting them to pick a nested loop costs more
+    // than it can save.
     let algo = if split.has_keys() { JoinAlgo::hash(split) } else { JoinAlgo::NestedLoop };
-    // Shared with the logical estimator (products — condition TRUE — keep
-    // the full cross-product cardinality).
-    let out_rows = crate::plan::cost::join_rows(lr, rr, condition, stats);
-    let op_cost = match &algo {
-        JoinAlgo::Hash { .. } => lr + rr,
-        JoinAlgo::NestedLoop => lr * rr,
-    };
     // Both algorithms run morsel-parallel over the outer (left) side. A
     // hash operator carries its exchange on the build side, a nested loop
     // on the outer side — the child the compiler peels for each.
-    let mut l = l;
     match &algo {
-        _ if !par.enabled() => {}
-        JoinAlgo::Hash { .. } => r = exchange(r, par.threads),
-        JoinAlgo::NestedLoop => l = exchange(l, par.threads),
+        JoinAlgo::Hash { .. } => r = exchange(r, par),
+        JoinAlgo::NestedLoop => l = exchange(l, par),
     }
-    let cost = l.explain.cost + r.explain.cost + op_cost;
-    explained_ok(
-        PhysicalExpr::Join {
-            left: Box::new(l.phys),
-            right: Box::new(r.phys),
-            condition: condition.clone(),
-            algo,
-        },
-        out_rows,
-        cost,
-        vec![l.explain, r.explain],
-    )
+    Ok(PhysicalExpr::Join { left: l, right: r, condition: condition.clone(), algo })
 }
 
 fn plan_semi(
@@ -773,14 +563,12 @@ fn plan_semi(
     condition: &Condition,
     anti: bool,
     catalog: &dyn Catalog,
-    stats: &StatisticsCatalog,
     par: &Parallelism,
-) -> Result<Planned> {
-    let l = plan_rec(left, catalog, stats, par)?;
-    let mut r = plan_rec(right, catalog, stats, par)?;
+) -> Result<PhysicalExpr> {
+    let mut l = Box::new(heuristic_plan_with(left, catalog, par)?);
+    let mut r = Box::new(heuristic_plan_with(right, catalog, par)?);
     let left_schema = output_schema(left, catalog)?;
     let r_schema = output_schema(right, catalog)?;
-    let (lr, rr) = (l.explain.rows, r.explain.rows);
     let algo = if !references_schema(condition, &left_schema) {
         SemiAlgo::Decorrelated
     } else {
@@ -792,34 +580,14 @@ fn plan_semi(
             SemiAlgo::NestedLoop
         }
     };
-    let op_cost = match &algo {
-        SemiAlgo::Decorrelated => rr,
-        SemiAlgo::Hash { .. } => lr + rr,
-        SemiAlgo::NestedLoop => lr * rr,
-    };
     // Exchanges as for joins: the preserved side is probed in morsels.
-    let mut l = l;
     match &algo {
-        _ if !par.enabled() => {}
-        SemiAlgo::Hash { .. } => r = exchange(r, par.threads),
-        SemiAlgo::NestedLoop => l = exchange(l, par.threads),
+        SemiAlgo::Hash { .. } => r = exchange(r, par),
+        SemiAlgo::NestedLoop => l = exchange(l, par),
         SemiAlgo::Decorrelated => {}
     }
-    let rows = crate::plan::cost::semi_rows(lr);
-    let cost = l.explain.cost + r.explain.cost + op_cost;
-    explained_ok(
-        PhysicalExpr::Semi {
-            left: Box::new(l.phys),
-            right: Box::new(r.phys),
-            condition: condition.clone(),
-            algo,
-            anti,
-            left_schema,
-        },
-        rows,
-        cost,
-        vec![l.explain, r.explain],
-    )
+    let condition = condition.clone();
+    Ok(PhysicalExpr::Semi { left: l, right: r, condition, algo, anti, left_schema })
 }
 
 #[cfg(test)]
@@ -846,7 +614,7 @@ mod tests {
     fn heuristic_plan_picks_hash_for_equi_joins() {
         let db = db();
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
-        match heuristic_plan(&q, &db).unwrap() {
+        match heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap() {
             PhysicalExpr::Join {
                 algo: JoinAlgo::Hash { left_keys, right_keys, null_ok, residual },
                 ..
@@ -865,7 +633,7 @@ mod tests {
         let db = db();
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(is_null("d")));
         assert!(matches!(
-            heuristic_plan(&q, &db).unwrap(),
+            heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap(),
             PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, .. }
         ));
     }
@@ -878,7 +646,7 @@ mod tests {
         // `x = y OR x IS NULL [OR y IS NULL]`: a hash join carrying which
         // side's NULL satisfies the key.
         let q = r().join(s(), eq("a", "c").or(is_null("a")));
-        let plan = heuristic_plan(&q, &db).unwrap();
+        let plan = heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap();
         match &plan {
             PhysicalExpr::Join { algo: JoinAlgo::Hash { null_ok, residual, .. }, .. } => {
                 assert_eq!(null_ok, &vec![NullOk { left: true, right: false }]);
@@ -888,11 +656,14 @@ mod tests {
         }
         assert_eq!(plan.label(), "HashJoin [a = c | a null matches]");
         let both = eq("a", "c").or(is_null("c")).or(is_null("a")).and(eq("b", "d"));
-        let anti = heuristic_plan(&r().anti_join(s(), both), &db).unwrap();
+        let anti =
+            heuristic_plan_with(&r().anti_join(s(), both), &db, &Parallelism::serial()).unwrap();
         assert_eq!(anti.label(), "HashAntiJoin [a = c AND b = d | a, c null matches]");
         assert!(format!("{anti:?}").contains("null_ok: [NullOk { left: true, right: true }, "));
         // Plain keys print as they did before the flag existed.
-        let plain = heuristic_plan(&r().semi_join(s(), eq("a", "c")), &db).unwrap();
+        let plain =
+            heuristic_plan_with(&r().semi_join(s(), eq("a", "c")), &db, &Parallelism::serial())
+                .unwrap();
         assert_eq!(plain.label(), "HashSemiJoin [a = c]");
         assert!(format!("{plain:?}").contains(
             "algo: Hash { left_keys: [\"a\"], right_keys: [\"c\"], residual: True }, anti: false"
@@ -906,7 +677,7 @@ mod tests {
         let db = db();
         let cond = eq("l2.a", "l1.a").and(crate::algebra::builder::neq("l2.b", "l1.b"));
         let q = RaExpr::relation_as("r", "l1").semi_join(RaExpr::relation_as("r", "l2"), cond);
-        match heuristic_plan(&q, &db).unwrap() {
+        match heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap() {
             PhysicalExpr::Semi {
                 algo: SemiAlgo::Hash { left_keys, right_keys, residual, .. },
                 ..
@@ -921,7 +692,7 @@ mod tests {
         let q = RaExpr::relation_as("r", "l1")
             .join(RaExpr::relation_as("r", "l2"), eq("a", "l2.a").or(is_null("l2.b")));
         assert!(matches!(
-            heuristic_plan(&q, &db).unwrap(),
+            heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap(),
             PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, .. }
         ));
     }
@@ -940,7 +711,11 @@ mod tests {
             RaExpr::relation("r").semi_join(RaExpr::relation("s"), eq("a", "c")),
             RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "c").or(is_null("c"))),
         ] {
-            assert_eq!(planner.plan(&q).unwrap(), heuristic_plan(&q, &db).unwrap(), "{q}");
+            assert_eq!(
+                planner.plan(&q).unwrap(),
+                heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap(),
+                "{q}"
+            );
         }
     }
 
@@ -948,7 +723,7 @@ mod tests {
     fn uncorrelated_antijoin_is_decorrelated() {
         let db = db();
         let q = RaExpr::relation("r").anti_join(RaExpr::relation("s"), is_null("d"));
-        match heuristic_plan(&q, &db).unwrap() {
+        match heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap() {
             PhysicalExpr::Semi { algo, anti, left_schema, .. } => {
                 assert_eq!(algo, SemiAlgo::Decorrelated);
                 assert!(anti);
@@ -963,7 +738,7 @@ mod tests {
         let db = db();
         let q = RaExpr::relation("r").product(RaExpr::relation("s"));
         assert!(matches!(
-            heuristic_plan(&q, &db).unwrap(),
+            heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap(),
             PhysicalExpr::Join { algo: JoinAlgo::NestedLoop, condition: Condition::True, .. }
         ));
     }
@@ -974,7 +749,8 @@ mod tests {
         let stats = StatisticsCatalog::analyze(&db);
         let planner = PhysicalPlanner::new(&db, &stats);
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c")).project(&["a"]);
-        let (phys, explain) = planner.plan_explained(&q).unwrap();
+        let phys = planner.plan(&q).unwrap();
+        let explain = planner.explain(&q).unwrap();
         assert_eq!(phys.size(), 4);
         assert_eq!(explain.size(), 4);
         assert_eq!(explain.children[0].children[0].rows, 50.0);
@@ -987,16 +763,15 @@ mod tests {
     #[test]
     fn product_explain_keeps_cross_product_cardinality() {
         // Regression: products are planned as TRUE-condition joins; the row
-        // estimate must stay l*r (matching cost::estimate_with's Product
-        // arm), not the equi-join formula's ~min(l, r).
+        // estimate must stay l*r, not the equi-join formula's ~min(l, r).
         let db = db();
         let stats = StatisticsCatalog::analyze(&db);
         let planner = PhysicalPlanner::new(&db, &stats);
         let q = RaExpr::relation("r").product(RaExpr::relation("s"));
         let explain = planner.explain(&q).unwrap();
         assert_eq!(explain.rows, 2000.0, "{explain}");
-        let logical = crate::plan::cost::estimate_with(&q, &db, &stats).unwrap();
-        assert_eq!(explain.rows, logical.rows);
+        let (r, s) = (db.relation("r").unwrap().len(), db.relation("s").unwrap().len());
+        assert_eq!(explain.rows, (r * s) as f64);
     }
 
     #[test]
@@ -1004,7 +779,7 @@ mod tests {
         let db = db();
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
         // Serial: no exchange. Parallel: the build side carries one.
-        assert!(!heuristic_plan(&q, &db).unwrap().has_exchange());
+        assert!(!heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap().has_exchange());
         match heuristic_plan_with(&q, &db, &Parallelism::new(4)).unwrap() {
             PhysicalExpr::Join { left, right, algo: JoinAlgo::Hash { .. }, .. } => {
                 assert!(
@@ -1124,7 +899,7 @@ mod tests {
             &db,
         ));
         for (q, db) in &cases {
-            let serial = heuristic_plan(q, *db).unwrap();
+            let serial = heuristic_plan_with(q, *db, &Parallelism::serial()).unwrap();
             assert!(!serial.has_exchange(), "{q}");
             let mut parallel = heuristic_plan_with(q, *db, &Parallelism::new(4)).unwrap();
             assert!(parallel.has_exchange(), "{q}");
@@ -1169,7 +944,8 @@ mod tests {
         // exchange is planned all the same, and the explain renders it with
         // pass-through rows and a repartition cost.
         let planner = PhysicalPlanner::with_parallelism(&db, &analysed, Parallelism::new(4));
-        let (plan, explain) = planner.plan_explained(&r().join(s(), eq("a", "c"))).unwrap();
+        let q = r().join(s(), eq("a", "c"));
+        let (plan, explain) = (planner.plan(&q).unwrap(), planner.explain(&q).unwrap());
         assert!(plan.has_exchange());
         let text = explain.to_string();
         assert!(text.contains("Exchange x4"), "{text}");

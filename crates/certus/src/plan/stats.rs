@@ -2,10 +2,10 @@
 //! fractions / distinct-count estimates, computed from materialised
 //! `certus::data` relations.
 //!
-//! The cost model ([`crate::plan::cost`]) and the estimates the physical planner
-//! ([`crate::plan::physical::PhysicalPlanner`]) puts on its explain trees consult
-//! these statistics instead of the fixed magic selectivities a
-//! statistics-free estimate falls back to; no plan choice depends on them.
+//! The cost model ([`crate::plan::cost::explain`]) estimates a finished
+//! physical plan from these statistics, falling back to fixed magic
+//! selectivities only where they know nothing about a column; the planner
+//! never reads them, so no plan choice depends on them.
 //! Everything is exact (one full scan per table at [`StatisticsCatalog::analyze`]
 //! time) — sampling and sketches are future work, the instances the paper's
 //! experiments use are milli-scale.

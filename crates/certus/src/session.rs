@@ -34,7 +34,7 @@ use crate::error::{Error, Result};
 use crate::obs::metrics::{registry, Counter, Histogram};
 use crate::obs::{names, AnalyzedPlan, QueryProfile, Timer};
 use crate::plan::cache::{CacheStats, PlanCache, PlanKey};
-use crate::plan::physical::{ExplainPlan, PhysicalExpr, PhysicalPlanner};
+use crate::plan::physical::{heuristic_plan_with, ExplainPlan, PhysicalExpr};
 use crate::plan::{PassManager, StatisticsCatalog};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -595,7 +595,7 @@ impl Session {
     /// arm the breakdown is about.
     pub fn explain(&self, query: &RaExpr, certainty: Certainty) -> Result<ExplainPlan> {
         let expr = self.logical(query, certainty.primary())?;
-        Ok(self.physical(&expr, &self.statistics())?.1)
+        Ok(crate::plan::cost::explain(&self.physical(&expr)?, &self.statistics()))
     }
 
     /// `EXPLAIN ANALYZE`: plan the translation `certainty` selects, execute
@@ -626,7 +626,8 @@ impl Session {
     /// ```
     pub fn explain_analyze(&self, query: &RaExpr, certainty: Certainty) -> Result<AnalyzedPlan> {
         let expr = self.logical(query, certainty.primary())?;
-        let (phys, explain) = self.physical(&expr, &self.statistics())?;
+        let phys = self.physical(&expr)?;
+        let explain = crate::plan::cost::explain(&phys, &self.statistics());
         let compiled = CompiledPlan::compile(&phys, &self.db)?;
         let (_, profile) = self.engine().execute_compiled_profiled(&compiled)?;
         Ok(crate::engine::analyze::annotate(&phys, &explain, &profile))
@@ -634,12 +635,11 @@ impl Session {
 
     /// Every part of a prepared query, planned and compiled: physical
     /// planning picks the algorithms, compilation resolves every schema and
-    /// column name once so executions do neither. No statistics scan — the
-    /// plan does not depend on one.
+    /// column name once so executions do neither. No statistics scan and no
+    /// explain tree — the planner takes no statistics.
     fn build_plans(&self, query: &RaExpr, certainty: Certainty) -> Result<PreparedPlans> {
-        let no_estimates = StatisticsCatalog::empty();
         let compile = |&role: &AnswerRole| {
-            let (phys, _) = self.physical(&self.logical(query, role)?, &no_estimates)?;
+            let phys = self.physical(&self.logical(query, role)?)?;
             Ok((role, CompiledPlan::compile(&phys, &self.db)?))
         };
         Ok(PreparedPlans { parts: certainty.roles().iter().map(compile).collect::<Result<_>>()? })
@@ -657,16 +657,9 @@ impl Session {
         PassManager::standard().run(&translated, &*self.db)
     }
 
-    /// The physical plan of a logical one, with its explain tree. `stats`
-    /// feed the explain tree's estimates and nothing else.
-    fn physical(
-        &self,
-        expr: &RaExpr,
-        stats: &StatisticsCatalog,
-    ) -> Result<(PhysicalExpr, ExplainPlan)> {
-        let planner =
-            PhysicalPlanner::with_parallelism(&*self.db, stats, self.config.parallelism());
-        planner.plan_explained(expr)
+    /// The physical plan of a logical one for the session's thread count.
+    fn physical(&self, expr: &RaExpr) -> Result<PhysicalExpr> {
+        heuristic_plan_with(expr, &*self.db, &self.config.parallelism())
     }
 }
 
@@ -769,13 +762,12 @@ mod tests {
             out.push(explain.op.trim_end_matches(" [vec]").to_string());
             explain.children.iter().for_each(|c| ops(c, out));
         }
-        // EXPLAIN's operators, checked against what `build_plans` compiles
-        // (no statistics at hand).
+        // EXPLAIN's operators, checked against what `build_plans` compiles.
         fn explained(session: &Session, query: &RaExpr, certainty: Certainty) -> Vec<String> {
             let mut explained = Vec::new();
             ops(&session.explain(query, certainty).unwrap(), &mut explained);
             let expr = session.logical(query, certainty.primary()).unwrap();
-            let (phys, _) = session.physical(&expr, &StatisticsCatalog::empty()).unwrap();
+            let phys = session.physical(&expr).unwrap();
             let mut prepared = Vec::new();
             labels(&phys, &mut prepared);
             let threads = session.config().threads;

@@ -12,7 +12,8 @@
 use certus::algebra::NullSemantics;
 use certus::data::inject::NullInjector;
 use certus::engine::{Engine, EngineConfig};
-use certus::plan::{heuristic_plan, Parallelism, PassManager, PhysicalPlanner, StatisticsCatalog};
+use certus::plan::physical::heuristic_plan_with;
+use certus::plan::{Parallelism, PassManager, PhysicalPlanner, StatisticsCatalog};
 use certus::tpch::{q1, q2, q3, q4, DbGen, QueryParams};
 use certus::{CertainRewriter, Database, RaExpr};
 
@@ -364,7 +365,7 @@ fn single_thread_config_degenerates_to_serial_plans() {
     // plan, and free of exchanges.
     let engine1 = Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(1));
     let plan1 = engine1.plan(&q).expect("plans");
-    assert_eq!(plan1, heuristic_plan(&q, &db).expect("plans"));
+    assert_eq!(plan1, heuristic_plan_with(&q, &db, &Parallelism::serial()).expect("plans"));
     assert!(!plan1.has_exchange());
     let engine4 = Engine::configured(&db, NullSemantics::Sql, EngineConfig::with_threads(4));
     assert!(engine4.plan(&q).expect("plans").has_exchange());
