@@ -26,6 +26,7 @@
 //! * `AntiJoin(l, r, θ)★ = Difference(l★, SemiJoin(l⁺, r⁺, θ*))` — rule (4.4)
 //!   with `(l ⋉_θ r)⁺` as the subtracted query.
 
+use crate::algebra::condition::Condition;
 use crate::algebra::expr::RaExpr;
 use crate::core::dialect::ConditionDialect;
 use crate::core::theta::{theta_star, theta_star_star};
@@ -73,8 +74,12 @@ pub fn translate_plus(expr: &RaExpr, dialect: ConditionDialect) -> Result<RaExpr
             columns: columns.clone(),
         }),
         RaExpr::Distinct { input } => Ok(translate_plus(input, dialect)?.distinct()),
-        // Division with a base-relation divisor is positive (Fact 1 covers it);
-        // a computed divisor is outside the supported fragment.
+        // (R ÷ S)⁺ = R⁺ ÷ S for a base-relation divisor. Division is not
+        // positive — it is anti-monotone in its divisor — but this rule is
+        // sound: a key `k` of R⁺ ÷ S has `(k, s)` in R⁺ for every `s` of S,
+        // and under any valuation `v`, `v(k, s)` lies in `v(R⁺) ⊆ R(v(D))`
+        // for every `v(s)` of `v(S)`. A computed divisor is outside the
+        // supported fragment.
         RaExpr::Division { left, right } => match right.as_ref() {
             RaExpr::Relation { .. } | RaExpr::Values { .. } => {
                 Ok(translate_plus(left, dialect)?.divide((**right).clone()))
@@ -141,9 +146,14 @@ pub fn translate_star(expr: &RaExpr, dialect: ConditionDialect) -> Result<RaExpr
             columns: columns.clone(),
         }),
         RaExpr::Distinct { input } => Ok(translate_star(input, dialect)?.distinct()),
+        // (R ÷ S)★ = π_K(R★), written R★ ÷ σ_false(S): the empty divisor keeps
+        // every key. Division is anti-monotone in its divisor, so S cannot
+        // filter candidates: with R = {(7, 1)} and S = {(⊥₁)}, `R★ ÷ S` is
+        // empty, yet v(⊥₁) = 1 makes 7 an answer.
         RaExpr::Division { left, right } => match right.as_ref() {
             RaExpr::Relation { .. } | RaExpr::Values { .. } => {
-                Ok(translate_star(left, dialect)?.divide((**right).clone()))
+                Ok(translate_star(left, dialect)?
+                    .divide((**right).clone().select(Condition::False)))
             }
             _ => Err(Error::OutsideFragment(
                 "division whose divisor is not a database relation".into(),
@@ -161,12 +171,14 @@ pub fn translate_star(expr: &RaExpr, dialect: ConditionDialect) -> Result<RaExpr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::builder::{eq, neq_const};
+    use crate::algebra::builder::{eq, eq_const, neq, neq_const};
     use crate::algebra::eval::eval;
     use crate::algebra::NullSemantics;
     use crate::data::builder::rel;
     use crate::data::null::NullId;
-    use crate::data::{Database, Value};
+    use crate::data::{Database, Tuple, Value};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn null(i: u64) -> Value {
         Value::Null(NullId(i))
@@ -324,5 +336,113 @@ mod tests {
             .project(&["a"]);
         let plus = translate_plus(&q, ConditionDialect::Sql).unwrap();
         assert_eq!(plus, q);
+    }
+
+    /// Division is anti-monotone in its divisor: R = {(7, 1)}, S = {(⊥₁)}
+    /// and v(⊥₁) = 1 give Q(v(D)) = {(7)}, so Q★ must keep 7 although no
+    /// tuple of R pairs 7 with ⊥₁.
+    #[test]
+    fn division_star_keeps_a_key_a_null_divisor_may_complete() {
+        let mut db = Database::new();
+        db.insert_relation("r", rel(&["a", "b"], vec![vec![Value::Int(7), Value::Int(1)]]));
+        db.insert_relation("t", rel(&["b"], vec![vec![null(1)]]));
+        let q = RaExpr::relation("r").divide(RaExpr::relation("t"));
+        for (dialect, semantics) in DIALECTS {
+            let star = translate_star(&q, dialect).unwrap();
+            let out = eval(&star, &db, semantics).unwrap();
+            assert_eq!(out.tuples(), &[Tuple::new(vec![Value::Int(7)])], "{dialect:?}: {star}");
+        }
+    }
+
+    /// Each dialect with the semantics its translations are evaluated under.
+    const DIALECTS: [(ConditionDialect, NullSemantics); 2] = [
+        (ConditionDialect::Sql, NullSemantics::Sql),
+        (ConditionDialect::Theoretical, NullSemantics::Naive),
+    ];
+
+    /// A small database over `r(a, b)`, `s(c, d)` and the divisor `t(b)`,
+    /// with a few marked nulls so that every valuation can be enumerated.
+    fn small_db(rng: &mut StdRng) -> Database {
+        let value = |rng: &mut StdRng| {
+            if rng.gen_bool(0.3) {
+                null(rng.gen_range(1..4u64))
+            } else {
+                Value::Int(rng.gen_range(0..4i64))
+            }
+        };
+        let rows = |rng: &mut StdRng, arity: usize| {
+            let n = rng.gen_range(0..5usize);
+            (0..n).map(|_| (0..arity).map(|_| value(rng)).collect()).collect::<Vec<Vec<_>>>()
+        };
+        let mut db = Database::new();
+        db.insert_relation("r", rel(&["a", "b"], rows(rng, 2)));
+        db.insert_relation("s", rel(&["c", "d"], rows(rng, 2)));
+        db.insert_relation("t", rel(&["b"], rows(rng, 1)));
+        db
+    }
+
+    /// The fragment's shapes: selections, semi- and anti-joins, difference
+    /// and division over a base divisor.
+    fn shapes() -> Vec<RaExpr> {
+        let bases = [
+            RaExpr::relation("r"),
+            RaExpr::relation("r").select(eq("a", "b")),
+            RaExpr::relation("r").select(neq("a", "b")),
+            RaExpr::relation("r").select(eq_const("a", 1i64)),
+        ];
+        let mut out = Vec::new();
+        for b in bases {
+            let s = || RaExpr::relation("s");
+            out.push(b.clone().divide(RaExpr::relation("t")));
+            out.push(b.clone().anti_join(s(), eq("a", "c")));
+            out.push(b.clone().semi_join(s(), eq("a", "c")));
+            out.push(b.clone().difference(s().project(&["c", "d"]).rename(&["a", "b"])));
+            out.push(b.clone().anti_join(s(), eq("a", "c").and(neq("b", "d"))).project(&["a"]));
+            out.push(b.anti_join(s(), eq("a", "c")).divide(RaExpr::relation("t")));
+        }
+        out
+    }
+
+    /// `Q★` represents potential answers (Definition 3): Q(v(D)) ⊆ v(Q★(D))
+    /// under *every* valuation `v` over the oracle's reduced domain, in both
+    /// dialects. The first database is the division counter-example.
+    #[test]
+    fn q_star_covers_every_valuation() {
+        use crate::core::certain::CertainOracle;
+        use crate::data::valuation::enumerate_valuations;
+        let mut rng = StdRng::seed_from_u64(0x57A3);
+        let mut counter_example = Database::new();
+        counter_example
+            .insert_relation("r", rel(&["a", "b"], vec![vec![Value::Int(7), Value::Int(1)]]));
+        counter_example.insert_relation("s", rel(&["c", "d"], vec![]));
+        counter_example.insert_relation("t", rel(&["b"], vec![vec![null(1)]]));
+        let dbs = std::iter::once(counter_example).chain((0..8).map(|_| small_db(&mut rng)));
+        let mut checked = 0;
+        for (case, db) in dbs.enumerate() {
+            let nulls = db.active_domain().nulls;
+            for q in shapes() {
+                let stars: Vec<_> = DIALECTS
+                    .iter()
+                    .map(|&(dialect, semantics)| {
+                        eval(&translate_star(&q, dialect).unwrap(), &db, semantics).unwrap()
+                    })
+                    .collect();
+                let domain = CertainOracle::default().valuation_domain(&q, &db);
+                for v in enumerate_valuations(&nulls, &domain) {
+                    let answers = eval(&q, &db.apply(&v), NullSemantics::Sql).unwrap();
+                    for ((dialect, _), star) in DIALECTS.iter().zip(&stars) {
+                        let image: Vec<Tuple> = star.iter().map(|t| t.apply(&v)).collect();
+                        for t in answers.iter() {
+                            assert!(
+                                image.contains(t),
+                                "case {case}, {dialect:?}: {t} under {v} missing from Q★ of {q}"
+                            );
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked} (query, database, valuation) checks");
     }
 }

@@ -98,6 +98,13 @@ impl NullMask {
         }
     }
 
+    /// The null bitmap, 64 rows per word (row `i` is bit `i % 64` of word
+    /// `i / 64`; bits past `len` are zero).
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Whether any row is null.
     pub fn any_null(&self) -> bool {
         self.bits.iter().any(|&w| w != 0)
@@ -436,6 +443,16 @@ impl TruthMask {
         TruthMask::fill(len, Truth::False)
     }
 
+    /// The mask of `len` rows whose true and unknown planes are `t` and `u`
+    /// (one word per 64 rows, disjoint; bits past `len` are dropped).
+    pub(crate) fn from_planes(t: Vec<u64>, u: Vec<u64>, len: usize) -> TruthMask {
+        debug_assert!(t.len() == len.div_ceil(64) && u.len() == t.len());
+        debug_assert!(t.iter().zip(&u).all(|(t, u)| t & u == 0), "planes overlap");
+        let mut m = TruthMask { t, u, len };
+        m.trim();
+        m
+    }
+
     /// Zero the bits past `len` (the connective loops operate on whole
     /// words).
     fn trim(&mut self) {
@@ -504,14 +521,19 @@ impl TruthMask {
     }
 
     /// Visit every row index whose value is [`Truth::True`], in order.
-    pub(crate) fn for_each_true(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.t.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                f(wi * 64 + bit);
-                w &= w - 1;
-            }
+    pub(crate) fn for_each_true(&self, f: impl FnMut(usize)) {
+        for_each_bit(&self.t, f);
+    }
+}
+
+/// Visit the index of every set bit of `words` (64 rows per word, as in
+/// [`NullMask`] and [`TruthMask`]), in order.
+pub(crate) fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
         }
     }
 }

@@ -124,6 +124,13 @@ impl StrPool {
         self.inner.read().expect("pool lock").strings[id as usize].clone()
     }
 
+    /// Run `f` over the pool's strings, indexed by id, under one read lock:
+    /// a column's worth of lookups takes the lock once and clones no
+    /// allocation.
+    pub(crate) fn with_strings<R>(&self, f: impl FnOnce(&[Arc<str>]) -> R) -> R {
+        f(&self.inner.read().expect("pool lock").strings)
+    }
+
     /// Bulk-intern a batch of `Arc<str>` values under a single lock
     /// acquisition (used by column extraction: one lock per column, not one
     /// per row). When every string is already interned — the steady state

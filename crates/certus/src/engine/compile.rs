@@ -209,7 +209,12 @@ impl Pred {
         }
     }
 
-    fn eval(&self, row: RowView<'_>, scalars: &ScalarValues, semantics: NullSemantics) -> Truth {
+    pub(crate) fn eval(
+        &self,
+        row: RowView<'_>,
+        scalars: &ScalarValues,
+        semantics: NullSemantics,
+    ) -> Truth {
         match self {
             Pred::Const(t) => *t,
             Pred::Cmp { left, op, right } => {

@@ -9,16 +9,21 @@
 //!   [`CompiledPredicate`] into a three-valued [`TruthMask`] (Kleene
 //!   connectives are word-wise bit operations) and intersects the masks
 //!   into a selection: the surviving row ids — no row is touched, no
-//!   per-row enum dispatch for type-uniform columns.
+//!   per-row enum dispatch for type-uniform columns. A typed comparison
+//!   or null test builds its mask a word at a time: the operator is
+//!   matched once, a monomorphised loop packs 64 comparison bits per word,
+//!   and the [`NullMask`] words give the unknown plane (only the null rows
+//!   are visited under naive semantics).
 //! * **Hash join/semijoin keys** ([`KeySet`]): key columns are read once
 //!   per side, per-row `u64` hashes are computed column-wise, and the
-//!   chained [`KeyTable`] maps precomputed hashes to row indices
-//!   (collisions verified by typed column comparison) — no per-row key
-//!   clones, no container per key. Keys that cannot be typed are the same
-//!   structure over `Value` hash and `Value ==`, so the hash operators have
-//!   one build/probe loop. Either representation
-//!   can set aside the rows with a `NULL` in a null-aware key column
-//!   ([`KeySet::set_wild`]) for the operator to match by its full condition.
+//!   [`KeyTable`] chains row indices through a flat power-of-two bucket
+//!   array indexed by the hash's low bits (a probe compares the stored
+//!   hash, then the typed keys) — no per-row key clones, no container per
+//!   key. Keys that cannot be typed are the same structure over `Value`
+//!   hash and `Value ==`, so the hash operators have one build/probe loop.
+//!   Either representation can set aside the rows with a `NULL` in a
+//!   null-aware key column ([`KeySet::set_wild`]) for the operator to
+//!   match by its full condition.
 //!
 //! Columns come from the row-id sets ([`Rows::column_in`]): a gather over
 //! the sources' cached columns ([`crate::data::Relation::column`]), so a
@@ -27,17 +32,17 @@
 //!
 //! Everything here is semantics-preserving by construction: typed fast
 //! paths replicate [`crate::data::compare`] exactly (numeric comparisons go
-//! through the same `f64` coercion, floats hash through the same normalised
-//! bits, marked-null ids survive in the [`NullMask`]s), and every case the
-//! typed paths cannot express verbatim — mixed-variant columns, null
-//! constants, `LIKE`/`IN` atoms — falls back to the per-row comparison
-//! functions *inside* the mask framework, or (for join keys) to row-valued
-//! keys.
+//! through the same `f64` coercion and count NaN as equal, floats hash
+//! through the same normalised bits, marked-null ids survive in the
+//! [`NullMask`]s), and every case the typed paths cannot express verbatim —
+//! `Values` columns, null constants, `IN` lists — falls back to the per-row
+//! comparison functions *inside* the mask framework, or (for join keys) to
+//! row-valued keys.
 //!
 //! [`NullMask`]: crate::data::column::NullMask
 
 use crate::algebra::NullSemantics;
-use crate::data::column::{Column, ColumnData, TruthMask};
+use crate::data::column::{for_each_bit, Column, ColumnData, TruthMask};
 use crate::data::compare::{naive_cmp, sql_cmp, CmpOp};
 use crate::data::intern::{StrId, StrPool};
 use crate::data::like::like_match;
@@ -49,8 +54,7 @@ use crate::engine::rows::{RowView, Rows};
 use crate::obs::profile::ProfNode;
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 // ---------------------------------------------------------------------------
@@ -308,13 +312,7 @@ fn eval_pred(pred: &Pred, ctx: &Ctx<'_>) -> TruthMask {
         },
         Pred::IsNull(x) => match operand(x, ctx) {
             Ev::Col(c) => {
-                let mut m = TruthMask::falses(len);
-                for i in 0..len {
-                    if c.is_null(i) {
-                        m.set(i, Truth::True);
-                    }
-                }
-                m
+                TruthMask::from_planes(c.nulls().words().to_vec(), vec![0; len.div_ceil(64)], len)
             }
             Ev::Lit(v) => {
                 TruthMask::fill(len, Truth::from_bool(v.map(Value::is_null).unwrap_or(true)))
@@ -322,13 +320,8 @@ fn eval_pred(pred: &Pred, ctx: &Ctx<'_>) -> TruthMask {
         },
         Pred::IsNotNull(x) => match operand(x, ctx) {
             Ev::Col(c) => {
-                let mut m = TruthMask::fill(len, Truth::True);
-                for i in 0..len {
-                    if c.is_null(i) {
-                        m.set(i, Truth::False);
-                    }
-                }
-                m
+                let t = c.nulls().words().iter().map(|w| !w).collect();
+                TruthMask::from_planes(t, vec![0; len.div_ceil(64)], len)
             }
             Ev::Lit(v) => {
                 TruthMask::fill(len, Truth::from_bool(v.map(Value::is_const).unwrap_or(false)))
@@ -445,104 +438,138 @@ fn naive_null_truth(op: CmpOp, same: bool) -> Truth {
     })
 }
 
-/// Numeric accessor: the `as_f64` view of a typed numeric column, matching
-/// `const_ordering`'s cross-type coercion exactly.
-fn numeric_accessor(data: &ColumnData) -> Option<Box<dyn Fn(usize) -> f64 + '_>> {
+/// Pack `bit(i)` for the rows `0..len` into words, 64 rows per word (row
+/// `i` is bit `i % 64` of word `i / 64`, as in [`TruthMask`] and
+/// [`NullMask`]).
+///
+/// [`NullMask`]: crate::data::column::NullMask
+#[inline]
+fn pack(len: usize, mut bit: impl FnMut(usize) -> bool) -> Vec<u64> {
+    let mut words = vec![0u64; len.div_ceil(64)];
+    for (w, word) in words.iter_mut().enumerate() {
+        let base = w * 64;
+        let mut bits = 0u64;
+        for k in 0..(len - base).min(64) {
+            bits |= (bit(base + k) as u64) << k;
+        }
+        *word = bits;
+    }
+    words
+}
+
+/// The bits of `x(i) op y(i)` over the rows `0..len`: `op` is matched once,
+/// and each arm is its own loop. An incomparable pair (NaN) counts as
+/// equal, the rule of `const_ordering`: `=` holds unless `<` or `>` does.
+#[inline]
+fn cmp_bits<T: PartialOrd>(
+    len: usize,
+    op: CmpOp,
+    x: impl Fn(usize) -> T,
+    y: impl Fn(usize) -> T,
+) -> Vec<u64> {
+    let ord = |i: usize| x(i).partial_cmp(&y(i));
+    match op {
+        CmpOp::Eq => pack(len, |i| !matches!(ord(i), Some(Ordering::Less | Ordering::Greater))),
+        CmpOp::Neq => pack(len, |i| matches!(ord(i), Some(Ordering::Less | Ordering::Greater))),
+        CmpOp::Lt => pack(len, |i| x(i) < y(i)),
+        CmpOp::Le => pack(len, |i| ord(i) != Some(Ordering::Greater)),
+        CmpOp::Gt => pack(len, |i| x(i) > y(i)),
+        CmpOp::Ge => pack(len, |i| ord(i) != Some(Ordering::Less)),
+    }
+}
+
+/// The mask of a typed atom from the bits `holds` it has on non-null
+/// operands and the words `nulls` of the rows with a null operand. Under
+/// SQL a null operand makes the row unknown: true is `holds ∧ ¬nulls`,
+/// unknown is `nulls`. Under naive semantics only the null rows are
+/// visited, each taking `null_truth(i)`.
+fn typed_mask(
+    len: usize,
+    holds: Vec<u64>,
+    nulls: &[u64],
+    semantics: NullSemantics,
+    null_truth: impl Fn(usize) -> Truth,
+) -> TruthMask {
+    let mut t = holds;
+    for (t, n) in t.iter_mut().zip(nulls) {
+        *t &= !n;
+    }
+    let u = match semantics {
+        NullSemantics::Sql => nulls.to_vec(),
+        NullSemantics::Naive => {
+            let mut u = vec![0u64; t.len()];
+            for_each_bit(nulls, |i| {
+                let (w, bit) = (i / 64, 1u64 << (i % 64));
+                match null_truth(i) {
+                    Truth::True => t[w] |= bit,
+                    Truth::Unknown => u[w] |= bit,
+                    Truth::False => {}
+                }
+            });
+            u
+        }
+    };
+    TruthMask::from_planes(t, u, len)
+}
+
+/// The `as_f64` view of a numeric column — `const_ordering`'s cross-type
+/// coercion exactly, so every numeric pair compares as `f64`s.
+fn as_f64s(data: &ColumnData) -> Option<Cow<'_, [f64]>> {
     match data {
-        ColumnData::Int(v) => Some(Box::new(move |i| v[i] as f64)),
-        ColumnData::Float(v) => Some(Box::new(move |i| v[i])),
-        ColumnData::Decimal(v) => Some(Box::new(move |i| v[i] as f64 / 100.0)),
+        ColumnData::Int(v) => Some(Cow::Owned(v.iter().map(|&x| x as f64).collect())),
+        ColumnData::Float(v) => Some(Cow::Borrowed(v)),
+        ColumnData::Decimal(v) => Some(Cow::Owned(v.iter().map(|&x| x as f64 / 100.0).collect())),
         _ => None,
     }
 }
 
-fn is_numeric_const(v: &Value) -> bool {
-    matches!(v, Value::Int(_) | Value::Float(_) | Value::Decimal(_))
-}
-
-/// Apply `op` to an `Option<Ordering>` the way `const_ordering` consumers
-/// do: an incomparable pair (NaN) counts as equal.
-#[inline]
-fn ord_truth(op: CmpOp, ord: Option<Ordering>) -> Truth {
-    Truth::from_bool(op.apply(ord.unwrap_or(Ordering::Equal)))
+/// `f` of each row's string, computed once per *distinct* id (interning
+/// makes a repeated string one id; the dense ids index the memo) under one
+/// read lock of the pool.
+fn per_distinct_str<T: Copy>(ids: &[StrId], pool: &StrPool, f: impl Fn(&str) -> T) -> Vec<T> {
+    let span = ids.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut memo: Vec<Option<T>> = vec![None; span];
+    pool.with_strings(|strings| {
+        (ids.iter())
+            .map(|&id| *memo[id as usize].get_or_insert_with(|| f(&strings[id as usize])))
+            .collect()
+    })
 }
 
 fn cmp_col_const(c: &Column, op: CmpOp, v: &Value, ctx: &Ctx<'_>) -> TruthMask {
-    let len = c.len();
     // Null constants (possible in hand-built conditions) have their own
     // semantics per row under naive evaluation — take the generic path.
     if v.is_null() {
         return cmp_generic_const(c, op, v, ctx);
     }
-    let null_t = null_vs_const(op, ctx.semantics);
-    let mut m = TruthMask::falses(len);
-    match (c.data(), v) {
-        // Any numeric column vs any numeric constant: the shared f64
-        // coercion of `const_ordering`.
-        (data, k) if numeric_accessor(data).is_some() && is_numeric_const(k) => {
-            let get = numeric_accessor(data).expect("checked");
-            let kv = k.as_f64().expect("checked");
-            for i in 0..len {
-                if c.is_null(i) {
-                    m.set(i, null_t);
-                } else {
-                    m.set(i, ord_truth(op, get(i).partial_cmp(&kv)));
-                }
-            }
-        }
-        (ColumnData::Date(xs), Value::Date(d)) => {
-            for (i, x) in xs.iter().enumerate() {
-                if c.is_null(i) {
-                    m.set(i, null_t);
-                } else {
-                    m.set(i, Truth::from_bool(op.apply(x.cmp(d))));
-                }
-            }
-        }
-        (ColumnData::Bool(xs), Value::Bool(b)) => {
-            for (i, x) in xs.iter().enumerate() {
-                if c.is_null(i) {
-                    m.set(i, null_t);
-                } else {
-                    m.set(i, Truth::from_bool(op.apply(x.cmp(b))));
-                }
-            }
-        }
-        (ColumnData::Str(ids), Value::Str(s)) => match op {
+    let len = c.len();
+    // Any numeric column vs any numeric constant (`as_f64` is `Some`)
+    // compares as `f64`s, with `as_f64s`'s coercion.
+    let holds = match (c.data(), v.as_f64(), v) {
+        (ColumnData::Int(xs), Some(k), _) => cmp_bits(len, op, |i| xs[i] as f64, |_| k),
+        (ColumnData::Decimal(xs), Some(k), _) => cmp_bits(len, op, |i| xs[i] as f64 / 100.0, |_| k),
+        (ColumnData::Float(xs), Some(k), _) => cmp_bits(len, op, |i| xs[i], |_| k),
+        (ColumnData::Date(xs), _, Value::Date(d)) => cmp_bits(len, op, |i| xs[i], |_| *d),
+        (ColumnData::Bool(xs), _, Value::Bool(b)) => cmp_bits(len, op, |i| xs[i], |_| *b),
+        (ColumnData::Str(ids), _, Value::Str(s)) => match op {
             // Equality against interned ids: one pool lookup for the whole
-            // column. A constant absent from the pool equals no element.
+            // column. A constant absent from the pool (`None`) equals no
+            // element.
             CmpOp::Eq | CmpOp::Neq => {
-                let want = matches!(op, CmpOp::Eq);
-                let cid = ctx.pool.lookup(s);
-                for (i, id) in ids.iter().enumerate() {
-                    if c.is_null(i) {
-                        m.set(i, null_t);
-                    } else {
-                        let eq = cid == Some(*id);
-                        m.set(i, Truth::from_bool(eq == want));
-                    }
-                }
+                let k = ctx.pool.lookup(s);
+                cmp_bits(len, op, |i| Some(ids[i]), |_| k)
             }
-            // Ordering: resolve each *distinct* id once (interning makes
-            // repeated strings one dictionary entry).
+            // Ordering: each distinct id against the constant once, then
+            // `ordering op Equal` per row.
             _ => {
-                let mut memo: HashMap<StrId, Ordering> = HashMap::new();
-                for (i, id) in ids.iter().enumerate() {
-                    if c.is_null(i) {
-                        m.set(i, null_t);
-                    } else {
-                        let ord = *memo
-                            .entry(*id)
-                            .or_insert_with(|| ctx.pool.resolve(*id).as_ref().cmp(s.as_ref()));
-                        m.set(i, Truth::from_bool(op.apply(ord)));
-                    }
-                }
+                let ords = per_distinct_str(ids, ctx.pool, |x| x.cmp(s.as_ref()) as i8);
+                cmp_bits(len, op, |i| ords[i], |_| 0)
             }
         },
         // Mixed variants or the Values fallback: exact row-path comparison.
         _ => return cmp_generic_const(c, op, v, ctx),
-    }
-    m
+    };
+    typed_mask(len, holds, c.nulls().words(), ctx.semantics, |_| null_vs_const(op, ctx.semantics))
 }
 
 fn cmp_generic_const(c: &Column, op: CmpOp, v: &Value, ctx: &Ctx<'_>) -> TruthMask {
@@ -557,151 +584,88 @@ fn cmp_generic_const(c: &Column, op: CmpOp, v: &Value, ctx: &Ctx<'_>) -> TruthMa
 fn cmp_col_col(a: &Column, op: CmpOp, b: &Column, ctx: &Ctx<'_>) -> TruthMask {
     let len = a.len();
     debug_assert_eq!(len, b.len());
-    let mut m = TruthMask::falses(len);
-    // Per-row null handling shared by the typed loops below.
-    let null_truth = |i: usize| -> Truth {
-        match ctx.semantics {
-            NullSemantics::Sql => Truth::Unknown,
-            NullSemantics::Naive => {
-                let same =
-                    a.is_null(i) && b.is_null(i) && a.nulls().raw_id(i) == b.nulls().raw_id(i);
-                naive_null_truth(op, same)
-            }
+    let numeric = as_f64s(a.data()).and_then(|xs| Some((xs, as_f64s(b.data())?)));
+    let holds = match (numeric, a.data(), b.data()) {
+        (Some((xs, ys)), _, _) => cmp_bits(len, op, |i| xs[i], |i| ys[i]),
+        (None, ColumnData::Date(xs), ColumnData::Date(ys)) => {
+            cmp_bits(len, op, |i| xs[i], |i| ys[i])
         }
-    };
-    match (a.data(), b.data()) {
-        (da, db) if numeric_accessor(da).is_some() && numeric_accessor(db).is_some() => {
-            let (ga, gb) = (numeric_accessor(da).expect("checked"), {
-                numeric_accessor(db).expect("checked")
-            });
-            for i in 0..len {
-                if a.is_null(i) || b.is_null(i) {
-                    m.set(i, null_truth(i));
-                } else {
-                    m.set(i, ord_truth(op, ga(i).partial_cmp(&gb(i))));
-                }
-            }
+        (None, ColumnData::Bool(xs), ColumnData::Bool(ys)) => {
+            cmp_bits(len, op, |i| xs[i], |i| ys[i])
         }
-        (ColumnData::Date(xs), ColumnData::Date(ys)) => {
-            for i in 0..len {
-                if a.is_null(i) || b.is_null(i) {
-                    m.set(i, null_truth(i));
-                } else {
-                    m.set(i, Truth::from_bool(op.apply(xs[i].cmp(&ys[i]))));
-                }
-            }
-        }
-        (ColumnData::Bool(xs), ColumnData::Bool(ys)) => {
-            for i in 0..len {
-                if a.is_null(i) || b.is_null(i) {
-                    m.set(i, null_truth(i));
-                } else {
-                    m.set(i, Truth::from_bool(op.apply(xs[i].cmp(&ys[i]))));
-                }
-            }
-        }
-        (ColumnData::Str(xs), ColumnData::Str(ys)) => match op {
-            CmpOp::Eq | CmpOp::Neq => {
-                let want = matches!(op, CmpOp::Eq);
-                for i in 0..len {
-                    if a.is_null(i) || b.is_null(i) {
-                        m.set(i, null_truth(i));
-                    } else {
-                        m.set(i, Truth::from_bool((xs[i] == ys[i]) == want));
-                    }
-                }
-            }
+        (None, ColumnData::Str(xs), ColumnData::Str(ys)) => match op {
+            CmpOp::Eq | CmpOp::Neq => cmp_bits(len, op, |i| xs[i], |i| ys[i]),
             _ => {
-                let mut resolve: HashMap<StrId, std::sync::Arc<str>> = HashMap::new();
-                for i in 0..len {
-                    if a.is_null(i) || b.is_null(i) {
-                        m.set(i, null_truth(i));
-                    } else {
-                        let sx =
-                            resolve.entry(xs[i]).or_insert_with(|| ctx.pool.resolve(xs[i])).clone();
-                        let sy = resolve.entry(ys[i]).or_insert_with(|| ctx.pool.resolve(ys[i]));
-                        m.set(i, Truth::from_bool(op.apply(sx.as_ref().cmp(sy.as_ref()))));
-                    }
-                }
+                let ords: Vec<i8> = ctx.pool.with_strings(|s| {
+                    let s = |id: StrId| &s[id as usize];
+                    xs.iter().zip(ys).map(|(&x, &y)| s(x).cmp(s(y)) as i8).collect()
+                });
+                cmp_bits(len, op, |i| ords[i], |_| 0)
             }
         },
         _ => {
+            let mut m = TruthMask::falses(len);
             for i in 0..len {
                 let x = a.value_at(i, ctx.pool);
                 let y = b.value_at(i, ctx.pool);
                 m.set(i, lit_cmp(Some(&x), op, Some(&y), ctx.semantics));
             }
+            return m;
         }
-    }
-    m
+    };
+    let (an, bn) = (a.nulls(), b.nulls());
+    let nulls: Vec<u64> = an.words().iter().zip(bn.words()).map(|(x, y)| x | y).collect();
+    typed_mask(len, holds, &nulls, ctx.semantics, |i| match ctx.semantics {
+        NullSemantics::Sql => Truth::Unknown,
+        NullSemantics::Naive => {
+            naive_null_truth(op, an.is_null(i) && bn.is_null(i) && an.raw_id(i) == bn.raw_id(i))
+        }
+    })
 }
 
 fn like_col(c: &Column, pattern: &str, ctx: &Ctx<'_>) -> TruthMask {
     let len = c.len();
-    let null_t = match ctx.semantics {
-        NullSemantics::Sql => Truth::Unknown,
-        NullSemantics::Naive => Truth::False,
-    };
-    let mut m = TruthMask::falses(len);
     match c.data() {
         ColumnData::Str(ids) => {
-            // One LIKE match per *distinct* dictionary id.
-            let mut memo: HashMap<StrId, bool> = HashMap::new();
-            for (i, id) in ids.iter().enumerate() {
-                if c.is_null(i) {
-                    m.set(i, null_t);
-                } else {
-                    let hit = *memo
-                        .entry(*id)
-                        .or_insert_with(|| like_match(&ctx.pool.resolve(*id), pattern));
-                    m.set(i, Truth::from_bool(hit));
-                }
-            }
+            let hits = per_distinct_str(ids, ctx.pool, |s| like_match(s, pattern));
+            let holds = pack(len, |i| hits[i]);
+            typed_mask(len, holds, c.nulls().words(), ctx.semantics, |_| {
+                missing_operand(ctx.semantics)
+            })
         }
         _ => {
+            let mut m = TruthMask::falses(len);
             for i in 0..len {
                 let v = c.value_at(i, ctx.pool);
                 m.set(i, lit_like(Some(&v), pattern, ctx.semantics));
             }
+            m
         }
     }
-    m
 }
 
 // ---------------------------------------------------------------------------
 // Hash join keys: column-wise hashing + index-based tables
 // ---------------------------------------------------------------------------
 
-/// A hasher that passes a pre-computed `u64` through unchanged — the key
-/// hashes below are already mixed, re-hashing them through SipHash would be
-/// pure overhead.
-#[derive(Default)]
-pub(crate) struct PassThroughHasher(u64);
-
-impl Hasher for PassThroughHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("key tables only hash u64 keys")
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-/// A hash table from precomputed key hashes to build-side row indices, as
-/// two flat arrays: `heads` maps a hash to the first row carrying it, and
-/// `next[i]` is the following row with row `i`'s hash ([`END`] after the
-/// last). Each chain ascends, so partners come out in build order — the
-/// nested loop's order, and the aggregate's first occurrence first. No
-/// container is allocated per key.
+/// A hash table over the build side's rows as two flat arrays: `heads` is a
+/// power-of-two bucket array holding each bucket's first row, indexed by
+/// the low bits of the row's precomputed key hash, and `next[i]` is the row
+/// after row `i` in its bucket ([`END`] after the last). Each chain ascends,
+/// so partners come out in build order — the nested loop's order, and the
+/// aggregate's first occurrence first. A chain may hold rows of other
+/// hashes: a probe compares the stored hash before the keys. No container
+/// is allocated per key.
 pub(crate) struct KeyTable {
-    heads: HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>,
+    heads: Vec<u32>,
     next: Vec<u32>,
 }
+
+/// The fewest buckets a [`KeyTable`] has. A small build side probed by a
+/// large one is probed faster when most absent keys land in an empty
+/// bucket: sized by its rows alone, a 32-row `part` table under 12k
+/// `lineitem` probes sends them down occupied chains.
+const MIN_BUCKETS: usize = 1024;
 
 /// The end of a [`KeyTable`] chain.
 const END: u32 = u32::MAX;
@@ -844,19 +808,15 @@ impl<'r> KeySet<'r> {
                 }
                 ColumnData::Values(_) => unreachable!("typed keys exclude fallback columns"),
             }
-            if c.nulls().any_null() {
-                for i in 0..n {
-                    if c.is_null(i) {
-                        if allow_nulls {
-                            // Overwrite the placeholder contribution with the
-                            // null id so ⊥ᵢ hashes by identity.
-                            hashes[i] = mix(mix(hashes[i], NULL_TAG), c.nulls().raw_id(i));
-                        } else {
-                            valid[i] = false;
-                        }
-                    }
+            for_each_bit(c.nulls().words(), |i| {
+                if allow_nulls {
+                    // Overwrite the placeholder contribution with the null id
+                    // so ⊥ᵢ hashes by identity.
+                    hashes[i] = mix(mix(hashes[i], NULL_TAG), c.nulls().raw_id(i));
+                } else {
+                    valid[i] = false;
                 }
-            }
+            });
         }
         KeySet { cols: KeyCols::Typed(cols), hashes, valid, wild: Vec::new() }
     }
@@ -894,11 +854,13 @@ impl<'r> KeySet<'r> {
     pub(crate) fn set_wild(&mut self, null_ok: impl Iterator<Item = bool>) {
         let mut wild = vec![false; self.hashes.len()];
         for (k, _) in null_ok.enumerate().filter(|(_, ok)| *ok) {
-            for (i, wild) in wild.iter_mut().enumerate() {
-                *wild |= match &self.cols {
-                    KeyCols::Typed(cols) => cols[k].is_null(i),
-                    KeyCols::Rows(rows, pos) => rows.value(i, pos[k]).is_null(),
-                };
+            match &self.cols {
+                KeyCols::Typed(cols) => for_each_bit(cols[k].nulls().words(), |i| wild[i] = true),
+                KeyCols::Rows(rows, pos) => {
+                    for (i, wild) in wild.iter_mut().enumerate() {
+                        *wild |= rows.value(i, pos[k]).is_null();
+                    }
+                }
             }
         }
         for (valid, wild) in self.valid.iter_mut().zip(&wild) {
@@ -962,16 +924,19 @@ impl<'r> KeySet<'r> {
         self.valid.iter().filter(|v| **v).count()
     }
 
-    /// Build the chained hash table over this side's valid rows, pre-sized
-    /// to the known row count. Rows are linked in reverse, each in front of
-    /// its chain, so every chain ends up ascending.
+    /// Build the chained hash table over this side's valid rows, with at
+    /// least twice as many buckets as rows. Rows are linked in reverse, each
+    /// in front of its bucket's chain, so every chain ends up ascending.
     pub(crate) fn table(&self) -> KeyTable {
         let n = self.hashes.len();
-        let mut heads = HashMap::with_capacity_and_hasher(n, Default::default());
+        let mut heads = vec![END; (2 * n).next_power_of_two().max(MIN_BUCKETS)];
         let mut next = vec![END; n];
+        let mask = heads.len() - 1;
         for i in (0..n).rev() {
             if self.valid[i] {
-                next[i] = heads.insert(self.hashes[i], i as u32).unwrap_or(END);
+                let head = &mut heads[self.hashes[i] as usize & mask];
+                next[i] = *head;
+                *head = i as u32;
             }
         }
         KeyTable { heads, next }
@@ -985,9 +950,246 @@ impl<'r> KeySet<'r> {
         build: &'a KeySet<'_>,
         table: &'a KeyTable,
     ) -> impl Iterator<Item = usize> + 'a {
-        let head = if self.valid[i] { table.heads.get(&self.hashes[i]).copied() } else { None };
-        std::iter::successors(head, |&j| Some(table.next[j as usize]).filter(|&j| j != END))
+        let hash = self.hashes[i];
+        let head =
+            if self.valid[i] { table.heads[hash as usize & (table.heads.len() - 1)] } else { END };
+        let chain = |j: u32| Some(j).filter(|&j| j != END);
+        std::iter::successors(chain(head), move |&j| chain(table.next[j as usize]))
             .map(|j| j as usize)
-            .filter(move |&j| self.keys_eq(i, build, j))
+            .filter(move |&j| build.hashes[j] == hash && self.keys_eq(i, build, j))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::data::builder::rel;
+    use crate::data::null::NullId;
+    use crate::data::Relation;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Lengths around the word boundaries of the masks.
+    const LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    const SEMANTICS: [NullSemantics; 2] = [NullSemantics::Sql, NullSemantics::Naive];
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        Int,
+        Decimal,
+        Float,
+        Date,
+        Bool,
+        Str,
+    }
+
+    /// A non-null value of `kind` from a domain small enough that equal,
+    /// lower and higher pairs all occur. Ints and decimals meet at 0 and 1;
+    /// floats include NaN and both zeros.
+    fn value(kind: Kind, rng: &mut StdRng) -> Value {
+        let k = rng.gen_range(0..4i64);
+        match kind {
+            Kind::Int => Value::Int(k - 1),
+            Kind::Decimal => Value::Decimal(k * 50 - 50),
+            Kind::Float => Value::Float([f64::NAN, -0.0, 0.0, 1.0][k as usize]),
+            Kind::Date => Value::Date(k as i32),
+            Kind::Bool => Value::Bool(k % 2 == 0),
+            Kind::Str => Value::str(["a", "b", "ab", "c"][k as usize]),
+        }
+    }
+
+    /// Constants to compare a column of `kind` with: its own domain, the
+    /// other numeric types, and a string the pool has never seen.
+    fn constants(kind: Kind) -> Vec<Value> {
+        let mut rng = StdRng::seed_from_u64(kind as u64);
+        let mut out: Vec<Value> = (0..3).map(|_| value(kind, &mut rng)).collect();
+        match kind {
+            Kind::Int | Kind::Decimal | Kind::Float => out.extend([
+                Value::Int(1),
+                Value::Decimal(50),
+                Value::Float(f64::NAN),
+                Value::Float(-0.0),
+            ]),
+            Kind::Str => out.push(Value::str("never interned")),
+            _ => {}
+        }
+        out
+    }
+
+    /// `len` rows of two columns of kinds `ka` and `kb`. Nulls fall at
+    /// random from few marked ids, and in every other relation on each word
+    /// boundary; where `a` is null, `b` is often the very same null.
+    fn relation(len: usize, ka: Kind, kb: Kind, rng: &mut StdRng) -> Relation {
+        let boundaries: &[usize] = if rng.gen_bool(0.5) { &[0, 63, 64, 127, 128] } else { &[] };
+        let rows = (0..len)
+            .map(|i| {
+                let a = if boundaries.contains(&i) || rng.gen_bool(0.2) {
+                    Value::Null(NullId(rng.gen_range(1..4u64)))
+                } else {
+                    value(ka, rng)
+                };
+                let b = if a.is_null() && rng.gen_bool(0.5) {
+                    a.clone()
+                } else if rng.gen_bool(0.2) {
+                    Value::Null(NullId(rng.gen_range(1..4u64)))
+                } else {
+                    value(kb, rng)
+                };
+                vec![a, b]
+            })
+            .collect();
+        rel(&["a", "b"], rows)
+    }
+
+    /// The mask of `pred` over `rel` equals the row evaluator's truth value
+    /// on every row, and no bit past the last row is set.
+    fn assert_mask_matches_rows(
+        rel: &Relation,
+        pred: &Pred,
+        semantics: NullSemantics,
+        pool: &StrPool,
+    ) {
+        let rows = Rows::whole(Cow::Borrowed(rel));
+        let mut positions = Vec::new();
+        pred.col_refs(&mut positions);
+        let cols = ColumnSet::read(&rows, 0..rows.len(), &positions, pool);
+        let scalars = ScalarValues::new(0);
+        let ctx = Ctx { cols: &cols, outer: None, l_arity: 0, scalars: &scalars, semantics, pool };
+        let mask = eval_pred(pred, &ctx);
+        let mut trues = 0;
+        for i in 0..rows.len() {
+            let want = pred.eval(RowView::one(&rows, i), &scalars, semantics);
+            trues += want.is_true() as usize;
+            let row = &rel.tuples()[i];
+            assert_eq!(mask.get(i), want, "{pred:?} under {semantics:?}, row {i}: {row}");
+        }
+        assert_eq!(mask.count_true(), trues, "{pred:?}: bits past the last row");
+    }
+
+    #[test]
+    fn masks_match_the_row_evaluator_on_every_type_op_and_length() {
+        use CompiledOperand::{Col, Const};
+        let pairs = [
+            (Kind::Int, Kind::Int),
+            (Kind::Decimal, Kind::Decimal),
+            (Kind::Float, Kind::Float),
+            (Kind::Date, Kind::Date),
+            (Kind::Bool, Kind::Bool),
+            (Kind::Str, Kind::Str),
+            (Kind::Int, Kind::Decimal),
+            (Kind::Decimal, Kind::Float),
+            (Kind::Float, Kind::Int),
+            (Kind::Date, Kind::Int),
+        ];
+        let pool = StrPool::new();
+        let mut rng = StdRng::seed_from_u64(0x3A5C);
+        let mut typed = 0;
+        for len in LENGTHS {
+            for (ka, kb) in pairs {
+                let rel = relation(len, ka, kb, &mut rng);
+                typed += (len > 0 && !rel.column(0, &pool).data().is_fallback()) as usize;
+                let mut preds = vec![
+                    Pred::IsNull(Col(0)),
+                    Pred::IsNotNull(Col(1)),
+                    Pred::Not(Box::new(Pred::IsNull(Col(1)))),
+                ];
+                if ka == Kind::Str {
+                    for (pattern, negated) in [("a%", false), ("%b", true), ("_", false)] {
+                        let pattern = pattern.to_string();
+                        preds.push(Pred::Like { expr: Col(0), pattern, negated });
+                    }
+                }
+                for op in OPS {
+                    preds.push(Pred::Cmp { left: Col(0), op, right: Col(1) });
+                    preds.push(Pred::Cmp { left: Col(1), op, right: Col(0) });
+                    for k in constants(ka) {
+                        preds.push(Pred::Cmp { left: Col(0), op, right: Const(k.clone()) });
+                        preds.push(Pred::Cmp { left: Const(k), op, right: Col(0) });
+                    }
+                }
+                for pred in &preds {
+                    for semantics in SEMANTICS {
+                        assert_mask_matches_rows(&rel, pred, semantics, &pool);
+                    }
+                }
+            }
+        }
+        // Every type took its typed arm, not only the row fallback.
+        assert!(typed >= (LENGTHS.len() - 2) * pairs.len(), "{typed} typed runs");
+    }
+
+    /// `rows` of two key columns (an int and a string) in the given shape.
+    fn keyed(n: usize, shape: &str, rng: &mut StdRng) -> Relation {
+        let rows = (0..n)
+            .map(|_| match shape {
+                "all equal" => vec![Value::Int(7), Value::str("k")],
+                "all invalid" => vec![Value::Null(NullId(rng.gen_range(1..4u64))), Value::str("k")],
+                _ => {
+                    let a = if rng.gen_bool(0.1) {
+                        Value::Null(NullId(rng.gen_range(1..4u64)))
+                    } else {
+                        Value::Int(rng.gen_range(0..(n as i64 / 4 + 2)))
+                    };
+                    vec![a, Value::str(["x", "y"][rng.gen_range(0..2usize)])]
+                }
+            })
+            .collect();
+        rel(&["a", "b"], rows)
+    }
+
+    fn key<'a>(rows: &'a Rows<'_>, i: usize) -> [&'a Value; 2] {
+        [rows.value(i, 0), rows.value(i, 1)]
+    }
+
+    #[test]
+    fn key_table_partners_match_a_nested_loop_in_build_order() {
+        let pool = StrPool::new();
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let pos = [0usize, 1];
+        for n in [0, 1, 2, 3, 17, 1023, 1024, 1025, 5000] {
+            for shape in ["random", "all equal", "all invalid"] {
+                let build_rel = keyed(n, shape, &mut rng);
+                let probe_rel = keyed(n.min(40) + 1, "random", &mut rng);
+                let (probe, build) = (
+                    Rows::whole(Cow::Borrowed(&probe_rel)),
+                    Rows::whole(Cow::Borrowed(&build_rel)),
+                );
+                let configs = [(false, true, false), (true, true, false), (false, false, false)];
+                // The last configuration gives every row one hash: the
+                // probe must tell the chain's keys apart by comparing them.
+                for (allow_nulls, vectorized, collide) in
+                    configs.into_iter().chain([(true, true, true)])
+                {
+                    let (mut pk, mut bk) =
+                        KeySet::pair(&probe, &pos, &build, &pos, allow_nulls, vectorized, &pool);
+                    if collide {
+                        pk.hashes.fill(42);
+                        bk.hashes.fill(42);
+                    }
+                    let table = bk.table();
+                    let valid = |k: [&Value; 2]| allow_nulls || k.iter().all(|v| !v.is_null());
+                    for i in 0..probe.len() {
+                        let got: Vec<usize> = pk.matches(i, &bk, &table).collect();
+                        let k = key(&probe, i);
+                        let want: Vec<usize> = (0..build.len())
+                            .filter(|&j| valid(k) && valid(key(&build, j)) && key(&build, j) == k)
+                            .collect();
+                        assert_eq!(got, want, "{n} build rows, {shape}, nulls {allow_nulls}");
+                    }
+                }
+                // A side probed by itself, as the aggregate groups: every
+                // group in ascending order, nulls grouping by their id.
+                let keys = KeySet::build(&build, &pos, true, true, &pool);
+                let table = keys.table();
+                for i in (0..build.len()).step_by(97) {
+                    let got: Vec<usize> = keys.matches(i, &keys, &table).collect();
+                    let want: Vec<usize> = (0..build.len())
+                        .filter(|&j| build_rel.tuples()[j] == build_rel.tuples()[i])
+                        .collect();
+                    assert_eq!(got, want, "{n} rows grouped, {shape}");
+                }
+            }
+        }
     }
 }
