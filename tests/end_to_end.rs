@@ -158,6 +158,48 @@ fn explain_text_of_every_query_and_translation_stays_put() {
     assert_eq!(text, include_str!("fixtures/explain_at_6cc32f2.txt"));
 }
 
+/// `text` with every measured time (`time=…`, `build=…`) masked as `*`.
+fn mask_times(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) =
+        ["time=", "build="].iter().filter_map(|k| rest.find(k).map(|i| i + k.len())).min()
+    {
+        out.push_str(&rest[..at]);
+        out.push('*');
+        rest = &rest[at..];
+        rest = &rest[rest.find([',', ')', ']']).unwrap_or(rest.len())..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// `Session::explain_analyze` of Q1–Q4, as written and under both
+/// translations, on the benchmark's instance (scale 0.002, null rate 0.03,
+/// seed 42) at one thread and at four with every exchange fanning out:
+/// estimates, actual rows, path tags and divergence flags, byte for byte
+/// what commit 61ca347 printed, with the measured times masked.
+#[test]
+fn explain_analyze_text_of_every_query_and_translation_stays_put() {
+    let workload = Workload::new(0.002, 0.03, 42);
+    let db = workload.incomplete_instance();
+    let params = workload.params(&db, 0);
+    let mut text = String::new();
+    for config in [EngineConfig::serial(), EngineConfig::with_threads(4).with_parallel_floor(0)] {
+        let threads = config.threads;
+        let session = Session::builder(db.clone()).config(config).build();
+        for q in 1..=4usize {
+            let expr = query_by_number(q, &params).expect("query exists");
+            for certainty in [Certainty::Plain, Certainty::CertainPlus, Certainty::PossibleStar] {
+                let analyzed = session.explain_analyze(&expr, certainty).expect("analyzes");
+                let analyzed = mask_times(&analyzed.to_string());
+                writeln!(text, "=== {threads} threads Q{q} {certainty:?}\n{analyzed}").unwrap();
+            }
+        }
+    }
+    assert_eq!(text, include_str!("fixtures/explain_analyze_at_61ca347.txt"));
+}
+
 /// FNV-1a (64 bits) over the rendered rows, one per line, in answer order.
 fn ordered_digest(rel: &Relation) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
