@@ -413,7 +413,7 @@ pub fn or_split_ablation(bench_scale: f64, tiny_scale: f64, null_rate: f64) -> A
     let split = CertainRewriter::new().rewrite_plus(&q4, &db).expect("translates");
     let stats = StatisticsCatalog::analyze(&db);
     let planner = PhysicalPlanner::new(&db, &stats);
-    let cost = |q: &RaExpr| planner.explain(q).expect("plans").cost;
+    let cost = |q: &RaExpr| planner.explain(q).expect("plans").root().cost_est;
     let (original_cost, unsplit_cost, split_cost) = (cost(&q4), cost(&unsplit), cost(&split));
 
     // Measured times on a tiny instance.

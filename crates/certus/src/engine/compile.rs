@@ -295,15 +295,25 @@ impl Pred {
     }
 }
 
-/// A step of a fused operator pipeline, in pipeline order.
+/// A step of a fused operator pipeline, in pipeline order, with the id of
+/// the plan node it implements.
 #[derive(Debug)]
 pub(crate) enum Step {
     /// Drop rows whose predicate is not true. The predicate reads the
     /// pipeline's *source* columns: projections below it are looked through.
-    Filter(CompiledPredicate),
+    Filter { id: usize, pred: CompiledPredicate },
     /// Map the row onto the given positions of the step before's output
     /// (composed with the other projections into the pipeline's `project`).
-    Project(Vec<usize>),
+    Project { id: usize, positions: Vec<usize> },
+}
+
+impl Step {
+    /// The id of the plan node this step implements.
+    pub(crate) fn id(&self) -> usize {
+        match self {
+            Step::Filter { id, .. } | Step::Project { id, .. } => *id,
+        }
+    }
 }
 
 /// The compiled keys of a hash operator: key columns resolved to positions
@@ -338,10 +348,19 @@ pub(crate) struct NullAware {
     pub(crate) full: CompiledPredicate,
 }
 
+/// A compiled operator and the plan node it implements.
+#[derive(Debug)]
+pub(crate) struct CompiledExpr {
+    /// The node's id: its pre-order position in the physical plan. A fused
+    /// chain is its top node, a flattened union its outermost union.
+    pub(crate) id: usize,
+    pub(crate) op: Op,
+}
+
 /// A compiled operator tree: schemas inferred, names resolved, conditions
 /// compiled — ready for repeated execution with zero per-execution setup.
 #[derive(Debug)]
-pub(crate) enum CompiledExpr {
+pub(crate) enum Op {
     /// Scan of a base relation (schema pre-qualified for aliases).
     Scan { name: String, schema: Arc<Schema> },
     /// A literal relation, materialised at compile time.
@@ -441,24 +460,70 @@ pub(crate) enum CompiledExpr {
 impl CompiledExpr {
     /// The output schema of this operator (computed once, at compile time).
     pub(crate) fn schema(&self) -> &Arc<Schema> {
-        match self {
-            CompiledExpr::Scan { schema, .. }
-            | CompiledExpr::Fused { schema, .. }
-            | CompiledExpr::HashJoin { schema, .. }
-            | CompiledExpr::NlJoin { schema, .. }
-            | CompiledExpr::Union { schema, .. }
-            | CompiledExpr::Division { schema, .. }
-            | CompiledExpr::Rename { schema, .. }
-            | CompiledExpr::Aggregate { schema, .. } => schema,
-            CompiledExpr::Values { rel } => rel.schema(),
-            CompiledExpr::DecorrelatedSemi { left_schema, .. } => left_schema,
-            CompiledExpr::HashSemi { left, .. }
-            | CompiledExpr::NlSemi { left, .. }
-            | CompiledExpr::Intersect { left, .. }
-            | CompiledExpr::Difference { left, .. }
-            | CompiledExpr::UnifySemi { left, .. } => left.schema(),
-            CompiledExpr::Distinct { input, .. } => input.schema(),
+        match &self.op {
+            Op::Scan { schema, .. }
+            | Op::Fused { schema, .. }
+            | Op::HashJoin { schema, .. }
+            | Op::NlJoin { schema, .. }
+            | Op::Union { schema, .. }
+            | Op::Division { schema, .. }
+            | Op::Rename { schema, .. }
+            | Op::Aggregate { schema, .. } => schema,
+            Op::Values { rel } => rel.schema(),
+            Op::DecorrelatedSemi { left_schema, .. } => left_schema,
+            Op::HashSemi { left, .. }
+            | Op::NlSemi { left, .. }
+            | Op::Intersect { left, .. }
+            | Op::Difference { left, .. }
+            | Op::UnifySemi { left, .. } => left.schema(),
+            Op::Distinct { input, .. } => input.schema(),
         }
+    }
+
+    /// The operator's inputs: a binary operator's left then right, a
+    /// union's arms in order.
+    pub(crate) fn children(&self) -> Vec<&CompiledExpr> {
+        match &self.op {
+            Op::Scan { .. } | Op::Values { .. } => Vec::new(),
+            Op::Fused { source: input, .. }
+            | Op::Rename { input, .. }
+            | Op::Distinct { input }
+            | Op::Aggregate { input, .. } => vec![input],
+            Op::Union { arms, .. } => arms.iter().collect(),
+            Op::HashJoin { left, right, .. }
+            | Op::NlJoin { left, right, .. }
+            | Op::HashSemi { left, right, .. }
+            | Op::NlSemi { left, right, .. }
+            | Op::DecorrelatedSemi { left, right, .. }
+            | Op::Intersect { left, right }
+            | Op::Difference { left, right }
+            | Op::UnifySemi { left, right, .. }
+            | Op::Division { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// The operator's name in a profile (`scan(lineitem)`, `fused`,
+    /// `hash_join`, …).
+    pub(crate) fn label(&self) -> String {
+        match &self.op {
+            Op::Scan { name, .. } => return format!("scan({name})"),
+            Op::Values { .. } => "values",
+            Op::Fused { .. } => "fused",
+            Op::HashJoin { .. } => "hash_join",
+            Op::NlJoin { .. } => "nl_join",
+            Op::HashSemi { .. } => "hash_semi",
+            Op::NlSemi { .. } => "nl_semi",
+            Op::DecorrelatedSemi { .. } => "decorrelated_semi",
+            Op::Union { .. } => "union",
+            Op::Intersect { .. } => "intersect",
+            Op::Difference { .. } => "difference",
+            Op::UnifySemi { .. } => "unify_semi",
+            Op::Division { .. } => "division",
+            Op::Rename { .. } => "rename",
+            Op::Distinct { .. } => "distinct",
+            Op::Aggregate { .. } => "aggregate",
+        }
+        .to_string()
     }
 }
 
@@ -467,16 +532,16 @@ impl CompiledExpr {
 /// are its left input's, then its right input's; an operator that passes
 /// its input's set on keeps its layout; anything else is one relation.
 fn layout(node: &CompiledExpr) -> (Vec<Slot>, usize) {
-    match node {
-        CompiledExpr::HashJoin { left, right, .. } | CompiledExpr::NlJoin { left, right, .. } => {
+    match &node.op {
+        Op::HashJoin { left, right, .. } | Op::NlJoin { left, right, .. } => {
             join_layout(left, right)
         }
-        CompiledExpr::HashSemi { left, .. }
-        | CompiledExpr::NlSemi { left, .. }
-        | CompiledExpr::DecorrelatedSemi { left, .. }
-        | CompiledExpr::Rename { input: left, .. }
-        | CompiledExpr::Fused { source: left, project: None, dedup: false, .. } => layout(left),
-        other => ((0..other.schema().arity()).map(|c| (0, c)).collect(), 1),
+        Op::HashSemi { left, .. }
+        | Op::NlSemi { left, .. }
+        | Op::DecorrelatedSemi { left, .. }
+        | Op::Rename { input: left, .. }
+        | Op::Fused { source: left, project: None, dedup: false, .. } => layout(left),
+        _ => ((0..node.schema().arity()).map(|c| (0, c)).collect(), 1),
     }
 }
 
@@ -486,6 +551,24 @@ fn join_layout(l: &CompiledExpr, r: &CompiledExpr) -> (Vec<Slot>, usize) {
     (slots, l_sources + r_sources)
 }
 
+/// Where a profiled run leaves the actuals of a plan node. A node an
+/// operator implements has its own; the compiler records one of the other
+/// rules where it absorbs a node into the operator above.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Report {
+    /// An operator's node: its own counters.
+    Own,
+    /// A filter fused below a chain's top: the rows its step kept.
+    Step,
+    /// An exchange, or a projection, rename or distinct fused below a
+    /// chain's top: its input's (`id + 1`) rows — the chain deduplicates
+    /// once, at its top.
+    Input,
+    /// A union flattened into the one above: its two inputs' rows,
+    /// concatenated — the top union deduplicates once.
+    Concat(usize, usize),
+}
+
 /// A fully compiled physical plan: the operator tree plus the table of
 /// uncorrelated scalar subqueries it references. Owns everything — no borrow
 /// of the database — so it can be cached across executions.
@@ -493,6 +576,8 @@ fn join_layout(l: &CompiledExpr, r: &CompiledExpr) -> (Vec<Slot>, usize) {
 pub struct CompiledPlan {
     pub(crate) root: CompiledExpr,
     pub(crate) scalars: Vec<RaExpr>,
+    /// How each node of the physical plan reports, by id: one per node.
+    pub(crate) reports: Vec<Report>,
 }
 
 impl CompiledPlan {
@@ -502,9 +587,9 @@ impl CompiledPlan {
     pub fn compile(plan: &PhysicalExpr, db: &Database) -> Result<CompiledPlan> {
         static COMPILES: OnceLock<Arc<Counter>> = OnceLock::new();
         COMPILES.get_or_init(|| registry().counter(names::ENGINE_COMPILES)).incr();
-        let mut scalars = Vec::new();
-        let root = compile_expr(plan, db, &mut scalars)?;
-        Ok(CompiledPlan { root, scalars })
+        let mut cx = Cx { db, scalars: Vec::new(), reports: Vec::new() };
+        let root = compile_expr(plan, &mut cx)?;
+        Ok(CompiledPlan { root, scalars: cx.scalars, reports: cx.reports })
     }
 
     /// The output schema of the plan.
@@ -513,160 +598,189 @@ impl CompiledPlan {
     }
 }
 
-fn compile_expr(
-    plan: &PhysicalExpr,
-    db: &Database,
-    scalars: &mut Vec<RaExpr>,
-) -> Result<CompiledExpr> {
-    match plan {
-        PhysicalExpr::Source(expr) => compile_source(expr, db),
+/// What compilation gathers beside the operator tree: the scalar subqueries,
+/// and one [`Report`] per plan node, numbered in pre-order as the walk
+/// reaches it.
+struct Cx<'d> {
+    db: &'d Database,
+    scalars: Vec<RaExpr>,
+    reports: Vec<Report>,
+}
+
+impl Cx<'_> {
+    /// The id of the next plan node, reporting its own actuals until the
+    /// compiler absorbs it.
+    fn next_id(&mut self) -> usize {
+        self.reports.push(Report::Own);
+        self.reports.len() - 1
+    }
+
+    /// The chain topped by node `top` was fused below a new top: a filter
+    /// there reports what its step kept, anything else its input's rows.
+    fn fused_below(&mut self, top: usize, steps: &[Step]) {
+        self.reports[top] = match steps.last() {
+            Some(Step::Filter { id, .. }) if *id == top => Report::Step,
+            _ => Report::Input,
+        };
+    }
+}
+
+fn compile_expr(plan: &PhysicalExpr, cx: &mut Cx<'_>) -> Result<CompiledExpr> {
+    let id = cx.next_id();
+    let op = match plan {
+        PhysicalExpr::Source(expr) => compile_source(expr, cx.db)?,
         // An exchange nobody above exploits is the identity.
-        PhysicalExpr::Exchange { input, .. } => compile_expr(input, db, scalars),
+        PhysicalExpr::Exchange { input, .. } => {
+            cx.reports[id] = Report::Input;
+            return compile_expr(input, cx);
+        }
         PhysicalExpr::Filter { input, condition } => {
-            let (inner, partitions) = peel_exchange(input);
-            let child = compile_expr(inner, db, scalars)?;
-            let pred = compile_condition(condition, child.schema(), scalars)?;
-            Ok(push_step(child, Step::Filter(pred), None, partitions))
+            let (inner, partitions) = peel_exchange(input, cx);
+            let child = compile_expr(inner, cx)?;
+            let pred = compile_condition(condition, child.schema(), &mut cx.scalars)?;
+            return Ok(push_step(child, Step::Filter { id, pred }, None, partitions, cx));
         }
         PhysicalExpr::Project { input, columns } => {
-            let child = compile_expr(input, db, scalars)?;
+            let child = compile_expr(input, cx)?;
             let (positions, schema) = project_positions(child.schema(), columns)?;
-            Ok(push_step(child, Step::Project(positions), Some(schema.shared()), 0))
+            let step = Step::Project { id, positions };
+            return Ok(push_step(child, step, Some(schema.shared()), 0, cx));
         }
         PhysicalExpr::Rename { input, columns } => {
-            let child = compile_expr(input, db, scalars)?;
+            let child = compile_expr(input, cx)?;
             let schema = child.schema().rename(columns)?.shared();
-            Ok(match child {
-                CompiledExpr::Fused { source, steps, project, dedup, partitions, .. } => {
-                    CompiledExpr::Fused { source, steps, project, schema, dedup, partitions }
+            match child.op {
+                Op::Fused { source, steps, project, dedup, partitions, .. } => {
+                    cx.fused_below(child.id, &steps);
+                    Op::Fused { source, steps, project, schema, dedup, partitions }
                 }
-                other => CompiledExpr::Rename { input: Box::new(other), schema },
-            })
+                _ => Op::Rename { input: Box::new(child), schema },
+            }
         }
         PhysicalExpr::Distinct { input } => {
-            let child = compile_expr(input, db, scalars)?;
-            Ok(match child {
-                CompiledExpr::Fused { source, steps, project, schema, partitions, .. } => {
-                    CompiledExpr::Fused { source, steps, project, schema, dedup: true, partitions }
+            let child = compile_expr(input, cx)?;
+            match child.op {
+                Op::Fused { source, steps, project, schema, partitions, .. } => {
+                    cx.fused_below(child.id, &steps);
+                    Op::Fused { source, steps, project, schema, dedup: true, partitions }
                 }
-                other => CompiledExpr::Distinct { input: Box::new(other) },
-            })
+                _ => Op::Distinct { input: Box::new(child) },
+            }
         }
         PhysicalExpr::Join { left, right, condition, algo } => match algo {
             JoinAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
-                let (build, partitions) = peel_exchange(right);
-                let l = compile_expr(left, db, scalars)?;
-                let r = compile_expr(build, db, scalars)?;
+                let l = compile_expr(left, cx)?;
+                let (build, partitions) = peel_exchange(right, cx);
+                let r = compile_expr(build, cx)?;
                 let schema = l.schema().concat(r.schema()).shared();
                 let keys = HashKeys {
                     left: resolve_positions(l.schema(), left_keys)?,
                     right: resolve_positions(r.schema(), right_keys)?,
-                    residual: compile_condition(residual, &schema, scalars)?,
-                    null_aware: compile_null_aware(null_ok, condition, &schema, scalars)?,
+                    residual: compile_condition(residual, &schema, &mut cx.scalars)?,
+                    null_aware: compile_null_aware(null_ok, condition, &schema, &mut cx.scalars)?,
                 };
-                Ok(CompiledExpr::HashJoin {
+                Op::HashJoin {
                     slots: join_layout(&l, &r).0,
                     left: Box::new(l),
                     right: Box::new(r),
                     keys,
                     schema,
                     partitions,
-                })
+                }
             }
             JoinAlgo::NestedLoop => {
-                let (outer, partitions) = peel_exchange(left);
-                let l = compile_expr(outer, db, scalars)?;
-                let r = compile_expr(right, db, scalars)?;
+                let (outer, partitions) = peel_exchange(left, cx);
+                let l = compile_expr(outer, cx)?;
+                let r = compile_expr(right, cx)?;
                 let schema = l.schema().concat(r.schema()).shared();
-                let pred = compile_condition(condition, &schema, scalars)?;
-                Ok(CompiledExpr::NlJoin {
+                let pred = compile_condition(condition, &schema, &mut cx.scalars)?;
+                Op::NlJoin {
                     slots: join_layout(&l, &r).0,
                     left: Box::new(l),
                     right: Box::new(r),
                     pred,
                     schema,
                     partitions,
-                })
+                }
             }
         },
         PhysicalExpr::Semi { left, right, condition, algo, anti, left_schema } => {
             let keep_matching = !*anti;
             match algo {
                 SemiAlgo::Decorrelated => {
-                    let l = compile_expr(left, db, scalars)?;
-                    let r = compile_expr(right, db, scalars)?;
-                    let pred = compile_condition(condition, r.schema(), scalars)?;
-                    Ok(CompiledExpr::DecorrelatedSemi {
+                    let l = compile_expr(left, cx)?;
+                    let r = compile_expr(right, cx)?;
+                    let pred = compile_condition(condition, r.schema(), &mut cx.scalars)?;
+                    Op::DecorrelatedSemi {
                         left: Box::new(l),
                         right: Box::new(r),
                         pred,
                         keep_matching,
                         left_schema: left_schema.clone().shared(),
-                    })
+                    }
                 }
                 SemiAlgo::Hash { left_keys, right_keys, null_ok, residual } => {
-                    let (build, partitions) = peel_exchange(right);
-                    let l = compile_expr(left, db, scalars)?;
-                    let r = compile_expr(build, db, scalars)?;
+                    let l = compile_expr(left, cx)?;
+                    let (build, partitions) = peel_exchange(right, cx);
+                    let r = compile_expr(build, cx)?;
                     let combined = l.schema().concat(r.schema());
+                    let scalars = &mut cx.scalars;
                     let keys = HashKeys {
                         left: resolve_positions(l.schema(), left_keys)?,
                         right: resolve_positions(r.schema(), right_keys)?,
                         residual: compile_condition(residual, &combined, scalars)?,
                         null_aware: compile_null_aware(null_ok, condition, &combined, scalars)?,
                     };
-                    Ok(CompiledExpr::HashSemi {
+                    Op::HashSemi {
                         left: Box::new(l),
                         right: Box::new(r),
                         keys,
                         keep_matching,
                         partitions,
-                    })
+                    }
                 }
                 SemiAlgo::NestedLoop => {
-                    let (outer, partitions) = peel_exchange(left);
-                    let l = compile_expr(outer, db, scalars)?;
-                    let r = compile_expr(right, db, scalars)?;
+                    let (outer, partitions) = peel_exchange(left, cx);
+                    let l = compile_expr(outer, cx)?;
+                    let r = compile_expr(right, cx)?;
                     let combined = l.schema().concat(r.schema()).shared();
-                    let pred = compile_condition(condition, &combined, scalars)?;
-                    Ok(CompiledExpr::NlSemi {
+                    let pred = compile_condition(condition, &combined, &mut cx.scalars)?;
+                    Op::NlSemi {
                         left: Box::new(l),
                         right: Box::new(r),
                         pred,
                         keep_matching,
                         partitions,
-                    })
+                    }
                 }
             }
         }
-        PhysicalExpr::Union { .. } => {
-            let mut arm_plans = Vec::new();
+        PhysicalExpr::Union { left, right } => {
+            let mut arms = Vec::new();
             let mut parallel = false;
-            collect_union_arms(plan, &mut arm_plans, &mut parallel);
-            let arms = arm_plans
-                .into_iter()
-                .map(|a| compile_expr(a, db, scalars))
-                .collect::<Result<Vec<_>>>()?;
+            for input in [left, right] {
+                compile_arms(input, cx, &mut arms, &mut parallel)?;
+            }
             let schema = arms
                 .first()
                 .ok_or_else(|| Error::Malformed("union with no arms".into()))?
                 .schema()
                 .clone();
-            Ok(CompiledExpr::Union { arms, schema, parallel })
+            Op::Union { arms, schema, parallel }
         }
         PhysicalExpr::Intersect { left, right } => {
-            let l = compile_expr(left, db, scalars)?;
-            let r = compile_expr(right, db, scalars)?;
-            Ok(CompiledExpr::Intersect { left: Box::new(l), right: Box::new(r) })
+            let l = compile_expr(left, cx)?;
+            let r = compile_expr(right, cx)?;
+            Op::Intersect { left: Box::new(l), right: Box::new(r) }
         }
         PhysicalExpr::Difference { left, right } => {
-            let l = compile_expr(left, db, scalars)?;
-            let r = compile_expr(right, db, scalars)?;
-            Ok(CompiledExpr::Difference { left: Box::new(l), right: Box::new(r) })
+            let l = compile_expr(left, cx)?;
+            let r = compile_expr(right, cx)?;
+            Op::Difference { left: Box::new(l), right: Box::new(r) }
         }
         PhysicalExpr::UnifySemi { left, right, anti } => {
-            let l = compile_expr(left, db, scalars)?;
-            let r = compile_expr(right, db, scalars)?;
+            let l = compile_expr(left, cx)?;
+            let r = compile_expr(right, cx)?;
             if l.schema().arity() != r.schema().arity() {
                 return Err(Error::Malformed(format!(
                     "unification semijoin over arities {} and {}",
@@ -674,15 +788,11 @@ fn compile_expr(
                     r.schema().arity()
                 )));
             }
-            Ok(CompiledExpr::UnifySemi {
-                left: Box::new(l),
-                right: Box::new(r),
-                keep_matching: !*anti,
-            })
+            Op::UnifySemi { left: Box::new(l), right: Box::new(r), keep_matching: !*anti }
         }
         PhysicalExpr::Division { left, right } => {
-            let l = compile_expr(left, db, scalars)?;
-            let r = compile_expr(right, db, scalars)?;
+            let l = compile_expr(left, cx)?;
+            let r = compile_expr(right, cx)?;
             // Map each divisor column to the dividend column with the same
             // base name (as the reference evaluator does).
             let mut shared_positions = Vec::with_capacity(r.schema().arity());
@@ -703,16 +813,16 @@ fn compile_expr(
             let key_positions: Vec<usize> =
                 (0..l.schema().arity()).filter(|i| !shared_positions.contains(i)).collect();
             let schema = l.schema().project(&key_positions).shared();
-            Ok(CompiledExpr::Division {
+            Op::Division {
                 left: Box::new(l),
                 right: Box::new(r),
                 key_positions,
                 shared_positions,
                 schema,
-            })
+            }
         }
         PhysicalExpr::Aggregate { input, group_by, aggregates } => {
-            let child = compile_expr(input, db, scalars)?;
+            let child = compile_expr(input, cx)?;
             let group_pos = resolve_positions(child.schema(), group_by)?;
             let mut aggs = Vec::with_capacity(aggregates.len());
             let mut attrs: Vec<Attribute> =
@@ -738,17 +848,18 @@ fn compile_expr(
                 attrs.push(Attribute { name: a.alias.clone(), ty, nullable: true });
                 aggs.push((a.func, pos));
             }
-            Ok(CompiledExpr::Aggregate {
+            Op::Aggregate {
                 input: Box::new(child),
                 group_pos,
                 aggs,
                 schema: Schema::new(attrs).shared(),
-            })
+            }
         }
-    }
+    };
+    Ok(CompiledExpr { id, op })
 }
 
-fn compile_source(expr: &RaExpr, db: &Database) -> Result<CompiledExpr> {
+fn compile_source(expr: &RaExpr, db: &Database) -> Result<Op> {
     match expr {
         RaExpr::Relation { name, alias } => {
             let base = db.relation(name)?;
@@ -756,11 +867,11 @@ fn compile_source(expr: &RaExpr, db: &Database) -> Result<CompiledExpr> {
                 Some(a) => base.schema().qualify(a).shared(),
                 None => base.schema().clone(),
             };
-            Ok(CompiledExpr::Scan { name: name.clone(), schema })
+            Ok(Op::Scan { name: name.clone(), schema })
         }
         RaExpr::Values { schema, rows } => {
             let rel = Relation::new(schema.clone().shared(), rows.clone())?;
-            Ok(CompiledExpr::Values { rel })
+            Ok(Op::Values { rel })
         }
         // The planner puts only relations and literals in a source.
         other => Err(Error::Malformed(format!("no compiled operator for the source {other}"))),
@@ -771,44 +882,49 @@ fn compile_source(expr: &RaExpr, db: &Database) -> Result<CompiledExpr> {
 /// existing pipeline when possible: a filter is re-anchored onto the
 /// source's columns, a projection composed into the pipeline's `project`.
 /// `new_schema` replaces the pipeline's output schema (projections); a
-/// projection also turns on output deduplication (set semantics).
+/// projection also turns on output deduplication (set semantics). The
+/// step's node is the pipeline's new top.
 fn push_step(
     child: CompiledExpr,
     step: Step,
     new_schema: Option<Arc<Schema>>,
     partitions: usize,
+    cx: &mut Cx<'_>,
 ) -> CompiledExpr {
-    let (source, mut steps, mut project, schema, dedup, existing) = match child {
-        CompiledExpr::Fused { source, steps, project, schema, dedup, partitions } => {
+    let id = step.id();
+    let (source, mut steps, mut project, schema, dedup, existing) = match child.op {
+        Op::Fused { source, steps, project, schema, dedup, partitions } => {
+            cx.fused_below(child.id, &steps);
             (source, steps, project, schema, dedup, partitions)
         }
-        other => {
-            let schema = other.schema().clone();
-            (Box::new(other), Vec::new(), None, schema, false, 0)
+        _ => {
+            let schema = child.schema().clone();
+            (Box::new(child), Vec::new(), None, schema, false, 0)
         }
     };
-    let projecting = matches!(step, Step::Project(_));
+    let projecting = matches!(step, Step::Project { .. });
     steps.push(match step {
-        Step::Filter(mut pred) => {
+        Step::Filter { id, mut pred } => {
             if let Some(map) = &project {
                 pred.remap(map);
             }
-            Step::Filter(pred)
+            Step::Filter { id, pred }
         }
-        Step::Project(positions) => {
+        Step::Project { id, positions } => {
             project =
                 Some(positions.iter().map(|&p| project.as_ref().map_or(p, |m| m[p])).collect());
-            Step::Project(positions)
+            Step::Project { id, positions }
         }
     });
-    CompiledExpr::Fused {
+    let op = Op::Fused {
         source,
         steps,
         project,
         schema: new_schema.unwrap_or(schema),
         dedup: dedup || projecting,
         partitions: existing.max(partitions),
-    }
+    };
+    CompiledExpr { id, op }
 }
 
 fn project_positions(input: &Schema, columns: &[ProjCol]) -> Result<(Vec<usize>, Schema)> {
@@ -850,32 +966,46 @@ fn compile_null_aware(
 /// The child an operator fans out over, without its exchange, and how many
 /// ways the planner allowed the split (0: not at all). Which child that is
 /// is the caller's choice: a filter's input, a hash operator's build side, a
-/// nested loop's outer side.
-fn peel_exchange(plan: &PhysicalExpr) -> (&PhysicalExpr, usize) {
+/// nested loop's outer side. A peeled exchange reports its input's rows.
+fn peel_exchange<'p>(plan: &'p PhysicalExpr, cx: &mut Cx<'_>) -> (&'p PhysicalExpr, usize) {
     match plan {
-        PhysicalExpr::Exchange { input, partitions } => (input, *partitions),
+        PhysicalExpr::Exchange { input, partitions } => {
+            let id = cx.next_id();
+            cx.reports[id] = Report::Input;
+            (input, *partitions)
+        }
         other => (other, 0),
     }
 }
 
-/// Collect the leaf arms of a (possibly nested) union, looking through the
-/// exchange operators that mark arms for concurrent evaluation.
-fn collect_union_arms<'p>(
-    plan: &'p PhysicalExpr,
-    out: &mut Vec<&'p PhysicalExpr>,
+/// Compile the leaf arms under an input of a union, in order, looking
+/// through nested unions and the exchanges that mark arms for concurrent
+/// evaluation. A nested union reports its inputs concatenated, an exchange
+/// its input's rows.
+fn compile_arms(
+    plan: &PhysicalExpr,
+    cx: &mut Cx<'_>,
+    arms: &mut Vec<CompiledExpr>,
     parallel: &mut bool,
-) {
+) -> Result<()> {
     match plan {
         PhysicalExpr::Union { left, right } => {
-            collect_union_arms(left, out, parallel);
-            collect_union_arms(right, out, parallel);
+            let id = cx.next_id();
+            let l = cx.reports.len();
+            compile_arms(left, cx, arms, parallel)?;
+            let r = cx.reports.len();
+            compile_arms(right, cx, arms, parallel)?;
+            cx.reports[id] = Report::Concat(l, r);
         }
         PhysicalExpr::Exchange { input, .. } => {
+            let id = cx.next_id();
+            cx.reports[id] = Report::Input;
             *parallel = true;
-            collect_union_arms(input, out, parallel);
+            compile_arms(input, cx, arms, parallel)?;
         }
-        other => out.push(other),
+        other => arms.push(compile_expr(other, cx)?),
     }
+    Ok(())
 }
 
 fn compile_condition(

@@ -229,12 +229,11 @@ use crate::algebra::NullSemantics;
 use crate::data::{Database, Relation, Schema, Tuple, Value};
 use crate::obs::metrics::{registry, Counter};
 use crate::obs::names;
-use crate::obs::profile::ProfNode;
+use crate::obs::profile::NodeStats;
 use crate::obs::{QueryProfile, Timer};
 use crate::plan::physical::{heuristic_plan_with, Parallelism, PhysicalExpr};
 use crate::{Error, Result};
-use analyze::skeleton;
-use compile::{CompiledExpr, CompiledPredicate, HashKeys, ScalarValues, Step};
+use compile::{CompiledExpr, CompiledPredicate, HashKeys, Op, ScalarValues, Step};
 use rows::{RowView, Rows, Slot};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -464,21 +463,32 @@ impl<'a> Engine<'a> {
         &self,
         plan: &CompiledPlan,
     ) -> Result<(Relation, QueryProfile)> {
-        let prof = skeleton(&plan.root);
-        let rel = self.run(plan, Some(&prof))?;
-        Ok((rel, prof.finish()))
+        let (rel, stats) = self.execute_recorded(plan)?;
+        Ok((rel, analyze::profile(&plan.root, &stats)))
     }
 
-    /// Execute the plan's root and build the answer's rows, all of them in
-    /// the root's profile node (time, rows, values built).
-    fn run(&self, plan: &CompiledPlan, prof: Option<&ProfNode>) -> Result<Relation> {
+    /// The one instrumented execution: every operator records its actuals
+    /// into a table indexed by plan node id, one [`NodeStats`] per node.
+    pub(crate) fn execute_recorded(
+        &self,
+        plan: &CompiledPlan,
+    ) -> Result<(Relation, Vec<NodeStats>)> {
+        let stats: Vec<NodeStats> = plan.reports.iter().map(|_| NodeStats::default()).collect();
+        let rel = self.run(plan, Some(&stats))?;
+        Ok((rel, stats))
+    }
+
+    /// Execute the plan's root and build the answer's rows, all of them on
+    /// the root's counters (time, rows, values built).
+    fn run(&self, plan: &CompiledPlan, stats: Option<&[NodeStats]>) -> Result<Relation> {
         let scalars =
             ScalarCtx { exprs: &plan.scalars, values: ScalarValues::new(plan.scalars.len()) };
-        let timer = prof.map(|_| Timer::start());
-        let rows = self.exec_node(&plan.root, &scalars, prof)?;
-        let answer = Relation::from_parts(plan.schema().clone(), tuples(rows, None, prof));
-        if let (Some(p), Some(timer)) = (prof, timer) {
-            p.stats.record_invocation(answer.len() as u64, timer.elapsed_ns());
+        let timer = stats.map(|_| Timer::start());
+        let root = stats.map(|s| &s[plan.root.id]);
+        let rows = self.exec_node(&plan.root, &scalars, stats)?;
+        let answer = Relation::from_parts(plan.schema().clone(), tuples(rows, None, root));
+        if let (Some(p), Some(timer)) = (root, timer) {
+            p.record_invocation(answer.len() as u64, timer.elapsed_ns());
         }
         Ok(answer)
     }
@@ -519,21 +529,20 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Execute one node, recording its invocation (output rows + inclusive
-    /// wall time) into `prof` when instrumented. All recursion goes through
-    /// here, so every profile node gets its actuals exactly once per
-    /// execution.
+    /// wall time) at its id when instrumented. All recursion goes through
+    /// here, so every operator gets its actuals exactly once per execution.
     fn exec<'p>(
         &'p self,
         node: &'p CompiledExpr,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        stats: Option<&[NodeStats]>,
     ) -> Result<Rows<'p>> {
-        match prof {
+        match stats {
             None => self.exec_node(node, scalars, None),
-            Some(p) => {
+            Some(s) => {
                 let timer = Timer::start();
-                let rows = self.exec_node(node, scalars, prof)?;
-                p.stats.record_invocation(rows.len() as u64, timer.elapsed_ns());
+                let rows = self.exec_node(node, scalars, stats)?;
+                s[node.id].record_invocation(rows.len() as u64, timer.elapsed_ns());
                 Ok(rows)
             }
         }
@@ -543,23 +552,19 @@ impl<'a> Engine<'a> {
         &'p self,
         node: &'p CompiledExpr,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        stats: Option<&[NodeStats]>,
     ) -> Result<Rows<'p>> {
         // Operator entry is a morsel boundary: a cancelled query stops here
         // instead of descending into more work.
         self.check_cancelled()?;
-        // The profile node for the i-th child (indices follow the skeleton:
-        // binary operators are [left, right], unions are arms in order).
-        let pc = |i: usize| prof.and_then(|p| p.child(i));
+        let prof = stats.map(|s| &s[node.id]);
         let owned = |rel: Relation| Rows::whole(Cow::Owned(rel));
-        match node {
-            CompiledExpr::Scan { name, .. } => {
-                Ok(Rows::whole(Cow::Borrowed(self.db.relation(name)?)))
-            }
-            CompiledExpr::Values { rel } => Ok(Rows::whole(Cow::Borrowed(rel))),
-            CompiledExpr::Fused { source, steps, project, schema, dedup, partitions } => {
-                let input = self.exec(source, scalars, pc(0))?;
-                let rows = self.exec_filters(input, steps, *partitions, scalars, prof)?;
+        match &node.op {
+            Op::Scan { name, .. } => Ok(Rows::whole(Cow::Borrowed(self.db.relation(name)?))),
+            Op::Values { rel } => Ok(Rows::whole(Cow::Borrowed(rel))),
+            Op::Fused { source, steps, project, schema, dedup, partitions } => {
+                let input = self.exec(source, scalars, stats)?;
+                let rows = self.exec_filters(input, steps, *partitions, scalars, stats, prof)?;
                 if project.is_none() && !dedup {
                     return Ok(rows);
                 }
@@ -570,34 +575,34 @@ impl<'a> Engine<'a> {
                 }
                 Ok(owned(out))
             }
-            CompiledExpr::HashJoin { left, right, keys, slots, partitions, .. } => {
-                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
+            Op::HashJoin { left, right, keys, slots, partitions, .. } => {
+                let (l, r) = (self.exec(left, scalars, stats)?, self.exec(right, scalars, stats)?);
                 self.hash_join(l, r, keys, slots, *partitions, scalars, prof)
             }
-            CompiledExpr::NlJoin { left, right, pred, slots, partitions, .. } => {
-                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
+            Op::NlJoin { left, right, pred, slots, partitions, .. } => {
+                let (l, r) = (self.exec(left, scalars, stats)?, self.exec(right, scalars, stats)?);
                 self.nl_join(l, r, pred, slots, *partitions, scalars, prof)
             }
-            CompiledExpr::HashSemi { left, right, keys, keep_matching, partitions } => {
-                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
+            Op::HashSemi { left, right, keys, keep_matching, partitions } => {
+                let (l, r) = (self.exec(left, scalars, stats)?, self.exec(right, scalars, stats)?);
                 let keep =
                     self.hash_semi(&l, &r, keys, *keep_matching, *partitions, scalars, prof)?;
                 Ok(l.select(keep))
             }
-            CompiledExpr::NlSemi { left, right, pred, keep_matching, partitions } => {
-                let (l, r) = (self.exec(left, scalars, pc(0))?, self.exec(right, scalars, pc(1))?);
+            Op::NlSemi { left, right, pred, keep_matching, partitions } => {
+                let (l, r) = (self.exec(left, scalars, stats)?, self.exec(right, scalars, stats)?);
                 let keep =
                     self.nl_semi(&l, &r, pred, *keep_matching, *partitions, scalars, prof)?;
                 Ok(l.select(keep))
             }
-            CompiledExpr::DecorrelatedSemi { left, right, pred, keep_matching, .. } => {
+            Op::DecorrelatedSemi { left, right, pred, keep_matching, .. } => {
                 // The predicate never looks at the outer side, so the inner
                 // side decides the fate of *all* outer rows at once: the
                 // witness search reads the values it inspects and nothing
                 // else.
-                let r = self.exec(right, scalars, pc(1))?;
+                let r = self.exec(right, scalars, stats)?;
                 if let Some(p) = prof {
-                    p.stats.record_rows_in(r.len() as u64);
+                    p.record_rows_in(r.len() as u64);
                 }
                 if !r.is_empty() {
                     self.ensure_scalars(scalars, pred.scalar_refs())?;
@@ -606,48 +611,48 @@ impl<'a> Engine<'a> {
                     pred.eval(RowView::one(&r, j), &scalars.values, self.semantics).is_true()
                 });
                 if exists == *keep_matching {
-                    self.exec(left, scalars, pc(0))
+                    self.exec(left, scalars, stats)
                 } else {
                     // Short-circuit: for a NOT EXISTS that found a witness
                     // the answer is empty and the outer side never runs.
                     Ok(Rows::empty())
                 }
             }
-            CompiledExpr::Union { arms, schema, parallel } => {
-                Ok(owned(self.exec_union(arms, schema, *parallel, scalars, prof)?))
+            Op::Union { arms, schema, parallel } => {
+                Ok(owned(self.exec_union(arms, schema, *parallel, scalars, stats, prof)?))
             }
-            CompiledExpr::Intersect { left, right } => {
-                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+            Op::Intersect { left, right } => {
+                let (l, r) = self.exec_both(left, right, scalars, stats, prof)?;
                 Ok(owned(set_filter(l, &r, true)))
             }
-            CompiledExpr::Difference { left, right } => {
-                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+            Op::Difference { left, right } => {
+                let (l, r) = self.exec_both(left, right, scalars, stats, prof)?;
                 Ok(owned(set_filter(l, &r, false)))
             }
-            CompiledExpr::UnifySemi { left, right, keep_matching } => {
-                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+            Op::UnifySemi { left, right, keep_matching } => {
+                let (l, r) = self.exec_both(left, right, scalars, stats, prof)?;
                 let keep = self.unify_semi(&l, &r, *keep_matching)?;
                 Ok(owned(l).select(keep))
             }
-            CompiledExpr::Division { left, right, key_positions, shared_positions, schema } => {
-                let (l, r) = self.exec_both(left, right, scalars, prof)?;
+            Op::Division { left, right, key_positions, shared_positions, schema } => {
+                let (l, r) = self.exec_both(left, right, scalars, stats, prof)?;
                 Ok(owned(self.division(&l, &r, key_positions, shared_positions, schema)?))
             }
-            CompiledExpr::Rename { input, .. } => {
-                let rows = self.exec(input, scalars, pc(0))?;
+            Op::Rename { input, .. } => {
+                let rows = self.exec(input, scalars, stats)?;
                 if let Some(p) = prof {
-                    p.stats.record_rows_in(rows.len() as u64);
+                    p.record_rows_in(rows.len() as u64);
                 }
                 Ok(rows)
             }
-            CompiledExpr::Distinct { input } => {
-                let rel = self.exec_whole(input, scalars, pc(0), prof)?;
+            Op::Distinct { input } => {
+                let rel = self.exec_whole(input, scalars, stats, prof)?;
                 Ok(owned(rel.into_distinct()))
             }
-            CompiledExpr::Aggregate { input, group_pos, aggs, schema } => {
-                let rows = self.exec(input, scalars, pc(0))?;
+            Op::Aggregate { input, group_pos, aggs, schema } => {
+                let rows = self.exec(input, scalars, stats)?;
                 if let Some(p) = prof {
-                    p.stats.record_rows_in(rows.len() as u64);
+                    p.record_rows_in(rows.len() as u64);
                 }
                 // A join's rows are built of the columns γ reads; one
                 // relation's rows are taken whole.
@@ -674,17 +679,17 @@ impl<'a> Engine<'a> {
 
     /// Execute `node` and build its rows, every column: the input of an
     /// operator that needs whole rows. The values built count on `prof`,
-    /// the consumer's node, as the rows do in its `rows_in`.
+    /// the consumer's counters, as the rows do in its `rows_in`.
     fn exec_whole(
         &self,
         node: &CompiledExpr,
         scalars: &ScalarCtx<'_>,
-        child: Option<&ProfNode>,
-        prof: Option<&ProfNode>,
+        stats: Option<&[NodeStats]>,
+        prof: Option<&NodeStats>,
     ) -> Result<Relation> {
-        let rows = self.exec(node, scalars, child)?;
+        let rows = self.exec(node, scalars, stats)?;
         if let Some(p) = prof {
-            p.stats.record_rows_in(rows.len() as u64);
+            p.record_rows_in(rows.len() as u64);
         }
         Ok(Relation::from_parts(node.schema().clone(), tuples(rows, None, prof)))
     }
@@ -696,10 +701,11 @@ impl<'a> Engine<'a> {
         left: &CompiledExpr,
         right: &CompiledExpr,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        stats: Option<&[NodeStats]>,
+        prof: Option<&NodeStats>,
     ) -> Result<(Relation, Relation)> {
-        let l = self.exec_whole(left, scalars, prof.and_then(|p| p.child(0)), prof)?;
-        let r = self.exec_whole(right, scalars, prof.and_then(|p| p.child(1)), prof)?;
+        let l = self.exec_whole(left, scalars, stats, prof)?;
+        let r = self.exec_whole(right, scalars, stats, prof)?;
         Ok((l, r))
     }
 
@@ -786,21 +792,23 @@ impl<'a> Engine<'a> {
     /// holds on, in order — found column-wise when vectorized, row by row
     /// through [`RowView`] otherwise, in morsels (contiguous sub-ranges of
     /// the input) only when the plan carried an exchange under a filter.
+    #[allow(clippy::too_many_arguments)]
     fn exec_filters<'p>(
         &self,
         input: Rows<'p>,
         steps: &[Step],
         partitions: usize,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        stats: Option<&[NodeStats]>,
+        prof: Option<&NodeStats>,
     ) -> Result<Rows<'p>> {
         if let Some(p) = prof {
-            p.stats.record_rows_in(input.len() as u64);
+            p.record_rows_in(input.len() as u64);
         }
-        let filters: Vec<(usize, &CompiledPredicate)> = (steps.iter().enumerate())
-            .filter_map(|(k, step)| match step {
-                Step::Filter(pred) => Some((k, pred)),
-                Step::Project(_) => None,
+        let filters: Vec<(usize, &CompiledPredicate)> = (steps.iter())
+            .filter_map(|step| match step {
+                Step::Filter { id, pred } => Some((*id, pred)),
+                Step::Project { .. } => None,
             })
             .collect();
         if filters.is_empty() {
@@ -823,13 +831,13 @@ impl<'a> Engine<'a> {
                     values,
                     semantics,
                     pool,
-                    prof,
+                    stats,
                 ));
             }
-            let holds = |i: usize, &(k, pred): &(usize, &CompiledPredicate)| {
+            let holds = |i: usize, &(id, pred): &(usize, &CompiledPredicate)| {
                 let holds = pred.eval(RowView::one(&input, i), values, semantics).is_true();
-                if let (true, Some(p)) = (holds, prof) {
-                    p.add_step_rows(k, 1);
+                if let (true, Some(s)) = (holds, stats) {
+                    s[id].record_step_rows(1);
                 }
                 holds
             };
@@ -841,13 +849,13 @@ impl<'a> Engine<'a> {
         };
         let morsels = index_ranges(input.len(), self.workers(partitions, input.len()));
         if let Some(p) = prof {
-            p.stats.record_batches(morsels.len() as u64);
+            p.record_batches(morsels.len() as u64);
             if vectorized {
-                p.stats.record_vec_run();
+                p.record_vec_run();
             }
             if morsels.len() > 1 {
                 let workers = self.pool().width().min(morsels.len());
-                p.stats.record_parallel(morsels.len() as u64, workers as u64);
+                p.record_parallel(morsels.len() as u64, workers as u64);
             }
         }
         let keep = self.parallel_flat(&morsels, run_morsel)?;
@@ -872,16 +880,16 @@ impl<'a> Engine<'a> {
         work: usize,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> Result<usize> {
         if !l.is_empty() && !r.is_empty() {
             self.ensure_scalars(scalars, pred.scalar_refs())?;
         }
         let n = self.workers(partitions, work);
         if let Some(p) = prof {
-            p.stats.record_rows_in((l.len() + r.len()) as u64);
+            p.record_rows_in((l.len() + r.len()) as u64);
             if n > 1 {
-                p.stats.record_parallel(n as u64, self.pool().width().min(n) as u64);
+                p.record_parallel(n as u64, self.pool().width().min(n) as u64);
             }
         }
         Ok(n)
@@ -902,7 +910,7 @@ impl<'a> Engine<'a> {
         r: &'r Rows<'r>,
         keys: &'r HashKeys,
         scalars: &'r ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> HashMatcher<'r> {
         let profiled = prof.map(|p| (p, Timer::start()));
         let (mut probe, mut build) = KeySet::pair(
@@ -920,13 +928,13 @@ impl<'a> Engine<'a> {
         }
         let table = build.table();
         if let Some((p, timer)) = profiled {
-            p.stats.record_build_ns(timer.elapsed_ns());
+            p.record_build_ns(timer.elapsed_ns());
             if probe.is_typed() {
-                p.stats.record_vec_run();
+                p.record_vec_run();
             } else if self.config.vectorized {
-                p.stats.record_row_fallback();
+                p.record_row_fallback();
             }
-            p.stats.record_build_rows(build.valid_rows() as u64);
+            p.record_build_rows(build.valid_rows() as u64);
         }
         HashMatcher {
             table,
@@ -950,7 +958,7 @@ impl<'a> Engine<'a> {
         slots: &'p [Slot],
         partitions: usize,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> Result<Rows<'p>> {
         let work = l.len() + r.len();
         let n =
@@ -975,7 +983,7 @@ impl<'a> Engine<'a> {
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> Result<Vec<u32>> {
         let work = l.len() + r.len();
         let n =
@@ -1006,13 +1014,13 @@ impl<'a> Engine<'a> {
         l: &Rows<'_>,
         r: &'r Rows<'r>,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> Option<BoundPred<'r>> {
         if !self.config.vectorized || l.is_empty() || r.is_empty() {
             return None;
         }
         if let Some(p) = prof {
-            p.stats.record_vec_run();
+            p.record_vec_run();
         }
         Some(BoundPred::prepare(
             pred,
@@ -1063,7 +1071,7 @@ impl<'a> Engine<'a> {
         slots: &'p [Slot],
         partitions: usize,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> Result<Rows<'p>> {
         let pairs = l.len().saturating_mul(r.len());
         let n = self.join_workers(&l, &r, pred, pairs, partitions, scalars, prof)?;
@@ -1088,7 +1096,7 @@ impl<'a> Engine<'a> {
         keep_matching: bool,
         partitions: usize,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        prof: Option<&NodeStats>,
     ) -> Result<Vec<u32>> {
         let pairs = l.len().saturating_mul(r.len());
         let n = self.join_workers(l, r, pred, pairs, partitions, scalars, prof)?;
@@ -1112,7 +1120,8 @@ impl<'a> Engine<'a> {
         schema: &Arc<Schema>,
         parallel: bool,
         scalars: &ScalarCtx<'_>,
-        prof: Option<&ProfNode>,
+        stats: Option<&[NodeStats]>,
+        prof: Option<&NodeStats>,
     ) -> Result<Relation> {
         // Arm sizes are unknown before execution, so the runtime floor is
         // checked against the base rows actually feeding the arms — not the
@@ -1123,28 +1132,26 @@ impl<'a> Engine<'a> {
             && arms.len() > 1
             && arms.iter().map(|a| self.input_rows_hint(a)).sum::<usize>()
                 >= self.config.parallel_floor;
-        let run = |i: usize, arm: &CompiledExpr| {
-            let rows = self.exec(arm, scalars, prof.and_then(|p| p.child(i)))?;
+        let run = |arm: &CompiledExpr| {
+            let rows = self.exec(arm, scalars, stats)?;
             Ok(tuples(rows, None, prof))
         };
         let tuples = if fan_out {
             // One pool task per arm, concatenated in arm order.
             if let Some(p) = prof {
-                p.stats
-                    .record_parallel(arms.len() as u64, self.pool().width().min(arms.len()) as u64);
+                p.record_parallel(arms.len() as u64, self.pool().width().min(arms.len()) as u64);
             }
-            let indexed: Vec<(usize, &CompiledExpr)> = arms.iter().enumerate().collect();
-            self.parallel_flat(&indexed, |&(i, arm)| run(i, arm))?
+            self.parallel_flat(arms, run)?
         } else {
             let mut tuples = Vec::new();
-            for (i, arm) in arms.iter().enumerate() {
-                tuples.extend(run(i, arm)?);
+            for arm in arms {
+                tuples.extend(run(arm)?);
             }
             tuples
         };
         if let Some(p) = prof {
-            p.stats.record_rows_in(tuples.len() as u64);
-            p.stats.record_batches(arms.len() as u64);
+            p.record_rows_in(tuples.len() as u64);
+            p.record_batches(arms.len() as u64);
         }
         let mut out = Relation::from_parts(schema.clone(), tuples);
         out.dedup();
@@ -1160,25 +1167,10 @@ impl<'a> Engine<'a> {
     /// parallelism gates when an operator's true input size is unknown
     /// before execution (union arms).
     fn input_rows_hint(&self, node: &CompiledExpr) -> usize {
-        match node {
-            CompiledExpr::Scan { name, .. } => self.db.relation(name).map(|r| r.len()).unwrap_or(0),
-            CompiledExpr::Values { rel } => rel.len(),
-            CompiledExpr::Fused { source, .. } => self.input_rows_hint(source),
-            CompiledExpr::HashJoin { left, right, .. }
-            | CompiledExpr::NlJoin { left, right, .. }
-            | CompiledExpr::HashSemi { left, right, .. }
-            | CompiledExpr::NlSemi { left, right, .. }
-            | CompiledExpr::DecorrelatedSemi { left, right, .. }
-            | CompiledExpr::Intersect { left, right, .. }
-            | CompiledExpr::Difference { left, right, .. }
-            | CompiledExpr::UnifySemi { left, right, .. }
-            | CompiledExpr::Division { left, right, .. } => {
-                self.input_rows_hint(left) + self.input_rows_hint(right)
-            }
-            CompiledExpr::Union { arms, .. } => arms.iter().map(|a| self.input_rows_hint(a)).sum(),
-            CompiledExpr::Rename { input, .. }
-            | CompiledExpr::Distinct { input, .. }
-            | CompiledExpr::Aggregate { input, .. } => self.input_rows_hint(input),
+        match &node.op {
+            Op::Scan { name, .. } => self.db.relation(name).map(|r| r.len()).unwrap_or(0),
+            Op::Values { rel } => rel.len(),
+            _ => node.children().into_iter().map(|c| self.input_rows_hint(c)).sum(),
         }
     }
 
@@ -1234,7 +1226,7 @@ impl<'a> Engine<'a> {
         &self,
         len: usize,
         workers: usize,
-        probes: Option<&ProfNode>,
+        probes: Option<&NodeStats>,
         emit: F,
     ) -> Result<Vec<(u32, u32)>>
     where
@@ -1245,7 +1237,7 @@ impl<'a> Engine<'a> {
             emit(i, out);
             if let Some(p) = probes {
                 let hit = out.len() > before;
-                p.stats.record_probes(hit as u64, (!hit) as u64);
+                p.record_probes(hit as u64, (!hit) as u64);
             }
         })
     }
@@ -1259,7 +1251,7 @@ impl<'a> Engine<'a> {
         len: usize,
         workers: usize,
         keep_matching: bool,
-        probes: Option<&ProfNode>,
+        probes: Option<&NodeStats>,
         matched: F,
     ) -> Result<Vec<u32>>
     where
@@ -1268,7 +1260,7 @@ impl<'a> Engine<'a> {
         self.for_each_outer(len, workers, |i, keep| {
             let matched = matched(i);
             if let Some(p) = probes {
-                p.stats.record_probes(matched as u64, (!matched) as u64);
+                p.record_probes(matched as u64, (!matched) as u64);
             }
             if matched == keep_matching {
                 keep.push(i as u32);
@@ -1409,10 +1401,10 @@ fn aggregate_row<'k>(
 
 /// The tuples of `rows` — the columns `cols`, every one for `None` — with
 /// the values built for them counted on `prof`.
-fn tuples(rows: Rows<'_>, cols: Option<&[usize]>, prof: Option<&ProfNode>) -> Vec<Tuple> {
+fn tuples(rows: Rows<'_>, cols: Option<&[usize]>, prof: Option<&NodeStats>) -> Vec<Tuple> {
     let (tuples, built) = rows.into_tuples(cols);
     if let Some(p) = prof {
-        p.stats.record_values_out(built as u64);
+        p.record_values_out(built as u64);
     }
     tuples
 }
@@ -1986,10 +1978,13 @@ mod tests {
             let children: u64 = node.children.iter().map(|c| c.wall_ns).sum();
             assert!(node.wall_ns >= children, "non-inclusive wall at {}", node.op);
         }
-        // Zipping actuals onto the explain tree covers every estimate node.
-        let analyzed = crate::engine::analyze::annotate(&phys, &explain, &profile);
-        assert_eq!(analyzed.node_count(), explain.size());
-        assert_eq!(analyzed.rows_act, out.len() as u64);
+        // The recorded table gives every plan node its actuals.
+        let (_, stats) = engine.execute_recorded(&compiled).unwrap();
+        let actuals = analyze::actuals(&compiled, &stats);
+        assert_eq!(actuals.len(), phys.size());
+        assert_eq!(explain.node_count(), phys.size());
+        assert_eq!(actuals[0].rows, out.len() as u64);
+        assert!(actuals.iter().all(|a| a.executed));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::data::value::normalized_float_bits;
 use crate::data::Value;
 use crate::engine::compile::{CompiledOperand, CompiledPredicate, Pred, ScalarValues};
 use crate::engine::rows::{RowView, Rows};
-use crate::obs::profile::ProfNode;
+use crate::obs::profile::NodeStats;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -111,13 +111,13 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Run a fused pipeline's filters — `(step index, predicate over the
-/// source's columns)`, in pipeline order — column-wise over the rows
-/// `range` of `rows`: intersect the masks and return the positions of the
-/// survivors, in input order, identical to the row path's.
+/// Run a fused pipeline's filters — `(node id, predicate over the source's
+/// columns)`, in pipeline order — column-wise over the rows `range` of
+/// `rows`: intersect the masks and return the positions of the survivors,
+/// in input order, identical to the row path's.
 ///
-/// With `prof`, after each mask merge the running selection's cardinality
-/// is added to that filter's step — the same "rows surviving filters
+/// With `stats`, after each mask merge the running selection's cardinality
+/// is added to that filter's node — the same "rows surviving filters
 /// `0..=k`" the row path counts via short-circuit evaluation.
 pub(crate) fn select(
     rows: &Rows<'_>,
@@ -126,7 +126,7 @@ pub(crate) fn select(
     scalars: &ScalarValues,
     semantics: NullSemantics,
     pool: &StrPool,
-    prof: Option<&ProfNode>,
+    stats: Option<&[NodeStats]>,
 ) -> Vec<u32> {
     if range.is_empty() {
         // Nothing to filter — and the engine only guarantees scalar
@@ -141,7 +141,7 @@ pub(crate) fn select(
     let cols = ColumnSet::read(rows, range, &positions, pool);
     let ctx = Ctx { cols: &cols, outer: None, l_arity: 0, scalars, semantics, pool };
     let mut sel: Option<TruthMask> = None;
-    for &(step, filter) in filters {
+    for &(id, filter) in filters {
         let mask = eval_pred(filter.pred(), &ctx);
         match &mut sel {
             // A row survives the chain iff every filter is True — exactly
@@ -149,8 +149,8 @@ pub(crate) fn select(
             Some(s) => s.and_with(&mask),
             None => sel = Some(mask),
         }
-        if let (Some(p), Some(s)) = (prof, sel.as_ref()) {
-            p.add_step_rows(step, s.count_true() as u64);
+        if let (Some(stats), Some(s)) = (stats, sel.as_ref()) {
+            stats[id].record_step_rows(s.count_true() as u64);
         }
     }
     let sel = sel.expect("a pipeline that selects has a filter");

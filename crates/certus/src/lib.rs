@@ -15,8 +15,8 @@
 //!   statistics catalog and cost model behind its `EXPLAIN` estimates;
 //! * [`engine`] — hash-join based physical execution of the planner's plans;
 //! * [`obs`] — observability: the process-wide metrics registry,
-//!   per-execution [`QueryProfile`]s and the `EXPLAIN ANALYZE`
-//!   ([`Session::explain_analyze`]) estimate-vs-actual trees;
+//!   per-execution [`QueryProfile`]s and `EXPLAIN` / `EXPLAIN ANALYZE`
+//!   ([`Session::explain_analyze`]): estimates, and actuals beside them;
 //! * [`tpch`] — the TPC-H substrate, the paper's queries Q1–Q4 and the
 //!   false-positive detectors;
 //! * [`exec`] — the process-wide worker pool and cancellation tokens.
@@ -194,7 +194,7 @@ pub use core::CertainRewriter;
 pub use data::{Database, Relation, Tuple, Value};
 pub use engine::{Engine, EngineConfig};
 pub use error::{Error, Result};
-pub use obs::{AnalyzedPlan, QueryProfile};
+pub use obs::{ExplainPlan, QueryProfile};
 pub use plan::{Parallelism, StatisticsCatalog};
 pub use session::{AnswerSet, Certainty, PreparedQuery, Session, SharedPlanCache};
 

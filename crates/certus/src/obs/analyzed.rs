@@ -1,15 +1,19 @@
-//! `EXPLAIN ANALYZE` output: cost-model estimates and measured actuals side
-//! by side for every plan node.
+//! `EXPLAIN` and `EXPLAIN ANALYZE`: one view of a physical plan.
 //!
-//! The session facade zips the planner's static `ExplainPlan` against the
-//! engine's [`crate::obs::QueryProfile`] into this tree. Rendering follows the
-//! planner's explain format, extended with actual rows, wall time, path
-//! tags (`[vec]` / `[row-fallback]`) and an `[est↯act ×N]` marker wherever
-//! the cost model's cardinality estimate diverged from reality.
+//! An [`ExplainPlan`] is the plan's nodes in pre-order, so a node's index
+//! is its id. [`ExplainPlan::new`] builds it in one walk over the plan with
+//! two lookups by id: the cost model's estimates (`plan::cost::explain`)
+//! and, for `EXPLAIN ANALYZE`, the measured [`Actual`]s of an instrumented
+//! run (`engine::analyze::actuals`). One renderer prints both: estimates
+//! alone, or estimates beside actual rows, wall time, path tags
+//! (`[vec]` / `[row-fallback]` / `[build=…]`) and an `[est↯act ×N]` marker
+//! wherever the cost model's cardinality estimate diverged from reality.
 
 use crate::obs::json;
 use crate::obs::time::fmt_ns;
-use std::fmt;
+use crate::plan::cost::{batch_eligible, Estimate};
+use crate::plan::physical::PhysicalExpr;
+use std::fmt::{self, Write};
 
 /// Estimate-vs-actual ratio at which a node is flagged as diverged. A factor
 /// of 4 means the cost model was off by 4× in either direction — enough to
@@ -21,130 +25,199 @@ pub(crate) const DIVERGENCE_FACTOR: f64 = 4.0;
 /// planner-irrelevant).
 pub(crate) const DIVERGENCE_MIN_ROWS: f64 = 4.0;
 
-/// One plan node annotated with both the cost model's estimates and the
-/// measured actuals from an instrumented execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzedPlan {
-    /// Operator label, as rendered by the planner's explain.
-    pub op: String,
-    /// Cost model's cardinality estimate.
-    pub rows_est: f64,
-    /// Cost model's cost estimate.
-    pub cost_est: f64,
-    /// Measured output rows.
-    pub rows_act: u64,
-    /// Measured wall time (inclusive of children), nanoseconds. Zero for
-    /// nodes that execute as part of a fused pipeline rather than standalone.
+/// What a plan node did when the plan ran.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Actual {
+    /// Output rows.
+    pub rows: u64,
+    /// Wall time (inclusive of the node's inputs), nanoseconds. Zero for
+    /// nodes that ran inside the operator above them — a fused step, an
+    /// exchange, a flattened union.
     pub wall_ns: u64,
-    /// Tags: the path taken (`"vec"`, `"row-fallback"`), a hash operator's
+    /// The path taken (`"vec"`, `"row-fallback"`) and a hash operator's
     /// build time (`"build=…"`).
     pub tags: Vec<String>,
-    /// Children, mirroring the plan tree.
-    pub children: Vec<AnalyzedPlan>,
+    /// Whether the node ran at all.
+    pub executed: bool,
 }
 
-impl AnalyzedPlan {
+/// One plan node: its label, its depth in the plan, the cost model's
+/// estimates and, under `EXPLAIN ANALYZE`, its actuals.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplainNode {
+    /// Operator label, including the chosen algorithm.
+    pub op: String,
+    /// Distance from the root.
+    pub depth: usize,
+    /// Estimated output rows.
+    pub rows_est: f64,
+    /// Estimated cumulative cost (abstract row operations).
+    pub cost_est: f64,
+    /// The measured actuals; `None` under plain `EXPLAIN`.
+    pub actual: Option<Actual>,
+}
+
+impl ExplainNode {
     /// How far the estimate was from the actual, as a ≥ 1 ratio
-    /// (`max(est/act, act/est)`, with both sides clamped away from zero).
+    /// (`max(est/act, act/est)`, with both sides clamped away from zero);
+    /// 1 without actuals.
     pub fn divergence(&self) -> f64 {
-        let est = self.rows_est.max(0.5);
-        let act = (self.rows_act as f64).max(0.5);
-        (est / act).max(act / est)
+        match &self.actual {
+            Some(a) => {
+                let est = self.rows_est.max(0.5);
+                let act = (a.rows as f64).max(0.5);
+                (est / act).max(act / est)
+            }
+            None => 1.0,
+        }
     }
 
     /// Whether this node's estimate diverged enough to flag: off by 4× or
     /// more, on a node where the estimate or the actual reaches 4 rows.
     pub fn diverged(&self) -> bool {
-        self.divergence() >= DIVERGENCE_FACTOR
-            && self.rows_est.max(self.rows_act as f64) >= DIVERGENCE_MIN_ROWS
-    }
-
-    /// Whether any node in the tree is flagged as diverged.
-    pub fn any_divergence(&self) -> bool {
-        self.diverged() || self.children.iter().any(AnalyzedPlan::any_divergence)
-    }
-
-    /// Number of nodes in the tree.
-    pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(AnalyzedPlan::node_count).sum::<usize>()
-    }
-
-    /// Every node of the tree, preorder.
-    pub fn flatten(&self) -> Vec<&AnalyzedPlan> {
-        let mut out = Vec::with_capacity(self.node_count());
-        fn walk<'a>(node: &'a AnalyzedPlan, out: &mut Vec<&'a AnalyzedPlan>) {
-            out.push(node);
-            for c in &node.children {
-                walk(c, out);
-            }
-        }
-        walk(self, &mut out);
-        out
-    }
-
-    fn render(&self, depth: usize, out: &mut String) {
-        out.push_str(&"  ".repeat(depth));
-        out.push_str(&format!(
-            "{}  (rows est≈{:.0} act={}, time={})",
-            self.op,
-            self.rows_est,
-            self.rows_act,
-            fmt_ns(self.wall_ns)
-        ));
-        for tag in &self.tags {
-            out.push_str(&format!(" [{tag}]"));
-        }
-        if self.diverged() {
-            out.push_str(&format!(" [est↯act ×{:.0}]", self.divergence()));
-        }
-        out.push('\n');
-        for child in &self.children {
-            child.render(depth + 1, out);
-        }
-    }
-
-    /// Render the annotated tree as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"op\": \"{}\", \"rows_est\": {}, \"cost_est\": {}, \"rows_act\": {}, \
-             \"wall_ns\": {}, \"diverged\": {}",
-            json::escape(&self.op),
-            json::number(self.rows_est),
-            json::number(self.cost_est),
-            self.rows_act,
-            self.wall_ns,
-            self.diverged()
-        );
-        if !self.tags.is_empty() {
-            out.push_str(", \"tags\": [");
-            for (i, t) in self.tags.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", json::escape(t)));
-            }
-            out.push(']');
-        }
-        if !self.children.is_empty() {
-            out.push_str(", \"children\": [");
-            for (i, c) in self.children.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&c.to_json());
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
+        let act = self.actual.as_ref().map_or(0, |a| a.rows) as f64;
+        self.divergence() >= DIVERGENCE_FACTOR && self.rows_est.max(act) >= DIVERGENCE_MIN_ROWS
     }
 }
 
-impl fmt::Display for AnalyzedPlan {
+/// `EXPLAIN`, or `EXPLAIN ANALYZE`, of a physical plan: its nodes in
+/// pre-order, each at the index that is its id.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplainPlan {
+    nodes: Vec<ExplainNode>,
+}
+
+impl ExplainPlan {
+    /// The view of `plan`: every node with `estimates[id]` and, when the
+    /// plan ran, `actuals[id]`.
+    pub(crate) fn new(
+        plan: &PhysicalExpr,
+        estimates: &[Estimate],
+        actuals: Option<&[Actual]>,
+    ) -> ExplainPlan {
+        fn walk(
+            plan: &PhysicalExpr,
+            depth: usize,
+            (estimates, actuals): (&[Estimate], Option<&[Actual]>),
+            nodes: &mut Vec<ExplainNode>,
+        ) {
+            let id = nodes.len();
+            let mut op = plan.label();
+            if matches!(plan, PhysicalExpr::Filter { condition, .. } if batch_eligible(condition)) {
+                op.push_str(" [vec]");
+            }
+            let Estimate { rows, cost } = estimates[id];
+            let actual = actuals.map(|a| a[id].clone());
+            nodes.push(ExplainNode { op, depth, rows_est: rows, cost_est: cost, actual });
+            for child in plan.children() {
+                walk(child, depth + 1, (estimates, actuals), nodes);
+            }
+        }
+        let mut nodes = Vec::with_capacity(estimates.len());
+        walk(plan, 0, (estimates, actuals), &mut nodes);
+        ExplainPlan { nodes }
+    }
+
+    /// The root node.
+    pub fn root(&self) -> &ExplainNode {
+        &self.nodes[0]
+    }
+
+    /// Number of nodes in the plan.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Every node of the plan, pre-order: the node with id `i` is at `i`.
+    pub fn flatten(&self) -> Vec<&ExplainNode> {
+        self.nodes.iter().collect()
+    }
+
+    /// The node with id `id` and everything beneath it, pre-order.
+    pub fn subtree(&self, id: usize) -> &[ExplainNode] {
+        let depth = self.nodes[id].depth;
+        let len = self.nodes[id + 1..].iter().take_while(|n| n.depth > depth).count();
+        &self.nodes[id..=id + len]
+    }
+
+    /// Whether any node is flagged as diverged.
+    pub fn any_divergence(&self) -> bool {
+        self.nodes.iter().any(ExplainNode::diverged)
+    }
+
+    /// Render the plan as JSON, nested as the plan is.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.json(0, &mut out);
+        out
+    }
+
+    fn json(&self, id: usize, out: &mut String) {
+        let node = &self.nodes[id];
+        let _ = write!(
+            out,
+            "{{\"op\": \"{}\", \"rows_est\": {}, \"cost_est\": {}",
+            json::escape(&node.op),
+            json::number(node.rows_est),
+            json::number(node.cost_est)
+        );
+        if let Some(a) = &node.actual {
+            let _ = write!(
+                out,
+                ", \"rows_act\": {}, \"wall_ns\": {}, \"diverged\": {}",
+                a.rows,
+                a.wall_ns,
+                node.diverged()
+            );
+            if !a.tags.is_empty() {
+                let tags: Vec<String> =
+                    a.tags.iter().map(|t| format!("\"{}\"", json::escape(t))).collect();
+                let _ = write!(out, ", \"tags\": [{}]", tags.join(", "));
+            }
+        }
+        let depth = node.depth + 1;
+        let children = self.subtree(id).len();
+        let mut first = true;
+        for child in (id + 1..id + children).filter(|&c| self.nodes[c].depth == depth) {
+            out.push_str(if first { ", \"children\": [" } else { ", " });
+            first = false;
+            self.json(child, out);
+        }
+        if !first {
+            out.push(']');
+        }
+        out.push('}');
+    }
+}
+
+impl fmt::Display for ExplainPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.render(0, &mut out);
-        f.write_str(out.trim_end_matches('\n'))
+        for node in &self.nodes {
+            let _ = write!(out, "{}{}  ", "  ".repeat(node.depth), node.op);
+            let Some(a) = &node.actual else {
+                let _ = writeln!(out, "(rows≈{:.0}, cost≈{:.0})", node.rows_est, node.cost_est);
+                continue;
+            };
+            let _ = write!(
+                out,
+                "(rows est≈{:.0} act={}, time={})",
+                node.rows_est,
+                a.rows,
+                fmt_ns(a.wall_ns)
+            );
+            for tag in &a.tags {
+                let _ = write!(out, " [{tag}]");
+            }
+            if node.diverged() {
+                let _ = write!(out, " [est↯act ×{:.0}]", node.divergence());
+            }
+            out.push('\n');
+        }
+        // EXPLAIN ends every line with a newline; EXPLAIN ANALYZE separates
+        // its lines.
+        let analyzed = self.root().actual.is_some();
+        f.write_str(if analyzed { out.trim_end_matches('\n') } else { &out })
     }
 }
 
@@ -152,56 +225,70 @@ impl fmt::Display for AnalyzedPlan {
 mod tests {
     use super::*;
 
-    fn node(op: &str, est: f64, act: u64) -> AnalyzedPlan {
-        AnalyzedPlan {
-            op: op.to_string(),
-            rows_est: est,
-            cost_est: est * 2.0,
-            rows_act: act,
-            wall_ns: 1_000,
-            tags: Vec::new(),
-            children: Vec::new(),
-        }
+    /// A plan of one node per `(op, depth, estimate, actual rows)`.
+    fn plan(nodes: &[(&str, usize, f64, u64)]) -> ExplainPlan {
+        let nodes = nodes
+            .iter()
+            .map(|&(op, depth, est, act)| ExplainNode {
+                op: op.to_string(),
+                depth,
+                rows_est: est,
+                cost_est: est * 2.0,
+                actual: Some(Actual {
+                    rows: act,
+                    wall_ns: 1_000,
+                    tags: Vec::new(),
+                    executed: true,
+                }),
+            })
+            .collect();
+        ExplainPlan { nodes }
+    }
+
+    fn node(est: f64, act: u64) -> ExplainNode {
+        plan(&[("a", 0, est, act)]).nodes.remove(0)
     }
 
     #[test]
     fn divergence_is_symmetric_and_gated() {
-        assert!(node("a", 100.0, 10).diverged()); // 10× over
-        assert!(node("a", 10.0, 100).diverged()); // 10× under
-        assert!(!node("a", 100.0, 80).diverged()); // close enough
-        assert!(!node("a", 2.0, 0).diverged()); // tiny rows: gated off
-        assert!((node("a", 100.0, 10).divergence() - 10.0).abs() < 1e-9);
+        assert!(node(100.0, 10).diverged()); // 10× over
+        assert!(node(10.0, 100).diverged()); // 10× under
+        assert!(!node(100.0, 80).diverged()); // close enough
+        assert!(!node(2.0, 0).diverged()); // tiny rows: gated off
+        assert!((node(100.0, 10).divergence() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn any_divergence_searches_the_tree() {
-        let mut root = node("join", 50.0, 40);
-        root.children.push(node("scan", 1000.0, 10));
-        assert!(!root.diverged());
-        assert!(root.any_divergence());
-        assert_eq!(root.node_count(), 2);
-        assert_eq!(root.flatten().len(), 2);
+        let tree = plan(&[("join", 0, 50.0, 40), ("scan", 1, 1000.0, 10)]);
+        assert!(!tree.root().diverged());
+        assert!(tree.any_divergence());
+        assert_eq!(tree.node_count(), 2);
+        assert_eq!(tree.flatten().len(), 2);
+        assert_eq!(tree.subtree(0).len(), 2);
     }
 
     #[test]
     fn render_shows_estimates_actuals_and_tags() {
-        let mut root = node("Filter [p]", 100.0, 7);
-        root.tags.push("vec".to_string());
-        let text = root.to_string();
+        let mut tree = plan(&[("Filter [p]", 0, 100.0, 7)]);
+        tree.nodes[0].actual.as_mut().unwrap().tags.push("vec".to_string());
+        let text = tree.to_string();
         assert!(text.contains("rows est≈100 act=7"));
         assert!(text.contains("[vec]"));
         assert!(text.contains("[est↯act ×14]"));
+        tree.nodes[0].actual = None;
+        assert_eq!(tree.to_string(), "Filter [p]  (rows≈100, cost≈200)\n");
     }
 
     #[test]
     fn json_is_well_formed() {
-        let mut root = node("join", 50.0, 40);
-        root.tags.push("vec".to_string());
-        root.children.push(node("scan \"r\"", 1000.0, 10));
-        let s = root.to_json();
+        let mut tree = plan(&[("join", 0, 50.0, 40), ("scan \"r\"", 1, 1000.0, 10)]);
+        tree.nodes[0].actual.as_mut().unwrap().tags.push("vec".to_string());
+        let s = tree.to_json();
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("\"scan \\\"r\\\"\""));
         assert!(s.contains("\"diverged\": true"));
         assert!(s.contains("\"tags\": [\"vec\"]"));
+        assert_eq!(s.matches("\"children\"").count(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Observability layer for certus: a process-wide [`MetricsRegistry`](metrics::MetricsRegistry) of
 //! relaxed-atomic counters/gauges/histograms, per-execution operator
-//! profiles ([`QueryProfile`]), and estimate-vs-actual plan annotation
-//! ([`AnalyzedPlan`]).
+//! profiles ([`QueryProfile`]), and `EXPLAIN` / `EXPLAIN ANALYZE`
+//! ([`ExplainPlan`]).
 //!
 //! The module is std-only and sits at the bottom of the crate's dependency
 //! graph so every layer — data substrate, planner, engine, session facade,
@@ -11,12 +11,13 @@
 //!
 //! * [`metrics`] — named process-wide counters ("how many plan-cache hits
 //!   since startup?") with a snapshot/delta API for tests and benches.
-//! * [`profile`] — a per-execution tree of operator actuals (rows, batches,
-//!   wall time, vectorized-vs-row-fallback, hash build/probe stats, morsel
-//!   distribution) collected while a compiled plan runs.
-//! * [`analyzed`] — the `EXPLAIN ANALYZE` product: cost-model estimates and
-//!   measured actuals side by side for every plan node, with text and JSON
-//!   renderers.
+//! * [`profile`] — per-execution operator actuals (rows, batches, wall
+//!   time, vectorized-vs-row-fallback, hash build/probe stats, morsel
+//!   distribution), recorded by plan node id while a compiled plan runs and
+//!   frozen into a tree in the compiled plan's shape.
+//! * [`analyzed`] — `EXPLAIN` and `EXPLAIN ANALYZE`: one view of a plan's
+//!   nodes by id, cost-model estimates alone or beside the measured
+//!   actuals, with text and JSON renderers.
 //!
 //! Plus [`failpoint`] — deterministic fault injection for crash-safety
 //! testing: named points production code checks at fault-prone boundaries,
@@ -55,7 +56,7 @@ pub mod time {
     pub use crate::time::*;
 }
 
-pub use analyzed::AnalyzedPlan;
+pub use analyzed::{Actual, ExplainNode, ExplainPlan};
 pub use failpoint::{failpoints, FailAction};
 pub use metrics::{registry, Counter};
 pub use profile::QueryProfile;

@@ -1,12 +1,14 @@
 //! Per-execution operator profiles.
 //!
-//! The engine builds a `ProfNode` tree mirroring the compiled plan before
-//! an instrumented run, threads `&ProfNode` references down its recursion
-//! (the nodes are all relaxed atomics, so morsel workers on scoped threads
-//! record into the same node without locking), and calls
-//! `ProfNode::finish` afterwards to freeze the actuals into a plain
-//! [`QueryProfile`] value for rendering, testing and estimate-vs-actual
-//! annotation.
+//! An instrumented run records into a flat table: one [`NodeStats`] per
+//! node of the physical plan, indexed by the node's id — its pre-order
+//! position. Every compiled operator records at the id of the node it
+//! implements, and every filter step of a fused pipeline at its own; the
+//! counters are relaxed atomics, so morsel workers on scoped threads record
+//! into one entry without locking. Afterwards one walk over the compiled
+//! plan freezes the table into a [`QueryProfile`], a plain tree in the
+//! compiled plan's shape (`engine::analyze`), and `EXPLAIN ANALYZE` reads
+//! the same table by id.
 //!
 //! It also keeps three process-wide counters for the hot-path work the
 //! compiled operator runtime is supposed to eliminate, read as a
@@ -31,7 +33,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Live per-operator actuals, all relaxed atomics so concurrent morsel
+/// Live actuals of one plan node, all relaxed atomics so concurrent morsel
 /// workers can record without synchronisation.
 #[derive(Debug, Default)]
 pub(crate) struct NodeStats {
@@ -65,6 +67,9 @@ pub(crate) struct NodeStats {
     pub morsels: AtomicU64,
     /// Worker threads that participated on parallel paths.
     pub workers: AtomicU64,
+    /// Rows this node's filter kept, when it ran as a step of a fused
+    /// pipeline.
+    pub step_rows: AtomicU64,
 }
 
 impl NodeStats {
@@ -137,73 +142,40 @@ impl NodeStats {
         Self::add(&self.morsels, morsels);
         Self::add(&self.workers, workers);
     }
-}
 
-/// One node of the live profile tree the engine records into. Built by the
-/// engine to mirror a compiled plan's structure; see the module docs.
-#[derive(Debug)]
-pub(crate) struct ProfNode {
-    op: String,
-    /// The operator's live counters.
-    pub stats: NodeStats,
-    step_ops: Vec<String>,
-    step_rows: Vec<AtomicU64>,
-    children: Vec<ProfNode>,
-}
-
-impl ProfNode {
-    /// A leaf node labelled `op`.
-    pub fn new(op: impl Into<String>) -> ProfNode {
-        ProfNode::with(op, Vec::new(), Vec::new())
-    }
-
-    /// A node labelled `op` with fused pipeline step labels and children.
-    pub fn with(op: impl Into<String>, step_ops: Vec<String>, children: Vec<ProfNode>) -> ProfNode {
-        let step_rows = step_ops.iter().map(|_| AtomicU64::new(0)).collect();
-        let stats = NodeStats::default();
-        ProfNode { op: op.into(), stats, step_ops, step_rows, children }
-    }
-
-    /// Child `i`, if present (instrumentation is defensive: a structure
-    /// mismatch drops records rather than panicking mid-query).
-    pub fn child(&self, i: usize) -> Option<&ProfNode> {
-        self.children.get(i)
-    }
-
-    /// Add `n` survivors to fused step `i`'s output count.
+    /// Record rows a fused filter step kept.
     #[inline]
-    pub(crate) fn add_step_rows(&self, i: usize, n: u64) {
-        if let Some(cell) = self.step_rows.get(i) {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+    pub(crate) fn record_step_rows(&self, n: u64) {
+        Self::add(&self.step_rows, n);
     }
 
-    /// Freeze the live counters into a plain snapshot tree.
-    pub fn finish(&self) -> QueryProfile {
+    /// Freeze the counters into a profile node labelled `op`, with its fused
+    /// steps and its children.
+    pub(crate) fn finish(
+        &self,
+        op: String,
+        steps: Vec<StepProfile>,
+        children: Vec<QueryProfile>,
+    ) -> QueryProfile {
         let load = |f: &AtomicU64| f.load(Ordering::Relaxed);
         QueryProfile {
-            op: self.op.clone(),
-            rows_in: load(&self.stats.rows_in),
-            rows_out: load(&self.stats.rows_out),
-            values_out: load(&self.stats.values_out),
-            batches: load(&self.stats.batches),
-            invocations: load(&self.stats.invocations),
-            wall_ns: load(&self.stats.wall_ns),
-            vec_runs: load(&self.stats.vec_runs),
-            row_fallbacks: load(&self.stats.row_fallbacks),
-            build_rows: load(&self.stats.build_rows),
-            build_ns: load(&self.stats.build_ns),
-            probe_hits: load(&self.stats.probe_hits),
-            probe_misses: load(&self.stats.probe_misses),
-            morsels: load(&self.stats.morsels),
-            workers: load(&self.stats.workers),
-            steps: self
-                .step_ops
-                .iter()
-                .zip(&self.step_rows)
-                .map(|(op, rows)| StepProfile { op: op.clone(), rows_out: load(rows) })
-                .collect(),
-            children: self.children.iter().map(ProfNode::finish).collect(),
+            op,
+            rows_in: load(&self.rows_in),
+            rows_out: load(&self.rows_out),
+            values_out: load(&self.values_out),
+            batches: load(&self.batches),
+            invocations: load(&self.invocations),
+            wall_ns: load(&self.wall_ns),
+            vec_runs: load(&self.vec_runs),
+            row_fallbacks: load(&self.row_fallbacks),
+            build_rows: load(&self.build_rows),
+            build_ns: load(&self.build_ns),
+            probe_hits: load(&self.probe_hits),
+            probe_misses: load(&self.probe_misses),
+            morsels: load(&self.morsels),
+            workers: load(&self.workers),
+            steps,
+            children,
         }
     }
 }
@@ -218,7 +190,7 @@ pub struct StepProfile {
 }
 
 /// A frozen per-execution operator profile: the same tree shape as the
-/// compiled plan, with measured actuals at every node.
+/// compiled plan, with measured actuals at every operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryProfile {
     /// Operator label (e.g. `"hash_join"`, `"fused"`, `"scan(r)"`).
@@ -479,37 +451,37 @@ mod tests {
     use super::*;
     use crate::obs::metrics::MetricsSnapshot;
 
-    fn sample() -> ProfNode {
-        ProfNode::with(
-            "hash_join",
-            Vec::new(),
-            vec![
-                ProfNode::with(
-                    "fused",
-                    vec!["filter".into(), "project".into()],
-                    vec![ProfNode::new("scan(r)")],
-                ),
-                ProfNode::new("scan(s)"),
-            ],
-        )
+    /// A join over a fused pipeline over one scan, and a second scan, with
+    /// the counters `record` left on each operator, in pre-order.
+    fn sample(record: impl Fn(usize, &NodeStats)) -> QueryProfile {
+        let stats: Vec<NodeStats> = (0..4).map(|_| NodeStats::default()).collect();
+        stats.iter().enumerate().for_each(|(i, s)| record(i, s));
+        let leaf = |i: usize, op: &str| stats[i].finish(op.into(), Vec::new(), Vec::new());
+        let steps = vec![
+            StepProfile { op: "filter".into(), rows_out: 30 },
+            StepProfile { op: "project".into(), rows_out: 0 },
+        ];
+        let fused = stats[1].finish("fused".into(), steps, vec![leaf(2, "scan(r)")]);
+        stats[0].finish("hash_join".into(), Vec::new(), vec![fused, leaf(3, "scan(s)")])
     }
 
     #[test]
     fn finish_freezes_recorded_counters() {
-        let prof = sample();
-        prof.stats.record_invocation(10, 500);
-        prof.stats.record_values_out(30);
-        prof.stats.record_build_rows(4);
-        prof.stats.record_build_ns(150);
-        prof.stats.record_probes(8, 2);
-        let fused = prof.child(0).unwrap();
-        fused.stats.record_invocation(20, 300);
-        fused.stats.record_rows_in(100);
-        fused.stats.record_vec_run();
-        fused.add_step_rows(0, 30);
-        fused.add_step_rows(1, 20);
-
-        let snap = prof.finish();
+        let snap = sample(|i, s| match i {
+            0 => {
+                s.record_invocation(10, 500);
+                s.record_values_out(30);
+                s.record_build_rows(4);
+                s.record_build_ns(150);
+                s.record_probes(8, 2);
+            }
+            1 => {
+                s.record_invocation(20, 300);
+                s.record_rows_in(100);
+                s.record_vec_run();
+            }
+            _ => {}
+        });
         assert_eq!(snap.op, "hash_join");
         assert_eq!(snap.rows_out, 10);
         assert_eq!(snap.values_out, 30);
@@ -525,31 +497,27 @@ mod tests {
         let fused = &snap.children[0];
         assert_eq!(fused.rows_in, 100);
         assert_eq!(fused.vec_runs, 1);
-        assert_eq!(
-            fused.steps,
-            vec![
-                StepProfile { op: "filter".into(), rows_out: 30 },
-                StepProfile { op: "project".into(), rows_out: 20 },
-            ]
-        );
+        assert_eq!(fused.steps[0], StepProfile { op: "filter".into(), rows_out: 30 });
     }
 
     #[test]
     fn self_time_saturates_on_overlapping_children() {
-        let prof =
-            ProfNode::with("union", Vec::new(), vec![ProfNode::new("a"), ProfNode::new("b")]);
-        prof.stats.record_invocation(1, 100);
-        prof.child(0).unwrap().stats.record_invocation(1, 80);
-        prof.child(1).unwrap().stats.record_invocation(1, 90);
-        assert_eq!(prof.finish().self_wall_ns(), 0);
+        let snap = sample(|i, s| match i {
+            0 => s.record_invocation(1, 100),
+            1 => s.record_invocation(1, 80),
+            3 => s.record_invocation(1, 90),
+            _ => {}
+        });
+        assert_eq!(snap.self_wall_ns(), 0);
     }
 
     #[test]
     fn render_and_json_are_well_formed() {
-        let prof = sample();
-        prof.stats.record_invocation(3, 1_000);
-        prof.child(0).unwrap().stats.record_vec_run();
-        let snap = prof.finish();
+        let snap = sample(|i, s| match i {
+            0 => s.record_invocation(3, 1_000),
+            1 => s.record_vec_run(),
+            _ => {}
+        });
         let text = snap.to_string();
         assert!(text.contains("hash_join"));
         assert!(text.contains("[vec]"));
@@ -562,18 +530,18 @@ mod tests {
 
     #[test]
     fn flatten_is_preorder() {
-        let snap = sample().finish();
+        let snap = sample(|_, _| {});
         let ops: Vec<&str> = snap.flatten().iter().map(|n| n.op.as_str()).collect();
         assert_eq!(ops, vec!["hash_join", "fused", "scan(r)", "scan(s)"]);
     }
 
     #[test]
     fn defensive_accessors_do_not_panic() {
-        let prof = ProfNode::new("leaf");
-        assert!(prof.child(3).is_none());
-        prof.add_step_rows(7, 1); // out-of-range step: dropped
-        assert!(prof.step_ops.is_empty());
-        assert_eq!(prof.finish().steps.len(), 0);
+        // A node that never ran: no probes to divide by, no build to time.
+        let leaf = NodeStats::default().finish("leaf".into(), Vec::new(), Vec::new());
+        assert_eq!(leaf.probe_hit_rate(), 0.0);
+        assert_eq!(leaf.build_time(), None);
+        assert_eq!((leaf.self_wall_ns(), leaf.node_count()), (0, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cardinality and cost estimation (`EXPLAIN`).
 //!
-//! One function, [`explain`], walks a physical plan bottom-up and puts
-//! estimated output rows and cumulative cost on every node. Base
+//! One function, [`explain`], walks a physical plan bottom-up and gives
+//! every node, by id, its estimated output rows and cumulative cost. Base
 //! cardinalities, equality selectivities (`1 / distinct`) and null-check
 //! selectivities (the measured null fraction) come from a
 //! [`StatisticsCatalog`]; predicates it knows nothing about fall back to
@@ -24,7 +24,7 @@
 
 use crate::algebra::condition::{Condition, Operand};
 use crate::algebra::expr::RaExpr;
-use crate::plan::physical::{ExplainPlan, JoinAlgo, PhysicalExpr, SemiAlgo};
+use crate::plan::physical::{JoinAlgo, PhysicalExpr, SemiAlgo};
 use crate::plan::stats::StatisticsCatalog;
 
 /// Estimate the selectivity of a condition, consulting column statistics
@@ -167,16 +167,33 @@ pub(crate) fn exchange_cost(rows: f64, partitions: usize) -> f64 {
     rows + EXCHANGE_PARTITION_SETUP * partitions.max(1) as f64
 }
 
-/// The `EXPLAIN` tree of a physical plan: every node's label, estimated
-/// output rows and cumulative cost (its own charge plus its children's),
-/// computed bottom-up from `stats`. An exchange passes its rows through and
-/// charges one routing pass; a batch-eligible filter is tagged `[vec]`.
-pub fn explain(plan: &PhysicalExpr, stats: &StatisticsCatalog) -> ExplainPlan {
-    let children: Vec<ExplainPlan> =
-        plan.children().into_iter().map(|c| explain(c, stats)).collect();
-    let input = |i: usize| children.get(i).map_or((0.0, 0.0), |c| (c.rows, c.cost));
-    let ((lr, lc), (rr, rc)) = (input(0), input(1));
-    let mut op = plan.label();
+/// The cost model's estimates for one plan node.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Estimate {
+    /// Estimated output rows.
+    pub(crate) rows: f64,
+    /// Estimated cumulative cost: the node's own charge plus its inputs'.
+    pub(crate) cost: f64,
+}
+
+/// The estimates of every node of a physical plan, by id (pre-order
+/// position), computed bottom-up from `stats`. An exchange passes its rows
+/// through and charges one routing pass.
+pub(crate) fn explain(plan: &PhysicalExpr, stats: &StatisticsCatalog) -> Vec<Estimate> {
+    let mut out = Vec::with_capacity(plan.size());
+    estimate(plan, stats, &mut out);
+    out
+}
+
+/// Put the estimates of `plan`'s subtree at the end of `out`, pre-order,
+/// and return its root's.
+fn estimate(plan: &PhysicalExpr, stats: &StatisticsCatalog, out: &mut Vec<Estimate>) -> Estimate {
+    let id = out.len();
+    out.push(Estimate::default());
+    let children: Vec<Estimate> =
+        plan.children().into_iter().map(|c| estimate(c, stats, out)).collect();
+    let input = |i: usize| children.get(i).copied().unwrap_or_default();
+    let (Estimate { rows: lr, cost: lc }, Estimate { rows: rr, cost: rc }) = (input(0), input(1));
     let (rows, charge) = match plan {
         PhysicalExpr::Source(source) => {
             let n = match source {
@@ -187,9 +204,6 @@ pub fn explain(plan: &PhysicalExpr, stats: &StatisticsCatalog) -> ExplainPlan {
             (n, n)
         }
         PhysicalExpr::Filter { condition, .. } => {
-            if batch_eligible(condition) {
-                op.push_str(" [vec]");
-            }
             (lr * selectivity_with(condition, stats), lr * filter_cpu_factor(condition))
         }
         PhysicalExpr::Project { .. }
@@ -217,7 +231,8 @@ pub fn explain(plan: &PhysicalExpr, stats: &StatisticsCatalog) -> ExplainPlan {
         PhysicalExpr::Aggregate { group_by, .. } => (aggregate_rows(lr, !group_by.is_empty()), lr),
         PhysicalExpr::Exchange { partitions, .. } => (lr, exchange_cost(lr, *partitions)),
     };
-    ExplainPlan { op, rows, cost: lc + rc + charge, children }
+    out[id] = Estimate { rows, cost: lc + rc + charge };
+    out[id]
 }
 
 #[cfg(test)]
@@ -227,6 +242,7 @@ mod tests {
     use crate::data::builder::rel;
     use crate::data::null::NullId;
     use crate::data::{Database, Value};
+    use crate::obs::ExplainPlan;
     use crate::plan::physical::{heuristic_plan_with, Parallelism};
 
     fn db() -> Database {
@@ -236,18 +252,17 @@ mod tests {
         db
     }
 
-    /// The root of the serial plan's explain tree under `stats`.
-    fn estimate(expr: &RaExpr, db: &Database, stats: &StatisticsCatalog) -> ExplainPlan {
-        explain(&heuristic_plan_with(expr, db, &Parallelism::serial()).unwrap(), stats)
+    /// The root's estimates of the serial plan under `stats`.
+    fn root(expr: &RaExpr, db: &Database, stats: &StatisticsCatalog) -> Estimate {
+        explain(&heuristic_plan_with(expr, db, &Parallelism::serial()).unwrap(), stats)[0]
     }
 
     #[test]
     fn a_keyless_disjunction_inflates_join_cost_and_a_null_aware_key_does_not() {
         let db = db();
         let stats = StatisticsCatalog::analyze(&db);
-        let join = |c: Condition| {
-            estimate(&RaExpr::relation("r").join(RaExpr::relation("s"), c), &db, &stats)
-        };
+        let join =
+            |c: Condition| root(&RaExpr::relation("r").join(RaExpr::relation("s"), c), &db, &stats);
         let plain = join(eq("a", "b"));
         // `x = y OR y IS NULL` is a null-aware hash key: priced at l + r.
         assert_eq!(join(eq("a", "b").or(is_null("b"))).cost, plain.cost);
@@ -270,8 +285,8 @@ mod tests {
         let stats = StatisticsCatalog::analyze(&db);
         let correlated = RaExpr::relation("r").anti_join(RaExpr::relation("s"), eq("a", "b"));
         let decorrelated = RaExpr::relation("r").anti_join(RaExpr::relation("s"), is_null("b"));
-        let c = estimate(&correlated, &db, &stats);
-        let d = estimate(&decorrelated, &db, &stats);
+        let c = root(&correlated, &db, &stats);
+        let d = root(&decorrelated, &db, &stats);
         assert!(d.cost < c.cost);
     }
 
@@ -296,7 +311,8 @@ mod tests {
         let db = db();
         let stats = StatisticsCatalog::analyze(&db);
         let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "b")).project(&["a"]);
-        let text = estimate(&q, &db, &stats).to_string();
+        let plan = heuristic_plan_with(&q, &db, &Parallelism::serial()).unwrap();
+        let text = ExplainPlan::new(&plan, &explain(&plan, &stats), None).to_string();
         assert!(text.contains("Scan r"));
         assert!(text.contains("cost≈"));
         assert_eq!(text.lines().count(), 4);
@@ -379,8 +395,8 @@ mod tests {
         assert!(filter_cpu_factor(&eq("a", "b")) < filter_cpu_factor(&like));
         let db = db();
         let stats = StatisticsCatalog::analyze(&db);
-        let cheap = estimate(&RaExpr::relation("r").select(eq("a", "a")), &db, &stats);
-        let dear = estimate(&RaExpr::relation("r").select(like), &db, &stats);
+        let cheap = root(&RaExpr::relation("r").select(eq("a", "a")), &db, &stats);
+        let dear = root(&RaExpr::relation("r").select(like), &db, &stats);
         assert!(cheap.cost < dear.cost);
     }
 
@@ -401,18 +417,18 @@ mod tests {
         let r = RaExpr::relation("r");
         let s = RaExpr::relation("s");
         // Selection: input rows times measured selectivity (1/distinct).
-        let sel = estimate(&r.clone().select(eq("a", "a")), &db, &stats);
+        let sel = root(&r.clone().select(eq("a", "a")), &db, &stats);
         assert!((sel.rows - 1.0).abs() < 1e-9);
         // Semijoin halves the outer side.
-        let semi = estimate(&r.clone().semi_join(s.clone(), eq("a", "b")), &db, &stats);
+        let semi = root(&r.clone().semi_join(s.clone(), eq("a", "b")), &db, &stats);
         assert_eq!(semi.rows, 500.0);
         // Union keeps the larger side.
-        let uni = estimate(&r.clone().union(s.clone()), &db, &stats);
+        let uni = root(&r.clone().union(s.clone()), &db, &stats);
         assert_eq!(uni.rows, 1000.0);
         // Ungrouped aggregation collapses to one row; grouped keeps 1/10th.
-        let agg = estimate(&r.clone().aggregate(&[], vec![]), &db, &stats);
+        let agg = root(&r.clone().aggregate(&[], vec![]), &db, &stats);
         assert_eq!(agg.rows, 1.0);
-        let grouped = estimate(&r.aggregate(&["a"], vec![]), &db, &stats);
+        let grouped = root(&r.aggregate(&["a"], vec![]), &db, &stats);
         assert_eq!(grouped.rows, 100.0);
     }
 
@@ -421,10 +437,10 @@ mod tests {
         let db = db();
         let q = RaExpr::relation("r");
         // An analyzed catalog knows the live row count…
-        let with = estimate(&q, &db, &StatisticsCatalog::analyze(&db));
+        let with = root(&q, &db, &StatisticsCatalog::analyze(&db));
         assert_eq!(with.rows, db.relation("r").unwrap().len() as f64);
         assert_eq!(with.rows, 1000.0);
         // …and a scan the catalog never analyzed estimates no rows.
-        assert_eq!(estimate(&q, &db, &StatisticsCatalog::empty()).rows, 0.0);
+        assert_eq!(root(&q, &db, &StatisticsCatalog::empty()).rows, 0.0);
     }
 }

@@ -16,9 +16,9 @@
 //! * [`stats`] — a [`StatisticsCatalog`] of per-relation cardinalities and
 //!   per-column null fractions / distinct counts computed from
 //!   `certus::data` relations.
-//! * [`cost`] — the cost model: [`cost::explain`] puts row and cost
-//!   estimates, from a [`StatisticsCatalog`], on every node of a physical
-//!   plan.
+//! * `cost` — the cost model: `cost::explain` gives every node of a
+//!   physical plan, by id, row and cost estimates from a
+//!   [`StatisticsCatalog`].
 //! * [`equi`] — which input of a join a column belongs to, and extraction
 //!   of hash-join keys (plain and null-aware) from conditions.
 //! * [`physical`] — the [`PhysicalExpr`](physical::PhysicalExpr) plan
@@ -26,7 +26,7 @@
 //!   ([`physical::heuristic_plan_with`]): algorithms and exchanges follow
 //!   from the expression and the thread count alone, and it takes no
 //!   statistics. [`PhysicalPlanner`] pairs it with a catalog for the
-//!   [`ExplainPlan`](physical::ExplainPlan) trees `cost::explain` estimates.
+//!   [`ExplainPlan`](crate::obs::ExplainPlan)s `cost::explain` estimates.
 //! * [`cache`] — hashable plan keys ([`PlanKey`](cache::PlanKey)) and the
 //!   LRU `PlanCache` (hit/miss counters, schema-epoch
 //!   invalidation) behind `certus::Session`'s prepared queries.
@@ -34,8 +34,8 @@
 pub mod cache {
     pub use crate::cache::*;
 }
-pub mod cost {
-    pub use crate::cost::*;
+pub(crate) mod cost {
+    pub(crate) use crate::cost::*;
 }
 pub mod equi {
     pub use crate::equi::*;

@@ -9,15 +9,16 @@
 //! every site the engine can run in parallel when there is more than one
 //! thread (the engine decides at run time, on the rows that actually
 //! arrive, whether to use it). It takes no statistics, so they cannot
-//! change a plan. The row and cost estimates of an [`ExplainPlan`] are put
-//! on a finished plan by [`crate::plan::cost::explain`];
-//! [`PhysicalPlanner`] bundles the planner with a [`StatisticsCatalog`] for
-//! that.
+//! change a plan. The row and cost estimates `EXPLAIN` shows
+//! ([`ExplainPlan`]) are computed for a finished plan by
+//! `plan::cost::explain`; [`PhysicalPlanner`] bundles the planner
+//! with a [`StatisticsCatalog`] for that.
 
 use crate::algebra::condition::Condition;
 use crate::algebra::expr::{AggExpr, ProjCol, RaExpr};
 use crate::algebra::schema_infer::{output_schema, Catalog};
 use crate::data::Schema;
+use crate::obs::ExplainPlan;
 use crate::plan::equi::{references_schema, split_equi, EquiSplit, NullOk};
 use crate::plan::stats::StatisticsCatalog;
 use crate::Result;
@@ -388,43 +389,6 @@ fn key_pairs(left: &[String], right: &[String], null_ok: &[NullOk]) -> String {
     }
 }
 
-/// An `EXPLAIN`-style tree: one node per physical operator with row and cost
-/// estimates, as [`crate::plan::cost::explain`] computes them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplainPlan {
-    /// Operator label (includes the chosen algorithm).
-    pub op: String,
-    /// Estimated output rows.
-    pub rows: f64,
-    /// Estimated cumulative cost (abstract row operations).
-    pub cost: f64,
-    /// Child nodes.
-    pub children: Vec<ExplainPlan>,
-}
-
-impl ExplainPlan {
-    fn render(&self, depth: usize, out: &mut String) {
-        out.push_str(&"  ".repeat(depth));
-        out.push_str(&format!("{}  (rows≈{:.0}, cost≈{:.0})\n", self.op, self.rows, self.cost));
-        for c in &self.children {
-            c.render(depth + 1, out);
-        }
-    }
-
-    /// Total number of nodes.
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(ExplainPlan::size).sum::<usize>()
-    }
-}
-
-impl fmt::Display for ExplainPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.render(0, &mut out);
-        f.write_str(&out)
-    }
-}
-
 /// The physical planner together with the statistics its explain trees
 /// are estimated from. Statistics feed [`PhysicalPlanner::explain`] and
 /// nothing else.
@@ -455,9 +419,10 @@ impl<'a> PhysicalPlanner<'a> {
         heuristic_plan_with(expr, self.catalog, &self.parallelism)
     }
 
-    /// Produce the explain tree of the plan, estimated from the statistics.
+    /// `EXPLAIN` of the plan, estimated from the statistics.
     pub fn explain(&self, expr: &RaExpr) -> Result<ExplainPlan> {
-        Ok(crate::plan::cost::explain(&self.plan(expr)?, self.stats))
+        let plan = self.plan(expr)?;
+        Ok(ExplainPlan::new(&plan, &crate::plan::cost::explain(&plan, self.stats), None))
     }
 }
 
@@ -752,8 +717,8 @@ mod tests {
         let phys = planner.plan(&q).unwrap();
         let explain = planner.explain(&q).unwrap();
         assert_eq!(phys.size(), 4);
-        assert_eq!(explain.size(), 4);
-        assert_eq!(explain.children[0].children[0].rows, 50.0);
+        assert_eq!(explain.node_count(), 4);
+        assert_eq!(explain.flatten()[2].rows_est, 50.0);
         let text = explain.to_string();
         assert!(text.contains("HashJoin [a = c]"), "{text}");
         assert!(text.contains("Scan r"), "{text}");
@@ -769,9 +734,9 @@ mod tests {
         let planner = PhysicalPlanner::new(&db, &stats);
         let q = RaExpr::relation("r").product(RaExpr::relation("s"));
         let explain = planner.explain(&q).unwrap();
-        assert_eq!(explain.rows, 2000.0, "{explain}");
+        assert_eq!(explain.root().rows_est, 2000.0, "{explain}");
         let (r, s) = (db.relation("r").unwrap().len(), db.relation("s").unwrap().len());
-        assert_eq!(explain.rows, (r * s) as f64);
+        assert_eq!(explain.root().rows_est, (r * s) as f64);
     }
 
     #[test]
@@ -949,11 +914,12 @@ mod tests {
         assert!(plan.has_exchange());
         let text = explain.to_string();
         assert!(text.contains("Exchange x4"), "{text}");
-        let exchange = &explain.children[1];
-        assert_eq!(exchange.rows, 40.0);
+        // Join, scan r, then the exchange over scan s.
+        let (exchange, scan) = (explain.flatten()[2], explain.flatten()[3]);
+        assert_eq!(exchange.rows_est, 40.0);
         assert_eq!(
-            exchange.cost,
-            exchange.children[0].cost + crate::plan::cost::exchange_cost(40.0, 4),
+            exchange.cost_est,
+            scan.cost_est + crate::plan::cost::exchange_cost(40.0, 4),
             "{text}"
         );
     }
@@ -1006,6 +972,6 @@ mod tests {
         let bad = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c").or(is_null("d")));
         let g = planner.explain(&good).unwrap();
         let b = planner.explain(&bad).unwrap();
-        assert!(b.cost > 10.0 * g.cost, "NL {b:?} should dwarf hash {g:?}");
+        assert!(b.root().cost_est > 10.0 * g.root().cost_est, "NL {b} should dwarf hash {g}");
     }
 }

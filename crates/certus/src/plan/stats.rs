@@ -2,7 +2,7 @@
 //! fractions / distinct-count estimates, computed from materialised
 //! `certus::data` relations.
 //!
-//! The cost model ([`crate::plan::cost::explain`]) estimates a finished
+//! The cost model (`cost::explain`) estimates a finished
 //! physical plan from these statistics, falling back to fixed magic
 //! selectivities only where they know nothing about a column; the planner
 //! never reads them, so no plan choice depends on them.

@@ -32,9 +32,9 @@ use crate::data::{Database, Relation};
 use crate::engine::{CompiledPlan, Engine, EngineConfig};
 use crate::error::{Error, Result};
 use crate::obs::metrics::{registry, Counter, Histogram};
-use crate::obs::{names, AnalyzedPlan, QueryProfile, Timer};
+use crate::obs::{names, ExplainPlan, QueryProfile, Timer};
 use crate::plan::cache::{CacheStats, PlanCache, PlanKey};
-use crate::plan::physical::{heuristic_plan_with, ExplainPlan, PhysicalExpr};
+use crate::plan::physical::{heuristic_plan_with, PhysicalExpr};
 use crate::plan::{PassManager, StatisticsCatalog};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -594,8 +594,8 @@ impl Session {
     /// [`Certainty::Both`] this explains the certain-answer plan `Q⁺` — the
     /// arm the breakdown is about.
     pub fn explain(&self, query: &RaExpr, certainty: Certainty) -> Result<ExplainPlan> {
-        let expr = self.logical(query, certainty.primary())?;
-        Ok(crate::plan::cost::explain(&self.physical(&expr)?, &self.statistics()))
+        let phys = self.physical(&self.logical(query, certainty.primary())?)?;
+        Ok(ExplainPlan::new(&phys, &crate::plan::cost::explain(&phys, &self.statistics()), None))
     }
 
     /// `EXPLAIN ANALYZE`: plan the translation `certainty` selects, execute
@@ -605,8 +605,10 @@ impl Session {
     /// [`Session::explain`] this is the plan [`Session::prepare`] compiles,
     /// executed with the session's semantics and engine configuration. The
     /// result renders as text via `Display` and as JSON via
-    /// [`AnalyzedPlan::to_json`]; nodes whose actual cardinality strays far
-    /// from the estimate are flagged ([`AnalyzedPlan::diverged`]).
+    /// [`ExplainPlan::to_json`]; nodes whose actual cardinality strays far
+    /// from the estimate are flagged ([`ExplainNode::diverged`]).
+    ///
+    /// [`ExplainNode::diverged`]: crate::obs::ExplainNode::diverged
     ///
     /// ```
     /// use certus::{Certainty, RaExpr, Session};
@@ -621,21 +623,22 @@ impl Session {
     ///
     /// let session = Session::new(db);
     /// let analyzed = session.explain_analyze(&q, Certainty::CertainPlus).unwrap();
-    /// assert_eq!(analyzed.rows_act, 0); // no answer is certain with ⊥ in s
+    /// assert_eq!(analyzed.root().actual.as_ref().unwrap().rows, 0); // no answer is certain with ⊥ in s
     /// assert!(analyzed.to_string().contains("act=")); // estimates + actuals
     /// ```
-    pub fn explain_analyze(&self, query: &RaExpr, certainty: Certainty) -> Result<AnalyzedPlan> {
+    pub fn explain_analyze(&self, query: &RaExpr, certainty: Certainty) -> Result<ExplainPlan> {
         let expr = self.logical(query, certainty.primary())?;
         self.analyze(&self.physical(&expr)?)
     }
 
     /// `EXPLAIN ANALYZE` of a physical plan: compile it, execute it
     /// instrumented, and put the actuals beside the estimates.
-    fn analyze(&self, phys: &PhysicalExpr) -> Result<AnalyzedPlan> {
-        let explain = crate::plan::cost::explain(phys, &self.statistics());
+    fn analyze(&self, phys: &PhysicalExpr) -> Result<ExplainPlan> {
         let compiled = CompiledPlan::compile(phys, &self.db)?;
-        let (_, profile) = self.engine().execute_compiled_profiled(&compiled)?;
-        Ok(crate::engine::analyze::annotate(phys, &explain, &profile))
+        let (_, stats) = self.engine().execute_recorded(&compiled)?;
+        let actuals = crate::engine::analyze::actuals(&compiled, &stats);
+        let estimates = crate::plan::cost::explain(phys, &self.statistics());
+        Ok(ExplainPlan::new(phys, &estimates, Some(&actuals)))
     }
 
     /// Every part of a prepared query, planned and compiled: physical
@@ -753,7 +756,7 @@ mod tests {
     fn explain_produces_a_tree() {
         let session = Session::new(db());
         let plan = session.explain(&query(), Certainty::CertainPlus).unwrap();
-        assert!(plan.size() >= 1);
+        assert!(plan.node_count() >= 1);
         assert!(!plan.to_string().is_empty());
     }
 
@@ -763,14 +766,12 @@ mod tests {
             out.push(plan.label());
             plan.children().into_iter().for_each(|c| labels(c, out));
         }
-        fn ops(explain: &ExplainPlan, out: &mut Vec<String>) {
-            out.push(explain.op.trim_end_matches(" [vec]").to_string());
-            explain.children.iter().for_each(|c| ops(c, out));
-        }
         // EXPLAIN's operators, checked against what `build_plans` compiles.
         fn explained(session: &Session, query: &RaExpr, certainty: Certainty) -> Vec<String> {
-            let mut explained = Vec::new();
-            ops(&session.explain(query, certainty).unwrap(), &mut explained);
+            let explain = session.explain(query, certainty).unwrap();
+            let explained: Vec<String> = (explain.flatten().iter())
+                .map(|node| node.op.trim_end_matches(" [vec]").to_string())
+                .collect();
             let expr = session.logical(query, certainty.primary()).unwrap();
             let phys = session.physical(&expr).unwrap();
             let mut prepared = Vec::new();
@@ -805,15 +806,16 @@ mod tests {
         let session = Session::new(db());
         let analyzed = session.explain_analyze(&query(), Certainty::CertainPlus).unwrap();
         let explain = session.explain(&query(), Certainty::CertainPlus).unwrap();
-        assert_eq!(analyzed.node_count(), explain.size(), "one annotated node per explain node");
+        assert_eq!(analyzed.node_count(), explain.node_count(), "one node per explain node");
         let expected = session.execute(&query(), Certainty::CertainPlus).unwrap().len() as u64;
-        assert_eq!(analyzed.rows_act, expected);
+        let rows = |plan: &ExplainPlan| plan.root().actual.as_ref().unwrap().rows;
+        assert_eq!(rows(&analyzed), expected);
         assert!(analyzed.to_string().contains("act="));
         assert!(analyzed.to_json().contains("\"rows_act\""));
         // Plain evaluation returns the two false positives; the actuals see
         // them too.
         let plain = session.explain_analyze(&query(), Certainty::Plain).unwrap();
-        assert_eq!(plain.rows_act, 2);
+        assert_eq!(rows(&plain), 2);
     }
 
     /// What a node of a plan must report under `EXPLAIN ANALYZE`.
@@ -942,6 +944,7 @@ mod tests {
             for (name, phys) in &plans {
                 let analyzed = session.analyze(phys).unwrap();
                 let nodes = analyzed.flatten();
+                let rows_act = |i: usize| nodes[i].actual.as_ref().unwrap().rows;
                 let mut expected = Vec::new();
                 expectations(phys, &engine, (false, false, false), &mut expected);
                 assert_eq!(nodes.len(), expected.len(), "{threads} threads, {name}");
@@ -953,11 +956,11 @@ mod tests {
                         Expect::Skipped => 0,
                         Expect::Concatenation => {
                             let left = sub.children()[0].size();
-                            nodes[i + 1].rows_act + nodes[i + 1 + left].rows_act
+                            rows_act(i + 1) + rows_act(i + 1 + left)
                         }
-                        Expect::Input => nodes[i + 1].rows_act,
+                        Expect::Input => rows_act(i + 1),
                     };
-                    assert_eq!(node.rows_act, rows, "{at}:\n{analyzed}");
+                    assert_eq!(rows_act(i), rows, "{at}:\n{analyzed}");
                     checked[*expect as usize] += 1;
                 }
             }

@@ -2,12 +2,12 @@
 //! the paper's queries and their certainty-preserving rewritings through the
 //! engine, and check the paper's headline claims on the results.
 
-use certus::plan::physical::{heuristic_plan_with, ExplainPlan, JoinAlgo, PhysicalExpr, SemiAlgo};
+use certus::plan::physical::{heuristic_plan_with, JoinAlgo, PhysicalExpr, SemiAlgo};
 use certus::tpch::fp_detect::count_false_positives;
 use certus::tpch::{query_by_number, Workload};
 use certus::{
-    CertainRewriter, Certainty, Database, Engine, EngineConfig, NullSemantics, Parallelism,
-    Relation, Session,
+    CertainRewriter, Certainty, Database, Engine, EngineConfig, ExplainPlan, NullSemantics,
+    Parallelism, Relation, Session,
 };
 use std::fmt::Write;
 
@@ -247,17 +247,13 @@ fn tpch_answers_keep_their_rows_and_order_in_every_configuration() {
     }
 }
 
-/// The filters of an explain tree, each with whether a join runs beneath it;
-/// returns whether `node`'s subtree holds a join.
-fn filters_over_joins(node: &ExplainPlan, out: &mut Vec<(String, bool)>) -> bool {
-    let mut below = false;
-    for child in &node.children {
-        below |= filters_over_joins(child, out);
-    }
-    if node.op.starts_with("Filter") {
-        out.push((node.op.clone(), below));
-    }
-    below || node.op.contains("Join")
+/// The filters of a plan, each with whether a join runs beneath it.
+fn filters_over_joins(explain: &ExplainPlan) -> Vec<(String, bool)> {
+    (0..explain.node_count())
+        .map(|id| explain.subtree(id))
+        .filter(|sub| sub[0].op.starts_with("Filter"))
+        .map(|sub| (sub[0].op.clone(), sub[1..].iter().any(|n| n.op.contains("Join"))))
+        .collect()
 }
 
 /// The queries as written take the same rewrite passes as their
@@ -273,8 +269,7 @@ fn plain_q1_and_q4_are_prepared_with_their_filters_beneath_the_joins() {
     for (q, pushed) in [(1, "l3.l_receiptdate > l3.l_commitdate"), (4, "p_name LIKE")] {
         let expr = query_by_number(q, &params).expect("query exists");
         let explain = session.explain(&expr, Certainty::Plain).expect("explains");
-        let mut filters = Vec::new();
-        filters_over_joins(&explain, &mut filters);
+        let filters = filters_over_joins(&explain);
         assert!(filters.iter().all(|(_, over_join)| !over_join), "Q{q}:\n{explain}");
         assert!(filters.iter().any(|(op, _)| op.contains(pushed)), "Q{q}:\n{explain}");
     }

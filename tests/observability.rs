@@ -11,7 +11,7 @@ use certus::data::null::NullId;
 use certus::data::{Database, Value};
 use certus::obs::names;
 use certus::tpch::Workload;
-use certus::{AnalyzedPlan, Certainty, EngineConfig, QueryProfile, RaExpr, Session};
+use certus::{Certainty, EngineConfig, ExplainPlan, QueryProfile, RaExpr, Session};
 
 fn paper_db() -> Database {
     let mut db = Database::new();
@@ -80,7 +80,7 @@ fn explain_analyze_annotates_every_node() {
     let session = Session::builder(db).config(EngineConfig::serial()).build();
     let analyzed = session.explain_analyze(&q4, Certainty::CertainPlus).unwrap();
     let explain = session.explain(&q4, Certainty::CertainPlus).unwrap();
-    assert_eq!(analyzed.node_count(), explain.size(), "annotated tree mirrors EXPLAIN");
+    assert_eq!(analyzed.node_count(), explain.node_count(), "annotated tree mirrors EXPLAIN");
     // Every node carries an estimate and an actual, and the text renderer
     // shows them side by side on every line.
     let rendered = analyzed.to_string();
@@ -91,10 +91,11 @@ fn explain_analyze_annotates_every_node() {
     for node in analyzed.flatten() {
         assert!(!node.op.is_empty());
         assert!(node.rows_est >= 0.0);
+        assert!(node.actual.is_some(), "{} has no actuals", node.op);
     }
     // The root actual is the answer cardinality.
     let expected = session.execute(&q4, Certainty::CertainPlus).unwrap().len() as u64;
-    assert_eq!(analyzed.rows_act, expected);
+    assert_eq!(analyzed.root().actual.as_ref().unwrap().rows, expected);
     // JSON rendering stays well-formed (smoke: balanced braces, keyed rows).
     let json = analyzed.to_json();
     assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -315,7 +316,7 @@ fn vectorization_flags_the_path_taken() {
 fn session_executions_feed_the_registry_and_analyze_renders() {
     let session = Session::builder(paper_db()).config(EngineConfig::serial()).build();
     let before = certus::obs::registry().snapshot();
-    let analyzed: AnalyzedPlan =
+    let analyzed: ExplainPlan =
         session.explain_analyze(&paper_query(), Certainty::CertainPlus).unwrap();
     assert!(analyzed.to_string().contains("act="));
     session.execute(&paper_query(), Certainty::Both).unwrap();

@@ -221,7 +221,7 @@ fn session_matches_the_direct_rewriter_plus_engine_path() {
 fn session_explain_matches_planner_output_shape() {
     let session = Session::new(small_db());
     let explain = session.explain(&diff_query(), Certainty::CertainPlus).unwrap();
-    assert!(explain.size() >= 2);
+    assert!(explain.node_count() >= 2);
     let rendered = explain.to_string();
     assert!(rendered.contains("rows≈"), "{rendered}");
     // Parallel sessions render the exchanges their plans carry, however
