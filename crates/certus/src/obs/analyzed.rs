@@ -60,15 +60,16 @@ pub struct ExplainNode {
 impl ExplainNode {
     /// How far the estimate was from the actual, as a ≥ 1 ratio
     /// (`max(est/act, act/est)`, with both sides clamped away from zero);
-    /// 1 without actuals.
+    /// 1 without actuals, and for a node that never ran: its zero rows say
+    /// nothing about the estimate.
     pub fn divergence(&self) -> f64 {
         match &self.actual {
-            Some(a) => {
+            Some(a) if a.executed => {
                 let est = self.rows_est.max(0.5);
                 let act = (a.rows as f64).max(0.5);
                 (est / act).max(act / est)
             }
-            None => 1.0,
+            _ => 1.0,
         }
     }
 
@@ -164,10 +165,11 @@ impl ExplainPlan {
         if let Some(a) = &node.actual {
             let _ = write!(
                 out,
-                ", \"rows_act\": {}, \"wall_ns\": {}, \"diverged\": {}",
+                ", \"rows_act\": {}, \"wall_ns\": {}, \"diverged\": {}, \"executed\": {}",
                 a.rows,
                 a.wall_ns,
-                node.diverged()
+                node.diverged(),
+                a.executed
             );
             if !a.tags.is_empty() {
                 let tags: Vec<String> =
@@ -199,6 +201,10 @@ impl fmt::Display for ExplainPlan {
                 let _ = writeln!(out, "(rows≈{:.0}, cost≈{:.0})", node.rows_est, node.cost_est);
                 continue;
             };
+            if !a.executed {
+                let _ = writeln!(out, "(rows est≈{:.0}, never executed)", node.rows_est);
+                continue;
+            }
             let _ = write!(
                 out,
                 "(rows est≈{:.0} act={}, time={})",
@@ -278,6 +284,18 @@ mod tests {
         assert!(text.contains("[est↯act ×14]"));
         tree.nodes[0].actual = None;
         assert_eq!(tree.to_string(), "Filter [p]  (rows≈100, cost≈200)\n");
+    }
+
+    #[test]
+    fn a_node_that_never_ran_is_not_misestimated() {
+        let mut tree = plan(&[("Join", 0, 7.0, 0), ("Scan orders", 1, 3000.0, 0)]);
+        tree.nodes[1].actual.as_mut().unwrap().executed = false;
+        assert!(tree.root().diverged(), "the join ran and returned nothing: a real miss");
+        assert_eq!(tree.flatten()[1].divergence(), 1.0);
+        assert!(!tree.flatten()[1].diverged());
+        let text = tree.to_string();
+        assert!(text.ends_with("  Scan orders  (rows est≈3000, never executed)"), "{text}");
+        assert!(tree.to_json().contains("\"diverged\": false, \"executed\": false"));
     }
 
     #[test]

@@ -823,8 +823,8 @@ mod tests {
     enum Expect {
         /// The rows its sub-plan returns, executed on its own.
         Answer,
-        /// Nothing: it sits in the preserved side of a decorrelated
-        /// (anti-)semijoin that short-circuited, so it never ran.
+        /// Nothing, and that it never ran: it sits in the preserved side of
+        /// a decorrelated (anti-)semijoin that short-circuited.
         Skipped,
         /// The concatenation of its two inputs' rows: a union flattened into
         /// the union above it deduplicates nothing of its own.
@@ -961,6 +961,8 @@ mod tests {
                         Expect::Input => rows_act(i + 1),
                     };
                     assert_eq!(rows_act(i), rows, "{at}:\n{analyzed}");
+                    let executed = node.actual.as_ref().unwrap().executed;
+                    assert_eq!(executed, *expect != Expect::Skipped, "{at}:\n{analyzed}");
                     checked[*expect as usize] += 1;
                 }
             }

@@ -178,7 +178,9 @@ fn mask_times(text: &str) -> String {
 /// translations, on the benchmark's instance (scale 0.002, null rate 0.03,
 /// seed 42) at one thread and at four with every exchange fanning out:
 /// estimates, actual rows, path tags and divergence flags, byte for byte
-/// what commit 61ca347 printed, with the measured times masked.
+/// what commit 61ca347 printed, with the measured times masked — but for the
+/// nodes Q⁺2's decorrelated short-circuit skips, which read `never executed`
+/// where 61ca347 printed `act=0` and flagged them as misestimated.
 #[test]
 fn explain_analyze_text_of_every_query_and_translation_stays_put() {
     let workload = Workload::new(0.002, 0.03, 42);

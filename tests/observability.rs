@@ -202,6 +202,37 @@ fn skewed_nulls_flag_estimate_divergence() {
     assert!(analyzed.to_string().contains("est↯act"));
 }
 
+/// Q⁺2's decorrelated anti-join finds its witness on the benchmark's
+/// instance (scale 0.002, null rate 0.03, seed 42) and never runs its left
+/// input. EXPLAIN ANALYZE prints those nodes as never executed, flags none
+/// of them as misestimated (commit 61ca347 printed `Scan orders (rows
+/// est≈3000 act=0, …) [est↯act ×6000]`, the largest flag of all eight
+/// classes) and says `"executed": false` in JSON.
+#[test]
+fn nodes_a_short_circuit_skipped_are_never_executed() {
+    let w = Workload::new(0.002, 0.03, 42);
+    let db = w.incomplete_instance();
+    let q2 = certus::tpch::q2(&w.params(&db, 0));
+    for config in [EngineConfig::serial(), EngineConfig::with_threads(4).with_parallel_floor(0)] {
+        let threads = config.threads;
+        let session = Session::builder(db.clone()).config(config).build();
+        let analyzed = session.explain_analyze(&q2, Certainty::CertainPlus).unwrap();
+        let skipped: Vec<&str> = (analyzed.flatten().into_iter())
+            .filter(|node| !node.actual.as_ref().unwrap().executed)
+            .map(|node| node.op.as_str())
+            .collect();
+        // The hash anti-join, the customer filter, both scans — and at four
+        // threads the exchanges above the scans.
+        assert_eq!(skipped.len(), if threads == 1 { 4 } else { 6 }, "{analyzed}");
+        assert!(skipped.contains(&"Scan orders") && skipped.contains(&"Scan customer"));
+        let text = analyzed.to_string();
+        let never: Vec<&str> = text.lines().filter(|l| l.ends_with("never executed)")).collect();
+        assert_eq!(never.len(), skipped.len(), "{text}");
+        assert!(analyzed.flatten().iter().all(|node| node.divergence() < 100.0), "{text}");
+        assert_eq!(analyzed.to_json().matches("\"executed\": false").count(), skipped.len());
+    }
+}
+
 #[test]
 fn profiles_are_well_formed_across_thread_counts() {
     let w = Workload::new(0.0005, 0.03, 41);
