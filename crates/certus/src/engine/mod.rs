@@ -108,11 +108,11 @@
 //! (anti-)semijoin are each **one per-outer-row decision run by one
 //! driver**. The operator prepares its matcher — the two sides' key sets
 //! and the build table, or the nested-loop predicate — and passes a closure
-//! over the outer row index to `probe_emit` ("append the pairs outer row `i`
-//! joins in") or `probe_keep` ("does outer row `i` have a partner"). The
-//! driver beneath both, `for_each_outer`, owns the rest: the
-//! serial-vs-morsel-parallel split, the periodic cancellation check, probe
-//! hit/miss profiling, and the output order.
+//! over the outer row index to `for_each_outer` ("append the pairs outer
+//! row `i` joins in") or to `probe_keep` on top of it ("does outer row `i`
+//! have a partner"). The driver owns the rest: the serial-vs-morsel-parallel
+//! split, the periodic cancellation check and the output order. A hash
+//! operator's probe hits are counted once, from what the driver returns.
 //!
 //! * **Two key representations, one build/probe loop.** A hash operator's
 //!   keys are typed columns hashed and compared column-wise, or — for a key
@@ -713,7 +713,7 @@ impl<'a> Engine<'a> {
     /// unify with a row of `r`. It compares every pair, so it runs on the
     /// probe driver and stays cancellable.
     fn unify_semi(&self, l: &Relation, r: &Relation, keep_matching: bool) -> Result<Vec<u32>> {
-        self.probe_keep(l.len(), 1, keep_matching, None, |i| {
+        self.probe_keep(l.len(), 1, keep_matching, |i| {
             r.iter().any(|rt| crate::data::unify::tuples_unify(&l.tuples()[i], rt))
         })
     }
@@ -964,13 +964,19 @@ impl<'a> Engine<'a> {
         let n =
             self.join_workers(&l, &r, keys.widest_predicate(), work, partitions, scalars, prof)?;
         let matcher = self.hash_matcher(&l, &r, keys, scalars, prof);
-        let pairs = self.probe_emit(l.len(), n, prof, |i, out| {
+        let pairs = self.for_each_outer(l.len(), n, |i, out| {
             matcher.partners(i, |j| {
                 out.push((i as u32, j as u32));
                 true
             })
         })?;
         drop(matcher);
+        if let Some(p) = prof {
+            // Pairs come in probe order: each outer row that joined heads
+            // one run of them.
+            let hits = pairs.chunk_by(|a, b| a.0 == b.0).count() as u64;
+            p.record_probes(hits, l.len() as u64 - hits);
+        }
         Ok(Rows::join(l, r, &pairs, slots))
     }
 
@@ -989,14 +995,20 @@ impl<'a> Engine<'a> {
         let n =
             self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
         let matcher = self.hash_matcher(l, r, keys, scalars, prof);
-        self.probe_keep(l.len(), n, keep_matching, prof, |i| {
+        let keep = self.probe_keep(l.len(), n, keep_matching, |i| {
             let mut matched = false;
             matcher.partners(i, |_| {
                 matched = true;
                 false
             });
             matched
-        })
+        })?;
+        if let Some(p) = prof {
+            let kept = keep.len() as u64;
+            let hits = if keep_matching { kept } else { l.len() as u64 - kept };
+            p.record_probes(hits, l.len() as u64 - hits);
+        }
+        Ok(keep)
     }
 
     /// The vectorized evaluator of a nested loop's predicate, when this
@@ -1076,7 +1088,7 @@ impl<'a> Engine<'a> {
         let pairs = l.len().saturating_mul(r.len());
         let n = self.join_workers(&l, &r, pred, pairs, partitions, scalars, prof)?;
         let bound = self.bind_inner(pred, &l, &r, scalars, prof);
-        let pairs = self.probe_emit(l.len(), n, None, |i, out| {
+        let pairs = self.for_each_outer(l.len(), n, |i, out| {
             let hit = |j: usize| {
                 out.push((i as u32, j as u32));
                 true
@@ -1101,7 +1113,7 @@ impl<'a> Engine<'a> {
         let pairs = l.len().saturating_mul(r.len());
         let n = self.join_workers(l, r, pred, pairs, partitions, scalars, prof)?;
         let bound = self.bind_inner(pred, l, r, scalars, prof);
-        self.probe_keep(l.len(), n, keep_matching, None, |i| {
+        self.probe_keep(l.len(), n, keep_matching, |i| {
             let mut matched = false;
             self.nl_partners((l, i), r, pred, bound.as_ref(), &scalars.values, |_| {
                 matched = true;
@@ -1198,7 +1210,9 @@ impl<'a> Engine<'a> {
     /// `workers > 1` as contiguous index morsels on the pool — and return
     /// what the calls appended, in index order. Output is therefore in
     /// probe (outer input) order in every configuration. Long loops stay
-    /// cancellable: the token is checked every few hundred outer rows.
+    /// cancellable: the token is checked every few hundred outer rows. A
+    /// join's `row` appends the pairs (outer position, inner position)
+    /// outer row `i` joins in.
     fn for_each_outer<R, F>(&self, len: usize, workers: usize, row: F) -> Result<Vec<R>>
     where
         R: Send,
@@ -1219,50 +1233,21 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Join driver: `emit(i, out)` appends the joining pairs of outer row `i`
-    /// (outer position, inner position). `probes` (hash operators) counts an
-    /// outer row as a probe hit iff it emitted anything.
-    fn probe_emit<F>(
-        &self,
-        len: usize,
-        workers: usize,
-        probes: Option<&NodeStats>,
-        emit: F,
-    ) -> Result<Vec<(u32, u32)>>
-    where
-        F: Fn(usize, &mut Vec<(u32, u32)>) + Sync,
-    {
-        self.for_each_outer(len, workers, |i, out| {
-            let before = out.len();
-            emit(i, out);
-            if let Some(p) = probes {
-                let hit = out.len() > before;
-                p.record_probes(hit as u64, (!hit) as u64);
-            }
-        })
-    }
-
     /// (Anti-)semijoin driver: `matched(i)` decides whether outer row `i`
     /// has a partner, and the row is kept iff that equals `keep_matching`.
-    /// Returns the kept positions, in input order. `probes` (hash operators)
-    /// counts matches as probe hits.
+    /// Returns the kept positions, in input order.
     fn probe_keep<F>(
         &self,
         len: usize,
         workers: usize,
         keep_matching: bool,
-        probes: Option<&NodeStats>,
         matched: F,
     ) -> Result<Vec<u32>>
     where
         F: Fn(usize) -> bool + Sync,
     {
         self.for_each_outer(len, workers, |i, keep| {
-            let matched = matched(i);
-            if let Some(p) = probes {
-                p.record_probes(matched as u64, (!matched) as u64);
-            }
-            if matched == keep_matching {
+            if matched(i) == keep_matching {
                 keep.push(i as u32);
             }
         })
@@ -2024,21 +2009,30 @@ mod tests {
             rel(&["a", "b"], (0..20).map(|i| vec![Value::Int(i % 5), Value::Int(i)]).collect()),
         );
         db.insert_relation("s", rel(&["c"], (0..10).map(|i| vec![Value::Int(i % 4)]).collect()));
-        let q = RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c"));
-        let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::serial());
-        let plan = engine.plan(&q).unwrap();
-        let compiled = engine.compile(&plan).unwrap();
-        let (_, profile) = engine.execute_compiled_profiled(&compiled).unwrap();
-        let join =
-            profile.flatten().into_iter().find(|n| n.op == "hash_join").expect("hash join node");
-        assert_eq!(join.rows_in, 30);
-        assert_eq!(join.build_rows, 10);
-        // The probe side is the left input: one probe per row, hits for the
-        // keys 0..=3 (16 of 20 rows).
-        assert_eq!(join.probe_hits + join.probe_misses, 20);
-        assert_eq!(join.probe_hits, 16);
-        // Both scan children got their actuals.
-        assert_eq!(join.children[0].rows_out, 20);
-        assert_eq!(join.children[1].rows_out, 10);
+        let r = || RaExpr::relation("r");
+        let s = || RaExpr::relation("s");
+        for config in [EngineConfig::serial(), EngineConfig::with_threads(4).with_parallel_floor(0)]
+        {
+            let engine = Engine::configured(&db, NullSemantics::Sql, config);
+            // Join, semijoin and anti-semijoin on the same key: the probe
+            // side is the left input, one probe per row, hits for the keys
+            // 0..=3 (16 of 20 rows) — counted once per operator, whatever
+            // the morsels.
+            for (q, op, rows) in [
+                (r().join(s(), eq("a", "c")), "hash_join", 16 * 10 / 4),
+                (r().semi_join(s(), eq("a", "c")), "hash_semi", 16),
+                (r().anti_join(s(), eq("a", "c")), "hash_semi", 4),
+            ] {
+                let compiled = engine.compile(&engine.plan(&q).unwrap()).unwrap();
+                let (_, profile) = engine.execute_compiled_profiled(&compiled).unwrap();
+                let node = profile.flatten().into_iter().find(|n| n.op == op).expect("hash node");
+                let at = format!("{} threads, {q}", engine.config().threads);
+                assert_eq!((node.rows_in, node.build_rows, node.rows_out), (30, 10, rows), "{at}");
+                assert_eq!((node.probe_hits, node.probe_misses), (16, 4), "{at}");
+                // Both scan children got their actuals.
+                assert_eq!(node.children[0].rows_out, 20);
+                assert_eq!(node.children[1].rows_out, 10);
+            }
+        }
     }
 }
