@@ -805,7 +805,8 @@ impl<'a> Engine<'a> {
         if let Some(p) = prof {
             p.record_rows_in(input.len() as u64);
         }
-        let filters: Vec<(usize, &CompiledPredicate)> = (steps.iter())
+        let filters: Vec<(usize, &CompiledPredicate)> = steps
+            .iter()
             .filter_map(|step| match step {
                 Step::Filter { id, pred } => Some((*id, pred)),
                 Step::Project { .. } => None,
