@@ -623,7 +623,8 @@ impl Session {
     ///
     /// let session = Session::new(db);
     /// let analyzed = session.explain_analyze(&q, Certainty::CertainPlus).unwrap();
-    /// assert_eq!(analyzed.root().actual.as_ref().unwrap().rows, 0); // no answer is certain with ⊥ in s
+    /// let rows = analyzed.root().actual.as_ref().unwrap().rows;
+    /// assert_eq!(rows, 0); // no answer is certain with ⊥ in s
     /// assert!(analyzed.to_string().contains("act=")); // estimates + actuals
     /// ```
     pub fn explain_analyze(&self, query: &RaExpr, certainty: Certainty) -> Result<ExplainPlan> {
