@@ -82,6 +82,13 @@ impl Relation {
         Cow::Borrowed(col)
     }
 
+    /// The column at `pos` if it is already cached for `pool`: reading it
+    /// extracts nothing.
+    pub(crate) fn cached_column(&self, pos: usize, pool: &StrPool) -> Option<&Column> {
+        let cache = self.columns.get()?;
+        (cache.pool == pool.id()).then(|| cache.cols[pos].get()).flatten()
+    }
+
     /// Drop the cached columns: every `&mut self` method calls this.
     fn invalidate_columns(&mut self) {
         self.columns.take();

@@ -6,7 +6,9 @@
 //! operator's entry and its fused steps' entries. [`actuals`] gives every
 //! plan node its [`Actual`] by id for `EXPLAIN ANALYZE`: an operator's node
 //! its own counters, and a node the compiler absorbed into the operator
-//! above what the compiler recorded for it when it did ([`Report`]).
+//! above what the compiler recorded for it when it did ([`Report`]) — a
+//! projection, rename or distinct inside a fused chain its input's rows,
+//! flagged as counted before the chain's dedup.
 
 use crate::engine::compile::{CompiledExpr, CompiledPlan, Op, Report, Step};
 use crate::obs::profile::{NodeStats, QueryProfile, StepProfile};
@@ -39,11 +41,13 @@ pub(crate) fn profile(node: &CompiledExpr, stats: &[NodeStats]) -> QueryProfile 
 pub(crate) fn actuals(plan: &CompiledPlan, stats: &[NodeStats]) -> Vec<Actual> {
     let mut out = vec![Actual::default(); plan.reports.len()];
     for id in (0..out.len()).rev() {
-        let input = || Actual { tags: Vec::new(), wall_ns: 0, ..out[id + 1].clone() };
+        let input =
+            || Actual { tags: Vec::new(), wall_ns: 0, before_dedup: false, ..out[id + 1].clone() };
         out[id] = match plan.reports[id] {
             Report::Own => own(&stats[id]),
             Report::Step => Actual { rows: stats[id].step_rows.load(Ordering::Relaxed), ..input() },
             Report::Input => input(),
+            Report::BeforeDedup => Actual { before_dedup: true, ..input() },
             Report::Concat(l, r) => Actual {
                 rows: out[l].rows + out[r].rows,
                 executed: out[l].executed || out[r].executed,
@@ -65,5 +69,6 @@ fn own(stats: &NodeStats) -> Actual {
     if p.row_fallbacks > 0 {
         tags.push("row-fallback".to_string());
     }
-    Actual { rows: p.rows_out, wall_ns: p.wall_ns, tags, executed: p.invocations > 0 }
+    let executed = p.invocations > 0;
+    Actual { rows: p.rows_out, wall_ns: p.wall_ns, tags, executed, before_dedup: false }
 }

@@ -145,6 +145,12 @@ impl CompiledPredicate {
         self.pred.eval(row, scalars, semantics)
     }
 
+    /// Whether the predicate is the constant `TRUE` (a hash operator's
+    /// residual when the keys are the whole condition).
+    pub(crate) fn is_const_true(&self) -> bool {
+        matches!(self.pred, Pred::Const(Truth::True))
+    }
+
     /// The scalar-subquery indices this predicate reads.
     pub(crate) fn scalar_refs(&self) -> &[usize] {
         &self.scalar_refs
@@ -560,10 +566,11 @@ pub(crate) enum Report {
     Own,
     /// A filter fused below a chain's top: the rows its step kept.
     Step,
-    /// An exchange, or a projection, rename or distinct fused below a
-    /// chain's top: its input's (`id + 1`) rows — the chain deduplicates
-    /// once, at its top.
+    /// An exchange: its input's (`id + 1`) rows.
     Input,
+    /// A projection, rename or distinct fused below a chain's top: its
+    /// input's rows, before the dedup the chain does once, at its top.
+    BeforeDedup,
     /// A union flattened into the one above: its two inputs' rows,
     /// concatenated — the top union deduplicates once.
     Concat(usize, usize),
@@ -616,11 +623,12 @@ impl Cx<'_> {
     }
 
     /// The chain topped by node `top` was fused below a new top: a filter
-    /// there reports what its step kept, anything else its input's rows.
+    /// there reports what its step kept, anything else its input's rows
+    /// before the chain's dedup.
     fn fused_below(&mut self, top: usize, steps: &[Step]) {
         self.reports[top] = match steps.last() {
             Some(Step::Filter { id, .. }) if *id == top => Report::Step,
-            _ => Report::Input,
+            _ => Report::BeforeDedup,
         };
     }
 }
@@ -1008,7 +1016,9 @@ fn compile_arms(
     Ok(())
 }
 
-fn compile_condition(
+/// Compile `condition` over `schema`, registering the scalar subqueries it
+/// reads in `scalars`.
+pub(crate) fn compile_condition(
     condition: &Condition,
     schema: &Schema,
     scalars: &mut Vec<RaExpr>,

@@ -53,15 +53,14 @@
 //! By default ([`EngineConfig::vectorized`], `CERTUS_VECTOR=0` to disable)
 //! the hot paths run batch-at-a-time over `data::column` typed
 //! vectors: fused pipelines evaluate their predicates column-wise into
-//! three-valued `TruthMask`s and gather survivors once, hash (semi-)join
-//! keys hash column-wise into pre-sized index tables, and nested loops
-//! evaluate one outer row against all inner rows at once with
-//! outer-independent predicate subtrees hoisted into per-join cached masks.
-//! The switch selects the evaluator inside each operator, not a second
-//! implementation: every join-like operator is one per-outer-row decision
-//! under one probe driver (see "One kernel per join operator" below), hash
-//! keys that cannot be typed are row-valued keys in the same build/probe
-//! loop, and output order is probe order in every configuration.
+//! three-valued `TruthMask`s and gather survivors once, hash operators and
+//! deduplications hash their keys column-wise and probe in typed loops (see
+//! `vector.rs`), and nested loops evaluate one outer row against all inner
+//! rows at once with outer-independent predicate subtrees hoisted into
+//! per-join cached masks. The switch selects the evaluator inside each
+//! operator, not a second implementation: hash keys that cannot be typed
+//! are row-valued keys in the same build/probe loops, and output order is
+//! probe order in every configuration.
 //!
 //! # How plans run
 //!
@@ -92,51 +91,52 @@
 //!   a `NOT EXISTS` that found a witness the outer side is never touched,
 //!   which is what makes the translated query Q⁺2 orders of magnitude faster
 //!   than Q2, as in the paper;
-//! * set operations, unification semijoins, division and aggregation run
-//!   natively on the relations their inputs are built into (no schema
-//!   clones, no scratch-set tuple clones); aggregation groups through the
-//!   hash operators' key sets, nulls as ordinary key values.
+//! * δ, ∪ and the deduplicating pipelines keep the first row of each key
+//!   over ids, and γ groups over ids, through the hash operators' key sets
+//!   (nulls as key values: a marked null equals only itself); ∩, −, the
+//!   unification semijoins and division run natively on the relations their
+//!   inputs are built into.
 //!
 //! [`Engine::execute`] is the convenience entry point for logical plans: it
 //! plans them as given — no rewrite passes, no statistics; see
 //! [`crate::plan::physical::heuristic_plan_with`] — and executes the result. The semantics oracle is the reference evaluator,
 //! `algebra::eval`; the differential suites compare against it.
 //!
-//! # One kernel per join operator
+//! # One driver per join operator
 //!
 //! Hash join, hash (anti-)semijoin, nested-loop join and nested-loop
-//! (anti-)semijoin are each **one per-outer-row decision run by one
-//! driver**. The operator prepares its matcher — the two sides' key sets
-//! and the build table, or the nested-loop predicate — and passes a closure
-//! over the outer row index to `for_each_outer` ("append the pairs outer
-//! row `i` joins in") or to `probe_keep` on top of it ("does outer row `i`
-//! have a partner"). The driver owns the rest: the serial-vs-morsel-parallel
-//! split, the periodic cancellation check and the output order. A hash
-//! operator's probe hits are counted once, from what the driver returns.
+//! (anti-)semijoin each prepare a matcher — a hash operator's
+//! `vector::HashMatcher`, a nested loop's predicate — and hand it runs of
+//! outer rows through one driver, `for_each_outer` ("append what outer rows
+//! `range` produce"). The driver owns the serial-vs-morsel-parallel split,
+//! the cancellation check before each run of a few hundred rows and the
+//! output order. A hash operator's probe hits are counted once, from what
+//! the driver returns.
 //!
-//! * **Two key representations, one build/probe loop.** A hash operator's
-//!   keys are typed columns hashed and compared column-wise, or — for a key
-//!   column that cannot be typed (mixed variants, all null), a cross-side
-//!   type mismatch under naive semantics, and everything under
-//!   `vectorized = false` — *row-valued*: `Value` hash and `Value ==` over
-//!   the values, read in place. Both fill the same table of build-row indices and
-//!   answer the same "build rows whose key equals probe row `i`'s" query, so
-//!   the operators never see which one ran; the profile does
-//!   (`vec_runs` vs `row_fallbacks`).
+//! * **One typed probe loop under every hash operator.** A run of probe rows
+//!   is hashed, then each valid row walks its bucket's chain in a loop
+//!   monomorphised on the key column type; pairs go straight into the
+//!   output, a semijoin stops at the first partner, a constant-`TRUE`
+//!   residual is not evaluated. Keys that cannot be typed (mixed variants,
+//!   all null), a cross-side type mismatch under naive semantics, and
+//!   everything under `vectorized = false` are *row-valued* — `Value` hash
+//!   and `Value ==` — in the same loop; the profile says which ran
+//!   (`vec_runs` vs `row_fallbacks`). When the probe side is the smaller
+//!   one and no row is wild, the table is built over it and the build rows
+//!   walk through it instead.
 //! * **What the hash matcher decides by hash, and what by the full
 //!   condition.** The hash table decides the pairs of rows whose null-aware
 //!   key columns are non-null on both sides: equal keys, then the residual.
 //!   A key `A = B OR A IS NULL` is also satisfied by any row with `A` null,
-//!   whatever `B` — no bucket holds those partners. So a build row with a
-//!   `NULL` in a key whose build-side `NULL` satisfies it goes to a short
-//!   side list that every probe row is checked against, and a probe row with
-//!   a `NULL` in a key whose probe-side `NULL` satisfies it is checked
-//!   against every build row — both by the operator's compiled **full
-//!   condition**, the very predicate the nested loop evaluates. A `NULL` in
-//!   a key that is not null-ok keeps its plain meaning: it never matches
-//!   under SQL semantics and is an ordinary key value under naive semantics.
-//!   Cost: `O(n + m + matches + nulls × other side)` instead of `O(n × m)`.
-//!   Join, semijoin and anti-semijoin all get this through the one matcher.
+//!   whatever `B` — no bucket holds those partners. Such a *wild* probe row
+//!   is matched once against the whole build side by the operator's
+//!   compiled **full condition**, the very predicate the nested loop
+//!   evaluates (through the nested loop's column-wise evaluator when
+//!   vectorized); wild build rows, when there are any, are merged into every
+//!   other probe row's partners in build order. A `NULL` in a key that is
+//!   not null-ok keeps its plain meaning: it never matches under SQL
+//!   semantics and is an ordinary key value under naive semantics. Cost:
+//!   `O(n + m + matches + nulls × other side)` instead of `O(n × m)`.
 //! * **What [`EngineConfig::vectorized`] selects** is the *evaluator*, never
 //!   the algorithm: typed-column vs row-valued keys, truth masks over the
 //!   gathered inner columns vs per-pair scalar evaluation in nested loops,
@@ -145,13 +145,13 @@
 //!   differential tests and the benchmark's cross-check use the row side as
 //!   the reference for the vectorized one.
 //! * **Probe order, always.** Joins emit in outer (left) input order, each
-//!   outer row's partners in inner (build) input order — a bucket and the
-//!   side list are both ascending and are merged; semijoins keep the
-//!   survivors' input order. Morsels are contiguous index ranges
-//!   concatenated in order, so this holds for every thread count, both key
-//!   representations and both settings of `vectorized` — and it is the order
-//!   the nested loop emits, so a plan that moves a node from nested loop to
-//!   hash returns the identical relation.
+//!   outer row's partners in inner (build) input order — chains ascend, and
+//!   a walk of the build rows is sorted back by a stable counting sort;
+//!   semijoins keep the survivors' input order. Morsels are contiguous
+//!   index ranges concatenated in order, so this holds for every thread
+//!   count, both key representations and both settings of `vectorized` —
+//!   and it is the order the nested loop emits, so a plan that moves a node
+//!   from nested loop to hash returns the identical relation.
 //!
 //! # What an operator emits
 //!
@@ -166,19 +166,22 @@
 //!   ids its masks select; a hash or nested-loop join appends each joining
 //!   pair's ids, in probe order; a hash, nested-loop or decorrelated
 //!   (anti-)semijoin keeps its left side's ids; a rename passes the set on;
-//! * filters, hash keys and nested-loop inner columns read typed columns
-//!   gathered by id from the sources' own caches ([`Relation::column`]), so
-//!   a base relation is extracted once per snapshot, not once per operator
-//!   per execution; residuals, null-aware full conditions, the
-//!   decorrelated predicate and row-valued keys read single values through
-//!   the layout;
+//! * filters and nested-loop inner columns read typed columns gathered by id
+//!   from the sources' own caches ([`Relation::column`]), and hash and dedup
+//!   keys read those caches through the ids in place, so a base relation is
+//!   extracted once per snapshot, not once per operator per execution;
+//!   residuals, null-aware full conditions, the decorrelated predicate and
+//!   row-valued keys read single values through the layout;
+//! * δ and a deduplicating pipeline keep the first row of each key over
+//!   ids, so tuples are built for the survivors only;
 //! * tuples are built only where a consumer needs whole rows — the plan
-//!   root, a projecting or deduplicating pipeline, δ, union arms, ∩, −,
-//!   ⋉⇑, ÷ and γ — and of the columns it reads (a projection's, γ's group
-//!   and aggregate columns). Rows are `Arc<[Value]>`: one relation's rows
-//!   read whole are passed on by pointer, as the answer of a filter over a
-//!   scan is. The profile's `values_out` counts the values built, so it is
-//!   zero wherever rows were only selected, paired or passed on.
+//!   root, a projecting pipeline, union arms, ∩, −, ⋉⇑, ÷ and γ — and of
+//!   the columns it reads (a projection's, γ's group and aggregate
+//!   columns), from a source's cached typed column where it has one. Rows
+//!   are `Arc<[Value]>`: one relation's rows read whole are passed on by
+//!   pointer, as the answer of a filter over a scan is. The profile's
+//!   `values_out` counts the values built, so it is zero wherever rows were
+//!   only selected, paired or passed on.
 //!
 //! # Parallel execution
 //!
@@ -226,6 +229,7 @@ pub use compile::CompiledPlan;
 use crate::algebra::eval::Evaluator;
 use crate::algebra::expr::{AggFunc, RaExpr};
 use crate::algebra::NullSemantics;
+use crate::data::intern::StrPool;
 use crate::data::{Database, Relation, Schema, Tuple, Value};
 use crate::obs::metrics::{registry, Counter};
 use crate::obs::names;
@@ -233,13 +237,15 @@ use crate::obs::profile::NodeStats;
 use crate::obs::{QueryProfile, Timer};
 use crate::plan::physical::{heuristic_plan_with, Parallelism, PhysicalExpr};
 use crate::{Error, Result};
-use compile::{CompiledExpr, CompiledPredicate, HashKeys, Op, ScalarValues, Step};
+use compile::{
+    CompiledExpr, CompiledOperand, CompiledPredicate, HashKeys, Op, Pred, ScalarValues, Step,
+};
 use rows::{RowView, Rows, Slot};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-use vector::{BoundPred, KeySet, KeyTable};
+use vector::{BoundPred, Groups, HashMatcher, KeySet};
 
 /// Runtime configuration of the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -385,20 +391,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Periodic cancellation check for long operator loops: every
-    /// `MORSEL_ROWS`-th outer row of a quadratic scan. Operator-entry checks
-    /// alone are too coarse — one nested-loop node over large inputs can run
-    /// for seconds without crossing another entry.
-    #[inline]
-    fn check_cancelled_every(&self, outer_row: usize) -> Result<()> {
-        const MORSEL_ROWS: usize = 256;
-        if outer_row.is_multiple_of(MORSEL_ROWS) {
-            self.check_cancelled()
-        } else {
-            Ok(())
-        }
-    }
-
     /// The worker pool parallel regions run on.
     fn pool(&self) -> &crate::exec::Pool {
         match &self.pool {
@@ -486,7 +478,10 @@ impl<'a> Engine<'a> {
         let timer = stats.map(|_| Timer::start());
         let root = stats.map(|s| &s[plan.root.id]);
         let rows = self.exec_node(&plan.root, &scalars, stats)?;
-        let answer = Relation::from_parts(plan.schema().clone(), tuples(rows, None, root));
+        let answer = Relation::from_parts(
+            plan.schema().clone(),
+            tuples(rows, None, self.db.str_pool(), root),
+        );
         if let (Some(p), Some(timer)) = (root, timer) {
             p.record_invocation(answer.len() as u64, timer.elapsed_ns());
         }
@@ -564,16 +559,18 @@ impl<'a> Engine<'a> {
             Op::Values { rel } => Ok(Rows::whole(Cow::Borrowed(rel))),
             Op::Fused { source, steps, project, schema, dedup, partitions } => {
                 let input = self.exec(source, scalars, stats)?;
-                let rows = self.exec_filters(input, steps, *partitions, scalars, stats, prof)?;
-                if project.is_none() && !dedup {
-                    return Ok(rows);
-                }
-                let mut out =
-                    Relation::from_parts(schema.clone(), tuples(rows, project.as_deref(), prof));
+                let mut rows =
+                    self.exec_filters(input, steps, *partitions, scalars, stats, prof)?;
                 if *dedup {
-                    out.dedup();
+                    rows = self.dedup(rows, project.as_deref());
                 }
-                Ok(owned(out))
+                match project {
+                    None => Ok(rows),
+                    Some(cols) => Ok(owned(Relation::from_parts(
+                        schema.clone(),
+                        tuples(rows, Some(cols), self.db.str_pool(), prof),
+                    ))),
+                }
             }
             Op::HashJoin { left, right, keys, slots, partitions, .. } => {
                 let (l, r) = (self.exec(left, scalars, stats)?, self.exec(right, scalars, stats)?);
@@ -607,10 +604,7 @@ impl<'a> Engine<'a> {
                 if !r.is_empty() {
                     self.ensure_scalars(scalars, pred.scalar_refs())?;
                 }
-                let exists = (0..r.len()).any(|j| {
-                    pred.eval(RowView::one(&r, j), &scalars.values, self.semantics).is_true()
-                });
-                if exists == *keep_matching {
+                if self.has_witness(&r, pred, &scalars.values) == *keep_matching {
                     self.exec(left, scalars, stats)
                 } else {
                     // Short-circuit: for a NOT EXISTS that found a witness
@@ -619,7 +613,7 @@ impl<'a> Engine<'a> {
                 }
             }
             Op::Union { arms, schema, parallel } => {
-                Ok(owned(self.exec_union(arms, schema, *parallel, scalars, stats, prof)?))
+                self.exec_union(arms, schema, *parallel, scalars, stats, prof)
             }
             Op::Intersect { left, right } => {
                 let (l, r) = self.exec_both(left, right, scalars, stats, prof)?;
@@ -646,14 +640,18 @@ impl<'a> Engine<'a> {
                 Ok(rows)
             }
             Op::Distinct { input } => {
-                let rel = self.exec_whole(input, scalars, stats, prof)?;
-                Ok(owned(rel.into_distinct()))
+                let rows = self.exec(input, scalars, stats)?;
+                if let Some(p) = prof {
+                    p.record_rows_in(rows.len() as u64);
+                }
+                Ok(self.dedup(rows, None))
             }
             Op::Aggregate { input, group_pos, aggs, schema } => {
                 let rows = self.exec(input, scalars, stats)?;
                 if let Some(p) = prof {
                     p.record_rows_in(rows.len() as u64);
                 }
+                let groups = self.groups(&rows, group_pos);
                 // A join's rows are built of the columns γ reads; one
                 // relation's rows are taken whole.
                 let reads = (!rows.is_one_relation()).then(|| {
@@ -671,10 +669,33 @@ impl<'a> Engine<'a> {
                     Some(reads) => input.schema().project(reads).shared(),
                     None => input.schema().clone(),
                 };
-                let rel = Relation::from_parts(built_schema, tuples(rows, reads.as_deref(), prof));
-                Ok(owned(self.exec_aggregate(&rel, &group, &aggs, schema)?))
+                let rel = Relation::from_parts(
+                    built_schema,
+                    tuples(rows, reads.as_deref(), self.db.str_pool(), prof),
+                );
+                Ok(owned(aggregate(&rel, &group, &aggs, &groups, schema)))
             }
         }
+    }
+
+    /// Whether some row of `r` satisfies `pred`, a decorrelated semijoin's
+    /// condition: row by row, stopping at the first witness — except that,
+    /// vectorized, a `… IS NULL` over a column its source already caches
+    /// typed (the translation's decorrelated null check) is answered by the
+    /// column's null bitmap, reading no row.
+    fn has_witness(&self, r: &Rows<'_>, pred: &CompiledPredicate, values: &ScalarValues) -> bool {
+        if let (true, Pred::IsNull(CompiledOperand::Col(pos))) =
+            (self.config.vectorized, pred.pred())
+        {
+            if r.cached(&[*pos], self.db.str_pool()) {
+                let (col, ids) = r.column_ids(*pos, self.db.str_pool());
+                return match ids {
+                    None => col.nulls().any_null(),
+                    Some(ids) => ids.iter().any(|&i| col.is_null(i as usize)),
+                };
+            }
+        }
+        (0..r.len()).any(|j| pred.eval(RowView::one(r, j), values, self.semantics).is_true())
     }
 
     /// Execute `node` and build its rows, every column: the input of an
@@ -691,7 +712,10 @@ impl<'a> Engine<'a> {
         if let Some(p) = prof {
             p.record_rows_in(rows.len() as u64);
         }
-        Ok(Relation::from_parts(node.schema().clone(), tuples(rows, None, prof)))
+        Ok(Relation::from_parts(
+            node.schema().clone(),
+            tuples(rows, None, self.db.str_pool(), prof),
+        ))
     }
 
     /// Execute both inputs of an operator that consumes them whole (the set
@@ -757,35 +781,35 @@ impl<'a> Engine<'a> {
         Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
-    /// Grouping + aggregation as one keyed loop: the group columns become a
-    /// [`KeySet`] in which nulls are ordinary key values (a marked null
-    /// groups with itself), and a row that is the first of its key emits the
-    /// group — its key, then the aggregates over the rows sharing it, in
-    /// input order. Groups therefore come out in first-occurrence order, and
-    /// the fresh nulls of empty aggregates are allocated in that order.
-    fn exec_aggregate(
-        &self,
-        rel: &Relation,
-        group_pos: &[usize],
-        aggs: &[(AggFunc, Option<usize>)],
-        schema: &Arc<Schema>,
-    ) -> Result<Relation> {
-        let rows = rel.tuples();
-        let set = Rows::whole(Cow::Borrowed(rel));
-        let keys = KeySet::build(&set, group_pos, true, self.config.vectorized, self.db.str_pool());
-        let table = keys.table();
-        let mut tuples = self.for_each_outer(rows.len(), 1, |i, out| {
-            let mut group = keys.matches(i, &keys, &table).peekable();
-            if group.peek() == Some(&i) {
-                let members: Vec<&Tuple> = group.map(|j| &rows[j]).collect();
-                out.push(aggregate_row(group_pos.iter().map(|&p| &rows[i][p]), aggs, &members));
-            }
-        })?;
-        // A global aggregate over an empty input still yields a row.
-        if group_pos.is_empty() && rows.is_empty() {
-            tuples.push(aggregate_row(std::iter::empty(), aggs, &[]));
+    /// The groups of the keys of `rows` at `pos`, nulls as key values (a
+    /// marked null equals only itself, as `Relation::dedup` compares
+    /// tuples). The keys are typed when vectorized and every key column is
+    /// already cached typed by its source (an operator below read it);
+    /// others are compared by value rather than extracted to be hashed
+    /// once.
+    fn groups(&self, rows: &Rows<'_>, pos: &[usize]) -> Groups {
+        let typed = self.config.vectorized && rows.cached(pos, self.db.str_pool());
+        KeySet::build(rows, pos, true, typed, self.db.str_pool()).groups()
+    }
+
+    /// Deduplication over ids: the rows of `rows` that are the first of
+    /// their key — the columns `cols`, every one for `None` — in order, so
+    /// tuples are built only for the survivors. A set of at most one row is
+    /// passed on untouched.
+    fn dedup<'p>(&self, rows: Rows<'p>, cols: Option<&[usize]>) -> Rows<'p> {
+        if rows.len() <= 1 {
+            return rows;
         }
-        Ok(Relation::from_parts(schema.clone(), tuples))
+        let all: Vec<usize>;
+        let pos = match cols {
+            Some(cols) => cols,
+            None => {
+                all = (0..rows.width()).collect();
+                &all
+            }
+        };
+        let keep = self.groups(&rows, pos).firsts;
+        rows.select(keep)
     }
 
     /// The filters of a fused pipeline over its input: the rows every filter
@@ -896,58 +920,37 @@ impl<'a> Engine<'a> {
         Ok(n)
     }
 
-    /// Prepare the matcher of a hash operator: the two sides' key sets and
-    /// the build table. Under SQL semantics a null in a plain key never
-    /// matches; under naive semantics nulls are ordinary key values. With
-    /// null-aware keys, the rows holding a `NULL` that satisfies a key on its
-    /// own are set aside on both sides for [`HashMatcher::partners`] to match
-    /// by the full condition. The profile records which key representation
-    /// ran (typed columns are a vectorized run, row-valued keys a row
-    /// fallback when the vectorized evaluator was asked for) and how long
-    /// the matcher took to build, apart from the probes.
+    /// Prepare the matcher of a hash operator ([`HashMatcher::new`]). The
+    /// profile records which key representation ran (typed columns are a
+    /// vectorized run, row-valued keys a row fallback when the vectorized
+    /// evaluator was asked for) and how long the matcher took to build,
+    /// apart from the probes.
     fn hash_matcher<'r>(
         &self,
         l: &'r Rows<'r>,
         r: &'r Rows<'r>,
-        keys: &'r HashKeys,
+        (keys, semi): (&'r HashKeys, bool),
         scalars: &'r ScalarCtx<'_>,
         prof: Option<&NodeStats>,
-    ) -> HashMatcher<'r> {
+    ) -> HashMatcher<'r>
+    where
+        'a: 'r,
+    {
         let profiled = prof.map(|p| (p, Timer::start()));
-        let (mut probe, mut build) = KeySet::pair(
-            l,
-            &keys.left,
-            r,
-            &keys.right,
-            self.semantics == NullSemantics::Naive,
-            self.config.vectorized,
-            self.db.str_pool(),
-        );
-        if let Some(null_aware) = &keys.null_aware {
-            probe.set_wild(null_aware.null_ok.iter().map(|ok| ok.left));
-            build.set_wild(null_aware.null_ok.iter().map(|ok| ok.right));
-        }
-        let table = build.table();
+        let (semantics, vectorized) = (self.semantics, self.config.vectorized);
+        let pool = self.db.str_pool();
+        let values = &scalars.values;
+        let matcher = HashMatcher::new((l, r), keys, semi, values, semantics, vectorized, pool);
         if let Some((p, timer)) = profiled {
             p.record_build_ns(timer.elapsed_ns());
-            if probe.is_typed() {
+            if matcher.is_typed() {
                 p.record_vec_run();
-            } else if self.config.vectorized {
+            } else if vectorized {
                 p.record_row_fallback();
             }
-            p.record_build_rows(build.valid_rows() as u64);
+            p.record_build_rows(matcher.build_rows() as u64);
         }
-        HashMatcher {
-            table,
-            wild_build: build.wild_rows(),
-            probe,
-            build,
-            l,
-            r,
-            keys,
-            values: &scalars.values,
-            semantics: self.semantics,
-        }
+        matcher
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -964,13 +967,8 @@ impl<'a> Engine<'a> {
         let work = l.len() + r.len();
         let n =
             self.join_workers(&l, &r, keys.widest_predicate(), work, partitions, scalars, prof)?;
-        let matcher = self.hash_matcher(&l, &r, keys, scalars, prof);
-        let pairs = self.for_each_outer(l.len(), n, |i, out| {
-            matcher.partners(i, |j| {
-                out.push((i as u32, j as u32));
-                true
-            })
-        })?;
+        let matcher = self.hash_matcher(&l, &r, (keys, false), scalars, prof);
+        let pairs = self.for_each_outer(l.len(), n, |range, out| matcher.join(range, out))?;
         drop(matcher);
         if let Some(p) = prof {
             // Pairs come in probe order: each outer row that joined heads
@@ -995,15 +993,9 @@ impl<'a> Engine<'a> {
         let work = l.len() + r.len();
         let n =
             self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
-        let matcher = self.hash_matcher(l, r, keys, scalars, prof);
-        let keep = self.probe_keep(l.len(), n, keep_matching, |i| {
-            let mut matched = false;
-            matcher.partners(i, |_| {
-                matched = true;
-                false
-            });
-            matched
-        })?;
+        let matcher = self.hash_matcher(l, r, (keys, true), scalars, prof);
+        let keep = self
+            .for_each_outer(l.len(), n, |range, keep| matcher.semi(range, keep_matching, keep))?;
         if let Some(p) = prof {
             let kept = keep.len() as u64;
             let hits = if keep_matching { kept } else { l.len() as u64 - kept };
@@ -1059,11 +1051,12 @@ impl<'a> Engine<'a> {
         mut hit: impl FnMut(usize) -> bool,
     ) {
         match bound {
-            Some(bound) => bound
-                .eval(RowView::one(l, i), values, self.semantics, self.db.str_pool())
-                .for_each_true(|j| {
+            Some(bound) => {
+                let context = (values, self.semantics, self.db.str_pool());
+                bound.for_each_true(RowView::one(l, i), context, |j| {
                     hit(j);
-                }),
+                })
+            }
             None => {
                 for j in 0..r.len() {
                     let holds = pred.eval(RowView::pair(l, i, r, j), values, self.semantics);
@@ -1089,12 +1082,14 @@ impl<'a> Engine<'a> {
         let pairs = l.len().saturating_mul(r.len());
         let n = self.join_workers(&l, &r, pred, pairs, partitions, scalars, prof)?;
         let bound = self.bind_inner(pred, &l, &r, scalars, prof);
-        let pairs = self.for_each_outer(l.len(), n, |i, out| {
-            let hit = |j: usize| {
-                out.push((i as u32, j as u32));
-                true
-            };
-            self.nl_partners((&l, i), &r, pred, bound.as_ref(), &scalars.values, hit)
+        let pairs = self.for_each_outer(l.len(), n, |range, out| {
+            for i in range {
+                let hit = |j: usize| {
+                    out.push((i as u32, j as u32));
+                    true
+                };
+                self.nl_partners((&l, i), &r, pred, bound.as_ref(), &scalars.values, hit);
+            }
         })?;
         drop(bound);
         Ok(Rows::join(l, r, &pairs, slots))
@@ -1135,7 +1130,7 @@ impl<'a> Engine<'a> {
         scalars: &ScalarCtx<'_>,
         stats: Option<&[NodeStats]>,
         prof: Option<&NodeStats>,
-    ) -> Result<Relation> {
+    ) -> Result<Rows<'static>> {
         // Arm sizes are unknown before execution, so the runtime floor is
         // checked against the base rows actually feeding the arms — not the
         // whole database, which went parallel for tiny operator inputs
@@ -1145,9 +1140,19 @@ impl<'a> Engine<'a> {
             && arms.len() > 1
             && arms.iter().map(|a| self.input_rows_hint(a)).sum::<usize>()
                 >= self.config.parallel_floor;
+        // An arm whose columns its sources already cache typed keeps the
+        // first row of each key before its tuples are built; the arms' rows
+        // count as the union's input.
+        let all: Vec<usize> = (0..schema.arity()).collect();
         let run = |arm: &CompiledExpr| {
-            let rows = self.exec(arm, scalars, stats)?;
-            Ok(tuples(rows, None, prof))
+            let mut rows = self.exec(arm, scalars, stats)?;
+            if let Some(p) = prof {
+                p.record_rows_in(rows.len() as u64);
+            }
+            if self.config.vectorized && rows.cached(&all, self.db.str_pool()) {
+                rows = self.dedup(rows, None);
+            }
+            Ok(tuples(rows, None, self.db.str_pool(), prof))
         };
         let tuples = if fan_out {
             // One pool task per arm, concatenated in arm order.
@@ -1163,12 +1168,12 @@ impl<'a> Engine<'a> {
             tuples
         };
         if let Some(p) = prof {
-            p.record_rows_in(tuples.len() as u64);
             p.record_batches(arms.len() as u64);
         }
-        let mut out = Relation::from_parts(schema.clone(), tuples);
-        out.dedup();
-        Ok(out)
+        // Across arms, the built tuples are keyed by value: an owned
+        // relation's columns are not cached.
+        let rows = Rows::whole(Cow::Owned(Relation::from_parts(schema.clone(), tuples)));
+        Ok(if arms.len() > 1 { self.dedup(rows, None) } else { rows })
     }
 
     // ------------------------------------------------------------------
@@ -1207,23 +1212,24 @@ impl<'a> Engine<'a> {
     }
 
     /// The one serial-vs-parallel split of the join-like operators: run
-    /// `row` for every outer index in `0..len` — inline, or with
+    /// `rows` over the outer indices `0..len` — inline, or with
     /// `workers > 1` as contiguous index morsels on the pool — and return
     /// what the calls appended, in index order. Output is therefore in
     /// probe (outer input) order in every configuration. Long loops stay
-    /// cancellable: the token is checked every few hundred outer rows. A
-    /// join's `row` appends the pairs (outer position, inner position)
-    /// outer row `i` joins in.
-    fn for_each_outer<R, F>(&self, len: usize, workers: usize, row: F) -> Result<Vec<R>>
+    /// cancellable: `rows` is called on runs of a few hundred outer rows,
+    /// and the token is checked before each. A join's `rows` appends the
+    /// pairs (outer position, inner position) its outer rows join in.
+    fn for_each_outer<R, F>(&self, len: usize, workers: usize, rows: F) -> Result<Vec<R>>
     where
         R: Send,
-        F: Fn(usize, &mut Vec<R>) + Sync,
+        F: Fn(Range<usize>, &mut Vec<R>) + Sync,
     {
+        const MORSEL_ROWS: usize = 256;
         let run_morsel = |range: &Range<usize>| {
             let mut out = Vec::new();
-            for i in range.clone() {
-                self.check_cancelled_every(i)?;
-                row(i, &mut out);
+            for start in range.clone().step_by(MORSEL_ROWS) {
+                self.check_cancelled()?;
+                rows(start..(start + MORSEL_ROWS).min(range.end), &mut out);
             }
             Ok(out)
         };
@@ -1247,10 +1253,8 @@ impl<'a> Engine<'a> {
     where
         F: Fn(usize) -> bool + Sync,
     {
-        self.for_each_outer(len, workers, |i, keep| {
-            if matched(i) == keep_matching {
-                keep.push(i as u32);
-            }
+        self.for_each_outer(len, workers, |range, keep| {
+            keep.extend(range.filter(|&i| matched(i) == keep_matching).map(|i| i as u32));
         })
     }
 
@@ -1300,70 +1304,33 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The matcher of a hash operator, shared by every probe morsel: which build
-/// rows does outer row `i` join to?
-///
-/// The hash table decides the pairs of *hashed* rows: equal keys, then the
-/// residual. What it cannot decide — a key whose `NULL` matches every row of
-/// the other side has no bucket — is decided by the operator's full
-/// condition, the very predicate a nested loop evaluates: a *wild* probe row
-/// (a `NULL` in a probe-null-ok key) is checked against every build row, and
-/// every other probe row is checked against the wild build rows beside its
-/// bucket. A `NULL` in a key that is not null-ok keeps its plain meaning
-/// (never matches under SQL, an ordinary key value under naive semantics).
-/// Without null-aware keys no row is wild and only the table is consulted.
-struct HashMatcher<'r> {
-    probe: KeySet<'r>,
-    build: KeySet<'r>,
-    table: KeyTable,
-    /// The wild build rows, ascending.
-    wild_build: Vec<u32>,
-    l: &'r Rows<'r>,
-    r: &'r Rows<'r>,
-    keys: &'r HashKeys,
-    values: &'r ScalarValues,
-    semantics: NullSemantics,
-}
-
-impl HashMatcher<'_> {
-    /// Call `hit(j)` for every build row `j` outer row `i` joins to, in
-    /// build order — a bucket and the wild build rows are both ascending and
-    /// are merged — until `hit` returns `false`. That is the order a nested
-    /// loop over the same condition finds them in.
-    fn partners(&self, i: usize, mut hit: impl FnMut(usize) -> bool) {
-        let holds = |pred: &CompiledPredicate, j: usize| {
-            pred.eval(RowView::pair(self.l, i, self.r, j), self.values, self.semantics).is_true()
-        };
-        // Only consulted when some row is wild, i.e. with null-aware keys.
-        let full = |j: usize| {
-            let null_aware = self.keys.null_aware.as_ref().expect("wild rows need null-aware keys");
-            holds(&null_aware.full, j)
-        };
-        if self.probe.is_wild(i) {
-            for j in 0..self.r.len() {
-                if full(j) && !hit(j) {
-                    return;
-                }
-            }
-            return;
-        }
-        let mut wild = self.wild_build.iter().map(|&j| j as usize).peekable();
-        for j in self.probe.matches(i, &self.build, &self.table) {
-            while let Some(w) = wild.next_if(|&w| w < j) {
-                if full(w) && !hit(w) {
-                    return;
-                }
-            }
-            if holds(&self.keys.residual, j) && !hit(j) {
-                return;
-            }
-        }
-        for w in wild {
-            if full(w) && !hit(w) {
-                return;
-            }
-        }
+/// γ over the rows of `rel`, grouped as `groups` says: per group, in
+/// first-occurrence order, its key — its first row's group columns — then
+/// the aggregates over its rows, in input order. The fresh nulls of empty
+/// aggregates are therefore allocated in first-occurrence order.
+fn aggregate(
+    rel: &Relation,
+    group_pos: &[usize],
+    aggs: &[(AggFunc, Option<usize>)],
+    groups: &Groups,
+    schema: &Arc<Schema>,
+) -> Relation {
+    let rows = rel.tuples();
+    let mut members: Vec<Vec<&Tuple>> = vec![Vec::new(); groups.firsts.len()];
+    for (row, &g) in rows.iter().zip(&groups.of_row) {
+        members[g as usize].push(row);
     }
+    let mut tuples: Vec<Tuple> = (groups.firsts.iter().zip(&members))
+        .map(|(&first, members)| {
+            let key = group_pos.iter().map(|&p| &rows[first as usize][p]);
+            aggregate_row(key, aggs, members)
+        })
+        .collect();
+    // A global aggregate over an empty input still yields a row.
+    if group_pos.is_empty() && rows.is_empty() {
+        tuples.push(aggregate_row(std::iter::empty(), aggs, &[]));
+    }
+    Relation::from_parts(schema.clone(), tuples)
 }
 
 /// Per-execution scalar-subquery context: the plan's subquery expressions
@@ -1387,8 +1354,13 @@ fn aggregate_row<'k>(
 
 /// The tuples of `rows` — the columns `cols`, every one for `None` — with
 /// the values built for them counted on `prof`.
-fn tuples(rows: Rows<'_>, cols: Option<&[usize]>, prof: Option<&NodeStats>) -> Vec<Tuple> {
-    let (tuples, built) = rows.into_tuples(cols);
+fn tuples(
+    rows: Rows<'_>,
+    cols: Option<&[usize]>,
+    pool: &StrPool,
+    prof: Option<&NodeStats>,
+) -> Vec<Tuple> {
+    let (tuples, built) = rows.into_tuples(cols, pool);
     if let Some(p) = prof {
         p.record_values_out(built as u64);
     }

@@ -14,21 +14,29 @@
 //!   matched once, a monomorphised loop packs 64 comparison bits per word,
 //!   and the [`NullMask`] words give the unknown plane (only the null rows
 //!   are visited under naive semantics).
-//! * **Hash join/semijoin keys** ([`KeySet`]): key columns are read once
-//!   per side, per-row `u64` hashes are computed column-wise, and the
+//! * **Hash operators and deduplication** ([`KeySet`], [`HashMatcher`]):
+//!   key columns are read in place from the sources' cached columns through
+//!   the row ids, per-row `u64` hashes are computed column-wise, and the
 //!   [`KeyTable`] chains row indices through a flat power-of-two bucket
-//!   array indexed by the hash's low bits (a probe compares the stored
-//!   hash, then the typed keys) — no per-row key clones, no container per
-//!   key. Keys that cannot be typed are the same structure over `Value`
-//!   hash and `Value ==`, so the hash operators have one build/probe loop.
-//!   Either representation can set aside the rows with a `NULL` in a
-//!   null-aware key column ([`KeySet::set_wild`]) for the operator to
-//!   match by its full condition.
+//!   array indexed by the hash's low bits. The side that probes is hashed a
+//!   run of rows at a time, and each run walks its chains in one loop
+//!   monomorphised on the key column type (int/decimal, date, string id,
+//!   bool, float bits, and null ids where nulls are key values), comparing
+//!   the stored hash, then the typed keys: pairs go straight into the
+//!   output, a semijoin stops at the first partner, a constant-`TRUE`
+//!   residual is skipped. Keys that cannot be typed are the same structure
+//!   over `Value` hash and `Value ==`, run by the same loops. Rows with a
+//!   `NULL` in a null-aware key column are set aside
+//!   ([`KeySet::set_wild`]) and matched by the operator's full condition
+//!   outside the loop. Deduplication and grouping ([`KeySet::groups`]) keep
+//!   the first row of each key the same way, over ids.
 //!
-//! Columns come from the row-id sets ([`Rows::column_in`]): a gather over
-//! the sources' cached columns ([`crate::data::Relation::column`]), so a
-//! base relation's are extracted once per snapshot and shared by every
-//! operator, morsel and execution that reads them.
+//! Columns come from the row-id sets: predicates read a gather over the
+//! sources' cached columns ([`Rows::column_in`]), keys the cached columns
+//! themselves through the ids ([`Rows::column_ids`]); either way a base
+//! relation's columns ([`crate::data::Relation::column`]) are extracted
+//! once per snapshot and shared by every operator, morsel and execution
+//! that reads them.
 //!
 //! Everything here is semantics-preserving by construction: typed fast
 //! paths replicate [`crate::data::compare`] exactly (numeric comparisons go
@@ -49,7 +57,7 @@ use crate::data::like::like_match;
 use crate::data::truth::Truth;
 use crate::data::value::normalized_float_bits;
 use crate::data::Value;
-use crate::engine::compile::{CompiledOperand, CompiledPredicate, Pred, ScalarValues};
+use crate::engine::compile::{CompiledOperand, CompiledPredicate, HashKeys, Pred, ScalarValues};
 use crate::engine::rows::{RowView, Rows};
 use crate::obs::profile::NodeStats;
 use std::borrow::Cow;
@@ -163,10 +171,13 @@ pub(crate) fn select(
 /// inner columns it reads, taken once from the inner relation, and every
 /// *outer-independent* subtree — atoms like the translation's
 /// `p_name LIKE …` or `… IS NULL` guards that only look at the inner side —
-/// evaluated once into a cached mask. Per outer row, only the outer-dependent atoms are re-evaluated and
-/// combined with the cached masks by word-wise Kleene operations. (The row
-/// path gets the same effect from short-circuiting; without the hoisting a
-/// loop-invariant `LIKE` would run once per *pair*.)
+/// evaluated once into a cached mask. Per outer row, a subtree that reads
+/// only the outer row is one truth value — a `TRUE` under an `OR` or a
+/// `FALSE` under an `AND` decides it without reading an inner row — and the
+/// subtrees that read both sides are re-evaluated and combined with the
+/// cached masks by word-wise Kleene operations. (The row path gets the
+/// same effect from short-circuiting; without the hoisting a loop-invariant
+/// `LIKE` would run once per *pair*.)
 pub(crate) struct BoundPred<'r> {
     cols: ColumnSet<'r>,
     l_arity: usize,
@@ -176,12 +187,23 @@ pub(crate) struct BoundPred<'r> {
 enum BoundNode {
     /// Outer-independent subtree, evaluated once for the whole loop.
     Cached(TruthMask),
-    /// Outer-dependent subtree re-evaluated per outer row (kept maximal:
-    /// its invariant *children* are hoisted separately via And/Or/Not).
+    /// Subtree that reads only the outer row: one truth value per outer
+    /// row.
+    Outer(Pred),
+    /// Subtree that reads both sides, re-evaluated per outer row (kept
+    /// maximal: its one-sided *children* are split off via And/Or/Not).
     Dynamic(Pred),
+    /// A conjunction or disjunction, its outer-only side first.
     And(Box<BoundNode>, Box<BoundNode>),
     Or(Box<BoundNode>, Box<BoundNode>),
     Not(Box<BoundNode>),
+}
+
+/// A [`BoundNode`]'s value for one outer row: the same truth value for
+/// every inner row, or a mask over them.
+enum Bound {
+    All(Truth),
+    Mask(TruthMask),
 }
 
 impl<'r> BoundPred<'r> {
@@ -207,15 +229,15 @@ impl<'r> BoundPred<'r> {
         BoundPred { cols, l_arity, node }
     }
 
-    /// The truth mask of the predicate over all inner rows, for one outer
-    /// row.
-    pub(crate) fn eval(
+    /// Call `hit(j)` for every inner row `j` the predicate is true on, in
+    /// order, for one outer row — for every row, with no mask built, when
+    /// an outer-only subtree decides the predicate alone.
+    pub(crate) fn for_each_true(
         &self,
         left: RowView<'_>,
-        scalars: &ScalarValues,
-        semantics: NullSemantics,
-        pool: &StrPool,
-    ) -> TruthMask {
+        (scalars, semantics, pool): (&ScalarValues, NullSemantics, &StrPool),
+        hit: impl FnMut(usize),
+    ) {
         let ctx = Ctx {
             cols: &self.cols,
             outer: Some(left),
@@ -224,55 +246,100 @@ impl<'r> BoundPred<'r> {
             semantics,
             pool,
         };
-        eval_node(&self.node, &ctx)
+        match eval_node(&self.node, &ctx) {
+            Bound::All(t) if t.is_true() => (0..ctx.len()).for_each(hit),
+            Bound::All(_) => {}
+            Bound::Mask(mask) => mask.for_each_true(hit),
+        }
     }
 }
 
-/// Whether a predicate subtree reads any outer (below `l_arity`) column.
-fn refs_outer(pred: &Pred, l_arity: usize) -> bool {
+/// Whether a predicate subtree reads any outer (below `l_arity`) column,
+/// and whether it reads any inner one.
+fn sides(pred: &Pred, l_arity: usize) -> (bool, bool) {
     let mut refs = Vec::new();
     pred.col_refs(&mut refs);
-    refs.into_iter().any(|i| i < l_arity)
+    (refs.iter().any(|&i| i < l_arity), refs.iter().any(|&i| i >= l_arity))
 }
 
 fn bind(pred: &Pred, l_arity: usize, invariant_ctx: &Ctx<'_>) -> BoundNode {
-    if !refs_outer(pred, l_arity) {
-        return BoundNode::Cached(eval_pred(pred, invariant_ctx));
+    match sides(pred, l_arity) {
+        (false, _) => return BoundNode::Cached(eval_pred(pred, invariant_ctx)),
+        (true, false) => return BoundNode::Outer(pred.clone()),
+        (true, true) => {}
     }
+    // Kleene conjunction and disjunction commute: the outer-only side goes
+    // first, so its value can decide the node alone.
+    let pair = |a: &Pred, b: &Pred| {
+        let (a, b) = (bind(a, l_arity, invariant_ctx), bind(b, l_arity, invariant_ctx));
+        match b {
+            BoundNode::Outer(_) => (Box::new(b), Box::new(a)),
+            _ => (Box::new(a), Box::new(b)),
+        }
+    };
     match pred {
-        Pred::And(a, b) => BoundNode::And(
-            Box::new(bind(a, l_arity, invariant_ctx)),
-            Box::new(bind(b, l_arity, invariant_ctx)),
-        ),
-        Pred::Or(a, b) => BoundNode::Or(
-            Box::new(bind(a, l_arity, invariant_ctx)),
-            Box::new(bind(b, l_arity, invariant_ctx)),
-        ),
+        Pred::And(a, b) => {
+            let (a, b) = pair(a, b);
+            BoundNode::And(a, b)
+        }
+        Pred::Or(a, b) => {
+            let (a, b) = pair(a, b);
+            BoundNode::Or(a, b)
+        }
         Pred::Not(inner) => BoundNode::Not(Box::new(bind(inner, l_arity, invariant_ctx))),
         other => BoundNode::Dynamic(other.clone()),
     }
 }
 
-fn eval_node(node: &BoundNode, ctx: &Ctx<'_>) -> TruthMask {
+fn eval_node(node: &BoundNode, ctx: &Ctx<'_>) -> Bound {
     match node {
-        BoundNode::Cached(mask) => mask.clone(),
-        BoundNode::Dynamic(pred) => eval_pred(pred, ctx),
-        BoundNode::And(a, b) => {
-            let mut m = eval_node(a, ctx);
-            m.and_with(&eval_node(b, ctx));
-            m
+        BoundNode::Cached(mask) => Bound::Mask(mask.clone()),
+        BoundNode::Outer(pred) => {
+            let outer = ctx.outer.expect("outer subtrees are read with an outer row");
+            Bound::All(pred.eval(outer, ctx.scalars, ctx.semantics))
         }
-        BoundNode::Or(a, b) => {
-            let mut m = eval_node(a, ctx);
-            m.or_with(&eval_node(b, ctx));
-            m
-        }
-        BoundNode::Not(inner) => {
-            let mut m = eval_node(inner, ctx);
-            m.negate();
-            m
-        }
+        BoundNode::Dynamic(pred) => Bound::Mask(eval_pred(pred, ctx)),
+        BoundNode::And(a, b) => kleene(eval_node(a, ctx), b, ctx, Truth::False, Truth::and),
+        BoundNode::Or(a, b) => kleene(eval_node(a, ctx), b, ctx, Truth::True, Truth::or),
+        BoundNode::Not(inner) => match eval_node(inner, ctx) {
+            Bound::All(t) => Bound::All(t.negate()),
+            Bound::Mask(mut m) => {
+                m.negate();
+                Bound::Mask(m)
+            }
+        },
     }
+}
+
+/// A conjunction (`decides` is `FALSE`) or disjunction (`TRUE`) of `a` and
+/// the node `b`: `b` is not evaluated when `a` is `decides` on every row.
+fn kleene(
+    a: Bound,
+    b: &BoundNode,
+    ctx: &Ctx<'_>,
+    decides: Truth,
+    op: fn(Truth, Truth) -> Truth,
+) -> Bound {
+    if matches!(a, Bound::All(t) if t == decides) {
+        return a;
+    }
+    let len = ctx.len();
+    match (a, eval_node(b, ctx)) {
+        (Bound::All(t), Bound::All(u)) => Bound::All(op(t, u)),
+        (Bound::All(t), Bound::Mask(m)) | (Bound::Mask(m), Bound::All(t)) => {
+            kleene_masks(m, TruthMask::fill(len, t), decides)
+        }
+        (Bound::Mask(m), Bound::Mask(n)) => kleene_masks(m, n, decides),
+    }
+}
+
+fn kleene_masks(mut m: TruthMask, n: TruthMask, decides: Truth) -> Bound {
+    if decides == Truth::False {
+        m.and_with(&n);
+    } else {
+        m.or_with(&n);
+    }
+    Bound::Mask(m)
 }
 
 /// An operand resolved for columnar evaluation: a whole column, or one
@@ -645,24 +712,45 @@ fn like_col(c: &Column, pattern: &str, ctx: &Ctx<'_>) -> TruthMask {
 }
 
 // ---------------------------------------------------------------------------
-// Hash join keys: column-wise hashing + index-based tables
+// Hash operators: column-wise hashing, index-based tables, typed probe loops
 // ---------------------------------------------------------------------------
 
 /// A hash table over the build side's rows as two flat arrays: `heads` is a
 /// power-of-two bucket array holding each bucket's first row, indexed by
 /// the low bits of the row's precomputed key hash, and `next[i]` is the row
 /// after row `i` in its bucket ([`END`] after the last). Each chain ascends,
-/// so partners come out in build order — the nested loop's order, and the
-/// aggregate's first occurrence first. A chain may hold rows of other
-/// hashes: a probe compares the stored hash before the keys. No container
-/// is allocated per key.
+/// so partners come out in build order — the nested loop's order. A chain
+/// may hold rows of other hashes: a probe compares the stored hash before
+/// the keys. No container is allocated per key.
 pub(crate) struct KeyTable {
     heads: Vec<u32>,
     next: Vec<u32>,
 }
 
-/// The fewest buckets a [`KeyTable`] has. A small build side probed by a
-/// large one is probed faster when most absent keys land in an empty
+impl KeyTable {
+    /// A table of at least `buckets` buckets (rounded up to a power of two)
+    /// over `rows` rows, every chain empty.
+    fn empty(buckets: usize, rows: usize) -> KeyTable {
+        KeyTable { heads: vec![END; buckets.next_power_of_two()], next: vec![END; rows] }
+    }
+
+    /// The bucket of a hash.
+    #[inline]
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.heads.len() - 1)
+    }
+
+    /// Put row `i` in front of the chain of its bucket.
+    #[inline]
+    fn push_front(&mut self, i: usize, hash: u64) {
+        let b = self.bucket(hash);
+        self.next[i] = self.heads[b];
+        self.heads[b] = i as u32;
+    }
+}
+
+/// The fewest buckets a probed [`KeyTable`] has. A small build side probed
+/// by a large one is probed faster when most absent keys land in an empty
 /// bucket: sized by its rows alone, a 32-row `part` table under 12k
 /// `lineitem` probes sends them down occupied chains.
 const MIN_BUCKETS: usize = 1024;
@@ -677,12 +765,55 @@ fn mix(h: u64, x: u64) -> u64 {
 
 const NULL_TAG: u64 = 0x6e75;
 
+/// One typed key column: a source relation's cached column, read through
+/// the set's ids for that source (`None`: row `i` is the column's row `i`).
+/// Nothing is gathered: hashing and equality read the payloads in place.
+struct KeyCol<'r> {
+    col: Cow<'r, Column>,
+    ids: Option<&'r [u32]>,
+    /// Whether the column has a null anywhere (the null passes are skipped
+    /// otherwise).
+    has_nulls: bool,
+}
+
+impl KeyCol<'_> {
+    /// The column row of set row `i`.
+    #[inline(always)]
+    fn at(&self, i: usize) -> usize {
+        at(self.ids, i)
+    }
+
+    /// Mix `payload(column row)` into the hashes of the set rows `range`.
+    #[inline(always)]
+    fn mix_into(&self, hashes: &mut [u64], range: Range<usize>, payload: impl Fn(usize) -> u64) {
+        match self.ids {
+            Some(ids) => {
+                for (h, &r) in hashes.iter_mut().zip(&ids[range]) {
+                    *h = mix(*h, payload(r as usize));
+                }
+            }
+            None => {
+                for (h, r) in hashes.iter_mut().zip(range) {
+                    *h = mix(*h, payload(r));
+                }
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn at(ids: Option<&[u32]>, i: usize) -> usize {
+    match ids {
+        Some(ids) => ids[i] as usize,
+        None => i,
+    }
+}
+
 /// The representation behind a [`KeySet`]'s hashes and equality.
 enum KeyCols<'r> {
     /// Typed columns: hashes mix the typed payloads column-wise, equality
-    /// compares them without touching a `Value`. Borrowed from a base
-    /// relation's column cache, or gathered from it.
-    Typed(Vec<Cow<'r, Column>>),
+    /// compares them without touching a `Value`.
+    Typed(Vec<KeyCol<'r>>),
     /// Row-valued keys: `Value` hash and `Value ==` over the values at the
     /// key positions, read in place through the set's position map. The
     /// loss-free representation every input has — what `vectorized = false`
@@ -695,35 +826,47 @@ enum KeyCols<'r> {
 /// flag (a null key component disqualifies a row under SQL semantics; under
 /// naive semantics nulls are ordinary key elements hashed by their id).
 /// Building one is total — rows that cannot be typed are keyed by value —
-/// so every hash operator runs the same build/probe code over either
-/// representation.
+/// so every hash operator runs the same build/probe loops over either
+/// representation. Only a side that is tabled keeps its hashes
+/// ([`KeySet::hashed`]); a side that probes hashes each run of rows as the
+/// probe loop reaches it.
 pub(crate) struct KeySet<'r> {
     cols: KeyCols<'r>,
-    /// Hash of the key, per row (equal keys hash equal within one
-    /// representation).
+    len: usize,
+    /// Whether a null is a key value (a marked null equals only itself)
+    /// rather than a reason to leave the row out.
+    allow_nulls: bool,
+    /// Per row, the hash of its key and whether it participates in hashing
+    /// at all; empty until [`KeySet::hashed`].
     hashes: Vec<u64>,
-    /// Whether the row participates in hashing at all.
     valid: Vec<bool>,
-    /// Per row, whether it has a `NULL` in a key column whose `NULL`
-    /// satisfies its key (see [`KeySet::set_wild`]); empty when no key of
-    /// this side is null-aware.
-    wild: Vec<bool>,
+    /// The rows with a `NULL` in a key column whose `NULL` satisfies its
+    /// key (see [`KeySet::set_wild`]), ascending; empty when no key of this
+    /// side is null-aware.
+    wild: Vec<u32>,
+    /// Every hash replaced by this one: tests check that equal hashes are
+    /// told apart by their keys.
+    #[cfg(test)]
+    fixed_hash: Option<u64>,
 }
+
+/// Rows hashed at a time by a side that probes.
+const RUN: usize = 256;
 
 /// The typed key columns of `rows` at `pos`, or `None` when any of them
 /// lands in the `Values` fallback — representation-specific hashing would
 /// be unsound there — or there are no rows to type them by.
-fn typed_cols<'r>(
-    rows: &'r Rows<'r>,
-    pos: &[usize],
-    pool: &StrPool,
-) -> Option<Vec<Cow<'r, Column>>> {
+fn typed_cols<'r>(rows: &'r Rows<'r>, pos: &[usize], pool: &StrPool) -> Option<Vec<KeyCol<'r>>> {
     if rows.is_empty() {
         return None;
     }
-    let cols: Vec<Cow<'r, Column>> =
-        pos.iter().map(|&p| rows.column_in(p, 0..rows.len(), pool)).collect();
-    (!cols.iter().any(|c| c.data().is_fallback())).then_some(cols)
+    let cols: Vec<KeyCol<'r>> = (pos.iter())
+        .map(|&p| {
+            let (col, ids) = rows.column_ids(p, pool);
+            KeyCol { has_nulls: col.nulls().any_null(), col, ids }
+        })
+        .collect();
+    (!cols.iter().any(|c| c.col.data().is_fallback())).then_some(cols)
 }
 
 impl<'r> KeySet<'r> {
@@ -736,10 +879,11 @@ impl<'r> KeySet<'r> {
         vectorized: bool,
         pool: &StrPool,
     ) -> KeySet<'r> {
-        match vectorized.then(|| typed_cols(rows, pos, pool)).flatten() {
-            Some(cols) => KeySet::typed(cols, rows.len(), allow_nulls),
-            None => KeySet::row_valued(rows, pos, allow_nulls),
-        }
+        let cols = match vectorized.then(|| typed_cols(rows, pos, pool)).flatten() {
+            Some(cols) => KeyCols::Typed(cols),
+            None => KeyCols::Rows(rows, pos),
+        };
+        KeySet::new(cols, rows.len(), allow_nulls)
     }
 
     /// The keys of the two sides of a join or set operation, in **one**
@@ -747,9 +891,9 @@ impl<'r> KeySet<'r> {
     /// Typed when `vectorized` and both sides can be typed column by column
     /// the same way. Differently typed sides stay typed under SQL semantics
     /// (`!allow_nulls`): their values are never syntactically equal, their
-    /// nulls are invalid, so [`KeySet::matches`] simply finds nothing. Under
-    /// naive semantics a null must meet itself across the sides whatever
-    /// its column's type, which only the row-valued keys guarantee.
+    /// nulls are invalid, so the probe simply finds nothing. Under naive
+    /// semantics a null must meet itself across the sides whatever its
+    /// column's type, which only the row-valued keys guarantee.
     pub(crate) fn pair(
         l: &'r Rows<'r>,
         l_pos: &'r [usize],
@@ -759,85 +903,116 @@ impl<'r> KeySet<'r> {
         vectorized: bool,
         pool: &StrPool,
     ) -> (KeySet<'r>, KeySet<'r>) {
+        let (mut lc, mut rc) = (KeyCols::Rows(l, l_pos), KeyCols::Rows(r, r_pos));
         if vectorized {
             let typed =
                 typed_cols(l, l_pos, pool).and_then(|lc| Some((lc, typed_cols(r, r_pos, pool)?)));
-            if let Some((lc, rc)) = typed {
-                let same_repr = lc.len() == rc.len()
-                    && lc.iter().zip(&rc).all(|(a, b)| a.data().same_repr(b.data()));
+            if let Some((lt, rt)) = typed {
+                let same_repr = lt.len() == rt.len()
+                    && lt.iter().zip(&rt).all(|(a, b)| a.col.data().same_repr(b.col.data()));
                 if same_repr || !allow_nulls {
-                    return (
-                        KeySet::typed(lc, l.len(), allow_nulls),
-                        KeySet::typed(rc, r.len(), allow_nulls),
-                    );
+                    (lc, rc) = (KeyCols::Typed(lt), KeyCols::Typed(rt));
                 }
             }
         }
-        (KeySet::row_valued(l, l_pos, allow_nulls), KeySet::row_valued(r, r_pos, allow_nulls))
+        (KeySet::new(lc, l.len(), allow_nulls), KeySet::new(rc, r.len(), allow_nulls))
     }
 
-    fn typed(cols: Vec<Cow<'r, Column>>, n: usize, allow_nulls: bool) -> KeySet<'r> {
-        let mut hashes = vec![0x517c_c1b7_2722_0a95u64; n];
-        let mut valid = vec![true; n];
-        for c in &cols {
-            match c.data() {
-                ColumnData::Int(v) | ColumnData::Decimal(v) => {
-                    for i in 0..n {
-                        hashes[i] = mix(hashes[i], v[i] as u64);
-                    }
-                }
-                ColumnData::Float(v) => {
-                    for i in 0..n {
-                        hashes[i] = mix(hashes[i], normalized_float_bits(v[i]));
-                    }
-                }
-                ColumnData::Date(v) => {
-                    for i in 0..n {
-                        hashes[i] = mix(hashes[i], v[i] as u64);
-                    }
-                }
-                ColumnData::Bool(v) => {
-                    for i in 0..n {
-                        hashes[i] = mix(hashes[i], v[i] as u64);
-                    }
-                }
-                ColumnData::Str(v) => {
-                    for i in 0..n {
-                        hashes[i] = mix(hashes[i], v[i] as u64);
-                    }
-                }
-                ColumnData::Values(_) => unreachable!("typed keys exclude fallback columns"),
-            }
-            for_each_bit(c.nulls().words(), |i| {
-                if allow_nulls {
-                    // Overwrite the placeholder contribution with the null id
-                    // so ⊥ᵢ hashes by identity.
-                    hashes[i] = mix(mix(hashes[i], NULL_TAG), c.nulls().raw_id(i));
-                } else {
-                    valid[i] = false;
-                }
-            });
+    fn new(cols: KeyCols<'r>, len: usize, allow_nulls: bool) -> KeySet<'r> {
+        KeySet {
+            cols,
+            len,
+            allow_nulls,
+            hashes: Vec::new(),
+            valid: Vec::new(),
+            wild: Vec::new(),
+            #[cfg(test)]
+            fixed_hash: None,
         }
-        KeySet { cols: KeyCols::Typed(cols), hashes, valid, wild: Vec::new() }
     }
 
-    fn row_valued(rows: &'r Rows<'r>, pos: &'r [usize], allow_nulls: bool) -> KeySet<'r> {
-        let mut valid = vec![true; rows.len()];
-        let hashes = valid
-            .iter_mut()
-            .enumerate()
-            .map(|(i, valid)| {
-                // A fixed-key hasher: plans execute identically run to run.
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                for &p in pos {
-                    let v = rows.value(i, p);
-                    *valid &= allow_nulls || !v.is_null();
-                    v.hash(&mut h);
+    /// The hashes and validity of the rows `range` (as many as `hashes`
+    /// and `valid` hold).
+    fn hash_rows(&self, range: Range<usize>, hashes: &mut [u64], valid: &mut [bool]) {
+        hashes.fill(0x517c_c1b7_2722_0a95);
+        valid.fill(true);
+        match &self.cols {
+            KeyCols::Typed(cols) => {
+                for c in cols {
+                    match c.col.data() {
+                        ColumnData::Int(v) | ColumnData::Decimal(v) => {
+                            c.mix_into(hashes, range.clone(), |r| v[r] as u64)
+                        }
+                        ColumnData::Float(v) => {
+                            c.mix_into(hashes, range.clone(), |r| normalized_float_bits(v[r]))
+                        }
+                        ColumnData::Date(v) => c.mix_into(hashes, range.clone(), |r| v[r] as u64),
+                        ColumnData::Bool(v) => c.mix_into(hashes, range.clone(), |r| v[r] as u64),
+                        ColumnData::Str(v) => c.mix_into(hashes, range.clone(), |r| v[r] as u64),
+                        ColumnData::Values(_) => {
+                            unreachable!("typed keys exclude fallback columns")
+                        }
+                    }
+                    if !c.has_nulls {
+                        continue;
+                    }
+                    let nulls = c.col.nulls();
+                    let mut null_row = |k: usize, r: usize| {
+                        if self.allow_nulls {
+                            // Mix in the null id, so ⊥ᵢ hashes by identity.
+                            hashes[k] = mix(mix(hashes[k], NULL_TAG), nulls.raw_id(r));
+                        } else {
+                            valid[k] = false;
+                        }
+                    };
+                    match c.ids {
+                        // Only the null rows' bits are visited.
+                        None => for_each_bit_in(nulls.words(), range.clone(), |r| {
+                            null_row(r - range.start, r)
+                        }),
+                        Some(ids) => {
+                            for (k, &r) in ids[range.clone()].iter().enumerate() {
+                                if nulls.is_null(r as usize) {
+                                    null_row(k, r as usize);
+                                }
+                            }
+                        }
+                    }
                 }
-                h.finish()
-            })
-            .collect();
-        KeySet { cols: KeyCols::Rows(rows, pos), hashes, valid, wild: Vec::new() }
+            }
+            KeyCols::Rows(rows, pos) => {
+                for (k, i) in range.clone().enumerate() {
+                    // A fixed-key hasher: plans execute identically run to run.
+                    let mut h = std::collections::hash_map::DefaultHasher::new();
+                    for &p in pos.iter() {
+                        let v = rows.value(i, p);
+                        valid[k] &= self.allow_nulls || !v.is_null();
+                        v.hash(&mut h);
+                    }
+                    hashes[k] = h.finish();
+                }
+            }
+        }
+        // A wild row has a null key: it is already invalid unless nulls
+        // are key values.
+        if self.allow_nulls {
+            for &w in wild_in(&self.wild, &range) {
+                valid[w as usize - range.start] = false;
+            }
+        }
+        #[cfg(test)]
+        if let Some(fixed) = self.fixed_hash {
+            hashes.fill(fixed);
+        }
+    }
+
+    /// This side with every row's hash and validity kept: a side that is
+    /// tabled or grouped.
+    pub(crate) fn hashed(mut self) -> KeySet<'r> {
+        let (mut hashes, mut valid) = (vec![0; self.len], vec![false; self.len]);
+        self.hash_rows(0..self.len, &mut hashes, &mut valid);
+        (self.hashes, self.valid) = (hashes, valid);
+        self
     }
 
     /// Whether the keys are typed columns (the vectorized representation).
@@ -852,32 +1027,28 @@ impl<'r> KeySet<'r> {
     /// — they neither enter the table nor probe it — and the operator
     /// matches them by its full condition instead.
     pub(crate) fn set_wild(&mut self, null_ok: impl Iterator<Item = bool>) {
-        let mut wild = vec![false; self.hashes.len()];
+        let mut wild = Vec::new();
         for (k, _) in null_ok.enumerate().filter(|(_, ok)| *ok) {
+            let from = wild.len();
             match &self.cols {
-                KeyCols::Typed(cols) => for_each_bit(cols[k].nulls().words(), |i| wild[i] = true),
-                KeyCols::Rows(rows, pos) => {
-                    for (i, wild) in wild.iter_mut().enumerate() {
-                        *wild |= rows.value(i, pos[k]).is_null();
-                    }
-                }
+                KeyCols::Typed(cols) if !cols[k].has_nulls => {}
+                KeyCols::Typed(cols) => match cols[k].ids {
+                    None => for_each_bit(cols[k].col.nulls().words(), |i| wild.push(i as u32)),
+                    Some(ids) => wild.extend(
+                        (0..ids.len() as u32)
+                            .filter(|&i| cols[k].col.is_null(ids[i as usize] as usize)),
+                    ),
+                },
+                KeyCols::Rows(rows, pos) => wild.extend(
+                    (0..self.len as u32).filter(|&i| rows.value(i as usize, pos[k]).is_null()),
+                ),
+            }
+            if from > 0 {
+                wild.sort_unstable();
+                wild.dedup();
             }
         }
-        for (valid, wild) in self.valid.iter_mut().zip(&wild) {
-            *valid &= !wild;
-        }
         self.wild = wild;
-    }
-
-    /// Whether row `i` was set aside by [`KeySet::set_wild`].
-    #[inline]
-    pub(crate) fn is_wild(&self, i: usize) -> bool {
-        !self.wild.is_empty() && self.wild[i]
-    }
-
-    /// The rows set aside by [`KeySet::set_wild`], ascending.
-    pub(crate) fn wild_rows(&self) -> Vec<u32> {
-        (0..self.wild.len() as u32).filter(|&i| self.wild[i as usize]).collect()
     }
 
     /// Syntactic equality of row `i`'s key and `other`'s row `j` key (both
@@ -894,22 +1065,23 @@ impl<'r> KeySet<'r> {
             _ => unreachable!("both sides of a pair share one representation"),
         };
         for (ca, cb) in a.iter().zip(b) {
-            let (an, bn) = (ca.is_null(i), cb.is_null(j));
-            if an || bn {
-                if !(an && bn) || ca.nulls().raw_id(i) != cb.nulls().raw_id(j) {
+            let (x, y) = (ca.at(i), cb.at(j));
+            let (xn, yn) = (ca.col.is_null(x), cb.col.is_null(y));
+            if xn || yn {
+                if !(xn && yn) || ca.col.nulls().raw_id(x) != cb.col.nulls().raw_id(y) {
                     return false;
                 }
                 continue;
             }
-            let eq = match (ca.data(), cb.data()) {
-                (ColumnData::Int(x), ColumnData::Int(y))
-                | (ColumnData::Decimal(x), ColumnData::Decimal(y)) => x[i] == y[j],
-                (ColumnData::Float(x), ColumnData::Float(y)) => {
-                    normalized_float_bits(x[i]) == normalized_float_bits(y[j])
+            let eq = match (ca.col.data(), cb.col.data()) {
+                (ColumnData::Int(xs), ColumnData::Int(ys))
+                | (ColumnData::Decimal(xs), ColumnData::Decimal(ys)) => xs[x] == ys[y],
+                (ColumnData::Float(xs), ColumnData::Float(ys)) => {
+                    normalized_float_bits(xs[x]) == normalized_float_bits(ys[y])
                 }
-                (ColumnData::Date(x), ColumnData::Date(y)) => x[i] == y[j],
-                (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
-                (ColumnData::Str(x), ColumnData::Str(y)) => x[i] == y[j],
+                (ColumnData::Date(xs), ColumnData::Date(ys)) => xs[x] == ys[y],
+                (ColumnData::Bool(xs), ColumnData::Bool(ys)) => xs[x] == ys[y],
+                (ColumnData::Str(xs), ColumnData::Str(ys)) => xs[x] == ys[y],
                 _ => false,
             };
             if !eq {
@@ -919,45 +1091,558 @@ impl<'r> KeySet<'r> {
         true
     }
 
-    /// Number of rows that enter the hash table.
+    /// Number of rows that enter the hash table (or would, for a side that
+    /// probes).
     pub(crate) fn valid_rows(&self) -> usize {
-        self.valid.iter().filter(|v| **v).count()
+        if self.valid.len() == self.len {
+            return self.valid.iter().filter(|v| **v).count();
+        }
+        let (mut hashes, mut valid, mut count) = ([0; RUN], [false; RUN], 0);
+        for start in (0..self.len).step_by(RUN) {
+            let range = start..(start + RUN).min(self.len);
+            let n = range.len();
+            self.hash_rows(range, &mut hashes[..n], &mut valid[..n]);
+            count += valid[..n].iter().filter(|v| **v).count();
+        }
+        count
     }
 
-    /// Build the chained hash table over this side's valid rows, with at
-    /// least twice as many buckets as rows. Rows are linked in reverse, each
-    /// in front of its bucket's chain, so every chain ends up ascending.
+    /// Build the chained hash table over this side's valid rows (kept by
+    /// [`KeySet::hashed`]), with at least twice as many buckets as rows.
+    /// Rows are linked in reverse, each in front of its bucket's chain, so
+    /// every chain ends up ascending.
     pub(crate) fn table(&self) -> KeyTable {
-        let n = self.hashes.len();
-        let mut heads = vec![END; (2 * n).next_power_of_two().max(MIN_BUCKETS)];
-        let mut next = vec![END; n];
-        let mask = heads.len() - 1;
+        debug_assert_eq!(self.hashes.len(), self.len, "a tabled side keeps its hashes");
+        let n = self.len;
+        let mut table = KeyTable::empty((2 * n).max(MIN_BUCKETS), n);
         for i in (0..n).rev() {
             if self.valid[i] {
-                let head = &mut heads[self.hashes[i] as usize & mask];
-                next[i] = *head;
-                *head = i as u32;
+                table.push_front(i, self.hashes[i]);
             }
         }
-        KeyTable { heads, next }
+        table
     }
 
-    /// The probe step: the rows of `build` (indexed by its `table`) whose
-    /// key equals probe row `i`'s, in build order.
-    pub(crate) fn matches<'a>(
-        &'a self,
-        i: usize,
-        build: &'a KeySet<'_>,
-        table: &'a KeyTable,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let hash = self.hashes[i];
-        let head =
-            if self.valid[i] { table.heads[hash as usize & (table.heads.len() - 1)] } else { END };
-        let chain = |j: u32| Some(j).filter(|&j| j != END);
-        std::iter::successors(chain(head), move |&j| chain(table.next[j as usize]))
-            .map(|j| j as usize)
-            .filter(move |&j| build.hashes[j] == hash && self.keys_eq(i, build, j))
+    /// The key's groups in first-occurrence order: per row the number of
+    /// its key's group, and per group its first row — the rows a
+    /// deduplication keeps. Nulls follow the set's rule, so keys built with
+    /// `allow_nulls` group a marked null with itself only, exactly as
+    /// `Relation::dedup` compares tuples.
+    pub(crate) fn groups(self) -> Groups {
+        let keys = self.hashed();
+        with_key_eq(&keys, &keys, GroupLoop { keys: &keys })
     }
+}
+
+/// What [`KeySet::groups`] finds.
+pub(crate) struct Groups {
+    /// Per row, its group, numbered in first-occurrence order.
+    pub(crate) of_row: Vec<u32>,
+    /// Per group, its first row, ascending.
+    pub(crate) firsts: Vec<u32>,
+}
+
+/// Key equality of row `i` of one key set and row `j` of another (or the
+/// same) whose hashes are equal: the inner test of every probe loop.
+trait KeyEq {
+    fn eq(&self, i: usize, j: usize) -> bool;
+}
+
+/// A typed column's payloads, read through a set's ids.
+#[derive(Clone, Copy)]
+struct At<'a, T> {
+    v: &'a [T],
+    ids: Option<&'a [u32]>,
+}
+
+impl<T: Copy> At<'_, T> {
+    #[inline(always)]
+    fn get(&self, i: usize) -> T {
+        self.v[at(self.ids, i)]
+    }
+}
+
+/// One typed key column per side whose payloads compare as they are:
+/// `i64` ints and decimals, `i32` days, `u32` string ids, `bool`s.
+struct Same<'a, T>(At<'a, T>, At<'a, T>);
+
+impl<T: Copy + PartialEq> KeyEq for Same<'_, T> {
+    #[inline(always)]
+    fn eq(&self, i: usize, j: usize) -> bool {
+        self.0.get(i) == self.1.get(j)
+    }
+}
+
+/// One float key column per side, compared by normalised bits — `Value`
+/// equality: NaN equals NaN, −0.0 equals 0.0.
+struct FloatBits<'a>(At<'a, f64>, At<'a, f64>);
+
+impl KeyEq for FloatBits<'_> {
+    #[inline(always)]
+    fn eq(&self, i: usize, j: usize) -> bool {
+        normalized_float_bits(self.0.get(i)) == normalized_float_bits(self.1.get(j))
+    }
+}
+
+/// One typed key column per side whose nulls are key values (naive
+/// semantics): a marked null equals only itself, a payload only an equal
+/// payload.
+struct NullIds<'a, 'r, K> {
+    payload: K,
+    a: &'a KeyCol<'r>,
+    b: &'a KeyCol<'r>,
+}
+
+impl<K: KeyEq> KeyEq for NullIds<'_, '_, K> {
+    #[inline(always)]
+    fn eq(&self, i: usize, j: usize) -> bool {
+        let (x, y) = (self.a.at(i), self.b.at(j));
+        match (self.a.col.is_null(x), self.b.col.is_null(y)) {
+            (false, false) => self.payload.eq(i, j),
+            (true, true) => self.a.col.nulls().raw_id(x) == self.b.col.nulls().raw_id(y),
+            _ => false,
+        }
+    }
+}
+
+/// Any other keys — several columns, differently typed ones, row-valued
+/// ones — through [`KeySet::keys_eq`].
+struct AnyKeys<'a, 'r>(&'a KeySet<'r>, &'a KeySet<'r>);
+
+impl KeyEq for AnyKeys<'_, '_> {
+    #[inline]
+    fn eq(&self, i: usize, j: usize) -> bool {
+        self.0.keys_eq(i, self.1, j)
+    }
+}
+
+/// A loop over hash chains, run once the key type is known.
+trait ChainLoop {
+    type Out;
+    fn run<K: KeyEq>(self, eq: K) -> Self::Out;
+}
+
+/// Run `chains` with the key equality of `a`'s and `b`'s keys: a loop
+/// monomorphised on the column type for one typed key column per side
+/// (with null ids when nulls are key values and either side has one),
+/// [`AnyKeys`] otherwise.
+fn with_key_eq<L: ChainLoop>(a: &KeySet<'_>, b: &KeySet<'_>, chains: L) -> L::Out {
+    let (KeyCols::Typed(ca), KeyCols::Typed(cb)) = (&a.cols, &b.cols) else {
+        return chains.run(AnyKeys(a, b));
+    };
+    let ([ca], [cb]) = (ca.as_slice(), cb.as_slice()) else {
+        return chains.run(AnyKeys(a, b));
+    };
+    let nulls = a.allow_nulls && (ca.has_nulls || cb.has_nulls);
+    fn typed<L: ChainLoop, K: KeyEq>(
+        chains: L,
+        payload: K,
+        (ca, cb, nulls): (&KeyCol<'_>, &KeyCol<'_>, bool),
+    ) -> L::Out {
+        match nulls {
+            true => chains.run(NullIds { payload, a: ca, b: cb }),
+            false => chains.run(payload),
+        }
+    }
+    let (x, y, sides) = (ca.ids, cb.ids, (ca, cb, nulls));
+    match (ca.col.data(), cb.col.data()) {
+        (ColumnData::Int(v), ColumnData::Int(w))
+        | (ColumnData::Decimal(v), ColumnData::Decimal(w)) => {
+            typed(chains, Same(At { v, ids: x }, At { v: w, ids: y }), sides)
+        }
+        (ColumnData::Date(v), ColumnData::Date(w)) => {
+            typed(chains, Same(At { v, ids: x }, At { v: w, ids: y }), sides)
+        }
+        (ColumnData::Str(v), ColumnData::Str(w)) => {
+            typed(chains, Same(At { v, ids: x }, At { v: w, ids: y }), sides)
+        }
+        (ColumnData::Bool(v), ColumnData::Bool(w)) => {
+            typed(chains, Same(At { v, ids: x }, At { v: w, ids: y }), sides)
+        }
+        (ColumnData::Float(v), ColumnData::Float(w)) => {
+            typed(chains, FloatBits(At { v, ids: x }, At { v: w, ids: y }), sides)
+        }
+        _ => chains.run(AnyKeys(a, b)),
+    }
+}
+
+/// The probe loop: hash the probe rows of `range` a run at a time, and for
+/// every valid one, in order, walk its bucket's chain and call
+/// `on_pair(i, j)` for every tabled row `j` whose key equals row `i`'s, in
+/// ascending order, until it returns `false`.
+struct ProbeLoop<'a, 'r, F> {
+    probe: &'a KeySet<'r>,
+    build: &'a KeySet<'r>,
+    table: &'a KeyTable,
+    range: Range<usize>,
+    on_pair: F,
+}
+
+impl<F: FnMut(usize, usize) -> bool> ChainLoop for ProbeLoop<'_, '_, F> {
+    type Out = ();
+
+    fn run<K: KeyEq>(mut self, eq: K) {
+        let (table, next, build) = (self.table, &self.table.next, &self.build.hashes);
+        let (mut hashes, mut valid) = ([0u64; RUN], [false; RUN]);
+        for start in self.range.clone().step_by(RUN) {
+            let run = start..(start + RUN).min(self.range.end);
+            let n = run.len();
+            self.probe.hash_rows(run.clone(), &mut hashes[..n], &mut valid[..n]);
+            for (k, i) in run.enumerate() {
+                if !valid[k] {
+                    continue;
+                }
+                let hash = hashes[k];
+                let mut j = table.heads[table.bucket(hash)];
+                while j != END {
+                    let b = j as usize;
+                    if build[b] == hash && eq.eq(i, b) && !(self.on_pair)(i, b) {
+                        break;
+                    }
+                    j = next[b];
+                }
+            }
+        }
+    }
+}
+
+/// The grouping loop of [`KeySet::groups`]: a table of each group's first
+/// row, filled as the rows go by — a row whose chain holds an equal key
+/// joins that group, any other row opens the next one.
+struct GroupLoop<'a, 'r> {
+    keys: &'a KeySet<'r>,
+}
+
+impl ChainLoop for GroupLoop<'_, '_> {
+    type Out = Groups;
+
+    fn run<K: KeyEq>(self, eq: K) -> Groups {
+        let hashes = &self.keys.hashes;
+        let n = hashes.len();
+        debug_assert!(self.keys.valid.iter().all(|&v| v), "every row has a group");
+        let mut table = KeyTable::empty(2 * n, n);
+        let mut groups = Groups { of_row: Vec::with_capacity(n), firsts: Vec::new() };
+        for (i, &hash) in hashes.iter().enumerate() {
+            let mut j = table.heads[table.bucket(hash)];
+            while j != END && !(hashes[j as usize] == hash && eq.eq(i, j as usize)) {
+                j = table.next[j as usize];
+            }
+            if j != END {
+                groups.of_row.push(groups.of_row[j as usize]);
+                continue;
+            }
+            groups.of_row.push(groups.firsts.len() as u32);
+            groups.firsts.push(i as u32);
+            table.push_front(i, hash);
+        }
+        groups
+    }
+}
+
+/// The matcher of a hash operator, shared by every probe morsel: which build
+/// rows does each probe row join to?
+///
+/// The hash table decides the pairs of *hashed* rows: equal keys, then the
+/// residual — skipped when it is constant `TRUE`. What it cannot decide — a
+/// key whose `NULL` matches every row of the other side has no bucket — is
+/// decided by the operator's full condition, the very predicate a nested
+/// loop evaluates: a *wild* probe row (a `NULL` in a probe-null-ok key) is
+/// matched once against the whole build side, through the nested loop's
+/// [`BoundPred`] mask when vectorized, and, only when wild build rows
+/// exist, every other probe row is checked against them too. A `NULL` in a
+/// key that is not null-ok keeps its plain meaning (never matches under
+/// SQL, an ordinary key value under naive semantics). Without null-aware
+/// keys no row is wild and only the typed probe loop runs.
+pub(crate) struct HashMatcher<'r> {
+    probe: KeySet<'r>,
+    build: KeySet<'r>,
+    table: KeyTable,
+    /// The residual, unless it is constant `TRUE`.
+    residual: Option<&'r CompiledPredicate>,
+    /// The full condition of null-aware keys, and its mask over the build
+    /// side when it runs vectorized for wild probe rows.
+    full: Option<(&'r CompiledPredicate, Option<BoundPred<'r>>)>,
+    /// What the probe rows found when the table was built over them
+    /// instead (see [`HashMatcher::new`]).
+    flipped: Option<Flipped>,
+    l: &'r Rows<'r>,
+    r: &'r Rows<'r>,
+    values: &'r ScalarValues,
+    semantics: NullSemantics,
+    pool: &'r StrPool,
+}
+
+impl<'r> HashMatcher<'r> {
+    /// Prepare the matcher of a hash operator over `l` (probe) and `r`
+    /// (build): the two sides' key sets and the build table. Under SQL
+    /// semantics a null in a plain key never matches; under naive semantics
+    /// nulls are ordinary key values. With null-aware keys, the rows holding
+    /// a `NULL` that satisfies a key on its own are set aside on both sides.
+    /// Nothing is tabled for an empty probe side.
+    ///
+    /// Without wild rows, when the probe side is the smaller one, the
+    /// probe side is tabled instead and every build row walks through it
+    /// once, in order: a `semi`join marks the probe rows a build row
+    /// matches, a join collects each probe row's partners, sorted into
+    /// probe order by a counting sort that keeps build order. The pairs are
+    /// the same, the table is the small one.
+    pub(crate) fn new(
+        (l, r): (&'r Rows<'r>, &'r Rows<'r>),
+        keys: &'r HashKeys,
+        semi: bool,
+        values: &'r ScalarValues,
+        semantics: NullSemantics,
+        vectorized: bool,
+        pool: &'r StrPool,
+    ) -> HashMatcher<'r> {
+        let naive = semantics == NullSemantics::Naive;
+        let (mut probe, mut build) =
+            KeySet::pair(l, &keys.left, r, &keys.right, naive, vectorized, pool);
+        let mut full = None;
+        if let Some(null_aware) = &keys.null_aware {
+            probe.set_wild(null_aware.null_ok.iter().map(|ok| ok.left));
+            build.set_wild(null_aware.null_ok.iter().map(|ok| ok.right));
+            let bind = vectorized && !probe.wild.is_empty() && !r.is_empty();
+            let bound = bind.then(|| {
+                BoundPred::prepare(&null_aware.full, r, l.width(), values, semantics, pool)
+            });
+            full = Some((&null_aware.full, bound));
+        }
+        let flip = probe.wild.is_empty() && build.wild.is_empty() && l.len() < r.len();
+        let (probe, build, table) = match (l.is_empty(), flip) {
+            (true, _) => (probe, build, KeyTable::empty(1, 0)),
+            (false, true) => {
+                let probe = probe.hashed();
+                let table = probe.table();
+                (probe, build, table)
+            }
+            (false, false) => {
+                let build = build.hashed();
+                let table = build.table();
+                (probe, build, table)
+            }
+        };
+        let mut matcher = HashMatcher {
+            table,
+            probe,
+            build,
+            residual: (!keys.residual.is_const_true()).then_some(&keys.residual),
+            full,
+            flipped: None,
+            l,
+            r,
+            values,
+            semantics,
+            pool,
+        };
+        if flip && !l.is_empty() {
+            matcher.flipped = Some(matcher.walk_build(semi));
+        }
+        matcher
+    }
+
+    /// Walk every build row through the table over the probe rows: a
+    /// semijoin's verdicts, or a join's partners per probe row.
+    fn walk_build(&self, semi: bool) -> Flipped {
+        let (walked, tabled, table, range) =
+            (&self.build, &self.probe, &self.table, 0..self.r.len());
+        if semi {
+            let mut matched = vec![false; self.l.len()];
+            let on_pair = |j: usize, i: usize| {
+                if !matched[i] && self.residual.is_none_or(|p| self.holds(p, i, j)) {
+                    matched[i] = true;
+                }
+                true
+            };
+            let walk = ProbeLoop { probe: walked, build: tabled, table, range, on_pair };
+            with_key_eq(walked, tabled, walk);
+            return Flipped::Matched(matched);
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let on_pair = |j: usize, i: usize| {
+            if self.residual.is_none_or(|p| self.holds(p, i, j)) {
+                pairs.push((i as u32, j as u32));
+            }
+            true
+        };
+        let walk = ProbeLoop { probe: walked, build: tabled, table, range, on_pair };
+        with_key_eq(walked, tabled, walk);
+        // Counting sort by probe row; stable, so each probe row's partners
+        // stay in build order.
+        let mut offsets = vec![0u32; self.l.len() + 1];
+        for &(i, _) in &pairs {
+            offsets[i as usize + 1] += 1;
+        }
+        for i in 0..self.l.len() {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets.clone();
+        let mut rows = vec![0u32; pairs.len()];
+        for (i, j) in pairs {
+            rows[fill[i as usize] as usize] = j;
+            fill[i as usize] += 1;
+        }
+        Flipped::Partners { offsets, rows }
+    }
+
+    /// Whether the keys are typed columns (the vectorized representation).
+    pub(crate) fn is_typed(&self) -> bool {
+        self.probe.is_typed()
+    }
+
+    /// Number of build rows in the table.
+    pub(crate) fn build_rows(&self) -> usize {
+        self.build.valid_rows()
+    }
+
+    /// Whether `pred` holds on the pair (probe row `i`, build row `j`).
+    #[inline]
+    fn holds(&self, pred: &CompiledPredicate, i: usize, j: usize) -> bool {
+        pred.eval(RowView::pair(self.l, i, self.r, j), self.values, self.semantics).is_true()
+    }
+
+    fn full(&self) -> &CompiledPredicate {
+        self.full.as_ref().expect("wild rows need null-aware keys").0
+    }
+
+    /// Run the typed probe loop over the hashed probe rows of `range`:
+    /// `on_pair(i, j)` for every key-equal pair the residual holds on, in
+    /// probe order and, per probe row, build order, until it returns
+    /// `false`.
+    fn probe(&self, range: Range<usize>, mut on_pair: impl FnMut(usize, usize) -> bool) {
+        let (probe, build, table) = (&self.probe, &self.build, &self.table);
+        let on_pair = |i, j| match self.residual {
+            Some(residual) if !self.holds(residual, i, j) => true,
+            _ => on_pair(i, j),
+        };
+        with_key_eq(probe, build, ProbeLoop { probe, build, table, range, on_pair })
+    }
+
+    /// The build rows wild probe row `i` joins to, in build order: the full
+    /// condition against every build row.
+    fn wild_partners(&self, i: usize, hit: impl FnMut(usize)) {
+        match self.full.as_ref().and_then(|(_, bound)| bound.as_ref()) {
+            Some(bound) => {
+                let context = (self.values, self.semantics, self.pool);
+                bound.for_each_true(RowView::one(self.l, i), context, hit)
+            }
+            None => (0..self.r.len()).filter(|&j| self.holds(self.full(), i, j)).for_each(hit),
+        }
+    }
+
+    /// Append the pairs (probe row, build row) the probe rows `range` join
+    /// in: probe order, each probe row's partners in build order — the
+    /// order a nested loop over the same condition finds them in.
+    pub(crate) fn join(&self, range: Range<usize>, out: &mut Vec<(u32, u32)>) {
+        if let Some(Flipped::Partners { offsets, rows }) = &self.flipped {
+            for i in range {
+                let partners = &rows[offsets[i] as usize..offsets[i + 1] as usize];
+                out.extend(partners.iter().map(|&j| (i as u32, j)));
+            }
+            return;
+        }
+        let mut from = range.start;
+        for &w in wild_in(&self.probe.wild, &range) {
+            self.join_hashed(from..w as usize, out);
+            self.wild_partners(w as usize, |j| out.push((w, j as u32)));
+            from = w as usize + 1;
+        }
+        self.join_hashed(from..range.end, out);
+    }
+
+    /// [`HashMatcher::join`] over probe rows that are not wild. Wild build
+    /// rows, when there are any, are merged into each probe row's bucket
+    /// partners in build order.
+    fn join_hashed(&self, range: Range<usize>, out: &mut Vec<(u32, u32)>) {
+        // Without wild build rows the range is one run; with them, each
+        // probe row is its own, its wild partners merged in afterwards.
+        let merge = !self.build.wild.is_empty();
+        let step = if merge { 1 } else { range.len().max(1) };
+        for start in range.clone().step_by(step) {
+            let from = out.len();
+            self.probe(start..(start + step).min(range.end), |i, j| {
+                out.push((i as u32, j as u32));
+                true
+            });
+            if merge {
+                let full = |&&w: &&u32| self.holds(self.full(), start, w as usize);
+                out.extend(self.build.wild.iter().filter(full).map(|&w| (start as u32, w)));
+                out[from..].sort_unstable_by_key(|&(_, j)| j);
+            }
+        }
+    }
+
+    /// Append the probe rows of `range` that have a partner
+    /// (`keep_matching`) or have none (`!keep_matching`), ascending: each
+    /// stops at its first partner.
+    pub(crate) fn semi(&self, range: Range<usize>, keep_matching: bool, keep: &mut Vec<u32>) {
+        let start = range.start;
+        if let Some(Flipped::Matched(matched)) = &self.flipped {
+            let kept = range.filter(|&i| matched[i] == keep_matching);
+            return keep.extend(kept.map(|i| i as u32));
+        }
+        let mut matched = vec![false; range.len()];
+        self.probe(range.clone(), |i, _| {
+            matched[i - start] = true;
+            false
+        });
+        for &w in wild_in(&self.probe.wild, &range) {
+            let mut any = false;
+            self.wild_partners(w as usize, |_| any = true);
+            matched[w as usize - start] = any;
+        }
+        if !self.build.wild.is_empty() {
+            let mut wild = wild_in(&self.probe.wild, &range).iter().peekable();
+            for (k, matched) in matched.iter_mut().enumerate() {
+                let i = start + k;
+                if wild.next_if(|&&w| w as usize == i).is_some() {
+                    continue;
+                }
+                *matched = *matched
+                    || self.build.wild.iter().any(|&w| self.holds(self.full(), i, w as usize));
+            }
+        }
+        let kept = matched.iter().enumerate().filter(|&(_, &m)| m == keep_matching);
+        keep.extend(kept.map(|(k, _)| (start + k) as u32));
+    }
+}
+
+/// Call `f(i)` for every set bit `i` of `words` (64 rows per word) in
+/// `range`, ascending.
+fn for_each_bit_in(words: &[u64], range: Range<usize>, mut f: impl FnMut(usize)) {
+    if range.is_empty() {
+        return;
+    }
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    for (w, &word) in words.iter().enumerate().take(last + 1).skip(first) {
+        let mut bits = word;
+        if w == first {
+            bits &= u64::MAX << (range.start % 64);
+        }
+        if w == last && !range.end.is_multiple_of(64) {
+            bits &= u64::MAX >> (64 - range.end % 64);
+        }
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The rows of the ascending `wild` that fall in `range`.
+fn wild_in<'w>(wild: &'w [u32], range: &Range<usize>) -> &'w [u32] {
+    let at = |i: usize| wild.partition_point(|&w| (w as usize) < i);
+    &wild[at(range.start)..at(range.end)]
+}
+
+/// What a [`HashMatcher`] whose table is over its probe rows found when the
+/// build rows walked through it.
+enum Flipped {
+    /// A semijoin's verdict per probe row.
+    Matched(Vec<bool>),
+    /// A join's partners: probe row `i`'s are `rows[offsets[i]..offsets[i + 1]]`,
+    /// in build order.
+    Partners { offsets: Vec<u32>, rows: Vec<u32> },
 }
 
 #[cfg(test)]
@@ -965,7 +1650,7 @@ mod tests {
     use super::*;
     use crate::data::builder::rel;
     use crate::data::null::NullId;
-    use crate::data::Relation;
+    use crate::data::{Relation, Tuple};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1119,77 +1804,243 @@ mod tests {
         assert!(typed >= (LENGTHS.len() - 2) * pairs.len(), "{typed} typed runs");
     }
 
-    /// `rows` of two key columns (an int and a string) in the given shape.
-    fn keyed(n: usize, shape: &str, rng: &mut StdRng) -> Relation {
+    /// `n` rows of a table whose columns are named `names`: a key column of
+    /// `kind`, an int key column, and an int the residual reads. Keys come
+    /// from small domains, so most rows share one, and one row in ten has a
+    /// null key; or every row has the same key; or every first key is null
+    /// (the `Values` fallback, so row-valued keys).
+    fn keyed(names: [&str; 3], n: usize, kind: Kind, shape: &str, rng: &mut StdRng) -> Relation {
+        let null = |rng: &mut StdRng| Value::Null(NullId(rng.gen_range(1..4u64)));
         let rows = (0..n)
-            .map(|_| match shape {
-                "all equal" => vec![Value::Int(7), Value::str("k")],
-                "all invalid" => vec![Value::Null(NullId(rng.gen_range(1..4u64))), Value::str("k")],
-                _ => {
-                    let a = if rng.gen_bool(0.1) {
-                        Value::Null(NullId(rng.gen_range(1..4u64)))
-                    } else {
-                        Value::Int(rng.gen_range(0..(n as i64 / 4 + 2)))
-                    };
-                    vec![a, Value::str(["x", "y"][rng.gen_range(0..2usize)])]
-                }
+            .map(|_| {
+                let k1 = match shape {
+                    "all equal" => value(kind, &mut StdRng::seed_from_u64(1)),
+                    "all null" => null(rng),
+                    _ if rng.gen_bool(0.1) => null(rng),
+                    _ => value(kind, rng),
+                };
+                let k2 = match shape {
+                    "all equal" => Value::Int(0),
+                    _ if rng.gen_bool(0.1) => null(rng),
+                    _ => Value::Int(rng.gen_range(0..2)),
+                };
+                vec![k1, k2, Value::Int(rng.gen_range(0..3))]
             })
             .collect();
-        rel(&["a", "b"], rows)
+        rel(&names, rows)
     }
 
-    fn key<'a>(rows: &'a Rows<'_>, i: usize) -> [&'a Value; 2] {
-        [rows.value(i, 0), rows.value(i, 1)]
+    /// `rel` with every float NaN replaced by 0.5.
+    fn without_nan(rel: Relation) -> Relation {
+        let rows = (rel.tuples().iter())
+            .map(|t| {
+                let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+                t.values()
+                    .iter()
+                    .map(|v| if nan(v) { Value::Float(0.5) } else { v.clone() })
+                    .collect()
+            })
+            .collect();
+        Relation::from_parts(rel.schema().clone(), rows)
+    }
+
+    /// A hash operator's condition over `l (a, b, x)` and `r (c, d, y)`:
+    /// the key `a = c`, also `b = d` when `multi`; the first key
+    /// null-aware on the sides `aware` names (`… OR a IS NULL`,
+    /// `… OR c IS NULL`); and the residual `x <> y` when `residual`.
+    /// Returns the operator's keys and its full condition.
+    fn condition(
+        (multi, aware, residual): (bool, (bool, bool), bool),
+        schema: &crate::data::Schema,
+    ) -> (HashKeys, CompiledPredicate) {
+        use crate::algebra::builder::{eq, is_null, neq};
+        use crate::algebra::Condition;
+        use crate::engine::compile::{compile_condition, NullAware};
+        use crate::plan::NullOk;
+        let mut first = eq("a", "c");
+        if aware.0 {
+            first = first.or(is_null("a"));
+        }
+        if aware.1 {
+            first = first.or(is_null("c"));
+        }
+        let keys = if multi { first.and(eq("b", "d")) } else { first };
+        let residual = if residual { neq("x", "y") } else { Condition::True };
+        let full = keys.and(residual.clone());
+        let compile = |c: &Condition| compile_condition(c, schema, &mut Vec::new()).unwrap();
+        let pos: Vec<usize> = if multi { vec![0, 1] } else { vec![0] };
+        let mut null_ok = vec![NullOk { left: aware.0, right: aware.1 }];
+        null_ok.extend(multi.then_some(NullOk { left: false, right: false }));
+        let null_aware = (aware.0 || aware.1).then(|| NullAware { null_ok, full: compile(&full) });
+        let keys =
+            HashKeys { left: pos.clone(), right: pos, residual: compile(&residual), null_aware };
+        (keys, compile(&full))
+    }
+
+    /// The probe rows `0..len` in `morsels` contiguous morsels, each in runs
+    /// of at most 256 rows, as the engine's probe driver calls a matcher.
+    fn runs(len: usize, morsels: usize) -> Vec<Range<usize>> {
+        let size = len.div_ceil(morsels).max(1);
+        (0..len)
+            .step_by(size)
+            .flat_map(|m| {
+                let end = (m + size).min(len);
+                (m..end).step_by(256).map(move |r| r..(r + 256).min(end))
+            })
+            .collect()
+    }
+
+    /// Join, semijoin and anti-join of one condition, run by the typed
+    /// kernels over 1 and 4 morsels, against a nested loop over the full
+    /// condition: the same pairs in the same order (probe order, then
+    /// build order), the same survivors.
+    fn assert_kernels_match_a_nested_loop(
+        (l, r): (&Relation, &Relation),
+        case: (bool, (bool, bool), bool),
+        (semantics, vectorized, collide): (NullSemantics, bool, bool),
+        pool: &StrPool,
+    ) {
+        let (probe, build) = (Rows::whole(Cow::Borrowed(l)), Rows::whole(Cow::Borrowed(r)));
+        let schema = l.schema().concat(r.schema());
+        let (keys, full) = condition(case, &schema);
+        let scalars = ScalarValues::new(0);
+        let mut want = Vec::new();
+        for i in 0..probe.len() {
+            for j in 0..build.len() {
+                let view = RowView::pair(&probe, i, &build, j);
+                if full.eval(view, &scalars, semantics).is_true() {
+                    want.push((i as u32, j as u32));
+                }
+            }
+        }
+        let matcher = |semi: bool| {
+            let mut m = HashMatcher::new(
+                (&probe, &build),
+                &keys,
+                semi,
+                &scalars,
+                semantics,
+                vectorized,
+                pool,
+            );
+            if collide && !probe.is_empty() {
+                // Every row in one bucket with one hash: the loop must tell
+                // the chain's keys apart by comparing them.
+                m.probe.fixed_hash = Some(42);
+                m.build.fixed_hash = Some(42);
+                let tabled = if m.flipped.is_some() { &mut m.probe } else { &mut m.build };
+                let (mut hashes, mut valid) = (vec![0; tabled.len], vec![false; tabled.len]);
+                tabled.hash_rows(0..tabled.len, &mut hashes, &mut valid);
+                (tabled.hashes, tabled.valid) = (hashes, valid);
+                m.table = tabled.table();
+                if m.flipped.is_some() {
+                    m.flipped = Some(m.walk_build(semi));
+                }
+            }
+            m
+        };
+        let (join, semi) = (matcher(false), matcher(true));
+        let at = format!(
+            "{} × {} rows, (multi, aware, residual) {case:?}, {semantics:?}, vectorized \
+             {vectorized}, collide {collide}",
+            l.len(),
+            r.len()
+        );
+        for morsels in [1, 4] {
+            let (mut pairs, mut semi_rows, mut anti) = (Vec::new(), Vec::new(), Vec::new());
+            for range in runs(probe.len(), morsels) {
+                join.join(range.clone(), &mut pairs);
+                semi.semi(range.clone(), true, &mut semi_rows);
+                semi.semi(range, false, &mut anti);
+            }
+            assert_eq!(pairs, want, "join, {morsels} morsels, {at}");
+            let mut hits: Vec<u32> = want.iter().map(|p| p.0).collect();
+            hits.dedup();
+            let misses: Vec<u32> = (0..l.len() as u32).filter(|i| !hits.contains(i)).collect();
+            assert_eq!(semi_rows, hits, "semijoin, {morsels} morsels, {at}");
+            assert_eq!(anti, misses, "anti-join, {morsels} morsels, {at}");
+        }
+    }
+
+    /// The group and dedup kernels over the columns `pos` of `rel` against a
+    /// nested loop (each row's group is its first equal row's, numbered in
+    /// first-occurrence order) and against `Relation::dedup`.
+    fn assert_groups_match(rel: &Relation, pos: &[usize], vectorized: bool, pool: &StrPool) {
+        let rows = Rows::whole(Cow::Borrowed(rel));
+        let groups = KeySet::build(&rows, pos, true, vectorized, pool).groups();
+        let keys: Vec<Tuple> = rel.tuples().iter().map(|t| t.project(pos)).collect();
+        let mut firsts = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let first = keys.iter().position(|k| k == key).unwrap();
+            if first == i {
+                firsts.push(i as u32);
+            }
+            let group = firsts.iter().position(|&f| f as usize == first).unwrap();
+            assert_eq!(groups.of_row[i] as usize, group, "row {i} of {}, {pos:?}", rel.len());
+        }
+        assert_eq!(groups.firsts, firsts, "{} rows, {pos:?}, vectorized {vectorized}", rel.len());
+        let mut deduped = Relation::from_parts(rel.schema().project(pos).shared(), keys.clone());
+        deduped.dedup();
+        let kept: Vec<Tuple> = firsts.iter().map(|&i| keys[i as usize].clone()).collect();
+        assert_eq!(deduped.tuples(), kept.as_slice(), "dedup of {} rows, {pos:?}", rel.len());
     }
 
     #[test]
     fn key_table_partners_match_a_nested_loop_in_build_order() {
         let pool = StrPool::new();
         let mut rng = StdRng::seed_from_u64(0x7AB1E);
-        let pos = [0usize, 1];
-        for n in [0, 1, 2, 3, 17, 1023, 1024, 1025, 5000] {
-            for shape in ["random", "all equal", "all invalid"] {
-                let build_rel = keyed(n, shape, &mut rng);
-                let probe_rel = keyed(n.min(40) + 1, "random", &mut rng);
-                let (probe, build) = (
-                    Rows::whole(Cow::Borrowed(&probe_rel)),
-                    Rows::whole(Cow::Borrowed(&build_rel)),
-                );
-                let configs = [(false, true, false), (true, true, false), (false, false, false)];
-                // The last configuration gives every row one hash: the
-                // probe must tell the chain's keys apart by comparing them.
-                for (allow_nulls, vectorized, collide) in
-                    configs.into_iter().chain([(true, true, true)])
-                {
-                    let (mut pk, mut bk) =
-                        KeySet::pair(&probe, &pos, &build, &pos, allow_nulls, vectorized, &pool);
-                    if collide {
-                        pk.hashes.fill(42);
-                        bk.hashes.fill(42);
-                    }
-                    let table = bk.table();
-                    let valid = |k: [&Value; 2]| allow_nulls || k.iter().all(|v| !v.is_null());
-                    for i in 0..probe.len() {
-                        let got: Vec<usize> = pk.matches(i, &bk, &table).collect();
-                        let k = key(&probe, i);
-                        let want: Vec<usize> = (0..build.len())
-                            .filter(|&j| valid(k) && valid(key(&build, j)) && key(&build, j) == k)
-                            .collect();
-                        assert_eq!(got, want, "{n} build rows, {shape}, nulls {allow_nulls}");
+        let kinds = [Kind::Int, Kind::Decimal, Kind::Float, Kind::Date, Kind::Bool, Kind::Str];
+        let awareness = [(false, false), (true, false), (false, true), (true, true)];
+        // Every key type and shape, multi-column keys, null-aware keys wild
+        // on either side or both, a residual, both semantics, typed and
+        // row-valued keys, on small sides.
+        for kind in kinds {
+            for shape in ["random", "all equal", "all null"] {
+                let keys = keyed(["a", "b", "x"], 37, kind, shape, &mut rng);
+                for pos in [&[0][..], &[0, 1], &[0, 1, 2]] {
+                    for vectorized in [true, false] {
+                        assert_groups_match(&keys, pos, vectorized, &pool);
                     }
                 }
-                // A side probed by itself, as the aggregate groups: every
-                // group in ascending order, nulls grouping by their id.
-                let keys = KeySet::build(&build, &pos, true, true, &pool);
-                let table = keys.table();
-                for i in (0..build.len()).step_by(97) {
-                    let got: Vec<usize> = keys.matches(i, &keys, &table).collect();
-                    let want: Vec<usize> = (0..build.len())
-                        .filter(|&j| build_rel.tuples()[j] == build_rel.tuples()[i])
-                        .collect();
-                    assert_eq!(got, want, "{n} rows grouped, {shape}");
+                // A NaN key equals only a NaN key, as `Value` equality has
+                // it, while a comparison counts NaN equal to every number:
+                // the joins are checked on the other floats. The probe side
+                // is the smaller, so semijoins without wild rows table it.
+                let (l, r) = (
+                    without_nan(keyed(["a", "b", "x"], 37, kind, shape, &mut rng)),
+                    without_nan(keyed(["c", "d", "y"], 41, kind, shape, &mut rng)),
+                );
+                for multi in [false, true] {
+                    for aware in awareness {
+                        for residual in [false, true] {
+                            for semantics in SEMANTICS {
+                                for vectorized in [true, false] {
+                                    let collide = !residual && kind == Kind::Str;
+                                    let case = (multi, aware, residual);
+                                    let run = (semantics, vectorized, collide);
+                                    assert_kernels_match_a_nested_loop((&l, &r), case, run, &pool);
+                                }
+                            }
+                        }
+                    }
                 }
             }
+        }
+        // Sides around the table's smallest size and the probe runs' edges,
+        // empty sides included.
+        let sizes = [(0, 5), (5, 0), (1, 1), (3, 1023), (257, 1024), (255, 1025), (256, 300)];
+        for (n_probe, n_build) in sizes {
+            let l = keyed(["a", "b", "x"], n_probe, Kind::Int, "random", &mut rng);
+            let r = keyed(["c", "d", "y"], n_build, Kind::Int, "random", &mut rng);
+            for semantics in SEMANTICS {
+                for (vectorized, aware) in
+                    [(true, (true, true)), (false, (true, true)), (true, (false, false))]
+                {
+                    let run = (semantics, vectorized, false);
+                    assert_kernels_match_a_nested_loop((&l, &r), (false, aware, true), run, &pool);
+                }
+            }
+            assert_groups_match(&r, &[0, 1], true, &pool);
         }
     }
 }

@@ -7,7 +7,9 @@
 //! run (`engine::analyze::actuals`). One renderer prints both: estimates
 //! alone, or estimates beside actual rows, wall time, path tags
 //! (`[vec]` / `[row-fallback]` / `[build=…]`) and an `[est↯act ×N]` marker
-//! wherever the cost model's cardinality estimate diverged from reality.
+//! wherever the cost model's cardinality estimate diverged from reality. A
+//! node whose rows were counted before its chain's dedup says `before
+//! dedup`.
 
 use crate::obs::json;
 use crate::obs::time::fmt_ns;
@@ -39,6 +41,10 @@ pub struct Actual {
     pub tags: Vec<String>,
     /// Whether the node ran at all.
     pub executed: bool,
+    /// Whether `rows` were counted before a dedup the node's own sub-plan
+    /// does: a projection, rename or distinct fused below the top of a
+    /// chain, which deduplicates once, at its top.
+    pub before_dedup: bool,
 }
 
 /// One plan node: its label, its depth in the plan, the cost model's
@@ -171,6 +177,9 @@ impl ExplainPlan {
                 node.diverged(),
                 a.executed
             );
+            if a.before_dedup {
+                out.push_str(", \"before_dedup\": true");
+            }
             if !a.tags.is_empty() {
                 let tags: Vec<String> =
                     a.tags.iter().map(|t| format!("\"{}\"", json::escape(t))).collect();
@@ -205,9 +214,10 @@ impl fmt::Display for ExplainPlan {
                 let _ = writeln!(out, "(rows est≈{:.0}, never executed)", node.rows_est);
                 continue;
             }
+            let before_dedup = if a.before_dedup { " before dedup" } else { "" };
             let _ = write!(
                 out,
-                "(rows est≈{:.0} act={}, time={})",
+                "(rows est≈{:.0} act={}{before_dedup}, time={})",
                 node.rows_est,
                 a.rows,
                 fmt_ns(a.wall_ns)
@@ -245,6 +255,7 @@ mod tests {
                     wall_ns: 1_000,
                     tags: Vec::new(),
                     executed: true,
+                    before_dedup: false,
                 }),
             })
             .collect();
@@ -284,6 +295,17 @@ mod tests {
         assert!(text.contains("[est↯act ×14]"));
         tree.nodes[0].actual = None;
         assert_eq!(tree.to_string(), "Filter [p]  (rows≈100, cost≈200)\n");
+    }
+
+    #[test]
+    fn a_node_counted_before_its_chains_dedup_says_so() {
+        let mut tree = plan(&[("Distinct", 0, 50.0, 40), ("Project [a]", 1, 60.0, 40)]);
+        tree.nodes[1].actual.as_mut().unwrap().before_dedup = true;
+        let text = tree.to_string();
+        assert!(text.contains("  Project [a]  (rows est≈60 act=40 before dedup, time="), "{text}");
+        assert!(!text.lines().next().unwrap().contains("before dedup"), "{text}");
+        let json = tree.to_json();
+        assert_eq!(json.matches("\"before_dedup\": true").count(), 1, "{json}");
     }
 
     #[test]

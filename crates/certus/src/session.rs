@@ -830,10 +830,12 @@ mod tests {
         /// The concatenation of its two inputs' rows: a union flattened into
         /// the union above it deduplicates nothing of its own.
         Concatenation,
-        /// Its input's rows: an exchange, and a projection, distinct or
-        /// rename fused into a chain below its top (the chain deduplicates
-        /// once, at its top).
+        /// Its input's rows: an exchange.
         Input,
+        /// Its input's rows, labelled `before dedup`: a projection, distinct
+        /// or rename fused into a chain below its top (the chain
+        /// deduplicates once, at its top).
+        BeforeDedup,
     }
 
     /// Whether a node compiles into a fused pipeline: a filter or a
@@ -866,8 +868,10 @@ mod tests {
                 Expect::Skipped
             } else if union && under_union {
                 Expect::Concatenation
-            } else if exchange || (in_chain && !filter) {
+            } else if exchange {
                 Expect::Input
+            } else if in_chain && !filter {
+                Expect::BeforeDedup
             } else {
                 Expect::Answer
             },
@@ -895,10 +899,12 @@ mod tests {
     /// translations on the benchmark's instance (scale 0.002, null rate
     /// 0.03, seed 42), at one thread and at four with every exchange fanning
     /// out, and two shapes that reach the compiler's fused chains and
-    /// flattened unions. Two rules differ from the sub-plan's answer: a node
-    /// a decorrelated semijoin's short-circuit skipped reports nothing, and a
-    /// union flattened into the one above it reports its inputs
-    /// concatenated (the top union deduplicates once).
+    /// flattened unions. Three rules differ from the sub-plan's answer: a
+    /// node a decorrelated semijoin's short-circuit skipped reports nothing,
+    /// a union flattened into the one above it reports its inputs
+    /// concatenated (the top union deduplicates once), and a projection,
+    /// distinct or rename fused below a chain's top reports its input's
+    /// rows and says they were counted `before dedup`.
     #[test]
     fn every_node_reports_what_its_sub_plan_returns() {
         use crate::algebra::builder::{eq_const, neq_const};
@@ -925,7 +931,7 @@ mod tests {
                     .select(gt("n_nationkey", 10))
                     .union(nation().rename(&["key", "name", "region"])),
             );
-        let mut checked = [0usize; 4];
+        let mut checked = [0usize; 5];
         for config in [EngineConfig::serial(), EngineConfig::with_threads(4).with_parallel_floor(0)]
         {
             let threads = config.threads;
@@ -959,22 +965,25 @@ mod tests {
                             let left = sub.children()[0].size();
                             rows_act(i + 1) + rows_act(i + 1 + left)
                         }
-                        Expect::Input => rows_act(i + 1),
+                        Expect::Input | Expect::BeforeDedup => rows_act(i + 1),
                     };
                     assert_eq!(rows_act(i), rows, "{at}:\n{analyzed}");
-                    let executed = node.actual.as_ref().unwrap().executed;
-                    assert_eq!(executed, *expect != Expect::Skipped, "{at}:\n{analyzed}");
+                    let actual = node.actual.as_ref().unwrap();
+                    assert_eq!(actual.executed, *expect != Expect::Skipped, "{at}:\n{analyzed}");
+                    let before_dedup = *expect == Expect::BeforeDedup;
+                    assert_eq!(actual.before_dedup, before_dedup, "{at}:\n{analyzed}");
                     checked[*expect as usize] += 1;
                 }
             }
         }
         // Every rule was reached: the 4 + 6 nodes Q⁺2's short-circuit skips
         // at one and four threads (all but its anti-join's sub-plans answer
-        // rows), the two inner unions, the exchanges and the chain's
-        // projection, distinct and rename.
-        let [_, skipped, concatenated, input] = checked;
-        assert_eq!((skipped, concatenated), (10, 4));
-        assert!(input > 6, "{checked:?}");
+        // rows), the two inner unions, the exchanges, and the chain's
+        // projection, distinct and rename at both thread counts — each says
+        // its rows were counted before the chain's dedup.
+        let [_, skipped, concatenated, input, before_dedup] = checked;
+        assert_eq!((skipped, concatenated, before_dedup), (10, 4, 6));
+        assert!(input > 0, "{checked:?}");
     }
 
     #[test]
