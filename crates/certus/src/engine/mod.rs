@@ -121,9 +121,8 @@
 //!   all null), a cross-side type mismatch under naive semantics, and
 //!   everything under `vectorized = false` are *row-valued* — `Value` hash
 //!   and `Value ==` — in the same loop; the profile says which ran
-//!   (`vec_runs` vs `row_fallbacks`). When the probe side is the smaller
-//!   one and no row is wild, the table is built over it and the build rows
-//!   walk through it instead.
+//!   (`vec_runs` vs `row_fallbacks`). The table is always over the build
+//!   side, so every probe run is cancellable and morsel-parallel.
 //! * **What the hash matcher decides by hash, and what by the full
 //!   condition.** The hash table decides the pairs of rows whose null-aware
 //!   key columns are non-null on both sides: equal keys, then the residual.
@@ -145,8 +144,7 @@
 //!   differential tests and the benchmark's cross-check use the row side as
 //!   the reference for the vectorized one.
 //! * **Probe order, always.** Joins emit in outer (left) input order, each
-//!   outer row's partners in inner (build) input order — chains ascend, and
-//!   a walk of the build rows is sorted back by a stable counting sort;
+//!   outer row's partners in inner (build) input order — chains ascend;
 //!   semijoins keep the survivors' input order. Morsels are contiguous
 //!   index ranges concatenated in order, so this holds for every thread
 //!   count, both key representations and both settings of `vectorized` —
@@ -177,8 +175,7 @@
 //! * tuples are built only where a consumer needs whole rows — the plan
 //!   root, a projecting pipeline, union arms, ∩, −, ⋉⇑, ÷ and γ — and of
 //!   the columns it reads (a projection's, γ's group and aggregate
-//!   columns), from a source's cached typed column where it has one. Rows
-//!   are `Arc<[Value]>`: one relation's rows read whole are passed on by
+//!   columns). Rows are `Arc<[Value]>`: one relation's rows read whole are passed on by
 //!   pointer, as the answer of a filter over a scan is. The profile's
 //!   `values_out` counts the values built, so it is zero wherever rows were
 //!   only selected, paired or passed on.
@@ -229,7 +226,6 @@ pub use compile::CompiledPlan;
 use crate::algebra::eval::Evaluator;
 use crate::algebra::expr::{AggFunc, RaExpr};
 use crate::algebra::NullSemantics;
-use crate::data::intern::StrPool;
 use crate::data::{Database, Relation, Schema, Tuple, Value};
 use crate::obs::metrics::{registry, Counter};
 use crate::obs::names;
@@ -237,9 +233,7 @@ use crate::obs::profile::NodeStats;
 use crate::obs::{QueryProfile, Timer};
 use crate::plan::physical::{heuristic_plan_with, Parallelism, PhysicalExpr};
 use crate::{Error, Result};
-use compile::{
-    CompiledExpr, CompiledOperand, CompiledPredicate, HashKeys, Op, Pred, ScalarValues, Step,
-};
+use compile::{CompiledExpr, CompiledPredicate, HashKeys, Op, ScalarValues, Step};
 use rows::{RowView, Rows, Slot};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -478,10 +472,7 @@ impl<'a> Engine<'a> {
         let timer = stats.map(|_| Timer::start());
         let root = stats.map(|s| &s[plan.root.id]);
         let rows = self.exec_node(&plan.root, &scalars, stats)?;
-        let answer = Relation::from_parts(
-            plan.schema().clone(),
-            tuples(rows, None, self.db.str_pool(), root),
-        );
+        let answer = Relation::from_parts(plan.schema().clone(), tuples(rows, None, root));
         if let (Some(p), Some(timer)) = (root, timer) {
             p.record_invocation(answer.len() as u64, timer.elapsed_ns());
         }
@@ -568,7 +559,7 @@ impl<'a> Engine<'a> {
                     None => Ok(rows),
                     Some(cols) => Ok(owned(Relation::from_parts(
                         schema.clone(),
-                        tuples(rows, Some(cols), self.db.str_pool(), prof),
+                        tuples(rows, Some(cols), prof),
                     ))),
                 }
             }
@@ -604,7 +595,10 @@ impl<'a> Engine<'a> {
                 if !r.is_empty() {
                     self.ensure_scalars(scalars, pred.scalar_refs())?;
                 }
-                if self.has_witness(&r, pred, &scalars.values) == *keep_matching {
+                let exists = (0..r.len()).any(|j| {
+                    pred.eval(RowView::one(&r, j), &scalars.values, self.semantics).is_true()
+                });
+                if exists == *keep_matching {
                     self.exec(left, scalars, stats)
                 } else {
                     // Short-circuit: for a NOT EXISTS that found a witness
@@ -669,33 +663,10 @@ impl<'a> Engine<'a> {
                     Some(reads) => input.schema().project(reads).shared(),
                     None => input.schema().clone(),
                 };
-                let rel = Relation::from_parts(
-                    built_schema,
-                    tuples(rows, reads.as_deref(), self.db.str_pool(), prof),
-                );
+                let rel = Relation::from_parts(built_schema, tuples(rows, reads.as_deref(), prof));
                 Ok(owned(aggregate(&rel, &group, &aggs, &groups, schema)))
             }
         }
-    }
-
-    /// Whether some row of `r` satisfies `pred`, a decorrelated semijoin's
-    /// condition: row by row, stopping at the first witness — except that,
-    /// vectorized, a `… IS NULL` over a column its source already caches
-    /// typed (the translation's decorrelated null check) is answered by the
-    /// column's null bitmap, reading no row.
-    fn has_witness(&self, r: &Rows<'_>, pred: &CompiledPredicate, values: &ScalarValues) -> bool {
-        if let (true, Pred::IsNull(CompiledOperand::Col(pos))) =
-            (self.config.vectorized, pred.pred())
-        {
-            if r.cached(&[*pos], self.db.str_pool()) {
-                let (col, ids) = r.column_ids(*pos, self.db.str_pool());
-                return match ids {
-                    None => col.nulls().any_null(),
-                    Some(ids) => ids.iter().any(|&i| col.is_null(i as usize)),
-                };
-            }
-        }
-        (0..r.len()).any(|j| pred.eval(RowView::one(r, j), values, self.semantics).is_true())
     }
 
     /// Execute `node` and build its rows, every column: the input of an
@@ -712,10 +683,7 @@ impl<'a> Engine<'a> {
         if let Some(p) = prof {
             p.record_rows_in(rows.len() as u64);
         }
-        Ok(Relation::from_parts(
-            node.schema().clone(),
-            tuples(rows, None, self.db.str_pool(), prof),
-        ))
+        Ok(Relation::from_parts(node.schema().clone(), tuples(rows, None, prof)))
     }
 
     /// Execute both inputs of an operator that consumes them whole (the set
@@ -929,7 +897,7 @@ impl<'a> Engine<'a> {
         &self,
         l: &'r Rows<'r>,
         r: &'r Rows<'r>,
-        (keys, semi): (&'r HashKeys, bool),
+        keys: &'r HashKeys,
         scalars: &'r ScalarCtx<'_>,
         prof: Option<&NodeStats>,
     ) -> HashMatcher<'r>
@@ -940,7 +908,7 @@ impl<'a> Engine<'a> {
         let (semantics, vectorized) = (self.semantics, self.config.vectorized);
         let pool = self.db.str_pool();
         let values = &scalars.values;
-        let matcher = HashMatcher::new((l, r), keys, semi, values, semantics, vectorized, pool);
+        let matcher = HashMatcher::new((l, r), keys, values, semantics, vectorized, pool);
         if let Some((p, timer)) = profiled {
             p.record_build_ns(timer.elapsed_ns());
             if matcher.is_typed() {
@@ -967,7 +935,7 @@ impl<'a> Engine<'a> {
         let work = l.len() + r.len();
         let n =
             self.join_workers(&l, &r, keys.widest_predicate(), work, partitions, scalars, prof)?;
-        let matcher = self.hash_matcher(&l, &r, (keys, false), scalars, prof);
+        let matcher = self.hash_matcher(&l, &r, keys, scalars, prof);
         let pairs = self.for_each_outer(l.len(), n, |range, out| matcher.join(range, out))?;
         drop(matcher);
         if let Some(p) = prof {
@@ -993,7 +961,7 @@ impl<'a> Engine<'a> {
         let work = l.len() + r.len();
         let n =
             self.join_workers(l, r, keys.widest_predicate(), work, partitions, scalars, prof)?;
-        let matcher = self.hash_matcher(l, r, (keys, true), scalars, prof);
+        let matcher = self.hash_matcher(l, r, keys, scalars, prof);
         let keep = self
             .for_each_outer(l.len(), n, |range, keep| matcher.semi(range, keep_matching, keep))?;
         if let Some(p) = prof {
@@ -1140,19 +1108,9 @@ impl<'a> Engine<'a> {
             && arms.len() > 1
             && arms.iter().map(|a| self.input_rows_hint(a)).sum::<usize>()
                 >= self.config.parallel_floor;
-        // An arm whose columns its sources already cache typed keeps the
-        // first row of each key before its tuples are built; the arms' rows
-        // count as the union's input.
-        let all: Vec<usize> = (0..schema.arity()).collect();
         let run = |arm: &CompiledExpr| {
-            let mut rows = self.exec(arm, scalars, stats)?;
-            if let Some(p) = prof {
-                p.record_rows_in(rows.len() as u64);
-            }
-            if self.config.vectorized && rows.cached(&all, self.db.str_pool()) {
-                rows = self.dedup(rows, None);
-            }
-            Ok(tuples(rows, None, self.db.str_pool(), prof))
+            let rows = self.exec(arm, scalars, stats)?;
+            Ok(tuples(rows, None, prof))
         };
         let tuples = if fan_out {
             // One pool task per arm, concatenated in arm order.
@@ -1168,12 +1126,13 @@ impl<'a> Engine<'a> {
             tuples
         };
         if let Some(p) = prof {
+            p.record_rows_in(tuples.len() as u64);
             p.record_batches(arms.len() as u64);
         }
-        // Across arms, the built tuples are keyed by value: an owned
-        // relation's columns are not cached.
+        // The built tuples are keyed by value: an owned relation's columns
+        // are not cached.
         let rows = Rows::whole(Cow::Owned(Relation::from_parts(schema.clone(), tuples)));
-        Ok(if arms.len() > 1 { self.dedup(rows, None) } else { rows })
+        Ok(self.dedup(rows, None))
     }
 
     // ------------------------------------------------------------------
@@ -1354,13 +1313,8 @@ fn aggregate_row<'k>(
 
 /// The tuples of `rows` — the columns `cols`, every one for `None` — with
 /// the values built for them counted on `prof`.
-fn tuples(
-    rows: Rows<'_>,
-    cols: Option<&[usize]>,
-    pool: &StrPool,
-    prof: Option<&NodeStats>,
-) -> Vec<Tuple> {
-    let (tuples, built) = rows.into_tuples(cols, pool);
+fn tuples(rows: Rows<'_>, cols: Option<&[usize]>, prof: Option<&NodeStats>) -> Vec<Tuple> {
+    let (tuples, built) = rows.into_tuples(cols);
     if let Some(p) = prof {
         p.record_values_out(built as u64);
     }

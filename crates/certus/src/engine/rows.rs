@@ -11,7 +11,7 @@
 //! Tuples are built by [`Rows::into_tuples`] alone, where a consumer needs
 //! whole rows.
 
-use crate::data::column::{Column, ColumnData};
+use crate::data::column::Column;
 use crate::data::intern::StrPool;
 use crate::data::{Relation, Tuple, Value};
 use std::borrow::Cow;
@@ -183,12 +183,8 @@ impl<'a> Rows<'a> {
 
     /// The set as tuples of the columns `cols` (every column, in order, for
     /// `None`), and how many values were built for them. One relation's rows
-    /// read whole are passed on by pointer: nothing is built. A built
-    /// column whose source already caches it typed (a key or a filter read
-    /// it) is read there, through the ids — one contiguous payload instead
-    /// of a pointer per row; strings, whose values the tuples hold
-    /// ready-made, and uncached columns are read from the source's tuples.
-    pub(crate) fn into_tuples(self, cols: Option<&[usize]>, pool: &StrPool) -> (Vec<Tuple>, usize) {
+    /// read whole are passed on by pointer: nothing is built.
+    pub(crate) fn into_tuples(self, cols: Option<&[usize]>) -> (Vec<Tuple>, usize) {
         let whole = self.is_one_relation()
             && cols.is_none_or(|cols| cols.iter().copied().eq(0..self.width()));
         match (whole, self.first, self.ids) {
@@ -201,24 +197,8 @@ impl<'a> Rows<'a> {
                 let rows = Rows { first, ids, ..self };
                 let cols: Cow<'_, [usize]> =
                     cols.map_or_else(|| (0..rows.width()).collect(), Cow::Borrowed);
-                let typed = |p: usize| {
-                    if rows.len == 0 {
-                        return None;
-                    }
-                    let (s, c) = rows.slot(p);
-                    let col = rows.source(s).cached_column(c, pool)?;
-                    let payload = !matches!(col.data(), ColumnData::Str(_) | ColumnData::Values(_));
-                    payload.then(|| (col, rows.ids.as_ref().map(|ids| ids[s].as_slice())))
-                };
-                let reads: Vec<_> = cols.iter().map(|&p| typed(p)).collect();
-                let value =
-                    |i: usize, p: usize, read: &Option<(&Column, Option<&[u32]>)>| match read {
-                        Some((col, Some(ids))) => col.value_at(ids[i] as usize, pool),
-                        Some((col, None)) => col.value_at(i, pool),
-                        None => rows.value(i, p).clone(),
-                    };
                 let tuples = (0..rows.len)
-                    .map(|i| cols.iter().zip(&reads).map(|(&p, read)| value(i, p, read)).collect())
+                    .map(|i| cols.iter().map(|&p| rows.value(i, p).clone()).collect())
                     .collect();
                 (tuples, rows.len * cols.len())
             }

@@ -1091,8 +1091,8 @@ impl<'r> KeySet<'r> {
         true
     }
 
-    /// Number of rows that enter the hash table (or would, for a side that
-    /// probes).
+    /// Number of rows that enter the hash table (or would, for a build side
+    /// left unhashed because nothing probes it).
     pub(crate) fn valid_rows(&self) -> usize {
         if self.valid.len() == self.len {
             return self.valid.iter().filter(|v| **v).count();
@@ -1362,9 +1362,6 @@ pub(crate) struct HashMatcher<'r> {
     /// The full condition of null-aware keys, and its mask over the build
     /// side when it runs vectorized for wild probe rows.
     full: Option<(&'r CompiledPredicate, Option<BoundPred<'r>>)>,
-    /// What the probe rows found when the table was built over them
-    /// instead (see [`HashMatcher::new`]).
-    flipped: Option<Flipped>,
     l: &'r Rows<'r>,
     r: &'r Rows<'r>,
     values: &'r ScalarValues,
@@ -1379,17 +1376,9 @@ impl<'r> HashMatcher<'r> {
     /// nulls are ordinary key values. With null-aware keys, the rows holding
     /// a `NULL` that satisfies a key on its own are set aside on both sides.
     /// Nothing is tabled for an empty probe side.
-    ///
-    /// Without wild rows, when the probe side is the smaller one, the
-    /// probe side is tabled instead and every build row walks through it
-    /// once, in order: a `semi`join marks the probe rows a build row
-    /// matches, a join collects each probe row's partners, sorted into
-    /// probe order by a counting sort that keeps build order. The pairs are
-    /// the same, the table is the small one.
     pub(crate) fn new(
         (l, r): (&'r Rows<'r>, &'r Rows<'r>),
         keys: &'r HashKeys,
-        semi: bool,
         values: &'r ScalarValues,
         semantics: NullSemantics,
         vectorized: bool,
@@ -1408,81 +1397,26 @@ impl<'r> HashMatcher<'r> {
             });
             full = Some((&null_aware.full, bound));
         }
-        let flip = probe.wild.is_empty() && build.wild.is_empty() && l.len() < r.len();
-        let (probe, build, table) = match (l.is_empty(), flip) {
-            (true, _) => (probe, build, KeyTable::empty(1, 0)),
-            (false, true) => {
-                let probe = probe.hashed();
-                let table = probe.table();
-                (probe, build, table)
-            }
-            (false, false) => {
+        let (build, table) = match l.is_empty() {
+            true => (build, KeyTable::empty(1, 0)),
+            false => {
                 let build = build.hashed();
                 let table = build.table();
-                (probe, build, table)
+                (build, table)
             }
         };
-        let mut matcher = HashMatcher {
+        HashMatcher {
             table,
             probe,
             build,
             residual: (!keys.residual.is_const_true()).then_some(&keys.residual),
             full,
-            flipped: None,
             l,
             r,
             values,
             semantics,
             pool,
-        };
-        if flip && !l.is_empty() {
-            matcher.flipped = Some(matcher.walk_build(semi));
         }
-        matcher
-    }
-
-    /// Walk every build row through the table over the probe rows: a
-    /// semijoin's verdicts, or a join's partners per probe row.
-    fn walk_build(&self, semi: bool) -> Flipped {
-        let (walked, tabled, table, range) =
-            (&self.build, &self.probe, &self.table, 0..self.r.len());
-        if semi {
-            let mut matched = vec![false; self.l.len()];
-            let on_pair = |j: usize, i: usize| {
-                if !matched[i] && self.residual.is_none_or(|p| self.holds(p, i, j)) {
-                    matched[i] = true;
-                }
-                true
-            };
-            let walk = ProbeLoop { probe: walked, build: tabled, table, range, on_pair };
-            with_key_eq(walked, tabled, walk);
-            return Flipped::Matched(matched);
-        }
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let on_pair = |j: usize, i: usize| {
-            if self.residual.is_none_or(|p| self.holds(p, i, j)) {
-                pairs.push((i as u32, j as u32));
-            }
-            true
-        };
-        let walk = ProbeLoop { probe: walked, build: tabled, table, range, on_pair };
-        with_key_eq(walked, tabled, walk);
-        // Counting sort by probe row; stable, so each probe row's partners
-        // stay in build order.
-        let mut offsets = vec![0u32; self.l.len() + 1];
-        for &(i, _) in &pairs {
-            offsets[i as usize + 1] += 1;
-        }
-        for i in 0..self.l.len() {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut fill = offsets.clone();
-        let mut rows = vec![0u32; pairs.len()];
-        for (i, j) in pairs {
-            rows[fill[i as usize] as usize] = j;
-            fill[i as usize] += 1;
-        }
-        Flipped::Partners { offsets, rows }
     }
 
     /// Whether the keys are typed columns (the vectorized representation).
@@ -1534,13 +1468,6 @@ impl<'r> HashMatcher<'r> {
     /// in: probe order, each probe row's partners in build order — the
     /// order a nested loop over the same condition finds them in.
     pub(crate) fn join(&self, range: Range<usize>, out: &mut Vec<(u32, u32)>) {
-        if let Some(Flipped::Partners { offsets, rows }) = &self.flipped {
-            for i in range {
-                let partners = &rows[offsets[i] as usize..offsets[i + 1] as usize];
-                out.extend(partners.iter().map(|&j| (i as u32, j)));
-            }
-            return;
-        }
         let mut from = range.start;
         for &w in wild_in(&self.probe.wild, &range) {
             self.join_hashed(from..w as usize, out);
@@ -1577,10 +1504,6 @@ impl<'r> HashMatcher<'r> {
     /// stops at its first partner.
     pub(crate) fn semi(&self, range: Range<usize>, keep_matching: bool, keep: &mut Vec<u32>) {
         let start = range.start;
-        if let Some(Flipped::Matched(matched)) = &self.flipped {
-            let kept = range.filter(|&i| matched[i] == keep_matching);
-            return keep.extend(kept.map(|i| i as u32));
-        }
         let mut matched = vec![false; range.len()];
         self.probe(range.clone(), |i, _| {
             matched[i - start] = true;
@@ -1633,16 +1556,6 @@ fn for_each_bit_in(words: &[u64], range: Range<usize>, mut f: impl FnMut(usize))
 fn wild_in<'w>(wild: &'w [u32], range: &Range<usize>) -> &'w [u32] {
     let at = |i: usize| wild.partition_point(|&w| (w as usize) < i);
     &wild[at(range.start)..at(range.end)]
-}
-
-/// What a [`HashMatcher`] whose table is over its probe rows found when the
-/// build rows walked through it.
-enum Flipped {
-    /// A semijoin's verdict per probe row.
-    Matched(Vec<bool>),
-    /// A join's partners: probe row `i`'s are `rows[offsets[i]..offsets[i + 1]]`,
-    /// in build order.
-    Partners { offsets: Vec<u32>, rows: Vec<u32> },
 }
 
 #[cfg(test)]
@@ -1913,33 +1826,16 @@ mod tests {
                 }
             }
         }
-        let matcher = |semi: bool| {
-            let mut m = HashMatcher::new(
-                (&probe, &build),
-                &keys,
-                semi,
-                &scalars,
-                semantics,
-                vectorized,
-                pool,
-            );
-            if collide && !probe.is_empty() {
-                // Every row in one bucket with one hash: the loop must tell
-                // the chain's keys apart by comparing them.
-                m.probe.fixed_hash = Some(42);
-                m.build.fixed_hash = Some(42);
-                let tabled = if m.flipped.is_some() { &mut m.probe } else { &mut m.build };
-                let (mut hashes, mut valid) = (vec![0; tabled.len], vec![false; tabled.len]);
-                tabled.hash_rows(0..tabled.len, &mut hashes, &mut valid);
-                (tabled.hashes, tabled.valid) = (hashes, valid);
-                m.table = tabled.table();
-                if m.flipped.is_some() {
-                    m.flipped = Some(m.walk_build(semi));
-                }
-            }
-            m
-        };
-        let (join, semi) = (matcher(false), matcher(true));
+        let mut m =
+            HashMatcher::new((&probe, &build), &keys, &scalars, semantics, vectorized, pool);
+        if collide && !probe.is_empty() {
+            // Every row in one bucket with one hash: the loop must tell the
+            // chain's keys apart by comparing them.
+            m.probe.fixed_hash = Some(42);
+            m.build.fixed_hash = Some(42);
+            m.build = m.build.hashed();
+            m.table = m.build.table();
+        }
         let at = format!(
             "{} × {} rows, (multi, aware, residual) {case:?}, {semantics:?}, vectorized \
              {vectorized}, collide {collide}",
@@ -1949,9 +1845,9 @@ mod tests {
         for morsels in [1, 4] {
             let (mut pairs, mut semi_rows, mut anti) = (Vec::new(), Vec::new(), Vec::new());
             for range in runs(probe.len(), morsels) {
-                join.join(range.clone(), &mut pairs);
-                semi.semi(range.clone(), true, &mut semi_rows);
-                semi.semi(range, false, &mut anti);
+                m.join(range.clone(), &mut pairs);
+                m.semi(range.clone(), true, &mut semi_rows);
+                m.semi(range, false, &mut anti);
             }
             assert_eq!(pairs, want, "join, {morsels} morsels, {at}");
             let mut hits: Vec<u32> = want.iter().map(|p| p.0).collect();
@@ -2004,8 +1900,7 @@ mod tests {
                 }
                 // A NaN key equals only a NaN key, as `Value` equality has
                 // it, while a comparison counts NaN equal to every number:
-                // the joins are checked on the other floats. The probe side
-                // is the smaller, so semijoins without wild rows table it.
+                // the joins are checked on the other floats.
                 let (l, r) = (
                     without_nan(keyed(["a", "b", "x"], 37, kind, shape, &mut rng)),
                     without_nan(keyed(["c", "d", "y"], 41, kind, shape, &mut rng)),
@@ -2027,8 +1922,19 @@ mod tests {
             }
         }
         // Sides around the table's smallest size and the probe runs' edges,
-        // empty sides included.
-        let sizes = [(0, 5), (5, 0), (1, 1), (3, 1023), (257, 1024), (255, 1025), (256, 300)];
+        // empty sides included, and a table of more than 2 × MIN_BUCKETS
+        // rows probed by a few rows, and a small one by many runs.
+        let sizes = [
+            (0, 5),
+            (5, 0),
+            (1, 1),
+            (3, 1023),
+            (257, 1024),
+            (255, 1025),
+            (256, 300),
+            (41, 5000),
+            (5000, 41),
+        ];
         for (n_probe, n_build) in sizes {
             let l = keyed(["a", "b", "x"], n_probe, Kind::Int, "random", &mut rng);
             let r = keyed(["c", "d", "y"], n_build, Kind::Int, "random", &mut rng);
