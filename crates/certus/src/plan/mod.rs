@@ -12,7 +12,7 @@
 //!   rewrites (nullability-aware `IS NULL` pruning, OR-splitting of
 //!   `NOT EXISTS` and join conditions, the key-based simplification
 //!   `R ⋉̸⇑ S → R − S`), and join-to-semijoin for joins that only test
-//!   existence.
+//!   existence and for key lookups, which go into the join input they read.
 //! * [`stats`] — a [`StatisticsCatalog`] of per-relation cardinalities and
 //!   per-column null fractions / distinct counts computed from
 //!   `certus::data` relations.

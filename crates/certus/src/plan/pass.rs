@@ -15,8 +15,16 @@
 //! last: it needs the conditions where pushdown left them (a filter still
 //! sitting above a join would read the right columns it is about to drop),
 //! and it must come after split-or-join, which only knows how to split a
-//! *join* on a disjunction. No later pass opens work for an earlier one —
-//! the semijoin a join becomes keeps its condition and its inputs, so
+//! *join* on a disjunction. It also pushes key lookups — (anti-)semijoins
+//! on the declared key of a base relation — into the join input they read,
+//! and the two rules open work for each other: a pushed lookup can leave a
+//! join whose right columns nobody reads any more, and the semijoin that
+//! join becomes can be a lookup that goes further down (Q⁺4's `⋈ supplier`
+//! becomes a semijoin only once `⋉ nation` has gone onto `supplier`). A
+//! chain of lookups needs as many alternations as it has links, so the two
+//! rules share one walk instead of the list naming a pass twice. No later
+//! pass opens work for an earlier one — a semijoin a join becomes, or one
+//! pushed into a join input, keeps its condition and its right input, so
 //! folding, pushdown and pruning find it as they left it, and a projection
 //! it turns into the identity is written as `collapse` would write it —
 //! running the list over its own output changes nothing, which debug builds
@@ -36,7 +44,8 @@ pub type Pass = fn(&RaExpr, &dyn Catalog) -> Result<RaExpr>;
 /// The pipeline, in execution order: folding, predicate pushdown, projection
 /// collapsing, the paper's Section 7 rewrites (nullability pruning,
 /// key-based anti-join simplification, OR-splitting of anti-joins and of
-/// joins), then joins that only test existence to semijoins.
+/// joins), then joins that only test existence to semijoins, with key
+/// lookups pushed into the join input they read.
 pub const PASSES: [(&str, Pass); 8] = [
     ("fold", fold::fold),
     ("predicate-pushdown", pushdown::pushdown),
@@ -136,6 +145,32 @@ mod tests {
                 "join-to-semijoin",
             ]
         );
+    }
+
+    #[test]
+    fn one_walk_turns_a_chain_of_key_lookups_into_semijoins() {
+        // `NOT EXISTS (lineitem, supplier, nation, region)` keyed link by
+        // link: each join becomes a semijoin only once the lookup above it
+        // has gone down, which a list naming join-to-semijoin once, or any
+        // fixed number of times, could not do were the two rules separate.
+        let db = crate::tpch::schema::tpch_catalog();
+        let chain = RaExpr::relation("lineitem")
+            .join(RaExpr::relation("supplier"), eq("l_suppkey", "s_suppkey"))
+            .join(RaExpr::relation("nation"), eq("s_nationkey", "n_nationkey"))
+            .join(RaExpr::relation("region"), eq("n_regionkey", "r_regionkey"));
+        let q = RaExpr::relation("orders").anti_join(chain, eq("o_orderkey", "l_orderkey"));
+        let (out, traces) = PassManager::standard().run_traced(&q, &db).unwrap();
+        let lookups = RaExpr::relation("supplier").semi_join(
+            RaExpr::relation("nation")
+                .semi_join(RaExpr::relation("region"), eq("n_regionkey", "r_regionkey")),
+            eq("s_nationkey", "n_nationkey"),
+        );
+        let chain = RaExpr::relation("lineitem").semi_join(lookups, eq("l_suppkey", "s_suppkey"));
+        assert_eq!(
+            out,
+            RaExpr::relation("orders").anti_join(chain, eq("o_orderkey", "l_orderkey"))
+        );
+        assert_eq!(traces.len(), PASSES.len());
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! * [`or_split`] — OR-splitting of anti-join and join conditions (paper,
 //!   Section 7);
 //! * [`semijoin`] — a join whose right columns nobody reads, under a
-//!   consumer that ignores duplicate rows, becomes a semijoin. Last in the
-//!   list: it reads the conditions where [`pushdown`] left them and leaves
-//!   every condition and input as it found it, so no earlier pass gets new
+//!   consumer that ignores duplicate rows, becomes a semijoin, and a key
+//!   lookup (an (anti-)semijoin on the declared key of a base relation)
+//!   goes into the join input it reads. The two rules open work for each
+//!   other, so they share one walk. Last in the list: it reads the
+//!   conditions where [`pushdown`] left them and moves semijoins without
+//!   changing their conditions or right inputs, so no earlier pass gets new
 //!   work.
 
 pub mod collapse;

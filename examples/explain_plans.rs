@@ -6,9 +6,11 @@
 //! statistics-backed row/cost estimates, the chosen join algorithm per node
 //! and null-aware keys marked `| <column> null matches` — for a serial and
 //! for a 4-thread session. Under the `NOT EXISTS` only existence matters:
-//! the two joins whose right columns nobody reads (`part`, `nation`) are
-//! planned, shown and run as `HashSemiJoin`s, in Q4 and Q⁺4 alike; the join
-//! with `supplier` hands `s_nationkey` on and stays a `HashJoin`.
+//! the joins whose right columns nobody reads are planned, shown and run as
+//! `HashSemiJoin`s, in Q4 and Q⁺4 alike. The key lookup on `nation` goes
+//! into the join input it reads, `supplier`; then nothing reads
+//! `s_nationkey` above the join with `supplier` either, and it is a
+//! semijoin of `lineitem` over `supplier ⋉ nation`: no `HashJoin` is left.
 //!
 //! Run with `cargo run --release --example explain_plans`.
 

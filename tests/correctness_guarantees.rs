@@ -4,14 +4,16 @@
 //! generated queries from the supported fragment — with and without the
 //! planner's rewrite pipeline, which must not affect certainty.
 
-use certus::algebra::builder::{eq, eq_const, neq};
-use certus::algebra::{eval, NullSemantics, RaExpr};
+use certus::algebra::builder::{eq, eq_const, is_null, neq};
+use certus::algebra::{eval, Condition, NullSemantics, RaExpr};
 use certus::core::certain::CertainOracle;
 use certus::core::{translate_plus, translate_star, ConditionDialect};
 use certus::data::builder::rel;
 use certus::data::null::NullId;
-use certus::data::{Database, Value};
-use certus::plan::PassManager;
+use certus::data::{Database, Relation, Tuple, Value};
+use certus::plan::{PassManager, PASSES};
+use certus::tpch::{query_by_number, Workload};
+use certus::{Certainty, Session};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -168,4 +170,152 @@ fn incomparability_examples_from_section_6() {
     let sql = eval(&q, &db, NullSemantics::Sql).unwrap();
     let certain = eval(&plus, &db, NullSemantics::Sql).unwrap();
     assert!(certain.len() <= sql.len());
+}
+
+/// TPC-H's keyed tables, at most six rows each over a domain of four
+/// values, keys unique: the columns a lookup or a join reads are half nulls.
+fn lookup_db(tpch: &Database, rng: &mut StdRng) -> Database {
+    let mut db = tpch.clone();
+    for (table, key, read) in [
+        ("nation", &["n_nationkey"][..], &["n_regionkey"][..]),
+        ("supplier", &["s_suppkey"], &["s_nationkey"]),
+        ("part", &["p_partkey"], &[]),
+        ("lineitem", &["l_orderkey", "l_linenumber"], &["l_suppkey", "l_partkey"]),
+    ] {
+        let template = tpch.relation(table).unwrap();
+        let schema = template.schema().clone();
+        let at = |column: &str| schema.find(column).unwrap();
+        let mut rows: Vec<Tuple> = Vec::new();
+        for _ in 0..rng.gen_range(0..7usize) {
+            let mut row = template.tuples()[0].values().to_vec();
+            for column in key {
+                row[at(column)] = Value::Int(rng.gen_range(0..4i64));
+            }
+            if rows.iter().any(|r| key.iter().all(|c| r.values()[at(c)] == row[at(c)])) {
+                continue;
+            }
+            for column in read {
+                row[at(column)] = match rng.gen_bool(0.5) {
+                    true => Value::Null(NullId(rng.gen_range(1..4u64))),
+                    false => Value::Int(rng.gen_range(0..4i64)),
+                };
+            }
+            rows.push(Tuple::new(row));
+        }
+        db.insert_relation(table, Relation::new(schema.clone(), rows).unwrap());
+    }
+    db
+}
+
+/// `left ⋉_on right`, or `left ▷_on right`.
+fn exists(anti: bool, left: RaExpr, right: RaExpr, on: Condition) -> RaExpr {
+    match anti {
+        true => left.anti_join(right, on),
+        false => left.semi_join(right, on),
+    }
+}
+
+/// Whether some (anti-)semijoin of `expr` sits directly on a join.
+fn tests_a_join(expr: &RaExpr) -> bool {
+    let here = matches!(
+        expr,
+        RaExpr::SemiJoin { left, .. } | RaExpr::AntiJoin { left, .. }
+            if matches!(**left, RaExpr::Join { .. })
+    );
+    here || expr.children().into_iter().any(tests_a_join)
+}
+
+/// A key lookup above a join goes into the input it reads, and the answer is
+/// the one `eval` gives the query as written, under both semantics: a
+/// semijoin and an anti-join, reading either input of the join, on plain and
+/// null-aware keys over columns that are half nulls, and on an aliased
+/// self-join of `lineitem` whose aliases answer to the same base names.
+#[test]
+fn key_lookups_pushed_into_a_join_keep_every_answer() {
+    let null_aware = |x: &str, y: &str| eq(x, y).or(is_null(x));
+    let [lineitem, supplier, part] = ["lineitem", "supplier", "part"].map(RaExpr::relation);
+    let nation =
+        RaExpr::relation("nation").select(eq_const("n_regionkey", 1i64).or(is_null("n_regionkey")));
+    let [l1, l2, l3] = ["l1", "l2", "l3"].map(|alias| RaExpr::relation_as("lineitem", alias));
+    let whole_key = |of: &str| {
+        eq(format!("{of}.l_orderkey"), "l3.l_orderkey")
+            .and(eq("l3.l_linenumber", format!("{of}.l_linenumber")))
+    };
+    let mut shapes = Vec::new();
+    for anti in [false, true] {
+        for null_aware_keys in [false, true] {
+            let key = |x: &str, y: &str| if null_aware_keys { null_aware(x, y) } else { eq(x, y) };
+            let join = lineitem.clone().join(supplier.clone(), key("l_suppkey", "s_suppkey"));
+            // Into the right input and into the left, at the root …
+            let on_nation = key("s_nationkey", "n_nationkey");
+            let right = exists(anti, join.clone(), nation.clone(), on_nation);
+            let left = exists(anti, join, part.clone(), key("l_partkey", "p_partkey"));
+            // … and under a projection, where the join left behind becomes
+            // a semijoin.
+            let read = [right.clone(), left.clone()].map(|q| q.project(&["l_orderkey"]));
+            shapes.extend([right, left]);
+            shapes.extend(read);
+        }
+        // An aliased self-join: the lookup reads one alias, on its whole key.
+        let self_join = l1.clone().join(
+            l2.clone(),
+            eq("l1.l_orderkey", "l2.l_orderkey").and(neq("l1.l_suppkey", "l2.l_suppkey")),
+        );
+        for of in ["l1", "l2"] {
+            let q = exists(anti, self_join.clone(), l3.clone(), whole_key(of));
+            shapes.extend([q.clone(), q.project(&["l1.l_suppkey"])]);
+        }
+    }
+    let pass = PASSES.iter().find(|(name, _)| *name == "join-to-semijoin").unwrap().1;
+    let passes = PassManager::standard();
+    let tpch = Workload::new(0.0001, 0.0, 1).incomplete_instance();
+    let mut rng = StdRng::seed_from_u64(0x10C0);
+    for case in 0..40 {
+        let db = lookup_db(&tpch, &mut rng);
+        for q in &shapes {
+            let (rewritten, piped) = (pass(q, &db).unwrap(), passes.run(q, &db).unwrap());
+            assert!(!tests_a_join(&rewritten), "not pushed: {q} → {rewritten}");
+            for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+                let written = eval(q, &db, semantics).unwrap();
+                let after = eval(&rewritten, &db, semantics).unwrap();
+                assert_eq!(
+                    written.sorted().tuples(),
+                    after.sorted().tuples(),
+                    "case {case}, {semantics:?}: {q} → {rewritten}"
+                );
+                let after = eval(&piped, &db, semantics).unwrap();
+                assert_eq!(
+                    written.distinct().sorted().tuples(),
+                    after.distinct().sorted().tuples(),
+                    "case {case}, {semantics:?}: {q} → {piped}"
+                );
+            }
+        }
+    }
+}
+
+/// Q1's `⋉ l2` and `▷ l3` are keyed on `l_orderkey` alone, which does not
+/// cover `lineitem`'s key `(l_orderkey, l_linenumber)`: they stay above the
+/// joins, in Q1 and in Q⁺1, while the key lookup `⋉ nation` goes down onto
+/// `supplier`.
+#[test]
+fn q1_existence_tests_that_are_not_key_lookups_stay_in_place() {
+    let w = Workload::new(0.0002, 0.03, 42);
+    let db = w.incomplete_instance();
+    let q1 = query_by_number(1, &w.params(&db, 0)).unwrap();
+    let session = Session::builder(db).threads(1).build();
+    for certainty in [Certainty::Plain, Certainty::CertainPlus] {
+        let explain = session.explain(&q1, certainty).unwrap();
+        let ops: Vec<&str> = explain.flatten().iter().map(|node| node.op.as_str()).collect();
+        let expected = [
+            "Project",
+            "HashAntiJoin [l1.l_orderkey = l3.l_orderkey]",
+            "HashSemiJoin [l1.l_orderkey = l2.l_orderkey]",
+            "HashJoin [l1.l_orderkey = o_orderkey]",
+            "HashJoin [s_suppkey = l1.l_suppkey]",
+            "HashSemiJoin [s_nationkey = n_nationkey]",
+            "Scan supplier",
+        ];
+        assert_eq!(ops[..expected.len()], expected, "{certainty:?}: {explain}");
+    }
 }

@@ -135,9 +135,10 @@ fn certain_answer_plans_have_no_nested_loops_and_q2_q3_plans_stay_put() {
 }
 
 /// `Session::explain` of Q1–Q4, as written and under both translations, at
-/// one and four threads: plans *and* estimates, byte for byte what commit
-/// 6cc32f2 (the last with a second, logical cost model beside the
-/// planner's) printed. A change to the cost formulas updates the fixture on
+/// one and four threads: plans *and* estimates, byte for byte. The fixture
+/// is named after the commit it was regenerated on, when key lookups began
+/// to go into the join input they read; only the Q1 and Q4 trees moved then.
+/// A change to the cost formulas or to the plans updates the fixture on
 /// purpose; a refactor of where they are computed must leave it alone.
 #[test]
 fn explain_text_of_every_query_and_translation_stays_put() {
@@ -155,7 +156,7 @@ fn explain_text_of_every_query_and_translation_stays_put() {
             }
         }
     }
-    assert_eq!(text, include_str!("fixtures/explain_at_6cc32f2.txt"));
+    assert_eq!(text, include_str!("fixtures/explain_at_2f86ccf.txt"));
 }
 
 /// `text` with every measured time (`time=…`, `build=…`) masked as `*`.
@@ -177,10 +178,10 @@ fn mask_times(text: &str) -> String {
 /// `Session::explain_analyze` of Q1–Q4, as written and under both
 /// translations, on the benchmark's instance (scale 0.002, null rate 0.03,
 /// seed 42) at one thread and at four with every exchange fanning out:
-/// estimates, actual rows, path tags and divergence flags, byte for byte
-/// what commit 61ca347 printed, with the measured times masked — but for the
-/// nodes Q⁺2's decorrelated short-circuit skips, which read `never executed`
-/// where 61ca347 printed `act=0` and flagged them as misestimated.
+/// estimates, actual rows, path tags and divergence flags, byte for byte,
+/// with the measured times masked. The nodes Q⁺2's decorrelated
+/// short-circuit skips read `never executed`. Regenerated, like the EXPLAIN
+/// fixture, when key lookups began to go into the join input they read.
 #[test]
 fn explain_analyze_text_of_every_query_and_translation_stays_put() {
     let workload = Workload::new(0.002, 0.03, 42);
@@ -199,7 +200,7 @@ fn explain_analyze_text_of_every_query_and_translation_stays_put() {
             }
         }
     }
-    assert_eq!(text, include_str!("fixtures/explain_analyze_at_61ca347.txt"));
+    assert_eq!(text, include_str!("fixtures/explain_analyze_at_2f86ccf.txt"));
 }
 
 /// FNV-1a (64 bits) over the rendered rows, one per line, in answer order.

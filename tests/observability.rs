@@ -106,11 +106,13 @@ fn explain_analyze_annotates_every_node() {
 /// benchmark's instance (scale 0.002, null rate 0.03, seed 42) the three
 /// joins used to emit 12,117, 20,021 and 2,042 rows — every `lineitem` row
 /// with a `NULL` key paired with the whole other side — for an anti-join that
-/// reads one column and asks only whether a partner exists. `⋉ part` and
-/// `⋉ nation` are semijoins now and stop at the first partner. No join-like
-/// operator builds a row: the join pairs the row ids of `lineitem` and
-/// `supplier`, the semijoins keep ids, so each builds 0 values; the root
-/// projection builds the answer, rows × width.
+/// reads one column and asks only whether a partner exists. Then `⋉ part`
+/// and `⋉ nation` became semijoins, and the join with `supplier` still
+/// emitted 2,196 rows out of 1,360, because `⋉ nation` above it read
+/// `s_nationkey`. With that key lookup pushed into `supplier`, the join is a
+/// semijoin too: two semijoins over `lineitem`, each stopping at the first
+/// partner. No join-like operator builds a row: the semijoins keep ids, so
+/// each builds 0 values; the root projection builds the answer, rows × width.
 #[test]
 fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
     let w = Workload::new(0.002, 0.03, 42);
@@ -119,7 +121,7 @@ fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
     let session = Session::builder(db).config(EngineConfig::serial()).build();
     let prepared = session.prepare(&q4, Certainty::CertainPlus).unwrap();
     let (answers, profiles) = session.execute_prepared_profiled(&prepared).unwrap();
-    // Project ← anti-join ← [orders, ⋉ nation ← ⋈ supplier ← ⋉ part ← lineitem].
+    // Project ← anti-join ← [orders, ⋉ part ← ⋉ (supplier ⋉ nation) ← lineitem].
     let root = &profiles[0];
     let mut node = &root.children[0].children[1];
     let mut chain = Vec::new();
@@ -128,11 +130,10 @@ fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
         node = &node.children[0];
     }
     // Operator, rows, values built (commit 29a4565 built 66,318 values in
-    // these three, and counted 1,360 × 9 more for rows it passed on).
-    assert_eq!(
-        chain,
-        vec![("hash_semi", 213, 0), ("hash_join", 2_196, 0), ("hash_semi", 1_360, 0)]
-    );
+    // the three joins of that time, and counted 1,360 × 9 more for rows it
+    // passed on; commit 2f86ccf's chain was `hash_semi` 213 ← `hash_join`
+    // 2,196 ← `hash_semi` 1,360).
+    assert_eq!(chain, vec![("hash_semi", 169, 0), ("hash_semi", 1_536, 0)]);
     let width = answers.relation().arity() as u64;
     assert_eq!((root.op.as_str(), root.rows_out, root.values_out), ("fused", 2_835, 2_835 * width));
     for node in root.flatten().into_iter().skip(1) {
@@ -145,16 +146,19 @@ fn q4_plus_joins_emit_only_the_columns_an_ancestor_reads() {
 
 /// The standing form of that finding: on the benchmark's instance no
 /// join-like operator of Q1–Q4 or of their translations emits more rows than
-/// the largest base relation it reads (the parent's Q4⁺ emitted 20,021 from
-/// a 12,006-row `lineitem`). Against its own two inputs the one join left in
-/// Q4⁺ still grows — 1,360 rows in, 2,196 out: the rows with a `NULL`
-/// `l_suppkey` pair with all 20 suppliers, and `s_nationkey` is read above.
+/// the largest base relation it reads (before joins that only test
+/// existence became semijoins, Q4⁺ emitted 20,021 rows from a 12,006-row
+/// `lineitem`), nor more than the larger of
+/// its own two inputs. Commit 2f86ccf failed the second test on Q4⁺'s
+/// null-aware join: 1,360 and 20 rows in, 2,196 out, because the rows with a
+/// `NULL` `l_suppkey` paired with all 20 suppliers.
 #[test]
 fn no_join_of_the_benchmark_classes_emits_more_rows_than_its_largest_table() {
     let w = Workload::new(0.002, 0.03, 42);
     let db = w.incomplete_instance();
     let params = w.params(&db, 0);
     let session = Session::builder(db).config(EngineConfig::serial()).build();
+    let per_run = |node: &QueryProfile| node.rows_out / node.invocations.max(1);
     for number in 1..=4 {
         let query = certus::tpch::query_by_number(number, &params).unwrap();
         for certainty in [Certainty::Plain, Certainty::CertainPlus] {
@@ -168,7 +172,7 @@ fn no_join_of_the_benchmark_classes_emits_more_rows_than_its_largest_table() {
                     .flatten()
                     .iter()
                     .filter(|n| n.op.starts_with("scan("))
-                    .map(|scan| scan.rows_out / scan.invocations.max(1))
+                    .map(|scan| per_run(scan))
                     .max()
                     .unwrap();
                 assert!(
@@ -176,6 +180,13 @@ fn no_join_of_the_benchmark_classes_emits_more_rows_than_its_largest_table() {
                     "Q{number} {certainty:?}: {} emits {} rows over tables of at most {largest_table}",
                     node.op,
                     node.rows_out
+                );
+                let largest_input = node.children.iter().map(per_run).max().unwrap();
+                assert!(
+                    per_run(node) <= largest_input,
+                    "Q{number} {certainty:?}: {} emits {} rows from inputs of at most {largest_input}",
+                    node.op,
+                    per_run(node)
                 );
             }
         }
