@@ -39,7 +39,6 @@ fn as_single_line(expr: &RaExpr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         RaExpr::AntiJoin { left, right, condition } => write!(f, "({left} ▷[{condition}] {right})"),
         RaExpr::UnifySemiJoin { left, right } => write!(f, "({left} ⋉⇑ {right})"),
         RaExpr::UnifyAntiSemiJoin { left, right } => write!(f, "({left} ⋉̸⇑ {right})"),
-        RaExpr::Division { left, right } => write!(f, "({left} ÷ {right})"),
         RaExpr::Rename { input, columns } => write!(f, "ρ[{}]({input})", columns.join(", ")),
         RaExpr::Distinct { input } => write!(f, "δ({input})"),
         RaExpr::Aggregate { input, group_by, aggregates } => {

@@ -112,7 +112,6 @@ impl<'a> Evaluator<'a> {
             }
             RaExpr::UnifySemiJoin { left, right } => self.unify_semi(left, right, true),
             RaExpr::UnifyAntiSemiJoin { left, right } => self.unify_semi(left, right, false),
-            RaExpr::Division { left, right } => self.division(left, right),
             RaExpr::Rename { input, columns } => {
                 let rel = self.eval(input)?;
                 let schema = rel.schema().rename(columns)?.shared();
@@ -188,51 +187,6 @@ impl<'a> Evaluator<'a> {
             .cloned()
             .collect();
         Ok(Relation::from_parts(l.schema().clone(), tuples))
-    }
-
-    fn division(&self, left: &RaExpr, right: &RaExpr) -> Result<Relation> {
-        let l = self.eval(left)?;
-        let r = self.eval(right)?;
-        // Map each divisor column to the dividend column with the same base name.
-        let mut shared_positions = Vec::with_capacity(r.arity());
-        for attr in r.schema().attrs() {
-            let pos = l
-                .schema()
-                .attrs()
-                .iter()
-                .position(|a| a.base_name() == attr.base_name())
-                .ok_or_else(|| {
-                    Error::Malformed(format!(
-                        "division: divisor column {} not found in dividend",
-                        attr.name
-                    ))
-                })?;
-            shared_positions.push(pos);
-        }
-        let key_positions: Vec<usize> =
-            (0..l.arity()).filter(|i| !shared_positions.contains(i)).collect();
-        let out_schema = l.schema().project(&key_positions).shared();
-        let all: std::collections::HashSet<&Tuple> = l.iter().collect();
-        let mut seen_keys = std::collections::HashSet::new();
-        let mut tuples = Vec::new();
-        for lt in l.iter() {
-            let key = lt.project(&key_positions);
-            if !seen_keys.insert(key.clone()) {
-                continue;
-            }
-            let ok = r.iter().all(|rt| {
-                // Reassemble a dividend tuple with this key and the divisor values.
-                let mut vals: Vec<Value> = lt.values().to_vec();
-                for (ri, &lp) in shared_positions.iter().enumerate() {
-                    vals[lp] = rt[ri].clone();
-                }
-                all.contains(&Tuple::new(vals))
-            });
-            if ok {
-                tuples.push(key);
-            }
-        }
-        Ok(Relation::from_parts(out_schema, tuples))
     }
 
     fn aggregate(
@@ -450,6 +404,7 @@ mod tests {
     use super::*;
     use crate::algebra::builder::{col, lit};
     use crate::data::builder::rel;
+    use crate::data::compare::CmpOp;
     use crate::data::null::NullId;
 
     fn null(i: u64) -> Value {
@@ -550,6 +505,26 @@ mod tests {
         assert_eq!(eval(&anti, &db, NullSemantics::Sql).unwrap().len(), 0);
     }
 
+    /// NaN equals only NaN and sorts above every number, under both
+    /// semantics: `NaN = 1.0` is false, `NaN = NaN` true, `NaN > 1.0` true.
+    #[test]
+    fn nan_equals_only_nan() {
+        let (nan, one) = (Value::Float(f64::NAN), Value::Float(1.0));
+        let mut db = Database::new();
+        let rows = vec![vec![nan.clone(), one.clone()], vec![nan.clone(), nan.clone()]];
+        db.insert_relation("f", rel(&["x", "y"], rows));
+        for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
+            let select = |op: CmpOp| {
+                let cond = Condition::Cmp { left: col("x"), op, right: col("y") };
+                let q = RaExpr::relation("f").select(cond);
+                eval(&q, &db, semantics).unwrap().into_tuples()
+            };
+            assert_eq!(select(CmpOp::Eq), [Tuple::new(vec![nan.clone(), nan.clone()])]);
+            assert_eq!(select(CmpOp::Gt), [Tuple::new(vec![nan.clone(), one.clone()])]);
+            assert_eq!(select(CmpOp::Le), [Tuple::new(vec![nan.clone(), nan.clone()])]);
+        }
+    }
+
     #[test]
     fn division_students_taking_all_courses() {
         let mut db = Database::new();
@@ -568,7 +543,7 @@ mod tests {
             "courses",
             rel(&["course"], vec![vec![Value::Int(10)], vec![Value::Int(20)]]),
         );
-        let q = RaExpr::relation("takes").divide(RaExpr::relation("courses"));
+        let q = RaExpr::relation("takes").divide(RaExpr::relation("courses"), &db).unwrap();
         let out = eval(&q, &db, NullSemantics::Sql).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0][0], Value::Int(1));

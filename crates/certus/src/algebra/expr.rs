@@ -1,7 +1,9 @@
 //! Relational algebra expressions.
 
 use crate::algebra::condition::Condition;
-use crate::data::{Schema, Tuple};
+use crate::algebra::schema_infer::{output_schema, Catalog};
+use crate::data::{Attribute, Schema, Tuple};
+use crate::{Error, Result};
 use std::fmt;
 
 /// A projected column: a source column and an optional output name.
@@ -93,7 +95,8 @@ impl AggExpr {
 /// remaining variants are derived operators that the translations and the
 /// SQL front-end use directly because they admit efficient physical plans:
 /// theta-join, (anti)semijoin, the unification (anti)semijoin of Definition 4,
-/// division, and a black-box aggregate.
+/// and a black-box aggregate. Division has no variant: [`RaExpr::divide`]
+/// builds it from −, π and ×.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RaExpr {
     /// A base relation, optionally re-qualified under an alias (scanning `R`
@@ -200,16 +203,6 @@ pub enum RaExpr {
         /// Right input.
         right: Box<RaExpr>,
     },
-    /// Relational division `left ÷ right`: tuples over the non-shared columns
-    /// of `left` that appear combined with *every* tuple of `right`
-    /// ("students taking all courses").
-    Division {
-        /// Dividend.
-        left: Box<RaExpr>,
-        /// Divisor (its columns must be a subset of the dividend's, matched by
-        /// unqualified name).
-        right: Box<RaExpr>,
-    },
     /// Rename the output columns.
     Rename {
         /// Input expression.
@@ -308,9 +301,36 @@ impl RaExpr {
         RaExpr::UnifyAntiSemiJoin { left: Box::new(self), right: Box::new(other) }
     }
 
-    /// Division.
-    pub fn divide(self, other: RaExpr) -> RaExpr {
-        RaExpr::Division { left: Box::new(self), right: Box::new(other) }
+    /// Relational division `self ÷ divisor`: the tuples over the columns `K`
+    /// of `self` that no divisor column names by base name, which appear
+    /// combined with *every* divisor tuple ("students taking all courses").
+    /// It is built as its textbook expansion
+    /// `π_K(R) − π_K((π_K(R) × S) − R)`, so the translations, the planner
+    /// and the engine see only −, π and ×. The divisor's columns must be a
+    /// subset of the dividend's.
+    pub fn divide(self, divisor: RaExpr, catalog: &dyn Catalog) -> Result<RaExpr> {
+        let dividend = output_schema(&self, catalog)?;
+        let divisor_schema = output_schema(&divisor, catalog)?;
+        let named = |base: &str| divisor_schema.attrs().iter().any(|b| b.base_name() == base);
+        let column = |a: &Attribute| ProjCol::named(a.name.clone());
+        let keys: Vec<ProjCol> =
+            dividend.attrs().iter().filter(|a| !named(a.base_name())).map(column).collect();
+        // The dividend column each divisor column names.
+        let shared = (divisor_schema.attrs().iter())
+            .map(|b| dividend.attrs().iter().find(|a| a.base_name() == b.base_name()).map(column))
+            .collect::<Option<Vec<ProjCol>>>()
+            .filter(|shared| keys.len() + shared.len() == dividend.arity())
+            .ok_or_else(|| {
+                Error::Malformed(
+                    "division requires the divisor's columns to be a subset of the dividend's"
+                        .into(),
+                )
+            })?;
+        let candidates = self.clone().project_cols(keys.clone());
+        // The dividend in the column order of `π_K(R) × S`.
+        let aligned = self.project_cols(keys.iter().cloned().chain(shared).collect());
+        let missing = candidates.clone().product(divisor).difference(aligned).project_cols(keys);
+        Ok(candidates.difference(missing))
     }
 
     /// Rename output columns.
@@ -352,8 +372,7 @@ impl RaExpr {
             | RaExpr::SemiJoin { left, right, .. }
             | RaExpr::AntiJoin { left, right, .. }
             | RaExpr::UnifySemiJoin { left, right }
-            | RaExpr::UnifyAntiSemiJoin { left, right }
-            | RaExpr::Division { left, right } => vec![left, right],
+            | RaExpr::UnifyAntiSemiJoin { left, right } => vec![left, right],
         }
     }
 

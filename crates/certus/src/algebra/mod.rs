@@ -5,8 +5,8 @@
 //!
 //! The IR ([`RaExpr`]) covers the paper's algebra — selection, projection,
 //! product, union, intersection, difference — plus the derived operators the
-//! paper relies on: theta-joins, (anti)semijoins, the *unification*
-//! (anti)semijoins `⋉⇑` / `⋉̸⇑` of Definition 4, and division. Selection
+//! paper relies on: theta-joins, (anti)semijoins and the *unification*
+//! (anti)semijoins `⋉⇑` / `⋉̸⇑` of Definition 4. Selection
 //! conditions ([`Condition`]) are Boolean combinations of comparisons,
 //! `IS [NOT] NULL` predicates (`const(A)` / `null(A)` in the paper), `LIKE`,
 //! `IN`-lists and black-box scalar subqueries.

@@ -153,25 +153,6 @@ fn infer<'e>(
             }
             Ok(l)
         }
-        RaExpr::Division { left, right } => {
-            let l = input(left)?;
-            let r = input(right)?;
-            // Divisor columns are matched against dividend columns by base name.
-            let mut keep = Vec::new();
-            for (i, a) in l.attrs().iter().enumerate() {
-                let shared = r.attrs().iter().any(|b| b.base_name() == a.base_name());
-                if !shared {
-                    keep.push(i);
-                }
-            }
-            if keep.len() + r.arity() != l.arity() {
-                return Err(Error::Malformed(
-                    "division requires the divisor's columns to be a subset of the dividend's"
-                        .into(),
-                ));
-            }
-            Ok(Arc::new(l.project(&keep)))
-        }
         RaExpr::Rename { input: child, columns } => input(child)?.rename(columns).map(Arc::new),
         RaExpr::Distinct { input: child } => input(child),
         RaExpr::Aggregate { input: child, group_by, aggregates } => {
@@ -345,8 +326,10 @@ mod tests {
             rel(&["student", "course"], vec![vec![Value::Int(1), Value::Int(10)]]),
         );
         db.insert_relation("courses", rel(&["course"], vec![vec![Value::Int(10)]]));
-        let q = RaExpr::relation("takes").divide(RaExpr::relation("courses"));
+        let q = RaExpr::relation("takes").divide(RaExpr::relation("courses"), &db).unwrap();
         assert_eq!(output_schema(&q, &db).unwrap().names(), vec!["student"]);
+        // A divisor column the dividend lacks is refused.
+        assert!(RaExpr::relation("courses").divide(RaExpr::relation("takes"), &db).is_err());
     }
 
     #[test]

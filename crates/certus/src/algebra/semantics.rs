@@ -10,8 +10,8 @@ pub enum NullSemantics {
     Sql,
     /// Naive evaluation: nulls are treated as ordinary values (`⊥ᵢ = ⊥ᵢ`
     /// holds, `⊥ᵢ = c` does not). By Fact 1 of the paper this computes
-    /// exactly the certain answers with nulls for positive relational algebra
-    /// (plus division).
+    /// exactly the certain answers with nulls for positive relational
+    /// algebra.
     Naive,
 }
 

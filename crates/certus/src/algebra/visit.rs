@@ -37,7 +37,6 @@ impl RaExpr {
             }
             RaExpr::UnifySemiJoin { left, right } => f(left)?.unify_semi_join(f(right)?),
             RaExpr::UnifyAntiSemiJoin { left, right } => f(left)?.unify_anti_join(f(right)?),
-            RaExpr::Division { left, right } => f(left)?.divide(f(right)?),
             RaExpr::Rename { input, columns } => {
                 RaExpr::Rename { input: Box::new(f(input)?), columns: columns.clone() }
             }
@@ -151,6 +150,6 @@ mod tests {
         });
         assert_eq!(ops.len(), q.size());
         assert!(q.any_node(&mut |n| matches!(n, RaExpr::Join { .. })));
-        assert!(!q.any_node(&mut |n| matches!(n, RaExpr::Division { .. })));
+        assert!(!q.any_node(&mut |n| matches!(n, RaExpr::Aggregate { .. })));
     }
 }

@@ -25,8 +25,9 @@
 //!   being tested.)
 //! * `AntiJoin(l, r, θ)★ = Difference(l★, SemiJoin(l⁺, r⁺, θ*))` — rule (4.4)
 //!   with `(l ⋉_θ r)⁺` as the subtracted query.
+//!
+//! Division needs no rule: [`RaExpr::divide`] builds it from −, π and ×.
 
-use crate::algebra::condition::Condition;
 use crate::algebra::expr::RaExpr;
 use crate::core::dialect::ConditionDialect;
 use crate::core::theta::{theta_star, theta_star_star};
@@ -74,20 +75,6 @@ pub fn translate_plus(expr: &RaExpr, dialect: ConditionDialect) -> Result<RaExpr
             columns: columns.clone(),
         }),
         RaExpr::Distinct { input } => Ok(translate_plus(input, dialect)?.distinct()),
-        // (R ÷ S)⁺ = R⁺ ÷ S for a base-relation divisor. Division is not
-        // positive — it is anti-monotone in its divisor — but this rule is
-        // sound: a key `k` of R⁺ ÷ S has `(k, s)` in R⁺ for every `s` of S,
-        // and under any valuation `v`, `v(k, s)` lies in `v(R⁺) ⊆ R(v(D))`
-        // for every `v(s)` of `v(S)`. A computed divisor is outside the
-        // supported fragment.
-        RaExpr::Division { left, right } => match right.as_ref() {
-            RaExpr::Relation { .. } | RaExpr::Values { .. } => {
-                Ok(translate_plus(left, dialect)?.divide((**right).clone()))
-            }
-            _ => Err(Error::OutsideFragment(
-                "division whose divisor is not a database relation".into(),
-            )),
-        },
         RaExpr::UnifySemiJoin { .. } | RaExpr::UnifyAntiSemiJoin { .. } => Err(
             Error::OutsideFragment("unification semijoins may not appear in source queries".into()),
         ),
@@ -146,19 +133,6 @@ pub fn translate_star(expr: &RaExpr, dialect: ConditionDialect) -> Result<RaExpr
             columns: columns.clone(),
         }),
         RaExpr::Distinct { input } => Ok(translate_star(input, dialect)?.distinct()),
-        // (R ÷ S)★ = π_K(R★), written R★ ÷ σ_false(S): the empty divisor keeps
-        // every key. Division is anti-monotone in its divisor, so S cannot
-        // filter candidates: with R = {(7, 1)} and S = {(⊥₁)}, `R★ ÷ S` is
-        // empty, yet v(⊥₁) = 1 makes 7 an answer.
-        RaExpr::Division { left, right } => match right.as_ref() {
-            RaExpr::Relation { .. } | RaExpr::Values { .. } => {
-                Ok(translate_star(left, dialect)?
-                    .divide((**right).clone().select(Condition::False)))
-            }
-            _ => Err(Error::OutsideFragment(
-                "division whose divisor is not a database relation".into(),
-            )),
-        },
         RaExpr::UnifySemiJoin { .. } | RaExpr::UnifyAntiSemiJoin { .. } => Err(
             Error::OutsideFragment("unification semijoins may not appear in source queries".into()),
         ),
@@ -173,6 +147,7 @@ mod tests {
     use super::*;
     use crate::algebra::builder::{eq, eq_const, neq, neq_const};
     use crate::algebra::eval::eval;
+    use crate::algebra::schema_infer::Catalog;
     use crate::algebra::NullSemantics;
     use crate::data::builder::rel;
     use crate::data::null::NullId;
@@ -346,7 +321,7 @@ mod tests {
         let mut db = Database::new();
         db.insert_relation("r", rel(&["a", "b"], vec![vec![Value::Int(7), Value::Int(1)]]));
         db.insert_relation("t", rel(&["b"], vec![vec![null(1)]]));
-        let q = RaExpr::relation("r").divide(RaExpr::relation("t"));
+        let q = RaExpr::relation("r").divide(RaExpr::relation("t"), &db).unwrap();
         for (dialect, semantics) in DIALECTS {
             let star = translate_star(&q, dialect).unwrap();
             let out = eval(&star, &db, semantics).unwrap();
@@ -381,9 +356,10 @@ mod tests {
         db
     }
 
-    /// The fragment's shapes: selections, semi- and anti-joins, difference
-    /// and division over a base divisor.
-    fn shapes() -> Vec<RaExpr> {
+    /// The fragment's shapes over the tables of `small_db`: selections,
+    /// semi- and anti-joins (nested to depth 3), intersection, difference
+    /// (nested), and division by a base and by a computed divisor.
+    fn shapes(catalog: &dyn Catalog) -> Vec<RaExpr> {
         let bases = [
             RaExpr::relation("r"),
             RaExpr::relation("r").select(eq("a", "b")),
@@ -393,12 +369,21 @@ mod tests {
         let mut out = Vec::new();
         for b in bases {
             let s = || RaExpr::relation("s");
-            out.push(b.clone().divide(RaExpr::relation("t")));
+            let divide = |q: RaExpr, divisor: RaExpr| q.divide(divisor, catalog).unwrap();
+            out.push(divide(b.clone(), RaExpr::relation("t")));
+            out.push(divide(b.clone(), s().project(&["d"]).rename(&["b"])));
             out.push(b.clone().anti_join(s(), eq("a", "c")));
             out.push(b.clone().semi_join(s(), eq("a", "c")));
             out.push(b.clone().difference(s().project(&["c", "d"]).rename(&["a", "b"])));
+            out.push(b.clone().intersect(s().rename(&["a", "b"])));
+            let transposed = RaExpr::relation("r").project(&["b", "a"]).rename(&["a", "b"]);
+            out.push(b.clone().difference(s().rename(&["a", "b"]).difference(transposed)));
             out.push(b.clone().anti_join(s(), eq("a", "c").and(neq("b", "d"))).project(&["a"]));
-            out.push(b.anti_join(s(), eq("a", "c")).divide(RaExpr::relation("t")));
+            let depth_3 = RaExpr::relation("r")
+                .rename(&["x", "y"])
+                .anti_join(s().rename(&["u", "w"]), eq("y", "u"));
+            out.push(b.clone().anti_join(s().anti_join(depth_3, eq("d", "x")), eq("a", "c")));
+            out.push(divide(b.anti_join(s(), eq("a", "c")), RaExpr::relation("t")));
         }
         out
     }
@@ -420,7 +405,7 @@ mod tests {
         let mut checked = 0;
         for (case, db) in dbs.enumerate() {
             let nulls = db.active_domain().nulls;
-            for q in shapes() {
+            for q in shapes(&db) {
                 let stars: Vec<_> = DIALECTS
                     .iter()
                     .map(|&(dialect, semantics)| {

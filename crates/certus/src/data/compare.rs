@@ -86,9 +86,11 @@ impl fmt::Display for CmpOp {
 }
 
 /// Compare two *constant* values semantically. Numeric types (`Int`,
-/// `Decimal`, `Float`) are mutually comparable; other cross-type comparisons
-/// fall back to the syntactic total order. Returns `None` if either value is
-/// a null (callers decide how to interpret that).
+/// `Decimal`, `Float`) are mutually comparable as `f64`s, in a total order:
+/// NaN equals only NaN and sorts above every number, as in PostgreSQL.
+/// Other cross-type comparisons fall back to the syntactic total order.
+/// Returns `None` if either value is a null (callers decide how to
+/// interpret that).
 pub(crate) fn const_ordering(a: &Value, b: &Value) -> Option<Ordering> {
     if a.is_null() || b.is_null() {
         return None;
@@ -100,7 +102,7 @@ pub(crate) fn const_ordering(a: &Value, b: &Value) -> Option<Ordering> {
         _ => {
             // Numeric comparison when both sides are numeric.
             if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-                return x.partial_cmp(&y).or(Some(Ordering::Equal));
+                return Some(x.partial_cmp(&y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan())));
             }
             Some(a.cmp(b))
         }

@@ -442,14 +442,6 @@ pub(crate) enum Op {
     Difference { left: Box<CompiledExpr>, right: Box<CompiledExpr> },
     /// Unification (anti-)semijoin of Definition 4.
     UnifySemi { left: Box<CompiledExpr>, right: Box<CompiledExpr>, keep_matching: bool },
-    /// Relational division with divisor↔dividend column positions resolved.
-    Division {
-        left: Box<CompiledExpr>,
-        right: Box<CompiledExpr>,
-        key_positions: Vec<usize>,
-        shared_positions: Vec<usize>,
-        schema: Arc<Schema>,
-    },
     /// Column renaming: a schema swap, no tuple work.
     Rename { input: Box<CompiledExpr>, schema: Arc<Schema> },
     /// Duplicate elimination.
@@ -472,7 +464,6 @@ impl CompiledExpr {
             | Op::HashJoin { schema, .. }
             | Op::NlJoin { schema, .. }
             | Op::Union { schema, .. }
-            | Op::Division { schema, .. }
             | Op::Rename { schema, .. }
             | Op::Aggregate { schema, .. } => schema,
             Op::Values { rel } => rel.schema(),
@@ -503,8 +494,7 @@ impl CompiledExpr {
             | Op::DecorrelatedSemi { left, right, .. }
             | Op::Intersect { left, right }
             | Op::Difference { left, right }
-            | Op::UnifySemi { left, right, .. }
-            | Op::Division { left, right, .. } => vec![left, right],
+            | Op::UnifySemi { left, right, .. } => vec![left, right],
         }
     }
 
@@ -524,7 +514,6 @@ impl CompiledExpr {
             Op::Intersect { .. } => "intersect",
             Op::Difference { .. } => "difference",
             Op::UnifySemi { .. } => "unify_semi",
-            Op::Division { .. } => "division",
             Op::Rename { .. } => "rename",
             Op::Distinct { .. } => "distinct",
             Op::Aggregate { .. } => "aggregate",
@@ -797,37 +786,6 @@ fn compile_expr(plan: &PhysicalExpr, cx: &mut Cx<'_>) -> Result<CompiledExpr> {
                 )));
             }
             Op::UnifySemi { left: Box::new(l), right: Box::new(r), keep_matching: !*anti }
-        }
-        PhysicalExpr::Division { left, right } => {
-            let l = compile_expr(left, cx)?;
-            let r = compile_expr(right, cx)?;
-            // Map each divisor column to the dividend column with the same
-            // base name (as the reference evaluator does).
-            let mut shared_positions = Vec::with_capacity(r.schema().arity());
-            for attr in r.schema().attrs() {
-                let pos = l
-                    .schema()
-                    .attrs()
-                    .iter()
-                    .position(|a| a.base_name() == attr.base_name())
-                    .ok_or_else(|| {
-                        Error::Malformed(format!(
-                            "division: divisor column {} not found in dividend",
-                            attr.name
-                        ))
-                    })?;
-                shared_positions.push(pos);
-            }
-            let key_positions: Vec<usize> =
-                (0..l.schema().arity()).filter(|i| !shared_positions.contains(i)).collect();
-            let schema = l.schema().project(&key_positions).shared();
-            Op::Division {
-                left: Box::new(l),
-                right: Box::new(r),
-                key_positions,
-                shared_positions,
-                schema,
-            }
         }
         PhysicalExpr::Aggregate { input, group_by, aggregates } => {
             let child = compile_expr(input, cx)?;

@@ -93,9 +93,9 @@
 //!   than Q2, as in the paper;
 //! * δ, ∪ and the deduplicating pipelines keep the first row of each key
 //!   over ids, and γ groups over ids, through the hash operators' key sets
-//!   (nulls as key values: a marked null equals only itself); ∩, −, the
-//!   unification semijoins and division run natively on the relations their
-//!   inputs are built into.
+//!   (nulls as key values: a marked null equals only itself); ∩, − and the
+//!   unification semijoins run natively on the relations their inputs are
+//!   built into.
 //!
 //! [`Engine::execute`] is the convenience entry point for logical plans: it
 //! plans them as given — no rewrite passes, no statistics; see
@@ -173,7 +173,7 @@
 //! * δ and a deduplicating pipeline keep the first row of each key over
 //!   ids, so tuples are built for the survivors only;
 //! * tuples are built only where a consumer needs whole rows — the plan
-//!   root, a projecting pipeline, union arms, ∩, −, ⋉⇑, ÷ and γ — and of
+//!   root, a projecting pipeline, union arms, ∩, −, ⋉⇑ and γ — and of
 //!   the columns it reads (a projection's, γ's group and aggregate
 //!   columns). Rows are `Arc<[Value]>`: one relation's rows read whole are passed on by
 //!   pointer, as the answer of a filter over a scan is. The profile's
@@ -202,7 +202,7 @@
 //! ranges (or whole union arms) concatenated in order. Deduplication,
 //! intersection, difference and aggregation run on the calling thread —
 //! one pass over a hash set or a keyed table is faster than hashing every
-//! row first to route it — and so do the unification semijoins and division.
+//! row first to route it — and so do the unification semijoins.
 //!
 //! With [`EngineConfig::threads`] `== 1` (or on plans without exchanges)
 //! every operator runs inline on the calling thread. All parallel paths are
@@ -622,10 +622,6 @@ impl<'a> Engine<'a> {
                 let keep = self.unify_semi(&l, &r, *keep_matching)?;
                 Ok(owned(l).select(keep))
             }
-            Op::Division { left, right, key_positions, shared_positions, schema } => {
-                let (l, r) = self.exec_both(left, right, scalars, stats, prof)?;
-                Ok(owned(self.division(&l, &r, key_positions, shared_positions, schema)?))
-            }
             Op::Rename { input, .. } => {
                 let rows = self.exec(input, scalars, stats)?;
                 if let Some(p) = prof {
@@ -687,7 +683,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute both inputs of an operator that consumes them whole (the set
-    /// operations, the unification semijoins, division), left first.
+    /// operations, the unification semijoins), left first.
     fn exec_both(
         &self,
         left: &CompiledExpr,
@@ -708,45 +704,6 @@ impl<'a> Engine<'a> {
         self.probe_keep(l.len(), 1, keep_matching, |i| {
             r.iter().any(|rt| crate::data::unify::tuples_unify(&l.tuples()[i], rt))
         })
-    }
-
-    /// Relational division: the dividend keys whose combination with every
-    /// divisor row is a dividend row. `|keys| × |r|` lookups, so the token
-    /// is checked once per key.
-    fn division(
-        &self,
-        l: &Relation,
-        r: &Relation,
-        key_positions: &[usize],
-        shared_positions: &[usize],
-        schema: &Arc<Schema>,
-    ) -> Result<Relation> {
-        let mut all: HashSet<&Tuple> = HashSet::with_capacity(l.len());
-        all.extend(l.iter());
-        let mut seen_keys = HashSet::with_capacity(l.len());
-        let mut tuples = Vec::new();
-        for lt in l.iter() {
-            let key = lt.project(key_positions);
-            if !seen_keys.insert(key.clone()) {
-                continue;
-            }
-            self.check_cancelled()?;
-            let ok = r.iter().all(|rt| {
-                // Reassemble a dividend tuple with this key and the
-                // divisor values.
-                let candidate: Tuple = (0..lt.len())
-                    .map(|p| match shared_positions.iter().rposition(|&lp| lp == p) {
-                        Some(ri) => rt[ri].clone(),
-                        None => lt[p].clone(),
-                    })
-                    .collect();
-                all.contains(&candidate)
-            });
-            if ok {
-                tuples.push(key);
-            }
-        }
-        Ok(Relation::from_parts(schema.clone(), tuples))
     }
 
     /// The groups of the keys of `rows` at `pos`, nulls as key values (a
@@ -1366,24 +1323,19 @@ mod tests {
     }
 
     #[test]
-    fn the_quadratic_loops_of_unification_and_division_honour_a_tripped_token() {
-        // Operator entry checks the token too, so the loops are entered
+    fn the_quadratic_loop_of_unification_honours_a_tripped_token() {
+        // Operator entry checks the token too, so the loop is entered
         // directly: the token trips after the inputs were computed.
         let db = Database::new();
         let l = rel(&["a", "b"], vec![vec![Value::Int(1), null(1)], vec![Value::Int(2), null(2)]]);
-        let r = rel(&["b"], vec![vec![Value::Int(7)]]);
         let token = crate::exec::CancelToken::new();
         let engine = sql_engine(&db).with_cancel_token(token.clone());
-        let schema = l.schema().project(&[0]).shared();
-        let divide = || engine.division(&l, &r, &[0], &[1], &schema);
         assert!(engine.unify_semi(&l, &l, true).is_ok());
-        assert!(divide().is_ok());
         token.cancel();
         for keep_matching in [true, false] {
             let out = engine.unify_semi(&l, &l, keep_matching);
             assert!(matches!(out, Err(Error::Cancelled)), "{out:?}");
         }
-        assert!(matches!(divide(), Err(Error::Cancelled)));
     }
 
     #[test]

@@ -61,7 +61,6 @@ use crate::engine::compile::{CompiledOperand, CompiledPredicate, HashKeys, Pred,
 use crate::engine::rows::{RowView, Rows};
 use crate::obs::profile::NodeStats;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
@@ -525,8 +524,12 @@ fn pack(len: usize, mut bit: impl FnMut(usize) -> bool) -> Vec<u64> {
 }
 
 /// The bits of `x(i) op y(i)` over the rows `0..len`: `op` is matched once,
-/// and each arm is its own loop. An incomparable pair (NaN) counts as
-/// equal, the rule of `const_ordering`: `=` holds unless `<` or `>` does.
+/// and each arm is its own loop. Every arm is `const_ordering`'s total
+/// order: NaN equals only NaN and sorts above every number. Each is the
+/// IEEE comparison plus the NaN cases it gets wrong; `y`'s NaN test comes
+/// first, so for a constant it is decided once and, where `x` is never NaN
+/// (integers, dates, an int or decimal column as `f64`), a row costs one
+/// comparison.
 #[inline]
 fn cmp_bits<T: PartialOrd>(
     len: usize,
@@ -534,14 +537,16 @@ fn cmp_bits<T: PartialOrd>(
     x: impl Fn(usize) -> T,
     y: impl Fn(usize) -> T,
 ) -> Vec<u64> {
-    let ord = |i: usize| x(i).partial_cmp(&y(i));
+    // NaN is the one value unordered with itself.
+    let nan = |v: &T| v.partial_cmp(v).is_none();
+    let xy = |i: usize| (x(i), y(i));
     match op {
-        CmpOp::Eq => pack(len, |i| !matches!(ord(i), Some(Ordering::Less | Ordering::Greater))),
-        CmpOp::Neq => pack(len, |i| matches!(ord(i), Some(Ordering::Less | Ordering::Greater))),
-        CmpOp::Lt => pack(len, |i| x(i) < y(i)),
-        CmpOp::Le => pack(len, |i| ord(i) != Some(Ordering::Greater)),
-        CmpOp::Gt => pack(len, |i| x(i) > y(i)),
-        CmpOp::Ge => pack(len, |i| ord(i) != Some(Ordering::Less)),
+        CmpOp::Eq => pack(len, |i| matches!(xy(i), (a, b) if a == b || (nan(&b) && nan(&a)))),
+        CmpOp::Neq => pack(len, |i| matches!(xy(i), (a, b) if a != b && !(nan(&b) && nan(&a)))),
+        CmpOp::Lt => pack(len, |i| matches!(xy(i), (a, b) if a < b || (nan(&b) && !nan(&a)))),
+        CmpOp::Le => pack(len, |i| matches!(xy(i), (a, b) if a <= b || nan(&b))),
+        CmpOp::Gt => pack(len, |i| matches!(xy(i), (a, b) if a > b || (!nan(&b) && nan(&a)))),
+        CmpOp::Ge => pack(len, |i| matches!(xy(i), (a, b) if a >= b || nan(&a))),
     }
 }
 
@@ -1743,20 +1748,6 @@ mod tests {
         rel(&names, rows)
     }
 
-    /// `rel` with every float NaN replaced by 0.5.
-    fn without_nan(rel: Relation) -> Relation {
-        let rows = (rel.tuples().iter())
-            .map(|t| {
-                let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
-                t.values()
-                    .iter()
-                    .map(|v| if nan(v) { Value::Float(0.5) } else { v.clone() })
-                    .collect()
-            })
-            .collect();
-        Relation::from_parts(rel.schema().clone(), rows)
-    }
-
     /// A hash operator's condition over `l (a, b, x)` and `r (c, d, y)`:
     /// the key `a = c`, also `b = d` when `multi`; the first key
     /// null-aware on the sides `aware` names (`… OR a IS NULL`,
@@ -1898,12 +1889,9 @@ mod tests {
                         assert_groups_match(&keys, pos, vectorized, &pool);
                     }
                 }
-                // A NaN key equals only a NaN key, as `Value` equality has
-                // it, while a comparison counts NaN equal to every number:
-                // the joins are checked on the other floats.
                 let (l, r) = (
-                    without_nan(keyed(["a", "b", "x"], 37, kind, shape, &mut rng)),
-                    without_nan(keyed(["c", "d", "y"], 41, kind, shape, &mut rng)),
+                    keyed(["a", "b", "x"], 37, kind, shape, &mut rng),
+                    keyed(["c", "d", "y"], 41, kind, shape, &mut rng),
                 );
                 for multi in [false, true] {
                     for aware in awareness {

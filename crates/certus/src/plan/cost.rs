@@ -227,7 +227,7 @@ fn estimate(plan: &PhysicalExpr, stats: &StatisticsCatalog, out: &mut Vec<Estima
         PhysicalExpr::Union { .. }
         | PhysicalExpr::Intersect { .. }
         | PhysicalExpr::Difference { .. } => (setop_rows(lr, rr), lr + rr),
-        PhysicalExpr::UnifySemi { .. } | PhysicalExpr::Division { .. } => (lr, lr * rr),
+        PhysicalExpr::UnifySemi { .. } => (lr, lr * rr),
         PhysicalExpr::Aggregate { group_by, .. } => (aggregate_rows(lr, !group_by.is_empty()), lr),
         PhysicalExpr::Exchange { partitions, .. } => (lr, exchange_cost(lr, *partitions)),
     };

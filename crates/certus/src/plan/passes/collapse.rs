@@ -23,7 +23,6 @@ fn dedups(expr: &RaExpr) -> bool {
             | RaExpr::Union { .. }
             | RaExpr::Intersect { .. }
             | RaExpr::Difference { .. }
-            | RaExpr::Division { .. }
             | RaExpr::Aggregate { .. }
     )
 }

@@ -21,7 +21,7 @@
 //! at the plan root and under an aggregate (`COUNT` sees multiplicities),
 //! and — conservatively — at every consumer that reads its input by position
 //! or as whole rows (rename, the set operations, products, the unification
-//! semijoins, division): the semijoin drops `R`'s columns from the schema.
+//! semijoins): the semijoin drops `R`'s columns from the schema.
 //!
 //! **Which columns are `R`'s.** A column belongs to the input
 //! `JoinSides` attributes it to, the rule the engine's compiler resolves

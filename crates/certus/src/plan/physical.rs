@@ -253,13 +253,6 @@ pub enum PhysicalExpr {
         /// Whether this is the anti variant.
         anti: bool,
     },
-    /// Relational division.
-    Division {
-        /// Dividend.
-        left: Box<PhysicalExpr>,
-        /// Divisor.
-        right: Box<PhysicalExpr>,
-    },
     /// Column renaming.
     Rename {
         /// Input plan.
@@ -315,8 +308,7 @@ impl PhysicalExpr {
             | PhysicalExpr::Union { left, right }
             | PhysicalExpr::Intersect { left, right }
             | PhysicalExpr::Difference { left, right }
-            | PhysicalExpr::UnifySemi { left, right, .. }
-            | PhysicalExpr::Division { left, right } => vec![left, right],
+            | PhysicalExpr::UnifySemi { left, right, .. } => vec![left, right],
         }
     }
 
@@ -353,7 +345,6 @@ impl PhysicalExpr {
                     "UnifySemiJoin".to_string()
                 }
             }
-            PhysicalExpr::Division { .. } => "Division".to_string(),
             PhysicalExpr::Rename { .. } => "Rename".to_string(),
             PhysicalExpr::Distinct { .. } => "Distinct".to_string(),
             PhysicalExpr::Aggregate { .. } => "Aggregate".to_string(),
@@ -480,9 +471,6 @@ pub fn heuristic_plan_with(
         }
         RaExpr::UnifyAntiSemiJoin { left, right } => {
             PhysicalExpr::UnifySemi { left: plan(left)?, right: plan(right)?, anti: true }
-        }
-        RaExpr::Division { left, right } => {
-            PhysicalExpr::Division { left: plan(left)?, right: plan(right)? }
         }
         RaExpr::Rename { input, columns } => {
             PhysicalExpr::Rename { input: plan(input)?, columns: columns.clone() }
@@ -798,8 +786,7 @@ mod tests {
             | PhysicalExpr::Union { left, right }
             | PhysicalExpr::Intersect { left, right }
             | PhysicalExpr::Difference { left, right }
-            | PhysicalExpr::UnifySemi { left, right, .. }
-            | PhysicalExpr::Division { left, right } => {
+            | PhysicalExpr::UnifySemi { left, right, .. } => {
                 strip_exchanges(left);
                 strip_exchanges(right);
             }

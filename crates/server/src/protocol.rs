@@ -785,11 +785,6 @@ fn put_expr(out: &mut Vec<u8>, e: &RaExpr) {
             put_expr(out, left);
             put_expr(out, right);
         }
-        RaExpr::Division { left, right } => {
-            put_u8(out, 13);
-            put_expr(out, left);
-            put_expr(out, right);
-        }
         RaExpr::Rename { input, columns } => {
             put_u8(out, 14);
             put_expr(out, input);
@@ -867,7 +862,6 @@ fn get_expr(r: &mut Reader<'_>) -> WireResult<RaExpr> {
             left: Box::new(get_expr(r)?),
             right: Box::new(get_expr(r)?),
         },
-        13 => RaExpr::Division { left: Box::new(get_expr(r)?), right: Box::new(get_expr(r)?) },
         14 => {
             let input = Box::new(get_expr(r)?);
             let n = r.len()?;
@@ -1191,10 +1185,6 @@ mod tests {
             agg,
             scalar,
             inlist,
-            RaExpr::Division {
-                left: Box::new(base.clone()),
-                right: Box::new(RaExpr::relation("s")),
-            },
             RaExpr::Rename { input: Box::new(base.clone()), columns: vec!["p".into()] },
             RaExpr::Distinct { input: Box::new(base.clone()) },
             RaExpr::UnifySemiJoin {
@@ -1393,6 +1383,19 @@ mod tests {
         let mut hostile = encode_request(1, &Request::Ping);
         hostile[8] = 99;
         assert!(decode_request(&hostile).is_err());
+        // A query under the retired division tag 13, laid out as its binary
+        // neighbours are (tag, left, right), is refused.
+        let query = |query: RaExpr| {
+            let certainty = WireCertainty::CertainPlus;
+            encode_request(1, &Request::Query { certainty, query, deadline_ms: 0 })
+        };
+        let scan = || RaExpr::relation("r");
+        let mut retired = query(scan().union(scan()));
+        let tag = retired.iter().zip(&query(scan())).position(|(a, b)| a != b).unwrap();
+        retired[tag] = 13;
+        assert!(decode_request(&retired).is_err());
+        retired[tag] = 6;
+        assert!(decode_request(&retired).is_ok());
     }
 
     #[test]

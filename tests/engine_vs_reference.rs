@@ -37,13 +37,13 @@ fn random_db(rng: &mut StdRng) -> Database {
     db
 }
 
-/// The query shapes under test: every physical strategy (hash / nested loop /
-/// decorrelated), plus set operations and projections — and one query per
-/// operator the engine's compiled runtime implements natively (rename,
-/// intersection, unification semijoins, division, distinct, aggregation,
-/// `LIKE`/`IN` conditions), so every native operator is pitted against the
-/// reference evaluator.
-fn engine_queries() -> Vec<RaExpr> {
+/// The query shapes under test over `db`'s tables: every physical strategy
+/// (hash / nested loop / decorrelated), plus set operations and projections
+/// — and one query per operator the engine's compiled runtime implements
+/// natively (rename, intersection, unification semijoins, distinct,
+/// aggregation, `LIKE`/`IN` conditions), so every native operator is pitted
+/// against the reference evaluator, and a division's expansion.
+fn engine_queries(db: &Database) -> Vec<RaExpr> {
     use certus::algebra::{AggExpr, AggFunc, Condition, Operand};
     vec![
         RaExpr::relation("r").join(RaExpr::relation("s"), eq("a", "c")),
@@ -58,13 +58,14 @@ fn engine_queries() -> Vec<RaExpr> {
         RaExpr::relation("r").project(&["a"]).difference(RaExpr::relation("s").project(&["c"])),
         RaExpr::relation("r").product(RaExpr::relation("s")).select(neq("b", "d")),
         // Native-runtime coverage: rename, intersect, unify semi/anti,
-        // division, distinct, aggregate, IN-list conditions.
+        // distinct, aggregate, IN-list conditions; and division.
         RaExpr::relation("r").rename(&["x", "y"]).select(eq_const("x", 1i64)).project(&["y"]),
         RaExpr::relation("r").project(&["a"]).intersect(RaExpr::relation("s").project(&["c"])),
         RaExpr::relation("r").unify_semi_join(RaExpr::relation("s")),
         RaExpr::relation("r").unify_anti_join(RaExpr::relation("s")),
         RaExpr::relation("r")
-            .divide(RaExpr::relation("s").project(&["c"]).rename(&["b"]).distinct()),
+            .divide(RaExpr::relation("s").project(&["c"]).rename(&["b"]).distinct(), db)
+            .unwrap(),
         RaExpr::relation("r").project(&["b"]).distinct().distinct(),
         // COUNT aggregates only: MIN/MAX/SUM/AVG over an all-null group
         // yield a *fresh* null, which can never compare equal across two
@@ -89,7 +90,7 @@ fn engine_agrees_with_reference_evaluator() {
         let mut rng = StdRng::seed_from_u64(seed);
         for case in 0..cases {
             let db = random_db(&mut rng);
-            for q in engine_queries() {
+            for q in engine_queries(&db) {
                 for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
                     let engine = Engine::configured(&db, semantics, EngineConfig::default());
                     let engine_out = engine.execute(&q).unwrap().distinct().sorted();
@@ -115,7 +116,7 @@ fn vectorized_runtime_agrees_with_row_path_and_reference() {
     let mut rng = StdRng::seed_from_u64(0x5EC7);
     for case in 0..48 {
         let db = random_db(&mut rng);
-        for q in engine_queries() {
+        for q in engine_queries(&db) {
             for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
                 let vec_engine = Engine::configured(
                     &db,
@@ -429,7 +430,7 @@ fn join_algos(plan: &PhysicalExpr, out: &mut Vec<String>) {
 
 /// Operators hand each other row-id sets and build rows only where a
 /// consumer needs whole rows. Every such boundary — the root, a projection,
-/// δ, a union arm, ∩, −, ⋉⇑, ÷, γ, and a rename and a filter in between —
+/// δ, a union arm, ∩, −, ⋉⇑, γ, and a rename and a filter in between —
 /// and both sides of a nested-loop join and semijoin and a decorrelated
 /// semijoin's inner side are fed id chains ([`id_chain`]), over instances
 /// with nulls clustered on the keys (the same `⊥ᵢ` recurring within and
@@ -446,37 +447,39 @@ fn id_chains_match_the_reference_at_every_materialisation_boundary() {
     // `s2.y` also resolves by its base name against `s1.y`, so over `x()` the
     // planner would take a predicate over `y()` alone for a correlated one.
     let renamed = || x().rename(&["a1", "b1", "x1", "c1", "d1", "y1"]);
-    let shapes = vec![
-        x(),
-        x().project(&["s1.d", "r1.b"]),
-        x().distinct(),
-        x().project(&["r1.a"]).union(y().project(&["s2.d"])),
-        x().project(&["r1.b"]).intersect(y().project(&["s2.c"])),
-        x().project(&["r1.a", "s1.y"]).difference(y().project(&["r2.b", "s2.d"])),
-        x().unify_semi_join(y()),
-        x().project(&["r1.a", "s1.d"]).unify_anti_join(y().project(&["s2.c", "r2.b"])),
-        x().project(&["r1.a", "s1.d"]).divide(y().project(&["s2.d"])),
-        x().aggregate(
-            &["s1.d"],
-            vec![AggExpr::count_star("n"), AggExpr::new(AggFunc::Count, "r1.x", "nx")],
-        ),
-        x().aggregate(&[], vec![AggExpr::count_star("n")]),
-        renamed().project(&["y1", "a1"]),
-        renamed().join(RaExpr::relation("s"), eq("d1", "c").or(is_null("c"))),
-        x().select(neq("r1.x", "s1.y").or(is_null("s1.c"))),
-        x().join(y(), eq("s1.d", "r2.a")),
-        x().join(y(), neq("r1.b", "r2.b").or(is_null("s2.y"))),
-        x().semi_join(y(), neq("r1.x", "s2.y").or(is_null("r2.a"))),
-        x().anti_join(y(), neq("s1.c", "r2.x").or(is_null("r1.b"))),
-        renamed().semi_join(y(), is_null("s2.y")),
-        renamed().anti_join(y(), is_null("r2.x")),
-    ];
+    let shapes = |db: &Database| {
+        vec![
+            x(),
+            x().project(&["s1.d", "r1.b"]),
+            x().distinct(),
+            x().project(&["r1.a"]).union(y().project(&["s2.d"])),
+            x().project(&["r1.b"]).intersect(y().project(&["s2.c"])),
+            x().project(&["r1.a", "s1.y"]).difference(y().project(&["r2.b", "s2.d"])),
+            x().unify_semi_join(y()),
+            x().project(&["r1.a", "s1.d"]).unify_anti_join(y().project(&["s2.c", "r2.b"])),
+            x().project(&["r1.a", "s1.d"]).divide(y().project(&["s2.d"]), db).unwrap(),
+            x().aggregate(
+                &["s1.d"],
+                vec![AggExpr::count_star("n"), AggExpr::new(AggFunc::Count, "r1.x", "nx")],
+            ),
+            x().aggregate(&[], vec![AggExpr::count_star("n")]),
+            renamed().project(&["y1", "a1"]),
+            renamed().join(RaExpr::relation("s"), eq("d1", "c").or(is_null("c"))),
+            x().select(neq("r1.x", "s1.y").or(is_null("s1.c"))),
+            x().join(y(), eq("s1.d", "r2.a")),
+            x().join(y(), neq("r1.b", "r2.b").or(is_null("s2.y"))),
+            x().semi_join(y(), neq("r1.x", "s2.y").or(is_null("r2.a"))),
+            x().anti_join(y(), neq("s1.c", "r2.x").or(is_null("r1.b"))),
+            renamed().semi_join(y(), is_null("s2.y")),
+            renamed().anti_join(y(), is_null("r2.x")),
+        ]
+    };
     let passes = PassManager::standard();
     let mut rng = StdRng::seed_from_u64(0xB0DA);
     let mut algos = Vec::new();
     for case in 0..12 {
         let db = null_keyed_db(&mut rng, case);
-        for written in &shapes {
+        for written in &shapes(&db) {
             let piped = passes.run(written, &db).unwrap();
             for q in [written, &piped] {
                 algos.extend(same_relation_in_every_configuration(&db, q, case));
@@ -720,9 +723,9 @@ fn inserts_reach_queries_that_read_cached_base_columns() {
 /// comparisons (fold), OR'd anti-join and join conditions (or-split) and
 /// `IS NULL` atoms (null-prune, given the nullable test schema: a no-op that
 /// must stay a no-op).
-fn planner_queries() -> Vec<RaExpr> {
+fn planner_queries(db: &Database) -> Vec<RaExpr> {
     use certus::algebra::ProjCol;
-    let mut queries = engine_queries();
+    let mut queries = engine_queries(db);
     queries.extend(vec![
         RaExpr::relation("r")
             .product(RaExpr::relation("s"))
@@ -806,7 +809,7 @@ fn passes_and_pipeline_are_result_equivalent_to_reference() {
     let mut rng = StdRng::seed_from_u64(0x9A55);
     for case in 0..24 {
         let db = random_db(&mut rng);
-        for q in planner_queries() {
+        for q in planner_queries(&db) {
             for (name, pass) in PASSES {
                 let rewritten = pass(&q, &db).unwrap();
                 for semantics in [NullSemantics::Sql, NullSemantics::Naive] {
@@ -845,7 +848,7 @@ fn planner_on_vs_off_execute_identically() {
         let db = random_db(&mut rng);
         let engine = Engine::configured(&db, NullSemantics::Sql, EngineConfig::default());
         let stats = certus::StatisticsCatalog::analyze(&db);
-        for q in planner_queries() {
+        for q in planner_queries(&db) {
             let off = engine.execute(&q).unwrap().distinct().sorted();
             let optimized = passes.run(&q, &db).unwrap();
             let on = engine.execute(&optimized).unwrap().distinct().sorted();

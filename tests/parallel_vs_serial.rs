@@ -136,7 +136,8 @@ fn native_operators_match_serial_across_thread_counts() {
             RaExpr::relation("r").project(&["a"]).difference(RaExpr::relation("s").project(&["c"])),
             RaExpr::relation("r").unify_anti_join(RaExpr::relation("s")),
             RaExpr::relation("r")
-                .divide(RaExpr::relation("s").project(&["c"]).rename(&["b"]).distinct()),
+                .divide(RaExpr::relation("s").project(&["c"]).rename(&["b"]).distinct(), &db)
+                .unwrap(),
             // COUNT only: other aggregates emit fresh nulls on all-null
             // groups, which never compare equal across evaluations.
             RaExpr::relation("r").aggregate(
